@@ -23,8 +23,8 @@ dirac = DiracData(0.0, 1.0)
 grid = RegionGrid(-3.0, 3.0, -3.0, 3.0, 41, 41)
 
 candidates = {
-    "diag(t, t)  — time itself": AlgebraElement.diagonal("t", "t"),
-    "diag(x, x)  — a spatial gradient": AlgebraElement.diagonal("x", "x"),
+    "diag(t, t)  — time itself": AlgebraElement.from_sources("t", "t"),
+    "diag(x, x)  — a spatial gradient": AlgebraElement.from_sources("x", "x"),
     "diag(tanh(t+x) + tanh(t-x), t)": AlgebraElement.from_sources(
         "tanh(t + x) + tanh(t - x)", "t"
     ),

@@ -18,8 +18,8 @@ from causalnc import (
     PureState,
     SpacetimePoint,
     pure_causal,
-    unitary_transport_check,
 )
+from causalnc.selftest import unitary_transport_check
 
 dirac = DiracData(-0.4, 0.6)
 start = PureState(SpacetimePoint(0.0, 0.0), PureInternalState.from_parallel(0.2, 0.3))

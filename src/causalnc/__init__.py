@@ -10,19 +10,16 @@ certificates refuting non-relations, and brute-force numerical cross-checks.
 from .causality import (
     CausalVerdict,
     MixedState,
-    PathSample,
     PureState,
     Reason,
     mixed_causal,
     mixed_required_angle,
     plan_causal_path,
     pure_causal,
-    unitary_transport_check,
 )
 from .cone import (
     AlgebraElement,
     ConeMatrix,
-    MembershipReport,
     RegionGrid,
     UnequalDiagonalError,
     add_elements,
@@ -35,7 +32,6 @@ from .cone import (
 )
 from .fields import (
     DomainError,
-    FieldEval,
     ParseError,
     eval_grid,
     eval_values,
@@ -51,7 +47,6 @@ from .minkowski import (
     proper_time,
 )
 from .oracle import (
-    CrossValidationReport,
     Family,
     PairStatus,
     SamplerConfig,
@@ -68,13 +63,10 @@ from .states import (
     angular_distance,
     apply_unitary,
     apply_unitary_mixed,
-    latitude,
     parallel_angle,
 )
 from .witness import (
     EndpointElement,
-    PsdCertification,
-    RefutationCertificate,
     WitnessSpec,
     build_mixed_witness,
     build_witness,

@@ -28,7 +28,6 @@ import numpy as np
 from .minkowski import SpacetimePoint, causally_precedes, lerp, max_proper_time
 from .states import (
     DiracData,
-    InternalUnitary,
     MixedInternalState,
     POLE_TOL,
     PureInternalState,
@@ -211,35 +210,6 @@ def mixed_causal(omega: MixedState, eta: MixedState, dirac: DiracData) -> Causal
     if available >= required - BOUND_SLACK:
         return CausalVerdict(True, Reason.OK, required, available)
     return CausalVerdict(False, Reason.SPEED_BOUND, required, available)
-
-
-def unitary_transport_check(
-    omega: PureState, eta: PureState, u: InternalUnitary, dirac: DiracData
-) -> bool:
-    """Self-test of verdict invariance under a unitary change of internal frame.
-
-    The transformed Dirac matrix U diag(d1,d2) U* is re-diagonalised
-    numerically (the eigenbasis need not reproduce U), the transported states
-    are expressed in that basis, and the rotated-frame verdict is compared
-    with the original one.  Must return True for every unitary.
-    """
-    base = pure_causal(omega, eta, dirac).related
-    df = np.diag([dirac.d1, dirac.d2]).astype(complex)
-    transformed = u.u @ df @ u.u.conj().T
-    transformed = 0.5 * (transformed + transformed.conj().T)
-    eigenvalues, basis = np.linalg.eigh(transformed)
-    rotated_dirac = DiracData(float(eigenvalues[0]), float(eigenvalues[1]))
-
-    def into_frame(state: PureInternalState) -> PureInternalState:
-        vec = basis.conj().T @ (u.u @ state.vector())
-        return PureInternalState.from_components(complex(vec[0]), complex(vec[1]))
-
-    rotated = pure_causal(
-        PureState(omega.point, into_frame(omega.internal)),
-        PureState(eta.point, into_frame(eta.internal)),
-        rotated_dirac,
-    ).related
-    return base == rotated
 
 
 @dataclass(frozen=True)

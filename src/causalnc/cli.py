@@ -12,6 +12,8 @@ atomically.  Exit codes are a stable contract:
 All verdict objects carry a "schema": "causalnc/1" field.  Angles are
 radians throughout.  The CAUSALNC_TOL environment variable overrides the
 default PSD tolerance; an explicit --tol wins over both.
+selftest runs the acceptance battery of tests/test_acceptance.py at a
+reduced scale seeded by --seed.
 """
 
 from __future__ import annotations
@@ -123,10 +125,15 @@ def _pure_internal(data: dict, key: str):
         raise InputError(f'bad or missing state "{key}": {err}') from err
 
 
-def _cmd_check_pure(args) -> int:
-    data = _load_input(args.input)
+def _pure_pair(data: dict) -> tuple[PureState, PureState]:
     omega = PureState(_point(data, "p"), _pure_internal(data, "xi"))
     eta = PureState(_point(data, "q"), _pure_internal(data, "phi"))
+    return omega, eta
+
+
+def _cmd_check_pure(args) -> int:
+    data = _load_input(args.input)
+    omega, eta = _pure_pair(data)
     verdict = pure_causal(omega, eta, _dirac(data))
     _write_output(json.dumps({"schema": SCHEMA, **verdict.to_dict()}, indent=2), args.output)
     return EXIT_OK if verdict.related else EXIT_NEGATIVE
@@ -177,8 +184,7 @@ def _cmd_cone_check(args) -> int:
 
 def _cmd_witness(args) -> int:
     data = _load_input(args.input)
-    omega = PureState(_point(data, "p"), _pure_internal(data, "xi"))
-    eta = PureState(_point(data, "q"), _pure_internal(data, "phi"))
+    omega, eta = _pure_pair(data)
     try:
         certificate = refute_with_witness(omega, eta, _dirac(data))
     except ValueError as err:
@@ -189,8 +195,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_plan_path(args) -> int:
     data = _load_input(args.input)
-    omega = PureState(_point(data, "p"), _pure_internal(data, "xi"))
-    eta = PureState(_point(data, "q"), _pure_internal(data, "phi"))
+    omega, eta = _pure_pair(data)
     n = int(data.get("n", 64))
     try:
         samples = plan_causal_path(omega, eta, _dirac(data), n)
@@ -258,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_plan_path)
 
-    p = sub.add_parser("selftest", help="run the reduced-scale verification battery")
+    p = sub.add_parser("selftest", help="run the acceptance battery at reduced scale")
     common(p, needs_input=False)
     p.add_argument("--quick", action="store_true", help="fast subset of the checks")
     p.set_defaults(fn=_cmd_selftest)

@@ -51,10 +51,6 @@ class AlgebraElement:
     def from_sources(cls, a: str, b: str, c_re: str = "0", c_im: str = "0") -> "AlgebraElement":
         return cls(parse(a), parse(b), parse(c_re), parse(c_im))
 
-    @classmethod
-    def diagonal(cls, a: str, b: str) -> "AlgebraElement":
-        return cls.from_sources(a, b)
-
     def to_dict(self) -> dict:
         return {
             "a": to_source(self.a),
@@ -124,9 +120,6 @@ class RegionGrid:
         t = self.t_min + (self.t_max - self.t_min) * i / (self.nt - 1)
         x = self.x_min + (self.x_max - self.x_min) * j / (self.nx - 1)
         return SpacetimePoint(t, x)
-
-    def contains(self, p: SpacetimePoint) -> bool:
-        return self.t_min <= p.t <= self.t_max and self.x_min <= p.x <= self.x_max
 
     def to_dict(self) -> dict:
         return {
@@ -203,8 +196,7 @@ def is_psd(matrix: ConeMatrix | np.ndarray, tol: float = PSD_TOL) -> bool:
     scale = max(1, largest absolute entry).
     """
     m = matrix.m if isinstance(matrix, ConeMatrix) else np.asarray(matrix, dtype=complex)
-    scale = max(1.0, float(np.abs(m).max()))
-    return float(np.linalg.eigvalsh(m)[0]) >= -tol * scale
+    return float(np.linalg.eigvalsh(m)[0]) >= -tol * float(_scales(m[None])[0])
 
 
 def conformal_rescale_matrix(matrix: ConeMatrix, omega: float) -> ConeMatrix:
@@ -233,17 +225,6 @@ def lemma_sufficient_check(el: AlgebraElement, dirac: DiracData, p: SpacetimePoi
     lhs = a_t - abs(a_x)
     rhs = abs(c0[0]) + abs(c1[0]) + dirac.gap * abs(c[0])
     return bool(lhs >= rhs - LEMMA_SLACK)
-
-
-def lemma_margin_grid(el: AlgebraElement, dirac: DiracData, region: RegionGrid) -> np.ndarray:
-    """Vectorised margin a_t - |a_x| - (|c_t| + |c_x| + gap |c|) over the grid."""
-    if el.a != el.b:
-        raise UnequalDiagonalError("a and b must be the same expression")
-    t, x = region.mesh()
-    ap, am, _, _, c, c0, c1 = _element_jets(el, t, x)
-    a_t = 0.5 * (ap + am)
-    a_x = 0.5 * (ap - am)
-    return a_t - np.abs(a_x) - (np.abs(c0) + np.abs(c1) + dirac.gap * np.abs(c))
 
 
 @dataclass(frozen=True)
@@ -281,24 +262,33 @@ class MembershipReport:
         }
 
 
+def _grid_matrices(el: AlgebraElement, dirac: DiracData, region: RegionGrid) -> np.ndarray:
+    """Cone matrices at every node of the region, row-major in t.
+
+    A DomainError raised at a known node is re-raised naming that grid node.
+    """
+    t, x = region.mesh()
+    try:
+        return _assemble(el, dirac, t, x)
+    except DomainError as err:
+        if err.index is None:
+            raise
+        node = region.node(err.index)
+        raise DomainError(
+            f"{err.args[0].split(' in ')[0]} at grid node (t={node.t}, x={node.x})", err.expr
+        ) from err
+
+
 def cone_membership(
     el: AlgebraElement, dirac: DiracData, region: RegionGrid, tol: float = PSD_TOL
 ) -> MembershipReport:
     """Test the PSD condition at every grid node, row-major in t.
 
-    Raises DomainError annotated with the offending node when a field cannot
-    be evaluated somewhere on the grid.
+    Raises DomainError annotated with the offending node when a field, or one
+    of its partials, cannot be evaluated to a finite number somewhere on the
+    grid.
     """
-    t, x = region.mesh()
-    try:
-        mats = _assemble(el, dirac, t, x)
-    except DomainError as err:
-        if err.index is not None:
-            node = region.node(err.index)
-            raise DomainError(
-                f"{err.args[0].split(' in ')[0]} at grid node (t={node.t}, x={node.x})", err.expr
-            ) from err
-        raise
+    mats = _grid_matrices(el, dirac, region)
     min_eigs = np.linalg.eigvalsh(mats)[:, 0]
     bad = min_eigs < -tol * _scales(mats)
     n_violations = int(bad.sum())
@@ -323,10 +313,10 @@ def certify_grid_psd(
     Screens with a batched Cholesky factorisation of the tolerance-shifted
     matrices (a principal-minors test) and falls back to eigenvalues only
     when the screen fails, so certifying a member costs a fraction of the
-    full report.
+    full report.  Raises the same node-annotated DomainError as
+    cone_membership.
     """
-    t, x = region.mesh()
-    mats = _assemble(el, dirac, t, x)
+    mats = _grid_matrices(el, dirac, region)
     shift = (tol * _scales(mats))[:, None, None] * np.eye(4)
     try:
         np.linalg.cholesky(mats + shift)

@@ -10,7 +10,8 @@ two-component derivative part, so both first partials d/dt and d/dx come out
 exact (no truncation error beyond rounding) in a single pass.
 
 Evaluation accepts scalars or numpy arrays of coordinates; array evaluation
-is used by the grid-based cone checks.
+is used by the grid-based cone checks.  A value or partial that is not finite
+raises DomainError, as does leaving a function's real domain.
 
 There is deliberately no abs(): the cone tests need differentiable fields.
 A modulus can be composed as sqrt(re^2 + im^2) where the argument stays
@@ -67,8 +68,6 @@ FieldExpr = Union[Num, Var, Neg, BinOp, Pow, Call]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "atan", "csc")
 VARIABLES = ("t", "x")
-
-ZERO = Num(0.0)
 
 
 class ParseError(ValueError):
@@ -309,7 +308,7 @@ def _check(ok, message: str, node: FieldExpr) -> None:
 
 def _eval(e: FieldExpr, t, x):
     if isinstance(e, Num):
-        return e.value, 0.0, 0.0
+        return np.float64(e.value), 0.0, 0.0  # numpy arithmetic overflows to inf, never raises
     if isinstance(e, Var):
         if e.name == "t":
             return t, 1.0, 0.0
@@ -377,61 +376,6 @@ def _eval(e: FieldExpr, t, x):
     raise TypeError(f"not a field expression: {e!r}")
 
 
-def _value(e: FieldExpr, t, x):
-    """Value-only walk; same domain checks, no derivative propagation."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return t if e.name == "t" else x
-    if isinstance(e, Neg):
-        return -_value(e.arg, t, x)
-    if isinstance(e, BinOp):
-        a = _value(e.lhs, t, x)
-        b = _value(e.rhs, t, x)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        _check(np.asarray(b) != 0.0, "division by zero", e)
-        return a / b
-    if isinstance(e, Pow):
-        b = _value(e.base, t, x)
-        if e.exponent < 0:
-            _check(np.asarray(b) != 0.0, "zero base with negative exponent", e)
-        return b ** float(e.exponent)
-    if isinstance(e, Call):
-        a = _value(e.arg, t, x)
-        if e.func == "sin":
-            return np.sin(a)
-        if e.func == "cos":
-            return np.cos(a)
-        if e.func == "tan":
-            v = np.tan(a)
-        elif e.func == "exp":
-            v = np.exp(a)
-        elif e.func == "log":
-            _check(np.asarray(a) > 0.0, "log of a non-positive value", e)
-            return np.log(a)
-        elif e.func == "sqrt":
-            _check(np.asarray(a) > 0.0, "sqrt of a non-positive value", e)
-            return np.sqrt(a)
-        elif e.func == "tanh":
-            return np.tanh(a)
-        elif e.func == "atan":
-            return np.arctan(a)
-        elif e.func == "csc":
-            s = np.sin(a)
-            _check(np.asarray(s) != 0.0, "csc at a zero of sin", e)
-            return 1.0 / s
-        else:
-            raise DomainError(f"unknown function {e.func!r}", e)
-        _check(np.isfinite(np.asarray(v)), "non-finite value", e)
-        return v
-    raise TypeError(f"not a field expression: {e!r}")
-
-
 @dataclass(frozen=True)
 class FieldEval:
     """Value of a field and its two first partial derivatives at an event."""
@@ -441,29 +385,39 @@ class FieldEval:
     d_dx: float
 
 
+def _jet(e: FieldExpr, t, x):
+    """The one evaluation walk, checked finite at the root.
+
+    Returns ((value, d/dt, d/dx), shape) where shape is the broadcast shape
+    of the coordinates; constant parts may come back as scalars.  Besides the
+    per-function domain checks inside the walk, the value and both partials
+    must be finite everywhere; otherwise DomainError carries the first flat
+    index where one of them is not.
+    """
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(t.shape, x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = _eval(e, t, x)
+    finite = np.isfinite(jet[0]) & np.isfinite(jet[1]) & np.isfinite(jet[2])
+    if not finite.all():
+        _check(np.broadcast_to(finite, shape), "non-finite value or partial", e)
+    return jet, shape
+
+
 def eval_with_derivatives(e: FieldExpr, p: SpacetimePoint) -> FieldEval:
     """Evaluate the field and its exact first partials at a single event."""
-    v, dt, dx = _eval(e, p.t, p.x)
-    return FieldEval(float(v), float(np.asarray(dt)), float(np.asarray(dx)))
+    (v, dt, dx), _ = _jet(e, p.t, p.x)
+    return FieldEval(float(v), float(dt), float(dx))
 
 
 def eval_grid(e: FieldExpr, t: np.ndarray, x: np.ndarray):
     """Vectorised evaluation: returns (value, d/dt, d/dx) arrays over the inputs."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    v, dt, dx = _eval(e, t, x)
-    shape = np.broadcast_shapes(t.shape, x.shape)
-    return (
-        np.broadcast_to(np.asarray(v, dtype=float), shape).copy(),
-        np.broadcast_to(np.asarray(dt, dtype=float), shape).copy(),
-        np.broadcast_to(np.asarray(dx, dtype=float), shape).copy(),
-    )
+    jet, shape = _jet(e, t, x)
+    return tuple(np.broadcast_to(np.asarray(part, dtype=float), shape).copy() for part in jet)
 
 
 def eval_values(e: FieldExpr, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorised value-only evaluation over coordinate arrays."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    v = _value(e, t, x)
-    shape = np.broadcast_shapes(t.shape, x.shape)
-    return np.broadcast_to(np.asarray(v, dtype=float), shape).copy()
+    """Vectorised values over coordinate arrays: the value part of eval_grid."""
+    jet, shape = _jet(e, t, x)
+    return np.broadcast_to(np.asarray(jet[0], dtype=float), shape).copy()

@@ -150,11 +150,6 @@ def states_equal(a: PureInternalState, b: PureInternalState, tol: float = 1e-12)
     return abs(a.xi1 - b.xi1) <= tol and abs(a.xi2 - b.xi2) <= tol
 
 
-def latitude(state: PureInternalState) -> float:
-    """z-coordinate of the state on the internal sphere, in [-1, 1]."""
-    return state.z
-
-
 def parallel_angle(state: PureInternalState) -> float:
     """Angle of the state along its parallel, in (-pi, pi].
 

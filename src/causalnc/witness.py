@@ -45,7 +45,7 @@ MATCH_RTOL = 1e-8
 #: Normalised characteristic-coefficient tolerances (scale-free).
 COEFF_POS_TOL = 1e-12
 COEFF_ZERO_TOL = 1e-9
-SIMPSON_PANELS = 1000
+SIMPSON_PANELS = 4000
 
 
 @dataclass(frozen=True)

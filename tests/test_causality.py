@@ -12,9 +12,9 @@ from causalnc.causality import (
     mixed_required_angle,
     plan_causal_path,
     pure_causal,
-    unitary_transport_check,
 )
 from causalnc.minkowski import SpacetimePoint, causally_precedes
+from causalnc.selftest import unitary_transport_check
 from causalnc.states import (
     DiracData,
     InternalUnitary,

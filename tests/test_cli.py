@@ -116,6 +116,10 @@ def test_cone_check_field_domain_error_is_input_error(capsys):
     code, _, err = _run(capsys, "cone-check", "--input", json.dumps(payload), "--grid=-1,1,-1,1,5,5")
     assert code == 2
     assert "log" in err and "grid node" in err
+    payload["element"]["a"] = "t + 0*t^700"  # overflows: NaN value and partial
+    code, _, err = _run(capsys, "cone-check", "--input", json.dumps(payload))
+    assert code == 2
+    assert "non-finite value or partial at grid node (t=-3.0, x=-3.0)" in err
 
 
 def test_cone_check_parse_error_is_input_error(capsys):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from causalnc.cone import (
+    PSD_TOL,
     AlgebraElement,
     ConeMatrix,
     RegionGrid,
@@ -15,10 +18,13 @@ from causalnc.cone import (
     conformal_rescale_matrix,
     is_psd,
     lemma_sufficient_check,
+    _assemble,
+    _scales,
 )
-from causalnc.fields import DomainError, eval_with_derivatives
+from causalnc.fields import BinOp, DomainError, Num, Var, eval_grid, eval_values, eval_with_derivatives
 from causalnc.minkowski import SpacetimePoint
 from causalnc.states import DiracData
+from strategies import FIELD_TREES
 
 D_UNIT = DiracData(0.0, 1.0)
 ORIGIN = SpacetimePoint(0.0, 0.0)
@@ -27,14 +33,14 @@ SQUARE = RegionGrid(-1.0, 1.0, -1.0, 1.0, 21, 21)
 
 def test_cone_matrix_diag_t_is_identity():
     # hand expansion: a_t = b_t = 1, a_x = b_x = 0, c = 0 -> diag(1,1,1,1)
-    el = AlgebraElement.diagonal("t", "t")
+    el = AlgebraElement.from_sources("t", "t")
     m = cone_matrix_at(el, D_UNIT, ORIGIN).m
     assert np.allclose(m, np.eye(4), atol=1e-15)
 
 
 def test_cone_matrix_diag_x_is_indefinite():
     # hand expansion: a_x = b_x = 1 -> diag(1,-1,1,-1)
-    el = AlgebraElement.diagonal("x", "x")
+    el = AlgebraElement.from_sources("x", "x")
     m = cone_matrix_at(el, D_UNIT, ORIGIN).m
     assert np.allclose(m, np.diag([1.0, -1.0, 1.0, -1.0]), atol=1e-15)
     assert not is_psd(ConeMatrix(m))
@@ -123,13 +129,13 @@ def test_lemma_sufficient_check_examples():
     assert lemma_sufficient_check(el, D_UNIT, ORIGIN) == (lhs >= rhs - 1e-12)
     assert lemma_sufficient_check(el, D_UNIT, ORIGIN)  # 2 >= 0 + 1 + 1
 
-    assert lemma_sufficient_check(AlgebraElement.diagonal("t", "t"), D_UNIT, ORIGIN)
+    assert lemma_sufficient_check(AlgebraElement.from_sources("t", "t"), D_UNIT, ORIGIN)
     zero_diag = AlgebraElement.from_sources("0", "0", "1", "0")
     assert not lemma_sufficient_check(zero_diag, D_UNIT, ORIGIN)
 
 
 def test_lemma_check_requires_equal_diagonals():
-    el = AlgebraElement.diagonal("t", "2*t")
+    el = AlgebraElement.from_sources("t", "2*t")
     with pytest.raises(UnequalDiagonalError):
         lemma_sufficient_check(el, D_UNIT, ORIGIN)
 
@@ -155,13 +161,13 @@ def test_lemma_pass_implies_psd_randomised():
 
 
 def test_cone_membership_examples():
-    member = cone_membership(AlgebraElement.diagonal("t", "t"), D_UNIT, SQUARE)
+    member = cone_membership(AlgebraElement.from_sources("t", "t"), D_UNIT, SQUARE)
     assert member.member_on_grid
     assert member.first_violation is None
     assert member.n_nodes == 21 * 21
     assert member.min_eigenvalue == pytest.approx(1.0)
 
-    violation = cone_membership(AlgebraElement.diagonal("x", "x"), D_UNIT, SQUARE)
+    violation = cone_membership(AlgebraElement.from_sources("x", "x"), D_UNIT, SQUARE)
     assert not violation.member_on_grid
     assert violation.n_violations == violation.n_nodes
     # first violation in row-major order is the (t_min, x_min) corner
@@ -173,7 +179,7 @@ def test_cone_membership_examples():
 
 
 def test_membership_report_json():
-    report = cone_membership(AlgebraElement.diagonal("x", "x"), D_UNIT, SQUARE)
+    report = cone_membership(AlgebraElement.from_sources("x", "x"), D_UNIT, SQUARE)
     data = report.to_dict()
     assert data["member_on_grid"] is False
     assert data["first_violation"]["point"] == [-1.0, -1.0]
@@ -185,7 +191,7 @@ def test_diagonal_characterisation():
     rng = np.random.default_rng(41)
     for _ in range(40):
         coeffs = [float(v) for v in rng.uniform(-1.5, 1.5, size=4)]
-        el = AlgebraElement.diagonal(
+        el = AlgebraElement.from_sources(
             f"{coeffs[0]!r}*t + {coeffs[1]!r}*x", f"{coeffs[2]!r}*t + {coeffs[3]!r}*x"
         )
         p = SpacetimePoint(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -205,12 +211,12 @@ def test_degenerate_dirac_constants_are_members():
 
 
 def test_conformal_rescale_examples():
-    m = cone_matrix_at(AlgebraElement.diagonal("t", "t"), D_UNIT, ORIGIN)
+    m = cone_matrix_at(AlgebraElement.from_sources("t", "t"), D_UNIT, ORIGIN)
     assert np.allclose(conformal_rescale_matrix(m, 1.0).m, m.m)
     assert np.allclose(conformal_rescale_matrix(m, 2.0).m, 4.0 * m.m)
     assert is_psd(conformal_rescale_matrix(m, 2.0))
 
-    indefinite = cone_matrix_at(AlgebraElement.diagonal("x", "x"), D_UNIT, ORIGIN)
+    indefinite = cone_matrix_at(AlgebraElement.from_sources("x", "x"), D_UNIT, ORIGIN)
     assert not is_psd(conformal_rescale_matrix(indefinite, 0.5))
     with pytest.raises(ValueError):
         conformal_rescale_matrix(m, 0.0)
@@ -242,8 +248,8 @@ def test_cone_convexity_and_matrix_linearity():
 
 def test_certify_grid_psd_agrees_with_cone_membership():
     elements = [
-        AlgebraElement.diagonal("t", "t"),
-        AlgebraElement.diagonal("x", "x"),
+        AlgebraElement.from_sources("t", "t"),
+        AlgebraElement.from_sources("x", "x"),
         _lemma_element(),
         AlgebraElement.from_sources("tanh(t + x)", "t"),
         AlgebraElement.from_sources("0", "0", "exp(-t^2 - x^2)", "0"),
@@ -254,12 +260,51 @@ def test_certify_grid_psd_agrees_with_cone_membership():
 
 
 def test_membership_domain_error_names_grid_node():
-    el = AlgebraElement.from_sources("log(t)", "t")
-    grid = RegionGrid(-1.0, 1.0, -1.0, 1.0, 5, 5)
-    with pytest.raises(DomainError) as err:
-        cone_membership(el, D_UNIT, grid)
-    assert "grid node" in str(err.value)
-    assert "t=-1" in str(err.value)
+    cases = [
+        ("log(t)", RegionGrid(-1.0, 1.0, -1.0, 1.0, 5, 5), "grid node (t=-1"),
+        # 3^700 overflows, so 0*t^700 is NaN in the value and in d/dt on the t=3 row
+        (
+            "t + 0*t^700",
+            RegionGrid(0.0, 3.0, -1.0, 1.0, 4, 3),
+            "non-finite value or partial at grid node (t=3.0, x=-1.0)",
+        ),
+    ]
+    for source, grid, message in cases:
+        for decide in (cone_membership, certify_grid_psd):
+            with pytest.raises(DomainError) as err:
+                decide(AlgebraElement.from_sources(source, "t"), D_UNIT, grid)
+            assert message in str(err.value)
+
+
+PROPERTY_GRID = RegionGrid(-3.0, 3.0, -3.0, 3.0, 7, 7)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except DomainError:
+        return DomainError
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.tuples(*[FIELD_TREES] * 4), st.sampled_from((0.0, 4.0, 64.0)))
+def test_evaluator_and_psd_paths_agree_on_random_trees(trees, slope):
+    t, x = PROPERTY_GRID.mesh()
+    for tree in trees:
+        jet = _outcome(lambda: eval_grid(tree, t, x))
+        values = _outcome(lambda: eval_values(tree, t, x))
+        assert values is DomainError if jet is DomainError else np.array_equal(values, jet[0])
+    # a steep slope*t on both diagonals turns many bounded trees into members
+    tilt = lambda tree: BinOp("+", BinOp("*", Num(slope), Var("t")), tree)
+    el = AlgebraElement(tilt(trees[0]), tilt(trees[1]), trees[2], trees[3])
+    certified = _outcome(lambda: certify_grid_psd(el, D_UNIT, PROPERTY_GRID))
+    report = _outcome(lambda: cone_membership(el, D_UNIT, PROPERTY_GRID))
+    if report is DomainError:
+        assert certified is DomainError
+        return
+    mats = _assemble(el, D_UNIT, t, x)
+    assume(abs((np.linalg.eigvalsh(mats)[:, 0] / _scales(mats)).min() + PSD_TOL) > 1e-10)
+    assert certified == report.member_on_grid
 
 
 def test_region_grid_validation_and_roundtrip():
@@ -281,4 +326,4 @@ def test_element_json_round_trip():
     assert data["c"]["re"] == "sin(t)"
     assert AlgebraElement.from_dict(data) == el
     diag = AlgebraElement.from_dict({"a": "t", "b": "t"})
-    assert diag == AlgebraElement.diagonal("t", "t")
+    assert diag == AlgebraElement.from_sources("t", "t")

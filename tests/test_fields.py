@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from causalnc.fields import (
     BinOp,
-    Call,
     DomainError,
     Neg,
     Num,
@@ -19,6 +19,7 @@ from causalnc.fields import (
     to_source,
 )
 from causalnc.minkowski import SpacetimePoint
+from strategies import FIELD_TREES
 
 
 def test_parse_example_tree():
@@ -196,27 +197,7 @@ def test_evaluation_is_deterministic():
     assert (a.value, a.d_dt, a.d_dx) == (b.value, b.d_dt, b.d_dx)
 
 
-def _random_tree(rng, depth):
-    # parser normal form: literals are non-negative, minus lives in Neg nodes
-    if depth == 0:
-        choice = rng.integers(3)
-        if choice == 0:
-            return Num(round(float(rng.uniform(0, 2)), 3))
-        return Var("t" if choice == 1 else "x")
-    kind = rng.integers(4)
-    if kind == 0:
-        return Neg(_random_tree(rng, depth - 1))
-    if kind == 1:
-        op = ("+", "-", "*", "/")[rng.integers(4)]
-        return BinOp(op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
-    if kind == 2:
-        return Pow(_random_tree(rng, depth - 1), int(rng.integers(0, 4)))
-    func = ("sin", "cos", "exp", "tanh", "atan")[rng.integers(5)]
-    return Call(func, _random_tree(rng, depth - 1))
-
-
-def test_print_parse_identity_on_random_trees():
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        tree = _random_tree(rng, int(rng.integers(1, 4)))
-        assert parse(to_source(tree)) == tree
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(FIELD_TREES)
+def test_print_parse_identity_on_random_trees(tree):
+    assert parse(to_source(tree)) == tree

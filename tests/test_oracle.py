@@ -60,10 +60,10 @@ def test_streams_are_bit_identical():
 
 def test_family_corner_cases_are_causal():
     # collapsing the diagonal family to its corner gives diag(t, t)
-    corner = AlgebraElement.diagonal("t", "t")
+    corner = AlgebraElement.from_sources("t", "t")
     assert cone_membership(corner, D_UNIT, REGION).member_on_grid
     # zero off-diagonal amplitude leaves the bare sloped diagonal
-    bare = AlgebraElement.diagonal("2.0*t", "2.0*t")
+    bare = AlgebraElement.from_sources("2.0*t", "2.0*t")
     assert cone_membership(bare, D_UNIT, REGION).member_on_grid
 
 

@@ -14,7 +14,6 @@ from causalnc.states import (
     apply_unitary,
     apply_unitary_mixed,
     bloch_equal,
-    latitude,
     parallel_angle,
     signed_arc,
     states_equal,
@@ -33,11 +32,11 @@ def test_dirac_gap_and_degeneracy():
 
 
 def test_latitude_examples():
-    assert latitude(PureInternalState(1.0, 0.0)) == pytest.approx(1.0)
-    assert latitude(PureInternalState(INV_SQRT2, INV_SQRT2)) == pytest.approx(0.0, abs=1e-15)
+    assert PureInternalState(1.0, 0.0).z == pytest.approx(1.0)
+    assert PureInternalState(INV_SQRT2, INV_SQRT2).z == pytest.approx(0.0, abs=1e-15)
     # |xi1|^2 - |xi2|^2 computed directly: 3/4 - 1/4
     xi = PureInternalState(math.sqrt(3) / 2, 0.5 * cmath.exp(1j * math.pi / 3))
-    assert latitude(xi) == pytest.approx(0.5, abs=1e-15)
+    assert xi.z == pytest.approx(0.5, abs=1e-15)
 
 
 def test_parallel_angle_examples():
@@ -118,7 +117,7 @@ def test_apply_unitary_examples():
     alpha = 1.1
     shifted = apply_unitary(InternalUnitary.phase(alpha), xi)
     assert parallel_angle(shifted) == pytest.approx(wrap_angle(0.7 + alpha))
-    assert latitude(shifted) == pytest.approx(0.0, abs=1e-15)
+    assert shifted.z == pytest.approx(0.0, abs=1e-15)
 
     north = PureInternalState(1.0, 0.0)
     swapped = apply_unitary(InternalUnitary.pauli_x(), north)

@@ -7,6 +7,7 @@ from causalnc.causality import MixedState, PureState, pure_causal
 from causalnc.minkowski import SpacetimePoint
 from causalnc.states import DiracData, MixedInternalState, PureInternalState
 from causalnc.witness import (
+    MATCH_RTOL,
     WitnessSpec,
     _witness_matrix,
     build_mixed_witness,
@@ -178,16 +179,19 @@ def test_certify_detects_degenerate_sample_count():
 
 def test_lhs_integration_matches_closed_form():
     cases = [
-        _equator_pair(1.0, math.pi / 2),
-        _equator_pair(1.5, 2.5, x_span=0.8),
-        _equator_pair(0.7, 1.2, x_span=-0.3, z=0.5, theta0=1.0),
-        _equator_pair(2.0, 2.8, x_span=1.2, z=-0.6),
+        (_equator_pair(1.0, math.pi / 2), D_UNIT),
+        (_equator_pair(1.5, 2.5, x_span=0.8), D_UNIT),
+        (_equator_pair(0.7, 1.2, x_span=-0.3, z=0.5, theta0=1.0), D_UNIT),
+        (_equator_pair(2.0, 2.8, x_span=1.2, z=-0.6), D_UNIT),
     ]
-    for pair in cases:
-        spec = build_witness(*pair, D_UNIT)
+    widest = math.pi - 0.1 - 1e-6  # the widest separation the acceptance sampler draws
+    for gap in (0.5, 1.0, 2.0):  # on the longest non-related worldline it draws
+        cases.append((_equator_pair(0.92 * widest / gap, widest), DiracData(0.0, gap)))
+    for pair, dirac in cases:
+        spec = build_witness(*pair, dirac)
         lhs, _ = separation_values(spec)
         numeric = lhs_by_integration(spec)
-        assert numeric == pytest.approx(lhs, rel=1e-8)
+        assert numeric == pytest.approx(lhs, rel=MATCH_RTOL)
 
 
 def test_refute_with_witness_standard_example():
@@ -372,3 +376,4 @@ def test_mixed_witness_rejects_related_pair():
     eta = MixedState(SpacetimePoint(3.0, 0), MixedInternalState(0.9, 0.0, 0.0))
     with pytest.raises(ValueError):
         build_mixed_witness(omega, eta, D_UNIT)
+
