@@ -5,9 +5,10 @@ state pairs an event with a Bloch-ball vector.  Two pure states are causally
 related exactly when the events are causally ordered, the internal latitudes
 agree, and the maximal proper time between the events covers the angular
 distance along the parallel divided by the Dirac gap.  The mixed-state
-criterion replaces the angular distance by a supremum of arccos differences
-of projected parallel radii, computed numerically here (no closed form is
-claimed for it).
+criterion replaces the angular distance by a supremum over a rotation angle
+of arccos differences of projected parallel radii, in closed form: the
+maximum over the at most four roots of the squared stationarity condition,
+the four kinks and the midpoints between consecutive candidates.
 
 Conventions: angular separations are measured by the circle geodesic
 distance in [0, pi]; a boundary-exact proper time counts as related, decided
@@ -43,9 +44,8 @@ LATITUDE_TOL = 1e-12
 BOUND_SLACK = 1e-12
 STATE_EQ_TOL = 1e-12
 
-#: Dense-scan resolution for the mixed-state angular supremum.
-SCAN_SAMPLES = 4096
-REFINE_TOL = 1e-10
+#: Candidates of the mixed-state supremum this close to the maximum count as attaining it.
+PLATEAU_TOL = 1e-12
 
 
 class Reason(str, Enum):
@@ -115,70 +115,68 @@ def pure_causal(omega: PureState, eta: PureState, dirac: DiracData) -> CausalVer
     return CausalVerdict(False, Reason.SPEED_BOUND, required, available)
 
 
-def _arc_difference(theta, radius_a, angle_a, radius_b, angle_b):
-    """|arccos(radius_b cos(angle_b+theta)) - arccos(radius_a cos(angle_a+theta))|."""
-    ua = np.clip(radius_a * np.cos(angle_a + theta), -1.0, 1.0)
-    ub = np.clip(radius_b * np.cos(angle_b + theta), -1.0, 1.0)
-    return np.abs(np.arccos(ub) - np.arccos(ua))
+def _arc(radius, angle):
+    """arccos(radius cos(angle)) for 0 <= radius <= 1, accurate up to radius = 1.
+
+    1 -+ r cos(y) = (1 - r) + 2 r sin^2(y/2) (resp. cos^2(y/2)): the
+    square-root singularity of arccos at +-1 amplifies no rounding.
+    """
+    half = 0.5 * np.asarray(angle, dtype=float)
+    below = 1.0 - radius
+    return 2.0 * np.arctan2(
+        np.sqrt(below + 2.0 * radius * np.sin(half) ** 2),
+        np.sqrt(below + 2.0 * radius * np.cos(half) ** 2),
+    )
 
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximisation on a bracket, to a width of REFINE_TOL."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > REFINE_TOL:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = f(d)
-    mid = 0.5 * (lo + hi)
-    return f(mid), mid
+def _mixed_angle_sup(rho: MixedInternalState, sigma: MixedInternalState) -> tuple[float, float, float, float]:
+    """The supremum of mixed_required_angle, an argmax theta_star, and the
+    projected arccos values of rho and sigma at theta_star.
 
-
-def _mixed_angle_sup(rho: MixedInternalState, sigma: MixedInternalState) -> tuple[float, float]:
-    """Supremum (and its argmax) of the projected arccos difference.
-
-    Dense scan over SCAN_SAMPLES angles, then golden-section refinement of
-    the brackets around the few highest local scan maxima (near-tied rival
-    peaks are generic for this objective, so refining only the single best
-    bracket could undershoot the supremum by a scan step).
+    The squared stationarity condition (A cos 2theta + B sin 2theta = C)
+    splits into two sign branches linear in (cos theta, sin theta), each with
+    one root modulo pi.  A branch whose coefficients vanish (A = B = C = 0:
+    ra = rb with ta = tb mod pi, or both radii in {0, 1}) holds for every
+    theta and adds only the harmless candidates atan2(0, 0) = 0 and pi.  On a
+    flat maximum (generic for a unit radius) theta_star is the candidate
+    within PLATEAU_TOL of the maximum whose projected arccos values lie
+    furthest from 0 and pi, so a witness scheduled on it stays inside them.
     """
     z = 0.5 * (rho.rz + sigma.rz)
     width = math.sqrt(max(1.0 - z * z, 0.0))
     ra = min(rho.parallel_radius / width, 1.0)
     rb = min(sigma.parallel_radius / width, 1.0)
     ta, tb = rho.parallel_angle, sigma.parallel_angle
+    wa = ra * math.sqrt((1.0 - rb) * (1.0 + rb))
+    wb = rb * math.sqrt((1.0 - ra) * (1.0 + ra))
+    thetas = [-ta, math.pi - ta, -tb, math.pi - tb]
+    for sign in (1.0, -1.0):
+        # wa sin(ta + theta) = sign wb sin(tb + theta)
+        root = math.atan2(sign * wb * math.sin(tb) - wa * math.sin(ta), wa * math.cos(ta) - sign * wb * math.cos(tb))
+        thetas += [root, root + math.pi]
+    thetas = np.sort(np.mod(thetas, 2.0 * math.pi))
+    mids = 0.5 * (thetas + np.append(thetas[1:], thetas[0] + 2.0 * math.pi))
+    thetas = np.concatenate([thetas, mids])
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, SCAN_SAMPLES, endpoint=False)
-    values = _arc_difference(thetas, ra, ta, rb, tb)
-    peaks = np.nonzero(
-        (values >= np.roll(values, 1)) & (values >= np.roll(values, -1))
-    )[0]
-    candidates = peaks[np.argsort(values[peaks])][-4:]
-    h = 2.0 * math.pi / SCAN_SAMPLES
-
-    f = lambda theta: float(_arc_difference(theta, ra, ta, rb, tb))
-    best_index = int(np.argmax(values))
-    value, theta_star = float(values[best_index]), float(thetas[best_index])
-    for index in candidates:
-        refined, at = _golden_max(f, thetas[index] - h, thetas[index] + h)
-        if refined > value:
-            value, theta_star = refined, at
-    return value, theta_star
+    arc_a, arc_b = _arc(ra, ta + thetas), _arc(rb, tb + thetas)
+    values = np.abs(arc_b - arc_a)
+    best = float(values.max())
+    clearance = np.minimum(np.minimum(arc_a, math.pi - arc_a), np.minimum(arc_b, math.pi - arc_b))
+    clearance[values < best - PLATEAU_TOL] = -1.0
+    k = int(np.argmax(clearance))
+    return best, float(thetas[k]), float(arc_a[k]), float(arc_b[k])
 
 
 def mixed_required_angle(rho: MixedInternalState, sigma: MixedInternalState) -> float:
     """Angular budget two same-latitude mixed states demand of a causal path.
 
-    This is the supremum over a rotation angle of the difference of arccos
-    of the projected parallel radii; for pure states on a common parallel it
-    reduces to the plain angular distance.
+    This is the supremum over theta of |arccos(rb cos(tb+theta)) -
+    arccos(ra cos(ta+theta))|, ra, rb the parallel radii relative to the
+    shared parallel and ta, tb the parallel angles; for pure states it is the
+    plain angular distance.  Closed form: the maximum over the at most four
+    roots of ra^2 (1-rb^2) sin^2(ta+theta) = rb^2 (1-ra^2) sin^2(tb+theta)
+    (the squared stationarity condition), the kinks theta = -ta, pi-ta, -tb,
+    pi-tb, and the midpoints between consecutive candidates (a flat maximum).
     """
     if abs(rho.rz - sigma.rz) > LATITUDE_TOL:
         raise ValueError(f"latitudes differ: {rho.rz} vs {sigma.rz}")

@@ -5,9 +5,10 @@ operators + - * / ^ (the exponent must be an integer literal), unary minus,
 and the functions sin, cos, tan, exp, log, sqrt, tanh, atan and csc.
 Precedence is ^ > unary minus > * / > + -, with the usual left associativity
 for + - * / and right associativity for ^ (chained literal exponents are
-folded).  Evaluation propagates forward-mode dual numbers with a
-two-component derivative part, so both first partials d/dt and d/dx come out
-exact (no truncation error beyond rounding) in a single pass.
+folded; an exponent beyond the largest float is a ParseError).  Evaluation
+propagates forward-mode dual numbers with a two-component derivative part,
+so both first partials d/dt and d/dx come out exact (no truncation error
+beyond rounding) in a single pass.
 
 Evaluation accepts scalars or numpy arrays of coordinates; array evaluation
 is used by the grid-based cone checks.  A value or partial that is not finite
@@ -20,6 +21,8 @@ positive, at the caller's own risk near zeros.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -68,6 +71,7 @@ FieldExpr = Union[Num, Var, Neg, BinOp, Pow, Call]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "atan", "csc")
 VARIABLES = ("t", "x")
+_EXPONENT_TOO_LARGE = "exponent too large for a float power"
 
 
 class ParseError(ValueError):
@@ -218,14 +222,21 @@ class _Parser:
                 ("integer",),
             )
         self.advance()
+        if float(text) > sys.float_info.max:  # before int(), which refuses very long digit strings
+            raise ParseError(_EXPONENT_TOO_LARGE, off, ("integer",))
         value = sign * int(text)
-        kind, text, off = self.peek()
+        kind, text, chain_off = self.peek()
         if kind == "op" and text == "^":
             self.advance()
             nested = self.exponent()
             if nested < 0:
-                raise ParseError("chained exponent must stay integral", off, ("integer",))
+                raise ParseError("chained exponent must stay integral", chain_off, ("integer",))
+            # bound the fold by its logarithm before Python builds the integer
+            if abs(value) > 1 and nested * math.log2(abs(value)) > sys.float_info.max_exp:
+                raise ParseError(_EXPONENT_TOO_LARGE, off, ("integer",))
             value = value**nested
+            if abs(value) > sys.float_info.max:
+                raise ParseError(_EXPONENT_TOO_LARGE, off, ("integer",))
         return value
 
     def atom(self) -> FieldExpr:

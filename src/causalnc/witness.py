@@ -240,32 +240,38 @@ class CoeffSample:
         return {"s": self.s, "c1": self.c1, "c2": self.c2, "c3": self.c3, "c4": self.c4}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsdCertification:
+    """Verdict plus one row per sample of the CoeffSample fields (passed as 1.0 or 0.0).
+
+    samples and first_failure are built from rows on each access, so a
+    certificate holds one float array instead of n objects.
+    """
+
     passed: bool
-    samples: list[CoeffSample]
-    first_failure: Optional[CoeffSample]
+    rows: np.ndarray
+
+    @property
+    def samples(self) -> list[CoeffSample]:
+        return [CoeffSample(*row[:-1], passed=row[-1] == 1.0) for row in self.rows.tolist()]
+
+    @property
+    def first_failure(self) -> Optional[CoeffSample]:
+        return next((sample for sample in self.samples if not sample.passed), None)
 
 
-def _sample_profile(spec: WitnessSpec, n: int) -> list[tuple[float, float, float]]:
-    """(fraction, proper time, velocity) at n uniform proper-time samples."""
-    segments = _segments_of(spec.curve)
-    total = spec.total_proper_time()
-    out = []
-    for j in range(n):
-        frac = j / (n - 1)
-        l = frac * total
-        v = 0.0
-        for seg in segments:
-            if l <= seg.l_start + seg.length or seg is segments[-1]:
-                v = seg.velocity
-                break
-        out.append((frac, l, v))
-    return out
+def _sample_profile(spec: WitnessSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fraction, proper time, velocity) arrays at n uniform proper-time samples."""
+    segments = _segments_of(spec.curve) or [_Segment(0.0, 0.0, 0.0)]  # a one-event curve rests
+    frac = np.arange(n) / (n - 1)
+    l = frac * spec.total_proper_time()
+    ends = np.array([seg.l_start + seg.length for seg in segments])
+    index = np.minimum(np.searchsorted(ends, l), len(segments) - 1)
+    return frac, l, np.array([seg.velocity for seg in segments])[index]
 
 
-def _witness_matrix(spec: WitnessSpec, l: float, v: float) -> np.ndarray:
-    """The element's 4x4 membership matrix at proper time l, velocity v.
+def _witness_matrices(spec: WitnessSpec, l: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The element's 4x4 membership matrices, shape (n, 4, 4), at proper times l, velocities v.
 
     The off-diagonal derivative fields are split proportionally between the
     two null directions, c_t + c_x = g sqrt(lam2/lam1) cos(Theta)
@@ -276,99 +282,95 @@ def _witness_matrix(spec: WitnessSpec, l: float, v: float) -> np.ndarray:
     so every certified quantity is insensitive to that off-curve choice.
     """
     gap = spec.dirac.gap
-    theta = float(spec.schedule(l))
+    theta = spec.schedule(l)
     lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
-    r21 = math.sqrt(lam2 / lam1)
-    r12 = math.sqrt(lam1 / lam2)
+    r21 = np.sqrt(lam2 / lam1)
+    r12 = np.sqrt(lam1 / lam2)
     k1, k2 = spec.abs_phi1, spec.abs_phi2
     pm = 1.0 if spec.dirac.d1 >= spec.dirac.d2 else -1.0
     phase = cmath.exp(1j * spec.theta_c)
-    pref = gap / math.sin(theta) ** 2
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = pref * r21 * (k2 / k1)
-    m[1, 1] = pref * r12 * (k2 / k1)
-    m[2, 2] = pref * r21 * (k1 / k2)
-    m[3, 3] = pref * r12 * (k1 / k2)
-    m[0, 2] = -pref * r21 * cos_t * phase  # -(c_t + c_x)
-    m[1, 3] = -pref * r12 * cos_t * phase  # -(c_t - c_x)
-    m[0, 3] = pref * pm * sin_t * phase  # -(d1 - d2) c
-    m[1, 2] = -pref * pm * sin_t * phase  # (d1 - d2) c
-    m[2, 0] = np.conj(m[0, 2])
-    m[3, 1] = np.conj(m[1, 3])
-    m[3, 0] = np.conj(m[0, 3])
-    m[2, 1] = np.conj(m[1, 2])
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    pref = gap / np.float_power(sin_t, 2)  # C pow, as ** on floats; see certify_witness_psd
+    m = np.zeros((len(theta), 4, 4), dtype=complex)
+    m[:, 0, 0] = pref * r21 * (k2 / k1)
+    m[:, 1, 1] = pref * r12 * (k2 / k1)
+    m[:, 2, 2] = pref * r21 * (k1 / k2)
+    m[:, 3, 3] = pref * r12 * (k1 / k2)
+    m[:, 0, 2] = -pref * r21 * cos_t * phase  # -(c_t + c_x)
+    m[:, 1, 3] = -pref * r12 * cos_t * phase  # -(c_t - c_x)
+    m[:, 0, 3] = pref * pm * sin_t * phase  # -(d1 - d2) c
+    m[:, 1, 2] = -pref * pm * sin_t * phase  # (d1 - d2) c
+    m[:, 2, 0] = np.conj(m[:, 0, 2])
+    m[:, 3, 1] = np.conj(m[:, 1, 3])
+    m[:, 3, 0] = np.conj(m[:, 0, 3])
+    m[:, 2, 1] = np.conj(m[:, 1, 2])
     return m
+
+
+def _witness_matrix(spec: WitnessSpec, l: float, v: float) -> np.ndarray:
+    """One sample of _witness_matrices: the 4x4 membership matrix at proper time l, velocity v."""
+    return _witness_matrices(spec, np.array([l], dtype=float), np.array([v], dtype=float))[0]
 
 
 def certify_witness_psd(spec: WitnessSpec, n: int) -> PsdCertification:
     """Certify the element's membership matrix along the worldline.
 
-    At each of n proper-time samples the matrix is assembled and the
-    coefficients of det(A - lambda) = lambda^4 - c1 lambda^3 + c2 lambda^2
-    - c3 lambda + c4 are computed from traces via Newton's identities.  The
-    matrix is PSD iff all four are non-negative; here c3 and c4 vanish
-    identically, so the test is c1, c2 >= 0 and c3, c4 = 0 within
-    tolerance.  Tolerances are applied to coefficients of the matrix scaled
-    by 1/scale, scale = max(1, largest absolute entry), i.e. they grow with
-    the k-th power of the scale for the k-th coefficient.  The trace-based
-    c1, c2 must also match their closed forms within MATCH_RTOL.
+    The matrices at all n proper-time samples are assembled and certified in
+    one batch: the coefficients of det(A - lambda) = lambda^4 - c1 lambda^3
+    + c2 lambda^2 - c3 lambda + c4 are computed from traces via Newton's
+    identities (c4 as the determinant).  The matrix is PSD iff all four are
+    non-negative; here c3 and c4 vanish identically, so the test is c1, c2
+    >= 0 and c3, c4 = 0 within tolerance.  Tolerances are applied to
+    coefficients of the matrix scaled by 1/scale, scale = max(1, largest
+    absolute entry), i.e. they grow with the k-th power of the scale for
+    the k-th coefficient.  The trace-based c1, c2 must also match their
+    closed forms within MATCH_RTOL.  first_failure is the earliest failing
+    sample.
     """
     if n < 2:
         raise ValueError("need at least two certification samples")
     gap = spec.dirac.gap
     k1, k2 = spec.abs_phi1, spec.abs_phi2
-    samples: list[CoeffSample] = []
-    first_failure: Optional[CoeffSample] = None
-    for frac, l, v in _sample_profile(spec, n):
-        m = _witness_matrix(spec, l, v)
-        scale = max(1.0, float(np.abs(m).max()))
-        mn = m / scale
-        p1 = complex(np.trace(mn)).real
-        m2 = mn @ mn
-        p2 = complex(np.trace(m2)).real
-        p3 = complex(np.trace(m2 @ mn)).real
-        c1n = p1
-        c2n = 0.5 * (p1 * p1 - p2)
-        c3n = (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
-        c4n = complex(np.linalg.det(mn)).real
+    frac, l, v = _sample_profile(spec, n)
+    m = _witness_matrices(spec, l, v)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    mn = m / scale[:, None, None]
+    m2 = mn @ mn
+    p1 = np.trace(mn, axis1=1, axis2=2).real
+    p2 = np.trace(m2, axis1=1, axis2=2).real
+    p3 = np.trace(m2 @ mn, axis1=1, axis2=2).real
+    c2n = 0.5 * (p1 * p1 - p2)
+    # np.float_power is C pow, like ** on Python floats (ndarray ** 2 multiplies):
+    # each coefficient rounds exactly as the same formula on Python floats.
+    power = np.float_power
+    c3n = (power(p1, 3) - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
+    # numpy's complex det has a NaN sign when a pivot underflows to 0; slogdet sees |det| = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c4n = np.where(np.linalg.slogdet(mn)[1] == -np.inf, 0.0, np.linalg.det(mn).real)
 
-        theta = float(spec.schedule(l))
-        lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
-        csc2 = 1.0 / math.sin(theta) ** 2
-        c1_closed = gap * csc2 / (math.sqrt(lam1 * lam2) * k1 * k2)
-        c2_closed = (
-            gap**2
-            * csc2**2
-            * (k1**2 * k2**2 * (lam2 - lam1) ** 2 * math.sin(theta) ** 2 + lam1 * lam2)
-            / (lam1 * lam2 * k1**2 * k2**2)
-        )
-        c1 = c1n * scale
-        c2 = c2n * scale**2
-        ok = (
-            c1n >= -COEFF_POS_TOL
-            and c2n >= -COEFF_POS_TOL
-            and abs(c3n) <= COEFF_ZERO_TOL
-            and abs(c4n) <= COEFF_ZERO_TOL
-            and abs(c1 - c1_closed) <= MATCH_RTOL * max(1.0, abs(c1_closed))
-            and abs(c2 - c2_closed) <= MATCH_RTOL * max(1.0, abs(c2_closed))
-        )
-        sample = CoeffSample(
-            s=frac,
-            l=l,
-            c1=c1,
-            c2=c2,
-            c3=c3n * scale**3,
-            c4=c4n * scale**4,
-            c1_closed=c1_closed,
-            c2_closed=c2_closed,
-            scale=scale,
-            passed=ok,
-        )
-        samples.append(sample)
-        if not ok and first_failure is None:
-            first_failure = sample
-    return PsdCertification(first_failure is None, samples, first_failure)
+    sin2 = power(np.sin(spec.schedule(l)), 2)
+    lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
+    csc2 = 1.0 / sin2
+    c1_closed = gap * csc2 / (np.sqrt(lam1 * lam2) * k1 * k2)
+    c2_closed = (
+        gap**2
+        * power(csc2, 2)
+        * (k1**2 * k2**2 * power(lam2 - lam1, 2) * sin2 + lam1 * lam2)
+        / (lam1 * lam2 * k1**2 * k2**2)
+    )
+    c1 = p1 * scale
+    c2 = c2n * power(scale, 2)
+    passed = (
+        (p1 >= -COEFF_POS_TOL)
+        & (c2n >= -COEFF_POS_TOL)
+        & (np.abs(c3n) <= COEFF_ZERO_TOL)
+        & (np.abs(c4n) <= COEFF_ZERO_TOL)
+        & (np.abs(c1 - c1_closed) <= MATCH_RTOL * np.maximum(1.0, np.abs(c1_closed)))
+        & (np.abs(c2 - c2_closed) <= MATCH_RTOL * np.maximum(1.0, np.abs(c2_closed)))
+    )
+    c3, c4 = c3n * power(scale, 3), c4n * power(scale, 4)
+    rows = np.stack([frac, l, c1, c2, c3, c4, c1_closed, c2_closed, scale, passed], axis=1)
+    return PsdCertification(bool(passed.all()), rows)
 
 
 @dataclass(frozen=True)
@@ -441,17 +443,19 @@ class EndpointElement:
     def values_at(self, t: np.ndarray, x: np.ndarray):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        a = np.empty(t.shape)
-        b = np.empty(t.shape)
-        c = np.empty(t.shape, dtype=complex)
-        for i in range(t.shape[0]):
-            for p, av, bv, cv in zip(self.points, self.a_values, self.b_values, self.c_values):
-                if abs(p.t - t[i]) <= 1e-9 and abs(p.x - x[i]) <= 1e-9:
-                    a[i], b[i], c[i] = av, bv, cv
-                    break
-            else:
-                raise ValueError(f"element is only defined at its endpoints, not ({t[i]}, {x[i]})")
-        return a, b, c
+        pt = np.array([p.t for p in self.points])
+        px = np.array([p.x for p in self.points])
+        match = (np.abs(pt - t[:, None]) <= 1e-9) & (np.abs(px - x[:, None]) <= 1e-9)
+        found = match.any(axis=1)
+        if not found.all():
+            i = int(np.argmin(found))
+            raise ValueError(f"element is only defined at its endpoints, not ({t[i]}, {x[i]})")
+        index = match.argmax(axis=1)  # the first matching event
+        return (
+            np.array(self.a_values, dtype=float)[index],
+            np.array(self.b_values, dtype=float)[index],
+            np.array(self.c_values, dtype=complex)[index],
+        )
 
 
 def endpoint_element(spec: WitnessSpec) -> EndpointElement:
@@ -494,10 +498,7 @@ def build_mixed_witness(omega: MixedState, eta: MixedState, dirac: DiracData) ->
         )
     rho, sigma = omega.internal, eta.internal
     z = 0.5 * (rho.rz + sigma.rz)
-    width = math.sqrt(max(1.0 - z * z, 0.0))
-    _, theta_star = _mixed_angle_sup(rho, sigma)
-    arc_r = math.acos(max(-1.0, min(1.0, rho.parallel_radius / width * math.cos(rho.parallel_angle + theta_star))))
-    arc_s = math.acos(max(-1.0, min(1.0, sigma.parallel_radius / width * math.cos(sigma.parallel_angle + theta_star))))
+    _, theta_star, arc_r, arc_s = _mixed_angle_sup(rho, sigma)
     if min(arc_r, arc_s) <= ANGLE_TOL or max(arc_r, arc_s) >= math.pi - ANGLE_TOL:
         raise ValueError("projected angles touch the limiting values 0 or pi; no direct witness")
     if arc_s > arc_r:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalnc.causality import (
     CausalVerdict,
     MixedState,
     PureState,
     Reason,
+    _arc,
+    _mixed_angle_sup,
     mixed_causal,
     mixed_required_angle,
     plan_causal_path,
@@ -257,6 +261,110 @@ def test_mixed_required_angle_errors():
     rz = math.sqrt(1.0 - (4e-7) ** 2)
     with pytest.raises(ValueError):
         mixed_required_angle(MixedInternalState(4e-7, 0, rz), MixedInternalState(-4e-7, 0, rz))
+
+
+# --- closed-form supremum against the dense scan ------------------------------
+
+
+def _scan_sup(ra, ta, rb, tb, samples=4096, width=1e-10):
+    """Reference supremum: dense scan of the objective, then golden-section
+    refinement of the brackets around the four highest local scan maxima."""
+    f = lambda theta: np.abs(_arc(rb, tb + theta) - _arc(ra, ta + theta))
+    thetas = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    values = f(thetas)
+    peaks = np.nonzero((values >= np.roll(values, 1)) & (values >= np.roll(values, -1)))[0]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    best = float(values.max())
+    for k in peaks[np.argsort(values[peaks])][-4:]:
+        lo, hi = thetas[k] - thetas[1], thetas[k] + thetas[1]
+        while hi - lo > width:
+            c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+            if f(c) > f(d):
+                hi = d
+            else:
+                lo = c
+        best = max(best, float(f(0.5 * (lo + hi))))
+    return best
+
+
+def _mixed_pair(ra, ta, rb, tb, z=0.0):
+    w = math.sqrt(1.0 - z * z)
+    return (
+        MixedInternalState(ra * w * math.cos(ta), ra * w * math.sin(ta), z),
+        MixedInternalState(rb * w * math.cos(tb), rb * w * math.sin(tb), z),
+    )
+
+
+def _check_sup_against_scan(rho, sigma):
+    width = math.sqrt(1.0 - rho.rz * rho.rz)
+    ra, rb = (min(state.parallel_radius / width, 1.0) for state in (rho, sigma))
+    ta, tb = rho.parallel_angle, sigma.parallel_angle
+    value, theta_star, arc_a, arc_b = _mixed_angle_sup(rho, sigma)
+    scan = _scan_sup(ra, ta, rb, tb)
+    assert value >= scan - 1e-12
+    if max(ra, rb) <= 1.0 - 1e-6:
+        assert abs(value - scan) <= 1e-9
+    assert (arc_a, arc_b) == pytest.approx((_arc(ra, ta + theta_star), _arc(rb, tb + theta_star)), abs=1e-15)
+    assert abs(arc_b - arc_a) >= value - 1e-12
+    return value
+
+
+RADII = st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 1.0, 1.0 - 2.0**-53, 1.0 - 1e-12, 1.0 - 1e-6)))
+ANGLES = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=300)
+@given(RADII, ANGLES, RADII, ANGLES, st.floats(-0.9, 0.9))
+def test_mixed_angle_sup_closed_form_against_scan(ra, ta, rb, tb, z):
+    _check_sup_against_scan(*_mixed_pair(ra, ta, rb, tb, z))
+
+
+@pytest.mark.parametrize(
+    "ra, ta, rb, tb, expected",
+    [
+        (0.4, 0.3, 0.4, 2.0, None),  # equal radii
+        (0.7, -1.1, 0.7, -1.1, 0.0),  # equal radii, equal angles
+        (0.6, 0.5, 0.6, 0.5 + math.pi, math.pi - 2.0 * math.acos(0.6)),  # equal radii, opposite
+        (0.0, 0.0, 0.0, 0.0, 0.0),  # both at the centre
+        (0.0, 0.0, 0.7, 1.2, math.asin(0.7)),  # centre to an interior point
+        (0.0, 0.0, 1.0, 1.2, math.pi / 2),  # centre to the rim
+        (1.0, 0.3, 0.55, -2.0, None),  # one unit radius
+        (1.0, 0.3, 1.0, 1.3, 1.0),  # two unit radii: the angular distance, on a plateau
+        (1.0, 0.3, 1.0, 0.3 + math.pi, math.pi),  # antipodal unit radii
+        (0.5, 0.9, 0.8, 0.9, None),  # ta = tb
+        (0.5, 0.9, 0.8, 0.9 - math.pi, None),  # ta = tb - pi
+        (0.5, 0.9, 0.8, 0.9 + 2.0 * math.pi, None),  # ta = tb mod 2 pi
+    ],
+)
+def test_mixed_angle_sup_special_cases(ra, ta, rb, tb, expected):
+    value = _check_sup_against_scan(*_mixed_pair(ra, ta, rb, tb))
+    if expected is not None:
+        assert value == pytest.approx(expected, abs=1e-14)
+
+
+def test_mixed_angle_sup_argmax_is_mid_plateau():
+    # two unit radii d apart: the objective equals d on two plateaus of width
+    # pi - d bounded by kinks; at most one root falls inside each, so some
+    # midpoint keeps the projected angles (pi - d) / 3 away from 0 and pi
+    for z, ta, d in ((0.0, 0.66, 0.929), (0.4, -2.0, 0.3), (-0.7, 3.0, 2.8), (0.2, 1.0, 1.5)):
+        pure = [PureInternalState.from_parallel(z, theta) for theta in (ta, ta + d)]
+        value, _, arc_a, arc_b = _mixed_angle_sup(*map(MixedInternalState.from_pure, pure))
+        assert value == pytest.approx(d, abs=1e-12)
+        clearance = min(arc_a, math.pi - arc_a, arc_b, math.pi - arc_b)
+        assert clearance >= (math.pi - d) / 3.0 - 1e-12
+
+
+def test_arc_is_accurate_up_to_unit_radius():
+    # arccos(cos y) = |y| exactly; arccos(1 - d) = 2 asin(sqrt(d / 2))
+    for y in (1e-12, 1e-8, 1e-4, 0.3, 3.0, -2.5):
+        assert float(_arc(1.0, y)) == pytest.approx(abs(y), rel=1e-15)
+    d = 2.0**-52
+    assert float(_arc(1.0 - d, 0.0)) == pytest.approx(2.0 * math.asin(math.sqrt(d / 2.0)), rel=1e-15)
+    for r, y in ((0.3, 0.4), (0.9, 2.9), (1.0 - 1e-6, -1.0)):
+        assert float(_arc(r, y)) == pytest.approx(math.acos(r * math.cos(y)), abs=1e-12)
+    # so unit-radius mixed states need their angular distance to rounding
+    rho, sigma = _mixed_pair(1.0, 0.1, 1.0, 0.1 + 2.2, z=0.35)
+    assert mixed_required_angle(rho, sigma) == pytest.approx(2.2, abs=1e-14)
 
 
 def test_mixed_causal_branches():

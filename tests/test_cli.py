@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +129,24 @@ def test_cone_check_parse_error_is_input_error(capsys):
     payload = {"element": {"a": "t +", "b": "t"}, "dirac": {"d1": 0, "d2": 1}}
     code, _, err = _run(capsys, "cone-check", "--input", json.dumps(payload))
     assert code == 2
+
+
+def test_cone_check_huge_exponent_is_input_error(capsys):
+    payload = {"element": {"a": "t^700^700", "b": "t"}, "dirac": {"d1": 0, "d2": 1}}
+    code, _, err = _run(capsys, "cone-check", "--input", json.dumps(payload))
+    assert code == 2
+    assert "exponent too large for a float power" in err
+    # folding 9^(9^9) would build a 150 MB integer: run it in a child with a deadline
+    payload["element"]["a"] = "t^9^9^9"
+    done = subprocess.run(
+        [sys.executable, "-m", "causalnc.cli", "cone-check", "--input", json.dumps(payload)],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert "exponent too large for a float power" in done.stderr
 
 
 def test_cone_check_grid_from_input(capsys):

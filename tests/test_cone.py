@@ -286,7 +286,7 @@ def _outcome(fn):
         return DomainError
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(st.tuples(*[FIELD_TREES] * 4), st.sampled_from((0.0, 4.0, 64.0)))
 def test_evaluator_and_psd_paths_agree_on_random_trees(trees, slope):
     t, x = PROPERTY_GRID.mesh()

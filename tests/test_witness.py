@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalnc.causality import MixedState, PureState, pure_causal
-from causalnc.minkowski import SpacetimePoint
+from causalnc.minkowski import CausalCurve, SpacetimePoint
 from causalnc.states import DiracData, MixedInternalState, PureInternalState
 from causalnc.witness import (
+    COEFF_ZERO_TOL,
     MATCH_RTOL,
     WitnessSpec,
     _witness_matrix,
@@ -171,6 +175,81 @@ def test_matrix_derivative_entries_consistent_with_schedule():
         assert claimed.imag == pytest.approx(numeric.imag, rel=1e-6, abs=1e-9)
 
 
+FIRST_LEG = 0.37  # share of the proper time on the first leg; no sample fraction j/(n-1) lands on it
+
+
+@settings(max_examples=150)
+@given(
+    st.floats(0.11, math.pi - 0.11),  # angular separation
+    st.floats(0.02, 0.98),  # available proper time as a share of the required one
+    st.floats(-0.9, 0.9),  # velocity of the first leg
+    st.one_of(st.none(), st.floats(-0.9, 0.9)),  # velocity of a second leg, if any
+    st.floats(0.05, 0.95),  # |phi1|^2
+    st.floats(-math.pi, math.pi),  # theta_c
+    st.sampled_from((0.5, 1.0, 2.0)),  # gap
+    st.booleans(),  # sign of d1 - d2
+    st.sampled_from((2, 7, 64)),
+)
+def test_batched_certification_agrees_with_eigenvalues(dtheta, share, v1, v2, k1sq, theta_c, gap, d1_above, n):
+    total = share * dtheta / gap
+    legs = [(v1, total)] if v2 is None else [(v1, FIRST_LEG * total), (v2, (1.0 - FIRST_LEG) * total)]
+    points = [SpacetimePoint(0.0, 0.0)]
+    for v, length in legs:
+        dt = length / math.sqrt(1.0 - v * v)
+        points.append(SpacetimePoint(points[-1].t + dt, points[-1].x + v * dt))
+    spec = WitnessSpec(
+        epsilon=0.5 * (math.pi - dtheta),
+        theta_c=theta_c,
+        curve=CausalCurve.from_points(points),
+        abs_phi1=math.sqrt(k1sq),
+        abs_phi2=math.sqrt(1.0 - k1sq),
+        dirac=DiracData(gap, 0.0) if d1_above else DiracData(0.0, gap),
+        delta_theta=dtheta,
+        direction=1.0,
+    )
+    report = certify_witness_psd(spec, n)
+    assert report.passed and report.first_failure is None
+    assert [sample.s for sample in report.samples] == pytest.approx(np.linspace(0.0, 1.0, n), abs=1e-15)
+    velocities = [(q.x - p.x) / (q.t - p.t) for p, q in zip(points, points[1:])]
+    for sample in report.samples:
+        v = velocities[0] if sample.l <= legs[0][1] else velocities[-1]
+        m = _witness_matrix(spec, sample.l, v)
+        eig = np.linalg.eigvalsh(m)
+        assert sample.scale == pytest.approx(max(1.0, float(np.abs(m).max())), rel=1e-15)
+        # c_k is the k-th elementary symmetric polynomial of the eigenvalues
+        expected = np.poly(eig / sample.scale)[1:] * np.array([-1.0, 1.0, -1.0, 1.0])
+        got = np.array([sample.c1, sample.c2, sample.c3, sample.c4]) / sample.scale ** np.arange(1, 5)
+        assert np.abs(got - expected).max() <= COEFF_ZERO_TOL
+        if sample.passed:
+            assert eig[0] >= -COEFF_ZERO_TOL * sample.scale
+
+
+def test_certify_reports_the_first_failing_sample():
+    # moduli with |phi1|^2 + |phi2|^2 != 1 scale the trace away from the closed form
+    spec = dataclasses.replace(build_witness(*STANDARD, D_UNIT), abs_phi1=0.8, abs_phi2=0.7)
+    report = certify_witness_psd(spec, 16)
+    assert not report.passed
+    assert not any(sample.passed for sample in report.samples)
+    assert report.first_failure == report.samples[0]
+
+
+def test_certify_tiny_phase_keeps_determinant_finite():
+    # imaginary parts ~ sin(theta_c) underflow, and so does a pivot of the determinant
+    spec = WitnessSpec(
+        epsilon=0.5 * (math.pi - 1.25),
+        theta_c=5e-324,
+        curve=CausalCurve.straight(SpacetimePoint(0.0, 0.0), SpacetimePoint(1.25, 0.0)),
+        abs_phi1=math.sqrt(0.5),
+        abs_phi2=math.sqrt(0.5),
+        dirac=DiracData(0.0, 0.5),
+        delta_theta=1.25,
+        direction=1.0,
+    )
+    report = certify_witness_psd(spec, 2)
+    assert report.passed
+    assert all(math.isfinite(sample.c4) for sample in report.samples)
+
+
 def test_certify_detects_degenerate_sample_count():
     spec = build_witness(*STANDARD, D_UNIT)
     with pytest.raises(ValueError):
@@ -320,6 +399,19 @@ def test_mixed_witness_separates_mixed_pair():
     start = mixed_pairing(omega, a_vals[0], b_vals[0], c_vals[0])
     end = mixed_pairing(eta, a_vals[1], b_vals[1], c_vals[1])
     assert start > end + 1e-10
+
+
+def test_mixed_witness_on_unit_radius_pair():
+    # both radii 1: the supremum is flat between two kinks, and a witness
+    # scheduled at a kink would put a projected angle at 0 or pi
+    pure = [PureInternalState.from_parallel(0.0, theta) for theta in (0.66, 0.66 + 0.929)]
+    omega = MixedState(SpacetimePoint(0, 0), MixedInternalState.from_pure(pure[0]))
+    eta = MixedState(SpacetimePoint(0.4645, 0.0929), MixedInternalState.from_pure(pure[1]))
+    spec = build_mixed_witness(omega, eta, D_UNIT)
+    assert spec.delta_theta == pytest.approx(0.929, abs=1e-12)
+    lhs, rhs = separation_values(spec)
+    assert lhs < rhs
+    assert certify_witness_psd(spec, 64).passed
 
 
 def test_custom_two_segment_worldline():
