@@ -14,6 +14,18 @@ that matrix is
 
 Grid membership is a semi-decision: a violation at a node is exact, while
 membership is certified only up to the sampling resolution.
+
+Two paths decide it.  cone_membership runs eigvalsh on every node's matrix,
+because its report gives the smallest eigenvalue on the grid.
+certify_grid_psd needs only the verdict, so it uses the block structure
+instead: with Da = diag(a0+a1, a0-a1), Db = diag(b0+b1, b0-b1) and C the
+upper right 2x2 block, the matrix is positive definite iff Da > 0 and the
+2x2 Schur complement Db - C* Da^-1 C is.  That test works on the field
+partials directly.  It is one-sided: it clears a node only when every
+rounded quantity clears a relative band and the margin also covers
+eigvalsh's own rounding, so it can answer "member" but never "violation".
+A node it cannot clear goes to the same per-node eigvalsh test as
+cone_membership, so both paths give the same verdicts.
 """
 
 from __future__ import annotations
@@ -32,6 +44,17 @@ from .states import DiracData
 PSD_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
 LEMMA_SLACK = 1e-12
+#: Part of the tolerance shift, relative to the node scale, that the Schur
+#: test gives up: a cleared node's smallest eigenvalue lies this far inside
+#: -tol*scale, which is some 10^4 ulps of the scale and far more than the
+#: rounding of a 4x4 eigvalsh (a few hundred ulps of ||M||_F <= 4*scale).
+SCHUR_EIG_SLACK = 1e-12
+#: Relative band each rounded Schur quantity must clear: S11 and S22 against
+#: the sum of the magnitudes they combine, det S against S11*S22 + |S12|^2.
+#: Rounding moves S11 and S22 by about 8 unit roundoffs (u = 2^-53) of that
+#: sum, so by at most 8u/band of their own size, and det S by about 22u/band
+#: of its sum, some 10^-9: far inside the band.
+SCHUR_BAND = 1e-6
 
 
 class UnequalDiagonalError(ValueError):
@@ -159,10 +182,9 @@ def _element_jets(el: AlgebraElement, t, x):
     return adt + adx, adt - adx, bdt + bdx, bdt - bdx, c, c0, c1
 
 
-def _assemble(el: AlgebraElement, dirac: DiracData, t, x) -> np.ndarray:
-    """Stack of 4x4 cone matrices over coordinate arrays; Hermitian by construction."""
-    ap, am, bp, bm, c, c0, c1 = _element_jets(el, np.atleast_1d(t), np.atleast_1d(x))
-    delta = dirac.d1 - dirac.d2
+def _matrices(jets, delta: float) -> np.ndarray:
+    """Stack of 4x4 cone matrices from element jets; Hermitian by construction."""
+    ap, am, bp, bm, c, c0, c1 = jets
     n = ap.shape[0]
     m = np.zeros((n, 4, 4), dtype=complex)
     m[:, 0, 0] = ap
@@ -182,7 +204,8 @@ def _assemble(el: AlgebraElement, dirac: DiracData, t, x) -> np.ndarray:
 
 def cone_matrix_at(el: AlgebraElement, dirac: DiracData, p: SpacetimePoint) -> ConeMatrix:
     """The membership matrix of the element at a single event."""
-    return ConeMatrix(_assemble(el, dirac, p.t, p.x)[0])
+    jets = _element_jets(el, np.atleast_1d(p.t), np.atleast_1d(p.x))
+    return ConeMatrix(_matrices(jets, dirac.d1 - dirac.d2)[0])
 
 
 def _scales(mats: np.ndarray) -> np.ndarray:
@@ -262,14 +285,14 @@ class MembershipReport:
         }
 
 
-def _grid_matrices(el: AlgebraElement, dirac: DiracData, region: RegionGrid) -> np.ndarray:
-    """Cone matrices at every node of the region, row-major in t.
+def _grid_jets(el: AlgebraElement, region: RegionGrid):
+    """Element jets at every node of the region, row-major in t.
 
     A DomainError raised at a known node is re-raised naming that grid node.
     """
     t, x = region.mesh()
     try:
-        return _assemble(el, dirac, t, x)
+        return _element_jets(el, t, x)
     except DomainError as err:
         if err.index is None:
             raise
@@ -284,11 +307,15 @@ def cone_membership(
 ) -> MembershipReport:
     """Test the PSD condition at every grid node, row-major in t.
 
+    Runs eigvalsh on every node's matrix, not the Schur test of
+    certify_grid_psd, because the report promises the smallest eigenvalue
+    anywhere on the grid, which only the eigenvalues give.
+
     Raises DomainError annotated with the offending node when a field, or one
     of its partials, cannot be evaluated to a finite number somewhere on the
     grid.
     """
-    mats = _grid_matrices(el, dirac, region)
+    mats = _matrices(_grid_jets(el, region), dirac.d1 - dirac.d2)
     min_eigs = np.linalg.eigvalsh(mats)[:, 0]
     bad = min_eigs < -tol * _scales(mats)
     n_violations = int(bad.sum())
@@ -305,22 +332,70 @@ def cone_membership(
     )
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _schur_clears(jets, delta: float, tol: float) -> np.ndarray:
+    """Nodes whose matrix M is certainly PSD up to tol, by the Schur test.
+
+    With s = max(1, largest |entry|) per node, tests M + shift*I positive
+    definite for shift = (tol - SCHUR_EIG_SLACK)*s: p, q = Da + shift > 0 and
+    the Schur complement S = Db + shift - C* diag(p, q)^-1 C has S11, S22 and
+    det S positive.  A cleared node therefore has lambda_min(M) >= -tol*s +
+    SCHUR_EIG_SLACK*s, which eigvalsh's rounding cannot push below -tol*s.
+
+    p and q are single rounded sums, so their signs are exact.  S11, S22 and
+    det S are not: each must exceed SCHUR_BAND times the sum of the
+    magnitudes it combines (det S against S11*S22 + |S12|^2), so rounding
+    and cancellation can never make a node that is not positive definite
+    look like one.  Non-finite intermediates compare False and never clear.
+    """
+    ap, am, bp, bm, c, c0, c1 = jets
+    # C = [[-u, -w], [w, -z]] exactly as _matrices builds the upper right block
+    u, z, w = c0 + c1, c0 - c1, delta * c
+    uu, zz, ww = _abs2(u), _abs2(z), _abs2(w)
+    scale = np.maximum(np.maximum(np.abs(ap), np.abs(am)), np.maximum(np.abs(bp), np.abs(bm)))
+    scale = np.maximum(np.maximum(scale, 1.0), np.sqrt(np.maximum(np.maximum(uu, zz), ww)))
+    shift = (tol - SCHUR_EIG_SLACK) * scale
+    p, q = ap + shift, am + shift
+    g1, g2 = uu / p, ww / q  # diagonal of C* diag(p, q)^-1 C
+    h1, h2 = ww / p, zz / q
+    s11 = bp + shift - g1 - g2
+    s22 = bm + shift - h1 - h2
+    s12sq = _abs2(np.conj(u) * w / p - np.conj(w) * z / q)
+    shift_mag = np.abs(shift)
+    prod = s11 * s22
+    return (
+        (p > 0.0)
+        & (q > 0.0)
+        & (s11 > SCHUR_BAND * (np.abs(bp) + shift_mag + g1 + g2))
+        & (s22 > SCHUR_BAND * (np.abs(bm) + shift_mag + h1 + h2))
+        & (prod - s12sq > SCHUR_BAND * (prod + s12sq))
+    )
+
+
 def certify_grid_psd(
     el: AlgebraElement, dirac: DiracData, region: RegionGrid, tol: float = PSD_TOL
 ) -> bool:
-    """Fast membership decision over the grid, equivalent to cone_membership.
+    """Fast membership decision over the grid, equal to cone_membership's verdict.
 
-    Screens with a batched Cholesky factorisation of the tolerance-shifted
-    matrices (a principal-minors test) and falls back to eigenvalues only
-    when the screen fails, so certifying a member costs a fraction of the
-    full report.  Raises the same node-annotated DomainError as
-    cone_membership.
+    Clears nodes with the closed-form Schur test of _schur_clears, which
+    works on the jet arrays and builds no 4x4 matrices.  The test is
+    one-sided: it clears a node only with a margin (a shift tol*s less
+    SCHUR_EIG_SLACK*s, and a relative band on every rounded quantity), so
+    it never clears a node eigvalsh would reject.  A node it does not clear
+    is not thereby a violation: those nodes alone are assembled and get
+    cone_membership's own per-node test, eigvalsh against -tol*scale, so
+    True and False both match cone_membership(...).member_on_grid.
+    Raises the same node-annotated DomainError as cone_membership.
     """
-    mats = _grid_matrices(el, dirac, region)
-    shift = (tol * _scales(mats))[:, None, None] * np.eye(4)
-    try:
-        np.linalg.cholesky(mats + shift)
+    jets = _grid_jets(el, region)
+    delta = dirac.d1 - dirac.d2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        open_nodes = np.flatnonzero(~_schur_clears(jets, delta, tol))
+    if open_nodes.size == 0:
         return True
-    except np.linalg.LinAlgError:
-        min_eigs = np.linalg.eigvalsh(mats)[:, 0]
-        return bool((min_eigs >= -tol * _scales(mats)).all())
+    mats = _matrices([part[open_nodes] for part in jets], delta)
+    min_eigs = np.linalg.eigvalsh(mats)[:, 0]
+    return not (min_eigs < -tol * _scales(mats)).any()

@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .causality import PureState, pure_causal
 from .cone import AlgebraElement, RegionGrid, certify_grid_psd
-from .fields import eval_values
+from .fields import BinOp, Call, FieldExpr, Neg, Num, Pow, Var, eval_values
 from .states import DiracData
 from .witness import EndpointElement
 
@@ -68,19 +69,40 @@ class SamplerConfig:
             raise ValueError("const_range must be increasing")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+# The families below build their trees directly, in the shape parse() gives
+# the repr-formatted sources in the comments: parse(to_source(tree)) == tree.
+
+_T, _X = Var("t"), Var("x")
+
+
+def _num(value: float) -> FieldExpr:
+    """The literal parse(repr(value)) builds: a negative number is a negated Num."""
+    value = float(value)
+    return Neg(Num(-value)) if math.copysign(1.0, value) < 0.0 else Num(value)
+
+
+def _times(*factors: FieldExpr) -> FieldExpr:
+    return reduce(lambda lhs, rhs: BinOp("*", lhs, rhs), factors)
+
+
+def _plus(*terms: FieldExpr) -> FieldExpr:
+    return reduce(lambda lhs, rhs: BinOp("+", lhs, rhs), terms)
 
 
 def _diagonal_causal(rng: np.random.Generator, cfg: SamplerConfig) -> AlgebraElement:
     lo, hi = cfg.diag_coeff_range
 
-    def causal_source() -> str:
+    def causal_field() -> FieldExpr:
+        # alpha*t + beta*tanh(t + x) + gamma*tanh(t - x)
         beta, gamma, extra = rng.uniform(lo, hi, size=3)
         alpha = beta + gamma + extra  # slope alpha >= beta + gamma keeps d/dt dominant
-        return f"{_fmt(alpha)}*t + {_fmt(beta)}*tanh(t + x) + {_fmt(gamma)}*tanh(t - x)"
+        return _plus(
+            _times(_num(alpha), _T),
+            _times(_num(beta), Call("tanh", BinOp("+", _T, _X))),
+            _times(_num(gamma), Call("tanh", BinOp("-", _T, _X))),
+        )
 
-    return AlgebraElement.from_sources(causal_source(), causal_source())
+    return AlgebraElement(causal_field(), causal_field(), Num(0.0), Num(0.0))
 
 
 def _lemma_bounded(rng: np.random.Generator, cfg: SamplerConfig, dirac: DiracData) -> AlgebraElement:
@@ -91,20 +113,22 @@ def _lemma_bounded(rng: np.random.Generator, cfg: SamplerConfig, dirac: DiracDat
     # is bounded by amp * (2 sqrt(2/e) + freq + gap); 5% headroom on top.
     bound = amp * (2.0 * math.sqrt(2.0 / math.e) + freq + dirac.gap)
     slope = 1.05 * bound
-    envelope = "exp(-(t^2 + x^2))"
-    diag = f"{_fmt(slope)}*t"
-    return AlgebraElement.from_sources(
+    # diagonal slope*t; off-diagonal amp*exp(-(t^2 + x^2))*cos(freq*t + phase) and sin
+    diag = _times(_num(slope), _T)
+    envelope = Call("exp", Neg(BinOp("+", Pow(_T, 2), Pow(_X, 2))))
+    wave = _plus(_times(_num(freq), _T), _num(phase))
+    return AlgebraElement(
         diag,
         diag,
-        f"{_fmt(amp)}*{envelope}*cos({_fmt(freq)}*t + {_fmt(phase)})",
-        f"{_fmt(amp)}*{envelope}*sin({_fmt(freq)}*t + {_fmt(phase)})",
+        _times(_num(amp), envelope, Call("cos", wave)),
+        _times(_num(amp), envelope, Call("sin", wave)),
     )
 
 
 def _constant(rng: np.random.Generator, cfg: SamplerConfig) -> AlgebraElement:
     lo, hi = cfg.const_range
     a, b, c_re, c_im = rng.uniform(lo, hi, size=4)
-    return AlgebraElement.from_sources(_fmt(a), _fmt(b), _fmt(c_re), _fmt(c_im))
+    return AlgebraElement(_num(a), _num(b), _num(c_re), _num(c_im))
 
 
 def sample_causal_element(cfg: SamplerConfig, k: int, dirac: DiracData) -> AlgebraElement:

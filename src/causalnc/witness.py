@@ -118,6 +118,24 @@ class WitnessSpec:
         return self.curve.endpoints()
 
 
+def _require_speed_bound_refusal(verdict) -> None:
+    """Witnesses exist only for pairs the oracle refuses by the speed bound."""
+    if verdict.related:
+        raise ValueError("the states are causally related; no separating element exists")
+    if verdict.reason is not Reason.SPEED_BOUND:
+        raise ValueError(
+            f"witness construction needs a speed-bound refusal, got {verdict.reason.value}"
+        )
+
+
+def _straight_timelike(p: SpacetimePoint, q: SpacetimePoint) -> CausalCurve:
+    """The straight worldline from p to q, refusing a lightlike separation."""
+    dt, dx = q.t - p.t, q.x - p.x
+    if dt > 0.0 and abs(dx) >= dt:
+        raise ValueError("lightlike endpoint separation: no timelike worldline to schedule on")
+    return CausalCurve.straight(p, q)
+
+
 def build_witness(
     omega: PureState, eta: PureState, dirac: DiracData, epsilon: Optional[float] = None
 ) -> WitnessSpec:
@@ -130,12 +148,7 @@ def build_witness(
     inside (0, pi), which maximises the distance from the csc singularities.
     """
     verdict = pure_causal(omega, eta, dirac)
-    if verdict.related:
-        raise ValueError("the states are causally related; no separating element exists")
-    if verdict.reason is not Reason.SPEED_BOUND:
-        raise ValueError(
-            f"witness construction needs a speed-bound refusal, got {verdict.reason.value}"
-        )
+    _require_speed_bound_refusal(verdict)
     theta_from = parallel_angle(omega.internal)
     theta_to = parallel_angle(eta.internal)
     delta = angular_distance(theta_from, theta_to)
@@ -147,16 +160,12 @@ def build_witness(
         epsilon = 0.5 * (math.pi - delta)
     arc = signed_arc(theta_from, theta_to)
     direction = 1.0 if arc >= 0.0 else -1.0
-    p, q = omega.point, eta.point
-    dt, dx = q.t - p.t, q.x - p.x
-    if dt > 0.0 and abs(dx) >= dt:
-        raise ValueError("lightlike endpoint separation: no timelike worldline to schedule on")
     abs_phi1 = abs(eta.internal.xi1)
     abs_phi2 = abs(eta.internal.xi2)
     return WitnessSpec(
         epsilon=float(epsilon),
         theta_c=wrap_angle(direction * epsilon - theta_from),
-        curve=CausalCurve.straight(p, q),
+        curve=_straight_timelike(omega.point, eta.point),
         abs_phi1=abs_phi1,
         abs_phi2=abs_phi2,
         dirac=dirac,
@@ -490,12 +499,7 @@ def build_mixed_witness(omega: MixedState, eta: MixedState, dirac: DiracData) ->
     epsilon/theta_c choice dictated by the sign of the projected arc.
     """
     verdict = mixed_causal(omega, eta, dirac)
-    if verdict.related:
-        raise ValueError("the states are causally related; no separating element exists")
-    if verdict.reason is not Reason.SPEED_BOUND:
-        raise ValueError(
-            f"witness construction needs a speed-bound refusal, got {verdict.reason.value}"
-        )
+    _require_speed_bound_refusal(verdict)
     rho, sigma = omega.internal, eta.internal
     z = 0.5 * (rho.rz + sigma.rz)
     _, theta_star, arc_r, arc_s = _mixed_angle_sup(rho, sigma)
@@ -505,14 +509,10 @@ def build_mixed_witness(omega: MixedState, eta: MixedState, dirac: DiracData) ->
         epsilon, theta_c, direction = arc_r, theta_star, 1.0
     else:
         epsilon, theta_c, direction = math.pi - arc_r, theta_star + math.pi, -1.0
-    p, q = omega.point, eta.point
-    dt, dx = q.t - p.t, q.x - p.x
-    if dt > 0.0 and abs(dx) >= dt:
-        raise ValueError("lightlike endpoint separation: no timelike worldline to schedule on")
     return WitnessSpec(
         epsilon=epsilon,
         theta_c=wrap_angle(theta_c),
-        curve=CausalCurve.straight(p, q),
+        curve=_straight_timelike(omega.point, eta.point),
         abs_phi1=math.sqrt((1.0 + z) / 2.0),
         abs_phi2=math.sqrt((1.0 - z) / 2.0),
         dirac=dirac,

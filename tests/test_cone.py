@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalnc.cone import (
@@ -18,11 +18,20 @@ from causalnc.cone import (
     conformal_rescale_matrix,
     is_psd,
     lemma_sufficient_check,
-    _assemble,
-    _scales,
 )
-from causalnc.fields import BinOp, DomainError, Num, Var, eval_grid, eval_values, eval_with_derivatives
+from causalnc.fields import (
+    BinOp,
+    DomainError,
+    Num,
+    Var,
+    eval_grid,
+    eval_values,
+    eval_with_derivatives,
+    parse,
+    to_source,
+)
 from causalnc.minkowski import SpacetimePoint
+from causalnc.oracle import SamplerConfig, sample_causal_element
 from causalnc.states import DiracData
 from strategies import FIELD_TREES
 
@@ -302,9 +311,116 @@ def test_evaluator_and_psd_paths_agree_on_random_trees(trees, slope):
     if report is DomainError:
         assert certified is DomainError
         return
-    mats = _assemble(el, D_UNIT, t, x)
-    assume(abs((np.linalg.eigvalsh(mats)[:, 0] / _scales(mats)).min() + PSD_TOL) > 1e-10)
     assert certified == report.member_on_grid
+
+
+EDGE_GRID = RegionGrid(-1.0, 1.0, -1.0, 1.0, 9, 9)
+#: beta at which a = t + beta*tanh(x - x0) meets the tolerance on the column
+#: x = x0, where a_t - a_x = 1 - beta and the node scale is 1 + beta.
+TOL_EDGE = (1.0 + PSD_TOL) / (1.0 - PSD_TOL)
+
+#: 1 -/+ 10^-k for k = 3..12
+_nudges = st.tuples(st.sampled_from((-1.0, 1.0)), st.integers(3, 12)).map(
+    lambda d: 1.0 + d[0] * 10.0 ** -d[1]
+)
+_diracs = st.sampled_from((D_UNIT, DiracData(1.0, 1.0), DiracData(0.5, -1.5)))
+_edges = st.sampled_from((1.0, TOL_EDGE))
+
+
+@st.composite
+def _tanh_edge(draw):
+    """a_t - a_x = 1 - beta on the grid column x = x0; beta = 1 or TOL_EDGE, nudged."""
+    x0 = float(np.linspace(EDGE_GRID.x_min, EDGE_GRID.x_max, EDGE_GRID.nx)[draw(st.integers(0, 8))])
+    beta = draw(_edges) * draw(_nudges)
+    a = f"t + {beta!r}*tanh(x - {x0!r})"
+    c = draw(st.sampled_from(("0", "0.01*exp(-(t^2 + x^2))")))
+    return AlgebraElement.from_sources(a, draw(st.sampled_from(("t", a))), c)
+
+
+@st.composite
+def _singular_da(draw):
+    """Da = diag(2, 0).  With d1 = d2, c = g*(t + x) couples only to the 2: the
+    block [[2, -2g], [-2g, 1]] has smallest eigenvalue 0 at g^2 = 1/2 and
+    -tol*scale at g_tol (scale 2)."""
+    nudge = draw(_nudges)
+    g_tol = math.sqrt(((3.0 + 4.0 * PSD_TOL * nudge) ** 2 - 1.0) / 16.0)
+    g = draw(st.sampled_from((0.0, 0.5, math.sqrt(0.5 * nudge), g_tol)))
+    c = draw(st.sampled_from((f"{g!r}*(t + x)", f"{g!r}*exp(-(t^2 + x^2))", f"{g!r}")))
+    return AlgebraElement.from_sources("t + x", "t", c)
+
+
+@st.composite
+def _steep_slope(draw):
+    """a = k*t + m*x with slopes up to 1e6: a_t - |a_x| = k - m, node scale k + m."""
+    k = 10.0 ** draw(st.integers(0, 6))
+    m = k * draw(_edges) * draw(_nudges)
+    return AlgebraElement.from_sources(f"{k!r}*t + {m!r}*x", "t")
+
+
+@st.composite
+def _rotating_phase(draw):
+    """a, b linear and c = r*exp(i(k t + m x)): every node's matrix is unitarily
+    similar to the one at the origin, whose diagonal is shifted so that the
+    smallest eigenvalue sits at -tol*scale or at 0, nudged; all of C couples."""
+    ap, am, bp, bm = draw(st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4))
+    r, k, m = draw(st.floats(0.1, 2.0)), draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    dirac, nudge, at_tol = draw(_diracs), draw(_nudges), draw(st.booleans())
+    wave = f"{k!r}*t + {m!r}*x"
+    sources = lambda shift: (
+        f"{(ap + am) / 2 + shift!r}*t + {(ap - am) / 2!r}*x",
+        f"{(bp + bm) / 2 + shift!r}*t + {(bp - bm) / 2!r}*x",
+        f"{r!r}*cos({wave})",
+        f"{r!r}*sin({wave})",
+    )
+    m0 = cone_matrix_at(AlgebraElement.from_sources(*sources(0.0)), dirac, ORIGIN).m
+    lam0, shift = float(np.linalg.eigvalsh(m0)[0]), 0.0
+    for _ in range(3):  # the scale moves with the shift only through the diagonal
+        scale = max(1.0, float(np.abs(m0 + shift * np.eye(4)).max()))
+        target = -PSD_TOL * scale * nudge if at_tol else (nudge - 1.0) * scale
+        shift = target - lam0
+    return AlgebraElement.from_sources(*sources(shift)), dirac
+
+
+@st.composite
+def _lemma_headroom(draw):
+    amp, freq = draw(st.floats(0.02, 0.3)), draw(st.floats(0.2, 2.0))
+    return _lemma_element(amp=amp, freq=freq, headroom=draw(st.floats(0.99, 1.01)))
+
+
+def _with_dirac(elements):
+    return st.tuples(elements, _diracs)
+
+
+@pytest.mark.parametrize(
+    "cases",
+    (
+        _with_dirac(_tanh_edge()),
+        _with_dirac(_singular_da()),
+        _with_dirac(_steep_slope()),
+        _rotating_phase(),
+        _with_dirac(_lemma_headroom()),
+    ),
+    ids=("tanh", "singular", "slope", "rotating", "lemma"),
+)
+@settings(max_examples=100)
+@given(data=st.data())
+def test_certify_grid_psd_equals_cone_membership_near_the_boundary(cases, data):
+    el, dirac = data.draw(cases)
+    report = cone_membership(el, dirac, EDGE_GRID)
+    assert certify_grid_psd(el, dirac, EDGE_GRID) == report.member_on_grid
+
+
+def test_criterion_5_stream_certifies_without_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Schur test should clear every node of these elements")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    cfg = SamplerConfig(seed=50_001, n_elements=50)
+    for k in range(cfg.n_elements):
+        el = sample_causal_element(cfg, k, D_UNIT)
+        for tree in (el.a, el.b, el.c_re, el.c_im):
+            assert parse(to_source(tree)) == tree
 
 
 def test_region_grid_validation_and_roundtrip():

@@ -5,6 +5,7 @@ import pytest
 
 from causalnc.causality import PureState
 from causalnc.cone import AlgebraElement, RegionGrid, cone_membership
+from causalnc.fields import Neg, parse, to_source
 from causalnc.minkowski import SpacetimePoint
 from causalnc.oracle import (
     Family,
@@ -95,6 +96,10 @@ def test_constant_family_requires_degenerate_gap():
     degenerate = DiracData(0.7, 0.7)
     el = sample_causal_element(cfg, 0, degenerate)
     assert cone_membership(el, degenerate, cfg.region).member_on_grid
+    # the sampler builds trees, not sources: negative constants are negated literals
+    fields = [f for k in range(4) for f in vars(sample_causal_element(cfg, k, degenerate)).values()]
+    assert any(isinstance(f, Neg) for f in fields)
+    assert all(parse(to_source(f)) == f for f in fields)
 
 
 def test_related_pairs_never_separated():
