@@ -10,10 +10,10 @@ atomically.  Exit codes are a stable contract:
   2  malformed or unusable input
 
 All verdict objects carry a "schema": "causalnc/1" field.  Angles are
-radians throughout.  The CAUSALNC_TOL environment variable overrides the
-default PSD tolerance; an explicit --tol wins over both.
-selftest runs the acceptance battery of tests/test_acceptance.py at a
-reduced scale seeded by --seed.
+radians throughout.  Only cone-check and selftest take --tol; there the
+CAUSALNC_TOL environment variable overrides the default PSD tolerance and
+an explicit --tol wins over both.  selftest runs the acceptance battery of
+tests/test_acceptance.py at a reduced scale seeded by --seed.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 
 def _resolve_tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         return args.tol
     env = os.environ.get("CAUSALNC_TOL")
     if env is not None:
@@ -230,13 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", help="JSON file path or inline JSON object")
         p.add_argument("--output", help="write result here (atomic); default stdout")
-        p.add_argument("--tol", type=float, help=f"PSD tolerance (default {PSD_TOL})")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=0,
-            help="seed for commands that sample; deterministic commands ignore it",
-        )
 
     p = sub.add_parser("check-pure", help="decide the causal order between two pure states")
     common(p)
@@ -248,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cone-check", help="grid membership test for an algebra element")
     common(p)
+    p.add_argument("--tol", type=float, help=f"PSD tolerance (default {PSD_TOL})")
     p.add_argument(
         "--grid",
         help='"tmin,tmax,xmin,xmax,nt,nx" overriding the input grid; '
@@ -265,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance battery at reduced scale")
     common(p, needs_input=False)
+    p.add_argument("--tol", type=float, help=f"PSD tolerance (default {PSD_TOL})")
+    p.add_argument("--seed", type=int, default=0, help="seed of the reduced-scale sampling")
     p.add_argument("--quick", action="store_true", help="fast subset of the checks")
     p.set_defaults(fn=_cmd_selftest)
     return parser

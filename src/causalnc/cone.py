@@ -182,19 +182,42 @@ def _element_jets(el: AlgebraElement, t, x):
     return adt + adx, adt - adx, bdt + bdx, bdt - bdx, c, c0, c1
 
 
-def _matrices(jets, delta: float) -> np.ndarray:
-    """Stack of 4x4 cone matrices from element jets; Hermitian by construction."""
-    ap, am, bp, bm, c, c0, c1 = jets
+def _cone_entries(el: AlgebraElement, t, x, delta: float):
+    """The seven distinct entries of the cone matrix at the given coordinates.
+
+    Returns (ap, am, bp, bm, u, z, w) = (a_t + a_x, a_t - a_x, b_t + b_x,
+    b_t - b_x, c_t + c_x, c_t - c_x, delta*c); C = [[-u, -w], [w, -z]].
+    These sums and products of finite partials can overflow: DomainError
+    then names the field and carries the index of its first such node.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ap, am, bp, bm, c, c0, c1 = _element_jets(el, t, x)
+        u, z, w = c0 + c1, c0 - c1, delta * c
+    for expr, parts in (
+        (el.a, (ap, am)),
+        (el.b, (bp, bm)),
+        (el.c_re, (u.real, z.real, w.real)),
+        (el.c_im, (u.imag, z.imag, w.imag)),
+    ):
+        finite = np.logical_and.reduce([np.isfinite(part) for part in parts])
+        if not finite.all():
+            raise DomainError("non-finite cone matrix entry", expr, int(np.argmin(finite)))
+    return ap, am, bp, bm, u, z, w
+
+
+def _matrices(entries) -> np.ndarray:
+    """Stack of 4x4 cone matrices from the entries of _cone_entries; Hermitian by construction."""
+    ap, am, bp, bm, u, z, w = entries
     n = ap.shape[0]
     m = np.zeros((n, 4, 4), dtype=complex)
     m[:, 0, 0] = ap
     m[:, 1, 1] = am
     m[:, 2, 2] = bp
     m[:, 3, 3] = bm
-    m[:, 0, 2] = -(c0 + c1)
-    m[:, 1, 3] = -(c0 - c1)
-    m[:, 0, 3] = -delta * c
-    m[:, 1, 2] = delta * c
+    m[:, 0, 2] = -u
+    m[:, 1, 3] = -z
+    m[:, 0, 3] = -w
+    m[:, 1, 2] = w
     m[:, 2, 0] = np.conj(m[:, 0, 2])
     m[:, 3, 1] = np.conj(m[:, 1, 3])
     m[:, 3, 0] = np.conj(m[:, 0, 3])
@@ -204,22 +227,25 @@ def _matrices(jets, delta: float) -> np.ndarray:
 
 def cone_matrix_at(el: AlgebraElement, dirac: DiracData, p: SpacetimePoint) -> ConeMatrix:
     """The membership matrix of the element at a single event."""
-    jets = _element_jets(el, np.atleast_1d(p.t), np.atleast_1d(p.x))
-    return ConeMatrix(_matrices(jets, dirac.d1 - dirac.d2)[0])
+    entries = _cone_entries(el, np.atleast_1d(p.t), np.atleast_1d(p.x), dirac.d1 - dirac.d2)
+    return ConeMatrix(_matrices(entries)[0])
 
 
-def _scales(mats: np.ndarray) -> np.ndarray:
-    return np.maximum(1.0, np.abs(mats).reshape(mats.shape[0], -1).max(axis=1))
+def _psd_at_nodes(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one per-node PSD rule: (smallest eigenvalues, passed) for a stack of matrices.
+
+    A node passes iff its smallest eigenvalue is >= -tol * scale, where
+    scale = max(1, largest absolute entry); a NaN eigenvalue fails.
+    """
+    min_eigs = np.linalg.eigvalsh(mats)[:, 0]
+    scales = np.maximum(1.0, np.abs(mats).reshape(mats.shape[0], -1).max(axis=1))
+    return min_eigs, min_eigs >= -tol * scales
 
 
 def is_psd(matrix: ConeMatrix | np.ndarray, tol: float = PSD_TOL) -> bool:
-    """PSD test with a relative eigenvalue bound.
-
-    True iff the smallest eigenvalue is >= -tol * scale where
-    scale = max(1, largest absolute entry).
-    """
+    """PSD test with a relative eigenvalue bound: the per-node rule of _psd_at_nodes."""
     m = matrix.m if isinstance(matrix, ConeMatrix) else np.asarray(matrix, dtype=complex)
-    return float(np.linalg.eigvalsh(m)[0]) >= -tol * float(_scales(m[None])[0])
+    return bool(_psd_at_nodes(m[None], tol)[1][0])
 
 
 def conformal_rescale_matrix(matrix: ConeMatrix, omega: float) -> ConeMatrix:
@@ -285,14 +311,14 @@ class MembershipReport:
         }
 
 
-def _grid_jets(el: AlgebraElement, region: RegionGrid):
-    """Element jets at every node of the region, row-major in t.
+def _grid_entries(el: AlgebraElement, dirac: DiracData, region: RegionGrid):
+    """Cone matrix entries (see _cone_entries) at every node of the region, row-major in t.
 
     A DomainError raised at a known node is re-raised naming that grid node.
     """
     t, x = region.mesh()
     try:
-        return _element_jets(el, t, x)
+        return _cone_entries(el, t, x, dirac.d1 - dirac.d2)
     except DomainError as err:
         if err.index is None:
             raise
@@ -311,17 +337,16 @@ def cone_membership(
     certify_grid_psd, because the report promises the smallest eigenvalue
     anywhere on the grid, which only the eigenvalues give.
 
-    Raises DomainError annotated with the offending node when a field, or one
-    of its partials, cannot be evaluated to a finite number somewhere on the
-    grid.
+    Raises DomainError annotated with the offending node when a field, one
+    of its partials, or an entry of the matrix cannot be evaluated to a
+    finite number somewhere on the grid.
     """
-    mats = _matrices(_grid_jets(el, region), dirac.d1 - dirac.d2)
-    min_eigs = np.linalg.eigvalsh(mats)[:, 0]
-    bad = min_eigs < -tol * _scales(mats)
-    n_violations = int(bad.sum())
+    mats = _matrices(_grid_entries(el, dirac, region))
+    min_eigs, passed = _psd_at_nodes(mats, tol)
+    n_violations = int((~passed).sum())
     first: Optional[GridViolation] = None
     if n_violations:
-        idx = int(np.argmax(bad))
+        idx = int(np.argmin(passed))
         first = GridViolation(region.node(idx), float(min_eigs[idx]))
     return MembershipReport(
         member_on_grid=n_violations == 0,
@@ -336,7 +361,7 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
-def _schur_clears(jets, delta: float, tol: float) -> np.ndarray:
+def _schur_clears(entries, tol: float) -> np.ndarray:
     """Nodes whose matrix M is certainly PSD up to tol, by the Schur test.
 
     With s = max(1, largest |entry|) per node, tests M + shift*I positive
@@ -351,9 +376,7 @@ def _schur_clears(jets, delta: float, tol: float) -> np.ndarray:
     and cancellation can never make a node that is not positive definite
     look like one.  Non-finite intermediates compare False and never clear.
     """
-    ap, am, bp, bm, c, c0, c1 = jets
-    # C = [[-u, -w], [w, -z]] exactly as _matrices builds the upper right block
-    u, z, w = c0 + c1, c0 - c1, delta * c
+    ap, am, bp, bm, u, z, w = entries  # C = [[-u, -w], [w, -z]], as _matrices builds it
     uu, zz, ww = _abs2(u), _abs2(z), _abs2(w)
     scale = np.maximum(np.maximum(np.abs(ap), np.abs(am)), np.maximum(np.abs(bp), np.abs(bm)))
     scale = np.maximum(np.maximum(scale, 1.0), np.sqrt(np.maximum(np.maximum(uu, zz), ww)))
@@ -381,21 +404,18 @@ def certify_grid_psd(
     """Fast membership decision over the grid, equal to cone_membership's verdict.
 
     Clears nodes with the closed-form Schur test of _schur_clears, which
-    works on the jet arrays and builds no 4x4 matrices.  The test is
+    works on the entry arrays and builds no 4x4 matrices.  The test is
     one-sided: it clears a node only with a margin (a shift tol*s less
     SCHUR_EIG_SLACK*s, and a relative band on every rounded quantity), so
     it never clears a node eigvalsh would reject.  A node it does not clear
     is not thereby a violation: those nodes alone are assembled and get
-    cone_membership's own per-node test, eigvalsh against -tol*scale, so
+    cone_membership's own per-node rule, _psd_at_nodes, so
     True and False both match cone_membership(...).member_on_grid.
     Raises the same node-annotated DomainError as cone_membership.
     """
-    jets = _grid_jets(el, region)
-    delta = dirac.d1 - dirac.d2
+    entries = _grid_entries(el, dirac, region)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        open_nodes = np.flatnonzero(~_schur_clears(jets, delta, tol))
+        open_nodes = np.flatnonzero(~_schur_clears(entries, tol))
     if open_nodes.size == 0:
         return True
-    mats = _matrices([part[open_nodes] for part in jets], delta)
-    min_eigs = np.linalg.eigvalsh(mats)[:, 0]
-    return not (min_eigs < -tol * _scales(mats)).any()
+    return bool(_psd_at_nodes(_matrices([part[open_nodes] for part in entries]), tol)[1].all())

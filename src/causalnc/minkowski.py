@@ -1,14 +1,16 @@
 """Flat 1+1-dimensional Minkowski geometry.
 
-Events, the classical causal order, piecewise-linear causal worldlines and
-the proper-time (Lorentzian length) functional.  Metric signature is (-,+),
-so the interval between nearby events is ``dt**2 - dx**2`` and an event q is
-in the causal future of p exactly when ``q.t - p.t >= |q.x - p.x|``.
+Events, the classical causal order and proper time.  max_proper_time is
+the proper time of the straight worldline between two events, the one the
+witness certificates are built on; the piecewise-linear CausalCurve and its
+proper_time are the reference that shows it is the supremum over causal
+worldlines.  Metric signature is (-,+), so the interval between nearby
+events is ``dt**2 - dx**2`` and an event q is in the causal future of p
+exactly when ``q.t - p.t >= |q.x - p.x|``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -63,24 +65,6 @@ class CausalCurve:
     def from_points(cls, points: list[SpacetimePoint]) -> "CausalCurve":
         """Build a curve from events, parametrised by sample index."""
         return cls(tuple((float(i), p) for i, p in enumerate(points)))
-
-    @classmethod
-    def straight(cls, p: SpacetimePoint, q: SpacetimePoint) -> "CausalCurve":
-        """The straight worldline from p to q; collapses to a point when p == q."""
-        if p.almost_equal(q, tol=0.0):
-            return cls(((0.0, p),))
-        return cls(((0.0, p), (1.0, q)))
-
-    def endpoints(self) -> tuple[SpacetimePoint, SpacetimePoint]:
-        return self.samples[0][1], self.samples[-1][1]
-
-    def to_json(self) -> str:
-        return json.dumps([[s, p.t, p.x] for s, p in self.samples])
-
-    @classmethod
-    def from_json(cls, text: str) -> "CausalCurve":
-        rows = json.loads(text)
-        return cls(tuple((float(s), SpacetimePoint(float(t), float(x))) for s, t, x in rows))
 
 
 def causally_precedes(p: SpacetimePoint, q: SpacetimePoint) -> bool:

@@ -15,7 +15,7 @@ identical configurations reproduce bit-identical elements on any platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from typing import Optional, Sequence, Union
@@ -30,7 +30,13 @@ from .witness import EndpointElement
 
 PAIR_TOL = 1e-10
 
+#: The grid every sampled element is certified on.
 DEFAULT_REGION = RegionGrid(-3.0, 3.0, -3.0, 3.0, 41, 41)
+#: Ranges of the uniform draws that shape the sampled families.
+DIAG_COEFF_RANGE = (0.05, 1.5)
+LEMMA_AMP_RANGE = (0.02, 0.3)
+LEMMA_FREQ_RANGE = (0.2, 2.0)
+CONST_RANGE = (-2.0, 2.0)
 
 
 class Family(str, Enum):
@@ -48,25 +54,13 @@ class SamplerConfig:
     seed: int
     n_elements: int
     families: tuple[Family, ...] = (Family.DIAGONAL_CAUSAL, Family.LEMMA_B)
-    region: RegionGrid = field(default_factory=lambda: DEFAULT_REGION)
     psd_tol: float = 1e-9
-    diag_coeff_range: tuple[float, float] = (0.05, 1.5)
-    lemma_amp_range: tuple[float, float] = (0.02, 0.3)
-    lemma_freq_range: tuple[float, float] = (0.2, 2.0)
-    const_range: tuple[float, float] = (-2.0, 2.0)
 
     def __post_init__(self) -> None:
         if self.n_elements < 1:
             raise ValueError("n_elements must be at least 1")
         if not self.families:
             raise ValueError("need at least one family")
-        for name in ("diag_coeff_range", "lemma_amp_range", "lemma_freq_range"):
-            lo, hi = getattr(self, name)
-            if not (0.0 < lo < hi):
-                raise ValueError(f"{name} must be an increasing positive range")
-        lo, hi = self.const_range
-        if not lo < hi:
-            raise ValueError("const_range must be increasing")
 
 
 # The families below build their trees directly, in the shape parse() gives
@@ -89,12 +83,10 @@ def _plus(*terms: FieldExpr) -> FieldExpr:
     return reduce(lambda lhs, rhs: BinOp("+", lhs, rhs), terms)
 
 
-def _diagonal_causal(rng: np.random.Generator, cfg: SamplerConfig) -> AlgebraElement:
-    lo, hi = cfg.diag_coeff_range
-
+def _diagonal_causal(rng: np.random.Generator) -> AlgebraElement:
     def causal_field() -> FieldExpr:
         # alpha*t + beta*tanh(t + x) + gamma*tanh(t - x)
-        beta, gamma, extra = rng.uniform(lo, hi, size=3)
+        beta, gamma, extra = rng.uniform(*DIAG_COEFF_RANGE, size=3)
         alpha = beta + gamma + extra  # slope alpha >= beta + gamma keeps d/dt dominant
         return _plus(
             _times(_num(alpha), _T),
@@ -105,9 +97,9 @@ def _diagonal_causal(rng: np.random.Generator, cfg: SamplerConfig) -> AlgebraEle
     return AlgebraElement(causal_field(), causal_field(), Num(0.0), Num(0.0))
 
 
-def _lemma_bounded(rng: np.random.Generator, cfg: SamplerConfig, dirac: DiracData) -> AlgebraElement:
-    amp = rng.uniform(*cfg.lemma_amp_range)
-    freq = rng.uniform(*cfg.lemma_freq_range)
+def _lemma_bounded(rng: np.random.Generator, dirac: DiracData) -> AlgebraElement:
+    amp = rng.uniform(*LEMMA_AMP_RANGE)
+    freq = rng.uniform(*LEMMA_FREQ_RANGE)
     phase = rng.uniform(0.0, 2.0 * math.pi)
     # sup over the plane of |c_t| + |c_x| + gap |c| for the Gaussian wave below
     # is bounded by amp * (2 sqrt(2/e) + freq + gap); 5% headroom on top.
@@ -125,14 +117,13 @@ def _lemma_bounded(rng: np.random.Generator, cfg: SamplerConfig, dirac: DiracDat
     )
 
 
-def _constant(rng: np.random.Generator, cfg: SamplerConfig) -> AlgebraElement:
-    lo, hi = cfg.const_range
-    a, b, c_re, c_im = rng.uniform(lo, hi, size=4)
+def _constant(rng: np.random.Generator) -> AlgebraElement:
+    a, b, c_re, c_im = rng.uniform(*CONST_RANGE, size=4)
     return AlgebraElement(_num(a), _num(b), _num(c_re), _num(c_im))
 
 
 def sample_causal_element(cfg: SamplerConfig, k: int, dirac: DiracData) -> AlgebraElement:
-    """Deterministic k-th causal element of the stream; certified on the region.
+    """Deterministic k-th causal element of the stream; certified on DEFAULT_REGION.
 
     Raises ValueError when the scheduled family is invalid for the Dirac data
     and RuntimeError if grid certification fails (which would be a generator
@@ -143,14 +134,14 @@ def sample_causal_element(cfg: SamplerConfig, k: int, dirac: DiracData) -> Algeb
     if family is Family.CONSTANT_DEGENERATE:
         if not dirac.degenerate:
             raise ValueError("CONSTANT_DEGENERATE elements need a degenerate Dirac gap")
-        el = _constant(rng, cfg)
+        el = _constant(rng)
     elif family is Family.DIAGONAL_CAUSAL:
-        el = _diagonal_causal(rng, cfg)
+        el = _diagonal_causal(rng)
     elif family is Family.LEMMA_B:
-        el = _lemma_bounded(rng, cfg, dirac)
+        el = _lemma_bounded(rng, dirac)
     else:
         raise ValueError(f"unknown family {family}")
-    if not certify_grid_psd(el, dirac, cfg.region, cfg.psd_tol):
+    if not certify_grid_psd(el, dirac, DEFAULT_REGION, cfg.psd_tol):
         raise RuntimeError(f"generated element failed grid certification (family {family.value})")
     return el
 

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .causality import MixedState, PureState, Reason, _mixed_angle_sup, mixed_causal, pure_causal
-from .minkowski import CausalCurve, SpacetimePoint, proper_time
+from .minkowski import SpacetimePoint, max_proper_time
 from .states import DiracData, angular_distance, parallel_angle, signed_arc, wrap_angle
 
 ANGLE_TOL = 1e-12
@@ -45,52 +45,36 @@ MATCH_RTOL = 1e-8
 #: Normalised characteristic-coefficient tolerances (scale-free).
 COEFF_POS_TOL = 1e-12
 COEFF_ZERO_TOL = 1e-9
+#: Composite-Simpson panels for lhs_by_integration; even, as the rule needs.
 SIMPSON_PANELS = 4000
 
 
 @dataclass(frozen=True)
-class _Segment:
-    length: float  # proper time of the segment
-    l_start: float  # cumulative proper time at its start
-    velocity: float
-
-
-def _segments_of(curve: CausalCurve) -> list[_Segment]:
-    segments = []
-    offset = 0.0
-    for i in range(len(curve.samples) - 1):
-        _, p0 = curve.samples[i]
-        _, p1 = curve.samples[i + 1]
-        dt = p1.t - p0.t
-        dx = p1.x - p0.x
-        if abs(dx) >= dt:
-            raise ValueError("the witness schedule needs a timelike worldline")
-        length = math.sqrt(dt * dt - dx * dx)
-        segments.append(_Segment(length, offset, dx / dt))
-        offset += length
-    return segments
-
-
-@dataclass(frozen=True)
 class WitnessSpec:
-    """A separating element pinned down along a timelike worldline.
+    """A separating element pinned down along the straight worldline from p to q.
 
     epsilon and theta_c fix the off-diagonal schedule; abs_phi1/abs_phi2 are
     the moduli of the internal components shared by the pair; delta_theta is
-    the angular separation the pair would need; direction is the sign of the
-    signed shorter arc between the parallel angles.
+    the angular separation the pair would need.  q must lie strictly inside
+    the future light cone of p, so that the worldline is timelike with
+    constant velocity, or coincide with p (a one-event worldline of zero
+    proper time).
     """
 
     epsilon: float
     theta_c: float
-    curve: CausalCurve
+    p: SpacetimePoint
+    q: SpacetimePoint
     abs_phi1: float
     abs_phi2: float
     dirac: DiracData
     delta_theta: float
-    direction: float
 
     def __post_init__(self) -> None:
+        dt, dx = self.q.t - self.p.t, self.q.x - self.p.x
+        if self.q != self.p and not abs(dx) < dt:
+            kind = "lightlike" if abs(dx) == dt else "spacelike or past-directed"
+            raise ValueError(f"{kind} endpoint separation: no timelike worldline to schedule on")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if not self.delta_theta + self.epsilon < math.pi:
@@ -99,12 +83,13 @@ class WitnessSpec:
             raise ValueError("a degenerate Dirac gap admits no schedule")
         if not min(self.abs_phi1, self.abs_phi2) > 0.0:
             raise ValueError("pole states carry no parallel angle to separate")
-        gap_l = self.dirac.gap * self.total_proper_time()
+        gap_l = self.dirac.gap * max_proper_time(self.p, self.q)
         if gap_l >= self.delta_theta:
             raise ValueError("worldline too long: the pair is causally related")
 
-    def total_proper_time(self) -> float:
-        return proper_time(self.curve)
+    def velocity(self) -> float:
+        """Coordinate velocity dx/dt of the worldline; 0 when it is a single event."""
+        return 0.0 if self.q == self.p else (self.q.x - self.p.x) / (self.q.t - self.p.t)
 
     def schedule(self, l: float | np.ndarray):
         """The angle Theta(l) = gap*l + epsilon driving the csc schedule."""
@@ -113,9 +98,6 @@ class WitnessSpec:
     def c_field(self, l: float) -> complex:
         """Off-diagonal field value at proper time l along the worldline."""
         return -1.0 / math.sin(float(self.schedule(l))) * cmath.exp(1j * self.theta_c)
-
-    def endpoints(self) -> tuple[SpacetimePoint, SpacetimePoint]:
-        return self.curve.endpoints()
 
 
 def _require_speed_bound_refusal(verdict) -> None:
@@ -126,14 +108,6 @@ def _require_speed_bound_refusal(verdict) -> None:
         raise ValueError(
             f"witness construction needs a speed-bound refusal, got {verdict.reason.value}"
         )
-
-
-def _straight_timelike(p: SpacetimePoint, q: SpacetimePoint) -> CausalCurve:
-    """The straight worldline from p to q, refusing a lightlike separation."""
-    dt, dx = q.t - p.t, q.x - p.x
-    if dt > 0.0 and abs(dx) >= dt:
-        raise ValueError("lightlike endpoint separation: no timelike worldline to schedule on")
-    return CausalCurve.straight(p, q)
 
 
 def build_witness(
@@ -158,19 +132,16 @@ def build_witness(
         raise ValueError("coinciding angles cannot be separated")
     if epsilon is None:
         epsilon = 0.5 * (math.pi - delta)
-    arc = signed_arc(theta_from, theta_to)
-    direction = 1.0 if arc >= 0.0 else -1.0
-    abs_phi1 = abs(eta.internal.xi1)
-    abs_phi2 = abs(eta.internal.xi2)
+    direction = 1.0 if signed_arc(theta_from, theta_to) >= 0.0 else -1.0
     return WitnessSpec(
         epsilon=float(epsilon),
         theta_c=wrap_angle(direction * epsilon - theta_from),
-        curve=_straight_timelike(omega.point, eta.point),
-        abs_phi1=abs_phi1,
-        abs_phi2=abs_phi2,
+        p=omega.point,
+        q=eta.point,
+        abs_phi1=abs(eta.internal.xi1),
+        abs_phi2=abs(eta.internal.xi2),
         dirac=dirac,
         delta_theta=delta,
-        direction=direction,
     )
 
 
@@ -183,7 +154,7 @@ def separation_values(spec: WitnessSpec) -> tuple[float, float]:
     lhs < rhs strictly, which contradicts the pairing inequality any causal
     relation would impose.
     """
-    gap_l = spec.dirac.gap * spec.total_proper_time()
+    gap_l = spec.dirac.gap * max_proper_time(spec.p, spec.q)
     eps = spec.epsilon
     pref = 2.0 * spec.abs_phi1 * spec.abs_phi2
     cot = lambda u: math.cos(u) / math.sin(u)
@@ -192,42 +163,32 @@ def separation_values(spec: WitnessSpec) -> tuple[float, float]:
     return lhs, rhs
 
 
-def lhs_by_integration(spec: WitnessSpec, panels: int = SIMPSON_PANELS) -> float:
+def lhs_by_integration(spec: WitnessSpec) -> float:
     """Re-derive the lhs by integrating the diagonal derivative fields.
 
-    Composite Simpson in coordinate time along each segment of the
-    worldline, evaluating the scheduled field derivatives literally; used to
-    cross-check the closed form within MATCH_RTOL.
+    Composite Simpson in coordinate time along the worldline, evaluating the
+    scheduled field derivatives literally; used to cross-check the closed
+    form within MATCH_RTOL.  A one-event worldline integrates over an empty
+    interval and gives 0.
     """
-    segments = _segments_of(spec.curve)
-    if not segments:
-        return 0.0
     gap = spec.dirac.gap
     k1, k2 = spec.abs_phi1, spec.abs_phi2
-    total = 0.0
-    for i, seg in enumerate(segments):
-        _, p0 = spec.curve.samples[i]
-        _, p1 = spec.curve.samples[i + 1]
-        dt = p1.t - p0.t
-        v = seg.velocity
-        lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
-        sqrt_ll = math.sqrt(lam1 * lam2)
-        n = max(2, panels // len(segments))
-        if n % 2:
-            n += 1
-        tau = np.linspace(0.0, dt, n + 1)
-        l_here = seg.l_start + tau * math.sqrt(1.0 - v * v)
-        csc2 = 1.0 / np.sin(spec.schedule(l_here)) ** 2
-        a0 = gap / (2.0 * sqrt_ll) * (k2 / k1) * csc2
-        a1 = -v * a0
-        b0 = gap / (2.0 * sqrt_ll) * (k1 / k2) * csc2
-        b1 = -v * b0
-        integrand = k1 * k1 * (a0 + v * a1) + k2 * k2 * (b0 + v * b1)
-        weights = np.ones(n + 1)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        total += float((dt / n) / 3.0 * np.dot(weights, integrand))
-    return total
+    dt = spec.q.t - spec.p.t
+    v = spec.velocity()
+    lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
+    sqrt_ll = math.sqrt(lam1 * lam2)
+    n = SIMPSON_PANELS
+    tau = np.linspace(0.0, dt, n + 1)
+    csc2 = 1.0 / np.sin(spec.schedule(tau * math.sqrt(1.0 - v * v))) ** 2
+    a0 = gap / (2.0 * sqrt_ll) * (k2 / k1) * csc2
+    a1 = -v * a0
+    b0 = gap / (2.0 * sqrt_ll) * (k1 / k2) * csc2
+    b1 = -v * b0
+    integrand = k1 * k1 * (a0 + v * a1) + k2 * k2 * (b0 + v * b1)
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float((dt / n) / 3.0 * np.dot(weights, integrand))
 
 
 @dataclass(frozen=True)
@@ -269,18 +230,8 @@ class PsdCertification:
         return next((sample for sample in self.samples if not sample.passed), None)
 
 
-def _sample_profile(spec: WitnessSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fraction, proper time, velocity) arrays at n uniform proper-time samples."""
-    segments = _segments_of(spec.curve) or [_Segment(0.0, 0.0, 0.0)]  # a one-event curve rests
-    frac = np.arange(n) / (n - 1)
-    l = frac * spec.total_proper_time()
-    ends = np.array([seg.l_start + seg.length for seg in segments])
-    index = np.minimum(np.searchsorted(ends, l), len(segments) - 1)
-    return frac, l, np.array([seg.velocity for seg in segments])[index]
-
-
-def _witness_matrices(spec: WitnessSpec, l: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The element's 4x4 membership matrices, shape (n, 4, 4), at proper times l, velocities v.
+def _witness_matrices(spec: WitnessSpec, l: np.ndarray) -> np.ndarray:
+    """The element's 4x4 membership matrices, shape (n, 4, 4), at proper times l.
 
     The off-diagonal derivative fields are split proportionally between the
     two null directions, c_t + c_x = g sqrt(lam2/lam1) cos(Theta)
@@ -292,6 +243,7 @@ def _witness_matrices(spec: WitnessSpec, l: np.ndarray, v: np.ndarray) -> np.nda
     """
     gap = spec.dirac.gap
     theta = spec.schedule(l)
+    v = spec.velocity()
     lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
     r21 = np.sqrt(lam2 / lam1)
     r12 = np.sqrt(lam1 / lam2)
@@ -316,11 +268,6 @@ def _witness_matrices(spec: WitnessSpec, l: np.ndarray, v: np.ndarray) -> np.nda
     return m
 
 
-def _witness_matrix(spec: WitnessSpec, l: float, v: float) -> np.ndarray:
-    """One sample of _witness_matrices: the 4x4 membership matrix at proper time l, velocity v."""
-    return _witness_matrices(spec, np.array([l], dtype=float), np.array([v], dtype=float))[0]
-
-
 def certify_witness_psd(spec: WitnessSpec, n: int) -> PsdCertification:
     """Certify the element's membership matrix along the worldline.
 
@@ -340,8 +287,9 @@ def certify_witness_psd(spec: WitnessSpec, n: int) -> PsdCertification:
         raise ValueError("need at least two certification samples")
     gap = spec.dirac.gap
     k1, k2 = spec.abs_phi1, spec.abs_phi2
-    frac, l, v = _sample_profile(spec, n)
-    m = _witness_matrices(spec, l, v)
+    frac = np.arange(n) / (n - 1)
+    l = frac * max_proper_time(spec.p, spec.q)
+    m = _witness_matrices(spec, l)
     scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
     mn = m / scale[:, None, None]
     m2 = mn @ mn
@@ -358,6 +306,7 @@ def certify_witness_psd(spec: WitnessSpec, n: int) -> PsdCertification:
         c4n = np.where(np.linalg.slogdet(mn)[1] == -np.inf, 0.0, np.linalg.det(mn).real)
 
     sin2 = power(np.sin(spec.schedule(l)), 2)
+    v = spec.velocity()
     lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
     csc2 = 1.0 / sin2
     c1_closed = gap * csc2 / (np.sqrt(lam1 * lam2) * k1 * k2)
@@ -474,18 +423,18 @@ def endpoint_element(spec: WitnessSpec) -> EndpointElement:
     a(q) - a(p) = (|phi2|/|phi1|) (cot(eps) - cot(g L + eps)) and symmetrically
     for b; the off-diagonal values follow the csc schedule.
     """
-    p, q = spec.endpoints()
-    gap_l = spec.dirac.gap * spec.total_proper_time()
+    total = max_proper_time(spec.p, spec.q)
+    gap_l = spec.dirac.gap * total
     eps = spec.epsilon
     cot = lambda u: math.cos(u) / math.sin(u)
     growth = cot(eps) - cot(gap_l + eps)
     da = (spec.abs_phi2 / spec.abs_phi1) * growth
     db = (spec.abs_phi1 / spec.abs_phi2) * growth
     return EndpointElement(
-        points=(p, q),
+        points=(spec.p, spec.q),
         a_values=(0.0, da),
         b_values=(0.0, db),
-        c_values=(spec.c_field(0.0), spec.c_field(spec.total_proper_time())),
+        c_values=(spec.c_field(0.0), spec.c_field(total)),
     )
 
 
@@ -506,16 +455,16 @@ def build_mixed_witness(omega: MixedState, eta: MixedState, dirac: DiracData) ->
     if min(arc_r, arc_s) <= ANGLE_TOL or max(arc_r, arc_s) >= math.pi - ANGLE_TOL:
         raise ValueError("projected angles touch the limiting values 0 or pi; no direct witness")
     if arc_s > arc_r:
-        epsilon, theta_c, direction = arc_r, theta_star, 1.0
+        epsilon, theta_c = arc_r, theta_star
     else:
-        epsilon, theta_c, direction = math.pi - arc_r, theta_star + math.pi, -1.0
+        epsilon, theta_c = math.pi - arc_r, theta_star + math.pi
     return WitnessSpec(
         epsilon=epsilon,
         theta_c=wrap_angle(theta_c),
-        curve=_straight_timelike(omega.point, eta.point),
+        p=omega.point,
+        q=eta.point,
         abs_phi1=math.sqrt((1.0 + z) / 2.0),
         abs_phi2=math.sqrt((1.0 - z) / 2.0),
         dirac=dirac,
         delta_theta=abs(arc_s - arc_r),
-        direction=direction,
     )

@@ -125,6 +125,19 @@ def test_cone_check_field_domain_error_is_input_error(capsys):
     assert "non-finite value or partial at grid node (t=-3.0, x=-3.0)" in err
 
 
+def test_cone_check_overflowing_matrix_entry_is_input_error(capsys):
+    # the fields and partials are finite; a_t + a_x and (d1 - d2)*c overflow
+    cases = [
+        ({"a": "1e308*t + 1e308*x", "b": "x"}, {"d1": 0, "d2": 1}, "'1e+308 * t + 1e+308 * x'"),
+        ({"a": "t", "b": "t", "c": {"re": "1.5e308", "im": "0"}}, {"d1": 0, "d2": 2}, "'1.5e+308'"),
+    ]
+    for element, dirac, source in cases:
+        payload = json.dumps({"element": element, "dirac": dirac})
+        code, out, err = _run(capsys, "cone-check", "--input", payload, "--grid=-0.5,0.5,-0.5,0.5,5,5")
+        assert code == 2 and out == ""
+        assert f"non-finite cone matrix entry at grid node (t=-0.5, x=-0.5) in {source}" in err
+
+
 def test_cone_check_parse_error_is_input_error(capsys):
     payload = {"element": {"a": "t +", "b": "t"}, "dirac": {"d1": 0, "d2": 1}}
     code, _, err = _run(capsys, "cone-check", "--input", json.dumps(payload))
@@ -227,6 +240,15 @@ def test_explicit_tol_beats_env(capsys, monkeypatch):
     monkeypatch.setenv("CAUSALNC_TOL", "-1")
     code, out, _ = _run(capsys, "selftest", "--quick", "--tol", "1e-9")
     assert code == 0
+
+
+def test_flags_exist_only_where_they_are_read(capsys):
+    # --tol is read by cone-check and selftest only, --seed by selftest only
+    for argv in (["check-pure", "--tol", "1e-9"], ["check-pure", "--seed", "5"], ["cone-check", "--seed", "5"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--input", json.dumps(PURE_RELATED)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 def test_bad_env_tolerance_is_input_error(capsys, monkeypatch):

@@ -269,19 +269,42 @@ def test_certify_grid_psd_agrees_with_cone_membership():
 
 
 def test_membership_domain_error_names_grid_node():
+    small = RegionGrid(-0.5, 0.5, -0.5, 0.5, 5, 5)
     cases = [
-        ("log(t)", RegionGrid(-1.0, 1.0, -1.0, 1.0, 5, 5), "grid node (t=-1"),
+        (("log(t)", "t"), D_UNIT, RegionGrid(-1.0, 1.0, -1.0, 1.0, 5, 5), "grid node (t=-1"),
         # 3^700 overflows, so 0*t^700 is NaN in the value and in d/dt on the t=3 row
         (
-            "t + 0*t^700",
+            ("t + 0*t^700", "t"),
+            D_UNIT,
             RegionGrid(0.0, 3.0, -1.0, 1.0, 4, 3),
             "non-finite value or partial at grid node (t=3.0, x=-1.0)",
         ),
+        # finite partials, but the entry a_t + a_x overflows; b = x is not causal
+        (
+            ("1e308*t + 1e308*x", "x"),
+            D_UNIT,
+            small,
+            "non-finite cone matrix entry at grid node (t=-0.5, x=-0.5) in '1e+308 * t + 1e+308 * x'",
+        ),
+        # a finite constant c, but the entry (d1 - d2)*c overflows
+        (
+            ("t", "t", "1.5e308", "0"),
+            DiracData(0.0, 2.0),
+            small,
+            "non-finite cone matrix entry at grid node (t=-0.5, x=-0.5) in '1.5e+308'",
+        ),
+        # c_t + c_x overflows on the imaginary part, only in the x=0.5 column
+        (
+            ("t", "t", "0", "9e307*t + 4.5e307*(x + 0.5)^2"),
+            D_UNIT,
+            small,
+            "non-finite cone matrix entry at grid node (t=-0.5, x=0.5) in '9e+307 * t + 4.5e+307 * (x + 0.5)^2'",
+        ),
     ]
-    for source, grid, message in cases:
+    for sources, dirac, grid, message in cases:
         for decide in (cone_membership, certify_grid_psd):
             with pytest.raises(DomainError) as err:
-                decide(AlgebraElement.from_sources(source, "t"), D_UNIT, grid)
+                decide(AlgebraElement.from_sources(*sources), dirac, grid)
             assert message in str(err.value)
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -152,12 +151,3 @@ def test_proper_time_additive_under_concatenation():
         assert proper_time(joined) == pytest.approx(
             proper_time(first) + proper_time(second), abs=1e-12
         )
-
-
-def test_curve_json_round_trip():
-    curve = CausalCurve.from_points(
-        [SpacetimePoint(0, 0), SpacetimePoint(1, 0.5), SpacetimePoint(2.5, 0.25)]
-    )
-    text = curve.to_json()
-    assert json.loads(text) == [[0.0, 0.0, 0.0], [1.0, 1.0, 0.5], [2.0, 2.5, 0.25]]
-    assert CausalCurve.from_json(text) == curve

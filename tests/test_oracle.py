@@ -8,6 +8,7 @@ from causalnc.cone import AlgebraElement, RegionGrid, cone_membership
 from causalnc.fields import Neg, parse, to_source
 from causalnc.minkowski import SpacetimePoint
 from causalnc.oracle import (
+    DEFAULT_REGION,
     Family,
     PairStatus,
     SamplerConfig,
@@ -43,10 +44,6 @@ def test_config_validation():
         SamplerConfig(seed=1, n_elements=0)
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, n_elements=5, families=())
-    with pytest.raises(ValueError):
-        SamplerConfig(seed=1, n_elements=5, lemma_amp_range=(0.3, 0.1))
-    with pytest.raises(ValueError):
-        SamplerConfig(seed=1, n_elements=5, diag_coeff_range=(-0.5, 1.0))
 
 
 def test_streams_are_bit_identical():
@@ -85,7 +82,7 @@ def test_lemma_family_example_parameters():
 def test_generator_soundness_full_membership():
     cfg = SamplerConfig(seed=99, n_elements=30)
     for el in sample_elements(cfg, D_UNIT):
-        report = cone_membership(el, D_UNIT, cfg.region, cfg.psd_tol)
+        report = cone_membership(el, D_UNIT, DEFAULT_REGION, cfg.psd_tol)
         assert report.member_on_grid, el.to_dict()
 
 
@@ -95,7 +92,7 @@ def test_constant_family_requires_degenerate_gap():
         sample_causal_element(cfg, 0, D_UNIT)
     degenerate = DiracData(0.7, 0.7)
     el = sample_causal_element(cfg, 0, degenerate)
-    assert cone_membership(el, degenerate, cfg.region).member_on_grid
+    assert cone_membership(el, degenerate, DEFAULT_REGION).member_on_grid
     # the sampler builds trees, not sources: negative constants are negated literals
     fields = [f for k in range(4) for f in vars(sample_causal_element(cfg, k, degenerate)).values()]
     assert any(isinstance(f, Neg) for f in fields)

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalnc.causality import MixedState, PureState, pure_causal
-from causalnc.minkowski import CausalCurve, SpacetimePoint
+from causalnc.minkowski import SpacetimePoint, max_proper_time
 from causalnc.states import DiracData, MixedInternalState, PureInternalState
 from causalnc.witness import (
     COEFF_ZERO_TOL,
     MATCH_RTOL,
     WitnessSpec,
-    _witness_matrix,
+    _witness_matrices,
     build_mixed_witness,
     build_witness,
     certify_witness_psd,
@@ -45,7 +45,7 @@ def test_build_witness_standard_example():
     assert float(spec.schedule(1.0)) == pytest.approx(1.0 + math.pi / 4)
     assert 0.0 < spec.epsilon and 1.0 + math.pi / 4 < math.pi
     assert spec.delta_theta == pytest.approx(math.pi / 2)
-    assert spec.direction == 1.0
+    assert spec.theta_c == pytest.approx(math.pi / 4)  # +eps: the arc runs counter-clockwise
 
 
 def test_build_witness_rejects_related_pair():
@@ -123,7 +123,7 @@ def test_small_angle_still_strict():
 
 def test_witness_c_field_magnitude_follows_schedule():
     spec = build_witness(*STANDARD, D_UNIT)
-    for l in np.linspace(0.0, spec.total_proper_time(), 9):
+    for l in np.linspace(0.0, max_proper_time(spec.p, spec.q), 9):
         theta = float(spec.schedule(l))
         assert abs(spec.c_field(l)) == pytest.approx(1.0 / math.sin(theta), abs=1e-13)
 
@@ -150,8 +150,8 @@ def test_certify_matrix_is_psd_by_independent_eigenvalues():
     spec = build_witness(*moving, D_UNIT)
     report = certify_witness_psd(spec, 16)
     assert report.passed
-    for frac, l, v in [(s.s, s.l, 0.5 / 1.0) for s in report.samples]:
-        m = _witness_matrix(spec, l, v)
+    for sample in report.samples:
+        m = _witness_matrices(spec, np.array([sample.l]))[0]
         eig_min = float(np.linalg.eigvalsh(m)[0])
         assert eig_min >= -1e-9 * max(1.0, float(np.abs(m).max()))
 
@@ -165,7 +165,7 @@ def test_matrix_derivative_entries_consistent_with_schedule():
     lam1, lam2 = (1 + v) / 2, (1 - v) / 2
     rate = math.sqrt(1 - v * v)  # dl/dt at unit gdot0
     for l in (0.1, 0.35, 0.6):
-        m = _witness_matrix(spec, l, v)
+        m = _witness_matrices(spec, np.array([l]))[0]
         c_plus = -m[0, 2]
         c_minus = -m[1, 3]
         claimed = lam1 * c_plus + lam2 * c_minus
@@ -175,45 +175,34 @@ def test_matrix_derivative_entries_consistent_with_schedule():
         assert claimed.imag == pytest.approx(numeric.imag, rel=1e-6, abs=1e-9)
 
 
-FIRST_LEG = 0.37  # share of the proper time on the first leg; no sample fraction j/(n-1) lands on it
-
-
 @settings(max_examples=150)
 @given(
     st.floats(0.11, math.pi - 0.11),  # angular separation
     st.floats(0.02, 0.98),  # available proper time as a share of the required one
-    st.floats(-0.9, 0.9),  # velocity of the first leg
-    st.one_of(st.none(), st.floats(-0.9, 0.9)),  # velocity of a second leg, if any
+    st.floats(-0.9, 0.9),  # velocity of the worldline
     st.floats(0.05, 0.95),  # |phi1|^2
     st.floats(-math.pi, math.pi),  # theta_c
     st.sampled_from((0.5, 1.0, 2.0)),  # gap
     st.booleans(),  # sign of d1 - d2
     st.sampled_from((2, 7, 64)),
 )
-def test_batched_certification_agrees_with_eigenvalues(dtheta, share, v1, v2, k1sq, theta_c, gap, d1_above, n):
-    total = share * dtheta / gap
-    legs = [(v1, total)] if v2 is None else [(v1, FIRST_LEG * total), (v2, (1.0 - FIRST_LEG) * total)]
-    points = [SpacetimePoint(0.0, 0.0)]
-    for v, length in legs:
-        dt = length / math.sqrt(1.0 - v * v)
-        points.append(SpacetimePoint(points[-1].t + dt, points[-1].x + v * dt))
+def test_batched_certification_agrees_with_eigenvalues(dtheta, share, v, k1sq, theta_c, gap, d1_above, n):
+    dt = share * dtheta / gap / math.sqrt(1.0 - v * v)
     spec = WitnessSpec(
         epsilon=0.5 * (math.pi - dtheta),
         theta_c=theta_c,
-        curve=CausalCurve.from_points(points),
+        p=SpacetimePoint(0.0, 0.0),
+        q=SpacetimePoint(dt, v * dt),
         abs_phi1=math.sqrt(k1sq),
         abs_phi2=math.sqrt(1.0 - k1sq),
         dirac=DiracData(gap, 0.0) if d1_above else DiracData(0.0, gap),
         delta_theta=dtheta,
-        direction=1.0,
     )
     report = certify_witness_psd(spec, n)
     assert report.passed and report.first_failure is None
     assert [sample.s for sample in report.samples] == pytest.approx(np.linspace(0.0, 1.0, n), abs=1e-15)
-    velocities = [(q.x - p.x) / (q.t - p.t) for p, q in zip(points, points[1:])]
-    for sample in report.samples:
-        v = velocities[0] if sample.l <= legs[0][1] else velocities[-1]
-        m = _witness_matrix(spec, sample.l, v)
+    mats = _witness_matrices(spec, np.array([sample.l for sample in report.samples]))
+    for sample, m in zip(report.samples, mats):
         eig = np.linalg.eigvalsh(m)
         assert sample.scale == pytest.approx(max(1.0, float(np.abs(m).max())), rel=1e-15)
         # c_k is the k-th elementary symmetric polynomial of the eigenvalues
@@ -238,12 +227,12 @@ def test_certify_tiny_phase_keeps_determinant_finite():
     spec = WitnessSpec(
         epsilon=0.5 * (math.pi - 1.25),
         theta_c=5e-324,
-        curve=CausalCurve.straight(SpacetimePoint(0.0, 0.0), SpacetimePoint(1.25, 0.0)),
+        p=SpacetimePoint(0.0, 0.0),
+        q=SpacetimePoint(1.25, 0.0),
         abs_phi1=math.sqrt(0.5),
         abs_phi2=math.sqrt(0.5),
         dirac=DiracData(0.0, 0.5),
         delta_theta=1.25,
-        direction=1.0,
     )
     report = certify_witness_psd(spec, 2)
     assert report.passed
@@ -311,13 +300,13 @@ def test_refute_coincident_events():
 def test_endpoint_element_values_and_violation():
     spec = build_witness(*STANDARD, D_UNIT)
     el = endpoint_element(spec)
-    p, q = spec.endpoints()
+    p, q = spec.p, spec.q
     a_vals, b_vals, c_vals = el.values_at(
         np.array([p.t, q.t]), np.array([p.x, q.x])
     )
     assert a_vals[0] == 0.0 and b_vals[0] == 0.0
     assert c_vals[0] == pytest.approx(spec.c_field(0.0))
-    assert c_vals[1] == pytest.approx(spec.c_field(spec.total_proper_time()))
+    assert c_vals[1] == pytest.approx(spec.c_field(max_proper_time(p, q)))
     with pytest.raises(ValueError):
         el.values_at(np.array([9.0]), np.array([9.0]))
 
@@ -357,23 +346,23 @@ def test_witness_spec_validation():
         WitnessSpec(
             epsilon=-0.1,
             theta_c=spec.theta_c,
-            curve=spec.curve,
+            p=spec.p,
+            q=spec.q,
             abs_phi1=spec.abs_phi1,
             abs_phi2=spec.abs_phi2,
             dirac=spec.dirac,
             delta_theta=spec.delta_theta,
-            direction=1.0,
         )
     with pytest.raises(ValueError):
         WitnessSpec(
             epsilon=math.pi,
             theta_c=spec.theta_c,
-            curve=spec.curve,
+            p=spec.p,
+            q=spec.q,
             abs_phi1=spec.abs_phi1,
             abs_phi2=spec.abs_phi2,
             dirac=spec.dirac,
             delta_theta=spec.delta_theta,
-            direction=1.0,
         )
 
 
@@ -389,7 +378,7 @@ def test_mixed_witness_separates_mixed_pair():
 
     # the separating element's endpoint values violate the mixed pairing
     el = endpoint_element(spec)
-    p, q = spec.endpoints()
+    p, q = spec.p, spec.q
     a_vals, b_vals, c_vals = el.values_at(np.array([p.t, q.t]), np.array([p.x, q.x]))
 
     def mixed_pairing(state, a, b, c):
@@ -414,53 +403,23 @@ def test_mixed_witness_on_unit_radius_pair():
     assert certify_witness_psd(spec, 64).passed
 
 
-def test_custom_two_segment_worldline():
-    # the closed form depends only on the total proper time, so a custom
-    # polyline with two different velocities must integrate to the same lhs
-    from causalnc.minkowski import CausalCurve, proper_time
-
-    curve = CausalCurve.from_points(
-        [SpacetimePoint(0, 0), SpacetimePoint(0.5, 0.3), SpacetimePoint(1.0, 0.1)]
-    )
-    total = proper_time(curve)
-    dtheta = 2.0
-    assert total < dtheta  # still a non-causal budget at unit gap
-    spec = WitnessSpec(
-        epsilon=0.5 * (math.pi - dtheta),
-        theta_c=0.3,
-        curve=curve,
-        abs_phi1=math.sqrt(0.6),
-        abs_phi2=math.sqrt(0.4),
-        dirac=D_UNIT,
-        delta_theta=dtheta,
-        direction=1.0,
-    )
-    lhs, rhs = separation_values(spec)
-    assert lhs < rhs
-    assert lhs_by_integration(spec) == pytest.approx(lhs, rel=1e-8)
-    assert certify_witness_psd(spec, 32).passed
-
-
-def test_witness_spec_rejects_lightlike_curve_segment():
-    from causalnc.minkowski import CausalCurve
-
-    curve = CausalCurve.from_points(
-        [SpacetimePoint(0, 0), SpacetimePoint(0.5, 0.5), SpacetimePoint(1.2, 0.5)]
-    )
-    spec = WitnessSpec(
-        epsilon=0.4,
-        theta_c=0.0,
-        curve=curve,
-        abs_phi1=math.sqrt(0.5),
-        abs_phi2=math.sqrt(0.5),
-        dirac=D_UNIT,
-        delta_theta=2.0,
-        direction=1.0,
-    )
-    with pytest.raises(ValueError):
-        lhs_by_integration(spec)
-    with pytest.raises(ValueError):
-        certify_witness_psd(spec, 8)
+def test_witness_spec_rejects_non_timelike_endpoints():
+    # checked once, when the spec is built: no certification step ever sees such a spec
+    p = SpacetimePoint(0.0, 0.0)
+    lightlike = [SpacetimePoint(0.7, 0.7), SpacetimePoint(0.7, -0.7)]
+    other = [SpacetimePoint(0.5, 0.9), SpacetimePoint(0.0, 0.3), SpacetimePoint(-0.5, 0.0)]
+    for q, kind in [(q, "lightlike") for q in lightlike] + [(q, "spacelike or past-directed") for q in other]:
+        with pytest.raises(ValueError, match=f"^{kind} endpoint separation: no timelike worldline"):
+            WitnessSpec(
+                epsilon=0.4,
+                theta_c=0.0,
+                p=p,
+                q=q,
+                abs_phi1=math.sqrt(0.5),
+                abs_phi2=math.sqrt(0.5),
+                dirac=D_UNIT,
+                delta_theta=2.0,
+            )
 
 
 def test_mixed_witness_rejects_related_pair():
