@@ -102,6 +102,15 @@ def _write_output(text: str, path: Optional[str]) -> None:
         raise
 
 
+def _write_json(obj: dict, path: Optional[str]) -> None:
+    """Write a result as strict JSON: a non-finite number is an error, not a bare NaN token."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as err:
+        raise ValueError(f"result holds a number JSON cannot represent: {err}") from err
+    _write_output(text, path)
+
+
 def _resolve_tol(args) -> float:
     if args.tol is not None:
         return args.tol
@@ -135,7 +144,7 @@ def _cmd_check_pure(args) -> int:
     data = _load_input(args.input)
     omega, eta = _pure_pair(data)
     verdict = pure_causal(omega, eta, _dirac(data))
-    _write_output(json.dumps({"schema": SCHEMA, **verdict.to_dict()}, indent=2), args.output)
+    _write_json({"schema": SCHEMA, **verdict.to_dict()}, args.output)
     return EXIT_OK if verdict.related else EXIT_NEGATIVE
 
 
@@ -147,7 +156,7 @@ def _cmd_check_mixed(args) -> int:
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad or missing mixed state: {err}") from err
     verdict = mixed_causal(omega, eta, _dirac(data))
-    _write_output(json.dumps({"schema": SCHEMA, **verdict.to_dict()}, indent=2), args.output)
+    _write_json({"schema": SCHEMA, **verdict.to_dict()}, args.output)
     return EXIT_OK if verdict.related else EXIT_NEGATIVE
 
 
@@ -178,7 +187,7 @@ def _cmd_cone_check(args) -> int:
     except (KeyError, TypeError, ValueError) as err:
         raise InputError(f"bad element: {err}") from err
     report = cone_membership(element, _dirac(data), _grid_from_args(args, data), _resolve_tol(args))
-    _write_output(json.dumps({"schema": SCHEMA, **report.to_dict()}, indent=2), args.output)
+    _write_json({"schema": SCHEMA, **report.to_dict()}, args.output)
     return EXIT_OK if report.member_on_grid else EXIT_NEGATIVE
 
 
@@ -189,7 +198,7 @@ def _cmd_witness(args) -> int:
         certificate = refute_with_witness(omega, eta, _dirac(data))
     except ValueError as err:
         raise InputError(f"witness preconditions not met: {err}") from err
-    _write_output(json.dumps(certificate.to_dict(), indent=2), args.output)
+    _write_json(certificate.to_dict(), args.output)
     return EXIT_OK
 
 
@@ -215,7 +224,7 @@ def _cmd_plan_path(args) -> int:
 
 def _cmd_selftest(args) -> int:
     summary = run_selftest(seed=args.seed, quick=args.quick, tol=_resolve_tol(args))
-    _write_output(json.dumps(summary, indent=2), args.output)
+    _write_json(summary, args.output)
     return EXIT_OK if summary["passed"] else EXIT_NEGATIVE
 
 

@@ -15,22 +15,26 @@ that matrix is
 Grid membership is a semi-decision: a violation at a node is exact, while
 membership is certified only up to the sampling resolution.
 
-Two paths decide it.  cone_membership runs eigvalsh on every node's matrix,
-because its report gives the smallest eigenvalue on the grid.
-certify_grid_psd needs only the verdict, so it uses the block structure
-instead: with Da = diag(a0+a1, a0-a1), Db = diag(b0+b1, b0-b1) and C the
-upper right 2x2 block, the matrix is positive definite iff Da > 0 and the
-2x2 Schur complement Db - C* Da^-1 C is.  That test works on the field
-partials directly.  It is one-sided: it clears a node only when every
-rounded quantity clears a relative band and the margin also covers
-eigvalsh's own rounding, so it can answer "member" but never "violation".
-A node it cannot clear goes to the same per-node eigvalsh test as
-cone_membership, so both paths give the same verdicts.
+Both grid paths work on the seven distinct entries of that matrix and use
+its block structure instead of diagonalising every node.  With
+Da = diag(a0+a1, a0-a1), Db = diag(b0+b1, b0-b1) and C the upper right 2x2
+block, M + shift*I is positive definite iff Da + shift > 0 and the 2x2
+Schur complement Db + shift - C* (Da + shift)^-1 C is.  _pd_after_shift
+tests that with a relative band on every rounded quantity, so it can
+answer "positive definite" but never wrongly; _indefinite_after_shift is
+its mirror.  A node neither test decides gets the one per-node eigvalsh
+rule, _psd_at_nodes, so every verdict is the one eigvalsh would give.
+
+certify_grid_psd needs only the verdict.  cone_membership also reports the
+smallest eigenvalue on the grid: it estimates each node's by Newton on the
+closed-form characteristic polynomial, certifies a lower bound from each
+estimate with the Schur test, and runs eigvalsh only where the grid
+minimum can lie, where no test decides, and at the first violation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -55,6 +59,15 @@ SCHUR_EIG_SLACK = 1e-12
 #: sum, so by at most 8u/band of their own size, and det S by about 22u/band
 #: of its sum, some 10^-9: far inside the band.
 SCHUR_BAND = 1e-6
+#: Gap, relative to the node scale, between a node's estimate of its smallest
+#: eigenvalue and the lower bound cone_membership certifies there.  Wide enough
+#: for the banded Schur test to clear M - bound*I, narrow enough that only
+#: the nodes near the grid minimum keep a bound below it.
+BOUND_GAP = 1e-5
+#: Newton on the characteristic polynomial stops once a step is at most this
+#: fraction of the node scale (far below BOUND_GAP), or after NEWTON_MAX_STEPS.
+NEWTON_STEP_TOL = 1e-9
+NEWTON_MAX_STEPS = 30
 
 
 class UnequalDiagonalError(ValueError):
@@ -124,6 +137,9 @@ class RegionGrid:
     x_max: float
     nt: int
     nx: int
+    _mesh: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not (self.t_min < self.t_max and self.x_min < self.x_max):
@@ -132,11 +148,14 @@ class RegionGrid:
             raise ValueError("grid needs at least 2 nodes per axis")
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened node coordinates, t-major then x."""
-        t = np.linspace(self.t_min, self.t_max, self.nt)
-        x = np.linspace(self.x_min, self.x_max, self.nx)
-        tt, xx = np.meshgrid(t, x, indexing="ij")
-        return tt.ravel(), xx.ravel()
+        """Flattened node coordinates, t-major then x; built once per grid, read-only."""
+        if self._mesh is None:
+            t = np.linspace(self.t_min, self.t_max, self.nt)
+            x = np.linspace(self.x_min, self.x_max, self.nx)
+            tt, xx = np.meshgrid(t, x, indexing="ij")
+            tt.flags.writeable = xx.flags.writeable = False
+            object.__setattr__(self, "_mesh", (tt.ravel(), xx.ravel()))
+        return self._mesh
 
     def node(self, flat_index: int) -> SpacetimePoint:
         i, j = divmod(flat_index, self.nx)
@@ -328,59 +347,30 @@ def _grid_entries(el: AlgebraElement, dirac: DiracData, region: RegionGrid):
         ) from err
 
 
-def cone_membership(
-    el: AlgebraElement, dirac: DiracData, region: RegionGrid, tol: float = PSD_TOL
-) -> MembershipReport:
-    """Test the PSD condition at every grid node, row-major in t.
-
-    Runs eigvalsh on every node's matrix, not the Schur test of
-    certify_grid_psd, because the report promises the smallest eigenvalue
-    anywhere on the grid, which only the eigenvalues give.
-
-    Raises DomainError annotated with the offending node when a field, one
-    of its partials, or an entry of the matrix cannot be evaluated to a
-    finite number somewhere on the grid.
-    """
-    mats = _matrices(_grid_entries(el, dirac, region))
-    min_eigs, passed = _psd_at_nodes(mats, tol)
-    n_violations = int((~passed).sum())
-    first: Optional[GridViolation] = None
-    if n_violations:
-        idx = int(np.argmin(passed))
-        first = GridViolation(region.node(idx), float(min_eigs[idx]))
-    return MembershipReport(
-        member_on_grid=n_violations == 0,
-        first_violation=first,
-        min_eigenvalue=float(min_eigs.min()),
-        n_nodes=len(min_eigs),
-        n_violations=n_violations,
-    )
-
-
 def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
 
-def _schur_clears(entries, tol: float) -> np.ndarray:
-    """Nodes whose matrix M is certainly PSD up to tol, by the Schur test.
+def _take(entries, nodes):
+    return [part[nodes] for part in entries]
 
-    With s = max(1, largest |entry|) per node, tests M + shift*I positive
-    definite for shift = (tol - SCHUR_EIG_SLACK)*s: p, q = Da + shift > 0 and
-    the Schur complement S = Db + shift - C* diag(p, q)^-1 C has S11, S22 and
-    det S positive.  A cleared node therefore has lambda_min(M) >= -tol*s +
-    SCHUR_EIG_SLACK*s, which eigvalsh's rounding cannot push below -tol*s.
 
-    p and q are single rounded sums, so their signs are exact.  S11, S22 and
-    det S are not: each must exceed SCHUR_BAND times the sum of the
-    magnitudes it combines (det S against S11*S22 + |S12|^2), so rounding
-    and cancellation can never make a node that is not positive definite
-    look like one.  Non-finite intermediates compare False and never clear.
+def _node_scales(entries) -> np.ndarray:
+    """s = max(1, largest |entry|) at each node: the unit of every relative shift and band."""
+    ap, am, bp, bm, u, z, w = entries
+    scale = np.maximum(np.maximum(np.abs(ap), np.abs(am)), np.maximum(np.abs(bp), np.abs(bm)))
+    coupling = np.sqrt(np.maximum(np.maximum(_abs2(u), _abs2(z)), _abs2(w)))
+    return np.maximum(np.maximum(scale, 1.0), coupling)
+
+
+def _schur_terms(entries, shift):
+    """Schur complement S of M + shift*I on its Da block, with the band each term must clear.
+
+    Returns (p, q, s11, s22, band11, band22, prod, s12sq): p, q = Da + shift,
+    the diagonal of S with its bands, prod = S11*S22 and s12sq = |S12|^2.
     """
     ap, am, bp, bm, u, z, w = entries  # C = [[-u, -w], [w, -z]], as _matrices builds it
     uu, zz, ww = _abs2(u), _abs2(z), _abs2(w)
-    scale = np.maximum(np.maximum(np.abs(ap), np.abs(am)), np.maximum(np.abs(bp), np.abs(bm)))
-    scale = np.maximum(np.maximum(scale, 1.0), np.sqrt(np.maximum(np.maximum(uu, zz), ww)))
-    shift = (tol - SCHUR_EIG_SLACK) * scale
     p, q = ap + shift, am + shift
     g1, g2 = uu / p, ww / q  # diagonal of C* diag(p, q)^-1 C
     h1, h2 = ww / p, zz / q
@@ -388,13 +378,200 @@ def _schur_clears(entries, tol: float) -> np.ndarray:
     s22 = bm + shift - h1 - h2
     s12sq = _abs2(np.conj(u) * w / p - np.conj(w) * z / q)
     shift_mag = np.abs(shift)
-    prod = s11 * s22
+    band11 = SCHUR_BAND * (np.abs(bp) + shift_mag + g1 + g2)
+    band22 = SCHUR_BAND * (np.abs(bm) + shift_mag + h1 + h2)
+    return p, q, s11, s22, band11, band22, s11 * s22, s12sq
+
+
+def _pd_after_shift(entries, shift) -> np.ndarray:
+    """Nodes where M + shift*I is certainly positive definite, by the banded Schur test.
+
+    M + shift*I is positive definite iff p, q = Da + shift > 0 and the Schur
+    complement S = Db + shift - C* diag(p, q)^-1 C has S11, S22 and det S
+    positive.  p and q are single rounded sums, so their signs are exact.
+    S11, S22 and det S are not: each must exceed SCHUR_BAND times the sum of
+    the magnitudes it combines (det S against S11*S22 + |S12|^2), so rounding
+    and cancellation can never make a node that is not positive definite
+    look like one.  Non-finite intermediates compare False and never clear.
+
+    Callers give up SCHUR_EIG_SLACK*s of the shift they want: a node cleared
+    at shift = -(bound + SCHUR_EIG_SLACK*s) has an eigvalsh smallest
+    eigenvalue above bound, which eigvalsh's own rounding cannot undo.
+    """
+    p, q, s11, s22, band11, band22, prod, s12sq = _schur_terms(entries, shift)
     return (
         (p > 0.0)
         & (q > 0.0)
-        & (s11 > SCHUR_BAND * (np.abs(bp) + shift_mag + g1 + g2))
-        & (s22 > SCHUR_BAND * (np.abs(bm) + shift_mag + h1 + h2))
+        & (s11 > band11)
+        & (s22 > band22)
         & (prod - s12sq > SCHUR_BAND * (prod + s12sq))
+    )
+
+
+def _indefinite_after_shift(entries, shift) -> np.ndarray:
+    """Nodes where M + shift*I is certainly not positive semi-definite.
+
+    The mirror of _pd_after_shift with the same bands: a diagonal entry of
+    M + shift*I is negative, or Da + shift > 0 and S11 or S22 lies below
+    minus its band, or both clear their bands and det S lies below minus its
+    band.  With shift = (tol + SCHUR_EIG_SLACK)*s such a node's eigvalsh
+    smallest eigenvalue is below -tol*s.  A non-finite shift (the scale s
+    overflowed) refutes nothing.
+    """
+    ap, am, bp, bm = entries[:4]
+    diag_min = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
+    p, q, s11, s22, band11, band22, prod, s12sq = _schur_terms(entries, shift)
+    s_clear = (s11 > band11) & (s22 > band22)
+    return np.isfinite(shift) & (
+        (diag_min + shift < 0.0)
+        | (
+            (p > 0.0)
+            & (q > 0.0)
+            & (
+                (s11 < -band11)
+                | (s22 < -band22)
+                | (s_clear & (prod - s12sq < -SCHUR_BAND * (prod + s12sq)))
+            )
+        )
+    )
+
+
+def _lambda_min_estimates(entries, scale, coupled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate of each node's smallest eigenvalue, and whether it converged.
+
+    A node outside the index array coupled (u = z = w = 0) is diagonal: the
+    estimate is its smallest diagonal entry, exactly.  A coupled node runs
+    Newton on the characteristic polynomial, which the block structure
+    gives in closed form in real arithmetic: with p, q, r, s = ap - lam,
+    am - lam, bp - lam, bm - lam,
+
+        det(M - lam) = pqrs - r(q|w|^2 + p|z|^2) - s(q|u|^2 + p|w|^2) + |uz + w^2|^2.
+
+    Newton works on its expansion in mu = lam - (ap + am + bp + bm)/4, which
+    has no cubic term.  The four roots are real, so Newton started at the
+    Gershgorin lower bound rises to the smallest one without overshooting it
+    (up to rounding).  A node converges once a step is at most
+    NEWTON_STEP_TOL*s; a node that does not within NEWTON_MAX_STEPS (linear
+    convergence at a multiple root), or whose step is not finite, is
+    reported as not converged.
+    """
+    ap, am, bp, bm = entries[:4]
+    estimate = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
+    converged = np.ones(estimate.shape, dtype=bool)
+    if coupled.size == 0:
+        return estimate, converged
+    nodes = coupled
+    ap, am, bp, bm, u, z, w = _take(entries, nodes)
+    center = 0.25 * (ap + am + bp + bm)
+    ap, am, bp, bm = ap - center, am - center, bp - center, bm - center
+    uu, zz, ww = _abs2(u), _abs2(z), _abs2(w)
+    apm, bpm, apb, amb = ap * am, bp * bm, ap * bp, am * bm
+    # det(M - lam) = mu^4 + c2 mu^2 + c1 mu + c0, expanded from the product form
+    c2 = apm + bpm + (ap + am) * (bp + bm) - 2.0 * ww - zz - uu
+    c1 = zz * (ap + bp) + uu * (am + bm) - apm * (bp + bm) - bpm * (ap + am)
+    c0 = apm * bpm - ww * (am * bp + ap * bm) - zz * apb - uu * amb + _abs2(u * z + w * w)
+    au, az, aw = np.abs(u), np.abs(z), np.abs(w)
+    # Gershgorin: rows 0 and 2 have off-diagonal |u| + |w|, rows 1 and 3 |z| + |w|
+    mu = np.minimum(np.minimum(ap, bp) - au, np.minimum(am, bm) - az) - aw
+    step_tol = NEWTON_STEP_TOL * scale[nodes]
+    converged[nodes] = False
+    for _ in range(NEWTON_MAX_STEPS):
+        mu2 = mu * mu
+        step = (((mu2 + c2) * mu + c1) * mu + c0) / ((4.0 * mu2 + 2.0 * c2) * mu + c1)
+        finite = np.isfinite(step)
+        mu = np.where(finite, mu - step, mu)
+        small = np.abs(step) <= step_tol
+        finished = small | ~finite
+        if finished.any():
+            estimate[nodes[finished]] = center[finished] + mu[finished]
+            converged[nodes[small]] = True
+            keep = ~finished
+            nodes, mu, center, step_tol, c2, c1, c0 = (
+                v[keep] for v in (nodes, mu, center, step_tol, c2, c1, c0)
+            )
+            if nodes.size == 0:
+                break
+    estimate[nodes] = center + mu
+    return estimate, converged
+
+
+def _psd_at_distinct_nodes(entries, nodes: np.ndarray, tol: float):
+    """_psd_at_nodes at the given nodes; nodes with identical entries are diagonalised once."""
+    parts = _take(entries, nodes)
+    ap, am, bp, bm, u, z, w = parts
+    keys = np.column_stack((ap, am, bp, bm, u.real, u.imag, z.real, z.imag, w.real, w.imag))
+    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1])))
+    _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    min_eigs, passed = _psd_at_nodes(_matrices(_take(parts, first)), tol)
+    return min_eigs[inverse], passed[inverse]
+
+
+def cone_membership(
+    el: AlgebraElement, dirac: DiracData, region: RegionGrid, tol: float = PSD_TOL
+) -> MembershipReport:
+    """Test the PSD condition at every grid node, row-major in t.
+
+    The report equals the one eigvalsh on every node's matrix would give:
+    each node's verdict is _psd_at_nodes's, and min_eigenvalue and the
+    first violation's eigenvalue are eigvalsh values.  But eigvalsh runs on
+    few nodes.  Working on the seven entries of _cone_entries:
+
+    - each node gets an estimate of its smallest eigenvalue from
+      _lambda_min_estimates, which gives the lower bound
+      L = estimate - BOUND_GAP*s.  At a coupled node _pd_after_shift must
+      certify it; L = -inf where that or Newton fails;
+    - a node passes when L >= -tol*s or when _pd_after_shift clears it at
+      shift (tol - SCHUR_EIG_SLACK)*s, and fails when
+      _indefinite_after_shift refutes it at (tol + SCHUR_EIG_SLACK)*s; the
+      rest go to eigvalsh;
+    - eigvalsh at the node with the smallest estimate gives an upper bound U
+      on the grid minimum; the minimum lies among the nodes with L <= U,
+      which run eigvalsh too, as does the first certain violation.  Nodes
+      with identical entries are diagonalised once.
+
+    Raises DomainError annotated with the offending node when a field, one
+    of its partials, or an entry of the matrix cannot be evaluated to a
+    finite number somewhere on the grid.
+    """
+    entries = _grid_entries(el, dirac, region)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scale = _node_scales(entries)
+        u, z, w = entries[4:]
+        coupled = np.flatnonzero((u != 0.0) | (z != 0.0) | (w != 0.0))
+        estimate, converged = _lambda_min_estimates(entries, scale, coupled)
+        bound = estimate - BOUND_GAP * scale
+        # an uncoupled node's estimate is exact, so only coupled bounds need the test
+        bounded = converged
+        if coupled.size:
+            shift = -bound[coupled] - SCHUR_EIG_SLACK * scale[coupled]
+            bounded[coupled] &= _pd_after_shift(_take(entries, coupled), shift)
+        bound[~bounded] = -np.inf
+        passed = bounded & (bound >= -tol * scale)
+        failed = np.zeros_like(passed)
+        open_nodes = np.flatnonzero(~passed)
+        if open_nodes.size:
+            part, part_scale = _take(entries, open_nodes), scale[open_nodes]
+            passed[open_nodes] = _pd_after_shift(part, (tol - SCHUR_EIG_SLACK) * part_scale)
+            failed[open_nodes] = _indefinite_after_shift(part, (tol + SCHUR_EIG_SLACK) * part_scale)
+    upper = _psd_at_nodes(_matrices(_take(entries, [np.argmin(estimate)])), tol)[0][0]
+    undecided = ~(passed | failed)
+    need = undecided | ~(bound > upper)
+    if failed.any():
+        need[np.argmax(failed)] = True
+    nodes = np.flatnonzero(need)
+    min_eigs, node_passed = _psd_at_distinct_nodes(entries, nodes, tol)
+    passed[nodes[undecided[nodes]]] = node_passed[undecided[nodes]]
+    n_violations = int((~passed).sum())
+    first: Optional[GridViolation] = None
+    if n_violations:
+        idx = int(np.argmin(passed))
+        first = GridViolation(region.node(idx), float(min_eigs[np.searchsorted(nodes, idx)]))
+    return MembershipReport(
+        member_on_grid=n_violations == 0,
+        first_violation=first,
+        min_eigenvalue=float(min_eigs.min()),
+        n_nodes=len(passed),
+        n_violations=n_violations,
     )
 
 
@@ -403,19 +580,19 @@ def certify_grid_psd(
 ) -> bool:
     """Fast membership decision over the grid, equal to cone_membership's verdict.
 
-    Clears nodes with the closed-form Schur test of _schur_clears, which
-    works on the entry arrays and builds no 4x4 matrices.  The test is
-    one-sided: it clears a node only with a margin (a shift tol*s less
-    SCHUR_EIG_SLACK*s, and a relative band on every rounded quantity), so
-    it never clears a node eigvalsh would reject.  A node it does not clear
-    is not thereby a violation: those nodes alone are assembled and get
-    cone_membership's own per-node rule, _psd_at_nodes, so
-    True and False both match cone_membership(...).member_on_grid.
+    Needs only the verdict, not the smallest eigenvalue, so it runs only the
+    pass side of cone_membership: _pd_after_shift at shift
+    (tol - SCHUR_EIG_SLACK)*s clears nodes on the entry arrays, building no
+    4x4 matrices.  The test is one-sided: it never clears a node eigvalsh
+    would reject, and a node it does not clear is not thereby a violation.
+    Those nodes alone are assembled and get the per-node rule _psd_at_nodes,
+    so True and False both match cone_membership(...).member_on_grid.
     Raises the same node-annotated DomainError as cone_membership.
     """
     entries = _grid_entries(el, dirac, region)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        open_nodes = np.flatnonzero(~_schur_clears(entries, tol))
+        cleared = _pd_after_shift(entries, (tol - SCHUR_EIG_SLACK) * _node_scales(entries))
+    open_nodes = np.flatnonzero(~cleared)
     if open_nodes.size == 0:
         return True
-    return bool(_psd_at_nodes(_matrices([part[open_nodes] for part in entries]), tol)[1].all())
+    return bool(_psd_at_nodes(_matrices(_take(entries, open_nodes)), tol)[1].all())

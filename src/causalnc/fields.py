@@ -423,12 +423,16 @@ def eval_with_derivatives(e: FieldExpr, p: SpacetimePoint) -> FieldEval:
 
 
 def eval_grid(e: FieldExpr, t: np.ndarray, x: np.ndarray):
-    """Vectorised evaluation: returns (value, d/dt, d/dx) arrays over the inputs."""
+    """Vectorised evaluation: returns (value, d/dt, d/dx) arrays over the inputs.
+
+    The arrays are read-only broadcast views: a part that is constant over
+    the inputs is not copied out to their full shape.
+    """
     jet, shape = _jet(e, t, x)
-    return tuple(np.broadcast_to(np.asarray(part, dtype=float), shape).copy() for part in jet)
+    return tuple(np.broadcast_to(np.asarray(part, dtype=float), shape) for part in jet)
 
 
 def eval_values(e: FieldExpr, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorised values over coordinate arrays: the value part of eval_grid."""
+    """Vectorised values over coordinate arrays: the value part of eval_grid, read-only."""
     jet, shape = _jet(e, t, x)
-    return np.broadcast_to(np.asarray(jet[0], dtype=float), shape).copy()
+    return np.broadcast_to(np.asarray(jet[0], dtype=float), shape)

@@ -12,10 +12,17 @@ exactly when ``q.t - p.t >= |q.x - p.x|``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 #: Absolute tolerance for event equality and lightlike-segment acceptance.
 COORD_TOL = 1e-12
+#: Smallest normal float: below it dt*dt has lost precision to underflow.
+_SQUARE_MIN = sys.float_info.min
+
+
+class EventSeparationError(ValueError):
+    """The separation q - p of two finite events is beyond the largest float."""
 
 
 @dataclass(frozen=True)
@@ -92,14 +99,26 @@ def max_proper_time(p: SpacetimePoint, q: SpacetimePoint) -> float:
     """Supremum of proper_time over causal curves from p to q.
 
     In flat 2D Minkowski space the straight timelike segment maximises proper
-    time (reverse triangle inequality), so this is sqrt(dt^2 - dx^2).
-    Raises ValueError when q is not in the causal future of p.
+    time (reverse triangle inequality), so this is sqrt(dt^2 - dx^2).  Where
+    dt^2 overflows or underflows it is formed as sqrt(dt - dx) * sqrt(dt + dx)
+    instead, on halved coordinates where dt + |dx| could overflow.
+    Raises EventSeparationError when dt or dx is beyond the largest float,
+    and ValueError when q is not in the causal future of p.
     """
-    if not causally_precedes(p, q):
-        raise ValueError(f"events are not causally ordered: ({p.t},{p.x}) -> ({q.t},{q.x})")
     dt = q.t - p.t
     dx = q.x - p.x
-    return math.sqrt(max(dt * dt - dx * dx, 0.0))
+    if not (math.isfinite(dt) and math.isfinite(dx)):
+        raise EventSeparationError(
+            f"event separation ({dt}, {dx}) is not finite: ({p.t},{p.x}) -> ({q.t},{q.x})"
+        )
+    if not causally_precedes(p, q):
+        raise ValueError(f"events are not causally ordered: ({p.t},{p.x}) -> ({q.t},{q.x})")
+    square = dt * dt
+    if _SQUARE_MIN <= square < math.inf:
+        return math.sqrt(max(square - dx * dx, 0.0))
+    if square < math.inf:
+        return math.sqrt(dt - dx) * math.sqrt(dt + dx)
+    return 2.0 * math.sqrt(0.5 * dt - 0.5 * dx) * math.sqrt(0.5 * dt + 0.5 * dx)
 
 
 def lerp(p: SpacetimePoint, q: SpacetimePoint, s: float) -> SpacetimePoint:

@@ -41,6 +41,8 @@ class DiracData:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.d1) and math.isfinite(self.d2)):
             raise ValueError("Dirac eigenvalues must be finite")
+        if not math.isfinite(self.d1 - self.d2):
+            raise ValueError(f"Dirac gap |d1 - d2| is not finite for ({self.d1}, {self.d2})")
 
     @property
     def gap(self) -> float:

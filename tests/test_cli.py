@@ -6,9 +6,16 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from causalnc import cli
+from causalnc.causality import CausalVerdict, Reason
 from causalnc.cli import main
+from causalnc.cone import AlgebraElement, RegionGrid
+from causalnc.fields import DomainError
+from causalnc.states import DiracData
+from test_cone import _reference_membership
 
 PURE_RELATED = {
     "p": [0, 0],
@@ -24,6 +31,15 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the NaN and Infinity tokens json.dumps writes by default."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_check_pure_related(capsys):
@@ -255,3 +271,89 @@ def test_bad_env_tolerance_is_input_error(capsys, monkeypatch):
     monkeypatch.setenv("CAUSALNC_TOL", "banana")
     code, _, err = _run(capsys, "selftest", "--quick")
     assert code == 2
+
+
+# --- event separations and Dirac gaps beyond the float range -------------------
+
+LARGE_TIMELIKE = dict(PURE_RELATED, q=[1e308, 1e307])
+
+
+def test_check_pure_at_an_overflowing_square_separation(capsys):
+    # dt^2 overflowed: "related": false, SPEED_BOUND, "bound_available": NaN
+    code, out, err = _run(capsys, "check-pure", "--input", json.dumps(LARGE_TIMELIKE))
+    data = _strict_json(out)
+    assert code == 0 and err == ""
+    assert data["related"] is True and data["reason"] == "OK"
+    assert data["bound_available"] == pytest.approx(math.sqrt(0.99) * 1e308, rel=1e-15)
+
+
+def test_witness_at_an_overflowing_square_separation_refuses_the_related_pair(capsys):
+    # was an uncaught AssertionError on a NaN separation margin
+    code, out, err = _run(capsys, "witness", "--input", json.dumps(LARGE_TIMELIKE))
+    assert code == 2 and out == ""
+    assert "causally related" in err and "Traceback" not in err
+
+
+def test_check_pure_reports_a_large_finite_proper_time(capsys):
+    # was "bound_available": Infinity
+    code, out, _ = _run(capsys, "check-pure", "--input", json.dumps(dict(PURE_RELATED, q=[1e200, 0])))
+    assert code == 0
+    assert _strict_json(out)["bound_available"] == pytest.approx(1e200, rel=1e-15)
+
+
+def test_check_pure_refuses_a_separation_beyond_the_float_range(capsys):
+    payload = dict(PURE_RELATED, p=[-1e308, 0], q=[1e308, 0])
+    code, out, err = _run(capsys, "check-pure", "--input", json.dumps(payload))
+    assert code == 2 and out == ""
+    assert "event separation (inf, 0.0) is not finite" in err
+
+
+def test_cone_check_refuses_an_overflowing_dirac_gap(capsys):
+    # the gap was inf, and inf * 0 blamed the literal '0.0' of c
+    payload = {"element": {"a": "t", "b": "t"}, "dirac": {"d1": 1e308, "d2": -1e308}}
+    code, out, err = _run(capsys, "cone-check", "--input", json.dumps(payload))
+    assert code == 2 and out == ""
+    assert "Dirac gap |d1 - d2| is not finite" in err
+
+
+def test_non_finite_result_is_refused_not_written(capsys, monkeypatch):
+    verdict = CausalVerdict(False, Reason.SPEED_BOUND, 1.0, float("nan"))
+    monkeypatch.setattr(cli, "pure_causal", lambda *args: verdict)
+    code, out, err = _run(capsys, "check-pure", "--input", json.dumps(PURE_RELATED))
+    assert code == 2 and out == ""
+    assert "JSON" in err
+
+
+# --- cone-check against the full eigvalsh reference ------------------------------
+
+FIXTURE_GRID = RegionGrid(-3.0, 3.0, -3.0, 3.0, 101, 101)
+_X0 = repr(float(np.linspace(-3.0, 3.0, 101)[52]))  # a grid column
+_WAVE = "exp(-(t^2 + x^2))"
+CONE_FAMILIES = {
+    "causal_diag": ("2.1*t + 0.5*tanh(t + x) + 0.7*tanh(t - x)", "1.9*t + 0.4*tanh(t + x) + 0.3*tanh(t - x)"),
+    "nonmember_bump": ("t", "t - 2.0*exp(-((t - 0.3)^2 + (x + 0.2)^2)/0.5)"),
+    "near_member": (f"t + 0.99999*tanh(x - {_X0})", "t"),
+    "near_nonmember": (f"t + 1.00001*tanh(x - {_X0})", "t"),
+    "causal_lemma": ("0.5*t", "0.5*t", f"0.1*{_WAVE}*cos(1.3*t + 0.4)", f"0.1*{_WAVE}*sin(1.3*t + 0.4)"),
+    "refused_sqrt": ("t + sqrt((t - 0.5)^2 + (x + 0.3)^2 - 1.0)", "t"),
+    "refused_log": ("t", "t + log((t + 0.2)^2 + (x - 0.4)^2 - 0.8)"),
+    "overflow": ("t + 0*t^700", "t"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CONE_FAMILIES))
+def test_cone_check_output_equals_the_full_eigvalsh_reference(capsys, family):
+    sources = CONE_FAMILIES[family]
+    dirac = DiracData(0.0, 1.0)
+    try:
+        report = _reference_membership(AlgebraElement.from_sources(*sources), dirac, FIXTURE_GRID)
+    except DomainError as err:
+        want = (2, "", f"error: {err}\n")
+    else:
+        text = json.dumps({"schema": "causalnc/1", **report.to_dict()}, indent=2) + "\n"
+        want = (0 if report.member_on_grid else 1, text, "")
+    element = dict(zip(("a", "b"), sources))
+    if len(sources) == 4:
+        element["c"] = {"re": sources[2], "im": sources[3]}
+    payload = json.dumps({"element": element, "dirac": {"d1": 0.0, "d2": 1.0}})
+    assert _run(capsys, "cone-check", "--grid=-3,3,-3,3,101,101", "--input", payload) == want

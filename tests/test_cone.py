@@ -9,8 +9,15 @@ from causalnc.cone import (
     PSD_TOL,
     AlgebraElement,
     ConeMatrix,
+    GridViolation,
+    MembershipReport,
     RegionGrid,
     UnequalDiagonalError,
+    _grid_entries,
+    _lambda_min_estimates,
+    _matrices,
+    _node_scales,
+    _psd_at_nodes,
     add_elements,
     certify_grid_psd,
     cone_matrix_at,
@@ -38,6 +45,25 @@ from strategies import FIELD_TREES
 D_UNIT = DiracData(0.0, 1.0)
 ORIGIN = SpacetimePoint(0.0, 0.0)
 SQUARE = RegionGrid(-1.0, 1.0, -1.0, 1.0, 21, 21)
+
+
+def _reference_membership(
+    el: AlgebraElement, dirac: DiracData, region: RegionGrid, tol: float = PSD_TOL
+) -> MembershipReport:
+    """cone_membership by eigvalsh on every node's matrix: the report the structured kernel must equal."""
+    min_eigs, passed = _psd_at_nodes(_matrices(_grid_entries(el, dirac, region)), tol)
+    n_violations = int((~passed).sum())
+    first = None
+    if n_violations:
+        idx = int(np.argmin(passed))
+        first = GridViolation(region.node(idx), float(min_eigs[idx]))
+    return MembershipReport(
+        member_on_grid=n_violations == 0,
+        first_violation=first,
+        min_eigenvalue=float(min_eigs.min()),
+        n_nodes=len(min_eigs),
+        n_violations=n_violations,
+    )
 
 
 def test_cone_matrix_diag_t_is_identity():
@@ -331,10 +357,12 @@ def test_evaluator_and_psd_paths_agree_on_random_trees(trees, slope):
     el = AlgebraElement(tilt(trees[0]), tilt(trees[1]), trees[2], trees[3])
     certified = _outcome(lambda: certify_grid_psd(el, D_UNIT, PROPERTY_GRID))
     report = _outcome(lambda: cone_membership(el, D_UNIT, PROPERTY_GRID))
+    reference = _outcome(lambda: _reference_membership(el, D_UNIT, PROPERTY_GRID))
     if report is DomainError:
-        assert certified is DomainError
+        assert certified is DomainError and reference is DomainError
         return
     assert certified == report.member_on_grid
+    assert report.to_dict() == reference.to_dict()
 
 
 EDGE_GRID = RegionGrid(-1.0, 1.0, -1.0, 1.0, 9, 9)
@@ -431,6 +459,64 @@ def test_certify_grid_psd_equals_cone_membership_near_the_boundary(cases, data):
     el, dirac = data.draw(cases)
     report = cone_membership(el, dirac, EDGE_GRID)
     assert certify_grid_psd(el, dirac, EDGE_GRID) == report.member_on_grid
+    assert report.to_dict() == _reference_membership(el, dirac, EDGE_GRID).to_dict()
+
+
+WIDE_GRID = RegionGrid(-3.0, 3.0, -3.0, 3.0, 101, 101)
+
+
+def _count_eigvalsh_rows(monkeypatch) -> list:
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(mats):
+        rows.append(len(mats))
+        return eigvalsh(mats)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "sources",
+    (
+        ("t", "t"),  # constant: every node ties for the minimum
+        ("t + 0.5*x^2", "t + 0.5*x^2"),  # quadruple root on the x = 0 column
+        ("t + 0.5*x^2", "t + 0.5*x^2", "0.001*x^3"),  # weakly coupled around it
+        ("t", "t", "2*exp(-(t^2 + x^2))"),  # coupled non-members
+        ("t", "t", "0.8*cos(t)", "0.3*sin(x)"),
+        ("2*t", "t", "0.5"),  # double smallest root at every node
+    ),
+    ids=("constant", "quadruple", "near-quadruple", "bump-coupled", "wave-coupled", "double"),
+)
+def test_cone_membership_equals_reference_on_paths_the_strategies_miss(sources, monkeypatch):
+    el = AlgebraElement.from_sources(*sources)
+    reference = _reference_membership(el, D_UNIT, WIDE_GRID).to_dict()
+    rows = _count_eigvalsh_rows(monkeypatch)
+    assert cone_membership(el, D_UNIT, WIDE_GRID).to_dict() == reference
+    assert sum(rows) <= 50  # ties are diagonalised once, not once per node
+
+
+def test_cone_membership_where_newton_stalls_at_a_double_root():
+    # the two 2x2 blocks [[ap, -w], [-w*, bm]] and [[am, w], [w*, bp]] share
+    # their eigenvalues, so the smallest is double at every node; Newton
+    # converges only linearly there and stalls at the rounding floor
+    el = AlgebraElement.from_sources("2*t + 0.1*t^2", "t", "0.5")
+    entries = _grid_entries(el, D_UNIT, WIDE_GRID)
+    all_nodes = np.arange(WIDE_GRID.nt * WIDE_GRID.nx)
+    with np.errstate(all="ignore"):
+        converged = _lambda_min_estimates(entries, _node_scales(entries), all_nodes)[1]
+    assert not converged.all()
+    reference = _reference_membership(el, D_UNIT, WIDE_GRID).to_dict()
+    assert cone_membership(el, D_UNIT, WIDE_GRID).to_dict() == reference
+
+
+def test_cone_membership_diagonalises_under_one_percent_of_a_large_grid(monkeypatch):
+    grid = RegionGrid(-3.0, 3.0, -3.0, 3.0, 401, 401)
+    rows = _count_eigvalsh_rows(monkeypatch)
+    report = cone_membership(_lemma_element(), D_UNIT, grid)
+    assert report.member_on_grid and report.n_nodes == 401 * 401
+    assert 0 < sum(rows) < 0.01 * report.n_nodes
 
 
 def test_criterion_5_stream_certifies_without_lapack(monkeypatch):
@@ -457,6 +543,23 @@ def test_region_grid_validation_and_roundtrip():
     assert len(t) == 15
     assert grid.node(0).almost_equal(SpacetimePoint(-2.0, -1.0))
     assert grid.node(14).almost_equal(SpacetimePoint(2.0, 1.0))
+
+
+def test_region_grid_mesh_is_built_once_and_read_only():
+    grid = RegionGrid(-2.0, 2.0, -1.0, 1.0, 3, 5)
+    fresh = RegionGrid(-2.0, 2.0, -1.0, 1.0, 3, 5)
+    t, x = grid.mesh()
+    again = grid.mesh()
+    assert again[0] is t and again[1] is x
+    assert not t.flags.writeable and not x.flags.writeable
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    tt, xx = np.meshgrid(np.linspace(-2.0, 2.0, 3), np.linspace(-1.0, 1.0, 5), indexing="ij")
+    assert np.array_equal(t, tt.ravel()) and np.array_equal(x, xx.ravel())
+    # the cached arrays take no part in equality, hashing or serialisation
+    assert grid == fresh and hash(grid) == hash(fresh)
+    assert grid.to_dict() == fresh.to_dict() == RegionGrid.from_dict(grid.to_dict()).to_dict()
+    assert set(grid.to_dict()) == {"t_min", "t_max", "x_min", "x_max", "nt", "nx"}
 
 
 def test_element_json_round_trip():

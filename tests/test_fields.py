@@ -164,6 +164,22 @@ def test_constant_expression_broadcasts():
     values, d_dt, d_dx = eval_grid(parse("3.5"), np.zeros(4), np.ones(4))
     assert values.shape == (4,)
     assert (values == 3.5).all() and (d_dt == 0).all() and (d_dx == 0).all()
+    # constant parts are read-only broadcast views, not copies at full size
+    assert values.strides == d_dt.strides == d_dx.strides == (0,)
+    assert np.array_equal(eval_values(parse("3.5"), np.zeros(4), np.ones(4)), values)
+
+
+def test_grid_eval_returns_read_only_views():
+    t = np.linspace(-1.0, 1.0, 5)
+    x = np.zeros(5)
+    for src in ("3.5", "t", "t*x + sin(t)"):
+        parts = (*eval_grid(parse(src), t, x), eval_values(parse(src), t, x))
+        for part in parts:
+            assert part.shape == (5,) and not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 1.0
+    assert eval_grid(parse("t"), t, x)[0].tolist() == t.tolist()
+    assert t.flags.writeable  # the inputs themselves stay writable
 
 
 def test_domain_errors_name_subexpression():

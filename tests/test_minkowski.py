@@ -5,6 +5,7 @@ import pytest
 
 from causalnc.minkowski import (
     CausalCurve,
+    EventSeparationError,
     SpacetimePoint,
     causally_precedes,
     lerp,
@@ -51,6 +52,34 @@ def test_curve_invariants_rejected():
         CausalCurve.from_points([SpacetimePoint(1, 0), SpacetimePoint(0, 0)])  # past-directed
     with pytest.raises(ValueError):
         CausalCurve(((0.0, SpacetimePoint(0, 0)), (0.0, SpacetimePoint(1, 0))))  # params
+
+
+def test_max_proper_time_at_overflowing_and_underflowing_squares():
+    origin = SpacetimePoint(0.0, 0.0)
+    # dt^2 overflows: once NaN (inf - inf) and inf, now sqrt(dt - dx) * sqrt(dt + dx)
+    assert max_proper_time(origin, SpacetimePoint(1e308, 1e307)) == pytest.approx(
+        math.sqrt(0.99) * 1e308, rel=1e-15
+    )
+    assert max_proper_time(origin, SpacetimePoint(1e200, 0.0)) == pytest.approx(1e200, rel=1e-15)
+    # dt + |dx| overflows too
+    assert max_proper_time(origin, SpacetimePoint(1.5e308, -1e308)) == pytest.approx(
+        math.sqrt(1.25) * 1e308, rel=1e-15
+    )
+    # dt^2 underflows
+    assert max_proper_time(origin, SpacetimePoint(3e-170, 1e-170)) == pytest.approx(
+        math.sqrt(8.0) * 1e-170, rel=1e-15
+    )
+    # elsewhere the formula is unchanged, bit for bit
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        dt = 10.0 ** rng.uniform(-150, 150)
+        dx = dt * rng.uniform(-1.0, 1.0)
+        q = SpacetimePoint(dt, dx)
+        assert max_proper_time(origin, q) == math.sqrt(max(dt * dt - dx * dx, 0.0))
+    with pytest.raises(EventSeparationError, match="event separation"):
+        max_proper_time(SpacetimePoint(-1e308, 0.0), SpacetimePoint(1e308, 0.0))
+    with pytest.raises(EventSeparationError, match="event separation"):
+        max_proper_time(SpacetimePoint(-1e308, -1e308), SpacetimePoint(1e308, 1e308))
 
 
 def test_max_proper_time_examples():

@@ -31,6 +31,13 @@ def test_dirac_gap_and_degeneracy():
     assert not DiracData(1.3, 1.3 + 1e-9).degenerate
 
 
+def test_dirac_gap_must_be_finite():
+    # finite eigenvalues whose difference overflows: the gap was inf
+    with pytest.raises(ValueError, match="Dirac gap"):
+        DiracData(1e308, -1e308)
+    assert DiracData(1e308, 0.0).gap == 1e308
+
+
 def test_latitude_examples():
     assert PureInternalState(1.0, 0.0).z == pytest.approx(1.0)
     assert PureInternalState(INV_SQRT2, INV_SQRT2).z == pytest.approx(0.0, abs=1e-15)
