@@ -22,7 +22,6 @@ from .cone import (
     ConeMatrix,
     RegionGrid,
     UnequalDiagonalError,
-    add_elements,
     cone_matrix_at,
     cone_membership,
     certify_grid_psd,
@@ -62,7 +61,6 @@ from .states import (
     PureInternalState,
     angular_distance,
     apply_unitary,
-    apply_unitary_mixed,
     parallel_angle,
 )
 from .witness import (

@@ -12,9 +12,11 @@ the four kinks and the midpoints between consecutive candidates.
 
 Conventions: angular separations are measured by the circle geodesic
 distance in [0, pi]; a boundary-exact proper time counts as related, decided
-with an absolute slack of 1e-12; states within 1e-12 of a pole are treated
-as the pole itself, where the parallel angle is undefined and no internal
-motion is possible (any proper time suffices there).
+with a slack of 1e-12 radians of internal angle (1e-12/gap of proper time,
+so a large gap relates no distinct states at one event); states within
+1e-12 of a pole are treated as the pole itself, where the parallel angle is
+undefined and no internal motion is possible (any proper time suffices
+there).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .states import (
 )
 
 LATITUDE_TOL = 1e-12
-#: Absolute slack on the proper-time-versus-angle comparison.
+#: Slack, in radians of internal angle, on the proper-time-versus-angle comparison.
 BOUND_SLACK = 1e-12
 STATE_EQ_TOL = 1e-12
 
@@ -110,9 +112,13 @@ def pure_causal(omega: PureState, eta: PureState, dirac: DiracData) -> CausalVer
         # same latitude at |z| = 1 pins both states to the same pole
         return CausalVerdict(True, Reason.OK, 0.0, available)
     required = angular_distance(parallel_angle(xi), parallel_angle(phi)) / dirac.gap
-    if available >= required - BOUND_SLACK:
-        return CausalVerdict(True, Reason.OK, required, available)
-    return CausalVerdict(False, Reason.SPEED_BOUND, required, available)
+    return _speed_bound_verdict(required, available, dirac)
+
+
+def _speed_bound_verdict(required: float, available: float, dirac: DiracData) -> CausalVerdict:
+    """Related iff the available proper time covers the required one, up to BOUND_SLACK radians."""
+    related = available >= required - BOUND_SLACK / dirac.gap
+    return CausalVerdict(related, Reason.OK if related else Reason.SPEED_BOUND, required, available)
 
 
 def _arc(radius, angle):
@@ -205,9 +211,7 @@ def mixed_causal(omega: MixedState, eta: MixedState, dirac: DiracData) -> Causal
         # |z| = 1 forces both Bloch vectors onto the pole itself
         return CausalVerdict(True, Reason.OK, 0.0, available)
     required = _mixed_angle_sup(rho, sigma)[0] / dirac.gap
-    if available >= required - BOUND_SLACK:
-        return CausalVerdict(True, Reason.OK, required, available)
-    return CausalVerdict(False, Reason.SPEED_BOUND, required, available)
+    return _speed_bound_verdict(required, available, dirac)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ rule, _psd_at_nodes, so every verdict is the one eigvalsh would give.
 
 certify_grid_psd needs only the verdict.  cone_membership also reports the
 smallest eigenvalue on the grid: it estimates each node's by Newton on the
-closed-form characteristic polynomial, certifies a lower bound from each
+closed-form characteristic polynomial (_charpoly, which also certifies the
+separating witness of witness.py), certifies a lower bound from each
 estimate with the Schur test, and runs eigvalsh only where the grid
 minimum can lie, where no test decides, and at the first violation.
 """
@@ -39,7 +40,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import fields
 from .fields import DomainError, FieldExpr, eval_grid, parse, to_source
 from .minkowski import SpacetimePoint
 from .states import DiracData
@@ -98,14 +98,6 @@ class AlgebraElement:
     def from_dict(cls, data: dict) -> "AlgebraElement":
         c = data.get("c", {"re": "0", "im": "0"})
         return cls.from_sources(str(data["a"]), str(data["b"]), str(c["re"]), str(c["im"]))
-
-
-def add_elements(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
-    """Entrywise sum of two elements (the cone is convex under it)."""
-    plus = lambda u, v: fields.BinOp("+", u, v)
-    return AlgebraElement(
-        plus(e1.a, e2.a), plus(e1.b, e2.b), plus(e1.c_re, e2.c_re), plus(e1.c_im, e2.c_im)
-    )
 
 
 @dataclass(frozen=True)
@@ -185,22 +177,6 @@ class RegionGrid:
         )
 
 
-def _element_jets(el: AlgebraElement, t, x):
-    """Derivative data of all four fields at the given coordinates.
-
-    Returns (a0p, a0m, b0p, b0m, c, c0, c1) where a0p = a_t + a_x etc. and
-    the c entries are complex (value, d/dt, d/dx).
-    """
-    av, adt, adx = eval_grid(el.a, t, x)
-    bv, bdt, bdx = eval_grid(el.b, t, x)
-    rv, rdt, rdx = eval_grid(el.c_re, t, x)
-    iv, idt, idx = eval_grid(el.c_im, t, x)
-    c = rv + 1j * iv
-    c0 = rdt + 1j * idt
-    c1 = rdx + 1j * idx
-    return adt + adx, adt - adx, bdt + bdx, bdt - bdx, c, c0, c1
-
-
 def _cone_entries(el: AlgebraElement, t, x, delta: float):
     """The seven distinct entries of the cone matrix at the given coordinates.
 
@@ -210,8 +186,13 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float):
     then names the field and carries the index of its first such node.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ap, am, bp, bm, c, c0, c1 = _element_jets(el, t, x)
-        u, z, w = c0 + c1, c0 - c1, delta * c
+        _, adt, adx = eval_grid(el.a, t, x)
+        _, bdt, bdx = eval_grid(el.b, t, x)
+        rv, rdt, rdx = eval_grid(el.c_re, t, x)
+        iv, idt, idx = eval_grid(el.c_im, t, x)
+        c0, c1 = rdt + 1j * idt, rdx + 1j * idx
+        ap, am, bp, bm = adt + adx, adt - adx, bdt + bdx, bdt - bdx
+        u, z, w = c0 + c1, c0 - c1, delta * (rv + 1j * iv)
     for expr, parts in (
         (el.a, (ap, am)),
         (el.b, (bp, bm)),
@@ -284,15 +265,16 @@ def lemma_sufficient_check(el: AlgebraElement, dirac: DiracData, p: SpacetimePoi
     Requires a and b to be structurally identical expressions and checks
     a_t - |a_x| >= |c_t| + |c_x| + gap * |c| at the event (with a small
     slack for roundoff).  Passing implies the PSD condition holds there.
+    On the cone entries the sides read min(ap, am) and
+    (|u + z| + |u - z|)/2 + |w|.  Raises the DomainError of _cone_entries
+    when an entry is not finite.
     """
     if el.a != el.b:
         raise UnequalDiagonalError("a and b must be the same expression")
-    ap, am, _, _, c, c0, c1 = _element_jets(el, np.atleast_1d(p.t), np.atleast_1d(p.x))
-    a_t = 0.5 * (ap[0] + am[0])
-    a_x = 0.5 * (ap[0] - am[0])
-    lhs = a_t - abs(a_x)
-    rhs = abs(c0[0]) + abs(c1[0]) + dirac.gap * abs(c[0])
-    return bool(lhs >= rhs - LEMMA_SLACK)
+    t, x = np.atleast_1d(p.t), np.atleast_1d(p.x)
+    ap, am, _, _, u, z, w = (part[0] for part in _cone_entries(el, t, x, dirac.d1 - dirac.d2))
+    rhs = 0.5 * (abs(u + z) + abs(u - z)) + abs(w)
+    return bool(min(ap, am) >= rhs - LEMMA_SLACK)
 
 
 @dataclass(frozen=True)
@@ -436,24 +418,40 @@ def _indefinite_after_shift(entries, shift) -> np.ndarray:
     )
 
 
+def _charpoly(entries):
+    """Coefficients (e1, e2, e3, e4) of det(M - lam) = lam^4 - e1 lam^3 + e2 lam^2 - e3 lam + e4.
+
+    e_k is the sum of the k x k principal minors of the cone matrix M, the
+    k-th elementary symmetric polynomial of its eigenvalues, in real
+    arithmetic on the seven entries of _cone_entries.  The block structure
+    gives the whole polynomial in closed form: with p, q, r, s = ap - lam,
+    am - lam, bp - lam, bm - lam,
+
+        det(M - lam) = pqrs - r(q|w|^2 + p|z|^2) - s(q|u|^2 + p|w|^2) + |uz + w^2|^2.
+    """
+    ap, am, bp, bm, u, z, w = entries
+    uu, zz, ww = _abs2(u), _abs2(z), _abs2(w)
+    apm, bpm, a_sum, b_sum = ap * am, bp * bm, ap + am, bp + bm
+    e1 = ap + am + bp + bm
+    e2 = apm + bpm + a_sum * b_sum - 2.0 * ww - zz - uu
+    e3 = apm * b_sum + bpm * a_sum - zz * (ap + bp) - uu * (am + bm) - ww * e1
+    e4 = apm * bpm - ww * (am * bp + ap * bm) - zz * (ap * bp) - uu * (am * bm) + _abs2(u * z + w * w)
+    return e1, e2, e3, e4
+
+
 def _lambda_min_estimates(entries, scale, coupled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Estimate of each node's smallest eigenvalue, and whether it converged.
 
     A node outside the index array coupled (u = z = w = 0) is diagonal: the
     estimate is its smallest diagonal entry, exactly.  A coupled node runs
-    Newton on the characteristic polynomial, which the block structure
-    gives in closed form in real arithmetic: with p, q, r, s = ap - lam,
-    am - lam, bp - lam, bm - lam,
-
-        det(M - lam) = pqrs - r(q|w|^2 + p|z|^2) - s(q|u|^2 + p|w|^2) + |uz + w^2|^2.
-
-    Newton works on its expansion in mu = lam - (ap + am + bp + bm)/4, which
-    has no cubic term.  The four roots are real, so Newton started at the
-    Gershgorin lower bound rises to the smallest one without overshooting it
-    (up to rounding).  A node converges once a step is at most
-    NEWTON_STEP_TOL*s; a node that does not within NEWTON_MAX_STEPS (linear
-    convergence at a multiple root), or whose step is not finite, is
-    reported as not converged.
+    Newton on the characteristic polynomial of the entries less their mean,
+    from _charpoly: its expansion in mu = lam - (ap + am + bp + bm)/4,
+    det(M - lam) = mu^4 + e2 mu^2 - e3 mu + e4, has no cubic term.  The
+    four roots are real, so Newton started at the Gershgorin lower bound
+    rises to the smallest one without overshooting it (up to rounding).  A
+    node converges once a step is at most NEWTON_STEP_TOL*s; a node that
+    does not within NEWTON_MAX_STEPS (linear convergence at a multiple
+    root), or whose step is not finite, is reported as not converged.
     """
     ap, am, bp, bm = entries[:4]
     estimate = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
@@ -464,12 +462,8 @@ def _lambda_min_estimates(entries, scale, coupled: np.ndarray) -> tuple[np.ndarr
     ap, am, bp, bm, u, z, w = _take(entries, nodes)
     center = 0.25 * (ap + am + bp + bm)
     ap, am, bp, bm = ap - center, am - center, bp - center, bm - center
-    uu, zz, ww = _abs2(u), _abs2(z), _abs2(w)
-    apm, bpm, apb, amb = ap * am, bp * bm, ap * bp, am * bm
-    # det(M - lam) = mu^4 + c2 mu^2 + c1 mu + c0, expanded from the product form
-    c2 = apm + bpm + (ap + am) * (bp + bm) - 2.0 * ww - zz - uu
-    c1 = zz * (ap + bp) + uu * (am + bm) - apm * (bp + bm) - bpm * (ap + am)
-    c0 = apm * bpm - ww * (am * bp + ap * bm) - zz * apb - uu * amb + _abs2(u * z + w * w)
+    _, c2, e3, c0 = _charpoly((ap, am, bp, bm, u, z, w))
+    c1 = -e3  # det(M - lam) = mu^4 + c2 mu^2 + c1 mu + c0
     au, az, aw = np.abs(u), np.abs(z), np.abs(w)
     # Gershgorin: rows 0 and 2 have off-diagonal |u| + |w|, rows 1 and 3 |z| + |w|
     mu = np.minimum(np.minimum(ap, bp) - au, np.minimum(am, bm) - az) - aw

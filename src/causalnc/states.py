@@ -23,8 +23,6 @@ DEGENERATE_TOL = 1e-15
 UNITARY_TOL = 1e-12
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 class PoleError(ValueError):
@@ -74,7 +72,7 @@ class PureInternalState:
 
     def __post_init__(self) -> None:
         n2 = abs(self.xi1) ** 2 + abs(self.xi2) ** 2
-        if abs(n2 - 1.0) > 3.0 * NORM_TOL:
+        if not abs(n2 - 1.0) <= 3.0 * NORM_TOL:  # refuses NaN too
             raise ValueError(f"state vector must be normalised, |xi|^2 = {n2}")
         xi1, xi2 = self.xi1, self.xi2
         norm = math.sqrt(n2)
@@ -104,7 +102,7 @@ class PureInternalState:
     @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> "PureInternalState":
         n = math.sqrt(x * x + y * y + z * z)
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:
             raise ValueError(f"Bloch vector of a pure state must be unit length, got {n}")
         x, y, z = x / n, y / n, z / n
         xi1 = math.sqrt(max((1.0 + z) / 2.0, 0.0))
@@ -207,17 +205,9 @@ class MixedInternalState:
         x, y, z = state.bloch()
         return cls(x, y, z)
 
-    @classmethod
-    def maximally_mixed(cls) -> "MixedInternalState":
-        return cls(0.0, 0.0, 0.0)
-
     @property
     def norm(self) -> float:
         return math.sqrt(self.rx**2 + self.ry**2 + self.rz**2)
-
-    @property
-    def is_pure(self) -> bool:
-        return abs(self.norm - 1.0) <= 1e-12
 
     @property
     def parallel_radius(self) -> float:
@@ -228,19 +218,6 @@ class MixedInternalState:
     def parallel_angle(self) -> float:
         """atan2(ry, rx); zero by convention when the projection vanishes."""
         return math.atan2(self.ry, self.rx)
-
-    def density_matrix(self) -> np.ndarray:
-        eye = np.eye(2, dtype=complex)
-        return 0.5 * (eye + self.rx * PAULI_X + self.ry * PAULI_Y + self.rz * PAULI_Z)
-
-    @classmethod
-    def from_density_matrix(cls, rho: np.ndarray) -> "MixedInternalState":
-        rho = np.asarray(rho, dtype=complex)
-        return cls(
-            float(np.trace(rho @ PAULI_X).real),
-            float(np.trace(rho @ PAULI_Y).real),
-            float(np.trace(rho @ PAULI_Z).real),
-        )
 
     def to_dict(self) -> dict:
         return {"bloch": [self.rx, self.ry, self.rz]}
@@ -285,20 +262,11 @@ class InternalUnitary:
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         return cls(q)
 
-    def compose(self, other: "InternalUnitary") -> "InternalUnitary":
-        return InternalUnitary(self.u @ other.u)
-
 
 def apply_unitary(u: InternalUnitary, state: PureInternalState) -> PureInternalState:
     """Canonical representative of U.xi; the norm is preserved."""
     vec = u.u @ state.vector()
     return PureInternalState.from_components(complex(vec[0]), complex(vec[1]))
-
-
-def apply_unitary_mixed(u: InternalUnitary, state: MixedInternalState) -> MixedInternalState:
-    """Conjugation rho -> U rho U* expressed on Bloch vectors (an SO(3) rotation)."""
-    rho = u.u @ state.density_matrix() @ u.u.conj().T
-    return MixedInternalState.from_density_matrix(rho)
 
 
 def pure_state_from_dict(data: dict) -> PureInternalState:

@@ -16,9 +16,10 @@ profile of the worldline.  The certificate produced here bundles
 * a numerical re-derivation of the left side by composite-Simpson
   integration of the diagonal derivative fields, and
 * a positive-semidefiniteness certification of the element along the
-  worldline via the first four characteristic-polynomial coefficients,
-  computed from traces by Newton's identities; the two leading ones are
-  also matched against their closed forms.
+  worldline via the four characteristic-polynomial coefficients of its
+  cone matrix, in closed form in the seven cone entries (cone._charpoly);
+  the two leading ones are also matched against their closed forms in the
+  schedule.
 
 The element is only evaluated along the worldline and at its endpoints; a
 global extension off the curve exists but is never needed quantitatively,
@@ -36,17 +37,27 @@ from typing import Optional
 import numpy as np
 
 from .causality import MixedState, PureState, Reason, _mixed_angle_sup, mixed_causal, pure_causal
+from .cone import _charpoly, _node_scales
 from .minkowski import SpacetimePoint, max_proper_time
 from .states import DiracData, angular_distance, parallel_angle, signed_arc, wrap_angle
 
 ANGLE_TOL = 1e-12
-#: Relative tolerance for closed-form versus trace-based / integrated values.
+#: Relative tolerance for closed-form versus computed / integrated values.
 MATCH_RTOL = 1e-8
 #: Normalised characteristic-coefficient tolerances (scale-free).
 COEFF_POS_TOL = 1e-12
 COEFF_ZERO_TOL = 1e-9
 #: Composite-Simpson panels for lhs_by_integration; even, as the rule needs.
 SIMPSON_PANELS = 4000
+
+
+class WitnessOverflowError(ValueError):
+    """A certificate value does not fit in a float: the Dirac gap is too large."""
+
+
+def _require_finite(values, gap: float, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise WitnessOverflowError(f"Dirac gap {gap} is too large: {what} does not fit in a float")
 
 
 @dataclass(frozen=True)
@@ -169,7 +180,8 @@ def lhs_by_integration(spec: WitnessSpec) -> float:
     Composite Simpson in coordinate time along the worldline, evaluating the
     scheduled field derivatives literally; used to cross-check the closed
     form within MATCH_RTOL.  A one-event worldline integrates over an empty
-    interval and gives 0.
+    interval and gives 0.  Raises WitnessOverflowError, naming the Dirac
+    gap, when the integral does not fit in a float.
     """
     gap = spec.dirac.gap
     k1, k2 = spec.abs_phi1, spec.abs_phi2
@@ -180,15 +192,18 @@ def lhs_by_integration(spec: WitnessSpec) -> float:
     n = SIMPSON_PANELS
     tau = np.linspace(0.0, dt, n + 1)
     csc2 = 1.0 / np.sin(spec.schedule(tau * math.sqrt(1.0 - v * v))) ** 2
-    a0 = gap / (2.0 * sqrt_ll) * (k2 / k1) * csc2
-    a1 = -v * a0
-    b0 = gap / (2.0 * sqrt_ll) * (k1 / k2) * csc2
-    b1 = -v * b0
-    integrand = k1 * k1 * (a0 + v * a1) + k2 * k2 * (b0 + v * b1)
     weights = np.ones(n + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float((dt / n) / 3.0 * np.dot(weights, integrand))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a0 = gap / (2.0 * sqrt_ll) * (k2 / k1) * csc2
+        a1 = -v * a0
+        b0 = gap / (2.0 * sqrt_ll) * (k1 / k2) * csc2
+        b1 = -v * b0
+        integrand = k1 * k1 * (a0 + v * a1) + k2 * k2 * (b0 + v * b1)
+        lhs = float((dt / n) / 3.0 * np.dot(weights, integrand))
+    _require_finite(lhs, gap, "the integrated lhs")
+    return lhs
 
 
 @dataclass(frozen=True)
@@ -230,18 +245,19 @@ class PsdCertification:
         return next((sample for sample in self.samples if not sample.passed), None)
 
 
-def _witness_matrices(spec: WitnessSpec, l: np.ndarray) -> np.ndarray:
-    """The element's 4x4 membership matrices, shape (n, 4, 4), at proper times l.
+def _witness_entries(spec: WitnessSpec, l: np.ndarray):
+    """The element's cone-matrix entries (ap, am, bp, bm, u, z, w) at proper times l.
 
-    The off-diagonal derivative fields are split proportionally between the
-    two null directions, c_t + c_x = g sqrt(lam2/lam1) cos(Theta)
-    csc^2(Theta) e^(i theta_c) and mirrored for c_t - c_x, which is the
-    unique proportional split consistent with the chain rule applied to the
-    csc schedule along the worldline.  The resulting matrix is isospectral
-    to the one with the cosine entries negated (replace Theta by pi - Theta),
-    so every certified quantity is insensitive to that off-curve choice.
+    Order and signs are those of cone._cone_entries, so cone._matrices
+    assembles the 4x4 matrices.  The off-diagonal derivative fields are
+    split proportionally between the two null directions, u = c_t + c_x =
+    g sqrt(lam2/lam1) cos(Theta) csc^2(Theta) e^(i theta_c) and mirrored for
+    z = c_t - c_x, which is the unique proportional split consistent with
+    the chain rule applied to the csc schedule along the worldline.  The
+    resulting matrix is isospectral to the one with the cosine entries
+    negated (replace Theta by pi - Theta), so every certified quantity is
+    insensitive to that off-curve choice.
     """
-    gap = spec.dirac.gap
     theta = spec.schedule(l)
     v = spec.velocity()
     lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
@@ -251,37 +267,33 @@ def _witness_matrices(spec: WitnessSpec, l: np.ndarray) -> np.ndarray:
     pm = 1.0 if spec.dirac.d1 >= spec.dirac.d2 else -1.0
     phase = cmath.exp(1j * spec.theta_c)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    pref = gap / np.float_power(sin_t, 2)  # C pow, as ** on floats; see certify_witness_psd
-    m = np.zeros((len(theta), 4, 4), dtype=complex)
-    m[:, 0, 0] = pref * r21 * (k2 / k1)
-    m[:, 1, 1] = pref * r12 * (k2 / k1)
-    m[:, 2, 2] = pref * r21 * (k1 / k2)
-    m[:, 3, 3] = pref * r12 * (k1 / k2)
-    m[:, 0, 2] = -pref * r21 * cos_t * phase  # -(c_t + c_x)
-    m[:, 1, 3] = -pref * r12 * cos_t * phase  # -(c_t - c_x)
-    m[:, 0, 3] = pref * pm * sin_t * phase  # -(d1 - d2) c
-    m[:, 1, 2] = -pref * pm * sin_t * phase  # (d1 - d2) c
-    m[:, 2, 0] = np.conj(m[:, 0, 2])
-    m[:, 3, 1] = np.conj(m[:, 1, 3])
-    m[:, 3, 0] = np.conj(m[:, 0, 3])
-    m[:, 2, 1] = np.conj(m[:, 1, 2])
-    return m
+    pref = spec.dirac.gap / np.float_power(sin_t, 2)
+    return (
+        pref * r21 * (k2 / k1),
+        pref * r12 * (k2 / k1),
+        pref * r21 * (k1 / k2),
+        pref * r12 * (k1 / k2),
+        pref * r21 * cos_t * phase,
+        pref * r12 * cos_t * phase,
+        -pref * pm * sin_t * phase,  # (d1 - d2) c
+    )
 
 
 def certify_witness_psd(spec: WitnessSpec, n: int) -> PsdCertification:
     """Certify the element's membership matrix along the worldline.
 
-    The matrices at all n proper-time samples are assembled and certified in
-    one batch: the coefficients of det(A - lambda) = lambda^4 - c1 lambda^3
-    + c2 lambda^2 - c3 lambda + c4 are computed from traces via Newton's
-    identities (c4 as the determinant).  The matrix is PSD iff all four are
-    non-negative; here c3 and c4 vanish identically, so the test is c1, c2
-    >= 0 and c3, c4 = 0 within tolerance.  Tolerances are applied to
-    coefficients of the matrix scaled by 1/scale, scale = max(1, largest
-    absolute entry), i.e. they grow with the k-th power of the scale for
-    the k-th coefficient.  The trace-based c1, c2 must also match their
-    closed forms within MATCH_RTOL.  first_failure is the earliest failing
-    sample.
+    The cone-matrix entries at all n proper-time samples are certified in
+    one batch: cone._charpoly gives the coefficients of det(A - lambda) =
+    lambda^4 - c1 lambda^3 + c2 lambda^2 - c3 lambda + c4 in closed form.
+    The matrix is PSD iff all four are non-negative; here c3 and c4 vanish
+    identically, so the test is c1, c2 >= 0 and c3, c4 = 0 within
+    tolerance.  Tolerances are applied to coefficients of the entries
+    scaled by 1/scale, scale = cone._node_scales (max(1, largest absolute
+    entry)), i.e. they grow with the k-th power of the scale for the k-th
+    coefficient.  c1 and c2 must also match their closed forms in the
+    schedule within MATCH_RTOL.  first_failure is the earliest failing
+    sample.  Raises WitnessOverflowError, naming the Dirac gap, when a
+    coefficient does not fit in a float.
     """
     if n < 2:
         raise ValueError("need at least two certification samples")
@@ -289,35 +301,25 @@ def certify_witness_psd(spec: WitnessSpec, n: int) -> PsdCertification:
     k1, k2 = spec.abs_phi1, spec.abs_phi2
     frac = np.arange(n) / (n - 1)
     l = frac * max_proper_time(spec.p, spec.q)
-    m = _witness_matrices(spec, l)
-    scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
-    mn = m / scale[:, None, None]
-    m2 = mn @ mn
-    p1 = np.trace(mn, axis1=1, axis2=2).real
-    p2 = np.trace(m2, axis1=1, axis2=2).real
-    p3 = np.trace(m2 @ mn, axis1=1, axis2=2).real
-    c2n = 0.5 * (p1 * p1 - p2)
-    # np.float_power is C pow, like ** on Python floats (ndarray ** 2 multiplies):
-    # each coefficient rounds exactly as the same formula on Python floats.
     power = np.float_power
-    c3n = (power(p1, 3) - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
-    # numpy's complex det has a NaN sign when a pivot underflows to 0; slogdet sees |det| = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c4n = np.where(np.linalg.slogdet(mn)[1] == -np.inf, 0.0, np.linalg.det(mn).real)
-
     sin2 = power(np.sin(spec.schedule(l)), 2)
     v = spec.velocity()
     lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
     csc2 = 1.0 / sin2
-    c1_closed = gap * csc2 / (np.sqrt(lam1 * lam2) * k1 * k2)
-    c2_closed = (
-        gap**2
-        * power(csc2, 2)
-        * (k1**2 * k2**2 * power(lam2 - lam1, 2) * sin2 + lam1 * lam2)
-        / (lam1 * lam2 * k1**2 * k2**2)
-    )
-    c1 = p1 * scale
-    c2 = c2n * power(scale, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = _witness_entries(spec, l)
+        scale = _node_scales(entries)
+        p1, c2n, c3n, c4n = _charpoly([part / scale for part in entries])
+        c1_closed = gap * csc2 / (np.sqrt(lam1 * lam2) * k1 * k2)
+        c2_closed = (
+            power(gap, 2)
+            * power(csc2, 2)
+            * (k1**2 * k2**2 * power(lam2 - lam1, 2) * sin2 + lam1 * lam2)
+            / (lam1 * lam2 * k1**2 * k2**2)
+        )
+        coeffs = [p1 * scale, c2n * scale**2, c3n * scale**3, c4n * scale**4, c1_closed, c2_closed]
+    _require_finite(coeffs, gap, "a witness coefficient")
+    c1, c2, c3, c4 = coeffs[:4]
     passed = (
         (p1 >= -COEFF_POS_TOL)
         & (c2n >= -COEFF_POS_TOL)
@@ -326,7 +328,6 @@ def certify_witness_psd(spec: WitnessSpec, n: int) -> PsdCertification:
         & (np.abs(c1 - c1_closed) <= MATCH_RTOL * np.maximum(1.0, np.abs(c1_closed)))
         & (np.abs(c2 - c2_closed) <= MATCH_RTOL * np.maximum(1.0, np.abs(c2_closed)))
     )
-    c3, c4 = c3n * power(scale, 3), c4n * power(scale, 4)
     rows = np.stack([frac, l, c1, c2, c3, c4, c1_closed, c2_closed, scale, passed], axis=1)
     return PsdCertification(bool(passed.all()), rows)
 

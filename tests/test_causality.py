@@ -18,7 +18,7 @@ from causalnc.causality import (
     pure_causal,
 )
 from causalnc.minkowski import SpacetimePoint, causally_precedes
-from causalnc.selftest import unitary_transport_check
+from causalnc.selftest import run_check, unitary_transport_check
 from causalnc.states import (
     DiracData,
     InternalUnitary,
@@ -26,7 +26,6 @@ from causalnc.states import (
     PureInternalState,
     angular_distance,
     parallel_angle,
-    wrap_angle,
 )
 
 D_UNIT = DiracData(0.0, 1.0)
@@ -58,6 +57,24 @@ def test_quarter_turn_exceeding_budget():
     assert v.reason is Reason.SPEED_BOUND
     assert v.bound_required == pytest.approx(math.pi / 2)
     assert v.bound_available == pytest.approx(1.0)
+
+
+def test_bound_slack_is_an_angle_not_a_proper_time():
+    # the slack was 1e-12 of proper time, 10 radians at a gap of 1e13: distinct
+    # states at one event were related both ways, against antisymmetry
+    big = DiracData(0.0, 1e13)
+    a, b = PureState(SpacetimePoint(0, 0), EQ0), PureState(SpacetimePoint(0, 0), EQ90)
+    for first, second in ((a, b), (b, a)):
+        assert pure_causal(first, second, big).reason is Reason.SPEED_BOUND
+        mixed = [MixedState(s.point, MixedInternalState.from_pure(s.internal)) for s in (first, second)]
+        assert mixed_causal(*mixed, big).reason is Reason.SPEED_BOUND
+    # 1e-12 radians short of the bound is related, 2e-12 is not
+    for shortfall, related in ((0.5e-12, True), (2e-12, False)):
+        q = SpacetimePoint((math.pi / 2 - shortfall) / 1e13, 0.0)
+        assert pure_causal(a, PureState(q, EQ90), big).related is related
+    # bound_required was 15 times bound_available, and the pair was related
+    tiny = pure_causal(a, PureState(SpacetimePoint(1e-201, 0.0), EQ90), DiracData(0.0, 1e200))
+    assert not tiny.related and tiny.reason is Reason.SPEED_BOUND
 
 
 def test_null_separation_forbids_internal_motion():
@@ -135,27 +152,10 @@ def test_monotonicity_in_gap():
 
 
 def test_partial_order_axioms_same_latitude():
-    rng = np.random.default_rng(37)
-    failures = 0
-    for _ in range(300):
-        z = rng.uniform(-0.85, 0.85)
-        t0 = rng.uniform(-1, 0)
-        chain = []
-        t_acc, x_acc = t0, rng.uniform(-0.5, 0.5)
-        theta = rng.uniform(-math.pi, math.pi)
-        for _ in range(3):
-            chain.append(_pure(t_acc, x_acc, z, theta))
-            step = rng.uniform(0, 1.5)
-            t_acc += step
-            x_acc += rng.uniform(-0.7, 0.7) * step
-            theta = wrap_angle(theta + rng.choice([-1.0, 1.0]) * rng.uniform(0, 1.4))
-        a, b, c = chain
-        assert pure_causal(a, a, D_UNIT).related  # reflexivity
-        if pure_causal(a, b, D_UNIT).related and pure_causal(b, a, D_UNIT).related:
-            assert a.point.almost_equal(b.point)
-        if pure_causal(a, b, D_UNIT).related and pure_causal(b, c, D_UNIT).related:
-            failures += not pure_causal(a, c, D_UNIT).related
-    assert failures == 0
+    # battery check order_axioms at reduced scale: 3 x 100 random chains
+    for seed in range(3):
+        result = run_check("order_axioms", full=False, seed=seed)
+        assert result["passed"], result["detail"]
 
 
 def test_transitivity_on_boundary_tight_chain():
@@ -173,7 +173,7 @@ def test_transitivity_on_boundary_tight_chain():
 
 
 def test_mixed_maximally_mixed_pair_needs_no_budget():
-    center = MixedInternalState.maximally_mixed()
+    center = MixedInternalState(0.0, 0.0, 0.0)
     v = mixed_causal(
         MixedState(SpacetimePoint(0, 0), center), MixedState(SpacetimePoint(1, 0), center), D_UNIT
     )
@@ -181,7 +181,7 @@ def test_mixed_maximally_mixed_pair_needs_no_budget():
 
 
 def test_mixed_center_to_rim_requires_quarter_turn():
-    center = MixedInternalState.maximally_mixed()
+    center = MixedInternalState(0.0, 0.0, 0.0)
     rim = MixedInternalState(1.0, 0.0, 0.0)
     assert mixed_required_angle(center, rim) == pytest.approx(math.pi / 2, abs=1e-9)
     ok = mixed_causal(
@@ -394,6 +394,7 @@ def test_mixed_causal_branches():
 
 
 def test_mixed_agrees_with_pure_on_unit_vectors():
+    # unlike battery check mixed_pure_consistency: any angle in [0, pi] and any ratio to the bound
     rng = np.random.default_rng(61)
     for _ in range(200):
         z = rng.uniform(-0.85, 0.85)
@@ -464,21 +465,10 @@ def test_plan_path_boundary_exact_reaches_target():
 
 
 def test_plan_path_prefix_feasibility():
-    rng = np.random.default_rng(71)
-    for _ in range(50):
-        z = rng.uniform(-0.8, 0.8)
-        theta = rng.uniform(-math.pi, math.pi)
-        dtheta = rng.uniform(0.1, math.pi - 0.1)
-        length = dtheta * rng.uniform(1.02, 1.8)
-        v = rng.uniform(-0.6, 0.6)
-        t_span = length / math.sqrt(1 - v * v)
-        a = _pure(0, 0, z, theta)
-        b = _pure(t_span, v * t_span, z, wrap_angle(theta + rng.choice([-1.0, 1.0]) * dtheta))
-        path = plan_causal_path(a, b, D_UNIT, 16)
-        for sample in path:
-            mid = PureState(sample.point, sample.internal)
-            assert pure_causal(a, mid, D_UNIT).related
-            assert pure_causal(mid, b, D_UNIT).related
+    # battery check path_planner_prefix at reduced scale: 3 x 20 related pairs, 33 samples each
+    for seed in range(3):
+        result = run_check("path_planner_prefix", full=False, seed=seed)
+        assert result["passed"], result["detail"]
 
 
 def test_plan_path_rejects_unrelated_pair():

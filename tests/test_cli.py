@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,13 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalnc import cli
 from causalnc.causality import CausalVerdict, Reason
 from causalnc.cli import main
 from causalnc.cone import AlgebraElement, RegionGrid
 from causalnc.fields import DomainError
-from causalnc.states import DiracData
+from causalnc.states import DiracData, PureInternalState, angular_distance, parallel_angle
 from test_cone import _reference_membership
 
 PURE_RELATED = {
@@ -322,6 +326,115 @@ def test_non_finite_result_is_refused_not_written(capsys, monkeypatch):
     code, out, err = _run(capsys, "check-pure", "--input", json.dumps(PURE_RELATED))
     assert code == 2 and out == ""
     assert "JSON" in err
+
+
+# --- Dirac gaps that dwarf the angle slack ---------------------------------------
+
+
+def _one_event(command: str, gap: float, first=(1, 0, 0), second=(0, 1, 0), q=(0, 0)) -> str:
+    keys = ("rho", "sigma") if command == "check-mixed" else ("xi", "phi")
+    payload = {
+        "p": [0, 0],
+        "q": list(q),
+        keys[0]: {"bloch": list(first)},
+        keys[1]: {"bloch": list(second)},
+        "dirac": {"d1": 0, "d2": gap},
+    }
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("command", ("check-pure", "check-mixed"))
+def test_large_gap_relates_no_distinct_states_at_one_event(capsys, command):
+    # was "related": true with "bound_available": 0.0, in both orders
+    for first, second in (((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (1, 0, 0))):
+        code, out, _ = _run(capsys, command, "--input", _one_event(command, 1e13, first, second))
+        data = _strict_json(out)
+        assert code == 1 and data["related"] is False and data["reason"] == "SPEED_BOUND"
+
+
+def test_large_gap_does_not_forgive_a_short_proper_time(capsys):
+    # was related although bound_required is 15 times bound_available
+    payload = _one_event("check-pure", 1e200, q=(1e-201, 0))
+    code, out, _ = _run(capsys, "check-pure", "--input", payload)
+    assert code == 1 and _strict_json(out)["related"] is False
+
+
+def test_plan_path_refuses_distinct_states_at_one_event_under_a_large_gap(capsys):
+    # was a path whose last theta is 0, not pi/2
+    code, out, err = _run(capsys, "plan-path", "--input", _one_event("plan-path", 1e13))
+    assert code == 2 and out == "" and "not causally related" in err
+
+
+def test_witness_at_one_event_under_a_large_gap(capsys):
+    code, out, _ = _run(capsys, "witness", "--input", _one_event("witness", 1e13))
+    assert code == 0 and _strict_json(out)["psd_passed"] is True
+
+
+@pytest.mark.parametrize("gap, q", ((1e100, (0, 0)), (1e200, (1e-201, 0))))
+def test_witness_coefficient_overflow_names_the_dirac_gap(capsys, gap, q):
+    # reachable once the slack is an angle: 1e100 made c4 = 0*inf a NaN that JSON
+    # cannot hold, and 1e200 raised an OverflowError traceback from gap**2
+    code, out, err = _run(capsys, "witness", "--input", _one_event("witness", gap, q=q))
+    assert code == 2 and out == ""
+    assert f"Dirac gap {gap} is too large" in err
+
+
+def test_nan_bloch_state_is_input_error(capsys):
+    # was "related": true against the south pole
+    payload = _one_event("check-pure", 1.0, first=(0, 0, -1), second=(float("nan"), 0, 0))
+    code, out, err = _run(capsys, "check-pure", "--input", payload)
+    assert code == 2 and out == "" and 'state "phi"' in err
+
+
+# --- verdicts agree across subcommands on edge inputs ----------------------------
+
+#: q - p: coincident, lightlike both ways, past-directed, timelike, and a hair of time
+EDGE_OFFSETS = ((0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (-1.0, 0.0), (2.0, 0.0), (1e-201, 0.0))
+EDGE_GAPS = (0.0, 2e-15, 1.0, 1e13, 1e200)
+#: unit Bloch vectors: equator points, antipodes, both poles, and antipodes on one parallel
+EDGE_BLOCH = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (0.6, 0, 0.8), (-0.6, 0, 0.8))
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(((0.0, 0.0), (0.5, -0.25))),
+    st.sampled_from(EDGE_OFFSETS),
+    st.sampled_from(EDGE_GAPS),
+    st.booleans(),
+    st.sampled_from(EDGE_BLOCH),
+    st.sampled_from(EDGE_BLOCH),
+)
+def test_cli_verdicts_agree_on_edge_inputs(p, offset, gap, d1_above, xi, phi):
+    events = {"p": list(p), "q": [p[0] + offset[0], p[1] + offset[1]]}
+    events["dirac"] = {"d1": gap, "d2": 0.0} if d1_above else {"d1": 0.0, "d2": gap}
+    pure = json.dumps({**events, "xi": {"bloch": xi}, "phi": {"bloch": phi}})
+    mixed = json.dumps({**events, "rho": {"bloch": xi}, "sigma": {"bloch": phi}})
+    results = {
+        command: _cli([command, "--input", mixed if command == "check-mixed" else pure])
+        for command in ("check-pure", "check-mixed", "plan-path", "witness")
+    }
+    for command, (code, out, err) in results.items():
+        assert code in (0, 1, 2) and "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+        elif command != "plan-path":
+            _strict_json(out)
+    related = _strict_json(results["check-pure"][1])["related"]
+    # unit Bloch vectors are pure states, so check-mixed must agree
+    assert _strict_json(results["check-mixed"][1])["related"] == related
+    code, out, _ = results["plan-path"]
+    target = PureInternalState.from_bloch(*phi)
+    target_theta = 0.0 if target.is_pole else parallel_angle(target)
+    last_theta = float(out.splitlines()[-1].split(",")[3]) if code == 0 else math.nan
+    assert (angular_distance(last_theta, target_theta) <= 1e-12) == related
+    assert ("causally related" in results["witness"][2]) == related
 
 
 # --- cone-check against the full eigvalsh reference ------------------------------

@@ -13,12 +13,12 @@ from causalnc.cone import (
     MembershipReport,
     RegionGrid,
     UnequalDiagonalError,
+    _charpoly,
     _grid_entries,
     _lambda_min_estimates,
     _matrices,
     _node_scales,
     _psd_at_nodes,
-    add_elements,
     certify_grid_psd,
     cone_matrix_at,
     cone_membership,
@@ -175,6 +175,13 @@ def test_lemma_check_requires_equal_diagonals():
         lemma_sufficient_check(el, D_UNIT, ORIGIN)
 
 
+def test_lemma_check_refuses_an_overflowing_entry():
+    # a_t + a_x overflowed to inf, a_t - |a_x| read inf - inf = NaN, and the check said False
+    el = AlgebraElement.from_sources("1e308*t + 1e308*x", "1e308*t + 1e308*x")
+    with pytest.raises(DomainError, match="non-finite cone matrix entry"):
+        lemma_sufficient_check(el, D_UNIT, ORIGIN)
+
+
 def test_lemma_pass_implies_psd_randomised():
     rng = np.random.default_rng(33)
     hits = 0
@@ -260,6 +267,7 @@ def test_conformal_rescale_examples():
 
 
 def test_conformal_invariance_randomised():
+    # unlike battery check conformal_invariance, keeps near-singular spectra (|lambda_min| < 1e-2)
     rng = np.random.default_rng(47)
     for _ in range(50):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -272,7 +280,12 @@ def test_conformal_invariance_randomised():
 def test_cone_convexity_and_matrix_linearity():
     e1 = _lemma_element(amp=0.15, freq=0.7)
     e2 = AlgebraElement.from_sources("2*t + tanh(t + x)", "t")
-    total = add_elements(e1, e2)
+    total = AlgebraElement(  # the entrywise sum
+        BinOp("+", e1.a, e2.a),
+        BinOp("+", e1.b, e2.b),
+        BinOp("+", e1.c_re, e2.c_re),
+        BinOp("+", e1.c_im, e2.c_im),
+    )
     p = SpacetimePoint(0.4, -0.2)
     m1 = cone_matrix_at(e1, D_UNIT, p).m
     m2 = cone_matrix_at(e2, D_UNIT, p).m
@@ -569,3 +582,44 @@ def test_element_json_round_trip():
     assert AlgebraElement.from_dict(data) == el
     diag = AlgebraElement.from_dict({"a": "t", "b": "t"})
     assert diag == AlgebraElement.from_sources("t", "t")
+
+
+# --- the closed-form characteristic polynomial -----------------------------------
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _entry_tuples(draw):
+    """A cone-matrix entry tuple of one node: generic, uncoupled, rank-deficient or witness-shaped."""
+    kind = draw(st.sampled_from(("generic", "uncoupled", "rank-deficient", "witness")))
+    if kind == "witness":  # the separating element's matrix: rank 2, so e3 = e4 = 0
+        theta = draw(st.floats(0.01, math.pi - 0.01))
+        r21, ratio = draw(st.floats(0.05, 20.0)), draw(st.floats(1e-3, 1e3))
+        phase = np.exp(1j * draw(st.floats(-math.pi, math.pi)))
+        diag = [r21 * ratio, ratio / r21, r21 / ratio, 1.0 / (r21 * ratio)]
+        sign = draw(st.sampled_from((-1.0, 1.0)))
+        coupling = [r21 * math.cos(theta), math.cos(theta) / r21, sign * math.sin(theta)]
+        parts = diag + [c * phase for c in coupling]
+    else:
+        parts = [draw(_UNIT) for _ in range(4)] + [complex(draw(_UNIT), draw(_UNIT)) for _ in range(3)]
+        if kind == "uncoupled":
+            parts[4:] = [0j, 0j, 0j]
+        if kind == "rank-deficient":  # shift the diagonal onto the smallest eigenvalue
+            low = np.linalg.eigvalsh(_matrices([np.array([part]) for part in parts]))[0, 0]
+            parts[:4] = [part - low for part in parts[:4]]
+    magnitude = 10.0 ** draw(st.integers(-300, 300))
+    return [np.array([part * magnitude]) for part in parts]
+
+
+@settings(max_examples=300)
+@given(_entry_tuples())
+def test_charpoly_gives_the_elementary_symmetric_polynomials_of_the_eigenvalues(entries):
+    # checked on the entries divided by s = max(1, largest |entry|): the
+    # bound 1e-12 there is the bound 1e-12*s^k on the k-th coefficient
+    s = max(1.0, max(float(np.abs(part[0])) for part in entries))
+    scaled = [part / s for part in entries]
+    eig = np.linalg.eigvalsh(_matrices(scaled))[0]
+    expected = np.poly(eig)[1:] * np.array([-1.0, 1.0, -1.0, 1.0])
+    got = np.array([float(e[0]) for e in _charpoly(scaled)])
+    assert np.abs(got - expected).max() <= 1e-12

@@ -12,8 +12,6 @@ from causalnc.states import (
     PureInternalState,
     angular_distance,
     apply_unitary,
-    apply_unitary_mixed,
-    bloch_equal,
     parallel_angle,
     signed_arc,
     states_equal,
@@ -82,6 +80,19 @@ def test_norm_invariant_enforced():
         PureInternalState.from_components(0.0, 0.0)
 
 
+def test_non_finite_pure_state_is_refused():
+    # a NaN Bloch vector passed both norm checks and sat "on the latitude" of any state
+    nan = float("nan")
+    for make in (
+        lambda: PureInternalState.from_bloch(nan, 0.0, 0.0),
+        lambda: PureInternalState.from_components(nan, 1.0),
+        lambda: PureInternalState(complex(nan, 0.0), 0j),
+        lambda: PureInternalState.from_bloch(float("inf"), 0.0, 0.0),
+    ):
+        with pytest.raises(ValueError):
+            make()
+
+
 def test_gauge_invariance():
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -137,7 +148,7 @@ def test_apply_unitary_composition():
         u = InternalUnitary.haar_random(rng)
         v = InternalUnitary.haar_random(rng)
         xi = PureInternalState.from_bloch(*_random_unit(rng))
-        left = apply_unitary(u.compose(v), xi)
+        left = apply_unitary(InternalUnitary(u.u @ v.u), xi)
         right = apply_unitary(u, apply_unitary(v, xi))
         assert states_equal(left, right, tol=1e-10)
 
@@ -147,35 +158,12 @@ def _random_unit(rng):
     return v / np.linalg.norm(v)
 
 
-def test_apply_unitary_mixed_examples():
-    rho = MixedInternalState(0.3, -0.2, 0.4)
-    assert bloch_equal(apply_unitary_mixed(InternalUnitary.identity(), rho), rho)
-
-    north = MixedInternalState(0, 0, 1)
-    flipped = apply_unitary_mixed(InternalUnitary.pauli_x(), north)
-    assert bloch_equal(flipped, MixedInternalState(0, 0, -1), tol=1e-12)
-
-
-def test_apply_unitary_mixed_norm_preserved_and_matches_conjugation():
-    rng = np.random.default_rng(15)
-    for _ in range(50):
-        u = InternalUnitary.haar_random(rng)
-        r = rng.normal(size=3)
-        r *= rng.uniform(0, 1) / np.linalg.norm(r)
-        rho = MixedInternalState(*r)
-        rotated = apply_unitary_mixed(u, rho)
-        assert rotated.norm == pytest.approx(rho.norm, abs=1e-12)
-        # oracle: conjugate the explicit density matrix and re-extract the vector
-        expected = u.u @ rho.density_matrix() @ u.u.conj().T
-        assert np.allclose(rotated.density_matrix(), expected, atol=1e-12)
-
-
 def test_pure_mixed_bloch_agreement():
     rng = np.random.default_rng(19)
     for _ in range(50):
         state = PureInternalState.from_bloch(*_random_unit(rng))
         mixed = MixedInternalState.from_pure(state)
-        assert mixed.is_pure
+        assert mixed.norm == pytest.approx(1.0, abs=1e-12)
         assert mixed.parallel_radius == pytest.approx(
             math.hypot(state.bloch()[0], state.bloch()[1]), abs=1e-12
         )
@@ -185,17 +173,8 @@ def test_mixed_state_validation():
     with pytest.raises(ValueError):
         MixedInternalState(1.0, 1.0, 0.0)
     ball = MixedInternalState(0.5, 0.1, -0.2)
-    assert not ball.is_pure
-    assert MixedInternalState.maximally_mixed().norm == 0.0
-
-
-def test_density_matrix_round_trip():
-    rho = MixedInternalState(0.2, -0.4, 0.1)
-    again = MixedInternalState.from_density_matrix(rho.density_matrix())
-    assert bloch_equal(rho, again, tol=1e-12)
-    mat = rho.density_matrix()
-    assert np.trace(mat).real == pytest.approx(1.0)
-    assert np.allclose(mat, mat.conj().T)
+    assert ball.norm < 1.0 - 1e-12
+    assert MixedInternalState(0.0, 0.0, 0.0).norm == 0.0
 
 
 def test_unitary_validation():

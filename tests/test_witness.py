@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalnc.causality import MixedState, PureState, pure_causal
+from causalnc.cone import _matrices
 from causalnc.minkowski import SpacetimePoint, max_proper_time
 from causalnc.states import DiracData, MixedInternalState, PureInternalState
 from causalnc.witness import (
     COEFF_ZERO_TOL,
     MATCH_RTOL,
+    WitnessOverflowError,
     WitnessSpec,
-    _witness_matrices,
+    _witness_entries,
     build_mixed_witness,
     build_witness,
     certify_witness_psd,
@@ -145,13 +148,13 @@ def test_certify_rest_frame_closed_forms():
 
 
 def test_certify_matrix_is_psd_by_independent_eigenvalues():
-    # dual route: Newton-identity coefficients against a Hermitian eigensolver
+    # dual route: closed-form coefficients against a Hermitian eigensolver
     moving = _equator_pair(1.0, 2.0, x_span=0.5, z=0.35, theta0=-0.8)
     spec = build_witness(*moving, D_UNIT)
     report = certify_witness_psd(spec, 16)
     assert report.passed
     for sample in report.samples:
-        m = _witness_matrices(spec, np.array([sample.l]))[0]
+        m = _matrices(_witness_entries(spec, np.array([sample.l])))[0]
         eig_min = float(np.linalg.eigvalsh(m)[0])
         assert eig_min >= -1e-9 * max(1.0, float(np.abs(m).max()))
 
@@ -165,9 +168,8 @@ def test_matrix_derivative_entries_consistent_with_schedule():
     lam1, lam2 = (1 + v) / 2, (1 - v) / 2
     rate = math.sqrt(1 - v * v)  # dl/dt at unit gdot0
     for l in (0.1, 0.35, 0.6):
-        m = _witness_matrices(spec, np.array([l]))[0]
-        c_plus = -m[0, 2]
-        c_minus = -m[1, 3]
+        _, _, _, _, u, z, _ = _witness_entries(spec, np.array([l]))
+        c_plus, c_minus = u[0], z[0]  # c_t + c_x and c_t - c_x
         claimed = lam1 * c_plus + lam2 * c_minus
         h = 1e-6
         numeric = (spec.c_field(l + h * rate) - spec.c_field(l - h * rate)) / (2 * h)
@@ -201,7 +203,7 @@ def test_batched_certification_agrees_with_eigenvalues(dtheta, share, v, k1sq, t
     report = certify_witness_psd(spec, n)
     assert report.passed and report.first_failure is None
     assert [sample.s for sample in report.samples] == pytest.approx(np.linspace(0.0, 1.0, n), abs=1e-15)
-    mats = _witness_matrices(spec, np.array([sample.l for sample in report.samples]))
+    mats = _matrices(_witness_entries(spec, np.array([sample.l for sample in report.samples])))
     for sample, m in zip(report.samples, mats):
         eig = np.linalg.eigvalsh(m)
         assert sample.scale == pytest.approx(max(1.0, float(np.abs(m).max())), rel=1e-15)
@@ -237,6 +239,32 @@ def test_certify_tiny_phase_keeps_determinant_finite():
     report = certify_witness_psd(spec, 2)
     assert report.passed
     assert all(math.isfinite(sample.c4) for sample in report.samples)
+
+
+def _one_event_spec(gap):
+    origin = SpacetimePoint(0.0, 0.0)
+    half = math.sqrt(0.5)
+    return WitnessSpec(math.pi / 4, 0.3, origin, origin, half, half, DiracData(0.0, gap), math.pi / 2)
+
+
+def test_certify_at_a_large_representable_gap():
+    report = certify_witness_psd(_one_event_spec(1e13), 8)
+    assert report.passed
+    assert all(sample.c2 == pytest.approx(sample.c2_closed, rel=1e-10) for sample in report.samples)
+
+
+@pytest.mark.parametrize("gap", (1e100, 1e200))
+def test_certify_refuses_coefficients_beyond_the_float_range(gap):
+    # 1e100: c4 = 0 * scale^4 was NaN; 1e200: gap**2 in c2_closed raised OverflowError
+    with pytest.raises(WitnessOverflowError, match=re.escape(f"Dirac gap {gap} is too large")):
+        certify_witness_psd(_one_event_spec(gap), 8)
+
+
+def test_lhs_integration_refuses_a_sum_beyond_the_float_range():
+    # the csc^2 integrand overflowed, and 0 * inf gave a NaN lhs the match test let through
+    message = re.escape("Dirac gap 1e+308 is too large: the integrated lhs")
+    with pytest.raises(WitnessOverflowError, match=message):
+        lhs_by_integration(_one_event_spec(1e308))
 
 
 def test_certify_detects_degenerate_sample_count():
