@@ -20,6 +20,7 @@ from .causality import (
 from .cone import (
     AlgebraElement,
     ConeMatrix,
+    EigenvalueRangeError,
     RegionGrid,
     UnequalDiagonalError,
     cone_matrix_at,

@@ -31,10 +31,18 @@ closed-form characteristic polynomial (_charpoly, which also certifies the
 separating witness of witness.py), certifies a lower bound from each
 estimate with the Schur test, and runs eigvalsh only where the grid
 minimum can lie, where no test decides, and at the first violation.
+
+Every step up to that choice is per node, so both grid paths walk the grid
+in row-major blocks of BLOCK_NODES nodes (_grid_blocks): the fields, the
+entries and every kernel temporary live for one block, small enough to stay
+in cache.  Only per-node verdicts and the entries of the few nodes that may
+need eigvalsh outlive it, and eigvalsh runs on those once, after the walk.
+A grid of at most BLOCK_NODES nodes is one block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -68,10 +76,20 @@ BOUND_GAP = 1e-5
 #: fraction of the node scale (far below BOUND_GAP), or after NEWTON_MAX_STEPS.
 NEWTON_STEP_TOL = 1e-9
 NEWTON_MAX_STEPS = 30
+#: Grid nodes per block of _grid_blocks.  A block's entries and the kernel
+#: temporaries over it take a few MB; of 4,096 to 65,536 nodes this size ran
+#: cone_membership fastest on 101^2 to 401^2 grids.
+BLOCK_NODES = 32_768
+#: Odd multiplier of the row hash in _psd_at_distinct_nodes (2^64 / golden ratio).
+_HASH_MULTIPLIER = np.int64(-7046029254386353131)
 
 
 class UnequalDiagonalError(ValueError):
     """The sufficient membership test needs structurally identical diagonal fields."""
+
+
+class EigenvalueRangeError(ValueError):
+    """A cone matrix with finite entries whose smallest eigenvalue is not a finite float."""
 
 
 @dataclass(frozen=True)
@@ -193,6 +211,11 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float):
         c0, c1 = rdt + 1j * idt, rdx + 1j * idx
         ap, am, bp, bm = adt + adx, adt - adx, bdt + bdx, bdt - bdx
         u, z, w = c0 + c1, c0 - c1, delta * (rv + 1j * iv)
+        coupling = u + z + w
+        total = (ap + am) + (bp + bm) + (coupling.real + coupling.imag)
+    # any inf or NaN entry makes the sum inf or NaN; a sum that only overflows gets the check below
+    if np.isfinite(total).all():
+        return ap, am, bp, bm, u, z, w
     for expr, parts in (
         (el.a, (ap, am)),
         (el.b, (bp, bm)),
@@ -329,6 +352,27 @@ def _grid_entries(el: AlgebraElement, dirac: DiracData, region: RegionGrid):
         ) from err
 
 
+def _grid_blocks(el: AlgebraElement, dirac: DiracData, region: RegionGrid):
+    """Yield (start, entries) for the region's row-major blocks of BLOCK_NODES nodes.
+
+    entries are _cone_entries at the nodes start, start + 1, ... of the
+    block.  A DomainError in any block is re-raised by _grid_entries on the
+    whole grid, so its message and the node it names do not depend on the
+    blocking.  A grid of one block is that call.
+    """
+    t, x = region.mesh()
+    delta, size = dirac.d1 - dirac.d2, BLOCK_NODES
+    if t.size <= size:
+        yield 0, _grid_entries(el, dirac, region)
+        return
+    try:
+        for start in range(0, t.size, size):
+            yield start, _cone_entries(el, t[start : start + size], x[start : start + size], delta)
+    except DomainError:
+        _grid_entries(el, dirac, region)
+        raise
+
+
 def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real * z.real + z.imag * z.imag
 
@@ -342,6 +386,9 @@ def _node_scales(entries) -> np.ndarray:
     ap, am, bp, bm, u, z, w = entries
     scale = np.maximum(np.maximum(np.abs(ap), np.abs(am)), np.maximum(np.abs(bp), np.abs(bm)))
     coupling = np.sqrt(np.maximum(np.maximum(_abs2(u), _abs2(z)), _abs2(w)))
+    over = np.isinf(coupling)  # a square above the float range: take the modulus unsquared
+    if over.any():
+        coupling[over] = np.maximum(np.maximum(np.abs(u), np.abs(z)), np.abs(w))[over]
     return np.maximum(np.maximum(scale, 1.0), coupling)
 
 
@@ -350,7 +397,25 @@ def _schur_terms(entries, shift):
 
     Returns (p, q, s11, s22, band11, band22, prod, s12sq): p, q = Da + shift,
     the diagonal of S with its bands, prod = S11*S22 and s12sq = |S12|^2.
+    Where the terms the tests add up are not finite (products of two
+    entries beyond about 1e154 overflow), the node's terms come from its
+    entries and shift times 2^-k, with 2^k at its largest magnitude.  That
+    scaling is exact, and each test on the terms has the same sign after it.
     """
+    terms = _schur_terms_unscaled(entries, shift)
+    _, _, _, _, band11, band22, prod, s12sq = terms
+    finite = np.isfinite(band11 + band22 + prod + s12sq)
+    if not finite.all():
+        redo = np.flatnonzero(~finite)
+        part, part_shift = _take(entries, redo), shift[redo]
+        factor = np.ldexp(1.0, -np.frexp(np.maximum(_node_scales(part), np.abs(part_shift)))[1])
+        rescaled = _schur_terms_unscaled([v * factor for v in part], part_shift * factor)
+        for term, fixed in zip(terms, rescaled):
+            term[redo] = fixed
+    return terms
+
+
+def _schur_terms_unscaled(entries, shift):
     ap, am, bp, bm, u, z, w = entries  # C = [[-u, -w], [w, -z]], as _matrices builds it
     uu, zz, ww = _abs2(u), _abs2(z), _abs2(w)
     p, q = ap + shift, am + shift
@@ -444,12 +509,14 @@ def _lambda_min_estimates(entries, scale, coupled: np.ndarray) -> tuple[np.ndarr
 
     A node outside the index array coupled (u = z = w = 0) is diagonal: the
     estimate is its smallest diagonal entry, exactly.  A coupled node runs
-    Newton on the characteristic polynomial of the entries less their mean,
-    from _charpoly: its expansion in mu = lam - (ap + am + bp + bm)/4,
-    det(M - lam) = mu^4 + e2 mu^2 - e3 mu + e4, has no cubic term.  The
-    four roots are real, so Newton started at the Gershgorin lower bound
-    rises to the smallest one without overshooting it (up to rounding).  A
-    node converges once a step is at most NEWTON_STEP_TOL*s; a node that
+    Newton on the characteristic polynomial of M/s less its mean, with s
+    the node scale, so that no coefficient overflows (e4 grows as the fourth
+    power of the entries): from _charpoly, its expansion in mu = lam -
+    (ap + am + bp + bm)/(4s), det(M/s - lam) = mu^4 + e2 mu^2 - e3 mu + e4,
+    has no cubic term.  The four roots are real, so Newton started at the
+    Gershgorin lower bound rises to the smallest one without overshooting
+    it (up to rounding); the estimate is s times it.  A node converges
+    once a step is at most NEWTON_STEP_TOL (of M/s); a node that
     does not within NEWTON_MAX_STEPS (linear convergence at a multiple
     root), or whose step is not finite, is reported as not converged.
     """
@@ -459,45 +526,81 @@ def _lambda_min_estimates(entries, scale, coupled: np.ndarray) -> tuple[np.ndarr
     if coupled.size == 0:
         return estimate, converged
     nodes = coupled
-    ap, am, bp, bm, u, z, w = _take(entries, nodes)
+    s = scale[nodes]
+    ap, am, bp, bm, u, z, w = (part / s for part in _take(entries, nodes))
     center = 0.25 * (ap + am + bp + bm)
     ap, am, bp, bm = ap - center, am - center, bp - center, bm - center
     _, c2, e3, c0 = _charpoly((ap, am, bp, bm, u, z, w))
-    c1 = -e3  # det(M - lam) = mu^4 + c2 mu^2 + c1 mu + c0
+    c1 = -e3  # det(M/s - lam) = mu^4 + c2 mu^2 + c1 mu + c0
     au, az, aw = np.abs(u), np.abs(z), np.abs(w)
     # Gershgorin: rows 0 and 2 have off-diagonal |u| + |w|, rows 1 and 3 |z| + |w|
     mu = np.minimum(np.minimum(ap, bp) - au, np.minimum(am, bm) - az) - aw
-    step_tol = NEWTON_STEP_TOL * scale[nodes]
     converged[nodes] = False
     for _ in range(NEWTON_MAX_STEPS):
         mu2 = mu * mu
         step = (((mu2 + c2) * mu + c1) * mu + c0) / ((4.0 * mu2 + 2.0 * c2) * mu + c1)
         finite = np.isfinite(step)
         mu = np.where(finite, mu - step, mu)
-        small = np.abs(step) <= step_tol
+        small = np.abs(step) <= NEWTON_STEP_TOL
         finished = small | ~finite
         if finished.any():
-            estimate[nodes[finished]] = center[finished] + mu[finished]
+            estimate[nodes[finished]] = (center[finished] + mu[finished]) * s[finished]
             converged[nodes[small]] = True
             keep = ~finished
-            nodes, mu, center, step_tol, c2, c1, c0 = (
-                v[keep] for v in (nodes, mu, center, step_tol, c2, c1, c0)
-            )
+            nodes, mu, center, s, c2, c1, c0 = (v[keep] for v in (nodes, mu, center, s, c2, c1, c0))
             if nodes.size == 0:
                 break
-    estimate[nodes] = center + mu
+    estimate[nodes] = (center + mu) * s
     return estimate, converged
 
 
-def _psd_at_distinct_nodes(entries, nodes: np.ndarray, tol: float):
-    """_psd_at_nodes at the given nodes; nodes with identical entries are diagonalised once."""
-    parts = _take(entries, nodes)
-    ap, am, bp, bm, u, z, w = parts
-    keys = np.column_stack((ap, am, bp, bm, u.real, u.imag, z.real, z.imag, w.real, w.imag))
-    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1])))
-    _, first, inverse = np.unique(rows.ravel(), return_index=True, return_inverse=True)
-    min_eigs, passed = _psd_at_nodes(_matrices(_take(parts, first)), tol)
-    return min_eigs[inverse], passed[inverse]
+def _psd_at_distinct_nodes(parts, tol: float):
+    """_psd_at_nodes on the given nodes' entries; nodes with identical entries are diagonalised once.
+
+    The nodes are grouped by a hash of the bits of their entries, and each
+    node is compared bit for bit with its group's first node, whose
+    eigenvalue it then shares.  A node that differs from that one (two
+    distinct rows with one hash) is diagonalised on its own.
+    """
+    n = len(parts[0])
+    # the bits of each entry; a complex entry gives two columns
+    columns = [column for part in parts for column in part.view(np.int64).reshape(n, -1).T]
+    key = np.zeros(n, dtype=np.int64)
+    for column in columns:
+        key = key * _HASH_MULTIPLIER + column  # wraps modulo 2^64
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    rep = first[group]
+    same = np.ones(n, dtype=bool)
+    for column in columns:
+        same &= column == column[rep]
+    lone = np.flatnonzero(~same)
+    index = group
+    index[lone] = len(first) + np.arange(lone.size)
+    min_eigs, passed = _psd_at_nodes(_matrices(_take(parts, np.concatenate((first, lone)))), tol)
+    return min_eigs[index], passed[index]
+
+
+def _block_membership(entries, tol: float):
+    """The per-node part of cone_membership on one block: (estimate, bound, passed, failed)."""
+    scale = _node_scales(entries)
+    u, z, w = entries[4:]
+    coupled = np.flatnonzero((u != 0.0) | (z != 0.0) | (w != 0.0))
+    estimate, converged = _lambda_min_estimates(entries, scale, coupled)
+    bound = estimate - BOUND_GAP * scale
+    # an uncoupled node's estimate is exact, so only coupled bounds need the test
+    bounded = converged
+    if coupled.size:
+        shift = -bound[coupled] - SCHUR_EIG_SLACK * scale[coupled]
+        bounded[coupled] &= _pd_after_shift(_take(entries, coupled), shift)
+    bound[~bounded] = -np.inf
+    passed = bounded & (bound >= -tol * scale)
+    failed = np.zeros_like(passed)
+    open_nodes = np.flatnonzero(~passed)
+    if open_nodes.size:
+        part, part_scale = _take(entries, open_nodes), scale[open_nodes]
+        passed[open_nodes] = _pd_after_shift(part, (tol - SCHUR_EIG_SLACK) * part_scale)
+        failed[open_nodes] = _indefinite_after_shift(part, (tol + SCHUR_EIG_SLACK) * part_scale)
+    return estimate, bound, passed, failed
 
 
 def cone_membership(
@@ -508,7 +611,8 @@ def cone_membership(
     The report equals the one eigvalsh on every node's matrix would give:
     each node's verdict is _psd_at_nodes's, and min_eigenvalue and the
     first violation's eigenvalue are eigvalsh values.  But eigvalsh runs on
-    few nodes.  Working on the seven entries of _cone_entries:
+    few nodes.  Working on the seven entries of _cone_entries, one block of
+    _grid_blocks at a time:
 
     - each node gets an estimate of its smallest eigenvalue from
       _lambda_min_estimates, which gives the lower bound
@@ -517,44 +621,52 @@ def cone_membership(
     - a node passes when L >= -tol*s or when _pd_after_shift clears it at
       shift (tol - SCHUR_EIG_SLACK)*s, and fails when
       _indefinite_after_shift refutes it at (tol + SCHUR_EIG_SLACK)*s; the
-      rest go to eigvalsh;
-    - eigvalsh at the node with the smallest estimate gives an upper bound U
-      on the grid minimum; the minimum lies among the nodes with L <= U,
-      which run eigvalsh too, as does the first certain violation.  Nodes
-      with identical entries are diagonalised once.
+      rest go to eigvalsh (these steps are _block_membership);
+    - eigvalsh at the block's node with the smallest estimate gives an
+      upper bound U on the grid minimum, the least such value so far.  The
+      minimum lies among the nodes with L <= U, so the block keeps the
+      entries of those, of its undecided nodes and of the first certain
+      violation of the grid.
+
+    After the walk, eigvalsh runs once on the kept nodes whose L is at most
+    the final U, the undecided ones and the first certain violation; nodes
+    with identical entries are diagonalised once.
 
     Raises DomainError annotated with the offending node when a field, one
     of its partials, or an entry of the matrix cannot be evaluated to a
-    finite number somewhere on the grid.
+    finite number somewhere on the grid, and EigenvalueRangeError naming
+    the first node of the grid minimum when that minimum is not finite (an
+    eigenvalue below -1.8e308 overflows, although every entry is finite).
     """
-    entries = _grid_entries(el, dirac, region)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scale = _node_scales(entries)
-        u, z, w = entries[4:]
-        coupled = np.flatnonzero((u != 0.0) | (z != 0.0) | (w != 0.0))
-        estimate, converged = _lambda_min_estimates(entries, scale, coupled)
-        bound = estimate - BOUND_GAP * scale
-        # an uncoupled node's estimate is exact, so only coupled bounds need the test
-        bounded = converged
-        if coupled.size:
-            shift = -bound[coupled] - SCHUR_EIG_SLACK * scale[coupled]
-            bounded[coupled] &= _pd_after_shift(_take(entries, coupled), shift)
-        bound[~bounded] = -np.inf
-        passed = bounded & (bound >= -tol * scale)
-        failed = np.zeros_like(passed)
-        open_nodes = np.flatnonzero(~passed)
-        if open_nodes.size:
-            part, part_scale = _take(entries, open_nodes), scale[open_nodes]
-            passed[open_nodes] = _pd_after_shift(part, (tol - SCHUR_EIG_SLACK) * part_scale)
-            failed[open_nodes] = _indefinite_after_shift(part, (tol + SCHUR_EIG_SLACK) * part_scale)
-    upper = _psd_at_nodes(_matrices(_take(entries, [np.argmin(estimate)])), tol)[0][0]
-    undecided = ~(passed | failed)
-    need = undecided | ~(bound > upper)
-    if failed.any():
-        need[np.argmax(failed)] = True
-    nodes = np.flatnonzero(need)
-    min_eigs, node_passed = _psd_at_distinct_nodes(entries, nodes, tol)
-    passed[nodes[undecided[nodes]]] = node_passed[undecided[nodes]]
+    n = region.nt * region.nx
+    passed = np.empty(n, dtype=bool)
+    upper = np.inf  # an eigvalsh smallest eigenvalue, so the grid minimum is at most this
+    first_failed = -1
+    kept = []  # per block: (nodes, bounds, undecided flags, entries) of the nodes eigvalsh may need
+    for start, entries in _grid_blocks(el, dirac, region):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            estimate, bound, block_passed, failed = _block_membership(entries, tol)
+        passed[start : start + len(bound)] = block_passed
+        lowest = _take(entries, [np.argmin(estimate)])
+        upper = np.minimum(upper, _psd_at_nodes(_matrices(lowest), tol)[0][0])
+        undecided = ~(block_passed | failed)
+        need = undecided | ~(bound > upper)
+        if first_failed < 0 and failed.any():
+            first_failed = start + int(np.argmax(failed))
+            need[first_failed - start] = True
+        nodes = np.flatnonzero(need)
+        kept.append((start + nodes, bound[nodes], undecided[nodes], *_take(entries, nodes)))
+    nodes, bound, undecided, *parts = (np.concatenate(column) for column in zip(*kept))
+    need = undecided | ~(bound > upper) | (nodes == first_failed)
+    nodes, undecided, parts = nodes[need], undecided[need], _take(parts, need)
+    min_eigs, node_passed = _psd_at_distinct_nodes(parts, tol)
+    passed[nodes[undecided]] = node_passed[undecided]
+    min_eigenvalue = float(min_eigs.min())
+    if not math.isfinite(min_eigenvalue):
+        node = region.node(int(nodes[np.argmin(min_eigs)]))
+        raise EigenvalueRangeError(
+            f"smallest cone matrix eigenvalue {min_eigenvalue} at grid node (t={node.t}, x={node.x})"
+        )
     n_violations = int((~passed).sum())
     first: Optional[GridViolation] = None
     if n_violations:
@@ -563,8 +675,8 @@ def cone_membership(
     return MembershipReport(
         member_on_grid=n_violations == 0,
         first_violation=first,
-        min_eigenvalue=float(min_eigs.min()),
-        n_nodes=len(passed),
+        min_eigenvalue=min_eigenvalue,
+        n_nodes=n,
         n_violations=n_violations,
     )
 
@@ -580,13 +692,18 @@ def certify_grid_psd(
     4x4 matrices.  The test is one-sided: it never clears a node eigvalsh
     would reject, and a node it does not clear is not thereby a violation.
     Those nodes alone are assembled and get the per-node rule _psd_at_nodes,
-    so True and False both match cone_membership(...).member_on_grid.
-    Raises the same node-annotated DomainError as cone_membership.
+    so True and False both match cone_membership(...).member_on_grid (False
+    where cone_membership raises EigenvalueRangeError).  It walks the same
+    blocks as cone_membership, and after a violation it only evaluates the
+    remaining blocks, so it raises the same node-annotated DomainError.
     """
-    entries = _grid_entries(el, dirac, region)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cleared = _pd_after_shift(entries, (tol - SCHUR_EIG_SLACK) * _node_scales(entries))
-    open_nodes = np.flatnonzero(~cleared)
-    if open_nodes.size == 0:
-        return True
-    return bool(_psd_at_nodes(_matrices(_take(entries, open_nodes)), tol)[1].all())
+    verdict = True
+    for _, entries in _grid_blocks(el, dirac, region):
+        if not verdict:
+            continue
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cleared = _pd_after_shift(entries, (tol - SCHUR_EIG_SLACK) * _node_scales(entries))
+        open_nodes = np.flatnonzero(~cleared)
+        if open_nodes.size:
+            verdict = bool(_psd_at_nodes(_matrices(_take(entries, open_nodes)), tol)[1].all())
+    return verdict

@@ -271,6 +271,22 @@ def test_flags_exist_only_where_they_are_read(capsys):
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
+def test_parser_is_built_once_and_parse_args_leaves_it_as_built(capsys):
+    cli.build_parser.cache_clear()
+    _run(capsys, "check-pure", "--input", json.dumps(PURE_RELATED))
+    _run(capsys, "cone-check", "--input", json.dumps({"element": {"a": "t", "b": "t"}, "dirac": {"d1": 0, "d2": 1}}))
+    with pytest.raises(SystemExit):
+        main(["cone-check", "--seed", "5"])
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().misses == 1
+    shared, fresh = cli.build_parser(), cli.build_parser.__wrapped__()
+    assert shared.format_help() == fresh.format_help()
+    commands = lambda parser: parser._subparsers._group_actions[0].choices
+    assert commands(shared).keys() == commands(fresh).keys()
+    for name, sub in commands(shared).items():
+        assert sub.format_help() == commands(fresh)[name].format_help()
+
+
 def test_bad_env_tolerance_is_input_error(capsys, monkeypatch):
     monkeypatch.setenv("CAUSALNC_TOL", "banana")
     code, _, err = _run(capsys, "selftest", "--quick")
@@ -435,6 +451,53 @@ def test_cli_verdicts_agree_on_edge_inputs(p, offset, gap, d1_above, xi, phi):
     last_theta = float(out.splitlines()[-1].split(",")[3]) if code == 0 else math.nan
     assert (angular_distance(last_theta, target_theta) <= 1e-12) == related
     assert ("causally related" in results["witness"][2]) == related
+
+
+# --- cone-check on edge inputs -----------------------------------------------------
+
+#: numeric atoms: the smallest subnormal, the top decade, and a literal beyond the float range
+EDGE_NUMBERS = ("5e-324", "1e308", "1e999")
+#: sqrt and log at their domain edges, poles, and exponent chains: t^3^3^3 folds to
+#: t^7625597484987, and t^700^700 does not fit in a float
+EDGE_TERMS = (
+    "sqrt(t)", "log(t)", "sqrt(x + 1)", "log(t + 1)", "1/x", "csc(t)", "x^-1",
+    "t^2^2^2^2", "t^3^3^3", "t^700^700",
+)
+#: grids across the edge t = 0, starting on it, a subnormal away from it, and clear of it
+EDGE_GRIDS = ("-1,1,-1,1,3,3", "0,1,-1,1,2,3", "5e-324,1,-1,1,3,2", "-1e-300,1e-300,-1,1,2,2", "1,2,1,2,2,2")
+_DIAGONAL_SOURCES = ("t", "{n}*t", "t + {n}*{f}", "t + {f}", "{f}")
+_COUPLING_SOURCES = ("0", "{n}", "{n}*{f}", "{n}*t + {f}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(EDGE_NUMBERS),
+    st.sampled_from(EDGE_TERMS),
+    st.sampled_from(_DIAGONAL_SOURCES),
+    st.sampled_from(_DIAGONAL_SOURCES),
+    st.sampled_from(_COUPLING_SOURCES),
+    st.sampled_from(EDGE_GRIDS),
+    st.sampled_from((1.0, 1e308)),
+)
+def test_cone_check_on_edge_inputs_exits_cleanly_and_names_the_cause(n, f, a, b, c, grid, gap):
+    element = {"a": a.format(n=n, f=f), "b": b.format(n=n, f=f), "c": {"re": c.format(n=n, f=f), "im": "0"}}
+    payload = json.dumps({"element": element, "dirac": {"d1": 0.0, "d2": gap}})
+    code, out, err = _cli(["cone-check", f"--grid={grid}", "--input", payload])
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+        # a grid node, the failing subexpression, or the element whose sources do not parse
+        assert "at grid node (t=" in err or " in '" in err or err.startswith("error: bad element: ")
+    else:
+        assert _strict_json(out)["member_on_grid"] is (code == 0)
+
+
+def test_cone_check_names_the_node_of_an_eigenvalue_beyond_the_float_range(capsys):
+    # was exit 2 with "result holds a number JSON cannot represent ... -inf", naming nothing
+    payload = {"element": {"a": "t", "b": "t", "c": {"re": "1e308*sqrt(x + 1)", "im": "0"}}, "dirac": {"d1": 0, "d2": 1}}
+    code, out, err = _run(capsys, "cone-check", "--grid=1,2,1,2,2,2", "--input", json.dumps(payload))
+    assert (code, out) == (2, "")
+    assert err == "error: smallest cone matrix eigenvalue -inf at grid node (t=1.0, x=2.0)\n"
 
 
 # --- cone-check against the full eigvalsh reference ------------------------------

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalnc import cone
 from causalnc.cone import (
     PSD_TOL,
     AlgebraElement,
     ConeMatrix,
+    EigenvalueRangeError,
     GridViolation,
     MembershipReport,
     RegionGrid,
@@ -52,6 +54,11 @@ def _reference_membership(
 ) -> MembershipReport:
     """cone_membership by eigvalsh on every node's matrix: the report the structured kernel must equal."""
     min_eigs, passed = _psd_at_nodes(_matrices(_grid_entries(el, dirac, region)), tol)
+    if not np.isfinite(min_eigs.min()):
+        node = region.node(int(np.argmin(min_eigs)))
+        raise EigenvalueRangeError(
+            f"smallest cone matrix eigenvalue {float(min_eigs.min())} at grid node (t={node.t}, x={node.x})"
+        )
     n_violations = int((~passed).sum())
     first = None
     if n_violations:
@@ -530,6 +537,142 @@ def test_cone_membership_diagonalises_under_one_percent_of_a_large_grid(monkeypa
     report = cone_membership(_lemma_element(), D_UNIT, grid)
     assert report.member_on_grid and report.n_nodes == 401 * 401
     assert 0 < sum(rows) < 0.01 * report.n_nodes
+
+
+def _wave_element(k: float) -> AlgebraElement:
+    """a = b = k*t against a Gaussian phase wave of amplitude k/10: a member, every entry of order k."""
+    amp = 0.1 * k
+    wave = "exp(-(t^2 + x^2))"
+    return AlgebraElement.from_sources(
+        f"{k!r}*t", f"{k!r}*t", f"{amp!r}*{wave}*cos(1.3*t)", f"{amp!r}*{wave}*sin(1.3*t)"
+    )
+
+
+@pytest.mark.parametrize("magnitude", (1.0, 1e100, 1e155, 1e300, 5e307))
+def test_cone_kernels_decide_huge_entries_without_eigvalsh(magnitude, monkeypatch):
+    # Newton on unscaled coefficients overflowed above about 1e77 (every node
+    # went to eigvalsh), and the squares in the node scale and in the Schur
+    # test above about 1.34e154; at 5e307 the sum by which _cone_entries
+    # checks the entries for inf and NaN overflows, although every entry is finite
+    el = _wave_element(magnitude)
+    reference = _reference_membership(el, D_UNIT, WIDE_GRID).to_dict()
+    rows = _count_eigvalsh_rows(monkeypatch)
+    assert cone_membership(el, D_UNIT, WIDE_GRID).to_dict() == reference
+    assert sum(rows) <= 2
+    rows.clear()
+    assert certify_grid_psd(el, D_UNIT, WIDE_GRID) is True
+    assert rows == []
+
+
+def test_node_scales_take_the_coupling_modulus_unsquared_only_where_the_square_overflows():
+    real, cplx = np.zeros(2), np.zeros(2, dtype=complex)
+    u = np.array([3e154 + 4e154j, 3.0 + 4.0j])
+    with np.errstate(over="ignore"):
+        scale = _node_scales((real, real, real, real, u, cplx, cplx))
+    assert scale[0] == abs(u[0])  # |u|^2 = 2.5e309 overflows
+    assert scale[1] == math.sqrt(3.0 * 3.0 + 4.0 * 4.0)
+
+
+def test_rows_that_share_a_hash_are_diagonalised_apart(monkeypatch):
+    # a zero multiplier leaves only the last bit column (Im w = 0 here) in the
+    # hash, so all 202 candidate nodes of the x = -3 and x = 3 columns share
+    # one key although those two columns hold different entries
+    monkeypatch.setattr(cone, "_HASH_MULTIPLIER", np.int64(0))
+    el = AlgebraElement.from_sources("t + 0.5*x^2", "t + 0.5*x^2")
+    reference = _reference_membership(el, D_UNIT, WIDE_GRID).to_dict()
+    rows = _count_eigvalsh_rows(monkeypatch)
+    assert cone_membership(el, D_UNIT, WIDE_GRID).to_dict() == reference
+    assert sum(rows) > 100  # one column deduplicated, the other node by node
+
+
+def test_smallest_eigenvalue_beyond_the_float_range_names_its_node():
+    # finite entries up to 1.7e308, but the coupling drives an eigenvalue below -1.8e308;
+    # the report would hold -inf, which JSON cannot carry
+    el = AlgebraElement.from_sources("t", "t", "1e308*sqrt(x + 1)")
+    grid = RegionGrid(1.0, 2.0, 1.0, 2.0, 2, 2)
+    message = "smallest cone matrix eigenvalue -inf at grid node (t=1.0, x=2.0)"
+    for decide in (cone_membership, _reference_membership):
+        with pytest.raises(EigenvalueRangeError) as err:
+            decide(el, D_UNIT, grid)
+        assert str(err.value) == message
+    assert certify_grid_psd(el, D_UNIT, grid) is False
+
+
+# --- blocks of grid nodes ---------------------------------------------------------
+
+
+def _decisions(el, dirac, region, block_nodes):
+    """[cone_membership report, certify_grid_psd verdict] at one block size; an error as its text."""
+    outcome = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cone, "BLOCK_NODES", block_nodes)
+        for decide in (
+            lambda: cone_membership(el, dirac, region).to_dict(),
+            lambda: certify_grid_psd(el, dirac, region),
+        ):
+            try:
+                outcome.append(decide())
+            except (DomainError, EigenvalueRangeError) as err:
+                outcome.append(f"{type(err).__name__}: {err}")
+    return outcome
+
+
+def _reference_decisions(el, dirac, region):
+    try:
+        report = _reference_membership(el, dirac, region)
+    except DomainError as err:
+        return [f"DomainError: {err}"] * 2
+    except EigenvalueRangeError as err:
+        return [f"EigenvalueRangeError: {err}", False]
+    return [report.to_dict(), report.member_on_grid]
+
+
+def _assert_block_size_changes_nothing(el, dirac, region):
+    want = _reference_decisions(el, dirac, region)
+    for block_nodes in (1, 7, 64, region.nt * region.nx):
+        assert _decisions(el, dirac, region, block_nodes) == want, f"{block_nodes} nodes a block"
+
+
+@settings(max_examples=40)
+@given(st.tuples(*[FIELD_TREES] * 4), st.sampled_from((0.0, 4.0, 64.0)))
+def test_block_size_changes_no_outcome_on_random_trees(trees, slope):
+    tilt = lambda tree: BinOp("+", BinOp("*", Num(slope), Var("t")), tree)
+    el = AlgebraElement(tilt(trees[0]), tilt(trees[1]), trees[2], trees[3])
+    _assert_block_size_changes_nothing(el, D_UNIT, PROPERTY_GRID)
+
+
+BLOCK_GRID = RegionGrid(-3.0, 3.0, -3.0, 3.0, 13, 13)
+
+
+@pytest.mark.parametrize(
+    "sources, dirac, grid",
+    (
+        (("t + sqrt((t - 0.5)^2 + (x + 0.3)^2 - 1.0)", "t"), D_UNIT, BLOCK_GRID),
+        (("t", "t + log((t + 0.2)^2 + (x - 0.4)^2 - 0.8)"), D_UNIT, BLOCK_GRID),
+        # the log disc in b comes first in node order, the sqrt disc in a first in the walk
+        (("t + sqrt((t - 1.5)^2 + x^2 - 0.5)", "t + log((t + 1.5)^2 + x^2 - 0.5)"), D_UNIT, BLOCK_GRID),
+        (("t + 0*t^700", "t"), D_UNIT, RegionGrid(0.0, 3.0, -1.0, 1.0, 4, 3)),
+        (("1e308*t + 1e308*x", "x"), D_UNIT, RegionGrid(-0.5, 0.5, -0.5, 0.5, 5, 5)),
+        (("t", "t", "1e308*sqrt(x + 1)"), D_UNIT, RegionGrid(1.0, 2.0, 1.0, 2.0, 3, 3)),
+        (("t", "t - 2.0*exp(-((t - 0.3)^2 + (x + 0.2)^2)/0.5)"), D_UNIT, BLOCK_GRID),
+        (("t + 0.5*x^2", "t + 0.5*x^2", "0.001*x^3"), D_UNIT, BLOCK_GRID),
+        (("2*t + 0.1*t^2", "t", "0.5"), D_UNIT, BLOCK_GRID),
+    ),
+    ids=("sqrt-disc", "log-disc", "two-discs", "overflow-row", "overflow-entry", "eigenvalue-range",
+         "bump", "near-quadruple", "double-root"),
+)
+def test_block_size_changes_no_outcome(sources, dirac, grid):
+    _assert_block_size_changes_nothing(AlgebraElement.from_sources(*sources), dirac, grid)
+
+
+def test_grid_blocks_walk_the_grid_once_in_row_major_order(monkeypatch):
+    monkeypatch.setattr(cone, "BLOCK_NODES", 7)
+    el = AlgebraElement.from_sources("t + x^2", "t", "sin(x)", "t*x")
+    whole = _grid_entries(el, D_UNIT, BLOCK_GRID)
+    blocks = list(cone._grid_blocks(el, D_UNIT, BLOCK_GRID))
+    assert [start for start, _ in blocks] == list(range(0, 169, 7))
+    for part, whole_part in zip(zip(*(entries for _, entries in blocks)), whole):
+        assert np.array_equal(np.concatenate(part), whole_part)
 
 
 def test_criterion_5_stream_certifies_without_lapack(monkeypatch):
