@@ -34,17 +34,14 @@ from .fields import (
     DomainError,
     ParseError,
     eval_grid,
-    eval_values,
     eval_with_derivatives,
     parse,
     to_source,
 )
 from .minkowski import (
-    CausalCurve,
     SpacetimePoint,
     causally_precedes,
     max_proper_time,
-    proper_time,
 )
 from .oracle import (
     Family,

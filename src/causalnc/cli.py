@@ -10,10 +10,9 @@ atomically.  Exit codes are a stable contract:
   2  malformed or unusable input
 
 All verdict objects carry a "schema": "causalnc/1" field.  Angles are
-radians throughout.  Only cone-check and selftest take --tol; there the
-CAUSALNC_TOL environment variable overrides the default PSD tolerance and
-an explicit --tol wins over both.  selftest runs the acceptance battery of
-tests/test_acceptance.py at a reduced scale seeded by --seed.
+radians throughout.  Only cone-check and selftest take --tol, the PSD
+tolerance, which must be a finite number.  selftest runs the acceptance
+battery of tests/test_acceptance.py at a reduced scale seeded by --seed.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -51,6 +51,10 @@ class InputError(ValueError):
     pass
 
 
+#: What reading one JSON entry can raise; OverflowError is an integer beyond the float range.
+_BAD_ENTRY = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def _load_input(raw: Optional[str]) -> dict:
     if raw is None:
         raise InputError("missing --input (a JSON file path or an inline JSON object)")
@@ -74,14 +78,14 @@ def _point(data: dict, key: str) -> SpacetimePoint:
     try:
         t, x = data[key]
         return SpacetimePoint(float(t), float(x))
-    except (KeyError, TypeError, ValueError) as err:
+    except _BAD_ENTRY as err:
         raise InputError(f'bad or missing event "{key}": {err}') from err
 
 
 def _dirac(data: dict) -> DiracData:
     try:
         return DiracData.from_dict(data["dirac"])
-    except (KeyError, TypeError, ValueError) as err:
+    except _BAD_ENTRY as err:
         raise InputError(f'bad or missing "dirac" entry: {err}') from err
 
 
@@ -112,32 +116,33 @@ def _write_json(obj: dict, path: Optional[str]) -> None:
     _write_output(text, path)
 
 
-def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("CAUSALNC_TOL")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as err:
-            raise InputError(f"CAUSALNC_TOL is not a number: {env!r}") from err
-    return PSD_TOL
-
-
-def _pure_internal(data: dict, key: str):
-    """Accept {"xi": [[re,im],[re,im]]}, {"bloch": [x,y,z]} or the bare component list."""
+def _finite_float(text: str) -> float:
+    """The argparse type of --tol: a number that is neither NaN nor infinite."""
     try:
-        entry = data[key]
-        if isinstance(entry, dict):
-            return pure_state_from_dict(entry)
-        return pure_state_from_dict({"xi": entry})
-    except (KeyError, TypeError, ValueError) as err:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _internal(data: dict, key: str, read):
+    """The internal state read from the entry under key; a refusal names the key."""
+    try:
+        return read(data[key])
+    except _BAD_ENTRY as err:
         raise InputError(f'bad or missing state "{key}": {err}') from err
 
 
+def _pure_entry(entry):
+    """Accept {"xi": [[re,im],[re,im]]}, {"bloch": [x,y,z]} or the bare component list."""
+    return pure_state_from_dict(entry if isinstance(entry, dict) else {"xi": entry})
+
+
 def _pure_pair(data: dict) -> tuple[PureState, PureState]:
-    omega = PureState(_point(data, "p"), _pure_internal(data, "xi"))
-    eta = PureState(_point(data, "q"), _pure_internal(data, "phi"))
+    omega = PureState(_point(data, "p"), _internal(data, "xi", _pure_entry))
+    eta = PureState(_point(data, "q"), _internal(data, "phi", _pure_entry))
     return omega, eta
 
 
@@ -151,11 +156,8 @@ def _cmd_check_pure(args) -> int:
 
 def _cmd_check_mixed(args) -> int:
     data = _load_input(args.input)
-    try:
-        omega = MixedState(_point(data, "p"), mixed_state_from_dict(data["rho"]))
-        eta = MixedState(_point(data, "q"), mixed_state_from_dict(data["sigma"]))
-    except (KeyError, TypeError, ValueError) as err:
-        raise InputError(f"bad or missing mixed state: {err}") from err
+    omega = MixedState(_point(data, "p"), _internal(data, "rho", mixed_state_from_dict))
+    eta = MixedState(_point(data, "q"), _internal(data, "sigma", mixed_state_from_dict))
     verdict = mixed_causal(omega, eta, _dirac(data))
     _write_json({"schema": SCHEMA, **verdict.to_dict()}, args.output)
     return EXIT_OK if verdict.related else EXIT_NEGATIVE
@@ -176,7 +178,7 @@ def _grid_from_args(args, data: dict) -> RegionGrid:
     if "grid" in data:
         try:
             return RegionGrid.from_dict(data["grid"])
-        except (KeyError, TypeError, ValueError) as err:
+        except _BAD_ENTRY as err:
             raise InputError(f'bad "grid" entry: {err}') from err
     return RegionGrid(-3.0, 3.0, -3.0, 3.0, 41, 41)
 
@@ -185,9 +187,9 @@ def _cmd_cone_check(args) -> int:
     data = _load_input(args.input)
     try:
         element = AlgebraElement.from_dict(data["element"] if "element" in data else data)
-    except (KeyError, TypeError, ValueError) as err:
+    except _BAD_ENTRY as err:
         raise InputError(f"bad element: {err}") from err
-    report = cone_membership(element, _dirac(data), _grid_from_args(args, data), _resolve_tol(args))
+    report = cone_membership(element, _dirac(data), _grid_from_args(args, data), args.tol)
     _write_json({"schema": SCHEMA, **report.to_dict()}, args.output)
     return EXIT_OK if report.member_on_grid else EXIT_NEGATIVE
 
@@ -206,7 +208,9 @@ def _cmd_witness(args) -> int:
 def _cmd_plan_path(args) -> int:
     data = _load_input(args.input)
     omega, eta = _pure_pair(data)
-    n = int(data.get("n", 64))
+    n = data.get("n", 64)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InputError(f'"n" must be an integer of at least 1, got {n!r}')
     try:
         samples = plan_causal_path(omega, eta, _dirac(data), n)
     except ValueError as err:
@@ -224,7 +228,7 @@ def _cmd_plan_path(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    summary = run_selftest(seed=args.seed, quick=args.quick, tol=_resolve_tol(args))
+    summary = run_selftest(seed=args.seed, quick=args.quick, tol=args.tol)
     _write_json(summary, args.output)
     return EXIT_OK if summary["passed"] else EXIT_NEGATIVE
 
@@ -257,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cone-check", help="grid membership test for an algebra element")
     common(p)
-    p.add_argument("--tol", type=float, help=f"PSD tolerance (default {PSD_TOL})")
+    p.add_argument("--tol", type=_finite_float, default=PSD_TOL, help=f"PSD tolerance (default {PSD_TOL})")
     p.add_argument(
         "--grid",
         help='"tmin,tmax,xmin,xmax,nt,nx" overriding the input grid; '
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance battery at reduced scale")
     common(p, needs_input=False)
-    p.add_argument("--tol", type=float, help=f"PSD tolerance (default {PSD_TOL})")
+    p.add_argument("--tol", type=_finite_float, default=PSD_TOL, help=f"PSD tolerance (default {PSD_TOL})")
     p.add_argument("--seed", type=int, default=0, help="seed of the reduced-scale sampling")
     p.add_argument("--quick", action="store_true", help="fast subset of the checks")
     p.set_defaults(fn=_cmd_selftest)

@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import DomainError, FieldExpr, eval_grid, parse, to_source
+from .fields import DomainError, FieldExpr, ParseError, eval_grid, parse, to_source
 from .minkowski import SpacetimePoint
 from .states import DiracData
 
@@ -114,8 +114,16 @@ class AlgebraElement:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AlgebraElement":
+        """Parse {"a", "b", "c": {"re", "im"}}; a ParseError names its key (a, b, c.re or c.im)."""
         c = data.get("c", {"re": "0", "im": "0"})
-        return cls.from_sources(str(data["a"]), str(data["b"]), str(c["re"]), str(c["im"]))
+        trees = []
+        for key, src in (("a", data["a"]), ("b", data["b"]), ("c.re", c["re"]), ("c.im", c["im"])):
+            try:
+                trees.append(parse(str(src)))
+            except ParseError as err:
+                err.args = (f"{key}: {err}",)
+                raise
+        return cls(*trees)
 
 
 @dataclass(frozen=True)
@@ -152,26 +160,37 @@ class RegionGrid:
     )
 
     def __post_init__(self) -> None:
+        spans = (self.t_max - self.t_min, self.x_max - self.x_min)
+        if not all(map(math.isfinite, (self.t_min, self.t_max, self.x_min, self.x_max, *spans))):
+            raise ValueError(
+                f"grid bounds and their spans must be finite, got t in [{self.t_min}, {self.t_max}]"
+                f" and x in [{self.x_min}, {self.x_max}]"
+            )
         if not (self.t_min < self.t_max and self.x_min < self.x_max):
             raise ValueError("grid bounds must be ordered")
         if self.nt < 2 or self.nx < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened node coordinates, t-major then x; built once per grid, read-only."""
+        """Flattened node coordinates, t-major then x; built once per grid, read-only.
+
+        Raises ValueError naming nt x nx when the mesh cannot be allocated.
+        """
         if self._mesh is None:
-            t = np.linspace(self.t_min, self.t_max, self.nt)
-            x = np.linspace(self.x_min, self.x_max, self.nx)
-            tt, xx = np.meshgrid(t, x, indexing="ij")
+            try:
+                t = np.linspace(self.t_min, self.t_max, self.nt)
+                x = np.linspace(self.x_min, self.x_max, self.nx)
+                tt, xx = np.meshgrid(t, x, indexing="ij")
+            except (MemoryError, ValueError) as err:  # numpy refuses a size beyond its index range
+                raise ValueError(f"a grid of {self.nt} x {self.nx} nodes does not fit in memory") from err
             tt.flags.writeable = xx.flags.writeable = False
             object.__setattr__(self, "_mesh", (tt.ravel(), xx.ravel()))
         return self._mesh
 
     def node(self, flat_index: int) -> SpacetimePoint:
-        i, j = divmod(flat_index, self.nx)
-        t = self.t_min + (self.t_max - self.t_min) * i / (self.nt - 1)
-        x = self.x_min + (self.x_max - self.x_min) * j / (self.nx - 1)
-        return SpacetimePoint(t, x)
+        """The event at a flat node index: the mesh coordinates, so the one the grid paths evaluate."""
+        t, x = self.mesh()
+        return SpacetimePoint(float(t[flat_index]), float(x[flat_index]))
 
     def to_dict(self) -> dict:
         return {
@@ -638,7 +657,7 @@ def cone_membership(
     the first node of the grid minimum when that minimum is not finite (an
     eigenvalue below -1.8e308 overflows, although every entry is finite).
     """
-    n = region.nt * region.nx
+    n = region.mesh()[0].size  # the mesh first: it refuses a grid too large to allocate
     passed = np.empty(n, dtype=bool)
     upper = np.inf  # an eigvalsh smallest eigenvalue, so the grid minimum is at most this
     first_failed = -1

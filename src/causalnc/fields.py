@@ -430,9 +430,3 @@ def eval_grid(e: FieldExpr, t: np.ndarray, x: np.ndarray):
     """
     jet, shape = _jet(e, t, x)
     return tuple(np.broadcast_to(np.asarray(part, dtype=float), shape) for part in jet)
-
-
-def eval_values(e: FieldExpr, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Vectorised values over coordinate arrays: the value part of eval_grid, read-only."""
-    jet, shape = _jet(e, t, x)
-    return np.broadcast_to(np.asarray(jet[0], dtype=float), shape)

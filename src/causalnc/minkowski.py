@@ -2,11 +2,9 @@
 
 Events, the classical causal order and proper time.  max_proper_time is
 the proper time of the straight worldline between two events, the one the
-witness certificates are built on; the piecewise-linear CausalCurve and its
-proper_time are the reference that shows it is the supremum over causal
-worldlines.  Metric signature is (-,+), so the interval between nearby
-events is ``dt**2 - dx**2`` and an event q is in the causal future of p
-exactly when ``q.t - p.t >= |q.x - p.x|``.
+witness certificates are built on.  Metric signature is (-,+), so the
+interval between nearby events is ``dt**2 - dx**2`` and an event q is in
+the causal future of p exactly when ``q.t - p.t >= |q.x - p.x|``.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-#: Absolute tolerance for event equality and lightlike-segment acceptance.
+#: Absolute tolerance for event equality.
 COORD_TOL = 1e-12
 #: Smallest normal float: below it dt*dt has lost precision to underflow.
 _SQUARE_MIN = sys.float_info.min
@@ -40,63 +38,14 @@ class SpacetimePoint:
         return abs(self.t - other.t) <= tol and abs(self.x - other.x) <= tol
 
 
-@dataclass(frozen=True)
-class CausalCurve:
-    """Piecewise-linear future-directed causal worldline.
-
-    ``samples`` is a sequence of (parameter, event) pairs with strictly
-    increasing parameters.  Every segment must be future-directed causal:
-    dt > 0 and dt >= |dx|, where lightlike segments entered at floating-point
-    precision are accepted with a slack of ``1e-12 * max(1, dt)``.
-    A single-sample curve (a point) is allowed and has zero length.
-    """
-
-    samples: tuple[tuple[float, SpacetimePoint], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.samples) < 1:
-            raise ValueError("a curve needs at least one sample")
-        for i in range(len(self.samples) - 1):
-            s0, p0 = self.samples[i]
-            s1, p1 = self.samples[i + 1]
-            if not s1 > s0:
-                raise ValueError(f"curve parameters must be strictly increasing (segment {i})")
-            dt = p1.t - p0.t
-            dx = p1.x - p0.x
-            if dt <= 0.0:
-                raise ValueError(f"segment {i} is not future-directed (dt={dt})")
-            if dt < abs(dx) - COORD_TOL * max(1.0, abs(dt)):
-                raise ValueError(f"segment {i} is spacelike (dt={dt}, dx={dx})")
-
-    @classmethod
-    def from_points(cls, points: list[SpacetimePoint]) -> "CausalCurve":
-        """Build a curve from events, parametrised by sample index."""
-        return cls(tuple((float(i), p) for i, p in enumerate(points)))
-
-
 def causally_precedes(p: SpacetimePoint, q: SpacetimePoint) -> bool:
     """Classical causal order: q lies in the closed future light cone of p."""
     dt = q.t - p.t
     return dt >= 0.0 and dt >= abs(q.x - p.x)
 
 
-def proper_time(curve: CausalCurve) -> float:
-    """Lorentzian length of a causal polyline: sum of sqrt(dt^2 - dx^2) per segment.
-
-    Exact for piecewise-linear curves; lightlike segments contribute zero.
-    """
-    total = 0.0
-    for i in range(len(curve.samples) - 1):
-        _, p0 = curve.samples[i]
-        _, p1 = curve.samples[i + 1]
-        dt = p1.t - p0.t
-        dx = p1.x - p0.x
-        total += math.sqrt(max(dt * dt - dx * dx, 0.0))
-    return total
-
-
 def max_proper_time(p: SpacetimePoint, q: SpacetimePoint) -> float:
-    """Supremum of proper_time over causal curves from p to q.
+    """Supremum of the proper time over causal curves from p to q.
 
     In flat 2D Minkowski space the straight timelike segment maximises proper
     time (reverse triangle inequality), so this is sqrt(dt^2 - dx^2).  Where

@@ -23,8 +23,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .causality import PureState, pure_causal
-from .cone import AlgebraElement, RegionGrid, certify_grid_psd
-from .fields import BinOp, Call, FieldExpr, Neg, Num, Pow, Var, eval_values
+from .cone import PSD_TOL, AlgebraElement, RegionGrid, certify_grid_psd
+from .fields import BinOp, Call, FieldExpr, Neg, Num, Pow, Var, eval_grid
 from .states import DiracData
 from .witness import EndpointElement
 
@@ -36,7 +36,6 @@ DEFAULT_REGION = RegionGrid(-3.0, 3.0, -3.0, 3.0, 41, 41)
 DIAG_COEFF_RANGE = (0.05, 1.5)
 LEMMA_AMP_RANGE = (0.02, 0.3)
 LEMMA_FREQ_RANGE = (0.2, 2.0)
-CONST_RANGE = (-2.0, 2.0)
 
 
 class Family(str, Enum):
@@ -44,7 +43,6 @@ class Family(str, Enum):
 
     DIAGONAL_CAUSAL = "DIAGONAL_CAUSAL"  # diag of two causal functions
     LEMMA_B = "LEMMA_B"  # equal diagonal dominating a bounded off-diagonal
-    CONSTANT_DEGENERATE = "CONSTANT_DEGENERATE"  # constants, degenerate Dirac only
 
 
 @dataclass(frozen=True)
@@ -53,26 +51,18 @@ class SamplerConfig:
 
     seed: int
     n_elements: int
-    families: tuple[Family, ...] = (Family.DIAGONAL_CAUSAL, Family.LEMMA_B)
-    psd_tol: float = 1e-9
+    psd_tol: float = PSD_TOL
 
     def __post_init__(self) -> None:
         if self.n_elements < 1:
             raise ValueError("n_elements must be at least 1")
-        if not self.families:
-            raise ValueError("need at least one family")
 
 
 # The families below build their trees directly, in the shape parse() gives
 # the repr-formatted sources in the comments: parse(to_source(tree)) == tree.
+# Every drawn number is a positive Python float, so each literal is one Num.
 
 _T, _X = Var("t"), Var("x")
-
-
-def _num(value: float) -> FieldExpr:
-    """The literal parse(repr(value)) builds: a negative number is a negated Num."""
-    value = float(value)
-    return Neg(Num(-value)) if math.copysign(1.0, value) < 0.0 else Num(value)
 
 
 def _times(*factors: FieldExpr) -> FieldExpr:
@@ -86,12 +76,12 @@ def _plus(*terms: FieldExpr) -> FieldExpr:
 def _diagonal_causal(rng: np.random.Generator) -> AlgebraElement:
     def causal_field() -> FieldExpr:
         # alpha*t + beta*tanh(t + x) + gamma*tanh(t - x)
-        beta, gamma, extra = rng.uniform(*DIAG_COEFF_RANGE, size=3)
+        beta, gamma, extra = rng.uniform(*DIAG_COEFF_RANGE, size=3).tolist()
         alpha = beta + gamma + extra  # slope alpha >= beta + gamma keeps d/dt dominant
         return _plus(
-            _times(_num(alpha), _T),
-            _times(_num(beta), Call("tanh", BinOp("+", _T, _X))),
-            _times(_num(gamma), Call("tanh", BinOp("-", _T, _X))),
+            _times(Num(alpha), _T),
+            _times(Num(beta), Call("tanh", BinOp("+", _T, _X))),
+            _times(Num(gamma), Call("tanh", BinOp("-", _T, _X))),
         )
 
     return AlgebraElement(causal_field(), causal_field(), Num(0.0), Num(0.0))
@@ -103,44 +93,30 @@ def _lemma_bounded(rng: np.random.Generator, dirac: DiracData) -> AlgebraElement
     phase = rng.uniform(0.0, 2.0 * math.pi)
     # sup over the plane of |c_t| + |c_x| + gap |c| for the Gaussian wave below
     # is bounded by amp * (2 sqrt(2/e) + freq + gap); 5% headroom on top.
-    bound = amp * (2.0 * math.sqrt(2.0 / math.e) + freq + dirac.gap)
+    bound = amp * (2.0 * math.sqrt(2.0 / math.e) + freq + float(dirac.gap))
     slope = 1.05 * bound
     # diagonal slope*t; off-diagonal amp*exp(-(t^2 + x^2))*cos(freq*t + phase) and sin
-    diag = _times(_num(slope), _T)
+    diag = _times(Num(slope), _T)
     envelope = Call("exp", Neg(BinOp("+", Pow(_T, 2), Pow(_X, 2))))
-    wave = _plus(_times(_num(freq), _T), _num(phase))
+    wave = _plus(_times(Num(freq), _T), Num(phase))
     return AlgebraElement(
         diag,
         diag,
-        _times(_num(amp), envelope, Call("cos", wave)),
-        _times(_num(amp), envelope, Call("sin", wave)),
+        _times(Num(amp), envelope, Call("cos", wave)),
+        _times(Num(amp), envelope, Call("sin", wave)),
     )
-
-
-def _constant(rng: np.random.Generator) -> AlgebraElement:
-    a, b, c_re, c_im = rng.uniform(*CONST_RANGE, size=4)
-    return AlgebraElement(_num(a), _num(b), _num(c_re), _num(c_im))
 
 
 def sample_causal_element(cfg: SamplerConfig, k: int, dirac: DiracData) -> AlgebraElement:
     """Deterministic k-th causal element of the stream; certified on DEFAULT_REGION.
 
-    Raises ValueError when the scheduled family is invalid for the Dirac data
-    and RuntimeError if grid certification fails (which would be a generator
-    bug, not a sampling accident).
+    The families alternate, DIAGONAL_CAUSAL at even k and LEMMA_B at odd k.
+    Raises RuntimeError if grid certification fails (which would be a
+    generator bug, not a sampling accident).
     """
-    family = cfg.families[k % len(cfg.families)]
+    family = (Family.DIAGONAL_CAUSAL, Family.LEMMA_B)[k % 2]
     rng = np.random.default_rng([cfg.seed, k])
-    if family is Family.CONSTANT_DEGENERATE:
-        if not dirac.degenerate:
-            raise ValueError("CONSTANT_DEGENERATE elements need a degenerate Dirac gap")
-        el = _constant(rng)
-    elif family is Family.DIAGONAL_CAUSAL:
-        el = _diagonal_causal(rng)
-    elif family is Family.LEMMA_B:
-        el = _lemma_bounded(rng, dirac)
-    else:
-        raise ValueError(f"unknown family {family}")
+    el = _diagonal_causal(rng) if family is Family.DIAGONAL_CAUSAL else _lemma_bounded(rng, dirac)
     if not certify_grid_psd(el, dirac, DEFAULT_REGION, cfg.psd_tol):
         raise RuntimeError(f"generated element failed grid certification (family {family.value})")
     return el
@@ -155,10 +131,8 @@ SampledElement = Union[AlgebraElement, EndpointElement]
 
 def _element_values(el: SampledElement, t: np.ndarray, x: np.ndarray):
     if isinstance(el, AlgebraElement):
-        a = eval_values(el.a, t, x)
-        b = eval_values(el.b, t, x)
-        c = eval_values(el.c_re, t, x) + 1j * eval_values(el.c_im, t, x)
-        return a, b, c
+        a, b, c_re, c_im = (eval_grid(f, t, x)[0] for f in (el.a, el.b, el.c_re, el.c_im))
+        return a, b, c_re + 1j * c_im
     return el.values_at(t, x)
 
 
@@ -209,13 +183,12 @@ def cross_validate_pure(
     dirac: DiracData,
     cfg: Optional[SamplerConfig] = None,
     elements: Optional[Sequence[SampledElement]] = None,
-    tol: float = PAIR_TOL,
 ) -> CrossValidationReport:
     """Check every pair against every sampled element.
 
     The pairing of a state with an element [[a, -c], [-c*, b]] at its event
     is |xi1|^2 a + |xi2|^2 b - 2 Re(conj(xi1) xi2 c); an element separates a
-    pair when the start value exceeds the end value by more than tol.
+    pair when the start value exceeds the end value by more than PAIR_TOL.
     Explicit elements (e.g. a witness endpoint element) take precedence over
     sampling from cfg; an empty element list yields a vacuous INCONCLUSIVE
     report.
@@ -247,7 +220,7 @@ def cross_validate_pure(
         values = w1 * av + w2 * bv - 2.0 * (cross * cv).real
         margins = values[0::2] - values[1::2]  # omega(a) - eta(a)
         worst = np.maximum(worst, margins)
-        violations += margins > tol
+        violations += margins > PAIR_TOL
 
     checks = []
     sound = True

@@ -3,9 +3,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +170,7 @@ def test_cone_check_huge_exponent_is_input_error(capsys):
     payload = {"element": {"a": "t^700^700", "b": "t"}, "dirac": {"d1": 0, "d2": 1}}
     code, _, err = _run(capsys, "cone-check", "--input", json.dumps(payload))
     assert code == 2
-    assert "exponent too large for a float power" in err
+    assert err.startswith("error: bad element: a: exponent too large for a float power at offset 2")
     # folding 9^(9^9) would build a 150 MB integer: run it in a child with a deadline
     payload["element"]["a"] = "t^9^9^9"
     done = subprocess.run(
@@ -179,7 +181,49 @@ def test_cone_check_huge_exponent_is_input_error(capsys):
         timeout=60,
     )
     assert done.returncode == 2
-    assert "exponent too large for a float power" in done.stderr
+    assert done.stderr.startswith("error: bad element: a: exponent too large for a float power")
+
+
+@pytest.mark.parametrize("grid", ("-3,inf,-3,3,5,5", "-3,3,nan,3,5,5", "-1e308,1e308,-3,3,5,5"))
+def test_cone_check_refuses_non_finite_grid_bounds_and_spans(capsys, grid):
+    # printed numpy RuntimeWarnings, then refused the NaN node of an unnamed grid
+    payload = json.dumps({"element": {"a": "t", "b": "t"}, "dirac": {"d1": 0, "d2": 1}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "cone-check", f"--grid={grid}", "--input", payload)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad --grid: grid bounds and their spans must be finite, got t in [")
+
+
+def test_cone_check_names_a_grid_too_large_to_allocate(capsys, monkeypatch):
+    # was a MemoryError traceback; the allocation is made to fail, so no grid is allocated here
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    payload = json.dumps({"element": {"a": "t", "b": "t"}, "dirac": {"d1": 0, "d2": 1}})
+    code, out, err = _run(capsys, "cone-check", "--grid=-3,3,-3,3,2,1000000000", "--input", payload)
+    assert (code, out, err) == (2, "", "error: a grid of 2 x 1000000000 nodes does not fit in memory\n")
+
+
+_HUGE = 10**400  # a JSON integer beyond the float range
+_GRID_AT_HUGE = {"t_min": -_HUGE, "t_max": 1, "x_min": -1, "x_max": 1, "nt": 3, "nx": 3}
+
+
+@pytest.mark.parametrize(
+    "command, key, payload",
+    (
+        ("check-pure", '"p"', dict(PURE_RELATED, p=[_HUGE, 0])),
+        ("check-mixed", '"sigma"', dict(PURE_RELATED, rho={"bloch": [0, 0, 0]}, sigma={"bloch": [_HUGE, 0, 0]})),
+        ("witness", '"dirac"', dict(PURE_SHORT, dirac={"d1": _HUGE, "d2": 0})),
+        ("cone-check", '"grid"', {"element": {"a": "t", "b": "t"}, "dirac": {"d1": 0, "d2": 1}, "grid": _GRID_AT_HUGE}),
+    ),
+)
+def test_integer_beyond_the_float_range_is_input_error(capsys, command, key, payload):
+    # was an OverflowError traceback from float() of the JSON integer
+    code, out, err = _run(capsys, command, "--input", json.dumps(payload))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and key in err
 
 
 def test_cone_check_grid_from_input(capsys):
@@ -230,6 +274,15 @@ def test_plan_path_constant_angle(capsys):
     assert thetas == {"0.0"}
 
 
+@pytest.mark.parametrize("n", ("Infinity", "NaN", "1.5", "true", '"abc"', "0", "-3", "null"))
+def test_plan_path_n_must_be_a_positive_json_integer(capsys, n):
+    # Infinity was an OverflowError traceback, 1.5 and true ran as 1, "abc" and NaN did not name n
+    payload = json.dumps(PURE_RELATED)[:-1] + f', "n": {n}}}'
+    code, out, err = _run(capsys, "plan-path", "--input", payload)
+    assert (code, out) == (2, "")
+    assert err.startswith('error: "n" must be an integer of at least 1, got ')
+
+
 def test_plan_path_unrelated_is_input_error(capsys):
     code, _, err = _run(capsys, "plan-path", "--input", json.dumps(PURE_SHORT))
     assert code == 2
@@ -247,19 +300,23 @@ def test_selftest_quick(capsys):
     assert all(set(c) == {"name", "passed", "detail"} for c in data["checks"])
 
 
-def test_selftest_env_tolerance_override(capsys, monkeypatch):
-    monkeypatch.setenv("CAUSALNC_TOL", "-1")
-    code, out, _ = _run(capsys, "selftest", "--quick")
+def test_selftest_negative_tol_fails_the_oracle_check(capsys):
+    code, out, _ = _run(capsys, "selftest", "--quick", "--tol", "-1")
     assert code == 1
     data = json.loads(out)
     failed = [c["name"] for c in data["checks"] if not c["passed"]]
     assert "oracle_never_separate" in failed
 
 
-def test_explicit_tol_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("CAUSALNC_TOL", "-1")
-    code, out, _ = _run(capsys, "selftest", "--quick", "--tol", "1e-9")
-    assert code == 0
+@pytest.mark.parametrize("command", ("cone-check", "selftest"))
+@pytest.mark.parametrize("tol", ("nan", "inf", "-inf", "banana"))
+def test_tol_must_be_a_finite_number(capsys, command, tol):
+    # --tol nan once reported every node of a = b = t as a violation, --tol inf passed everything
+    payload = json.dumps({"element": {"a": "t", "b": "t"}, "dirac": {"d1": 0, "d2": 1}})
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, f"--tol={tol}", "--input", payload])
+    assert exit_info.value.code == 2
+    assert f"argument --tol: must be a finite number, got '{tol}'" in capsys.readouterr().err
 
 
 def test_flags_exist_only_where_they_are_read(capsys):
@@ -285,12 +342,6 @@ def test_parser_is_built_once_and_parse_args_leaves_it_as_built(capsys):
     assert commands(shared).keys() == commands(fresh).keys()
     for name, sub in commands(shared).items():
         assert sub.format_help() == commands(fresh)[name].format_help()
-
-
-def test_bad_env_tolerance_is_input_error(capsys, monkeypatch):
-    monkeypatch.setenv("CAUSALNC_TOL", "banana")
-    code, _, err = _run(capsys, "selftest", "--quick")
-    assert code == 2
 
 
 # --- event separations and Dirac gaps beyond the float range -------------------
@@ -411,6 +462,31 @@ EDGE_GAPS = (0.0, 2e-15, 1.0, 1e13, 1e200)
 EDGE_BLOCH = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1), (0.6, 0, 0.8), (-0.6, 0, 0.8))
 
 
+#: JSON's non-finite numbers as json.loads reads them; 1e999 is a literal beyond the float range
+JSON_NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e999")
+_COMMANDS = ("check-pure", "check-mixed", "plan-path", "witness")
+#: where a non-finite atom goes in the shared payload, and the subcommands that read it there
+EDGE_SLOTS = {
+    ("p", 0): _COMMANDS,
+    ("q", 1): _COMMANDS,
+    ("xi", "bloch", 0): ("check-pure", "plan-path", "witness"),
+    ("sigma", "bloch", 2): ("check-mixed",),
+    ("dirac", "d1"): _COMMANDS,
+    ("n",): ("plan-path",),
+}
+_ATOM = "@atom@"
+
+
+def _with_atom(payload: dict, slot: tuple, atom: str) -> str:
+    """payload as JSON text, with the literal atom as the entry at slot."""
+    payload = json.loads(json.dumps(payload))
+    entry = payload
+    for key in slot[:-1]:
+        entry = entry[key]
+    entry[slot[-1]] = _ATOM
+    return json.dumps(payload).replace(json.dumps(_ATOM), atom)
+
+
 def _cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -418,7 +494,7 @@ def _cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(((0.0, 0.0), (0.5, -0.25))),
     st.sampled_from(EDGE_OFFSETS),
@@ -426,22 +502,26 @@ def _cli(argv):
     st.booleans(),
     st.sampled_from(EDGE_BLOCH),
     st.sampled_from(EDGE_BLOCH),
+    st.none() | st.tuples(st.sampled_from(list(EDGE_SLOTS)), st.sampled_from(JSON_NON_FINITE)),
 )
-def test_cli_verdicts_agree_on_edge_inputs(p, offset, gap, d1_above, xi, phi):
-    events = {"p": list(p), "q": [p[0] + offset[0], p[1] + offset[1]]}
-    events["dirac"] = {"d1": gap, "d2": 0.0} if d1_above else {"d1": 0.0, "d2": gap}
-    pure = json.dumps({**events, "xi": {"bloch": xi}, "phi": {"bloch": phi}})
-    mixed = json.dumps({**events, "rho": {"bloch": xi}, "sigma": {"bloch": phi}})
-    results = {
-        command: _cli([command, "--input", mixed if command == "check-mixed" else pure])
-        for command in ("check-pure", "check-mixed", "plan-path", "witness")
-    }
+def test_cli_verdicts_agree_on_edge_inputs(p, offset, gap, d1_above, xi, phi, atom):
+    payload = {"p": list(p), "q": [p[0] + offset[0], p[1] + offset[1]]}
+    payload["dirac"] = {"d1": gap, "d2": 0.0} if d1_above else {"d1": 0.0, "d2": gap}
+    payload.update({"xi": {"bloch": xi}, "phi": {"bloch": phi}, "rho": {"bloch": xi}, "sigma": {"bloch": phi}})
+    text = json.dumps(payload) if atom is None else _with_atom(payload, *atom)
+    results = {command: _cli([command, "--input", text]) for command in _COMMANDS}
     for command, (code, out, err) in results.items():
         assert code in (0, 1, 2) and "Traceback" not in err
         if code == 2:
             assert out == "" and err.startswith("error: ")
         elif command != "plan-path":
             _strict_json(out)
+    if atom is not None:
+        slot, _ = atom
+        for command in EDGE_SLOTS[slot]:
+            code, _, err = results[command]
+            assert code == 2 and f'"{slot[0]}"' in err, (command, err)
+        return
     related = _strict_json(results["check-pure"][1])["related"]
     # unit Bloch vectors are pure states, so check-mixed must agree
     assert _strict_json(results["check-mixed"][1])["related"] == related
@@ -469,7 +549,12 @@ _DIAGONAL_SOURCES = ("t", "{n}*t", "t + {n}*{f}", "t + {f}", "{f}")
 _COUPLING_SOURCES = ("0", "{n}", "{n}*{f}", "{n}*t + {f}")
 
 
-@settings(max_examples=100, deadline=None)
+#: where a non-finite atom goes in a cone-check payload; a grid slot sends the grid as JSON, not --grid
+CONE_SLOTS = (("dirac", "d2"), ("grid", "t_min"), ("grid", "x_max"), ("grid", "nt"), ("element", "a"))
+_GRID_KEYS = ("t_min", "t_max", "x_min", "x_max", "nt", "nx")
+
+
+@settings(max_examples=160, deadline=None)
 @given(
     st.sampled_from(EDGE_NUMBERS),
     st.sampled_from(EDGE_TERMS),
@@ -478,16 +563,26 @@ _COUPLING_SOURCES = ("0", "{n}", "{n}*{f}", "{n}*t + {f}")
     st.sampled_from(_COUPLING_SOURCES),
     st.sampled_from(EDGE_GRIDS),
     st.sampled_from((1.0, 1e308)),
+    st.none() | st.tuples(st.sampled_from(CONE_SLOTS), st.sampled_from(JSON_NON_FINITE)),
 )
-def test_cone_check_on_edge_inputs_exits_cleanly_and_names_the_cause(n, f, a, b, c, grid, gap):
+def test_cone_check_on_edge_inputs_exits_cleanly_and_names_the_cause(n, f, a, b, c, grid, gap, atom):
     element = {"a": a.format(n=n, f=f), "b": b.format(n=n, f=f), "c": {"re": c.format(n=n, f=f), "im": "0"}}
-    payload = json.dumps({"element": element, "dirac": {"d1": 0.0, "d2": gap}})
-    code, out, err = _cli(["cone-check", f"--grid={grid}", "--input", payload])
+    parts = grid.split(",")
+    bounds = [*map(float, parts[:4]), *map(int, parts[4:])]
+    payload = {"element": element, "dirac": {"d1": 0.0, "d2": gap}, "grid": dict(zip(_GRID_KEYS, bounds))}
+    text = json.dumps(payload) if atom is None else _with_atom(payload, *atom)
+    on_grid = atom is not None and atom[0][0] == "grid"
+    code, out, err = _cli(["cone-check", *([] if on_grid else [f"--grid={grid}"]), "--input", text])
     assert code in (0, 1, 2) and "Traceback" not in err
+    element_key = re.match(r"error: bad element: (a|b|c\.re|c\.im): ", err)
+    if atom is not None:
+        # the element is read first: sources that do not parse are refused before the atom
+        named = {"dirac": '"dirac" entry', "grid": '"grid" entry', "element": "bad element: a: "}[atom[0][0]]
+        assert code == 2 and (named in err or element_key), err
     if code == 2:
         assert out == "" and err.startswith("error: ")
-        # a grid node, the failing subexpression, or the element whose sources do not parse
-        assert "at grid node (t=" in err or " in '" in err or err.startswith("error: bad element: ")
+        # a grid node, the failing subexpression, or the key of the source that does not parse
+        assert "at grid node (t=" in err or " in '" in err or element_key or atom is not None
     else:
         assert _strict_json(out)["member_on_grid"] is (code == 0)
 

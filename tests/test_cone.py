@@ -32,9 +32,9 @@ from causalnc.fields import (
     BinOp,
     DomainError,
     Num,
+    ParseError,
     Var,
     eval_grid,
-    eval_values,
     eval_with_derivatives,
     parse,
     to_source,
@@ -367,11 +367,6 @@ def _outcome(fn):
 @settings(max_examples=150)
 @given(st.tuples(*[FIELD_TREES] * 4), st.sampled_from((0.0, 4.0, 64.0)))
 def test_evaluator_and_psd_paths_agree_on_random_trees(trees, slope):
-    t, x = PROPERTY_GRID.mesh()
-    for tree in trees:
-        jet = _outcome(lambda: eval_grid(tree, t, x))
-        values = _outcome(lambda: eval_values(tree, t, x))
-        assert values is DomainError if jet is DomainError else np.array_equal(values, jet[0])
     # a steep slope*t on both diagonals turns many bounded trees into members
     tilt = lambda tree: BinOp("+", BinOp("*", Num(slope), Var("t")), tree)
     el = AlgebraElement(tilt(trees[0]), tilt(trees[1]), trees[2], trees[3])
@@ -701,6 +696,45 @@ def test_region_grid_validation_and_roundtrip():
     assert grid.node(14).almost_equal(SpacetimePoint(2.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    (
+        (-3.0, math.inf, -3.0, 3.0),
+        (-3.0, 3.0, math.nan, 3.0),
+        (-math.inf, 3.0, -3.0, 3.0),
+        (-1e308, 1e308, -3.0, 3.0),  # finite bounds, span beyond the float range
+        (-3.0, 3.0, -1.5e308, 1e308),
+    ),
+)
+def test_region_grid_refuses_non_finite_bounds_and_spans(bounds):
+    with pytest.raises(ValueError, match=r"grid bounds and their spans must be finite, got t in \["):
+        RegionGrid(*bounds, 5, 5)
+
+
+def test_region_grid_names_a_mesh_that_cannot_be_allocated(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "linspace", refuse)  # no grid is allocated here
+    grid = RegionGrid(-3.0, 3.0, -3.0, 3.0, 2, 1_000_000_000)
+    for decide in (cone_membership, certify_grid_psd):
+        with pytest.raises(ValueError, match=r"^a grid of 2 x 1000000000 nodes does not fit in memory$"):
+            decide(AlgebraElement.from_sources("t", "t"), D_UNIT, grid)
+
+
+def test_region_grid_node_is_the_mesh_node_bit_for_bit():
+    # node() once recomputed t_min + span*i/(nt - 1), which differs from linspace in the last bits
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        t_min, x_min = rng.uniform(-5.0, 5.0, 2)
+        t_max, x_max = (t_min, x_min) + rng.uniform(0.1, 9.0, 2)
+        grid = RegionGrid(t_min, t_max, x_min, x_max, *map(int, rng.integers(2, 402, 2)))
+        t, x = grid.mesh()
+        for k in rng.integers(0, t.size, 25):
+            node = grid.node(int(k))
+            assert (node.t, node.x) == (t[k], x[k]) and type(node.t) is type(node.x) is float
+
+
 def test_region_grid_mesh_is_built_once_and_read_only():
     grid = RegionGrid(-2.0, 2.0, -1.0, 1.0, 3, 5)
     fresh = RegionGrid(-2.0, 2.0, -1.0, 1.0, 3, 5)
@@ -725,6 +759,16 @@ def test_element_json_round_trip():
     assert AlgebraElement.from_dict(data) == el
     diag = AlgebraElement.from_dict({"a": "t", "b": "t"})
     assert diag == AlgebraElement.from_sources("t", "t")
+
+
+@pytest.mark.parametrize("key", ("a", "b", "c.re", "c.im"))
+def test_element_parse_error_names_its_key(key):
+    data = {"a": "t", "b": "t", "c": {"re": "0", "im": "0"}}
+    entry = data["c"] if key.startswith("c.") else data
+    entry[key.removeprefix("c.")] = "t^700^700"
+    with pytest.raises(ParseError, match=rf"^{key}: exponent too large for a float power at offset 2 ") as info:
+        AlgebraElement.from_dict(data)
+    assert info.value.offset == 2
 
 
 # --- the closed-form characteristic polynomial -----------------------------------

@@ -13,7 +13,6 @@ from causalnc.fields import (
     Pow,
     Var,
     eval_grid,
-    eval_values,
     eval_with_derivatives,
     parse,
     to_source,
@@ -157,7 +156,6 @@ def test_grid_eval_matches_scalar_eval():
         assert values[i] == pytest.approx(single.value, abs=1e-15)
         assert d_dt[i] == pytest.approx(single.d_dt, abs=1e-15)
         assert d_dx[i] == pytest.approx(single.d_dx, abs=1e-15)
-    assert eval_values(expr, t, x) == pytest.approx(values, abs=0)
 
 
 def test_constant_expression_broadcasts():
@@ -166,15 +164,13 @@ def test_constant_expression_broadcasts():
     assert (values == 3.5).all() and (d_dt == 0).all() and (d_dx == 0).all()
     # constant parts are read-only broadcast views, not copies at full size
     assert values.strides == d_dt.strides == d_dx.strides == (0,)
-    assert np.array_equal(eval_values(parse("3.5"), np.zeros(4), np.ones(4)), values)
 
 
 def test_grid_eval_returns_read_only_views():
     t = np.linspace(-1.0, 1.0, 5)
     x = np.zeros(5)
     for src in ("3.5", "t", "t*x + sin(t)"):
-        parts = (*eval_grid(parse(src), t, x), eval_values(parse(src), t, x))
-        for part in parts:
+        for part in eval_grid(parse(src), t, x):
             assert part.shape == (5,) and not part.flags.writeable
             with pytest.raises(ValueError):
                 part[0] = 1.0

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from causalnc.causality import PureState
-from causalnc.cone import AlgebraElement, RegionGrid, cone_membership
-from causalnc.fields import Neg, parse, to_source
+from causalnc.cone import AlgebraElement, RegionGrid, certify_grid_psd, cone_membership
+from causalnc.fields import Neg, Num, parse, to_source
 from causalnc.minkowski import SpacetimePoint
 from causalnc.oracle import (
     DEFAULT_REGION,
-    Family,
     PairStatus,
     SamplerConfig,
     cross_validate_pure,
@@ -42,8 +41,6 @@ def _pair(rng, related, gap=1.0, z=None):
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, n_elements=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(seed=1, n_elements=5, families=())
 
 
 def test_streams_are_bit_identical():
@@ -86,15 +83,21 @@ def test_generator_soundness_full_membership():
         assert report.member_on_grid, el.to_dict()
 
 
+def _literal(value: float):
+    """The tree parse(repr(value)) builds: a negative number is a negated Num."""
+    return Neg(Num(-value)) if value < 0.0 else Num(value)
+
+
 def test_constant_family_requires_degenerate_gap():
-    cfg = SamplerConfig(seed=5, n_elements=4, families=(Family.CONSTANT_DEGENERATE,))
-    with pytest.raises(ValueError):
-        sample_causal_element(cfg, 0, D_UNIT)
+    # a constant element has zero partials, so its cone matrix is delta*c off the diagonal only
+    rng = np.random.default_rng(5)
     degenerate = DiracData(0.7, 0.7)
-    el = sample_causal_element(cfg, 0, degenerate)
-    assert cone_membership(el, degenerate, DEFAULT_REGION).member_on_grid
-    # the sampler builds trees, not sources: negative constants are negated literals
-    fields = [f for k in range(4) for f in vars(sample_causal_element(cfg, k, degenerate)).values()]
+    elements = [AlgebraElement(*map(_literal, rng.uniform(-2.0, 2.0, 4).tolist())) for _ in range(4)]
+    for el in elements:
+        assert certify_grid_psd(el, degenerate, DEFAULT_REGION)
+        assert cone_membership(el, degenerate, DEFAULT_REGION).member_on_grid
+        assert not certify_grid_psd(el, D_UNIT, DEFAULT_REGION)
+    fields = [f for el in elements for f in vars(el).values()]
     assert any(isinstance(f, Neg) for f in fields)
     assert all(parse(to_source(f)) == f for f in fields)
 
