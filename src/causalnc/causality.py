@@ -48,6 +48,9 @@ STATE_EQ_TOL = 1e-12
 
 #: Candidates of the mixed-state supremum this close to the maximum count as attaining it.
 PLATEAU_TOL = 1e-12
+#: Most segments plan_causal_path samples: the path holds n + 1 samples, about
+#: 55 MB of samples and CSV text at this bound.
+MAX_PATH_SEGMENTS = 100_000
 
 
 class Reason(str, Enum):
@@ -232,8 +235,8 @@ def plan_causal_path(
     is reached.  Every prefix of the returned path is itself causally
     related to the start, and every sample is related to the end.
     """
-    if n < 1:
-        raise ValueError("need at least one segment")
+    if not 1 <= n <= MAX_PATH_SEGMENTS:
+        raise ValueError(f"need 1 to {MAX_PATH_SEGMENTS} segments, got {n}")
     verdict = pure_causal(omega, eta, dirac)
     if not verdict.related:
         raise ValueError(f"states are not causally related ({verdict.reason.value})")

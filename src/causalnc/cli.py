@@ -27,7 +27,7 @@ import sys
 import tempfile
 from typing import Optional
 
-from .causality import MixedState, PureState, mixed_causal, plan_causal_path, pure_causal
+from .causality import MAX_PATH_SEGMENTS, MixedState, PureState, mixed_causal, plan_causal_path, pure_causal
 from .cone import PSD_TOL, AlgebraElement, RegionGrid, cone_membership
 from .minkowski import SpacetimePoint
 from .selftest import run_selftest
@@ -211,6 +211,8 @@ def _cmd_plan_path(args) -> int:
     n = data.get("n", 64)
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError(f'"n" must be an integer of at least 1, got {n!r}')
+    if n > MAX_PATH_SEGMENTS:
+        raise InputError(f'"n" must be at most {MAX_PATH_SEGMENTS} path segments, got {n}')
     try:
         samples = plan_causal_path(omega, eta, _dirac(data), n)
     except ValueError as err:

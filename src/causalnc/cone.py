@@ -26,11 +26,15 @@ its mirror.  A node neither test decides gets the one per-node eigvalsh
 rule, _psd_at_nodes, so every verdict is the one eigvalsh would give.
 
 certify_grid_psd needs only the verdict.  cone_membership also reports the
-smallest eigenvalue on the grid: it estimates each node's by Newton on the
+smallest eigenvalue on the grid: closed-form Gershgorin and interlacing
+bounds screen out the coupled nodes that pass and cannot hold the grid
+minimum; at the rest it estimates the smallest eigenvalue by Newton on the
 closed-form characteristic polynomial (_charpoly, which also certifies the
 separating witness of witness.py), certifies a lower bound from each
 estimate with the Schur test, and runs eigvalsh only where the grid
-minimum can lie, where no test decides, and at the first violation.
+minimum can lie, where no test decides, and at the first violation.  A
+constant coupling c stays 0-d (_cone_entries), so an element with c = 0
+builds no coupling entries over the grid and sends no node to Newton.
 
 Every step up to that choice is per node, so both grid paths walk the grid
 in row-major blocks of BLOCK_NODES nodes (_grid_blocks): the fields, the
@@ -48,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import DomainError, FieldExpr, ParseError, eval_grid, parse, to_source
+from .fields import DomainError, FieldExpr, ParseError, _jet, eval_grid, parse, to_source
 from .minkowski import SpacetimePoint
 from .states import DiracData
 
@@ -219,14 +223,19 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float):
 
     Returns (ap, am, bp, bm, u, z, w) = (a_t + a_x, a_t - a_x, b_t + b_x,
     b_t - b_x, c_t + c_x, c_t - c_x, delta*c); C = [[-u, -w], [w, -z]].
+    The diagonal entries are arrays over the coordinates.  The coupling
+    entries u, z and w keep the shape of the c jets: a part of c that is
+    constant over the coordinates stays 0-d, so a constant c (c = 0 above
+    all) builds no complex array, and _take and the kernels broadcast it.
     These sums and products of finite partials can overflow: DomainError
     then names the field and carries the index of its first such node.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         _, adt, adx = eval_grid(el.a, t, x)
         _, bdt, bdx = eval_grid(el.b, t, x)
-        rv, rdt, rdx = eval_grid(el.c_re, t, x)
-        iv, idt, idx = eval_grid(el.c_im, t, x)
+        (rv, rdt, rdx), shape = _jet(el.c_re, t, x)
+        (iv, idt, idx), _ = _jet(el.c_im, t, x)
+        rv, rdt, rdx, iv, idt, idx = (np.asarray(part, dtype=float) for part in (rv, rdt, rdx, iv, idt, idx))
         c0, c1 = rdt + 1j * idt, rdx + 1j * idx
         ap, am, bp, bm = adt + adx, adt - adx, bdt + bdx, bdt - bdx
         u, z, w = c0 + c1, c0 - c1, delta * (rv + 1j * iv)
@@ -241,7 +250,7 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float):
         (el.c_re, (u.real, z.real, w.real)),
         (el.c_im, (u.imag, z.imag, w.imag)),
     ):
-        finite = np.logical_and.reduce([np.isfinite(part) for part in parts])
+        finite = np.logical_and.reduce([np.broadcast_to(np.isfinite(part), shape) for part in parts])
         if not finite.all():
             raise DomainError("non-finite cone matrix entry", expr, int(np.argmin(finite)))
     return ap, am, bp, bm, u, z, w
@@ -277,11 +286,13 @@ def _psd_at_nodes(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
     """The one per-node PSD rule: (smallest eigenvalues, passed) for a stack of matrices.
 
     A node passes iff its smallest eigenvalue is >= -tol * scale, where
-    scale = max(1, largest absolute entry); a NaN eigenvalue fails.
+    scale = max(1, largest absolute entry); a NaN eigenvalue fails.  A
+    threshold beyond the float range (tol near 1e308) is -inf and passes all.
     """
     min_eigs = np.linalg.eigvalsh(mats)[:, 0]
     scales = np.maximum(1.0, np.abs(mats).reshape(mats.shape[0], -1).max(axis=1))
-    return min_eigs, min_eigs >= -tol * scales
+    with np.errstate(over="ignore"):
+        return min_eigs, min_eigs >= -tol * scales
 
 
 def is_psd(matrix: ConeMatrix | np.ndarray, tol: float = PSD_TOL) -> bool:
@@ -314,7 +325,7 @@ def lemma_sufficient_check(el: AlgebraElement, dirac: DiracData, p: SpacetimePoi
     if el.a != el.b:
         raise UnequalDiagonalError("a and b must be the same expression")
     t, x = np.atleast_1d(p.t), np.atleast_1d(p.x)
-    ap, am, _, _, u, z, w = (part[0] for part in _cone_entries(el, t, x, dirac.d1 - dirac.d2))
+    ap, am, _, _, u, z, w = _take(_cone_entries(el, t, x, dirac.d1 - dirac.d2), 0)
     rhs = 0.5 * (abs(u + z) + abs(u - z)) + abs(w)
     return bool(min(ap, am) >= rhs - LEMMA_SLACK)
 
@@ -354,18 +365,18 @@ class MembershipReport:
         }
 
 
-def _grid_entries(el: AlgebraElement, dirac: DiracData, region: RegionGrid):
-    """Cone matrix entries (see _cone_entries) at every node of the region, row-major in t.
+def _grid_entries(el: AlgebraElement, dirac: DiracData, region: RegionGrid, start: int = 0):
+    """Cone matrix entries (see _cone_entries) at the region's nodes from start on, row-major in t.
 
     A DomainError raised at a known node is re-raised naming that grid node.
     """
     t, x = region.mesh()
     try:
-        return _cone_entries(el, t, x, dirac.d1 - dirac.d2)
+        return _cone_entries(el, t[start:], x[start:], dirac.d1 - dirac.d2)
     except DomainError as err:
         if err.index is None:
             raise
-        node = region.node(err.index)
+        node = region.node(start + err.index)
         raise DomainError(
             f"{err.args[0].split(' in ')[0]} at grid node (t={node.t}, x={node.x})", err.expr
         ) from err
@@ -375,21 +386,24 @@ def _grid_blocks(el: AlgebraElement, dirac: DiracData, region: RegionGrid):
     """Yield (start, entries) for the region's row-major blocks of BLOCK_NODES nodes.
 
     entries are _cone_entries at the nodes start, start + 1, ... of the
-    block.  A DomainError in any block is re-raised by _grid_entries on the
-    whole grid, so its message and the node it names do not depend on the
-    blocking.  A grid of one block is that call.
+    block.  A DomainError in a block is re-raised by _grid_entries on the
+    nodes from that block's start on.  Every check of the evaluation passed
+    on the nodes before it, so the first check that fails in the walk, and
+    the first node where it fails, are those of the whole grid: the message
+    does not depend on the blocking.  A grid of one block is that call.
     """
     t, x = region.mesh()
     delta, size = dirac.d1 - dirac.d2, BLOCK_NODES
     if t.size <= size:
         yield 0, _grid_entries(el, dirac, region)
         return
-    try:
-        for start in range(0, t.size, size):
-            yield start, _cone_entries(el, t[start : start + size], x[start : start + size], delta)
-    except DomainError:
-        _grid_entries(el, dirac, region)
-        raise
+    for start in range(0, t.size, size):
+        try:
+            entries = _cone_entries(el, t[start : start + size], x[start : start + size], delta)
+        except DomainError:
+            _grid_entries(el, dirac, region, start)
+            raise
+        yield start, entries
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -397,7 +411,8 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 
 def _take(entries, nodes):
-    return [part[nodes] for part in entries]
+    """The entries at the given nodes; a 0-d entry is the same at every node and stays as it is."""
+    return [part if np.ndim(part) == 0 else part[nodes] for part in entries]
 
 
 def _node_scales(entries) -> np.ndarray:
@@ -407,8 +422,8 @@ def _node_scales(entries) -> np.ndarray:
     coupling = np.sqrt(np.maximum(np.maximum(_abs2(u), _abs2(z)), _abs2(w)))
     over = np.isinf(coupling)  # a square above the float range: take the modulus unsquared
     if over.any():
-        coupling[over] = np.maximum(np.maximum(np.abs(u), np.abs(z)), np.abs(w))[over]
-    return np.maximum(np.maximum(scale, 1.0), coupling)
+        coupling = np.where(over, np.maximum(np.maximum(np.abs(u), np.abs(z)), np.abs(w)), coupling)
+    return np.maximum(scale, np.maximum(coupling, 1.0))
 
 
 def _schur_terms(entries, shift):
@@ -523,12 +538,47 @@ def _charpoly(entries):
     return e1, e2, e3, e4
 
 
-def _lambda_min_estimates(entries, scale, coupled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# Closed-form bounds on a node's eigvalsh smallest eigenvalue.  Both move
+# SCHUR_EIG_SLACK*s outward, far more than their own rounding and that of
+# eigvalsh (a few hundred ulps of s), so the lower one never exceeds the upper.
+
+
+def _gershgorin_lower(entries, scale) -> np.ndarray:
+    """Gershgorin: each eigenvalue lies within a row's off-diagonal sum of that row's diagonal entry.
+
+    Rows 0 and 2 carry |u| + |w| off the diagonal, rows 1 and 3 |z| + |w|.
+    """
+    ap, am, bp, bm, u, z, w = entries
+    lower = np.minimum(np.minimum(ap, bp) - np.abs(u), np.minimum(am, bm) - np.abs(z)) - np.abs(w)
+    return lower - SCHUR_EIG_SLACK * scale
+
+
+def _interlacing_upper(entries, scale) -> np.ndarray:
+    """Cauchy interlacing: the smallest eigenvalue is at most that of each principal submatrix.
+
+    Here the 2x2 blocks on rows (0, 2), (1, 3), (0, 3) and (1, 2), each
+    [[x, -v], [-v*, y]] with smallest eigenvalue (x + y)/2 - hypot((x - y)/2, |v|).
+    """
+    ap, am, bp, bm, u, z, w = entries
+    au, az, aw = np.abs(u), np.abs(z), np.abs(w)
+
+    def pair_min(x, y, v):  # on quarters of the entries, so only a value below -1.8e308 overflows
+        return 2.0 * ((0.25 * x + 0.25 * y) - np.hypot(0.25 * x - 0.25 * y, 0.5 * v))
+
+    upper = np.minimum(
+        np.minimum(pair_min(ap, bp, au), pair_min(am, bm, az)),
+        np.minimum(pair_min(ap, bm, aw), pair_min(am, bp, aw)),
+    )
+    return upper + SCHUR_EIG_SLACK * scale
+
+
+def _lambda_min_estimates(entries, scale, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Estimate of each node's smallest eigenvalue, and whether it converged.
 
-    A node outside the index array coupled (u = z = w = 0) is diagonal: the
-    estimate is its smallest diagonal entry, exactly.  A coupled node runs
-    Newton on the characteristic polynomial of M/s less its mean, with s
+    A node outside the index array nodes gets its smallest diagonal entry,
+    which is exact where it is uncoupled (u = z = w = 0): the matrix is
+    diagonal there.  A node in nodes runs Newton on the characteristic
+    polynomial of M/s less its mean, with s
     the node scale, so that no coefficient overflows (e4 grows as the fourth
     power of the entries): from _charpoly, its expansion in mu = lam -
     (ap + am + bp + bm)/(4s), det(M/s - lam) = mu^4 + e2 mu^2 - e3 mu + e4,
@@ -542,18 +592,15 @@ def _lambda_min_estimates(entries, scale, coupled: np.ndarray) -> tuple[np.ndarr
     ap, am, bp, bm = entries[:4]
     estimate = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
     converged = np.ones(estimate.shape, dtype=bool)
-    if coupled.size == 0:
+    if nodes.size == 0:
         return estimate, converged
-    nodes = coupled
     s = scale[nodes]
     ap, am, bp, bm, u, z, w = (part / s for part in _take(entries, nodes))
     center = 0.25 * (ap + am + bp + bm)
     ap, am, bp, bm = ap - center, am - center, bp - center, bm - center
     _, c2, e3, c0 = _charpoly((ap, am, bp, bm, u, z, w))
     c1 = -e3  # det(M/s - lam) = mu^4 + c2 mu^2 + c1 mu + c0
-    au, az, aw = np.abs(u), np.abs(z), np.abs(w)
-    # Gershgorin: rows 0 and 2 have off-diagonal |u| + |w|, rows 1 and 3 |z| + |w|
-    mu = np.minimum(np.minimum(ap, bp) - au, np.minimum(am, bm) - az) - aw
+    mu = _gershgorin_lower((ap, am, bp, bm, u, z, w), 0.0)  # a start needs no slack
     converged[nodes] = False
     for _ in range(NEWTON_MAX_STEPS):
         mu2 = mu * mu
@@ -599,19 +646,45 @@ def _psd_at_distinct_nodes(parts, tol: float):
     return min_eigs[index], passed[index]
 
 
-def _block_membership(entries, tol: float):
-    """The per-node part of cone_membership on one block: (estimate, bound, passed, failed)."""
+def _block_membership(entries, tol: float, upper: float):
+    """The per-node part of cone_membership on one block: screen, then Newton, then Schur.
+
+    upper bounds the grid minimum from above (an eigvalsh value or an
+    interlacing bound at an earlier node).  Returns (estimate, bound,
+    passed, failed, upper), with upper lowered by this block's interlacing
+    bounds.  An uncoupled node's estimate is its smallest diagonal entry,
+    exact.  A coupled node whose Gershgorin bound G passes it (G >= -tol*s)
+    and lies above upper keeps G as estimate and bound: its eigvalsh value
+    is at least G, so it passes, and upper is at least the grid minimum, so
+    the node cannot hold it.  Only the other coupled nodes run Newton and
+    the Schur certificate of their bound.  The Schur tests then decide the
+    nodes whose bound is below -tol*s; the rest are left to eigvalsh.
+    """
     scale = _node_scales(entries)
     u, z, w = entries[4:]
-    coupled = np.flatnonzero((u != 0.0) | (z != 0.0) | (w != 0.0))
-    estimate, converged = _lambda_min_estimates(entries, scale, coupled)
+    coupled = (u != 0.0) | (z != 0.0) | (w != 0.0)  # 0-d where c is constant on the block
+    refine = screened = np.flatnonzero(())
+    if coupled.any():
+        lower = _gershgorin_lower(entries, scale)
+        # a node's interlacing bound is at least its Gershgorin bound, so only
+        # nodes with lower <= upper can lower upper; the lowest one seeds it.
+        # fmin: a NaN bound lowers nothing
+        seed = [np.argmin(lower)]
+        upper = np.fmin(upper, _interlacing_upper(_take(entries, seed), scale[seed])[0])
+        near = np.flatnonzero(lower <= upper)
+        upper = np.fmin.reduce(_interlacing_upper(_take(entries, near), scale[near]), initial=upper)
+        skip = (lower >= -tol * scale) & (lower > upper)
+        refine, screened = np.flatnonzero(coupled & ~skip), np.flatnonzero(coupled & skip)
+    estimate, converged = _lambda_min_estimates(entries, scale, refine)
     bound = estimate - BOUND_GAP * scale
-    # an uncoupled node's estimate is exact, so only coupled bounds need the test
+    # an uncoupled node's estimate is exact, so only refined bounds need the test
     bounded = converged
-    if coupled.size:
-        shift = -bound[coupled] - SCHUR_EIG_SLACK * scale[coupled]
-        bounded[coupled] &= _pd_after_shift(_take(entries, coupled), shift)
+    if refine.size:
+        shift = -bound[refine] - SCHUR_EIG_SLACK * scale[refine]
+        bounded[refine] &= _pd_after_shift(_take(entries, refine), shift)
     bound[~bounded] = -np.inf
+    if screened.size:
+        estimate[screened] = bound[screened] = lower[screened]
     passed = bounded & (bound >= -tol * scale)
     failed = np.zeros_like(passed)
     open_nodes = np.flatnonzero(~passed)
@@ -619,7 +692,7 @@ def _block_membership(entries, tol: float):
         part, part_scale = _take(entries, open_nodes), scale[open_nodes]
         passed[open_nodes] = _pd_after_shift(part, (tol - SCHUR_EIG_SLACK) * part_scale)
         failed[open_nodes] = _indefinite_after_shift(part, (tol + SCHUR_EIG_SLACK) * part_scale)
-    return estimate, bound, passed, failed
+    return estimate, bound, passed, failed, upper
 
 
 def cone_membership(
@@ -631,25 +704,38 @@ def cone_membership(
     each node's verdict is _psd_at_nodes's, and min_eigenvalue and the
     first violation's eigenvalue are eigvalsh values.  But eigvalsh runs on
     few nodes.  Working on the seven entries of _cone_entries, one block of
-    _grid_blocks at a time:
+    _grid_blocks at a time, each stage runs only on the nodes whose verdict
+    or report it can change (the first three steps are _block_membership):
 
-    - each node gets an estimate of its smallest eigenvalue from
-      _lambda_min_estimates, which gives the lower bound
-      L = estimate - BOUND_GAP*s.  At a coupled node _pd_after_shift must
-      certify it; L = -inf where that or Newton fails;
-    - a node passes when L >= -tol*s or when _pd_after_shift clears it at
-      shift (tol - SCHUR_EIG_SLACK)*s, and fails when
+    - screen: an uncoupled node (u = z = w = 0) is diagonal, and its
+      smallest diagonal entry is its eigenvalue.  At the coupled nodes the
+      Gershgorin bound G (_gershgorin_lower) is a lower bound, and the least
+      interlacing bound (_interlacing_upper) lowers U, an upper bound on
+      the grid minimum.  A coupled node with G >= -tol*s and G > U skips
+      the next step with L = G;
+    - Newton: every other coupled node gets an estimate of its smallest
+      eigenvalue from _lambda_min_estimates, and _pd_after_shift must
+      certify the lower bound L = estimate - BOUND_GAP*s (at an uncoupled
+      node L needs no certificate); L = -inf where that or Newton fails;
+    - Schur: a node passes when L >= -tol*s or when _pd_after_shift clears
+      it at shift (tol - SCHUR_EIG_SLACK)*s, and fails when
       _indefinite_after_shift refutes it at (tol + SCHUR_EIG_SLACK)*s; the
-      rest go to eigvalsh (these steps are _block_membership);
-    - eigvalsh at the block's node with the smallest estimate gives an
-      upper bound U on the grid minimum, the least such value so far.  The
-      minimum lies among the nodes with L <= U, so the block keeps the
-      entries of those, of its undecided nodes and of the first certain
-      violation of the grid.
+      rest are undecided;
+    - eigvalsh at the block's node with the smallest estimate lowers U
+      further.  The minimum lies among the nodes with L <= U, so the block
+      keeps the entries of those, of its undecided nodes and of the first
+      certain violation of the grid.
 
     After the walk, eigvalsh runs once on the kept nodes whose L is at most
     the final U, the undecided ones and the first certain violation; nodes
     with identical entries are diagonalised once.
+
+    The screen is sound: every L is a rigorous lower bound on its node's
+    eigvalsh value and U a rigorous upper bound on the grid minimum, both
+    with SCHUR_EIG_SLACK*s to spare for rounding.  A skipped node's
+    eigenvalue is at least G >= -tol*s, so it passes, and G is above U,
+    so the node cannot hold the grid minimum, and its L = G keeps it out of
+    the final eigvalsh.
 
     Raises DomainError annotated with the offending node when a field, one
     of its partials, or an entry of the matrix cannot be evaluated to a
@@ -659,12 +745,12 @@ def cone_membership(
     """
     n = region.mesh()[0].size  # the mesh first: it refuses a grid too large to allocate
     passed = np.empty(n, dtype=bool)
-    upper = np.inf  # an eigvalsh smallest eigenvalue, so the grid minimum is at most this
+    upper = np.inf  # an eigvalsh or interlacing bound at some node, so the grid minimum is at most this
     first_failed = -1
     kept = []  # per block: (nodes, bounds, undecided flags, entries) of the nodes eigvalsh may need
     for start, entries in _grid_blocks(el, dirac, region):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            estimate, bound, block_passed, failed = _block_membership(entries, tol)
+            estimate, bound, block_passed, failed, upper = _block_membership(entries, tol, upper)
         passed[start : start + len(bound)] = block_passed
         lowest = _take(entries, [np.argmin(estimate)])
         upper = np.minimum(upper, _psd_at_nodes(_matrices(lowest), tol)[0][0])
@@ -674,7 +760,8 @@ def cone_membership(
             first_failed = start + int(np.argmax(failed))
             need[first_failed - start] = True
         nodes = np.flatnonzero(need)
-        kept.append((start + nodes, bound[nodes], undecided[nodes], *_take(entries, nodes)))
+        parts = (np.full(nodes.shape, part) if np.ndim(part) == 0 else part for part in _take(entries, nodes))
+        kept.append((start + nodes, bound[nodes], undecided[nodes], *parts))
     nodes, bound, undecided, *parts = (np.concatenate(column) for column in zip(*kept))
     need = undecided | ~(bound > upper) | (nodes == first_failed)
     nodes, undecided, parts = nodes[need], undecided[need], _take(parts, need)

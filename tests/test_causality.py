@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalnc.causality import (
+    MAX_PATH_SEGMENTS,
     CausalVerdict,
     MixedState,
     PureState,
@@ -478,6 +479,14 @@ def test_plan_path_rejects_unrelated_pair():
         plan_causal_path(a, b, D_UNIT, 8)
     with pytest.raises(ValueError):
         plan_causal_path(a, PureState(SpacetimePoint(2, 0), EQ90), D_UNIT, 0)
+
+
+def test_plan_path_refuses_more_segments_than_its_bound():
+    a = PureState(SpacetimePoint(0, 0), EQ0)
+    b = PureState(SpacetimePoint(2, 0), EQ90)
+    with pytest.raises(ValueError, match=f"need 1 to {MAX_PATH_SEGMENTS} segments"):
+        plan_causal_path(a, b, D_UNIT, MAX_PATH_SEGMENTS + 1)
+    assert len(plan_causal_path(a, b, D_UNIT, 1)) == 2
 
 
 def test_plan_path_pole_states_hold_internal():

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalnc import cli
-from causalnc.causality import CausalVerdict, Reason
+from causalnc.causality import MAX_PATH_SEGMENTS, CausalVerdict, Reason
 from causalnc.cli import main
 from causalnc.cone import AlgebraElement, RegionGrid
 from causalnc.fields import DomainError
@@ -283,6 +284,25 @@ def test_plan_path_n_must_be_a_positive_json_integer(capsys, n):
     assert err.startswith('error: "n" must be an integer of at least 1, got ')
 
 
+def test_plan_path_n_above_the_segment_bound_is_refused_before_sampling(capsys, monkeypatch):
+    # "n": 1 followed by 400 zeros sampled a path until the address space ran out
+    def refuse(*args):
+        raise AssertionError("no path may be sampled")
+
+    monkeypatch.setattr(cli, "plan_causal_path", refuse)
+    for n in ("1" + "0" * 400, str(MAX_PATH_SEGMENTS + 1)):
+        payload = json.dumps(PURE_RELATED)[:-1] + f', "n": {n}}}'
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, "plan-path", "--input", payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == f'error: "n" must be at most {MAX_PATH_SEGMENTS} path segments, got {n}\n'
+        assert peak < 1 << 20
+
+
 def test_plan_path_unrelated_is_input_error(capsys):
     code, _, err = _run(capsys, "plan-path", "--input", json.dumps(PURE_SHORT))
     assert code == 2
@@ -531,6 +551,18 @@ def test_cli_verdicts_agree_on_edge_inputs(p, offset, gap, d1_above, xi, phi, at
     last_theta = float(out.splitlines()[-1].split(",")[3]) if code == 0 else math.nan
     assert (angular_distance(last_theta, target_theta) <= 1e-12) == related
     assert ("causally related" in results["witness"][2]) == related
+
+
+@pytest.mark.parametrize("tol, seed", (("0", "1"), ("5e-324", "2"), ("1e308", "3")))
+def test_selftest_on_edge_tolerances_exits_cleanly_and_writes_strict_json(tol, seed):
+    # --tol 1e308 overflowed -tol*scale in the per-node PSD rule: a RuntimeWarning,
+    # and with warnings as errors a failed oracle check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _cli(["selftest", "--quick", f"--tol={tol}", "--seed", seed])
+    assert code in (0, 1, 2) and "Traceback" not in err
+    summary = _strict_json(out)
+    assert code == 0 and all(check["passed"] for check in summary["checks"]), summary
 
 
 # --- cone-check on edge inputs -----------------------------------------------------

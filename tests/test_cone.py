@@ -670,6 +670,92 @@ def test_grid_blocks_walk_the_grid_once_in_row_major_order(monkeypatch):
         assert np.array_equal(np.concatenate(part), whole_part)
 
 
+def test_a_later_block_error_is_re_raised_from_that_block_on(monkeypatch):
+    # b's log disc (first node 31, in block 4 of 7 nodes) comes first in node
+    # order, a's sqrt disc (first node 109) first in the walk: the grid's error is a's
+    el = AlgebraElement.from_sources("t + sqrt((t - 1.5)^2 + x^2 - 0.5)", "t + log((t + 1.5)^2 + x^2 - 0.5)")
+    with pytest.raises(DomainError) as whole:
+        _grid_entries(el, D_UNIT, BLOCK_GRID)
+    assert str(whole.value).startswith("sqrt of a non-positive value at grid node (t=1.0, x=-0.5)")
+    sizes = []
+    entries = cone._cone_entries
+
+    def sized(el, t, x, delta):
+        sizes.append(len(t))
+        return entries(el, t, x, delta)
+
+    monkeypatch.setattr(cone, "_cone_entries", sized)
+    monkeypatch.setattr(cone, "BLOCK_NODES", 7)
+    for decide in (cone_membership, certify_grid_psd):
+        sizes.clear()
+        with pytest.raises(DomainError) as err:
+            decide(el, D_UNIT, BLOCK_GRID)
+        assert str(err.value) == str(whole.value)
+        # blocks 0..4, then one evaluation of the nodes from block 4 on
+        assert sizes == [7] * 5 + [169 - 4 * 7]
+
+
+def _shifted_lemma_element(amp: float, freq: float, t0: float, headroom: float) -> AlgebraElement:
+    """_lemma_element with its wave centred at (t0, 0.5): for t0 > 0 the coupling peaks in a later block."""
+    k = headroom * amp * (2.0 * math.sqrt(2.0 / math.e) + freq + 1.0)
+    wave = f"{amp!r}*exp(-((t - {t0!r})^2 + (x - 0.5)^2))"
+    return AlgebraElement.from_sources(f"{k!r}*t", f"{k!r}*t", f"{wave}*cos({freq!r}*t)", f"{wave}*sin({freq!r}*t)")
+
+
+@st.composite
+def _coupling_paths(draw):
+    """An element on each path of the kernel: c = 0, constant c, c.re = 0 with varying c.im, a lemma wave."""
+    kind, amp = draw(st.sampled_from(("zero", "constant", "imaginary", "lemma"))), draw(st.floats(0.05, 0.6))
+    if kind == "zero":
+        return AlgebraElement.from_sources(f"t + {amp!r}*tanh(t + x)", f"t - {amp!r}*sin(x)")
+    if kind == "constant":
+        return AlgebraElement.from_sources(f"t + {amp!r}*x^2", "t", repr(amp), repr(-0.5 * amp))
+    if kind == "imaginary":
+        return AlgebraElement.from_sources("t", f"t + {amp!r}*x", "0", f"{amp!r}*sin(t + x)")
+    return _shifted_lemma_element(amp, draw(st.floats(0.2, 2.0)), draw(st.floats(1.0, 2.5)), draw(st.floats(0.98, 1.02)))
+
+
+MULTI_BLOCK_GRID = RegionGrid(-3.0, 3.0, -3.0, 3.0, 41, 41)
+
+
+@settings(max_examples=30)
+@given(_coupling_paths(), _diracs, st.sampled_from((64, 500)))
+def test_cone_membership_equals_reference_across_blocks_on_every_coupling_path(el, dirac, block_nodes):
+    want = _reference_decisions(el, dirac, MULTI_BLOCK_GRID)
+    assert _decisions(el, dirac, MULTI_BLOCK_GRID, block_nodes) == want
+
+
+@pytest.mark.parametrize(
+    "sources, constant",
+    ((("t", "t"), True), (("t", "t", "0.3", "-0.2"), True), (("t", "t", "0", "sin(t + x)"), False)),
+    ids=("zero", "constant", "imaginary"),
+)
+def test_constant_coupling_stays_0d(sources, constant):
+    entries = _grid_entries(AlgebraElement.from_sources(*sources), D_UNIT, BLOCK_GRID)
+    assert [np.ndim(part) for part in entries] == [1] * 4 + [0 if constant else 1] * 3
+
+
+def test_newton_runs_only_where_the_grid_minimum_can_lie(monkeypatch):
+    # every node of the lemma grid is coupled, but Gershgorin passes all of them
+    # and puts most above the interlacing bound on the grid minimum
+    newton_nodes = []
+    estimates = cone._lambda_min_estimates
+
+    def counting(entries, scale, nodes):
+        newton_nodes.append(len(nodes))
+        return estimates(entries, scale, nodes)
+
+    monkeypatch.setattr(cone, "_lambda_min_estimates", counting)
+    grid = RegionGrid(-3.0, 3.0, -3.0, 3.0, 401, 401)
+    report = cone_membership(_lemma_element(), D_UNIT, grid)
+    assert report.member_on_grid
+    assert 0 < sum(newton_nodes) < 0.15 * report.n_nodes
+    newton_nodes.clear()
+    diagonal = AlgebraElement.from_sources("2.1*t + 0.5*tanh(t + x)", "1.9*t + 0.4*tanh(t - x)")
+    assert cone_membership(diagonal, D_UNIT, grid).member_on_grid
+    assert newton_nodes and sum(newton_nodes) == 0
+
+
 def test_criterion_5_stream_certifies_without_lapack(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Schur test should clear every node of these elements")
