@@ -67,7 +67,7 @@ def _load_input(raw: Optional[str]) -> dict:
             raise InputError(f"cannot read input file: {err}") from err
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer literal beyond int's digit limit
         raise InputError(f"malformed JSON: {err}") from err
     if not isinstance(data, dict):
         raise InputError("input JSON must be an object")

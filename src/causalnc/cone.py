@@ -37,11 +37,16 @@ constant coupling c stays 0-d (_cone_entries), so an element with c = 0
 builds no coupling entries over the grid and sends no node to Newton.
 
 Every step up to that choice is per node, so both grid paths walk the grid
-in row-major blocks of BLOCK_NODES nodes (_grid_blocks): the fields, the
-entries and every kernel temporary live for one block, small enough to stay
-in cache.  Only per-node verdicts and the entries of the few nodes that may
-need eigvalsh outlive it, and eigvalsh runs on those once, after the walk.
-A grid of at most BLOCK_NODES nodes is one block.
+in row-major blocks of about BLOCK_NODES nodes (_grid_blocks): runs of
+whole rows, or slices of one row when a row is longer than BLOCK_NODES.
+The grid is a tensor product, so each block evaluates the fields on a
+column of t and a row of x, and a subtree that reads one coordinate is
+evaluated on that axis only; the entries are then flattened to the block's
+node vector.  The fields, the entries and every kernel temporary live for
+one block, small enough to stay in cache.  Only per-node verdicts and the
+entries of the few nodes that may need eigvalsh outlive it, and eigvalsh
+runs on those once, after the walk.  A grid of at most BLOCK_NODES nodes is
+one block.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import DomainError, FieldExpr, ParseError, _jet, eval_grid, parse, to_source
+from .fields import DomainError, FieldExpr, ParseError, _jet, parse, to_source
 from .minkowski import SpacetimePoint
 from .states import DiracData
 
@@ -80,9 +85,11 @@ BOUND_GAP = 1e-5
 #: fraction of the node scale (far below BOUND_GAP), or after NEWTON_MAX_STEPS.
 NEWTON_STEP_TOL = 1e-9
 NEWTON_MAX_STEPS = 30
-#: Grid nodes per block of _grid_blocks.  A block's entries and the kernel
-#: temporaries over it take a few MB; of 4,096 to 65,536 nodes this size ran
-#: cone_membership fastest on 101^2 to 401^2 grids.
+#: Grid nodes per block of _grid_blocks: a block is BLOCK_NODES // nx whole
+#: rows, or a slice of BLOCK_NODES nodes of one row when nx is larger.  A
+#: block's entries and the kernel temporaries over it take a few MB; of
+#: 4,096 to 65,536 nodes this size ran cone_membership fastest on 101^2 to
+#: 401^2 grids.
 BLOCK_NODES = 32_768
 #: Odd multiplier of the row hash in _psd_at_distinct_nodes (2^64 / golden ratio).
 _HASH_MULTIPLIER = np.int64(-7046029254386353131)
@@ -159,7 +166,7 @@ class RegionGrid:
     x_max: float
     nt: int
     nx: int
-    _mesh: Optional[tuple[np.ndarray, np.ndarray]] = field(
+    _axes: Optional[tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -175,26 +182,31 @@ class RegionGrid:
         if self.nt < 2 or self.nx < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
 
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened node coordinates, t-major then x; built once per grid, read-only.
+    def _too_large(self) -> ValueError:
+        """The error that refuses this grid when its axes or a node-sized array cannot be allocated."""
+        return ValueError(f"a grid of {self.nt} x {self.nx} nodes does not fit in memory")
 
-        Raises ValueError naming nt x nx when the mesh cannot be allocated.
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nt node coordinates in t and the nx in x; built once per grid, read-only.
+
+        Node k, row-major in t, is (t[k // nx], x[k % nx]).  Raises ValueError
+        naming nt x nx when the axes cannot be allocated.
         """
-        if self._mesh is None:
+        if self._axes is None:
             try:
                 t = np.linspace(self.t_min, self.t_max, self.nt)
                 x = np.linspace(self.x_min, self.x_max, self.nx)
-                tt, xx = np.meshgrid(t, x, indexing="ij")
             except (MemoryError, ValueError) as err:  # numpy refuses a size beyond its index range
-                raise ValueError(f"a grid of {self.nt} x {self.nx} nodes does not fit in memory") from err
-            tt.flags.writeable = xx.flags.writeable = False
-            object.__setattr__(self, "_mesh", (tt.ravel(), xx.ravel()))
-        return self._mesh
+                raise self._too_large() from err
+            t.flags.writeable = x.flags.writeable = False
+            object.__setattr__(self, "_axes", (t, x))
+        return self._axes
 
     def node(self, flat_index: int) -> SpacetimePoint:
-        """The event at a flat node index: the mesh coordinates, so the one the grid paths evaluate."""
-        t, x = self.mesh()
-        return SpacetimePoint(float(t[flat_index]), float(x[flat_index]))
+        """The event at a flat node index: the axis coordinates, so the one the grid paths evaluate."""
+        t, x = self.axes()
+        row, col = divmod(flat_index, self.nx)
+        return SpacetimePoint(float(t[row]), float(x[col]))
 
     def to_dict(self) -> dict:
         return {
@@ -219,41 +231,46 @@ class RegionGrid:
 
 
 def _cone_entries(el: AlgebraElement, t, x, delta: float):
-    """The seven distinct entries of the cone matrix at the given coordinates.
+    """The seven distinct entries of the cone matrix at the nodes of the coordinates' broadcast shape.
 
     Returns (ap, am, bp, bm, u, z, w) = (a_t + a_x, a_t - a_x, b_t + b_x,
     b_t - b_x, c_t + c_x, c_t - c_x, delta*c); C = [[-u, -w], [w, -z]].
-    The diagonal entries are arrays over the coordinates.  The coupling
-    entries u, z and w keep the shape of the c jets: a part of c that is
-    constant over the coordinates stays 0-d, so a constant c (c = 0 above
-    all) builds no complex array, and _take and the kernels broadcast it.
+    t and x broadcast against each other (the grid paths pass a column of t
+    and a row of x), and the partials are summed at the shapes of the
+    coordinates they read.  Each entry is then flattened, row-major, to a
+    vector over the nodes, except that a coupling entry u, z or w that is
+    constant over the coordinates stays 0-d: a constant c (c = 0 above all)
+    builds no complex array, and _take and the kernels broadcast it.  When
+    b is the same tree as a (the lemma elements) its jet is a's.
     These sums and products of finite partials can overflow: DomainError
     then names the field and carries the index of its first such node.
     """
+    (_, adt, adx), shape = _jet(el.a, t, x)
+    (_, bdt, bdx), _ = ((None, adt, adx), shape) if el.b == el.a else _jet(el.b, t, x)
+    (rv, rdt, rdx), _ = _jet(el.c_re, t, x)
+    (iv, idt, idx), _ = _jet(el.c_im, t, x)
+    rv, rdt, rdx, iv, idt, idx = (np.asarray(part, dtype=float) for part in (rv, rdt, rdx, iv, idt, idx))
     with np.errstate(over="ignore", invalid="ignore"):
-        _, adt, adx = eval_grid(el.a, t, x)
-        _, bdt, bdx = eval_grid(el.b, t, x)
-        (rv, rdt, rdx), shape = _jet(el.c_re, t, x)
-        (iv, idt, idx), _ = _jet(el.c_im, t, x)
-        rv, rdt, rdx, iv, idt, idx = (np.asarray(part, dtype=float) for part in (rv, rdt, rdx, iv, idt, idx))
         c0, c1 = rdt + 1j * idt, rdx + 1j * idx
         ap, am, bp, bm = adt + adx, adt - adx, bdt + bdx, bdt - bdx
         u, z, w = c0 + c1, c0 - c1, delta * (rv + 1j * iv)
         coupling = u + z + w
         total = (ap + am) + (bp + bm) + (coupling.real + coupling.imag)
     # any inf or NaN entry makes the sum inf or NaN; a sum that only overflows gets the check below
-    if np.isfinite(total).all():
-        return ap, am, bp, bm, u, z, w
-    for expr, parts in (
-        (el.a, (ap, am)),
-        (el.b, (bp, bm)),
-        (el.c_re, (u.real, z.real, w.real)),
-        (el.c_im, (u.imag, z.imag, w.imag)),
-    ):
-        finite = np.logical_and.reduce([np.broadcast_to(np.isfinite(part), shape) for part in parts])
-        if not finite.all():
-            raise DomainError("non-finite cone matrix entry", expr, int(np.argmin(finite)))
-    return ap, am, bp, bm, u, z, w
+    if not np.isfinite(total).all():
+        for expr, parts in (
+            (el.a, (ap, am)),
+            (el.b, (bp, bm)),
+            (el.c_re, (u.real, z.real, w.real)),
+            (el.c_im, (u.imag, z.imag, w.imag)),
+        ):
+            finite = np.logical_and.reduce([np.broadcast_to(np.isfinite(part), shape) for part in parts])
+            if not finite.all():
+                raise DomainError("non-finite cone matrix entry", expr, int(np.argmin(finite)))
+    n = math.prod(shape)
+    flat = [np.broadcast_to(part, shape).reshape(n) for part in (ap, am, bp, bm)]
+    flat += [part if part.ndim == 0 else np.broadcast_to(part, shape).reshape(n) for part in (u, z, w)]
+    return tuple(flat)
 
 
 def _matrices(entries) -> np.ndarray:
@@ -365,45 +382,50 @@ class MembershipReport:
         }
 
 
-def _grid_entries(el: AlgebraElement, dirac: DiracData, region: RegionGrid, start: int = 0):
-    """Cone matrix entries (see _cone_entries) at the region's nodes from start on, row-major in t.
+def _grid_entries(el: AlgebraElement, dirac: DiracData, region: RegionGrid, row: int = 0):
+    """Cone matrix entries (see _cone_entries) at the region's nodes from the given row on, row-major in t.
 
     A DomainError raised at a known node is re-raised naming that grid node.
     """
-    t, x = region.mesh()
+    t, x = region.axes()
     try:
-        return _cone_entries(el, t[start:], x[start:], dirac.d1 - dirac.d2)
+        return _cone_entries(el, t[row:, None], x[None, :], dirac.d1 - dirac.d2)
     except DomainError as err:
         if err.index is None:
             raise
-        node = region.node(start + err.index)
+        node = region.node(row * region.nx + err.index)
         raise DomainError(
             f"{err.args[0].split(' in ')[0]} at grid node (t={node.t}, x={node.x})", err.expr
         ) from err
 
 
 def _grid_blocks(el: AlgebraElement, dirac: DiracData, region: RegionGrid):
-    """Yield (start, entries) for the region's row-major blocks of BLOCK_NODES nodes.
+    """Yield (start, entries) for the region's row-major blocks of about BLOCK_NODES nodes.
 
-    entries are _cone_entries at the nodes start, start + 1, ... of the
-    block.  A DomainError in a block is re-raised by _grid_entries on the
-    nodes from that block's start on.  Every check of the evaluation passed
-    on the nodes before it, so the first check that fails in the walk, and
-    the first node where it fails, are those of the whole grid: the message
-    does not depend on the blocking.  A grid of one block is that call.
+    A block is a run of BLOCK_NODES // nx whole rows, or, when a row is
+    longer than BLOCK_NODES, a slice of BLOCK_NODES nodes of one row; its
+    fields are evaluated on a column of t and a row of x.  entries are
+    _cone_entries at the nodes start, start + 1, ... of the block.  A
+    DomainError in a block is re-raised by _grid_entries on the nodes from
+    that block's first row on.  Every check of the evaluation passed on the
+    nodes before the block, so the first check that fails there, and the
+    first node where it fails, are those of the whole grid: the message does
+    not depend on the blocking.  A grid of one block is that call.
     """
-    t, x = region.mesh()
-    delta, size = dirac.d1 - dirac.d2, BLOCK_NODES
-    if t.size <= size:
+    t, x = region.axes()
+    nx, delta = region.nx, dirac.d1 - dirac.d2
+    if region.nt * nx <= BLOCK_NODES:
         yield 0, _grid_entries(el, dirac, region)
         return
-    for start in range(0, t.size, size):
-        try:
-            entries = _cone_entries(el, t[start : start + size], x[start : start + size], delta)
-        except DomainError:
-            _grid_entries(el, dirac, region, start)
-            raise
-        yield start, entries
+    rows, width = max(1, BLOCK_NODES // nx), min(nx, BLOCK_NODES)
+    for row in range(0, region.nt, rows):
+        for col in range(0, nx, width):
+            try:
+                entries = _cone_entries(el, t[row : row + rows, None], x[None, col : col + width], delta)
+            except DomainError:
+                _grid_entries(el, dirac, region, row)
+                raise
+            yield row * nx + col, entries
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -743,8 +765,12 @@ def cone_membership(
     the first node of the grid minimum when that minimum is not finite (an
     eigenvalue below -1.8e308 overflows, although every entry is finite).
     """
-    n = region.mesh()[0].size  # the mesh first: it refuses a grid too large to allocate
-    passed = np.empty(n, dtype=bool)
+    region.axes()  # the axes first: they refuse a grid too large to allocate
+    n = region.nt * region.nx
+    try:
+        passed = np.empty(n, dtype=bool)
+    except (MemoryError, ValueError) as err:
+        raise region._too_large() from err
     upper = np.inf  # an eigvalsh or interlacing bound at some node, so the grid minimum is at most this
     first_failed = -1
     kept = []  # per block: (nodes, bounds, undecided flags, entries) of the nodes eigvalsh may need

@@ -10,9 +10,12 @@ propagates forward-mode dual numbers with a two-component derivative part,
 so both first partials d/dt and d/dx come out exact (no truncation error
 beyond rounding) in a single pass.
 
-Evaluation accepts scalars or numpy arrays of coordinates; array evaluation
-is used by the grid-based cone checks.  A value or partial that is not finite
-raises DomainError, as does leaving a function's real domain.
+Evaluation accepts scalars or numpy arrays of coordinates that broadcast
+against each other; the grid-based cone checks pass a column of t and a row
+of x, so a subtree that reads one coordinate is evaluated on that axis only.
+A value or partial that is not finite raises DomainError, as does leaving a
+function's real domain; its index is the first failing node, row-major in
+the broadcast shape of the coordinates.
 
 There is deliberately no abs(): the cone tests need differentiable fields.
 A modulus can be composed as sqrt(re^2 + im^2) where the argument stays
@@ -85,7 +88,11 @@ class ParseError(ValueError):
 
 
 class DomainError(ValueError):
-    """Evaluation outside a function's real domain, pointing at the subexpression."""
+    """Evaluation outside a function's real domain, pointing at the subexpression.
+
+    index is the first failing node, row-major in the broadcast shape of the
+    coordinates, or None where the failing subexpression reads neither.
+    """
 
     def __init__(self, message: str, expr: FieldExpr, index: int | None = None):
         self.expr = expr
@@ -310,14 +317,19 @@ def to_source(e: FieldExpr) -> str:
 # Each node evaluates to a triple (value, d/dt, d/dx) of floats or arrays.
 
 
-def _check(ok, message: str, node: FieldExpr) -> None:
+def _check(ok, message: str, node: FieldExpr, shape: tuple) -> None:
+    """Raise DomainError unless ok holds everywhere; its index is row-major in the coordinates' shape.
+
+    ok may have any shape that broadcasts to shape (a subtree that reads only
+    t is a column); a 0-d ok reads no coordinate and carries no index.
+    """
     ok = np.asarray(ok)
     if not ok.all():
-        bad = int(np.argmin(ok)) if ok.ndim else None
+        bad = int(np.argmin(np.broadcast_to(ok, shape))) if ok.ndim else None
         raise DomainError(message, node, index=bad)
 
 
-def _eval(e: FieldExpr, t, x):
+def _eval(e: FieldExpr, t, x, shape: tuple):
     if isinstance(e, Num):
         return np.float64(e.value), 0.0, 0.0  # numpy arithmetic overflows to inf, never raises
     if isinstance(e, Var):
@@ -325,33 +337,33 @@ def _eval(e: FieldExpr, t, x):
             return t, 1.0, 0.0
         return x, 0.0, 1.0
     if isinstance(e, Neg):
-        v, dt, dx = _eval(e.arg, t, x)
+        v, dt, dx = _eval(e.arg, t, x, shape)
         return -v, -dt, -dx
     if isinstance(e, BinOp):
-        av, adt, adx = _eval(e.lhs, t, x)
-        bv, bdt, bdx = _eval(e.rhs, t, x)
+        av, adt, adx = _eval(e.lhs, t, x, shape)
+        bv, bdt, bdx = _eval(e.rhs, t, x, shape)
         if e.op == "+":
             return av + bv, adt + bdt, adx + bdx
         if e.op == "-":
             return av - bv, adt - bdt, adx - bdx
         if e.op == "*":
             return av * bv, adt * bv + av * bdt, adx * bv + av * bdx
-        _check(np.asarray(bv) != 0.0, "division by zero", e)
+        _check(np.asarray(bv) != 0.0, "division by zero", e, shape)
         inv = 1.0 / bv
         v = av * inv
         return v, (adt - v * bdt) * inv, (adx - v * bdx) * inv
     if isinstance(e, Pow):
-        bv, bdt, bdx = _eval(e.base, t, x)
+        bv, bdt, bdx = _eval(e.base, t, x, shape)
         n = e.exponent
         if n == 0:
             return bv * 0.0 + 1.0, 0.0, 0.0
         if n < 0:
-            _check(np.asarray(bv) != 0.0, "zero base with negative exponent", e)
+            _check(np.asarray(bv) != 0.0, "zero base with negative exponent", e, shape)
         v = bv ** float(n)
         g = float(n) * bv ** float(n - 1)
         return v, g * bdt, g * bdx
     if isinstance(e, Call):
-        av, adt, adx = _eval(e.arg, t, x)
+        av, adt, adx = _eval(e.arg, t, x, shape)
         if e.func == "sin":
             v, g = np.sin(av), np.cos(av)
         elif e.func == "cos":
@@ -363,10 +375,10 @@ def _eval(e: FieldExpr, t, x):
             v = np.exp(av)
             g = v
         elif e.func == "log":
-            _check(np.asarray(av) > 0.0, "log of a non-positive value", e)
+            _check(np.asarray(av) > 0.0, "log of a non-positive value", e, shape)
             v, g = np.log(av), 1.0 / av
         elif e.func == "sqrt":
-            _check(np.asarray(av) > 0.0, "sqrt of a non-positive value", e)
+            _check(np.asarray(av) > 0.0, "sqrt of a non-positive value", e, shape)
             v = np.sqrt(av)
             g = 0.5 / v
         elif e.func == "tanh":
@@ -377,12 +389,12 @@ def _eval(e: FieldExpr, t, x):
             g = 1.0 / (1.0 + av * av)
         elif e.func == "csc":
             s = np.sin(av)
-            _check(np.asarray(s) != 0.0, "csc at a zero of sin", e)
+            _check(np.asarray(s) != 0.0, "csc at a zero of sin", e, shape)
             v = 1.0 / s
             g = -v * v * np.cos(av)
         else:  # unreachable for parsed trees
             raise DomainError(f"unknown function {e.func!r}", e)
-        _check(np.isfinite(np.asarray(v)), "non-finite value", e)
+        _check(np.isfinite(np.asarray(v)), "non-finite value", e, shape)
         return v, g * adt, g * adx
     raise TypeError(f"not a field expression: {e!r}")
 
@@ -400,19 +412,21 @@ def _jet(e: FieldExpr, t, x):
     """The one evaluation walk, checked finite at the root.
 
     Returns ((value, d/dt, d/dx), shape) where shape is the broadcast shape
-    of the coordinates; constant parts may come back as scalars.  Besides the
+    of the coordinates.  Each part keeps the shape of the coordinates it
+    reads: given a column of t and a row of x, a part that reads only t is a
+    column, and a constant part may come back as a scalar.  Besides the
     per-function domain checks inside the walk, the value and both partials
-    must be finite everywhere; otherwise DomainError carries the first flat
-    index where one of them is not.
+    must be finite everywhere; otherwise DomainError carries the first index,
+    row-major in shape, where one of them is not.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     shape = np.broadcast_shapes(t.shape, x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        jet = _eval(e, t, x)
+        jet = _eval(e, t, x, shape)
     finite = np.isfinite(jet[0]) & np.isfinite(jet[1]) & np.isfinite(jet[2])
     if not finite.all():
-        _check(np.broadcast_to(finite, shape), "non-finite value or partial", e)
+        _check(np.broadcast_to(finite, shape), "non-finite value or partial", e, shape)
     return jet, shape
 
 

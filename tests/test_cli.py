@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causalnc import cli
+from causalnc import cli, cone
 from causalnc.causality import MAX_PATH_SEGMENTS, CausalVerdict, Reason
 from causalnc.cli import main
 from causalnc.cone import AlgebraElement, RegionGrid
@@ -85,6 +85,15 @@ def test_malformed_json_is_input_error(capsys):
     code, _, err = _run(capsys, "check-pure", "--input", "{not json")
     assert code == 2
     assert "malformed" in err
+
+
+def test_an_integer_beyond_the_digit_limit_is_malformed_json(capsys):
+    # json.loads raises a plain ValueError, not JSONDecodeError, for an integer
+    # of more than 4,300 digits; it printed only int()'s conversion message
+    payload = json.dumps(PURE_RELATED)[:-1] + ', "n": 1' + "0" * 5000 + "}"
+    code, out, err = _run(capsys, "plan-path", "--input", payload)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed JSON")
 
 
 def test_missing_input_flag(capsys):
@@ -301,6 +310,19 @@ def test_plan_path_n_above_the_segment_bound_is_refused_before_sampling(capsys, 
         assert (code, out) == (2, "")
         assert err == f'error: "n" must be at most {MAX_PATH_SEGMENTS} path segments, got {n}\n'
         assert peak < 1 << 20
+
+
+#: cone-check runs on 41^2..81^2 grids, one per benchmark kind, with the
+#: stdout, stderr and exit code of the flat-mesh evaluation they replaced
+GOLDEN_CONE_CHECKS = json.loads((Path(__file__).parent / "cone_check_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_CONE_CHECKS, ids=[case["kind"] for case in GOLDEN_CONE_CHECKS])
+def test_cone_check_outputs_equal_the_golden_ones(case, capsys, monkeypatch):
+    # small blocks, so the walk runs whole-row runs and part-row slices and
+    # the refusals are re-raised from a later block
+    monkeypatch.setattr(cone, "BLOCK_NODES", case["block_nodes"])
+    assert _run(capsys, *case["argv"]) == (case["exit_code"], case["stdout"], case["stderr"])
 
 
 def test_plan_path_unrelated_is_input_error(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalnc import cone
@@ -16,6 +16,7 @@ from causalnc.cone import (
     RegionGrid,
     UnequalDiagonalError,
     _charpoly,
+    _cone_entries,
     _grid_entries,
     _lambda_min_estimates,
     _matrices,
@@ -30,9 +31,12 @@ from causalnc.cone import (
 )
 from causalnc.fields import (
     BinOp,
+    Call,
     DomainError,
+    Neg,
     Num,
     ParseError,
+    Pow,
     Var,
     eval_grid,
     eval_with_derivatives,
@@ -661,38 +665,157 @@ def test_block_size_changes_no_outcome(sources, dirac, grid):
 
 
 def test_grid_blocks_walk_the_grid_once_in_row_major_order(monkeypatch):
-    monkeypatch.setattr(cone, "BLOCK_NODES", 7)
     el = AlgebraElement.from_sources("t + x^2", "t", "sin(x)", "t*x")
     whole = _grid_entries(el, D_UNIT, BLOCK_GRID)
-    blocks = list(cone._grid_blocks(el, D_UNIT, BLOCK_GRID))
-    assert [start for start, _ in blocks] == list(range(0, 169, 7))
-    for part, whole_part in zip(zip(*(entries for _, entries in blocks)), whole):
-        assert np.array_equal(np.concatenate(part), whole_part)
+    for block_nodes, starts in (
+        (7, [row * 13 + col for row in range(13) for col in (0, 7)]),  # slices of 7 and 6 nodes of each row
+        (30, list(range(0, 169, 26))),  # runs of two whole rows, then the last row alone
+    ):
+        monkeypatch.setattr(cone, "BLOCK_NODES", block_nodes)
+        blocks = list(cone._grid_blocks(el, D_UNIT, BLOCK_GRID))
+        assert [start for start, _ in blocks] == starts
+        for part, whole_part in zip(zip(*(entries for _, entries in blocks)), whole):
+            assert np.array_equal(np.concatenate(part), whole_part)
 
 
-def test_a_later_block_error_is_re_raised_from_that_block_on(monkeypatch):
-    # b's log disc (first node 31, in block 4 of 7 nodes) comes first in node
-    # order, a's sqrt disc (first node 109) first in the walk: the grid's error is a's
-    el = AlgebraElement.from_sources("t + sqrt((t - 1.5)^2 + x^2 - 0.5)", "t + log((t + 1.5)^2 + x^2 - 0.5)")
-    with pytest.raises(DomainError) as whole:
-        _grid_entries(el, D_UNIT, BLOCK_GRID)
-    assert str(whole.value).startswith("sqrt of a non-positive value at grid node (t=1.0, x=-0.5)")
+def _counting_nodes(monkeypatch) -> list:
+    """Record the number of nodes each _cone_entries call evaluates."""
     sizes = []
     entries = cone._cone_entries
 
     def sized(el, t, x, delta):
-        sizes.append(len(t))
+        sizes.append(np.broadcast(t, x).size)
         return entries(el, t, x, delta)
 
     monkeypatch.setattr(cone, "_cone_entries", sized)
+    return sizes
+
+
+def test_a_later_block_error_is_re_raised_from_that_block_on(monkeypatch):
+    # b's log disc (first node 31: row 2, in the walk's fifth block, the first
+    # 7-node slice of that row) comes first in node order, a's sqrt disc (first
+    # node 109) first in the walk: the grid's error is a's
+    el = AlgebraElement.from_sources("t + sqrt((t - 1.5)^2 + x^2 - 0.5)", "t + log((t + 1.5)^2 + x^2 - 0.5)")
+    with pytest.raises(DomainError) as whole:
+        _grid_entries(el, D_UNIT, BLOCK_GRID)
+    assert str(whole.value).startswith("sqrt of a non-positive value at grid node (t=1.0, x=-0.5)")
+    sizes = _counting_nodes(monkeypatch)
     monkeypatch.setattr(cone, "BLOCK_NODES", 7)
     for decide in (cone_membership, certify_grid_psd):
         sizes.clear()
         with pytest.raises(DomainError) as err:
             decide(el, D_UNIT, BLOCK_GRID)
         assert str(err.value) == str(whole.value)
-        # blocks 0..4, then one evaluation of the nodes from block 4 on
-        assert sizes == [7] * 5 + [169 - 4 * 7]
+        # rows 0 and 1 in slices of 7 and 6 nodes, row 2's first slice, then
+        # one evaluation of the nodes from row 2 on
+        assert sizes == [7, 6] * 2 + [7] + [169 - 2 * 13]
+
+
+def test_an_error_mid_row_in_a_later_slice_names_the_whole_grids_node(monkeypatch):
+    # rows of 40 nodes walked in slices of 16: the disc's first node is
+    # row 2, column 21, in the second slice of the third row
+    grid = RegionGrid(-2.0, 2.0, -3.9, 3.9, 5, 40)
+    t, x = np.meshgrid(np.linspace(-2.0, 2.0, 5), np.linspace(-3.9, 3.9, 40), indexing="ij")
+    inside = (t.ravel() - 0.1) ** 2 + (x.ravel() - 0.35) ** 2 - 0.05 <= 0.0
+    first = int(np.argmax(inside))
+    assert inside.any() and divmod(first, 40) == (2, 21)
+    el = AlgebraElement.from_sources("t", "t + sqrt((t - 0.1)^2 + (x - 0.35)^2 - 0.05)")
+    message = (
+        f"sqrt of a non-positive value at grid node (t={float(t.ravel()[first])}, x={float(x.ravel()[first])})"
+        " in 'sqrt((t - 0.1)^2 + (x - 0.35)^2 - 0.05)'"
+    )
+    sizes = _counting_nodes(monkeypatch)
+    monkeypatch.setattr(cone, "BLOCK_NODES", 16)
+    for decide in (cone_membership, certify_grid_psd):
+        sizes.clear()
+        with pytest.raises(DomainError, match=r"^sqrt") as err:
+            decide(el, D_UNIT, grid)
+        assert str(err.value) == message
+        assert sizes == [16, 16, 8] * 2 + [16, 16] + [3 * 40]
+
+
+FIELD_NODES = (Num, Var, Neg, BinOp, Pow, Call)
+
+
+def _reading(tree, names: tuple[str, ...]):
+    """The tree reading only the variables in names: the others become names[0], or Num(0.75) if names is empty."""
+    if isinstance(tree, Var):
+        if not names:
+            return Num(0.75)
+        return tree if tree.name in names else Var(names[0])
+    if isinstance(tree, Num):
+        return tree
+    return type(tree)(*(_reading(v, names) if isinstance(v, FIELD_NODES) else v for v in vars(tree).values()))
+
+
+_READS = st.sampled_from(((), ("t",), ("x",), ("t", "x")))
+
+
+@st.composite
+def _axis_elements(draw):
+    """An element whose four fields each read t only, x only, both or neither; b is sometimes a's tree."""
+    a, b, c_re, c_im = (_reading(draw(FIELD_TREES), draw(_READS)) for _ in range(4))
+    return AlgebraElement(a, a if draw(st.booleans()) else b, c_re, c_im)
+
+
+def _mesh_reference(el, dirac, region):
+    """_cone_entries on the flattened np.meshgrid of the grid, or the node-annotated DomainError text."""
+    tt, xx = np.meshgrid(
+        np.linspace(region.t_min, region.t_max, region.nt),
+        np.linspace(region.x_min, region.x_max, region.nx),
+        indexing="ij",
+    )
+    t, x = tt.ravel(), xx.ravel()
+    try:
+        return _cone_entries(el, t, x, dirac.d1 - dirac.d2)
+    except DomainError as err:
+        if err.index is None:
+            return str(err)
+        at = f"at grid node (t={float(t[err.index])}, x={float(x[err.index])})"
+        return str(DomainError(f"{err.args[0].split(' in ')[0]} {at}", err.expr))
+
+
+#: a subtree that reads only t fails first in a later row, one that reads only x in a later column
+_LATE_FAILURES = (
+    AlgebraElement.from_sources("t", "t + log(0.4 - t)"),
+    AlgebraElement.from_sources("t + sqrt(0.7 - x)", "t", "0.5*cos(t)"),
+)
+
+
+@settings(max_examples=60)
+@given(
+    _axis_elements(),
+    _diracs,
+    st.integers(2, 60),
+    st.integers(2, 60),
+    st.sampled_from((1, 7, "nx - 1", 64, 32_768)),
+    st.tuples(*[st.sampled_from((-3.0, -1.25, 0.5))] * 2),
+)
+@example(_LATE_FAILURES[0], D_UNIT, 30, 20, 7, (-3.0, -3.0))
+@example(_LATE_FAILURES[0], D_UNIT, 30, 20, 64, (-3.0, -3.0))
+@example(_LATE_FAILURES[1], D_UNIT, 12, 40, "nx - 1", (-3.0, -3.0))
+@example(_LATE_FAILURES[1], D_UNIT, 12, 40, 32_768, (-1.25, -3.0))
+def test_row_blocks_equal_the_flat_mesh_bit_for_bit(el, dirac, nt, nx, block_nodes, lower):
+    if block_nodes == 1:  # one evaluation per node: keep those grids small
+        nt, nx = min(nt, 9), min(nx, 9)
+    region = RegionGrid(lower[0], 3.0, lower[1], 2.25, nt, nx)
+    want = _mesh_reference(el, dirac, region)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cone, "BLOCK_NODES", nx - 1 if block_nodes == "nx - 1" else block_nodes)
+        try:
+            blocks = list(cone._grid_blocks(el, dirac, region))
+        except DomainError as err:
+            assert str(err) == want
+            return
+    assert not isinstance(want, str), want
+    starts = [start for start, _ in blocks]
+    assert starts[0] == 0 and starts == sorted(set(starts))
+    for k, (start, entries) in enumerate(blocks):
+        end = blocks[k + 1][0] if k + 1 < len(blocks) else nt * nx
+        for got, ref in zip(entries, want):
+            expected = ref if np.ndim(ref) == 0 else ref[start:end]
+            got, expected = np.asarray(got), np.asarray(expected)
+            assert (got.shape, got.dtype, got.tobytes()) == (expected.shape, expected.dtype, expected.tobytes())
 
 
 def _shifted_lemma_element(amp: float, freq: float, t0: float, headroom: float) -> AlgebraElement:
@@ -776,8 +899,8 @@ def test_region_grid_validation_and_roundtrip():
         RegionGrid(-1.0, 1.0, 0.0, 1.0, 1, 5)
     grid = RegionGrid(-2.0, 2.0, -1.0, 1.0, 3, 5)
     assert RegionGrid.from_dict(grid.to_dict()) == grid
-    t, x = grid.mesh()
-    assert len(t) == 15
+    t, x = grid.axes()
+    assert (len(t), len(x)) == (3, 5)
     assert grid.node(0).almost_equal(SpacetimePoint(-2.0, -1.0))
     assert grid.node(14).almost_equal(SpacetimePoint(2.0, 1.0))
 
@@ -815,23 +938,25 @@ def test_region_grid_node_is_the_mesh_node_bit_for_bit():
         t_min, x_min = rng.uniform(-5.0, 5.0, 2)
         t_max, x_max = (t_min, x_min) + rng.uniform(0.1, 9.0, 2)
         grid = RegionGrid(t_min, t_max, x_min, x_max, *map(int, rng.integers(2, 402, 2)))
-        t, x = grid.mesh()
+        tt, xx = np.meshgrid(
+            np.linspace(t_min, t_max, grid.nt), np.linspace(x_min, x_max, grid.nx), indexing="ij"
+        )
+        t, x = tt.ravel(), xx.ravel()
         for k in rng.integers(0, t.size, 25):
             node = grid.node(int(k))
             assert (node.t, node.x) == (t[k], x[k]) and type(node.t) is type(node.x) is float
 
 
-def test_region_grid_mesh_is_built_once_and_read_only():
+def test_region_grid_axes_are_built_once_and_read_only():
     grid = RegionGrid(-2.0, 2.0, -1.0, 1.0, 3, 5)
     fresh = RegionGrid(-2.0, 2.0, -1.0, 1.0, 3, 5)
-    t, x = grid.mesh()
-    again = grid.mesh()
+    t, x = grid.axes()
+    again = grid.axes()
     assert again[0] is t and again[1] is x
     assert not t.flags.writeable and not x.flags.writeable
     with pytest.raises(ValueError):
         t[0] = 0.0
-    tt, xx = np.meshgrid(np.linspace(-2.0, 2.0, 3), np.linspace(-1.0, 1.0, 5), indexing="ij")
-    assert np.array_equal(t, tt.ravel()) and np.array_equal(x, xx.ravel())
+    assert np.array_equal(t, np.linspace(-2.0, 2.0, 3)) and np.array_equal(x, np.linspace(-1.0, 1.0, 5))
     # the cached arrays take no part in equality, hashing or serialisation
     assert grid == fresh and hash(grid) == hash(fresh)
     assert grid.to_dict() == fresh.to_dict() == RegionGrid.from_dict(grid.to_dict()).to_dict()
