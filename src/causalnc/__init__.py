@@ -62,13 +62,10 @@ from .states import (
     parallel_angle,
 )
 from .witness import (
-    EndpointElement,
     WitnessSpec,
     build_mixed_witness,
     build_witness,
     certify_witness_psd,
-    endpoint_element,
-    lhs_by_integration,
     refute_with_witness,
     separation_values,
 )

@@ -5,8 +5,8 @@ construction, certifies each one on a declared grid at generation time, and
 checks that no sampled element ever separates a pair the closed-form oracle
 calls related.  Sampling cannot prove non-relatedness (the cone is infinite
 dimensional), so a pair that no sample separates is reported INCONCLUSIVE;
-actual refutations are the witness module's job and a witness element can be
-injected into a run through its endpoint values.
+actual refutations are the witness module's job, and a witness's element
+(WitnessSpec.element) can be injected into a run like any other element.
 
 Streams are driven by numpy's PCG64 generator seeded per (seed, index), so
 identical configurations reproduce bit-identical elements on any platform.
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .causality import PureState, pure_causal
 from .cone import PSD_TOL, AlgebraElement, RegionGrid, certify_grid_psd
 from .fields import BinOp, Call, FieldExpr, Neg, Num, Pow, Var, eval_grid
 from .states import DiracData
-from .witness import EndpointElement
 
 PAIR_TOL = 1e-10
 
@@ -126,16 +125,6 @@ def sample_elements(cfg: SamplerConfig, dirac: DiracData) -> list[AlgebraElement
     return [sample_causal_element(cfg, k, dirac) for k in range(cfg.n_elements)]
 
 
-SampledElement = Union[AlgebraElement, EndpointElement]
-
-
-def _element_values(el: SampledElement, t: np.ndarray, x: np.ndarray):
-    if isinstance(el, AlgebraElement):
-        a, b, c_re, c_im = (eval_grid(f, t, x)[0] for f in (el.a, el.b, el.c_re, el.c_im))
-        return a, b, c_re + 1j * c_im
-    return el.values_at(t, x)
-
-
 class PairStatus(str, Enum):
     CONSISTENT = "CONSISTENT"  # related and never violated
     SOUNDNESS_BUG = "SOUNDNESS_BUG"  # related yet some causal element separated it
@@ -182,14 +171,14 @@ def cross_validate_pure(
     pairs: Sequence[tuple[PureState, PureState]],
     dirac: DiracData,
     cfg: Optional[SamplerConfig] = None,
-    elements: Optional[Sequence[SampledElement]] = None,
+    elements: Optional[Sequence[AlgebraElement]] = None,
 ) -> CrossValidationReport:
     """Check every pair against every sampled element.
 
     The pairing of a state with an element [[a, -c], [-c*, b]] at its event
     is |xi1|^2 a + |xi2|^2 b - 2 Re(conj(xi1) xi2 c); an element separates a
     pair when the start value exceeds the end value by more than PAIR_TOL.
-    Explicit elements (e.g. a witness endpoint element) take precedence over
+    Explicit elements (e.g. a witness's element) take precedence over
     sampling from cfg; an empty element list yields a vacuous INCONCLUSIVE
     report.
     """
@@ -216,8 +205,8 @@ def cross_validate_pure(
     worst = np.full(n, -np.inf)
     violations = np.zeros(n, dtype=int)
     for el in elements:
-        av, bv, cv = _element_values(el, t_all, x_all)
-        values = w1 * av + w2 * bv - 2.0 * (cross * cv).real
+        av, bv, c_re, c_im = (eval_grid(f, t_all, x_all)[0] for f in (el.a, el.b, el.c_re, el.c_im))
+        values = w1 * av + w2 * bv - 2.0 * (cross * (c_re + 1j * c_im)).real
         margins = values[0::2] - values[1::2]  # omega(a) - eta(a)
         worst = np.maximum(worst, margins)
         violations += margins > PAIR_TOL

@@ -2,29 +2,32 @@
 
 When the closed-form oracle says a same-latitude pair is NOT related because
 the available proper time is short of the required internal angle, an
-explicit causal element separates the two states.  Along the straight
-worldline between the events its off-diagonal field follows the schedule
+explicit causal element separates the two states.  With tau the proper time
+of the worldline's rest frame, counted from p, and Theta = g*tau + eps
+(g the Dirac gap) it is
 
-    c(l) = -csc(g*l + eps) * exp(i*theta_c),      g = Dirac gap,
+    a = -(|phi2|/|phi1|) cot(Theta),    b = -(|phi1|/|phi2|) cot(Theta),
+    c = -csc(Theta) * exp(i*theta_c),
 
-with eps > 0 chosen so that the whole schedule stays inside (0, pi), and
-its diagonal derivative fields are fixed (up to constants) by the velocity
-profile of the worldline.  The certificate produced here bundles
+with eps > 0 chosen so that Theta stays inside (0, pi) along the whole
+worldline.  Its cone matrix depends on Theta alone and is PSD wherever
+0 < Theta < pi, so the element is causal on that strip, which holds the
+worldline.  WitnessSpec.element builds it as DSL fields, the input of
+cone-check.  The certificate produced here bundles
 
 * the closed-form endpoint values of both sides of the separation
   inequality (the pairing difference must come out strictly negative),
-* a numerical re-derivation of the left side by composite-Simpson
-  integration of the diagonal derivative fields, and
+* the left side read off the element: its pairing growth between the
+  endpoints, evaluated by the DSL, and
 * a positive-semidefiniteness certification of the element along the
   worldline via the four characteristic-polynomial coefficients of its
   cone matrix, in closed form in the seven cone entries (cone._charpoly);
   the two leading ones are also matched against their closed forms in the
   schedule.
 
-The element is only evaluated along the worldline and at its endpoints; a
-global extension off the curve exists but is never needed quantitatively,
-so none is constructed.  Exactly antipodal internal angles (distance pi)
-admit no direct certificate here and are rejected.
+The certification reads the cone entries in closed form (_witness_entries),
+not off the element's fields.  Exactly antipodal internal angles (distance
+pi) admit no direct certificate here and are rejected.
 """
 
 from __future__ import annotations
@@ -37,18 +40,17 @@ from typing import Optional
 import numpy as np
 
 from .causality import MixedState, PureState, Reason, _mixed_angle_sup, mixed_causal, pure_causal
-from .cone import _charpoly, _node_scales
+from .cone import AlgebraElement, _charpoly, _node_scales
+from .fields import BinOp, Call, DomainError, FieldExpr, Neg, Num, Var, _jet
 from .minkowski import SpacetimePoint, max_proper_time
 from .states import DiracData, angular_distance, parallel_angle, signed_arc, wrap_angle
 
 ANGLE_TOL = 1e-12
-#: Relative tolerance for closed-form versus computed / integrated values.
+#: Relative tolerance for closed-form versus computed values.
 MATCH_RTOL = 1e-8
 #: Normalised characteristic-coefficient tolerances (scale-free).
 COEFF_POS_TOL = 1e-12
 COEFF_ZERO_TOL = 1e-9
-#: Composite-Simpson panels for lhs_by_integration; even, as the rule needs.
-SIMPSON_PANELS = 4000
 
 
 class WitnessOverflowError(ValueError):
@@ -106,9 +108,43 @@ class WitnessSpec:
         """The angle Theta(l) = gap*l + epsilon driving the csc schedule."""
         return self.dirac.gap * np.asarray(l, dtype=float) + self.epsilon
 
-    def c_field(self, l: float) -> complex:
-        """Off-diagonal field value at proper time l along the worldline."""
-        return -1.0 / math.sin(float(self.schedule(l))) * cmath.exp(1j * self.theta_c)
+    def element(self) -> AlgebraElement:
+        """The separating element as DSL fields; causal on the strip 0 < Theta < pi.
+
+        a = -(|phi2|/|phi1|) cot(Theta), b = -(|phi1|/|phi2|) cot(Theta) and
+        c = -csc(Theta) e^(i theta_c), where Theta = gap*tau + epsilon and
+        tau = ((t - p.t) - v (x - p.x)) / sqrt(1 - v^2), so Theta(p) =
+        epsilon exactly and Theta grows by gap per unit proper time along the
+        worldline.  The trees are in parser normal form:
+        AlgebraElement.from_dict(el.to_dict()) == el.  Raises
+        WitnessOverflowError, naming the Dirac gap, when gap/sqrt(1 - v^2)
+        does not fit in a float.
+        """
+        gap, v = self.dirac.gap, self.velocity()
+        rate = gap / math.sqrt(1.0 - v * v)
+        _require_finite(rate, gap, "the schedule's rate")
+        # Theta = rate * (t - p.t - v * (x - p.x)) + epsilon
+        tau = BinOp("+" if v < 0 else "-", _shifted("t", self.p.t), _scaled(abs(v), _shifted("x", self.p.x)))
+        theta = BinOp("+", _scaled(rate, tau), Num(self.epsilon))
+        cot = lambda k: Neg(BinOp("/", Num(k), Call("tan", theta)))  # -k cot(Theta)
+        csc = Call("csc", theta)
+        return AlgebraElement(
+            cot(self.abs_phi2 / self.abs_phi1),
+            cot(self.abs_phi1 / self.abs_phi2),
+            _scaled(-math.cos(self.theta_c), csc),
+            _scaled(-math.sin(self.theta_c), csc),
+        )
+
+
+def _shifted(var: str, at: float) -> FieldExpr:
+    """var - at, as the parser reads it: a negative shift is written var + |at|."""
+    return BinOp("+" if at < 0 else "-", Var(var), Num(abs(at)))
+
+
+def _scaled(k: float, field: FieldExpr) -> FieldExpr:
+    """k * field, as the parser reads it: a negative k is written -(|k| * field)."""
+    product = BinOp("*", Num(abs(k)), field)
+    return Neg(product) if k < 0 else product
 
 
 def _require_speed_bound_refusal(verdict) -> None:
@@ -174,36 +210,24 @@ def separation_values(spec: WitnessSpec) -> tuple[float, float]:
     return lhs, rhs
 
 
-def lhs_by_integration(spec: WitnessSpec) -> float:
-    """Re-derive the lhs by integrating the diagonal derivative fields.
+def _pairing_growth(spec: WitnessSpec) -> float:
+    """The lhs read off the element: |phi1|^2 (a(q) - a(p)) + |phi2|^2 (b(q) - b(p)).
 
-    Composite Simpson in coordinate time along the worldline, evaluating the
-    scheduled field derivatives literally; used to cross-check the closed
-    form within MATCH_RTOL.  A one-event worldline integrates over an empty
-    interval and gives 0.  Raises WitnessOverflowError, naming the Dirac
-    gap, when the integral does not fit in a float.
+    a and b are evaluated at the endpoints by the DSL.  Raises
+    WitnessOverflowError, naming the Dirac gap, when a value or partial
+    there does not fit in a float.
     """
-    gap = spec.dirac.gap
-    k1, k2 = spec.abs_phi1, spec.abs_phi2
-    dt = spec.q.t - spec.p.t
-    v = spec.velocity()
-    lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
-    sqrt_ll = math.sqrt(lam1 * lam2)
-    n = SIMPSON_PANELS
-    tau = np.linspace(0.0, dt, n + 1)
-    csc2 = 1.0 / np.sin(spec.schedule(tau * math.sqrt(1.0 - v * v))) ** 2
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        a0 = gap / (2.0 * sqrt_ll) * (k2 / k1) * csc2
-        a1 = -v * a0
-        b0 = gap / (2.0 * sqrt_ll) * (k1 / k2) * csc2
-        b1 = -v * b0
-        integrand = k1 * k1 * (a0 + v * a1) + k2 * k2 * (b0 + v * b1)
-        lhs = float((dt / n) / 3.0 * np.dot(weights, integrand))
-    _require_finite(lhs, gap, "the integrated lhs")
-    return lhs
+    el = spec.element()
+    t, x = np.array([spec.p.t, spec.q.t]), np.array([spec.p.x, spec.q.x])
+    try:
+        (a_p, a_q), (b_p, b_q) = (_jet(field, t, x)[0][0] for field in (el.a, el.b))
+    except DomainError as err:
+        raise WitnessOverflowError(
+            f"Dirac gap {spec.dirac.gap} is too large: the element does not fit in a float at the endpoints"
+        ) from err
+    growth = spec.abs_phi1**2 * (a_q - a_p) + spec.abs_phi2**2 * (b_q - b_p)
+    _require_finite(growth, spec.dirac.gap, "the element's pairing growth")
+    return float(growth)
 
 
 @dataclass(frozen=True)
@@ -249,14 +273,12 @@ def _witness_entries(spec: WitnessSpec, l: np.ndarray):
     """The element's cone-matrix entries (ap, am, bp, bm, u, z, w) at proper times l.
 
     Order and signs are those of cone._cone_entries, so cone._matrices
-    assembles the 4x4 matrices.  The off-diagonal derivative fields are
-    split proportionally between the two null directions, u = c_t + c_x =
-    g sqrt(lam2/lam1) cos(Theta) csc^2(Theta) e^(i theta_c) and mirrored for
-    z = c_t - c_x, which is the unique proportional split consistent with
-    the chain rule applied to the csc schedule along the worldline.  The
-    resulting matrix is isospectral to the one with the cosine entries
-    negated (replace Theta by pi - Theta), so every certified quantity is
-    insensitive to that off-curve choice.
+    assembles the 4x4 matrices.  They are the entries _cone_entries takes
+    from spec.element() at the worldline's events, in closed form in the
+    schedule: with lam1, lam2 = (1 + v)/2, (1 - v)/2, for instance, u =
+    c_t + c_x = g sqrt(lam2/lam1) cos(Theta) csc^2(Theta) e^(i theta_c),
+    mirrored for z = c_t - c_x.  tests/test_witness.py holds the two to
+    each other.
     """
     theta = spec.schedule(l)
     v = spec.velocity()
@@ -294,6 +316,17 @@ def certify_witness_psd(spec: WitnessSpec, n: int) -> PsdCertification:
     schedule within MATCH_RTOL.  first_failure is the earliest failing
     sample.  Raises WitnessOverflowError, naming the Dirac gap, when a
     coefficient does not fit in a float.
+
+    The coefficient test is sound only on the rank-two matrices of
+    _witness_entries: at a double zero eigenvalue, |c3|, |c4| <= tol admit
+    an eigenvalue near -sqrt(tol/c2)*scale on other matrices.  On these,
+    tests/test_witness.py::test_passed_samples_are_exactly_psd_after_the_tolerance_shift
+    pins it: in exact arithmetic, every passed sample's rounded entries make
+    M + PSD_TOL*scale*I PSD.  The cone's per-node eigvalsh rule is not used
+    because it costs more than twice as much: over the 200 mixed_witness
+    certificates of the benchmark's seed 1 (64 samples, one Xeon core),
+    the element's cone entries took about 400 us and eigvalsh 150 us a
+    certificate, against about 250 us for this whole certification.
     """
     if n < 2:
         raise ValueError("need at least two certification samples")
@@ -334,7 +367,11 @@ def certify_witness_psd(spec: WitnessSpec, n: int) -> PsdCertification:
 
 @dataclass(frozen=True)
 class RefutationCertificate:
-    """Machine-checkable refutation of a claimed causal relation."""
+    """Machine-checkable refutation of a claimed causal relation.
+
+    to_dict also writes the separating element, in the input format of
+    cone-check; it is built there, not when the certificate is.
+    """
 
     spec: WitnessSpec
     lhs: float
@@ -354,6 +391,7 @@ class RefutationCertificate:
             "lhs_numeric": self.lhs_numeric,
             "psd_passed": self.psd.passed,
             "psd_samples": [s.to_dict() for s in self.psd.samples],
+            "element": self.spec.element().to_dict(),
         }
 
 
@@ -363,18 +401,16 @@ def refute_with_witness(
     """Produce a full separating-element certificate for a non-related pair.
 
     Bundles the schedule, the strict endpoint inequality (closed form and
-    Simpson-integrated lhs agreeing within MATCH_RTOL) and the PSD
+    the element's pairing growth agreeing within MATCH_RTOL) and the PSD
     certification at n_samples points.  Raises if the pair is related or any
-    certificate component fails.
+    certificate component fails.  The certification runs before the element
+    is evaluated, so that an overflowing coefficient is reported as such.
     """
     spec = build_witness(omega, eta, dirac)
     lhs, rhs = separation_values(spec)
     margin = rhs - lhs
     if not margin > 0.0:
         raise AssertionError(f"separation margin must be strictly positive, got {margin}")
-    numeric = lhs_by_integration(spec)
-    if abs(numeric - lhs) > MATCH_RTOL * max(1.0, abs(lhs)):
-        raise AssertionError(f"integrated lhs {numeric} disagrees with closed form {lhs}")
     psd = certify_witness_psd(spec, n_samples)
     if not psd.passed:
         fail = psd.first_failure
@@ -382,61 +418,10 @@ def refute_with_witness(
             f"membership certification failed at s={fail.s}: "
             f"c=({fail.c1}, {fail.c2}, {fail.c3}, {fail.c4})"
         )
+    numeric = _pairing_growth(spec)
+    if abs(numeric - lhs) > MATCH_RTOL * max(1.0, abs(lhs)):
+        raise AssertionError(f"the element's lhs {numeric} disagrees with closed form {lhs}")
     return RefutationCertificate(spec, lhs, rhs, margin, numeric, psd)
-
-
-@dataclass(frozen=True)
-class EndpointElement:
-    """A causal element known only by its values at a fixed set of events.
-
-    Used to inject a witness element into brute-force never-separate runs:
-    the pairing of a state with the element needs field values at the pair's
-    events only.
-    """
-
-    points: tuple[SpacetimePoint, ...]
-    a_values: tuple[float, ...]
-    b_values: tuple[float, ...]
-    c_values: tuple[complex, ...]
-
-    def values_at(self, t: np.ndarray, x: np.ndarray):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        pt = np.array([p.t for p in self.points])
-        px = np.array([p.x for p in self.points])
-        match = (np.abs(pt - t[:, None]) <= 1e-9) & (np.abs(px - x[:, None]) <= 1e-9)
-        found = match.any(axis=1)
-        if not found.all():
-            i = int(np.argmin(found))
-            raise ValueError(f"element is only defined at its endpoints, not ({t[i]}, {x[i]})")
-        index = match.argmax(axis=1)  # the first matching event
-        return (
-            np.array(self.a_values, dtype=float)[index],
-            np.array(self.b_values, dtype=float)[index],
-            np.array(self.c_values, dtype=complex)[index],
-        )
-
-
-def endpoint_element(spec: WitnessSpec) -> EndpointElement:
-    """Endpoint values of the separating element, diagonal gauge a(p) = b(p) = 0.
-
-    The diagonal growths depend only on the total proper time:
-    a(q) - a(p) = (|phi2|/|phi1|) (cot(eps) - cot(g L + eps)) and symmetrically
-    for b; the off-diagonal values follow the csc schedule.
-    """
-    total = max_proper_time(spec.p, spec.q)
-    gap_l = spec.dirac.gap * total
-    eps = spec.epsilon
-    cot = lambda u: math.cos(u) / math.sin(u)
-    growth = cot(eps) - cot(gap_l + eps)
-    da = (spec.abs_phi2 / spec.abs_phi1) * growth
-    db = (spec.abs_phi1 / spec.abs_phi2) * growth
-    return EndpointElement(
-        points=(spec.p, spec.q),
-        a_values=(0.0, da),
-        b_values=(0.0, db),
-        c_values=(spec.c_field(0.0), spec.c_field(total)),
-    )
 
 
 def build_mixed_witness(omega: MixedState, eta: MixedState, dirac: DiracData) -> WitnessSpec:

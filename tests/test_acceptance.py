@@ -13,7 +13,7 @@ DESCRIPTIONS = (
     "pure-state oracle matches sqrt(T^2-dx^2) >= dtheta/gap on the 20x20x20x5 grid",
     "latitude, degeneracy and spacetime-order necessary conditions (3 x 1000 pairs)",
     "lightlike separation forbids internal motion (100 pairs)",
-    "witness certificates for 100 non-related pairs: strict margin, coefficients, integration",
+    "witness certificates for 100 non-related pairs: strict margin, coefficients, element lhs",
     "10^4 certified causal elements never separate 100 related pairs",
     "reflexivity, antisymmetry and transitivity on 1000 same-latitude triples",
     "mixed oracle agrees with the pure oracle on 1000 unit-Bloch pairs",

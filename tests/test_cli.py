@@ -22,6 +22,7 @@ from causalnc.cli import main
 from causalnc.cone import AlgebraElement, RegionGrid
 from causalnc.fields import DomainError
 from causalnc.states import DiracData, PureInternalState, angular_distance, parallel_angle
+from causalnc.witness import MATCH_RTOL
 from test_cone import _reference_membership
 
 PURE_RELATED = {
@@ -486,6 +487,57 @@ def test_witness_coefficient_overflow_names_the_dirac_gap(capsys, gap, q):
     code, out, err = _run(capsys, "witness", "--input", _one_event("witness", gap, q=q))
     assert code == 2 and out == ""
     assert f"Dirac gap {gap} is too large" in err
+
+
+def _same_latitude_query(dtheta, share, v, z=0.3, theta0=0.4, gap=1.5, d1_above=True, p=(0.2, -0.1)):
+    """A witness query whose worldline has share of the proper time dtheta needs, at velocity v."""
+    dt = share * dtheta / gap / math.sqrt(1.0 - v * v)
+    r = math.sqrt(1.0 - z * z)
+    return {
+        "p": list(p),
+        "q": [p[0] + dt, p[1] + v * dt],
+        "xi": {"bloch": [r * math.cos(theta0), r * math.sin(theta0), z]},
+        "phi": {"bloch": [r * math.cos(theta0 + dtheta), r * math.sin(theta0 + dtheta), z]},
+        "dirac": {"d1": gap, "d2": 0.0} if d1_above else {"d1": 0.0, "d2": gap},
+    }
+
+
+@pytest.mark.parametrize("slack", (0.05, 1e-3, 1e-6, 1e-9))
+def test_witness_near_antipodal_refusal(capsys, slack):
+    # was an AssertionError traceback and exit 1: a Simpson rule re-derived lhs_numeric
+    # and could not follow csc^2(Theta) near Theta = 0
+    query = _same_latitude_query(math.pi - slack, 0.9, 0.8)
+    code, out, err = _run(capsys, "witness", "--input", json.dumps(query))
+    assert code == 0 and err == ""
+    data = _strict_json(out)
+    assert data["psd_passed"] is True and data["margin"] > 0
+    assert abs(data["lhs_numeric"] - data["lhs"]) <= MATCH_RTOL * max(1.0, abs(data["lhs"]))
+
+
+@settings(max_examples=30)
+@given(
+    st.floats(0.2, math.pi - 0.2),  # angular separation
+    st.floats(0.05, 0.95),  # share of the required proper time
+    st.floats(-0.8, 0.8),  # velocity of the worldline
+    st.floats(-0.8, 0.8),  # latitude
+    st.floats(-math.pi, math.pi),  # first parallel angle
+    st.sampled_from((0.5, 1.0, 2.0)),  # gap
+    st.booleans(),  # sign of d1 - d2
+)
+def test_witness_element_is_a_member_for_cone_check(dtheta, share, v, z, theta0, gap, d1_above):
+    query = _same_latitude_query(dtheta, share, v, z, theta0, gap, d1_above)
+    code, out, _ = _cli(["witness", "--input", json.dumps(query)])
+    assert code == 0
+    data = _strict_json(out)
+    # a square around the worldline's midpoint whose nodes all lie inside the strip 0 < Theta < pi
+    theta_mid = 0.5 * share * dtheta + data["epsilon"]
+    half = 0.5 * min(theta_mid, math.pi - theta_mid) * math.sqrt(1.0 - v * v) / (gap * (1.0 + abs(v)))
+    (pt, px), (qt, qx) = query["p"], query["q"]
+    tm, xm = 0.5 * (pt + qt), 0.5 * (px + qx)
+    grid = f"--grid={tm - half},{tm + half},{xm - half},{xm + half},21,21"
+    element = json.dumps({"element": data["element"], "dirac": query["dirac"]})
+    code, out, _ = _cli(["cone-check", grid, "--input", element])
+    assert code == 0 and _strict_json(out)["member_on_grid"] is True
 
 
 def test_nan_bloch_state_is_input_error(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from causalnc.causality import PureState
 from causalnc.cone import AlgebraElement, RegionGrid, certify_grid_psd, cone_membership
-from causalnc.fields import Neg, Num, parse, to_source
+from causalnc.fields import Neg, Num, Var, parse, to_source
 from causalnc.minkowski import SpacetimePoint
 from causalnc.oracle import (
     DEFAULT_REGION,
@@ -16,7 +16,7 @@ from causalnc.oracle import (
     sample_elements,
 )
 from causalnc.states import DiracData, PureInternalState, wrap_angle
-from causalnc.witness import build_witness, endpoint_element
+from causalnc.witness import build_witness
 
 D_UNIT = DiracData(0.0, 1.0)
 REGION = RegionGrid(-3.0, 3.0, -3.0, 3.0, 41, 41)
@@ -126,7 +126,7 @@ def test_witness_injection_refutes():
     rng = np.random.default_rng(23)
     pair = _pair(rng, related=False)
     cfg = SamplerConfig(seed=902, n_elements=50)
-    elements = sample_elements(cfg, D_UNIT) + [endpoint_element(build_witness(*pair, D_UNIT))]
+    elements = sample_elements(cfg, D_UNIT) + [build_witness(*pair, D_UNIT).element()]
     report = cross_validate_pure([pair], D_UNIT, elements=elements)
     assert report.pairs[0].status is PairStatus.REFUTED
     assert report.pairs[0].n_violations >= 1
@@ -143,17 +143,11 @@ def test_empty_element_set_is_vacuous_inconclusive():
 
 
 def test_soundness_bug_detection_path():
-    # a fabricated "element" that decreases along a related pair must be flagged
+    # a fabricated "element" that decreases along a related pair must be flagged:
+    # a = b = -t falls along every future-directed pair, so it is not causal
     rng = np.random.default_rng(31)
     pair = _pair(rng, related=True)
-    from causalnc.witness import EndpointElement
-
-    fake = EndpointElement(
-        points=(pair[0].point, pair[1].point),
-        a_values=(1.0, 0.0),
-        b_values=(1.0, 0.0),
-        c_values=(0.0, 0.0),
-    )
+    fake = AlgebraElement(Neg(Var("t")), Neg(Var("t")), Num(0.0), Num(0.0))
     report = cross_validate_pure([pair], D_UNIT, elements=[fake])
     assert not report.sound
     assert report.pairs[0].status is PairStatus.SOUNDNESS_BUG

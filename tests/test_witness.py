@@ -1,14 +1,17 @@
 import dataclasses
+import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from causalnc.causality import MixedState, PureState, pure_causal
-from causalnc.cone import _matrices
+from causalnc.causality import MixedState, PureState, mixed_required_angle, pure_causal
+from causalnc.cone import PSD_TOL, AlgebraElement, _cone_entries, _matrices, _node_scales
+from causalnc.fields import eval_grid
 from causalnc.minkowski import SpacetimePoint, max_proper_time
 from causalnc.states import DiracData, MixedInternalState, PureInternalState
 from causalnc.witness import (
@@ -16,12 +19,11 @@ from causalnc.witness import (
     MATCH_RTOL,
     WitnessOverflowError,
     WitnessSpec,
+    _pairing_growth,
     _witness_entries,
     build_mixed_witness,
     build_witness,
     certify_witness_psd,
-    endpoint_element,
-    lhs_by_integration,
     refute_with_witness,
     separation_values,
 )
@@ -38,6 +40,19 @@ def _equator_pair(t_span, dtheta, x_span=0.0, z=0.0, theta0=0.0):
 
 
 STANDARD = _equator_pair(1.0, math.pi / 2)  # needs pi/2 of proper time, has 1
+
+
+def _worldline_event(spec, l):
+    """Coordinates (t, x) of the event at proper time l along the worldline from p to q."""
+    frac = np.asarray(l, dtype=float) / max_proper_time(spec.p, spec.q)
+    return spec.p.t + frac * (spec.q.t - spec.p.t), spec.p.x + frac * (spec.q.x - spec.p.x)
+
+
+def _element_values(el, t, x):
+    """Values of a, b and c of the element at the events (t, x)."""
+    t, x = np.atleast_1d(t), np.atleast_1d(x)
+    a, b, c_re, c_im = (eval_grid(f, t, x)[0] for f in (el.a, el.b, el.c_re, el.c_im))
+    return a, b, c_re + 1j * c_im
 
 
 def test_build_witness_standard_example():
@@ -125,10 +140,12 @@ def test_small_angle_still_strict():
 
 
 def test_witness_c_field_magnitude_follows_schedule():
-    spec = build_witness(*STANDARD, D_UNIT)
-    for l in np.linspace(0.0, max_proper_time(spec.p, spec.q), 9):
-        theta = float(spec.schedule(l))
-        assert abs(spec.c_field(l)) == pytest.approx(1.0 / math.sin(theta), abs=1e-13)
+    moving = _equator_pair(1.2, 2.2, x_span=0.6, z=0.2, theta0=0.4)
+    spec = build_witness(*moving, D_UNIT)
+    l = np.linspace(0.0, max_proper_time(spec.p, spec.q), 9)
+    _, _, c = _element_values(spec.element(), *_worldline_event(spec, l))
+    np.testing.assert_allclose(np.abs(c), 1.0 / np.sin(spec.schedule(l)), rtol=1e-13)
+    np.testing.assert_allclose(np.angle(-c), spec.theta_c, atol=1e-13)
 
 
 def test_certify_rest_frame_closed_forms():
@@ -167,30 +184,23 @@ def test_matrix_derivative_entries_consistent_with_schedule():
     v = 0.6 / 1.2
     lam1, lam2 = (1 + v) / 2, (1 - v) / 2
     rate = math.sqrt(1 - v * v)  # dl/dt at unit gdot0
+    el = spec.element()
     for l in (0.1, 0.35, 0.6):
         _, _, _, _, u, z, _ = _witness_entries(spec, np.array([l]))
         c_plus, c_minus = u[0], z[0]  # c_t + c_x and c_t - c_x
         claimed = lam1 * c_plus + lam2 * c_minus
         h = 1e-6
-        numeric = (spec.c_field(l + h * rate) - spec.c_field(l - h * rate)) / (2 * h)
+        t = np.array([l / rate + h, l / rate - h])  # the worldline starts at the origin
+        _, _, c = _element_values(el, t, v * t)
+        numeric = (c[0] - c[1]) / (2 * h)
         assert claimed.real == pytest.approx(numeric.real, rel=1e-6, abs=1e-9)
         assert claimed.imag == pytest.approx(numeric.imag, rel=1e-6, abs=1e-9)
 
 
-@settings(max_examples=150)
-@given(
-    st.floats(0.11, math.pi - 0.11),  # angular separation
-    st.floats(0.02, 0.98),  # available proper time as a share of the required one
-    st.floats(-0.9, 0.9),  # velocity of the worldline
-    st.floats(0.05, 0.95),  # |phi1|^2
-    st.floats(-math.pi, math.pi),  # theta_c
-    st.sampled_from((0.5, 1.0, 2.0)),  # gap
-    st.booleans(),  # sign of d1 - d2
-    st.sampled_from((2, 7, 64)),
-)
-def test_batched_certification_agrees_with_eigenvalues(dtheta, share, v, k1sq, theta_c, gap, d1_above, n):
+def _spec(dtheta, share, v, k1sq, theta_c, gap, d1_above):
+    """A witness spec on a worldline from the origin with share of the proper time the angle needs."""
     dt = share * dtheta / gap / math.sqrt(1.0 - v * v)
-    spec = WitnessSpec(
+    return WitnessSpec(
         epsilon=0.5 * (math.pi - dtheta),
         theta_c=theta_c,
         p=SpacetimePoint(0.0, 0.0),
@@ -200,6 +210,24 @@ def test_batched_certification_agrees_with_eigenvalues(dtheta, share, v, k1sq, t
         dirac=DiracData(gap, 0.0) if d1_above else DiracData(0.0, gap),
         delta_theta=dtheta,
     )
+
+
+def _specs(gaps):
+    return st.builds(
+        _spec,
+        st.floats(0.11, math.pi - 0.11),  # angular separation
+        st.floats(0.02, 0.98),  # available proper time as a share of the required one
+        st.floats(-0.9, 0.9),  # velocity of the worldline
+        st.floats(0.05, 0.95),  # |phi1|^2
+        st.floats(-math.pi, math.pi),  # theta_c
+        gaps,
+        st.booleans(),  # sign of d1 - d2
+    )
+
+
+@settings(max_examples=150)
+@given(_specs(st.sampled_from((0.5, 1.0, 2.0))), st.sampled_from((2, 7, 64)))
+def test_batched_certification_agrees_with_eigenvalues(spec, n):
     report = certify_witness_psd(spec, n)
     assert report.passed and report.first_failure is None
     assert [sample.s for sample in report.samples] == pytest.approx(np.linspace(0.0, 1.0, n), abs=1e-15)
@@ -213,6 +241,112 @@ def test_batched_certification_agrees_with_eigenvalues(dtheta, share, v, k1sq, t
         assert np.abs(got - expected).max() <= COEFF_ZERO_TOL
         if sample.passed:
             assert eig[0] >= -COEFF_ZERO_TOL * sample.scale
+
+
+#: (sign, permutation) pairs of Leibniz's rule for k x k determinants, k = 1..4
+_LEIBNIZ = {
+    k: [
+        ((-1) ** sum(perm[a] > perm[b] for a, b in itertools.combinations(range(k), 2)), perm)
+        for perm in itertools.permutations(range(k))
+    ]
+    for k in range(1, 5)
+}
+
+
+def _exactly_psd(entries, shift: Fraction) -> bool:
+    """Whether the cone matrix of one node's rounded entries, plus shift*I, is PSD in exact arithmetic.
+
+    A Hermitian matrix is PSD iff every elementary symmetric polynomial of
+    its eigenvalues, the sum of its k x k principal minors, is >= 0.  Each
+    minor is expanded by Leibniz's rule over (real, imaginary) pairs.  The
+    real and imaginary parts are Fractions with power-of-two denominators,
+    so all of them are taken to the largest one as integers: that scales
+    the k-th polynomial by a positive factor, and no sign changes.
+    """
+    ap, am, bp, bm, u, z, w = (complex(part) for part in entries)
+    upper = [[ap, 0j, -u, -w], [0j, am, w, -z], [0j, 0j, bp, 0j], [0j, 0j, 0j, bm]]
+    parts = {}
+    for i, j in itertools.combinations_with_replacement(range(4), 2):
+        parts[i, j] = (Fraction(upper[i][j].real) + (shift if i == j else 0), Fraction(upper[i][j].imag))
+    denominator = max(f.denominator for pair in parts.values() for f in pair)
+    m = [[None] * 4 for _ in range(4)]
+    for (i, j), (re, im) in parts.items():
+        re, im = (f.numerator * (denominator // f.denominator) for f in (re, im))
+        m[i][j], m[j][i] = (re, im), (re, -im)
+    for k in range(1, 5):
+        e_re = e_im = 0
+        for rows in itertools.combinations(range(4), k):
+            for sign, perm in _LEIBNIZ[k]:
+                re, im = sign, 0
+                for row, col in zip(rows, perm):
+                    x_re, x_im = m[row][rows[col]]
+                    re, im = re * x_re - im * x_im, re * x_im + im * x_re
+                    if not (re or im):
+                        break
+                e_re, e_im = e_re + re, e_im + im
+        assert e_im == 0  # principal minors of a Hermitian matrix are real
+        if e_re < 0:
+            return False
+    return True
+
+
+def test_exact_psd_decides_the_uncoupled_example():
+    # (1, 2e-5, 1, -2e-5) passes the coefficient test yet has the eigenvalue -2e-5
+    entries = (1.0, 2e-5, 1.0, -2e-5, 0j, 0j, 0j)
+    assert not _exactly_psd(entries, Fraction(PSD_TOL))
+    assert _exactly_psd(entries, Fraction(2e-5))
+
+
+WIDE_GAPS = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200)
+@given(_specs(WIDE_GAPS))
+def test_passed_samples_are_exactly_psd_after_the_tolerance_shift(spec):
+    # the coefficient test is sound on the rank-two witness matrices: every passed
+    # sample's rounded entries make M + PSD_TOL * s * I PSD, s the node scale
+    report = certify_witness_psd(spec, 8)
+    samples = report.samples
+    entries = _witness_entries(spec, np.array([sample.l for sample in samples]))
+    for i, sample in enumerate(samples):
+        if sample.passed:
+            node = [part[i] for part in entries]
+            assert _exactly_psd(node, Fraction(PSD_TOL) * Fraction(sample.scale)), (spec, sample)
+    assert report.passed
+
+
+@st.composite
+def _mixed_specs(draw):
+    """build_mixed_witness on a speed-bound refusal between two same-latitude mixed states."""
+    rz = draw(st.floats(-0.8, 0.8))
+    radius = math.sqrt(1.0 - rz * rz)
+    rho, sigma = (
+        MixedInternalState(r * radius * math.cos(theta), r * radius * math.sin(theta), rz)
+        for r, theta in (draw(st.tuples(st.floats(0.2, 1.0), st.floats(-math.pi, math.pi))) for _ in range(2))
+    )
+    required = mixed_required_angle(rho, sigma)
+    assume(required > 0.05)
+    gap, v = draw(WIDE_GAPS), draw(st.floats(-0.9, 0.9))
+    dt = draw(st.floats(0.02, 0.98)) * required / gap / math.sqrt(1.0 - v * v)
+    dirac = DiracData(gap, 0.0) if draw(st.booleans()) else DiracData(0.0, gap)
+    omega, eta = MixedState(SpacetimePoint(0.0, 0.0), rho), MixedState(SpacetimePoint(dt, v * dt), sigma)
+    try:
+        return build_mixed_witness(omega, eta, dirac)
+    except ValueError:  # a projected angle at 0 or pi: no direct witness
+        assume(False)
+
+
+@settings(max_examples=150)
+@given(st.one_of(_specs(WIDE_GAPS), _mixed_specs()))
+def test_witness_entries_are_the_cone_entries_of_the_element(spec):
+    el = spec.element()
+    assert AlgebraElement.from_dict(el.to_dict()) == el
+    l = np.linspace(0.0, max_proper_time(spec.p, spec.q), 16)
+    closed = _witness_entries(spec, l)
+    scale = _node_scales(closed)
+    from_fields = _cone_entries(el, *_worldline_event(spec, l), spec.dirac.d1 - spec.dirac.d2)
+    for got, want in zip(from_fields, closed):
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 def test_certify_reports_the_first_failing_sample():
@@ -260,11 +394,15 @@ def test_certify_refuses_coefficients_beyond_the_float_range(gap):
         certify_witness_psd(_one_event_spec(gap), 8)
 
 
-def test_lhs_integration_refuses_a_sum_beyond_the_float_range():
-    # the csc^2 integrand overflowed, and 0 * inf gave a NaN lhs the match test let through
-    message = re.escape("Dirac gap 1e+308 is too large: the integrated lhs")
+def test_lhs_numeric_refuses_a_partial_beyond_the_float_range():
+    # a_t = |phi2|/|phi1| csc^2(eps) gap overflows at gap 1e308, and the rate gap/sqrt(1 - v^2) at v = 0.9
+    message = re.escape("Dirac gap 1e+308 is too large: the element does not fit in a float")
     with pytest.raises(WitnessOverflowError, match=message):
-        lhs_by_integration(_one_event_spec(1e308))
+        _pairing_growth(_one_event_spec(1e308))
+    moving = dataclasses.replace(_one_event_spec(1e308), q=SpacetimePoint(1e-308, 0.9e-308))
+    message = re.escape("Dirac gap 1e+308 is too large: the schedule's rate")
+    with pytest.raises(WitnessOverflowError, match=message):
+        moving.element()
 
 
 def test_certify_detects_degenerate_sample_count():
@@ -273,7 +411,7 @@ def test_certify_detects_degenerate_sample_count():
         certify_witness_psd(spec, 1)
 
 
-def test_lhs_integration_matches_closed_form():
+def test_lhs_numeric_matches_closed_form():
     cases = [
         (_equator_pair(1.0, math.pi / 2), D_UNIT),
         (_equator_pair(1.5, 2.5, x_span=0.8), D_UNIT),
@@ -286,8 +424,7 @@ def test_lhs_integration_matches_closed_form():
     for pair, dirac in cases:
         spec = build_witness(*pair, dirac)
         lhs, _ = separation_values(spec)
-        numeric = lhs_by_integration(spec)
-        assert numeric == pytest.approx(lhs, rel=MATCH_RTOL)
+        assert _pairing_growth(spec) == pytest.approx(lhs, rel=1e-14)
 
 
 def test_refute_with_witness_standard_example():
@@ -301,6 +438,7 @@ def test_refute_with_witness_standard_example():
     assert data["margin"] == pytest.approx(cert.rhs - cert.lhs)
     assert len(data["psd_samples"]) == 64
     assert set(data["psd_samples"][0]) == {"s", "c1", "c2", "c3", "c4"}
+    assert AlgebraElement.from_dict(data["element"]) == cert.spec.element()
 
 
 def test_refute_rejects_causal_pair():
@@ -327,16 +465,15 @@ def test_refute_coincident_events():
 
 def test_endpoint_element_values_and_violation():
     spec = build_witness(*STANDARD, D_UNIT)
-    el = endpoint_element(spec)
     p, q = spec.p, spec.q
-    a_vals, b_vals, c_vals = el.values_at(
-        np.array([p.t, q.t]), np.array([p.x, q.x])
-    )
-    assert a_vals[0] == 0.0 and b_vals[0] == 0.0
-    assert c_vals[0] == pytest.approx(spec.c_field(0.0))
-    assert c_vals[1] == pytest.approx(spec.c_field(max_proper_time(p, q)))
-    with pytest.raises(ValueError):
-        el.values_at(np.array([9.0]), np.array([9.0]))
+    a_vals, b_vals, c_vals = _element_values(spec.element(), [p.t, q.t], [p.x, q.x])
+    # the diagonal growths depend only on the total proper time, as in separation_values
+    gap_l = spec.dirac.gap * max_proper_time(p, q)
+    growth = 1.0 / math.tan(spec.epsilon) - 1.0 / math.tan(gap_l + spec.epsilon)
+    assert a_vals[1] - a_vals[0] == pytest.approx(spec.abs_phi2 / spec.abs_phi1 * growth, rel=1e-14)
+    assert b_vals[1] - b_vals[0] == pytest.approx(spec.abs_phi1 / spec.abs_phi2 * growth, rel=1e-14)
+    schedule = -np.exp(1j * spec.theta_c) / np.sin(spec.schedule([0.0, max_proper_time(p, q)]))
+    np.testing.assert_allclose(c_vals, schedule, rtol=1e-14)
 
     # the element violates the pairing inequality on its own pair
     omega, eta = STANDARD
@@ -401,13 +538,11 @@ def test_mixed_witness_separates_mixed_pair():
     lhs, rhs = separation_values(spec)
     assert lhs < rhs
     assert certify_witness_psd(spec, 32).passed
-    numeric = lhs_by_integration(spec)
-    assert numeric == pytest.approx(lhs, rel=1e-8)
+    assert _pairing_growth(spec) == pytest.approx(lhs, rel=1e-14)
 
     # the separating element's endpoint values violate the mixed pairing
-    el = endpoint_element(spec)
     p, q = spec.p, spec.q
-    a_vals, b_vals, c_vals = el.values_at(np.array([p.t, q.t]), np.array([p.x, q.x]))
+    a_vals, b_vals, c_vals = _element_values(spec.element(), [p.t, q.t], [p.x, q.x])
 
     def mixed_pairing(state, a, b, c):
         r = state.internal
