@@ -13,6 +13,11 @@ beyond rounding) in a single pass.
 Evaluation accepts scalars or numpy arrays of coordinates that broadcast
 against each other; the grid-based cone checks pass a column of t and a row
 of x, so a subtree that reads one coordinate is evaluated on that axis only.
+Likewise the walk never builds a partial that a subtree cannot have: where
+it does not read a coordinate, that partial is a structural zero that is
+never multiplied, added or negated, and a product with a coordinate's unit
+partial is folded.  The results are those of the full product rule, bit
+for bit in the values and up to the sign of zero in the partials.
 A value or partial that is not finite raises DomainError, as does leaving a
 function's real domain; its index is the first failing node, row-major in
 the broadcast shape of the coordinates.
@@ -314,7 +319,11 @@ def to_source(e: FieldExpr) -> str:
 
 # --- dual-number evaluation ---------------------------------------------------
 
-# Each node evaluates to a triple (value, d/dt, d/dx) of floats or arrays.
+# Each node evaluates to a triple (value, d/dt, d/dx) of floats or arrays.  A
+# partial is None (a structural zero) where the subtree does not read that
+# coordinate, and a coordinate's own partial is the Python float 1.0; _jet
+# says how the walk stays exact.  tests/test_fields.py::_reference_jet is the
+# walk with every partial built, and the two are held equal.
 
 
 def _check(ok, message: str, node: FieldExpr, shape: tuple) -> None:
@@ -329,39 +338,87 @@ def _check(ok, message: str, node: FieldExpr, shape: tuple) -> None:
         raise DomainError(message, node, index=bad)
 
 
+def _zeros_meeting(dt, dx, factor, checked: bool = False):
+    """The partials (dt, dx) of a subtree about to be multiplied by factor.
+
+    A subtree with a real partial keeps its structural zeros: where the
+    factor is not finite, that partial's product is not finite either, at
+    the same node.  A subtree that reads no coordinate has no such partial,
+    so its zeros become the real 0.0 when the factor is not finite
+    everywhere, and 0*factor then carries the NaN.  checked says the factor
+    is a value the walk has already found finite.
+    """
+    if dt is None and dx is None and not checked and not np.isfinite(factor).all():
+        return 0.0, 0.0
+    return dt, dx
+
+
+def _known_finite(e: FieldExpr) -> bool:
+    """Whether the walk checks e's value finite: a function call's, up to sign."""
+    while isinstance(e, Neg):
+        e = e.arg
+    return isinstance(e, Call)
+
+
+def _times(d, factor):
+    """d*factor for a partial d; the unit partial is folded, as x*1.0 is x bit for bit."""
+    if d is None:
+        return None
+    if isinstance(d, float) and d == 1.0:
+        return factor
+    return d * factor
+
+
+def _plus(a, b):
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def _minus(a, b):
+    if b is None:
+        return a
+    return -b if a is None else a - b
+
+
 def _eval(e: FieldExpr, t, x, shape: tuple):
     if isinstance(e, Num):
-        return np.float64(e.value), 0.0, 0.0  # numpy arithmetic overflows to inf, never raises
+        return np.float64(e.value), None, None  # numpy arithmetic overflows to inf, never raises
     if isinstance(e, Var):
         if e.name == "t":
-            return t, 1.0, 0.0
-        return x, 0.0, 1.0
+            return t, 1.0, None
+        return x, None, 1.0
     if isinstance(e, Neg):
         v, dt, dx = _eval(e.arg, t, x, shape)
-        return -v, -dt, -dx
+        return -v, _minus(None, dt), _minus(None, dx)
     if isinstance(e, BinOp):
         av, adt, adx = _eval(e.lhs, t, x, shape)
         bv, bdt, bdx = _eval(e.rhs, t, x, shape)
         if e.op == "+":
-            return av + bv, adt + bdt, adx + bdx
+            return av + bv, _plus(adt, bdt), _plus(adx, bdx)
         if e.op == "-":
-            return av - bv, adt - bdt, adx - bdx
+            return av - bv, _minus(adt, bdt), _minus(adx, bdx)
         if e.op == "*":
-            return av * bv, adt * bv + av * bdt, adx * bv + av * bdx
+            adt, adx = _zeros_meeting(adt, adx, bv, _known_finite(e.rhs))
+            bdt, bdx = _zeros_meeting(bdt, bdx, av, _known_finite(e.lhs))
+            return av * bv, _plus(_times(adt, bv), _times(bdt, av)), _plus(_times(adx, bv), _times(bdx, av))
         _check(np.asarray(bv) != 0.0, "division by zero", e, shape)
         inv = 1.0 / bv
         v = av * inv
-        return v, (adt - v * bdt) * inv, (adx - v * bdx) * inv
+        bdt, bdx = _zeros_meeting(bdt, bdx, v)
+        dt, dx = _zeros_meeting(_minus(adt, _times(bdt, v)), _minus(adx, _times(bdx, v)), inv)
+        return v, _times(dt, inv), _times(dx, inv)
     if isinstance(e, Pow):
         bv, bdt, bdx = _eval(e.base, t, x, shape)
         n = e.exponent
         if n == 0:
-            return bv * 0.0 + 1.0, 0.0, 0.0
+            return bv * 0.0 + 1.0, None, None
         if n < 0:
             _check(np.asarray(bv) != 0.0, "zero base with negative exponent", e, shape)
         v = bv ** float(n)
         g = float(n) * bv ** float(n - 1)
-        return v, g * bdt, g * bdx
+        bdt, bdx = _zeros_meeting(bdt, bdx, g)
+        return v, _times(bdt, g), _times(bdx, g)
     if isinstance(e, Call):
         av, adt, adx = _eval(e.arg, t, x, shape)
         if e.func == "sin":
@@ -395,7 +452,8 @@ def _eval(e: FieldExpr, t, x, shape: tuple):
         else:  # unreachable for parsed trees
             raise DomainError(f"unknown function {e.func!r}", e)
         _check(np.isfinite(np.asarray(v)), "non-finite value", e, shape)
-        return v, g * adt, g * adx
+        adt, adx = _zeros_meeting(adt, adx, g)
+        return v, _times(adt, g), _times(adx, g)
     raise TypeError(f"not a field expression: {e!r}")
 
 
@@ -417,17 +475,26 @@ def _jet(e: FieldExpr, t, x):
     column, and a constant part may come back as a scalar.  Besides the
     per-function domain checks inside the walk, the value and both partials
     must be finite everywhere; otherwise DomainError carries the first index,
-    row-major in shape, where one of them is not.
+    row-major in shape, where one of them is not.  A partial along a
+    coordinate that the field does not read is 0.0.  The walk builds no
+    array for such a partial of any subtree (a structural zero), and stays
+    exact where one meets a factor that is not finite, which the full
+    product rule turns into NaN: a subtree with a real partial shows that
+    NaN at the same node, and one that reads no coordinate gets real zeros
+    (_zeros_meeting), so 2.75^700, whose partial overflows, fails at node 0.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     shape = np.broadcast_shapes(t.shape, x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        jet = _eval(e, t, x, shape)
-    finite = np.isfinite(jet[0]) & np.isfinite(jet[1]) & np.isfinite(jet[2])
+        v, dt, dx = _eval(e, t, x, shape)
+    finite = np.isfinite(v)
+    for part in (dt, dx):
+        if part is not None:
+            finite = finite & np.isfinite(part)
     if not finite.all():
         _check(np.broadcast_to(finite, shape), "non-finite value or partial", e, shape)
-    return jet, shape
+    return (v, 0.0 if dt is None else dt, 0.0 if dx is None else dx), shape
 
 
 def eval_with_derivatives(e: FieldExpr, p: SpacetimePoint) -> FieldEval:

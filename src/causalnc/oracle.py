@@ -24,7 +24,7 @@ import numpy as np
 
 from .causality import PureState, pure_causal
 from .cone import PSD_TOL, AlgebraElement, RegionGrid, certify_grid_psd
-from .fields import BinOp, Call, FieldExpr, Neg, Num, Pow, Var, eval_grid
+from .fields import BinOp, Call, FieldExpr, Neg, Num, Pow, Var, _jet
 from .states import DiracData
 
 PAIR_TOL = 1e-10
@@ -205,7 +205,7 @@ def cross_validate_pure(
     worst = np.full(n, -np.inf)
     violations = np.zeros(n, dtype=int)
     for el in elements:
-        av, bv, c_re, c_im = (eval_grid(f, t_all, x_all)[0] for f in (el.a, el.b, el.c_re, el.c_im))
+        av, bv, c_re, c_im = (_jet(f, t_all, x_all)[0][0] for f in (el.a, el.b, el.c_re, el.c_im))
         values = w1 * av + w2 * bv - 2.0 * (cross * (c_re + 1j * c_im)).real
         margins = values[0::2] - values[1::2]  # omega(a) - eta(a)
         worst = np.maximum(worst, margins)

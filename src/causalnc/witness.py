@@ -108,6 +108,11 @@ class WitnessSpec:
         """The angle Theta(l) = gap*l + epsilon driving the csc schedule."""
         return self.dirac.gap * np.asarray(l, dtype=float) + self.epsilon
 
+    def strip(self) -> tuple[float, float]:
+        """The open proper-time interval -epsilon/gap < tau < (pi - epsilon)/gap where 0 < Theta < pi."""
+        gap = self.dirac.gap
+        return -self.epsilon / gap, (math.pi - self.epsilon) / gap
+
     def element(self) -> AlgebraElement:
         """The separating element as DSL fields; causal on the strip 0 < Theta < pi.
 
@@ -370,7 +375,11 @@ class RefutationCertificate:
     """Machine-checkable refutation of a claimed causal relation.
 
     to_dict also writes the separating element, in the input format of
-    cone-check; it is built there, not when the certificate is.
+    cone-check; it is built there, not when the certificate is.  Its "tau"
+    gives, in the proper time tau of the worldline's rest frame counted from
+    p, the interval [0, L] the samples certify (L the worldline's proper
+    time) and the open strip on which 0 < Theta < pi, where the element is
+    causal.  The cone entries depend on tau alone.
     """
 
     spec: WitnessSpec
@@ -392,6 +401,7 @@ class RefutationCertificate:
             "psd_passed": self.psd.passed,
             "psd_samples": [s.to_dict() for s in self.psd.samples],
             "element": self.spec.element().to_dict(),
+            "tau": {"certified": self.psd.rows[[0, -1], 1].tolist(), "strip": list(self.spec.strip())},
         }
 
 

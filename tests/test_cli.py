@@ -248,6 +248,10 @@ def test_cone_check_grid_from_input(capsys):
     assert json.loads(out)["n_nodes"] == 25
 
 
+#: the witness JSON for PURE_SHORT as written before the "tau" key was added
+GOLDEN_WITNESS = json.loads((Path(__file__).parent / "witness_golden.json").read_text())
+
+
 def test_witness_certificate(capsys):
     code, out, _ = _run(capsys, "witness", "--input", json.dumps(PURE_SHORT))
     assert code == 0
@@ -255,6 +259,11 @@ def test_witness_certificate(capsys):
     assert data["margin"] > 0
     assert data["psd_passed"] is True
     assert len(data["psd_samples"]) == 64
+    # "tau" is additive: every other key and value is unchanged
+    tau = data.pop("tau")
+    assert data == GOLDEN_WITNESS
+    eps = data["epsilon"]  # the gap is 1 and the proper time from p to q is 1
+    assert tau == {"certified": [0.0, 1.0], "strip": [-eps, math.pi - eps]}
 
 
 def test_witness_rejects_related_pair(capsys):
@@ -529,6 +538,10 @@ def test_witness_element_is_a_member_for_cone_check(dtheta, share, v, z, theta0,
     code, out, _ = _cli(["witness", "--input", json.dumps(query)])
     assert code == 0
     data = _strict_json(out)
+    (lo, hi), (start, end) = data["tau"]["strip"], data["tau"]["certified"]
+    assert start == 0.0 and end == pytest.approx(share * dtheta / gap, rel=1e-12)
+    assert lo < start <= end < hi
+    assert (gap * lo + data["epsilon"], gap * hi + data["epsilon"]) == pytest.approx((0.0, math.pi), abs=1e-12)
     # a square around the worldline's midpoint whose nodes all lie inside the strip 0 < Theta < pi
     theta_mid = 0.5 * share * dtheta + data["epsilon"]
     half = 0.5 * min(theta_mid, math.pi - theta_mid) * math.sqrt(1.0 - v * v) / (gap * (1.0 + abs(v)))

@@ -12,6 +12,8 @@ from causalnc.fields import (
     ParseError,
     Pow,
     Var,
+    _check,
+    _jet,
     eval_grid,
     eval_with_derivatives,
     parse,
@@ -220,3 +222,145 @@ def test_evaluation_is_deterministic():
 @given(FIELD_TREES)
 def test_print_parse_identity_on_random_trees(tree):
     assert parse(to_source(tree)) == tree
+
+
+def _reference_eval(e, t, x, shape):
+    """The dual-number walk with every partial built: the results _jet must equal."""
+    if isinstance(e, Num):
+        return np.float64(e.value), 0.0, 0.0
+    if isinstance(e, Var):
+        if e.name == "t":
+            return t, 1.0, 0.0
+        return x, 0.0, 1.0
+    if isinstance(e, Neg):
+        v, dt, dx = _reference_eval(e.arg, t, x, shape)
+        return -v, -dt, -dx
+    if isinstance(e, BinOp):
+        av, adt, adx = _reference_eval(e.lhs, t, x, shape)
+        bv, bdt, bdx = _reference_eval(e.rhs, t, x, shape)
+        if e.op == "+":
+            return av + bv, adt + bdt, adx + bdx
+        if e.op == "-":
+            return av - bv, adt - bdt, adx - bdx
+        if e.op == "*":
+            return av * bv, adt * bv + av * bdt, adx * bv + av * bdx
+        _check(np.asarray(bv) != 0.0, "division by zero", e, shape)
+        inv = 1.0 / bv
+        v = av * inv
+        return v, (adt - v * bdt) * inv, (adx - v * bdx) * inv
+    if isinstance(e, Pow):
+        bv, bdt, bdx = _reference_eval(e.base, t, x, shape)
+        n = e.exponent
+        if n == 0:
+            return bv * 0.0 + 1.0, 0.0, 0.0
+        if n < 0:
+            _check(np.asarray(bv) != 0.0, "zero base with negative exponent", e, shape)
+        v = bv ** float(n)
+        g = float(n) * bv ** float(n - 1)
+        return v, g * bdt, g * bdx
+    av, adt, adx = _reference_eval(e.arg, t, x, shape)
+    if e.func == "sin":
+        v, g = np.sin(av), np.cos(av)
+    elif e.func == "cos":
+        v, g = np.cos(av), -np.sin(av)
+    elif e.func == "tan":
+        v = np.tan(av)
+        g = 1.0 + v * v
+    elif e.func == "exp":
+        v = np.exp(av)
+        g = v
+    elif e.func == "log":
+        _check(np.asarray(av) > 0.0, "log of a non-positive value", e, shape)
+        v, g = np.log(av), 1.0 / av
+    elif e.func == "sqrt":
+        _check(np.asarray(av) > 0.0, "sqrt of a non-positive value", e, shape)
+        v = np.sqrt(av)
+        g = 0.5 / v
+    elif e.func == "tanh":
+        v = np.tanh(av)
+        g = 1.0 - v * v
+    elif e.func == "atan":
+        v = np.arctan(av)
+        g = 1.0 / (1.0 + av * av)
+    else:
+        s = np.sin(av)
+        _check(np.asarray(s) != 0.0, "csc at a zero of sin", e, shape)
+        v = 1.0 / s
+        g = -v * v * np.cos(av)
+    _check(np.isfinite(np.asarray(v)), "non-finite value", e, shape)
+    return v, g * adt, g * adx
+
+
+def _reference_jet(e, t, x):
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(t.shape, x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = _reference_eval(e, t, x, shape)
+    finite = np.isfinite(jet[0]) & np.isfinite(jet[1]) & np.isfinite(jet[2])
+    if not finite.all():
+        _check(np.broadcast_to(finite, shape), "non-finite value or partial", e, shape)
+    return jet, shape
+
+
+#: a column of t and a row of x; 2.74 and 2.75 lie where t^700 is finite and 700 t^699 is not
+EXACT_T = np.array([-3.0, -1.25, 0.0, 0.5, 2.74, 2.75, 3.0])[:, None]
+EXACT_X = np.array([-2.75, -0.75, 0.0, 1.0, 2.8])[None, :]
+
+
+def _walk(walk, tree, t=EXACT_T, x=EXACT_X):
+    try:
+        (v, dt, dx), shape = walk(tree, t, x)
+    except DomainError as err:
+        return str(err), err.index
+    return tuple(np.broadcast_to(np.asarray(part, dtype=float), shape) for part in (v, dt, dx))
+
+
+def _assert_same_walk(tree, t=EXACT_T, x=EXACT_X):
+    got, want = _walk(_jet, tree, t, x), _walk(_reference_jet, tree, t, x)
+    if isinstance(want[0], str) or isinstance(got[0], str):
+        assert got == want, to_source(tree)
+        return
+    assert got[0].tobytes() == want[0].tobytes(), to_source(tree)  # values bit for bit
+    for mine, ref in zip(got[1:], want[1:]):
+        assert np.array_equal(mine, ref, equal_nan=True), to_source(tree)  # up to the sign of zero
+
+
+@settings(max_examples=300, deadline=None)
+@given(FIELD_TREES)
+def test_walk_equals_the_reference_walk(tree):
+    _assert_same_walk(tree)
+
+
+@pytest.mark.parametrize(
+    "src, t, x, index",
+    (
+        # a constant whose value is finite and whose partial overflows: 0*inf is NaN
+        ("2.75^700", EXACT_T, EXACT_X, 0),
+        ("-atan(x) / 3.0^700", EXACT_T, EXACT_X, 0),
+        # t^0 reads t, so its partials stay real and 700*2.75^699 meets them
+        ("(t^0*2.75)^700", EXACT_T, EXACT_X, 0),
+        # a constant times a coordinate's value that is not finite everywhere
+        ("atan(2*(t + (2.5^700)^2))", EXACT_T, EXACT_X, 0),
+        ("atan(2*t)", np.array([1.0, np.inf]), np.zeros(2), 1),
+        ("atan(x/2)", np.zeros(3), np.array([0.0, -np.inf, 1.0]), 1),
+        # the benchmark's overflow input: 700 t^699 first overflows on the row t = 2.74
+        ("t + 0*t^700", np.array([[2.0], [2.7], [2.74], [2.76]]), np.zeros((1, 3)), 6),
+    ),
+)
+def test_structural_zeros_keep_the_nan_of_a_non_finite_factor(src, t, x, index):
+    with pytest.raises(DomainError, match="non-finite value or partial") as err:
+        _jet(parse(src), t, x)
+    assert err.value.index == index
+    _assert_same_walk(parse(src), t, x)
+
+
+def test_partials_a_field_cannot_have_are_not_built():
+    t, x = EXACT_T, EXACT_X
+    (v, dt, dx), _ = _jet(parse("2*tanh(t)"), t, x)
+    assert dt.shape == t.shape and dx == 0.0  # no column of zeros on the x axis
+    (v, dt, dx), _ = _jet(parse("3"), t, x)
+    assert (v, dt, dx) == (3.0, 0.0, 0.0)
+    # the unit partial of t is folded: tanh(t + x)'s partials are its g, bit for bit
+    (v, dt, dx), _ = _jet(parse("tanh(t + x)"), t, x)
+    assert dt is dx and dt.tobytes() == (1.0 - v * v).tobytes()
