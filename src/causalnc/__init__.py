@@ -33,8 +33,7 @@ from .cone import (
 from .fields import (
     DomainError,
     ParseError,
-    eval_grid,
-    eval_with_derivatives,
+    jet,
     parse,
     to_source,
 )
@@ -44,7 +43,6 @@ from .minkowski import (
     max_proper_time,
 )
 from .oracle import (
-    Family,
     PairStatus,
     SamplerConfig,
     cross_validate_pure,

@@ -30,6 +30,7 @@ from typing import Optional
 from .causality import MAX_PATH_SEGMENTS, MixedState, PureState, mixed_causal, plan_causal_path, pure_causal
 from .cone import PSD_TOL, AlgebraElement, RegionGrid, cone_membership
 from .minkowski import SpacetimePoint
+from .oracle import DEFAULT_REGION
 from .selftest import run_selftest
 from .states import (
     DiracData,
@@ -180,7 +181,7 @@ def _grid_from_args(args, data: dict) -> RegionGrid:
             return RegionGrid.from_dict(data["grid"])
         except _BAD_ENTRY as err:
             raise InputError(f'bad "grid" entry: {err}') from err
-    return RegionGrid(-3.0, 3.0, -3.0, 3.0, 41, 41)
+    return DEFAULT_REGION
 
 
 def _cmd_cone_check(args) -> int:

@@ -57,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import DomainError, FieldExpr, ParseError, _jet, parse, to_source
+from .fields import DomainError, FieldExpr, ParseError, jet, parse, to_source
 from .minkowski import SpacetimePoint
 from .states import DiracData
 
@@ -245,10 +245,11 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float):
     These sums and products of finite partials can overflow: DomainError
     then names the field and carries the index of its first such node.
     """
-    (_, adt, adx), shape = _jet(el.a, t, x)
-    (_, bdt, bdx), _ = ((None, adt, adx), shape) if el.b == el.a else _jet(el.b, t, x)
-    (rv, rdt, rdx), _ = _jet(el.c_re, t, x)
-    (iv, idt, idx), _ = _jet(el.c_im, t, x)
+    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+    _, adt, adx = jet(el.a, t, x)
+    _, bdt, bdx = (None, adt, adx) if el.b == el.a else jet(el.b, t, x)
+    rv, rdt, rdx = jet(el.c_re, t, x)
+    iv, idt, idx = jet(el.c_im, t, x)
     rv, rdt, rdx, iv, idt, idx = (np.asarray(part, dtype=float) for part in (rv, rdt, rdx, iv, idt, idx))
     with np.errstate(over="ignore", invalid="ignore"):
         c0, c1 = rdt + 1j * idt, rdx + 1j * idx

@@ -5,19 +5,20 @@ operators + - * / ^ (the exponent must be an integer literal), unary minus,
 and the functions sin, cos, tan, exp, log, sqrt, tanh, atan and csc.
 Precedence is ^ > unary minus > * / > + -, with the usual left associativity
 for + - * / and right associativity for ^ (chained literal exponents are
-folded; an exponent beyond the largest float is a ParseError).  Evaluation
-propagates forward-mode dual numbers with a two-component derivative part,
-so both first partials d/dt and d/dx come out exact (no truncation error
-beyond rounding) in a single pass.
+folded; an exponent beyond the largest float is a ParseError).
 
-Evaluation accepts scalars or numpy arrays of coordinates that broadcast
-against each other; the grid-based cone checks pass a column of t and a row
-of x, so a subtree that reads one coordinate is evaluated on that axis only.
+jet, the one evaluator, propagates forward-mode dual numbers with a
+two-component derivative part, so the value and both first partials d/dt
+and d/dx come out exact (no truncation error beyond rounding) in one pass.
+It accepts scalars or numpy arrays of coordinates that broadcast against
+each other; the grid-based cone checks pass a column of t and a row of x,
+so a subtree that reads one coordinate is evaluated on that axis only.
 Likewise the walk never builds a partial that a subtree cannot have: where
 it does not read a coordinate, that partial is a structural zero that is
-never multiplied, added or negated, and a product with a coordinate's unit
-partial is folded.  The results are those of the full product rule, bit
-for bit in the values and up to the sign of zero in the partials.
+never multiplied, added or negated, a product with a coordinate's unit
+partial is folded, and two partials that are one object (tanh(t + x)'s)
+stay one.  The results are those of the full product rule, bit for bit in
+the values and up to the sign of zero in the partials.
 A value or partial that is not finite raises DomainError, as does leaving a
 function's real domain; its index is the first failing node, row-major in
 the broadcast shape of the coordinates.
@@ -35,8 +36,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-
-from .minkowski import SpacetimePoint
 
 # --- abstract syntax ---------------------------------------------------------
 
@@ -319,11 +318,11 @@ def to_source(e: FieldExpr) -> str:
 
 # --- dual-number evaluation ---------------------------------------------------
 
-# Each node evaluates to a triple (value, d/dt, d/dx) of floats or arrays.  A
-# partial is None (a structural zero) where the subtree does not read that
-# coordinate, and a coordinate's own partial is the Python float 1.0; _jet
-# says how the walk stays exact.  tests/test_fields.py::_reference_jet is the
-# walk with every partial built, and the two are held equal.
+# Each node evaluates to its value and the pair (d/dt, d/dx) of its partials,
+# floats or arrays.  A partial is None (a structural zero) where the subtree
+# does not read that coordinate, and a coordinate's own partial is the Python
+# float 1.0; jet says how the walk stays exact.  tests/test_fields.py::_reference_jet
+# is the walk with every partial built, and the two are held equal.
 
 
 def _check(ok, message: str, node: FieldExpr, shape: tuple) -> None:
@@ -338,8 +337,8 @@ def _check(ok, message: str, node: FieldExpr, shape: tuple) -> None:
         raise DomainError(message, node, index=bad)
 
 
-def _zeros_meeting(dt, dx, factor, checked: bool = False):
-    """The partials (dt, dx) of a subtree about to be multiplied by factor.
+def _zeros_meeting(d, factor, checked: bool = False):
+    """The partials d = (dt, dx) of a subtree about to be multiplied by factor.
 
     A subtree with a real partial keeps its structural zeros: where the
     factor is not finite, that partial's product is not finite either, at
@@ -348,9 +347,9 @@ def _zeros_meeting(dt, dx, factor, checked: bool = False):
     everywhere, and 0*factor then carries the NaN.  checked says the factor
     is a value the walk has already found finite.
     """
-    if dt is None and dx is None and not checked and not np.isfinite(factor).all():
+    if d[0] is None and d[1] is None and not checked and not np.isfinite(factor).all():
         return 0.0, 0.0
-    return dt, dx
+    return d
 
 
 def _known_finite(e: FieldExpr) -> bool:
@@ -381,46 +380,55 @@ def _minus(a, b):
     return -b if a is None else a - b
 
 
+def _both(rule, a, b):
+    """(rule(a_t, b_t), rule(a_x, b_x)) for the pairs of partials a and b.
+
+    Where each pair holds one object twice (tanh(t + x) holds its g), the
+    result is formed once and shared, exactly, as the operands are the same.
+    """
+    dt = rule(a[0], b[0])
+    return dt, dt if a[0] is a[1] and b[0] is b[1] else rule(a[1], b[1])
+
+
 def _eval(e: FieldExpr, t, x, shape: tuple):
     if isinstance(e, Num):
-        return np.float64(e.value), None, None  # numpy arithmetic overflows to inf, never raises
+        return np.float64(e.value), (None, None)  # numpy arithmetic overflows to inf, never raises
     if isinstance(e, Var):
         if e.name == "t":
-            return t, 1.0, None
-        return x, None, 1.0
+            return t, (1.0, None)
+        return x, (None, 1.0)
     if isinstance(e, Neg):
-        v, dt, dx = _eval(e.arg, t, x, shape)
-        return -v, _minus(None, dt), _minus(None, dx)
+        v, d = _eval(e.arg, t, x, shape)
+        return -v, _both(_minus, (None, None), d)
     if isinstance(e, BinOp):
-        av, adt, adx = _eval(e.lhs, t, x, shape)
-        bv, bdt, bdx = _eval(e.rhs, t, x, shape)
+        av, ad = _eval(e.lhs, t, x, shape)
+        bv, bd = _eval(e.rhs, t, x, shape)
         if e.op == "+":
-            return av + bv, _plus(adt, bdt), _plus(adx, bdx)
+            return av + bv, _both(_plus, ad, bd)
         if e.op == "-":
-            return av - bv, _minus(adt, bdt), _minus(adx, bdx)
+            return av - bv, _both(_minus, ad, bd)
         if e.op == "*":
-            adt, adx = _zeros_meeting(adt, adx, bv, _known_finite(e.rhs))
-            bdt, bdx = _zeros_meeting(bdt, bdx, av, _known_finite(e.lhs))
-            return av * bv, _plus(_times(adt, bv), _times(bdt, av)), _plus(_times(adx, bv), _times(bdx, av))
+            ad = _both(_times, _zeros_meeting(ad, bv, _known_finite(e.rhs)), (bv, bv))
+            bd = _both(_times, _zeros_meeting(bd, av, _known_finite(e.lhs)), (av, av))
+            return av * bv, _both(_plus, ad, bd)
         _check(np.asarray(bv) != 0.0, "division by zero", e, shape)
         inv = 1.0 / bv
         v = av * inv
-        bdt, bdx = _zeros_meeting(bdt, bdx, v)
-        dt, dx = _zeros_meeting(_minus(adt, _times(bdt, v)), _minus(adx, _times(bdx, v)), inv)
-        return v, _times(dt, inv), _times(dx, inv)
+        bd = _both(_times, _zeros_meeting(bd, v), (v, v))
+        d = _zeros_meeting(_both(_minus, ad, bd), inv)
+        return v, _both(_times, d, (inv, inv))
     if isinstance(e, Pow):
-        bv, bdt, bdx = _eval(e.base, t, x, shape)
+        bv, d = _eval(e.base, t, x, shape)
         n = e.exponent
         if n == 0:
-            return bv * 0.0 + 1.0, None, None
+            return bv * 0.0 + 1.0, (None, None)
         if n < 0:
             _check(np.asarray(bv) != 0.0, "zero base with negative exponent", e, shape)
         v = bv ** float(n)
         g = float(n) * bv ** float(n - 1)
-        bdt, bdx = _zeros_meeting(bdt, bdx, g)
-        return v, _times(bdt, g), _times(bdx, g)
+        return v, _both(_times, _zeros_meeting(d, g), (g, g))
     if isinstance(e, Call):
-        av, adt, adx = _eval(e.arg, t, x, shape)
+        av, d = _eval(e.arg, t, x, shape)
         if e.func == "sin":
             v, g = np.sin(av), np.cos(av)
         elif e.func == "cos":
@@ -452,62 +460,37 @@ def _eval(e: FieldExpr, t, x, shape: tuple):
         else:  # unreachable for parsed trees
             raise DomainError(f"unknown function {e.func!r}", e)
         _check(np.isfinite(np.asarray(v)), "non-finite value", e, shape)
-        adt, adx = _zeros_meeting(adt, adx, g)
-        return v, _times(adt, g), _times(adx, g)
+        return v, _both(_times, _zeros_meeting(d, g), (g, g))
     raise TypeError(f"not a field expression: {e!r}")
 
 
-@dataclass(frozen=True)
-class FieldEval:
-    """Value of a field and its two first partial derivatives at an event."""
+def jet(e: FieldExpr, t, x):
+    """The field's value and its exact first partials, (value, d/dt, d/dx).
 
-    value: float
-    d_dt: float
-    d_dx: float
-
-
-def _jet(e: FieldExpr, t, x):
-    """The one evaluation walk, checked finite at the root.
-
-    Returns ((value, d/dt, d/dx), shape) where shape is the broadcast shape
-    of the coordinates.  Each part keeps the shape of the coordinates it
-    reads: given a column of t and a row of x, a part that reads only t is a
-    column, and a constant part may come back as a scalar.  Besides the
-    per-function domain checks inside the walk, the value and both partials
-    must be finite everywhere; otherwise DomainError carries the first index,
-    row-major in shape, where one of them is not.  A partial along a
-    coordinate that the field does not read is 0.0.  The walk builds no
-    array for such a partial of any subtree (a structural zero), and stays
-    exact where one meets a factor that is not finite, which the full
-    product rule turns into NaN: a subtree with a real partial shows that
-    NaN at the same node, and one that reads no coordinate gets real zeros
-    (_zeros_meeting), so 2.75^700, whose partial overflows, fails at node 0.
+    t and x are scalars or arrays that broadcast against each other.  Each
+    part keeps the shape of the coordinates it reads: given a column of t
+    and a row of x, a part that reads only t is a column, and a constant
+    part comes back 0-d rather than copied out to the full shape.  Besides
+    the per-function domain checks inside the walk, the value and both
+    partials must be finite everywhere; otherwise DomainError carries the
+    first index, row-major in the coordinates' broadcast shape, where one
+    of them is not.  A partial along a coordinate that the field does not
+    read is 0.0.  The walk builds no array for such a partial of any
+    subtree (a structural zero), and stays exact where one meets a factor
+    that is not finite, which the full product rule turns into NaN: a
+    subtree with a real partial shows that NaN at the same node, and one
+    that reads no coordinate gets real zeros (_zeros_meeting), so 2.75^700,
+    whose partial overflows, fails at node 0.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     shape = np.broadcast_shapes(t.shape, x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        v, dt, dx = _eval(e, t, x, shape)
+        v, (dt, dx) = _eval(e, t, x, shape)
     finite = np.isfinite(v)
     for part in (dt, dx):
         if part is not None:
             finite = finite & np.isfinite(part)
     if not finite.all():
         _check(np.broadcast_to(finite, shape), "non-finite value or partial", e, shape)
-    return (v, 0.0 if dt is None else dt, 0.0 if dx is None else dx), shape
-
-
-def eval_with_derivatives(e: FieldExpr, p: SpacetimePoint) -> FieldEval:
-    """Evaluate the field and its exact first partials at a single event."""
-    (v, dt, dx), _ = _jet(e, p.t, p.x)
-    return FieldEval(float(v), float(dt), float(dx))
-
-
-def eval_grid(e: FieldExpr, t: np.ndarray, x: np.ndarray):
-    """Vectorised evaluation: returns (value, d/dt, d/dx) arrays over the inputs.
-
-    The arrays are read-only broadcast views: a part that is constant over
-    the inputs is not copied out to their full shape.
-    """
-    jet, shape = _jet(e, t, x)
-    return tuple(np.broadcast_to(np.asarray(part, dtype=float), shape) for part in jet)
+    return v, 0.0 if dt is None else dt, 0.0 if dx is None else dx

@@ -24,7 +24,7 @@ import numpy as np
 
 from .causality import PureState, pure_causal
 from .cone import PSD_TOL, AlgebraElement, RegionGrid, certify_grid_psd
-from .fields import BinOp, Call, FieldExpr, Neg, Num, Pow, Var, _jet
+from .fields import BinOp, Call, FieldExpr, Neg, Num, Pow, Var, jet
 from .states import DiracData
 
 PAIR_TOL = 1e-10
@@ -35,13 +35,6 @@ DEFAULT_REGION = RegionGrid(-3.0, 3.0, -3.0, 3.0, 41, 41)
 DIAG_COEFF_RANGE = (0.05, 1.5)
 LEMMA_AMP_RANGE = (0.02, 0.3)
 LEMMA_FREQ_RANGE = (0.2, 2.0)
-
-
-class Family(str, Enum):
-    """Element families with an a-priori membership argument."""
-
-    DIAGONAL_CAUSAL = "DIAGONAL_CAUSAL"  # diag of two causal functions
-    LEMMA_B = "LEMMA_B"  # equal diagonal dominating a bounded off-diagonal
 
 
 @dataclass(frozen=True)
@@ -113,11 +106,11 @@ def sample_causal_element(cfg: SamplerConfig, k: int, dirac: DiracData) -> Algeb
     Raises RuntimeError if grid certification fails (which would be a
     generator bug, not a sampling accident).
     """
-    family = (Family.DIAGONAL_CAUSAL, Family.LEMMA_B)[k % 2]
     rng = np.random.default_rng([cfg.seed, k])
-    el = _diagonal_causal(rng) if family is Family.DIAGONAL_CAUSAL else _lemma_bounded(rng, dirac)
+    el = _lemma_bounded(rng, dirac) if k % 2 else _diagonal_causal(rng)
     if not certify_grid_psd(el, dirac, DEFAULT_REGION, cfg.psd_tol):
-        raise RuntimeError(f"generated element failed grid certification (family {family.value})")
+        family = "LEMMA_B" if k % 2 else "DIAGONAL_CAUSAL"
+        raise RuntimeError(f"generated element failed grid certification (family {family})")
     return el
 
 
@@ -170,66 +163,49 @@ class CrossValidationReport:
 def cross_validate_pure(
     pairs: Sequence[tuple[PureState, PureState]],
     dirac: DiracData,
-    cfg: Optional[SamplerConfig] = None,
-    elements: Optional[Sequence[AlgebraElement]] = None,
+    elements: Sequence[AlgebraElement],
 ) -> CrossValidationReport:
-    """Check every pair against every sampled element.
+    """Check every pair against every element (sample_elements draws them).
 
     The pairing of a state with an element [[a, -c], [-c*, b]] at its event
     is |xi1|^2 a + |xi2|^2 b - 2 Re(conj(xi1) xi2 c); an element separates a
     pair when the start value exceeds the end value by more than PAIR_TOL.
-    Explicit elements (e.g. a witness's element) take precedence over
-    sampling from cfg; an empty element list yields a vacuous INCONCLUSIVE
-    report.
+    Explicit elements (e.g. a witness's element) can join the sampled ones;
+    an empty element list yields a vacuous INCONCLUSIVE report.
     """
-    if elements is None:
-        if cfg is None:
-            raise ValueError("need either a sampler config or explicit elements")
-        elements = sample_elements(cfg, dirac)
-
     verdicts = [pure_causal(a, b, dirac).related for a, b in pairs]
-    n = len(pairs)
-    t_all = np.array([s.point.t for a, b in pairs for s in (a, b)])
-    x_all = np.array([s.point.x for a, b in pairs for s in (a, b)])
+    if not elements:
+        checks = [PairCheck(related, PairStatus.INCONCLUSIVE, 0, None) for related in verdicts]
+        return CrossValidationReport(checks, 0, True, 0, len(checks))
 
-    w1 = np.empty(2 * n)
-    w2 = np.empty(2 * n)
-    cross = np.empty(2 * n, dtype=complex)
-    for i, (a, b) in enumerate(pairs):
-        for j, state in enumerate((a, b)):
-            xi = state.internal
-            w1[2 * i + j] = abs(xi.xi1) ** 2
-            w2[2 * i + j] = abs(xi.xi2) ** 2
-            cross[2 * i + j] = xi.xi1.conjugate() * xi.xi2
+    states = [state for pair in pairs for state in pair]  # start and end of each pair in turn
+    t_all = np.array([s.point.t for s in states])
+    x_all = np.array([s.point.x for s in states])
+    w1 = np.array([abs(s.internal.xi1) ** 2 for s in states])
+    w2 = np.array([abs(s.internal.xi2) ** 2 for s in states])
+    cross = np.array([s.internal.xi1.conjugate() * s.internal.xi2 for s in states], dtype=complex)
 
-    worst = np.full(n, -np.inf)
-    violations = np.zeros(n, dtype=int)
+    worst = np.full(len(pairs), -np.inf)
+    violations = np.zeros(len(pairs), dtype=int)
     for el in elements:
-        av, bv, c_re, c_im = (_jet(f, t_all, x_all)[0][0] for f in (el.a, el.b, el.c_re, el.c_im))
+        av, bv, c_re, c_im = (jet(f, t_all, x_all)[0] for f in (el.a, el.b, el.c_re, el.c_im))
         values = w1 * av + w2 * bv - 2.0 * (cross * (c_re + 1j * c_im)).real
         margins = values[0::2] - values[1::2]  # omega(a) - eta(a)
         worst = np.maximum(worst, margins)
         violations += margins > PAIR_TOL
 
     checks = []
-    sound = True
-    n_refuted = 0
-    n_inconclusive = 0
-    for i in range(n):
-        if not elements:
-            status = PairStatus.INCONCLUSIVE
-            n_inconclusive += 1
-            checks.append(PairCheck(verdicts[i], status, 0, None))
-            continue
-        violated = violations[i] > 0
-        if verdicts[i]:
-            status = PairStatus.SOUNDNESS_BUG if violated else PairStatus.CONSISTENT
-            sound = sound and not violated
-        elif violated:
-            status = PairStatus.REFUTED
-            n_refuted += 1
+    for related, count, margin in zip(verdicts, violations.tolist(), worst.tolist()):
+        if related:
+            status = PairStatus.SOUNDNESS_BUG if count else PairStatus.CONSISTENT
         else:
-            status = PairStatus.INCONCLUSIVE
-            n_inconclusive += 1
-        checks.append(PairCheck(verdicts[i], status, int(violations[i]), float(worst[i])))
-    return CrossValidationReport(checks, len(elements), sound, n_refuted, n_inconclusive)
+            status = PairStatus.REFUTED if count else PairStatus.INCONCLUSIVE
+        checks.append(PairCheck(related, status, count, margin))
+    statuses = [c.status for c in checks]
+    return CrossValidationReport(
+        checks,
+        len(elements),
+        PairStatus.SOUNDNESS_BUG not in statuses,
+        statuses.count(PairStatus.REFUTED),
+        statuses.count(PairStatus.INCONCLUSIVE),
+    )

@@ -34,7 +34,7 @@ from .causality import (
     pure_causal,
 )
 from .cone import PSD_TOL, ConeMatrix, cone_matrix_at, conformal_rescale_matrix, is_psd
-from .fields import BinOp, Call, Num, Pow, Var, eval_with_derivatives, parse, to_source
+from .fields import BinOp, Call, Num, Pow, Var, jet, parse, to_source
 from .minkowski import SpacetimePoint
 from .oracle import SamplerConfig, cross_validate_pure, sample_elements
 from .states import (
@@ -46,7 +46,7 @@ from .states import (
     apply_unitary,
     wrap_angle,
 )
-from .witness import refute_with_witness
+from .witness import COEFF_POS_TOL, COEFF_ZERO_TOL, MATCH_RTOL, refute_with_witness
 
 D_UNIT = DiracData(0.0, 1.0)
 
@@ -248,11 +248,11 @@ def _witness_refutation(rng, tol, n) -> tuple[bool, str]:
         dirac = DiracData(0.0, gap)
         cert = refute_with_witness(pair[0], pair[1], dirac, n_samples=64)
         ok = cert.margin > 0 and cert.psd.passed and len(cert.psd.samples) == 64
-        ok = ok and abs(cert.lhs_numeric - cert.lhs) <= 1e-8 * max(1.0, abs(cert.lhs))
+        ok = ok and abs(cert.lhs_numeric - cert.lhs) <= MATCH_RTOL * max(1.0, abs(cert.lhs))
         for s in cert.psd.samples:
             # coefficient tolerances scale with the k-th power of the matrix scale
-            ok = ok and s.c1 >= -1e-12 * s.scale and s.c2 >= -1e-12 * s.scale**2
-            ok = ok and abs(s.c3) <= 1e-9 * s.scale**3 and abs(s.c4) <= 1e-9 * s.scale**4
+            ok = ok and s.c1 >= -COEFF_POS_TOL * s.scale and s.c2 >= -COEFF_POS_TOL * s.scale**2
+            ok = ok and abs(s.c3) <= COEFF_ZERO_TOL * s.scale**3 and abs(s.c4) <= COEFF_ZERO_TOL * s.scale**4
         if not ok:
             failures.append(i)
     return not failures, f"failing indices {failures[:5]}" if failures else "all margins strict"
@@ -268,7 +268,7 @@ def _oracle_never_separate(rng, tol, n_pairs, n_elements, sampler_seed=None) -> 
         if inside and pure_causal(*pair, D_UNIT).related:
             pairs.append(pair)
     cfg = _sampler_config(rng, sampler_seed, n_elements, tol)
-    report = cross_validate_pure(pairs, D_UNIT, cfg=cfg)
+    report = cross_validate_pure(pairs, D_UNIT, sample_elements(cfg, D_UNIT))
     worst = max(c.worst_margin for c in report.pairs)
     return report.sound, f"worst margin {worst:.3e} (tolerance 1e-10)"
 
@@ -393,15 +393,15 @@ def _dsl_derivatives(rng, tol, n_expressions, n_points) -> tuple[bool, str]:
     total = 0
     for _ in range(n_expressions):
         expr = _random_smooth_expression(rng)
-        f = lambda tt, xx: eval_with_derivatives(expr, SpacetimePoint(tt, xx)).value
+        f = lambda tt, xx: float(jet(expr, tt, xx)[0])
         for _ in range(n_points):
             t = rng.uniform(-1.5, 1.5)
             x = rng.uniform(-1.5, 1.5)
-            got = eval_with_derivatives(expr, SpacetimePoint(t, x))
+            _, d_dt, d_dx = (float(part) for part in jet(expr, t, x))
             fd_t = (f(t + h, x) - f(t - h, x)) / (2 * h)
             fd_x = (f(t, x + h) - f(t, x - h)) / (2 * h)
             total += 2
-            for ad, fd in ((got.d_dt, fd_t), (got.d_dx, fd_x)):
+            for ad, fd in ((d_dt, fd_t), (d_dx, fd_x)):
                 bad += abs(ad - fd) > max(1e-6 * max(abs(ad), abs(fd)), 1e-8)
     return bad == 0, f"{bad}/{total} mismatches"
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .causality import MixedState, PureState, Reason, _mixed_angle_sup, mixed_causal, pure_causal
 from .cone import AlgebraElement, _charpoly, _node_scales
-from .fields import BinOp, Call, DomainError, FieldExpr, Neg, Num, Var, _jet
+from .fields import BinOp, Call, DomainError, FieldExpr, Neg, Num, Var, jet
 from .minkowski import SpacetimePoint, max_proper_time
 from .states import DiracData, angular_distance, parallel_angle, signed_arc, wrap_angle
 
@@ -225,7 +225,7 @@ def _pairing_growth(spec: WitnessSpec) -> float:
     el = spec.element()
     t, x = np.array([spec.p.t, spec.q.t]), np.array([spec.p.x, spec.q.x])
     try:
-        (a_p, a_q), (b_p, b_q) = (_jet(field, t, x)[0][0] for field in (el.a, el.b))
+        (a_p, a_q), (b_p, b_q) = (jet(field, t, x)[0] for field in (el.a, el.b))
     except DomainError as err:
         raise WitnessOverflowError(
             f"Dirac gap {spec.dirac.gap} is too large: the element does not fit in a float at the endpoints"

@@ -248,6 +248,13 @@ def test_cone_check_grid_from_input(capsys):
     assert json.loads(out)["n_nodes"] == 25
 
 
+def test_cone_check_default_grid(capsys):
+    payload = json.dumps({"element": {"a": "t", "b": "t + 2*tanh(x)"}, "dirac": {"d1": 0, "d2": 1}})
+    code, out, err = _run(capsys, "cone-check", "--input", payload)
+    assert code == 1 and json.loads(out)["n_nodes"] == 1681
+    assert _run(capsys, "cone-check", "--grid=-3,3,-3,3,41,41", "--input", payload) == (code, out, err)
+
+
 #: the witness JSON for PURE_SHORT as written before the "tau" key was added
 GOLDEN_WITNESS = json.loads((Path(__file__).parent / "witness_golden.json").read_text())
 

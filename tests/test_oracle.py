@@ -106,7 +106,7 @@ def test_related_pairs_never_separated():
     rng = np.random.default_rng(17)
     cfg = SamplerConfig(seed=900, n_elements=200)
     pairs = [_pair(rng, related=True) for _ in range(25)]
-    report = cross_validate_pure(pairs, D_UNIT, cfg=cfg)
+    report = cross_validate_pure(pairs, D_UNIT, sample_elements(cfg, D_UNIT))
     assert report.sound
     assert all(c.status is PairStatus.CONSISTENT for c in report.pairs)
     assert all(c.worst_margin <= 1e-10 for c in report.pairs)
@@ -116,7 +116,7 @@ def test_unrelated_pairs_inconclusive_without_witness():
     rng = np.random.default_rng(19)
     cfg = SamplerConfig(seed=901, n_elements=100)
     pairs = [_pair(rng, related=False) for _ in range(10)]
-    report = cross_validate_pure(pairs, D_UNIT, cfg=cfg)
+    report = cross_validate_pure(pairs, D_UNIT, sample_elements(cfg, D_UNIT))
     assert report.sound
     assert all(c.status is PairStatus.INCONCLUSIVE for c in report.pairs)
     assert report.n_inconclusive == 10
@@ -156,7 +156,7 @@ def test_soundness_bug_detection_path():
 def test_report_json_shape():
     rng = np.random.default_rng(37)
     cfg = SamplerConfig(seed=903, n_elements=10)
-    report = cross_validate_pure([_pair(rng, related=True)], D_UNIT, cfg=cfg)
+    report = cross_validate_pure([_pair(rng, related=True)], D_UNIT, sample_elements(cfg, D_UNIT))
     data = report.to_dict()
     assert data["schema"] == "causalnc/1"
     assert data["pairs"][0]["status"] == "CONSISTENT"

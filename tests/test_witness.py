@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from causalnc.causality import MixedState, PureState, mixed_required_angle, pure_causal
 from causalnc.cone import PSD_TOL, AlgebraElement, _cone_entries, _matrices, _node_scales
-from causalnc.fields import eval_grid
+from causalnc.fields import jet
 from causalnc.minkowski import SpacetimePoint, max_proper_time
 from causalnc.states import DiracData, MixedInternalState, PureInternalState
 from causalnc.witness import (
@@ -51,7 +51,7 @@ def _worldline_event(spec, l):
 def _element_values(el, t, x):
     """Values of a, b and c of the element at the events (t, x)."""
     t, x = np.atleast_1d(t), np.atleast_1d(x)
-    a, b, c_re, c_im = (eval_grid(f, t, x)[0] for f in (el.a, el.b, el.c_re, el.c_im))
+    a, b, c_re, c_im = (jet(f, t, x)[0] for f in (el.a, el.b, el.c_re, el.c_im))
     return a, b, c_re + 1j * c_im
 
 
