@@ -199,22 +199,33 @@ def mixed_required_angle(rho: MixedInternalState, sigma: MixedInternalState) -> 
 
 def mixed_causal(omega: MixedState, eta: MixedState, dirac: DiracData) -> CausalVerdict:
     """Causal-order decision for states with mixed internal parts."""
+    return _mixed_verdict(omega, eta, dirac)[0]
+
+
+def _mixed_verdict(
+    omega: MixedState, eta: MixedState, dirac: DiracData
+) -> tuple[CausalVerdict, Optional[tuple[float, float, float, float]]]:
+    """mixed_causal's verdict, with the _mixed_angle_sup tuple it decided by (None if it needed none).
+
+    Every speed-bound verdict comes with the tuple, so a caller that builds
+    on such a verdict reads the supremum without computing it again.
+    """
     if not causally_precedes(omega.point, eta.point):
-        return CausalVerdict(False, Reason.SPACETIME_ORDER)
+        return CausalVerdict(False, Reason.SPACETIME_ORDER), None
     available = max_proper_time(omega.point, eta.point)
     rho, sigma = omega.internal, eta.internal
     if dirac.degenerate:
         if bloch_equal(rho, sigma, STATE_EQ_TOL):
-            return CausalVerdict(True, Reason.OK, 0.0, available)
-        return CausalVerdict(False, Reason.DEGENERATE_INTERNAL_CHANGE)
+            return CausalVerdict(True, Reason.OK, 0.0, available), None
+        return CausalVerdict(False, Reason.DEGENERATE_INTERNAL_CHANGE), None
     if abs(rho.rz - sigma.rz) > LATITUDE_TOL:
-        return CausalVerdict(False, Reason.LATITUDE_MISMATCH)
+        return CausalVerdict(False, Reason.LATITUDE_MISMATCH), None
     z = 0.5 * (rho.rz + sigma.rz)
     if abs(z) >= 1.0 - POLE_TOL:
         # |z| = 1 forces both Bloch vectors onto the pole itself
-        return CausalVerdict(True, Reason.OK, 0.0, available)
-    required = _mixed_angle_sup(rho, sigma)[0] / dirac.gap
-    return _speed_bound_verdict(required, available, dirac)
+        return CausalVerdict(True, Reason.OK, 0.0, available), None
+    sup = _mixed_angle_sup(rho, sigma)
+    return _speed_bound_verdict(sup[0] / dirac.gap, available, dirac), sup
 
 
 @dataclass(frozen=True)

@@ -25,16 +25,24 @@ answer "positive definite" but never wrongly; _indefinite_after_shift is
 its mirror.  A node neither test decides gets the one per-node eigvalsh
 rule, _psd_at_nodes, so every verdict is the one eigvalsh would give.
 
-certify_grid_psd needs only the verdict.  cone_membership also reports the
-smallest eigenvalue on the grid: closed-form Gershgorin and interlacing
-bounds screen out the coupled nodes that pass and cannot hold the grid
-minimum; at the rest it estimates the smallest eigenvalue by Newton on the
-closed-form characteristic polynomial (_charpoly, which also certifies the
-separating witness of witness.py), certifies a lower bound from each
-estimate with the Schur test, and runs eigvalsh only where the grid
-minimum can lie, where no test decides, and at the first violation.  A
-constant coupling c stays 0-d (_cone_entries), so an element with c = 0
-builds no coupling entries over the grid and sends no node to Newton.
+certify_grid_psd needs only the verdict: the Gershgorin bound clears
+nodes first, the Schur test clears the rest where it can, and eigvalsh
+runs only on the nodes neither clears.  Both screens are one-sided, with
+SCHUR_EIG_SLACK*s to spare, so the verdict is still eigvalsh's.  At an
+uncoupled node the Gershgorin bound is the node's exact rule less that
+slack, and the two families oracle.py samples are diagonally dominant by
+construction, so the first screen decides every node of theirs.
+
+cone_membership also reports the smallest eigenvalue on the grid:
+closed-form Gershgorin and interlacing bounds screen out the coupled nodes
+that pass and cannot hold the grid minimum; at the rest it estimates the
+smallest eigenvalue by Newton on the closed-form characteristic polynomial
+(_charpoly, which also certifies the separating witness of witness.py),
+certifies a lower bound from each estimate with the Schur test, and runs
+eigvalsh only where the grid minimum can lie, where no test decides, and
+at the first violation.  A constant coupling c stays 0-d (_cone_entries),
+so an element with c = 0 builds no coupling entries over the grid and
+sends no node to Newton.
 
 Every step up to that choice is per node, so both grid paths walk the grid
 in row-major blocks of about BLOCK_NODES nodes (_grid_blocks): runs of
@@ -820,23 +828,36 @@ def certify_grid_psd(
     """Fast membership decision over the grid, equal to cone_membership's verdict.
 
     Needs only the verdict, not the smallest eigenvalue, so it runs only the
-    pass side of cone_membership: _pd_after_shift at shift
-    (tol - SCHUR_EIG_SLACK)*s clears nodes on the entry arrays, building no
-    4x4 matrices.  The test is one-sided: it never clears a node eigvalsh
-    would reject, and a node it does not clear is not thereby a violation.
-    Those nodes alone are assembled and get the per-node rule _psd_at_nodes,
-    so True and False both match cone_membership(...).member_on_grid (False
-    where cone_membership raises EigenvalueRangeError).  It walks the same
-    blocks as cone_membership, and after a violation it only evaluates the
-    remaining blocks, so it raises the same node-annotated DomainError.
+    pass side of cone_membership, on the entry arrays and in three steps,
+    each on the nodes the one before leaves open:
+
+    - screen: a node passes when its Gershgorin bound G (_gershgorin_lower)
+      is at least -tol*s, the bound and threshold of cone_membership's
+      screen.  At an uncoupled node G is its smallest diagonal entry, its
+      eigenvalue, less SCHUR_EIG_SLACK*s;
+    - Schur: _pd_after_shift clears a node at shift (tol - SCHUR_EIG_SLACK)*s;
+    - eigvalsh: the nodes left are assembled and get the per-node rule
+      _psd_at_nodes, which decides them.
+
+    The first two steps are one-sided: G and the Schur test keep
+    SCHUR_EIG_SLACK*s below the node's eigvalsh smallest eigenvalue, so they
+    never clear a node eigvalsh would reject, and a node they do not clear
+    is not thereby a violation.  So True and False both are eigvalsh's
+    verdict over the grid and match cone_membership(...).member_on_grid
+    (False where cone_membership raises EigenvalueRangeError).  It walks the
+    same blocks as cone_membership, and after a violation it only evaluates
+    the remaining blocks, so it raises the same node-annotated DomainError.
     """
     verdict = True
     for _, entries in _grid_blocks(el, dirac, region):
         if not verdict:
             continue
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            cleared = _pd_after_shift(entries, (tol - SCHUR_EIG_SLACK) * _node_scales(entries))
-        open_nodes = np.flatnonzero(~cleared)
+            scale = _node_scales(entries)
+            open_nodes = np.flatnonzero(~(_gershgorin_lower(entries, scale) >= -tol * scale))
+            if open_nodes.size:
+                shift = (tol - SCHUR_EIG_SLACK) * scale[open_nodes]
+                open_nodes = open_nodes[~_pd_after_shift(_take(entries, open_nodes), shift)]
         if open_nodes.size:
             verdict = bool(_psd_at_nodes(_matrices(_take(entries, open_nodes)), tol)[1].all())
     return verdict

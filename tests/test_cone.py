@@ -17,6 +17,7 @@ from causalnc.cone import (
     UnequalDiagonalError,
     _charpoly,
     _cone_entries,
+    _gershgorin_lower,
     _grid_entries,
     _lambda_min_estimates,
     _matrices,
@@ -43,7 +44,7 @@ from causalnc.fields import (
     to_source,
 )
 from causalnc.minkowski import SpacetimePoint
-from causalnc.oracle import SamplerConfig, sample_causal_element
+from causalnc.oracle import DEFAULT_REGION, SamplerConfig, sample_causal_element, sample_elements
 from causalnc.states import DiracData
 from strategies import FIELD_TREES
 
@@ -887,6 +888,19 @@ def test_criterion_5_stream_certifies_without_lapack(monkeypatch):
             assert parse(to_source(tree)) == tree
 
 
+@pytest.mark.parametrize("dirac", (D_UNIT, DiracData(0.0, 2.0)), ids=("unit", "gap-2"))
+def test_gershgorin_screen_decides_every_node_of_the_sampled_families(dirac, monkeypatch):
+    # both families are diagonally dominant by construction, so certify_grid_psd
+    # needs neither the Schur test nor eigvalsh on them
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Gershgorin screen should clear every node of these elements")
+
+    monkeypatch.setattr(cone, "_pd_after_shift", refuse)
+    monkeypatch.setattr(cone, "_psd_at_nodes", refuse)
+    for el in sample_elements(SamplerConfig(seed=58_191, n_elements=6), dirac):
+        assert certify_grid_psd(el, dirac, DEFAULT_REGION) is True
+
+
 def test_region_grid_validation_and_roundtrip():
     with pytest.raises(ValueError):
         RegionGrid(1.0, -1.0, 0.0, 1.0, 5, 5)
@@ -1016,3 +1030,65 @@ def test_charpoly_gives_the_elementary_symmetric_polynomials_of_the_eigenvalues(
     expected = np.poly(eig)[1:] * np.array([-1.0, 1.0, -1.0, 1.0])
     got = np.array([float(e[0]) for e in _charpoly(scaled)])
     assert np.abs(got - expected).max() <= 1e-12
+
+
+# --- the Gershgorin screen ----------------------------------------------------
+
+
+@st.composite
+def _screen_cases(draw):
+    """(entries, tol) for a few nodes, some rows of which sit on the screen's threshold.
+
+    Each row's diagonal entry is its off-diagonal sum plus a margin: far
+    (of the order of the entries) or near, s*(k*tol + m*SCHUR_EIG_SLACK)
+    with k in {-1, 0} and |m| <= 2, so the Gershgorin bound lands within a
+    few slacks of -tol*s.  uncoupled: u, z and w are 0-d zeros, as
+    _cone_entries gives for a constant c.  tight: only u and z, or only w,
+    couple and every row has the same near margin, so each 2x2 block has
+    equal diagonals, the Gershgorin bound is the smallest eigenvalue less
+    the slack, and the matrix is near rank-deficient.
+    """
+    kind = draw(st.sampled_from(("coupled", "uncoupled", "tight")))
+    tol = draw(st.sampled_from((PSD_TOL, 0.0)))
+    magnitude = 10.0 ** draw(st.integers(0, 300))
+    n = 3
+
+    def rows(elements):  # one draw per row of the matrix and node
+        return np.array(draw(st.lists(elements, min_size=4 * n, max_size=4 * n))).reshape(4, n)
+
+    if kind == "uncoupled":
+        u = z = w = np.array(0j)
+    else:
+        u, z, w = (np.array([complex(draw(_UNIT), draw(_UNIT)) for _ in range(n)]) * magnitude for _ in range(3))
+        if kind == "tight":
+            if draw(st.booleans()):
+                w = np.zeros(n, dtype=complex)
+            else:
+                u = z = np.zeros(n, dtype=complex)
+    off_u, off_z = np.abs(u) + np.abs(w), np.abs(z) + np.abs(w)
+    offsums = np.broadcast_to(np.reshape([off_u, off_z, off_u, off_z], (4, -1)), (4, n))
+    near = rows(st.booleans())
+    if kind == "tight":
+        near[:] = True
+    far = rows(st.floats(0.0, 2.0))
+    diag = offsums + np.where(near, 0.0, far * magnitude)
+    with np.errstate(over="ignore"):  # |u|^2 beyond the float range, which _node_scales handles
+        scale = _node_scales((*diag, u, z, w))
+    k = rows(st.sampled_from((-1.0, 0.0)))
+    m = rows(st.floats(-2.0, 2.0))
+    margin = scale * (k * tol + m * cone.SCHUR_EIG_SLACK)
+    if kind == "tight":
+        margin[:] = margin[0]
+    diag = diag + np.where(near, margin, 0.0)
+    return (*diag, u, z, w), tol
+
+
+@settings(max_examples=100)
+@given(_screen_cases())
+def test_nodes_the_gershgorin_screen_clears_pass_eigvalsh(case):
+    entries, tol = case
+    with np.errstate(over="ignore"):
+        scale = _node_scales(entries)
+        cleared = _gershgorin_lower(entries, scale) >= -tol * scale
+    passed = _psd_at_nodes(_matrices(entries), tol)[1]
+    assert passed[cleared].all()
