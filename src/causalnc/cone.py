@@ -584,6 +584,16 @@ def _gershgorin_lower(entries, scale) -> np.ndarray:
     return lower - SCHUR_EIG_SLACK * scale
 
 
+def _gershgorin_clears(entries, scale, tol: float) -> np.ndarray:
+    """Nodes certify_grid_psd's screen passes: G >= -tol*s at a finite scale s.
+
+    Where s overflowed (a coupling modulus above the float range), G and
+    -tol*s are both -inf, so G >= -tol*s holds at a node eigvalsh fails;
+    such a node is left open.
+    """
+    return np.isfinite(scale) & (_gershgorin_lower(entries, scale) >= -tol * scale)
+
+
 def _interlacing_upper(entries, scale) -> np.ndarray:
     """Cauchy interlacing: the smallest eigenvalue is at most that of each principal submatrix.
 
@@ -833,8 +843,8 @@ def certify_grid_psd(
 
     - screen: a node passes when its Gershgorin bound G (_gershgorin_lower)
       is at least -tol*s, the bound and threshold of cone_membership's
-      screen.  At an uncoupled node G is its smallest diagonal entry, its
-      eigenvalue, less SCHUR_EIG_SLACK*s;
+      screen, and s is finite (_gershgorin_clears).  At an uncoupled node G
+      is its smallest diagonal entry, its eigenvalue, less SCHUR_EIG_SLACK*s;
     - Schur: _pd_after_shift clears a node at shift (tol - SCHUR_EIG_SLACK)*s;
     - eigvalsh: the nodes left are assembled and get the per-node rule
       _psd_at_nodes, which decides them.
@@ -854,7 +864,7 @@ def certify_grid_psd(
             continue
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             scale = _node_scales(entries)
-            open_nodes = np.flatnonzero(~(_gershgorin_lower(entries, scale) >= -tol * scale))
+            open_nodes = np.flatnonzero(~_gershgorin_clears(entries, scale, tol))
             if open_nodes.size:
                 shift = (tol - SCHUR_EIG_SLACK) * scale[open_nodes]
                 open_nodes = open_nodes[~_pd_after_shift(_take(entries, open_nodes), shift)]

@@ -17,7 +17,7 @@ from causalnc.cone import (
     UnequalDiagonalError,
     _charpoly,
     _cone_entries,
-    _gershgorin_lower,
+    _gershgorin_clears,
     _grid_entries,
     _lambda_min_estimates,
     _matrices,
@@ -44,7 +44,7 @@ from causalnc.fields import (
     to_source,
 )
 from causalnc.minkowski import SpacetimePoint
-from causalnc.oracle import DEFAULT_REGION, SamplerConfig, sample_causal_element, sample_elements
+from causalnc.oracle import SamplerConfig, sample_causal_element
 from causalnc.states import DiracData
 from strategies import FIELD_TREES
 
@@ -299,6 +299,16 @@ def test_cone_convexity_and_matrix_linearity():
     msum = cone_matrix_at(total, D_UNIT, p).m
     assert np.allclose(msum, m1 + m2, atol=1e-12)
     assert is_psd(ConeMatrix(msum))
+
+
+def test_certify_grid_psd_refuses_a_coupling_modulus_beyond_the_float_range():
+    # c_t has finite parts, but |c_t| is above 1.8e308, so the node scale s is
+    # inf and the Gershgorin bound and its threshold are both -inf
+    el = AlgebraElement.from_sources("t", "t", "1.3e308*t", "1.3e308*t")
+    grid = RegionGrid(0.0, 1.0, -1.0, 1.0, 5, 5)
+    with pytest.raises(EigenvalueRangeError):
+        cone_membership(el, D_UNIT, grid)
+    assert certify_grid_psd(el, D_UNIT, grid) is False
 
 
 def test_certify_grid_psd_agrees_with_cone_membership():
@@ -876,29 +886,21 @@ def test_newton_runs_only_where_the_grid_minimum_can_lie(monkeypatch):
 
 
 def test_criterion_5_stream_certifies_without_lapack(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the Schur test should clear every node of these elements")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    cfg = SamplerConfig(seed=50_001, n_elements=50)
-    for k in range(cfg.n_elements):
-        el = sample_causal_element(cfg, k, D_UNIT)
-        for tree in (el.a, el.b, el.c_re, el.c_im):
-            assert parse(to_source(tree)) == tree
-
-
-@pytest.mark.parametrize("dirac", (D_UNIT, DiracData(0.0, 2.0)), ids=("unit", "gap-2"))
-def test_gershgorin_screen_decides_every_node_of_the_sampled_families(dirac, monkeypatch):
-    # both families are diagonally dominant by construction, so certify_grid_psd
-    # needs neither the Schur test nor eigvalsh on them
+    # both sampled families are diagonally dominant by construction, so
+    # certify_grid_psd needs neither the Schur test nor eigvalsh on them
     def refuse(*args, **kwargs):
         raise AssertionError("the Gershgorin screen should clear every node of these elements")
 
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(cone, "_pd_after_shift", refuse)
     monkeypatch.setattr(cone, "_psd_at_nodes", refuse)
-    for el in sample_elements(SamplerConfig(seed=58_191, n_elements=6), dirac):
-        assert certify_grid_psd(el, dirac, DEFAULT_REGION) is True
+    cfg = SamplerConfig(seed=50_001, n_elements=50)
+    for dirac in (D_UNIT, DiracData(0.0, 2.0)):
+        for k in range(cfg.n_elements):
+            el = sample_causal_element(cfg, k, dirac)
+            for tree in (el.a, el.b, el.c_re, el.c_im):
+                assert parse(to_source(tree)) == tree
 
 
 def test_region_grid_validation_and_roundtrip():
@@ -994,6 +996,7 @@ def test_element_parse_error_names_its_key(key):
 # --- the closed-form characteristic polynomial -----------------------------------
 
 _UNIT = st.floats(-1.0, 1.0)
+_FLOAT_MAX = np.finfo(float).max
 
 
 @st.composite
@@ -1046,11 +1049,14 @@ def _screen_cases(draw):
     _cone_entries gives for a constant c.  tight: only u and z, or only w,
     couple and every row has the same near margin, so each 2x2 block has
     equal diagonals, the Gershgorin bound is the smallest eigenvalue less
-    the slack, and the matrix is near rank-deficient.
+    the slack, and the matrix is near rank-deficient.  The magnitude runs
+    from 1 to 1e300, or up to the float maximum, where a coupling modulus
+    can lie beyond the float range and s is inf; the entries stay finite,
+    as _cone_entries gives them.
     """
     kind = draw(st.sampled_from(("coupled", "uncoupled", "tight")))
     tol = draw(st.sampled_from((PSD_TOL, 0.0)))
-    magnitude = 10.0 ** draw(st.integers(0, 300))
+    magnitude = draw(st.one_of(st.integers(0, 300).map(lambda e: 10.0**e), st.floats(1e300, _FLOAT_MAX)))
     n = 3
 
     def rows(elements):  # one draw per row of the matrix and node
@@ -1065,21 +1071,22 @@ def _screen_cases(draw):
                 w = np.zeros(n, dtype=complex)
             else:
                 u = z = np.zeros(n, dtype=complex)
-    off_u, off_z = np.abs(u) + np.abs(w), np.abs(z) + np.abs(w)
-    offsums = np.broadcast_to(np.reshape([off_u, off_z, off_u, off_z], (4, -1)), (4, n))
     near = rows(st.booleans())
     if kind == "tight":
         near[:] = True
     far = rows(st.floats(0.0, 2.0))
-    diag = offsums + np.where(near, 0.0, far * magnitude)
-    with np.errstate(over="ignore"):  # |u|^2 beyond the float range, which _node_scales handles
-        scale = _node_scales((*diag, u, z, w))
     k = rows(st.sampled_from((-1.0, 0.0)))
     m = rows(st.floats(-2.0, 2.0))
-    margin = scale * (k * tol + m * cone.SCHUR_EIG_SLACK)
-    if kind == "tight":
-        margin[:] = margin[0]
-    diag = diag + np.where(near, margin, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # sums and scales beyond the float range
+        off_u, off_z = np.abs(u) + np.abs(w), np.abs(z) + np.abs(w)
+        offsums = np.broadcast_to(np.reshape([off_u, off_z, off_u, off_z], (4, -1)), (4, n))
+        diag = np.clip(offsums + np.where(near, 0.0, far * magnitude), -_FLOAT_MAX, _FLOAT_MAX)
+        scale = _node_scales((*diag, u, z, w))
+        margin = scale * (k * tol + m * cone.SCHUR_EIG_SLACK)
+        margin[~np.isfinite(margin)] = 0.0  # where s is inf
+        if kind == "tight":
+            margin[:] = margin[0]
+        diag = np.clip(diag + np.where(near, margin, 0.0), -_FLOAT_MAX, _FLOAT_MAX)
     return (*diag, u, z, w), tol
 
 
@@ -1087,8 +1094,7 @@ def _screen_cases(draw):
 @given(_screen_cases())
 def test_nodes_the_gershgorin_screen_clears_pass_eigvalsh(case):
     entries, tol = case
-    with np.errstate(over="ignore"):
-        scale = _node_scales(entries)
-        cleared = _gershgorin_lower(entries, scale) >= -tol * scale
-    passed = _psd_at_nodes(_matrices(entries), tol)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cleared = _gershgorin_clears(entries, _node_scales(entries), tol)
+        passed = _psd_at_nodes(_matrices(entries), tol)[1]
     assert passed[cleared].all()
