@@ -1,26 +1,28 @@
 """Closed-form causal-order oracles on the state space.
 
 A pure state is an event paired with a point of the internal sphere; a mixed
-state pairs an event with a Bloch-ball vector.  Two pure states are causally
-related exactly when the events are causally ordered, the internal latitudes
-agree, and the maximal proper time between the events covers the angular
-distance along the parallel divided by the Dirac gap.  The mixed-state
-criterion replaces the angular distance by a supremum over a rotation angle
-of arccos differences of projected parallel radii, in closed form: the
-maximum over the at most four roots of the squared stationarity condition,
-the four kinks and the midpoints between consecutive candidates.
+state pairs an event with a Bloch-ball vector, and pure states are decided as
+the sphere case of the one mixed decision.  Two states are related exactly
+when the events are causally ordered, the latitudes agree, and the maximal
+proper time between the events covers the required internal angle divided by
+the Dirac gap.  On the sphere that angle is the angular distance along the
+parallel; inside the ball it is a supremum over a rotation angle of arccos
+differences of projected parallel radii, in closed form: the maximum over the
+at most four roots of the squared stationarity condition, the four kinks and
+the midpoints between consecutive candidates.
 
 Conventions: angular separations are measured by the circle geodesic
 distance in [0, pi]; a boundary-exact proper time counts as related, decided
 with a slack of 1e-12 radians of internal angle (1e-12/gap of proper time,
-so a large gap relates no distinct states at one event); states within
-1e-12 of a pole are treated as the pole itself, where the parallel angle is
-undefined and no internal motion is possible (any proper time suffices
-there).
+so a large gap relates no distinct states at one event); a pair whose mean
+latitude lies within 1e-12 of a pole is treated as the pole itself, where
+the parallel angle is undefined and no internal motion is possible (any
+proper time suffices there).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,15 +32,14 @@ import numpy as np
 
 from .minkowski import SpacetimePoint, causally_precedes, lerp, max_proper_time
 from .states import (
+    NORM_TOL,
+    POLE_TOL,
     DiracData,
     MixedInternalState,
-    POLE_TOL,
     PureInternalState,
     angular_distance,
     bloch_equal,
-    parallel_angle,
     signed_arc,
-    states_equal,
 )
 
 LATITUDE_TOL = 1e-12
@@ -48,6 +49,8 @@ STATE_EQ_TOL = 1e-12
 
 #: Candidates of the mixed-state supremum this close to the maximum count as attaining it.
 PLATEAU_TOL = 1e-12
+#: _mixed_angle_sup's result: the supremum, an argmax and the projected arccos values there.
+Sup = tuple[float, float, float, float]
 #: Most segments plan_causal_path samples: the path holds n + 1 samples, about
 #: 55 MB of samples and CSV text at this bound.
 MAX_PATH_SEGMENTS = 100_000
@@ -82,7 +85,8 @@ class CausalVerdict:
     bound_required is the proper time the internal motion demands and
     bound_available the maximal proper time between the events; both are
     populated whenever the speed bound was actually consulted (reason OK or
-    SPEED_BOUND).
+    SPEED_BOUND).  to_dict adds within_tolerance: the pair is related only
+    through BOUND_SLACK (bound_available < bound_required).
     """
 
     related: bool
@@ -96,26 +100,14 @@ class CausalVerdict:
             "reason": self.reason.value,
             "bound_required": self.bound_required,
             "bound_available": self.bound_available,
+            "within_tolerance": self.related and self.bound_available < self.bound_required,
         }
 
 
 def pure_causal(omega: PureState, eta: PureState, dirac: DiracData) -> CausalVerdict:
-    """Decide whether omega precedes eta in the causal order on pure states."""
-    if not causally_precedes(omega.point, eta.point):
-        return CausalVerdict(False, Reason.SPACETIME_ORDER)
-    available = max_proper_time(omega.point, eta.point)
-    xi, phi = omega.internal, eta.internal
-    if dirac.degenerate:
-        if states_equal(xi, phi, STATE_EQ_TOL):
-            return CausalVerdict(True, Reason.OK, 0.0, available)
-        return CausalVerdict(False, Reason.DEGENERATE_INTERNAL_CHANGE)
-    if abs(xi.z - phi.z) > LATITUDE_TOL:
-        return CausalVerdict(False, Reason.LATITUDE_MISMATCH)
-    if xi.is_pole or phi.is_pole:
-        # same latitude at |z| = 1 pins both states to the same pole
-        return CausalVerdict(True, Reason.OK, 0.0, available)
-    required = angular_distance(parallel_angle(xi), parallel_angle(phi)) / dirac.gap
-    return _speed_bound_verdict(required, available, dirac)
+    """Decide whether omega precedes eta: mixed_causal's decision on their Bloch vectors."""
+    bloch = MixedInternalState.from_pure
+    return _decide(omega.point, eta.point, bloch(omega.internal), bloch(eta.internal), dirac)[0]
 
 
 def _speed_bound_verdict(required: float, available: float, dirac: DiracData) -> CausalVerdict:
@@ -138,7 +130,7 @@ def _arc(radius, angle):
     )
 
 
-def _mixed_angle_sup(rho: MixedInternalState, sigma: MixedInternalState) -> tuple[float, float, float, float]:
+def _mixed_angle_sup(rho: MixedInternalState, sigma: MixedInternalState) -> Sup:
     """The supremum of mixed_required_angle, an argmax theta_star, and the
     projected arccos values of rho and sigma at theta_star.
 
@@ -176,6 +168,19 @@ def _mixed_angle_sup(rho: MixedInternalState, sigma: MixedInternalState) -> tupl
     return best, float(thetas[k]), float(arc_a[k]), float(arc_b[k])
 
 
+def _required_angle(rho: MixedInternalState, sigma: MixedInternalState) -> tuple[float, Optional[Sup]]:
+    """The angle a same-latitude pair off the poles demands, and the Sup it took.
+
+    On the unit sphere (|r|^2 >= 1 - NORM_TOL for both) it is the paper's
+    closed form, the angular distance of the parallel angles, and takes no
+    Sup (None); inside the ball it is the supremum.
+    """
+    if min(rho.norm, sigma.norm) ** 2 >= 1.0 - NORM_TOL:
+        return angular_distance(rho.parallel_angle, sigma.parallel_angle), None
+    sup = _mixed_angle_sup(rho, sigma)
+    return sup[0], sup
+
+
 def mixed_required_angle(rho: MixedInternalState, sigma: MixedInternalState) -> float:
     """Angular budget two same-latitude mixed states demand of a causal path.
 
@@ -194,38 +199,36 @@ def mixed_required_angle(rho: MixedInternalState, sigma: MixedInternalState) -> 
         if bloch_equal(rho, sigma, STATE_EQ_TOL):
             return 0.0
         raise ValueError("the required angle is undefined at the poles")
-    return _mixed_angle_sup(rho, sigma)[0]
+    return _required_angle(rho, sigma)[0]
 
 
 def mixed_causal(omega: MixedState, eta: MixedState, dirac: DiracData) -> CausalVerdict:
     """Causal-order decision for states with mixed internal parts."""
-    return _mixed_verdict(omega, eta, dirac)[0]
+    return _decide(omega.point, eta.point, omega.internal, eta.internal, dirac)[0]
 
 
-def _mixed_verdict(
-    omega: MixedState, eta: MixedState, dirac: DiracData
-) -> tuple[CausalVerdict, Optional[tuple[float, float, float, float]]]:
-    """mixed_causal's verdict, with the _mixed_angle_sup tuple it decided by (None if it needed none).
+def _decide(
+    p: SpacetimePoint, q: SpacetimePoint, rho: MixedInternalState, sigma: MixedInternalState, dirac: DiracData
+) -> tuple[CausalVerdict, Optional[Sup]]:
+    """The causal-order decision, with the Sup it was decided by (None if it needed none).
 
-    Every speed-bound verdict comes with the tuple, so a caller that builds
-    on such a verdict reads the supremum without computing it again.
+    A caller that builds on a verdict off the sphere reads the supremum
+    without computing it again.
     """
-    if not causally_precedes(omega.point, eta.point):
+    if not causally_precedes(p, q):
         return CausalVerdict(False, Reason.SPACETIME_ORDER), None
-    available = max_proper_time(omega.point, eta.point)
-    rho, sigma = omega.internal, eta.internal
+    available = max_proper_time(p, q)
     if dirac.degenerate:
         if bloch_equal(rho, sigma, STATE_EQ_TOL):
             return CausalVerdict(True, Reason.OK, 0.0, available), None
         return CausalVerdict(False, Reason.DEGENERATE_INTERNAL_CHANGE), None
     if abs(rho.rz - sigma.rz) > LATITUDE_TOL:
         return CausalVerdict(False, Reason.LATITUDE_MISMATCH), None
-    z = 0.5 * (rho.rz + sigma.rz)
-    if abs(z) >= 1.0 - POLE_TOL:
+    if abs(0.5 * (rho.rz + sigma.rz)) >= 1.0 - POLE_TOL:
         # |z| = 1 forces both Bloch vectors onto the pole itself
         return CausalVerdict(True, Reason.OK, 0.0, available), None
-    sup = _mixed_angle_sup(rho, sigma)
-    return _speed_bound_verdict(sup[0] / dirac.gap, available, dirac), sup
+    angle, sup = _required_angle(rho, sigma)
+    return _speed_bound_verdict(angle / dirac.gap, available, dirac), sup
 
 
 @dataclass(frozen=True)
@@ -254,18 +257,16 @@ def plan_causal_path(
     xi, phi = omega.internal, eta.internal
     total = max_proper_time(omega.point, eta.point)
 
-    constant_internal = (
-        dirac.degenerate or xi.is_pole or phi.is_pole or states_equal(xi, phi, STATE_EQ_TOL)
-    )
     samples = []
-    if constant_internal:
+    if verdict.bound_required == 0.0:  # no internal motion: equal states, a pole or a degenerate gap
         for k in range(n + 1):
             s = k / n
             samples.append(PathSample(s, lerp(omega.point, eta.point, s), xi))
         return samples
 
-    theta_start = parallel_angle(xi)
-    arc = signed_arc(theta_start, parallel_angle(phi))
+    # phase(xi2) is the parallel angle, and defined also within POLE_TOL of a pole
+    theta_start = cmath.phase(xi.xi2)
+    arc = signed_arc(theta_start, cmath.phase(phi.xi2))
     direction = 1.0 if arc >= 0.0 else -1.0
     target = abs(arc)
     z = xi.z

@@ -145,11 +145,6 @@ class PureInternalState:
         return {"xi": [[self.xi1.real, self.xi1.imag], [self.xi2.real, self.xi2.imag]]}
 
 
-def states_equal(a: PureInternalState, b: PureInternalState, tol: float = 1e-12) -> bool:
-    """Equality of states, i.e. of canonical representatives, within tol."""
-    return abs(a.xi1 - b.xi1) <= tol and abs(a.xi2 - b.xi2) <= tol
-
-
 def parallel_angle(state: PureInternalState) -> float:
     """Angle of the state along its parallel, in (-pi, pi].
 

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .causality import MixedState, PureState, Reason, _mixed_verdict, pure_causal
+from .causality import MixedState, PureState, Reason, _decide, _mixed_angle_sup, pure_causal
 from .cone import AlgebraElement, _charpoly, _node_scales
 from .fields import BinOp, Call, DomainError, FieldExpr, Neg, Num, Var, jet
 from .minkowski import SpacetimePoint, max_proper_time
@@ -443,8 +443,10 @@ def build_mixed_witness(omega: MixedState, eta: MixedState, dirac: DiracData) ->
     inequality are invariant under that common normalisation) and the
     epsilon/theta_c choice dictated by the sign of the projected arc.
     """
-    verdict, sup = _mixed_verdict(omega, eta, dirac)
+    verdict, sup = _decide(omega.point, eta.point, omega.internal, eta.internal, dirac)
     _require_speed_bound_refusal(verdict)
+    if sup is None:  # decided on the sphere, by the angular distance
+        sup = _mixed_angle_sup(omega.internal, eta.internal)
     z = 0.5 * (omega.internal.rz + eta.internal.rz)
     _, theta_star, arc_r, arc_s = sup
     if min(arc_r, arc_s) <= ANGLE_TOL or max(arc_r, arc_s) >= math.pi - ANGLE_TOL:

@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalnc.causality import (
+    BOUND_SLACK,
     MAX_PATH_SEGMENTS,
     CausalVerdict,
     MixedState,
@@ -28,6 +31,7 @@ from causalnc.states import (
     angular_distance,
     parallel_angle,
 )
+from causalnc.witness import build_mixed_witness, build_witness
 
 D_UNIT = DiracData(0.0, 1.0)
 EQ0 = PureInternalState.from_parallel(0.0, 0.0)
@@ -395,20 +399,50 @@ def test_mixed_causal_branches():
 
 
 def test_mixed_agrees_with_pure_on_unit_vectors():
-    # unlike battery check mixed_pure_consistency: any angle in [0, pi] and any ratio to the bound
+    # unlike battery check mixed_pure_consistency: any angle in [0, pi], any ratio to the bound,
+    # equal states, the poles and a degenerate gap; the verdicts agree bit for bit
     rng = np.random.default_rng(61)
+    north, south = PureInternalState(1.0, 0.0), PureInternalState(0.0, 1.0)
     for _ in range(200):
         z = rng.uniform(-0.85, 0.85)
         th1, th2 = rng.uniform(-math.pi, math.pi, size=2)
         p = SpacetimePoint(0.0, rng.uniform(-0.5, 0.5))
         q = SpacetimePoint(rng.uniform(0, 3), rng.uniform(-0.5, 0.5))
-        if not causally_precedes(p, q):
-            continue
-        a = PureState(p, PureInternalState.from_parallel(z, th1))
-        b = PureState(q, PureInternalState.from_parallel(z, th2))
-        ma = MixedState(p, MixedInternalState.from_pure(a.internal))
-        mb = MixedState(q, MixedInternalState.from_pure(b.internal))
-        assert mixed_causal(ma, mb, D_UNIT).related == pure_causal(a, b, D_UNIT).related
+        xi, phi = (PureInternalState.from_parallel(z, th) for th in (th1, th2))
+        near_north = PureInternalState.from_parallel(1.0 - 5e-13, th1)
+        pairs = ((xi, phi), (xi, xi), (north, north), (south, south), (north, south), (north, near_north))
+        for (xa, xb), dirac in itertools.product(pairs, (D_UNIT, DiracData(0.7, 0.7))):
+            a, b = PureState(p, xa), PureState(q, xb)
+            ma, mb = (MixedState(s.point, MixedInternalState.from_pure(s.internal)) for s in (a, b))
+            assert mixed_causal(ma, mb, dirac).to_dict() == pure_causal(a, b, dirac).to_dict()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(-0.95, 0.95),
+    st.floats(-math.pi, math.pi),
+    st.floats(0.0, math.pi),
+    st.floats(-3.0, 3.0),
+    st.integers(-8, 8),
+)
+def test_pure_and_mixed_verdicts_agree_at_the_edge_of_the_slack_band(z, theta, dtheta, log_gap, ulps):
+    # the available proper time lies ulps steps from required - BOUND_SLACK/gap,
+    # where a verdict is decided in the last bits of the required angle
+    dirac = DiracData(0.0, 10.0**log_gap)
+    xi, phi = (PureInternalState.from_parallel(z, th) for th in (theta, theta + dtheta))
+    edge = angular_distance(parallel_angle(xi), parallel_angle(phi)) / dirac.gap - BOUND_SLACK / dirac.gap
+    t = max(edge, 0.0)
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, math.copysign(math.inf, ulps))
+    a, b = PureState(SpacetimePoint(0.0, 0.0), xi), PureState(SpacetimePoint(t, 0.0), phi)
+    ma, mb = (MixedState(s.point, MixedInternalState.from_pure(s.internal)) for s in (a, b))
+    verdict = pure_causal(a, b, dirac)
+    assert verdict.to_dict() == mixed_causal(ma, mb, dirac).to_dict()
+    if verdict.related:  # no certificate refutes a pair the oracles relate
+        with pytest.raises(ValueError, match="causally related"):
+            build_witness(a, b, dirac)
+        with pytest.raises(ValueError, match="causally related"):
+            build_mixed_witness(ma, mb, dirac)
 
 
 # --- unitary transport --------------------------------------------------------
@@ -495,3 +529,15 @@ def test_plan_path_pole_states_hold_internal():
     b = PureState(SpacetimePoint(1, 0), north)
     path = plan_causal_path(a, b, D_UNIT, 4)
     assert all(s.internal == north for s in path)
+
+
+def test_plan_path_moves_a_state_within_pole_tol_off_its_pole():
+    # xi is within POLE_TOL of the north pole, phi and the pair's mean latitude are not:
+    # the verdict asks for the angular distance, and the path travels it along xi's parallel
+    xi = PureInternalState.from_parallel(1.0 - 0.9e-12, 0.0)
+    phi = PureInternalState.from_parallel(1.0 - 1.8e-12, 1.0)
+    assert xi.is_pole and not phi.is_pole
+    a, b = PureState(SpacetimePoint(0, 0), xi), PureState(SpacetimePoint(2, 0), phi)
+    assert pure_causal(a, b, D_UNIT).bound_required == pytest.approx(1.0, abs=1e-12)
+    path = plan_causal_path(a, b, D_UNIT, 4)
+    assert [cmath.phase(s.internal.xi2) for s in path] == pytest.approx([0.0, 0.5, 1.0, 1.0, 1.0], abs=1e-12)

@@ -129,6 +129,31 @@ def test_check_mixed(capsys):
     assert code == 1
 
 
+#: a pair related only through BOUND_SLACK: 0.5e-12 rad short of the bound at gap 1e13
+SLACK_ONLY = dict(PURE_RELATED, q=[(math.pi / 2 - 0.5e-12) / 1e13, 0], dirac={"d1": 0, "d2": 1e13})
+SLACK_ONLY_VERDICT = (True, "OK", 1.5707963267948966e-13, 1.5707963267943965e-13)
+CENTRE_TO_RIM = dict(PURE_RELATED, rho={"bloch": [0, 0, 0]}, sigma={"bloch": [1, 0, 0]})
+
+
+@pytest.mark.parametrize(
+    "command, payload, old, within_tolerance",
+    [
+        ("check-pure", PURE_RELATED, (True, "OK", math.pi / 2, 2.0), False),
+        ("check-pure", PURE_SHORT, (False, "SPEED_BOUND", math.pi / 2, 1.0), False),
+        ("check-pure", SLACK_ONLY, SLACK_ONLY_VERDICT, True),
+        ("check-mixed", CENTRE_TO_RIM, (True, "OK", math.pi / 2, 2.0), False),
+        ("check-mixed", dict(CENTRE_TO_RIM, q=[1, 0]), (False, "SPEED_BOUND", math.pi / 2, 1.0), False),
+        ("check-mixed", dict(SLACK_ONLY, rho=SLACK_ONLY["xi"], sigma=SLACK_ONLY["phi"]), SLACK_ONLY_VERDICT, True),
+        ("check-pure", dict(PURE_RELATED, q=[0, 1]), (False, "SPACETIME_ORDER", None, None), False),
+    ],
+)
+def test_verdicts_add_within_tolerance_and_keep_every_old_key(capsys, command, payload, old, within_tolerance):
+    _, out, _ = _run(capsys, command, "--input", json.dumps(payload))
+    keys = ("schema", "related", "reason", "bound_required", "bound_available")
+    assert json.loads(out) == {**dict(zip(keys, ("causalnc/1", *old))), "within_tolerance": within_tolerance}
+    assert list(json.loads(out)) == [*keys, "within_tolerance"]
+
+
 def test_cone_check_member_and_violation(capsys):
     member = {"element": {"a": "t", "b": "t"}, "dirac": {"d1": 0, "d2": 1}}
     code, out, _ = _run(

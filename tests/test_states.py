@@ -14,11 +14,15 @@ from causalnc.states import (
     apply_unitary,
     parallel_angle,
     signed_arc,
-    states_equal,
     wrap_angle,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def states_equal(a: PureInternalState, b: PureInternalState, tol: float = 1e-12) -> bool:
+    """Equality of states, i.e. of canonical representatives, within tol."""
+    return abs(a.xi1 - b.xi1) <= tol and abs(a.xi2 - b.xi2) <= tol
 
 
 def test_dirac_gap_and_degeneracy():

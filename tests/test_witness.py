@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from causalnc import causality, witness
 from causalnc.causality import MixedState, PureState, mixed_required_angle, pure_causal
 from causalnc.cone import PSD_TOL, AlgebraElement, _cone_entries, _matrices, _node_scales
 from causalnc.fields import jet
@@ -564,6 +565,32 @@ def test_mixed_witness_on_unit_radius_pair():
     lhs, rhs = separation_values(spec)
     assert lhs < rhs
     assert certify_witness_psd(spec, 64).passed
+
+
+@pytest.mark.parametrize(
+    "rho, sigma, q",
+    [
+        # on the sphere the verdict reads the angular distance, and the witness takes the supremum
+        (
+            *(MixedInternalState.from_pure(PureInternalState.from_parallel(0.0, t)) for t in (0.66, 0.66 + 0.929)),
+            SpacetimePoint(0.4645, 0.0929),
+        ),
+        # inside the ball the witness reuses the supremum the verdict was decided by
+        (MixedInternalState(0.3, 0.0, 0.1), MixedInternalState(0.0, 0.85, 0.1), SpacetimePoint(0.8, 0.0)),
+    ],
+)
+def test_mixed_witness_computes_the_supremum_once(monkeypatch, rho, sigma, q):
+    calls = []
+    original = causality._mixed_angle_sup
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (causality, witness):
+        monkeypatch.setattr(module, "_mixed_angle_sup", counted)
+    build_mixed_witness(MixedState(SpacetimePoint(0, 0), rho), MixedState(q, sigma), D_UNIT)
+    assert len(calls) == 1
 
 
 def test_witness_spec_rejects_non_timelike_endpoints():
