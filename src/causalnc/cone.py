@@ -40,9 +40,10 @@ smallest eigenvalue by Newton on the closed-form characteristic polynomial
 (_charpoly, which also certifies the separating witness of witness.py),
 certifies a lower bound from each estimate with the Schur test, and runs
 eigvalsh only where the grid minimum can lie, where no test decides, and
-at the first violation.  A constant coupling c stays 0-d (_cone_entries),
-so an element with c = 0 builds no coupling entries over the grid and
-sends no node to Newton.
+at the first violation.  Every entry constant over a block stays 0-d
+(_cone_entries): c = 0 builds no coupling entries and sends no node to
+Newton, and a lemma element's constant slope is not copied to every node;
+a kernel that needs per-node arrays widens it to the block's node count.
 
 Every step up to that choice is per node, so both grid paths walk the grid
 in row-major blocks of about BLOCK_NODES nodes (_grid_blocks): runs of
@@ -246,19 +247,21 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float):
     t and x broadcast against each other (the grid paths pass a column of t
     and a row of x), and the partials are summed at the shapes of the
     coordinates they read.  Each entry is then flattened, row-major, to a
-    vector over the nodes, except that a coupling entry u, z or w that is
-    constant over the coordinates stays 0-d: a constant c (c = 0 above all)
-    builds no complex array, and _take and the kernels broadcast it.  When
-    b is the same tree as a (the lemma elements) its jet is a's.
+    vector over the nodes, except that an entry constant over the
+    coordinates stays 0-d: a constant c (c = 0 above all) builds no complex
+    array, a diagonal k*t no copies of k, and _take and the kernels
+    broadcast them.  When b is the same tree as a (the lemma elements) its
+    jet is a's.
     These sums and products of finite partials can overflow: DomainError
     then names the field and carries the index of its first such node.
     """
-    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+    shape = np.broadcast(t, x).shape
     _, adt, adx = jet(el.a, t, x)
     _, bdt, bdx = (None, adt, adx) if el.b == el.a else jet(el.b, t, x)
     rv, rdt, rdx = jet(el.c_re, t, x)
     iv, idt, idx = jet(el.c_im, t, x)
-    rv, rdt, rdx, iv, idt, idx = (np.asarray(part, dtype=float) for part in (rv, rdt, rdx, iv, idt, idx))
+    parts = (np.asarray(part, dtype=float) for part in (adt, adx, bdt, bdx, rv, rdt, rdx, iv, idt, idx))
+    adt, adx, bdt, bdx, rv, rdt, rdx, iv, idt, idx = parts
     with np.errstate(over="ignore", invalid="ignore"):
         c0, c1 = rdt + 1j * idt, rdx + 1j * idx
         ap, am, bp, bm = adt + adx, adt - adx, bdt + bdx, bdt - bdx
@@ -277,15 +280,18 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float):
             if not finite.all():
                 raise DomainError("non-finite cone matrix entry", expr, int(np.argmin(finite)))
     n = math.prod(shape)
-    flat = [np.broadcast_to(part, shape).reshape(n) for part in (ap, am, bp, bm)]
-    flat += [part if part.ndim == 0 else np.broadcast_to(part, shape).reshape(n) for part in (u, z, w)]
-    return tuple(flat)
+    return tuple(
+        part if part.ndim == 0 else (part if part.shape == shape else np.broadcast_to(part, shape)).reshape(n)
+        for part in (ap, am, bp, bm, u, z, w)
+    )
 
 
 def _matrices(entries) -> np.ndarray:
-    """Stack of 4x4 cone matrices from the entries of _cone_entries; Hermitian by construction."""
+    """Stack of 4x4 cone matrices from the entries of _cone_entries; Hermitian by construction.
+
+    One per node of the entries' broadcast shape: one in all where every entry is 0-d."""
     ap, am, bp, bm, u, z, w = entries
-    n = ap.shape[0]
+    n = np.broadcast(*entries).size
     m = np.zeros((n, 4, 4), dtype=complex)
     m[:, 0, 0] = ap
     m[:, 1, 1] = am
@@ -409,32 +415,34 @@ def _grid_entries(el: AlgebraElement, dirac: DiracData, region: RegionGrid, row:
 
 
 def _grid_blocks(el: AlgebraElement, dirac: DiracData, region: RegionGrid):
-    """Yield (start, entries) for the region's row-major blocks of about BLOCK_NODES nodes.
+    """Yield (start, n, entries) for the region's row-major blocks of about BLOCK_NODES nodes.
 
     A block is a run of BLOCK_NODES // nx whole rows, or, when a row is
     longer than BLOCK_NODES, a slice of BLOCK_NODES nodes of one row; its
     fields are evaluated on a column of t and a row of x.  entries are
-    _cone_entries at the nodes start, start + 1, ... of the block.  A
-    DomainError in a block is re-raised by _grid_entries on the nodes from
-    that block's first row on.  Every check of the evaluation passed on the
-    nodes before the block, so the first check that fails there, and the
-    first node where it fails, are those of the whole grid: the message does
-    not depend on the blocking.  A grid of one block is that call.
+    _cone_entries at the n nodes start, start + 1, ... of the block; every
+    entry constant over the block is 0-d, so n is its size.  A DomainError
+    in a block is re-raised by _grid_entries on the nodes from that block's
+    first row on.  Every check of the evaluation passed on the nodes before
+    the block, so the first check that fails there, and the first node where
+    it fails, are those of the whole grid: the message does not depend on
+    the blocking.  A grid of one block is that call.
     """
     t, x = region.axes()
     nx, delta = region.nx, dirac.d1 - dirac.d2
     if region.nt * nx <= BLOCK_NODES:
-        yield 0, _grid_entries(el, dirac, region)
+        yield 0, region.nt * nx, _grid_entries(el, dirac, region)
         return
     rows, width = max(1, BLOCK_NODES // nx), min(nx, BLOCK_NODES)
     for row in range(0, region.nt, rows):
         for col in range(0, nx, width):
+            t_block, x_block = t[row : row + rows, None], x[None, col : col + width]
             try:
-                entries = _cone_entries(el, t[row : row + rows, None], x[None, col : col + width], delta)
+                entries = _cone_entries(el, t_block, x_block, delta)
             except DomainError:
                 _grid_entries(el, dirac, region, row)
                 raise
-            yield row * nx + col, entries
+            yield row * nx + col, t_block.size * x_block.size, entries
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -793,10 +801,12 @@ def cone_membership(
     upper = np.inf  # an eigvalsh or interlacing bound at some node, so the grid minimum is at most this
     first_failed = -1
     kept = []  # per block: (nodes, bounds, undecided flags, entries) of the nodes eigvalsh may need
-    for start, entries in _grid_blocks(el, dirac, region):
+    for start, n_block, entries in _grid_blocks(el, dirac, region):
+        # the diagonal entries as views over the block's nodes: each stage keeps per-node arrays
+        entries = [*(np.broadcast_to(part, n_block) for part in entries[:4]), *entries[4:]]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             estimate, bound, block_passed, failed, upper = _block_membership(entries, tol, upper)
-        passed[start : start + len(bound)] = block_passed
+        passed[start : start + n_block] = block_passed
         lowest = _take(entries, [np.argmin(estimate)])
         upper = np.minimum(upper, _psd_at_nodes(_matrices(lowest), tol)[0][0])
         undecided = ~(block_passed | failed)
@@ -859,15 +869,18 @@ def certify_grid_psd(
     the remaining blocks, so it raises the same node-annotated DomainError.
     """
     verdict = True
-    for _, entries in _grid_blocks(el, dirac, region):
+    for _, n, entries in _grid_blocks(el, dirac, region):
         if not verdict:
             continue
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             scale = _node_scales(entries)
-            open_nodes = np.flatnonzero(~_gershgorin_clears(entries, scale, tol))
-            if open_nodes.size:
-                shift = (tol - SCHUR_EIG_SLACK) * scale[open_nodes]
-                open_nodes = open_nodes[~_pd_after_shift(_take(entries, open_nodes), shift)]
+            clears = _gershgorin_clears(entries, scale, tol)
+            if clears.all():
+                continue
+            # the mask and scales are 0-d where every entry is constant over the block
+            open_nodes = np.flatnonzero(~np.broadcast_to(clears, n))
+            shift = (tol - SCHUR_EIG_SLACK) * np.broadcast_to(scale, n)[open_nodes]
+            open_nodes = open_nodes[~_pd_after_shift(_take(entries, open_nodes), shift)]
         if open_nodes.size:
             verdict = bool(_psd_at_nodes(_matrices(_take(entries, open_nodes)), tol)[1].all())
     return verdict

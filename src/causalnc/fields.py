@@ -21,7 +21,9 @@ stay one.  The results are those of the full product rule, bit for bit in
 the values and up to the sign of zero in the partials.
 A value or partial that is not finite raises DomainError, as does leaving a
 function's real domain; its index is the first failing node, row-major in
-the broadcast shape of the coordinates.
+the broadcast shape of the coordinates.  At the root that is one test, of
+the sum of all three parts over all nodes; only if it is not finite does
+the exact per-part check run.
 
 There is deliberately no abs(): the cone tests need differentiable fields.
 A modulus can be composed as sqrt(re^2 + im^2) where the argument stays
@@ -459,7 +461,8 @@ def _eval(e: FieldExpr, t, x, shape: tuple):
             g = -v * v * np.cos(av)
         else:  # unreachable for parsed trees
             raise DomainError(f"unknown function {e.func!r}", e)
-        _check(np.isfinite(np.asarray(v)), "non-finite value", e, shape)
+        if not np.isfinite(v).all():
+            _check(np.isfinite(v), "non-finite value", e, shape)
         return v, _both(_times, _zeros_meeting(d, g), (g, g))
     raise TypeError(f"not a field expression: {e!r}")
 
@@ -474,23 +477,27 @@ def jet(e: FieldExpr, t, x):
     the per-function domain checks inside the walk, the value and both
     partials must be finite everywhere; otherwise DomainError carries the
     first index, row-major in the coordinates' broadcast shape, where one
-    of them is not.  A partial along a coordinate that the field does not
-    read is 0.0.  The walk builds no array for such a partial of any
-    subtree (a structural zero), and stays exact where one meets a factor
-    that is not finite, which the full product rule turns into NaN: a
-    subtree with a real partial shows that NaN at the same node, and one
-    that reads no coordinate gets real zeros (_zeros_meeting), so 2.75^700,
-    whose partial overflows, fails at node 0.
+    of them is not.  The sum of all three over all nodes is finite only if
+    every part is, so only if it is not does the check run part by part: it
+    raises, or passes where finite parts merely overflowed in the sum.  A partial along a coordinate
+    that the field does not read is 0.0.  The walk builds no array for such
+    a partial of any subtree (a structural zero), and stays exact where one
+    meets a factor that is not finite, which the full product rule turns
+    into NaN: a subtree with a real partial shows that NaN at the same node,
+    and one that reads no coordinate gets real zeros (_zeros_meeting), so
+    2.75^700, whose partial overflows, fails at node 0.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    shape = np.broadcast_shapes(t.shape, x.shape)
+    shape = np.broadcast(t, x).shape
     with np.errstate(over="ignore", invalid="ignore"):
         v, (dt, dx) = _eval(e, t, x, shape)
-    finite = np.isfinite(v)
-    for part in (dt, dx):
-        if part is not None:
-            finite = finite & np.isfinite(part)
-    if not finite.all():
+        # an inf or NaN anywhere makes the sum inf or NaN; a sum that only overflows gets the check below
+        total = sum(np.add.reduce(part, None) for part in (v, dt, dx) if part is not None)
+    if not math.isfinite(total):
+        finite = np.isfinite(v)
+        for part in (dt, dx):
+            if part is not None:
+                finite = finite & np.isfinite(part)
         _check(np.broadcast_to(finite, shape), "non-finite value or partial", e, shape)
     return v, 0.0 if dt is None else dt, 0.0 if dx is None else dx

@@ -55,6 +55,9 @@ class SamplerConfig:
 # Every drawn number is a positive Python float, so each literal is one Num.
 
 _T, _X = Var("t"), Var("x")
+# The subtrees that no draw shapes are built once and shared by every element.
+_TANH_SUM, _TANH_DIFF = Call("tanh", BinOp("+", _T, _X)), Call("tanh", BinOp("-", _T, _X))
+_ENVELOPE = Call("exp", Neg(BinOp("+", Pow(_T, 2), Pow(_X, 2))))
 
 
 def _times(*factors: FieldExpr) -> FieldExpr:
@@ -72,8 +75,8 @@ def _diagonal_causal(rng: np.random.Generator) -> AlgebraElement:
         alpha = beta + gamma + extra  # slope alpha >= beta + gamma keeps d/dt dominant
         return _plus(
             _times(Num(alpha), _T),
-            _times(Num(beta), Call("tanh", BinOp("+", _T, _X))),
-            _times(Num(gamma), Call("tanh", BinOp("-", _T, _X))),
+            _times(Num(beta), _TANH_SUM),
+            _times(Num(gamma), _TANH_DIFF),
         )
 
     return AlgebraElement(causal_field(), causal_field(), Num(0.0), Num(0.0))
@@ -89,13 +92,12 @@ def _lemma_bounded(rng: np.random.Generator, dirac: DiracData) -> AlgebraElement
     slope = 1.05 * bound
     # diagonal slope*t; off-diagonal amp*exp(-(t^2 + x^2))*cos(freq*t + phase) and sin
     diag = _times(Num(slope), _T)
-    envelope = Call("exp", Neg(BinOp("+", Pow(_T, 2), Pow(_X, 2))))
     wave = _plus(_times(Num(freq), _T), Num(phase))
     return AlgebraElement(
         diag,
         diag,
-        _times(Num(amp), envelope, Call("cos", wave)),
-        _times(Num(amp), envelope, Call("sin", wave)),
+        _times(Num(amp), _ENVELOPE, Call("cos", wave)),
+        _times(Num(amp), _ENVELOPE, Call("sin", wave)),
     )
 
 

@@ -197,8 +197,11 @@ class MixedInternalState:
 
     @classmethod
     def from_pure(cls, state: PureInternalState) -> "MixedInternalState":
-        x, y, z = state.bloch()
-        return cls(x, y, z)
+        """The Bloch vector of a pure state; its ray is normalised, so the constructor's check is skipped."""
+        mixed = object.__new__(cls)
+        fields = mixed.__dict__  # the frozen dataclass's fields
+        fields["rx"], fields["ry"], fields["rz"] = state.bloch()
+        return mixed
 
     @property
     def norm(self) -> float:

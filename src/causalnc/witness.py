@@ -125,6 +125,12 @@ class WitnessSpec:
         WitnessOverflowError, naming the Dirac gap, when gap/sqrt(1 - v^2)
         does not fit in a float.
         """
+        a, b, theta = self._diagonal()
+        csc = Call("csc", theta)
+        return AlgebraElement(a, b, _scaled(-math.cos(self.theta_c), csc), _scaled(-math.sin(self.theta_c), csc))
+
+    def _diagonal(self) -> tuple[FieldExpr, FieldExpr, FieldExpr]:
+        """The element's a and b, and the Theta they share with c, as element() documents them."""
         gap, v = self.dirac.gap, self.velocity()
         rate = gap / math.sqrt(1.0 - v * v)
         _require_finite(rate, gap, "the schedule's rate")
@@ -132,13 +138,7 @@ class WitnessSpec:
         tau = BinOp("+" if v < 0 else "-", _shifted("t", self.p.t), _scaled(abs(v), _shifted("x", self.p.x)))
         theta = BinOp("+", _scaled(rate, tau), Num(self.epsilon))
         cot = lambda k: Neg(BinOp("/", Num(k), Call("tan", theta)))  # -k cot(Theta)
-        csc = Call("csc", theta)
-        return AlgebraElement(
-            cot(self.abs_phi2 / self.abs_phi1),
-            cot(self.abs_phi1 / self.abs_phi2),
-            _scaled(-math.cos(self.theta_c), csc),
-            _scaled(-math.sin(self.theta_c), csc),
-        )
+        return cot(self.abs_phi2 / self.abs_phi1), cot(self.abs_phi1 / self.abs_phi2), theta
 
 
 def _shifted(var: str, at: float) -> FieldExpr:
@@ -218,14 +218,14 @@ def separation_values(spec: WitnessSpec) -> tuple[float, float]:
 def _pairing_growth(spec: WitnessSpec) -> float:
     """The lhs read off the element: |phi1|^2 (a(q) - a(p)) + |phi2|^2 (b(q) - b(p)).
 
-    a and b are evaluated at the endpoints by the DSL.  Raises
-    WitnessOverflowError, naming the Dirac gap, when a value or partial
-    there does not fit in a float.
+    a and b are evaluated at the endpoints by the DSL; the element's c is
+    not built.  Raises WitnessOverflowError, naming the Dirac gap, when a
+    value or partial there does not fit in a float.
     """
-    el = spec.element()
+    a, b, _ = spec._diagonal()
     t, x = np.array([spec.p.t, spec.q.t]), np.array([spec.p.x, spec.q.x])
     try:
-        (a_p, a_q), (b_p, b_q) = (jet(field, t, x)[0] for field in (el.a, el.b))
+        (a_p, a_q), (b_p, b_q) = (jet(field, t, x)[0] for field in (a, b))
     except DomainError as err:
         raise WitnessOverflowError(
             f"Dirac gap {spec.dirac.gap} is too large: the element does not fit in a float at the endpoints"

@@ -15,6 +15,7 @@ from causalnc.causality import (
     PureState,
     Reason,
     _arc,
+    _decide,
     _mixed_angle_sup,
     mixed_causal,
     mixed_required_angle,
@@ -443,6 +444,29 @@ def test_pure_and_mixed_verdicts_agree_at_the_edge_of_the_slack_band(z, theta, d
             build_witness(a, b, dirac)
         with pytest.raises(ValueError, match="causally related"):
             build_mixed_witness(ma, mb, dirac)
+
+
+_PURE_STATES = st.builds(
+    PureInternalState.from_parallel, st.floats(-1.0, 1.0), st.floats(-math.pi, math.pi)
+) | st.builds(
+    PureInternalState.from_components,
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PURE_STATES, _PURE_STATES, st.floats(0.0, 3.0), st.floats(-1.0, 1.0), st.sampled_from((0.0, 0.5, 2.0)))
+def test_from_pure_skips_only_a_check_that_cannot_fail(xi, phi, dt, dx, gap):
+    # from_pure builds the Bloch vector without the constructor's check; it must be the checked one
+    for state in (xi, phi):
+        checked = MixedInternalState(*state.bloch())
+        fast = MixedInternalState.from_pure(state)
+        assert (fast.rx, fast.ry, fast.rz) == (checked.rx, checked.ry, checked.rz)
+    dirac = DiracData(0.0, gap)
+    p, q = SpacetimePoint(0.0, 0.0), SpacetimePoint(dt, dx)
+    checked = _decide(p, q, MixedInternalState(*xi.bloch()), MixedInternalState(*phi.bloch()), dirac)[0]
+    assert pure_causal(PureState(p, xi), PureState(q, phi), dirac).to_dict() == checked.to_dict()
 
 
 # --- unitary transport --------------------------------------------------------

@@ -56,8 +56,12 @@ SQUARE = RegionGrid(-1.0, 1.0, -1.0, 1.0, 21, 21)
 def _reference_membership(
     el: AlgebraElement, dirac: DiracData, region: RegionGrid, tol: float = PSD_TOL
 ) -> MembershipReport:
-    """cone_membership by eigvalsh on every node's matrix: the report the structured kernel must equal."""
-    min_eigs, passed = _psd_at_nodes(_matrices(_grid_entries(el, dirac, region)), tol)
+    """cone_membership by eigvalsh on every node's matrix: the report the structured kernel must equal.
+
+    A 0-d entry, constant over the grid, is widened to every node, so each node gets its own matrix.
+    """
+    entries = [np.broadcast_to(part, region.nt * region.nx) for part in _grid_entries(el, dirac, region)]
+    min_eigs, passed = _psd_at_nodes(_matrices(entries), tol)
     if not np.isfinite(min_eigs.min()):
         node = region.node(int(np.argmin(min_eigs)))
         raise EigenvalueRangeError(
@@ -679,9 +683,12 @@ def test_grid_blocks_walk_the_grid_once_in_row_major_order(monkeypatch):
     ):
         monkeypatch.setattr(cone, "BLOCK_NODES", block_nodes)
         blocks = list(cone._grid_blocks(el, D_UNIT, BLOCK_GRID))
-        assert [start for start, _ in blocks] == starts
-        for part, whole_part in zip(zip(*(entries for _, entries in blocks)), whole):
-            assert np.array_equal(np.concatenate(part), whole_part)
+        assert [start for start, _, _ in blocks] == starts
+        assert [n for _, n, _ in blocks] == np.diff(starts + [169]).tolist()
+        # an entry constant over a block is 0-d; widened to the block's n nodes it is that run of the whole grid's
+        widened = ([np.broadcast_to(part, n) for part in entries] for _, n, entries in blocks)
+        for part, whole_part in zip(zip(*widened), whole):
+            assert np.array_equal(np.concatenate(part), np.broadcast_to(whole_part, 169))
 
 
 def _counting_nodes(monkeypatch) -> list:
@@ -814,10 +821,11 @@ def test_row_blocks_equal_the_flat_mesh_bit_for_bit(el, dirac, nt, nx, block_nod
             assert str(err) == want
             return
     assert not isinstance(want, str), want
-    starts = [start for start, _ in blocks]
+    starts = [start for start, _, _ in blocks]
     assert starts[0] == 0 and starts == sorted(set(starts))
-    for k, (start, entries) in enumerate(blocks):
+    for k, (start, n, entries) in enumerate(blocks):
         end = blocks[k + 1][0] if k + 1 < len(blocks) else nt * nx
+        assert n == end - start
         for got, ref in zip(entries, want):
             expected = ref if np.ndim(ref) == 0 else ref[start:end]
             got, expected = np.asarray(got), np.asarray(expected)
@@ -855,13 +863,42 @@ def test_cone_membership_equals_reference_across_blocks_on_every_coupling_path(e
 
 
 @pytest.mark.parametrize(
-    "sources, constant",
-    ((("t", "t"), True), (("t", "t", "0.3", "-0.2"), True), (("t", "t", "0", "sin(t + x)"), False)),
-    ids=("zero", "constant", "imaginary"),
+    "el, ndims",
+    (
+        (AlgebraElement.from_sources("t", "t"), [0] * 7),
+        (AlgebraElement.from_sources("t", "t", "0.3", "-0.2"), [0] * 7),
+        (AlgebraElement.from_sources("t", "t", "0", "sin(t + x)"), [0] * 4 + [1] * 3),
+        (_shifted_lemma_element(0.2, 1.0, 0.0, 1.0), [0] * 4 + [1] * 3),
+        (AlgebraElement.from_sources("t + 0.1*sin(x)", "t", "0.3", "-0.2"), [1, 1, 0, 0, 0, 0, 0]),
+    ),
+    ids=("zero", "constant", "imaginary", "lemma", "varying_a"),
 )
-def test_constant_coupling_stays_0d(sources, constant):
-    entries = _grid_entries(AlgebraElement.from_sources(*sources), D_UNIT, BLOCK_GRID)
-    assert [np.ndim(part) for part in entries] == [1] * 4 + [0 if constant else 1] * 3
+def test_constant_coupling_stays_0d(el, ndims):
+    """(ap, am, bp, bm, u, z, w): every entry that is constant over the grid stays 0-d."""
+    assert [np.ndim(part) for part in _grid_entries(el, D_UNIT, BLOCK_GRID)] == ndims
+
+
+#: elements whose seven cone entries are all constant over the grid
+CONSTANT_ELEMENTS = (
+    ("t", "t"),
+    ("2*t", "t", "0.3", "-0.2"),
+    ("2*t", "t", "1.2"),  # Gershgorin does not clear it, the Schur test does
+    ("2*t", "t", "1.4142135623730951"),  # |w|^2 = 2 up to an ulp: only eigvalsh decides
+    ("t", "t", "1.5"),  # a violation at every node
+)
+
+
+@pytest.mark.parametrize("block_nodes", (32_768, 64))
+@pytest.mark.parametrize("sources", CONSTANT_ELEMENTS)
+def test_elements_constant_over_the_grid_count_every_node(monkeypatch, sources, block_nodes):
+    monkeypatch.setattr(cone, "BLOCK_NODES", block_nodes)
+    el = AlgebraElement.from_sources(*sources)
+    assert all(np.ndim(part) == 0 for part in _grid_entries(el, D_UNIT, BLOCK_GRID))
+    report = cone_membership(el, D_UNIT, BLOCK_GRID)
+    assert report.to_dict() == _reference_membership(el, D_UNIT, BLOCK_GRID).to_dict()
+    assert report.n_nodes == BLOCK_GRID.nt * BLOCK_GRID.nx
+    assert report.n_violations in (0, report.n_nodes)
+    assert certify_grid_psd(el, D_UNIT, BLOCK_GRID) == report.member_on_grid
 
 
 def test_newton_runs_only_where_the_grid_minimum_can_lie(monkeypatch):

@@ -340,6 +340,34 @@ def test_structural_zeros_keep_the_nan_of_a_non_finite_factor(src, t, x, index):
     _assert_same_walk(parse(src), t, x)
 
 
+#: t + x is 2.74 at node (2, 1) alone, where (t + x)^700 is finite and its partial 700 (t + x)^699 is not
+INTERIOR_T = np.array([0.0, 1.0, 2.0])[:, None]
+INTERIOR_X = np.array([0.5, 0.74, 0.5])[None, :]
+
+
+@pytest.mark.parametrize(
+    "src, t, x, index",
+    (
+        # finite value and partials whose sum, the root check's one test, overflows: no error
+        ("1e308*t", np.array([0.5, 0.75, 1.0])[:, None], EXACT_X, None),
+        ("1.5e308 + 1e308*t", np.array([-1.0, -0.75, -0.5]), np.zeros(3), None),
+        ("-1e308*t - 1e308*x", np.array([0.25, 0.5])[:, None], np.array([0.5, 1.0])[None, :], None),
+        # a partial that is inf at one interior node only
+        ("(t + x)^700", INTERIOR_T, INTERIOR_X, 7),
+        # a NaN partial beside a finite value: 0 times that infinite partial
+        ("0*(t + x)^700", INTERIOR_T, INTERIOR_X, 7),
+    ),
+)
+def test_root_check_falls_back_to_the_per_part_check(src, t, x, index):
+    if index is None:
+        jet(parse(src), t, x)
+    else:
+        with pytest.raises(DomainError, match="non-finite value or partial") as err:
+            jet(parse(src), t, x)
+        assert err.value.index == index
+    _assert_same_walk(parse(src), t, x)
+
+
 def test_partials_a_field_cannot_have_are_not_built():
     t, x = EXACT_T, EXACT_X
     v, dt, dx = jet(parse("2*tanh(t)"), t, x)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -51,6 +53,21 @@ def test_streams_are_bit_identical():
     other = SamplerConfig(seed=1235, n_elements=12)
     third = [sample_causal_element(other, k, D_UNIT).to_dict() for k in range(12)]
     assert first != third
+
+
+#: SHA-256 of json.dumps([el.to_dict() for el in the stream], sort_keys=True) for
+#: SamplerConfig(seed=1234, n_elements=50), by Dirac gap: the draws and the tree of every element
+STREAM_DIGESTS = {
+    1.0: "41912816f5a2647c6468a62ad26231037b1a5fcfd72098ba20980b0e1c752c53",
+    2.0: "bc3dbb19ba63cd6edcebd7ddcf09f83bad900f81edf379f4ac5b1545a020b899",
+}
+
+
+@pytest.mark.parametrize("gap", sorted(STREAM_DIGESTS))
+def test_sampler_stream_is_pinned(gap):
+    elements = sample_elements(SamplerConfig(seed=1234, n_elements=50), DiracData(0.0, gap))
+    blob = json.dumps([el.to_dict() for el in elements], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == STREAM_DIGESTS[gap]
 
 
 def test_family_corner_cases_are_causal():
