@@ -25,25 +25,33 @@ answer "positive definite" but never wrongly; _indefinite_after_shift is
 its mirror.  A node neither test decides gets the one per-node eigvalsh
 rule, _psd_at_nodes, so every verdict is the one eigvalsh would give.
 
-certify_grid_psd needs only the verdict: the Gershgorin bound clears
-nodes first, the Schur test clears the rest where it can, and eigvalsh
-runs only on the nodes neither clears.  Both screens are one-sided, with
-SCHUR_EIG_SLACK*s to spare, so the verdict is still eigvalsh's.  At an
-uncoupled node the Gershgorin bound is the node's exact rule less that
-slack, and the two families oracle.py samples are diagonally dominant by
-construction, so the first screen decides every node of theirs.
+An uncoupled node (u = z = w = 0) is diagonal, and both grid paths decide
+it by one rule, _uncoupled_rule: its smallest diagonal entry d is its
+eigenvalue, which eigvalsh returns to within a few ulps of the node scale
+s, so d -+ SCHUR_EIG_SLACK*s against -tol*s passes or fails it as eigvalsh
+would, and only a node within that slack of -tol*s goes on to eigvalsh.
+It runs no Schur test and no Newton step.
 
-cone_membership also reports the smallest eigenvalue on the grid:
-closed-form Gershgorin and interlacing bounds screen out the coupled nodes
-that pass and cannot hold the grid minimum; at the rest it estimates the
-smallest eigenvalue by Newton on the closed-form characteristic polynomial
-(_charpoly, which also certifies the separating witness of witness.py),
-certifies a lower bound from each estimate with the Schur test, and runs
-eigvalsh only where the grid minimum can lie, where no test decides, and
-at the first violation.  Every entry constant over a block stays 0-d
-(_cone_entries): c = 0 builds no coupling entries and sends no node to
-Newton, and a lemma element's constant slope is not copied to every node;
-a kernel that needs per-node arrays widens it to the block's node count.
+certify_grid_psd needs only the verdict: the Gershgorin bound clears
+nodes first (at an uncoupled node it is the rule's bound), the rule fails
+an uncoupled node it leaves open, the Schur test clears the coupled rest
+where it can, and eigvalsh runs only on the nodes none of these decides.
+Every screen is one-sided, with SCHUR_EIG_SLACK*s to spare, so the verdict
+is still eigvalsh's.  The two families oracle.py samples are diagonally
+dominant by construction, so the first screen decides every node of theirs.
+
+cone_membership also reports the smallest eigenvalue on the grid and its
+node.  At the coupled nodes closed-form Gershgorin and interlacing bounds
+screen out those that pass and cannot hold the grid minimum; at the rest it
+estimates the smallest eigenvalue by Newton on the closed-form
+characteristic polynomial (_charpoly, which also certifies the separating
+witness of witness.py), certifies a lower bound from each estimate with the
+Schur test, and runs eigvalsh only where the grid minimum can lie, where no
+test decides, and at the first violation.  Every entry constant over a
+block stays 0-d (_cone_entries): c = 0 builds no coupling entries, so a
+block of such an element is decided by the rule alone, and a lemma
+element's constant slope is not copied to every node; a kernel that needs
+per-node arrays widens it to the block's node count.
 
 Every step up to that choice is per node, so both grid paths walk the grid
 in row-major blocks of about BLOCK_NODES nodes (_grid_blocks): runs of
@@ -377,13 +385,15 @@ class MembershipReport:
 
     member_on_grid certifies membership only up to the grid resolution; a
     recorded violation is exact at its node.  min_eigenvalue is the smallest
-    (scaled-tolerance-free) eigenvalue seen anywhere on the grid, so callers
-    can refine near-boundary cases.
+    (scaled-tolerance-free) eigenvalue seen anywhere on the grid and
+    min_eigenvalue_point the first node, row-major in t, that attains it, so
+    callers can refine near-boundary cases.
     """
 
     member_on_grid: bool
     first_violation: Optional[GridViolation]
     min_eigenvalue: float
+    min_eigenvalue_point: SpacetimePoint
     n_nodes: int
     n_violations: int
 
@@ -392,6 +402,7 @@ class MembershipReport:
             "member_on_grid": self.member_on_grid,
             "first_violation": None if self.first_violation is None else self.first_violation.to_dict(),
             "min_eigenvalue": self.min_eigenvalue,
+            "min_eigenvalue_point": [self.min_eigenvalue_point.t, self.min_eigenvalue_point.x],
             "n_nodes": self.n_nodes,
             "n_violations": self.n_violations,
         }
@@ -577,6 +588,37 @@ def _charpoly(entries):
     return e1, e2, e3, e4
 
 
+def _coupled(entries) -> np.ndarray:
+    """Nodes where C is not 0 (some of u, z, w is not 0); 0-d where c is constant over the block."""
+    u, z, w = entries[4:]
+    return (u != 0.0) | (z != 0.0) | (w != 0.0)
+
+
+def _uncoupled_rule(entries, tol: float):
+    """The decision at uncoupled nodes (u = z = w = 0): (d, bound, passed, failed).
+
+    There M is diagonal, so its smallest diagonal entry d is its smallest
+    eigenvalue.  eigvalsh returns d to within a few ulps of the node scale
+    s = max(1, largest |diagonal entry|): exactly when the norm lies in
+    LAPACK's unscaled range, and through one multiplication and one division
+    by the same factor outside it (below about 1e-146 or above 7e145), which
+    also flushes entries far below s.  That is some 10^4 times inside
+    SCHUR_EIG_SLACK*s, so a node with bound = d - SCHUR_EIG_SLACK*s >= -tol*s
+    passes eigvalsh's rule, a node with d + SCHUR_EIG_SLACK*s < -tol*s fails
+    it, and bound is a lower bound on its eigvalsh value; only a node within
+    SCHUR_EIG_SLACK*s of -tol*s is left to eigvalsh.  s is
+    max(largest entry, -d, 1), the largest |entry| with one max.  At such a
+    node bound is also the Gershgorin bound (_gershgorin_lower), so the pass
+    side is the screen of certify_grid_psd.  Meaningless at a coupled node.
+    """
+    ap, am, bp, bm = entries[:4]
+    d = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
+    scale = np.maximum(np.maximum(np.maximum(ap, am), np.maximum(bp, bm)), np.maximum(-d, 1.0))
+    slack, threshold = SCHUR_EIG_SLACK * scale, -tol * scale
+    bound = d - slack
+    return d, bound, bound >= threshold, d + slack < threshold
+
+
 # Closed-form bounds on a node's eigvalsh smallest eigenvalue.  Both move
 # SCHUR_EIG_SLACK*s outward, far more than their own rounding and that of
 # eigvalsh (a few hundred ulps of s), so the lower one never exceeds the upper.
@@ -624,11 +666,12 @@ def _interlacing_upper(entries, scale) -> np.ndarray:
 def _lambda_min_estimates(entries, scale, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Estimate of each node's smallest eigenvalue, and whether it converged.
 
-    A node outside the index array nodes gets its smallest diagonal entry,
-    which is exact where it is uncoupled (u = z = w = 0): the matrix is
-    diagonal there.  A node in nodes runs Newton on the characteristic
-    polynomial of M/s less its mean, with s
-    the node scale, so that no coefficient overflows (e4 grows as the fourth
+    cone_membership calls it only on blocks with a coupled node, with
+    coupled nodes only in nodes.  A node outside the index array nodes gets
+    its smallest diagonal entry: exact at an uncoupled node, the d of
+    _uncoupled_rule, and replaced by the Gershgorin bound at a coupled one.
+    A node in nodes runs Newton on the characteristic polynomial of M/s
+    less its mean, with s the node scale, so that no coefficient overflows (e4 grows as the fourth
     power of the entries): from _charpoly, its expansion in mu = lam -
     (ap + am + bp + bm)/(4s), det(M/s - lam) = mu^4 + e2 mu^2 - e3 mu + e4,
     has no cubic term.  The four roots are real, so Newton started at the
@@ -701,32 +744,32 @@ def _block_membership(entries, tol: float, upper: float):
     upper bounds the grid minimum from above (an eigvalsh value or an
     interlacing bound at an earlier node).  Returns (estimate, bound,
     passed, failed, upper), with upper lowered by this block's interlacing
-    bounds.  An uncoupled node's estimate is its smallest diagonal entry,
-    exact.  A coupled node whose Gershgorin bound G passes it (G >= -tol*s)
-    and lies above upper keeps G as estimate and bound: its eigvalsh value
-    is at least G, so it passes, and upper is at least the grid minimum, so
-    the node cannot hold it.  Only the other coupled nodes run Newton and
-    the Schur certificate of their bound.  The Schur tests then decide the
+    bounds.  An uncoupled node is decided by _uncoupled_rule: its estimate
+    is its smallest diagonal entry d, exact, and its bound d less
+    SCHUR_EIG_SLACK*s; a block with no coupled node ends there.  A coupled
+    node whose Gershgorin bound G passes it (G >= -tol*s) and lies above
+    upper keeps G as estimate and bound: its eigvalsh value is at least G,
+    so it passes, and upper is at least the grid minimum, so the node cannot
+    hold it.  Only the other coupled nodes run Newton and the Schur
+    certificate of their bound.  The Schur tests then decide the coupled
     nodes whose bound is below -tol*s; the rest are left to eigvalsh.
     """
+    coupled = _coupled(entries)  # 0-d where c is constant on the block
+    if not coupled.any():
+        return (*_uncoupled_rule(entries, tol), upper)
     scale = _node_scales(entries)
-    u, z, w = entries[4:]
-    coupled = (u != 0.0) | (z != 0.0) | (w != 0.0)  # 0-d where c is constant on the block
-    refine = screened = np.flatnonzero(())
-    if coupled.any():
-        lower = _gershgorin_lower(entries, scale)
-        # a node's interlacing bound is at least its Gershgorin bound, so only
-        # nodes with lower <= upper can lower upper; the lowest one seeds it.
-        # fmin: a NaN bound lowers nothing
-        seed = [np.argmin(lower)]
-        upper = np.fmin(upper, _interlacing_upper(_take(entries, seed), scale[seed])[0])
-        near = np.flatnonzero(lower <= upper)
-        upper = np.fmin.reduce(_interlacing_upper(_take(entries, near), scale[near]), initial=upper)
-        skip = (lower >= -tol * scale) & (lower > upper)
-        refine, screened = np.flatnonzero(coupled & ~skip), np.flatnonzero(coupled & skip)
+    lower = _gershgorin_lower(entries, scale)
+    # a node's interlacing bound is at least its Gershgorin bound, so only
+    # nodes with lower <= upper can lower upper; the lowest one seeds it.
+    # fmin: a NaN bound lowers nothing
+    seed = [np.argmin(lower)]
+    upper = np.fmin(upper, _interlacing_upper(_take(entries, seed), scale[seed])[0])
+    near = np.flatnonzero(lower <= upper)
+    upper = np.fmin.reduce(_interlacing_upper(_take(entries, near), scale[near]), initial=upper)
+    skip = (lower >= -tol * scale) & (lower > upper)
+    refine, screened = np.flatnonzero(coupled & ~skip), np.flatnonzero(coupled & skip)
     estimate, converged = _lambda_min_estimates(entries, scale, refine)
     bound = estimate - BOUND_GAP * scale
-    # an uncoupled node's estimate is exact, so only refined bounds need the test
     bounded = converged
     if refine.size:
         shift = -bound[refine] - SCHUR_EIG_SLACK * scale[refine]
@@ -736,11 +779,14 @@ def _block_membership(entries, tol: float, upper: float):
         estimate[screened] = bound[screened] = lower[screened]
     passed = bounded & (bound >= -tol * scale)
     failed = np.zeros_like(passed)
-    open_nodes = np.flatnonzero(~passed)
+    open_nodes = np.flatnonzero(coupled & ~passed)
     if open_nodes.size:
         part, part_scale = _take(entries, open_nodes), scale[open_nodes]
         passed[open_nodes] = _pd_after_shift(part, (tol - SCHUR_EIG_SLACK) * part_scale)
         failed[open_nodes] = _indefinite_after_shift(part, (tol + SCHUR_EIG_SLACK) * part_scale)
+    free = np.flatnonzero(~coupled)
+    if free.size:
+        _, bound[free], passed[free], failed[free] = _uncoupled_rule(_take(entries, free), tol)
     return estimate, bound, passed, failed, upper
 
 
@@ -750,24 +796,30 @@ def cone_membership(
     """Test the PSD condition at every grid node, row-major in t.
 
     The report equals the one eigvalsh on every node's matrix would give:
-    each node's verdict is _psd_at_nodes's, and min_eigenvalue and the
-    first violation's eigenvalue are eigvalsh values.  But eigvalsh runs on
-    few nodes.  Working on the seven entries of _cone_entries, one block of
-    _grid_blocks at a time, each stage runs only on the nodes whose verdict
-    or report it can change (the first three steps are _block_membership):
+    each node's verdict is _psd_at_nodes's, min_eigenvalue and the first
+    violation's eigenvalue are eigvalsh values, and min_eigenvalue_point is
+    the first node, row-major, where eigvalsh gives min_eigenvalue.  But
+    eigvalsh runs on few nodes.  Working on the seven entries of
+    _cone_entries, one block of _grid_blocks at a time, each stage runs only
+    on the nodes whose verdict or report it can change (the first three
+    steps are _block_membership):
 
-    - screen: an uncoupled node (u = z = w = 0) is diagonal, and its
-      smallest diagonal entry is its eigenvalue.  At the coupled nodes the
-      Gershgorin bound G (_gershgorin_lower) is a lower bound, and the least
-      interlacing bound (_interlacing_upper) lowers U, an upper bound on
-      the grid minimum.  A coupled node with G >= -tol*s and G > U skips
-      the next step with L = G;
+    - screen: an uncoupled node (u = z = w = 0) is diagonal, and
+      _uncoupled_rule decides it: its smallest diagonal entry d is its
+      eigenvalue, so it passes when L = d - SCHUR_EIG_SLACK*s >= -tol*s,
+      fails when d + SCHUR_EIG_SLACK*s < -tol*s, and is undecided between;
+      eigvalsh's rounding on a diagonal matrix, a few ulps of s, is far
+      inside that slack.  A block with no coupled node needs no other step.
+      At the coupled nodes the Gershgorin bound G (_gershgorin_lower) is a
+      lower bound, and the least interlacing bound (_interlacing_upper)
+      lowers U, an upper bound on the grid minimum.  A coupled node with
+      G >= -tol*s and G > U skips the next step with L = G;
     - Newton: every other coupled node gets an estimate of its smallest
       eigenvalue from _lambda_min_estimates, and _pd_after_shift must
-      certify the lower bound L = estimate - BOUND_GAP*s (at an uncoupled
-      node L needs no certificate); L = -inf where that or Newton fails;
-    - Schur: a node passes when L >= -tol*s or when _pd_after_shift clears
-      it at shift (tol - SCHUR_EIG_SLACK)*s, and fails when
+      certify the lower bound L = estimate - BOUND_GAP*s; L = -inf where
+      that or Newton fails;
+    - Schur: a coupled node passes when L >= -tol*s or when _pd_after_shift
+      clears it at shift (tol - SCHUR_EIG_SLACK)*s, and fails when
       _indefinite_after_shift refutes it at (tol + SCHUR_EIG_SLACK)*s; the
       rest are undecided;
     - eigvalsh at the block's node with the smallest estimate lowers U
@@ -777,7 +829,8 @@ def cone_membership(
 
     After the walk, eigvalsh runs once on the kept nodes whose L is at most
     the final U, the undecided ones and the first certain violation; nodes
-    with identical entries are diagonalised once.
+    with identical entries are diagonalised once.  Every node whose
+    eigenvalue equals the minimum has L <= U, so it is among them.
 
     The screen is sound: every L is a rigorous lower bound on its node's
     eigvalsh value and U a rigorous upper bound on the grid minimum, both
@@ -823,10 +876,11 @@ def cone_membership(
     min_eigs, node_passed = _psd_at_distinct_nodes(parts, tol)
     passed[nodes[undecided]] = node_passed[undecided]
     min_eigenvalue = float(min_eigs.min())
+    # every node that attains the minimum is kept, in row-major order, so this is the grid's first
+    low = region.node(int(nodes[np.argmin(min_eigs)]))
     if not math.isfinite(min_eigenvalue):
-        node = region.node(int(nodes[np.argmin(min_eigs)]))
         raise EigenvalueRangeError(
-            f"smallest cone matrix eigenvalue {min_eigenvalue} at grid node (t={node.t}, x={node.x})"
+            f"smallest cone matrix eigenvalue {min_eigenvalue} at grid node (t={low.t}, x={low.x})"
         )
     n_violations = int((~passed).sum())
     first: Optional[GridViolation] = None
@@ -837,6 +891,7 @@ def cone_membership(
         member_on_grid=n_violations == 0,
         first_violation=first,
         min_eigenvalue=min_eigenvalue,
+        min_eigenvalue_point=low,
         n_nodes=n,
         n_violations=n_violations,
     )
@@ -848,25 +903,33 @@ def certify_grid_psd(
     """Fast membership decision over the grid, equal to cone_membership's verdict.
 
     Needs only the verdict, not the smallest eigenvalue, so it runs only the
-    pass side of cone_membership, on the entry arrays and in three steps,
-    each on the nodes the one before leaves open:
+    pass side of cone_membership and the fail side of its uncoupled rule,
+    on the entry arrays and in four steps, each on the nodes the one before
+    leaves open:
 
     - screen: a node passes when its Gershgorin bound G (_gershgorin_lower)
       is at least -tol*s, the bound and threshold of cone_membership's
       screen, and s is finite (_gershgorin_clears).  At an uncoupled node G
-      is its smallest diagonal entry, its eigenvalue, less SCHUR_EIG_SLACK*s;
-    - Schur: _pd_after_shift clears a node at shift (tol - SCHUR_EIG_SLACK)*s;
+      is its smallest diagonal entry, its eigenvalue, less SCHUR_EIG_SLACK*s:
+      the pass side of _uncoupled_rule;
+    - uncoupled rule: an uncoupled node the screen leaves open fails when
+      its eigenvalue plus SCHUR_EIG_SLACK*s is below -tol*s, and then the
+      verdict is False with no Schur test or eigvalsh; the others lie within
+      that slack of -tol*s, where only eigvalsh decides them;
+    - Schur: where some node is coupled, _pd_after_shift clears a node at
+      shift (tol - SCHUR_EIG_SLACK)*s;
     - eigvalsh: the nodes left are assembled and get the per-node rule
       _psd_at_nodes, which decides them.
 
-    The first two steps are one-sided: G and the Schur test keep
-    SCHUR_EIG_SLACK*s below the node's eigvalsh smallest eigenvalue, so they
-    never clear a node eigvalsh would reject, and a node they do not clear
-    is not thereby a violation.  So True and False both are eigvalsh's
-    verdict over the grid and match cone_membership(...).member_on_grid
-    (False where cone_membership raises EigenvalueRangeError).  It walks the
-    same blocks as cone_membership, and after a violation it only evaluates
-    the remaining blocks, so it raises the same node-annotated DomainError.
+    Every step but the last is one-sided with SCHUR_EIG_SLACK*s to spare,
+    far more than eigvalsh's rounding: G and the Schur test keep below the
+    node's eigvalsh smallest eigenvalue, so they never clear a node
+    eigvalsh would reject, and the rule fails only nodes eigvalsh rejects.
+    So True and False both are eigvalsh's verdict over the grid and match
+    cone_membership(...).member_on_grid (False where cone_membership raises
+    EigenvalueRangeError).  It walks the same blocks as cone_membership, and
+    after a violation it only evaluates the remaining blocks, so it raises
+    the same node-annotated DomainError.
     """
     verdict = True
     for _, n, entries in _grid_blocks(el, dirac, region):
@@ -879,8 +942,15 @@ def certify_grid_psd(
                 continue
             # the mask and scales are 0-d where every entry is constant over the block
             open_nodes = np.flatnonzero(~np.broadcast_to(clears, n))
-            shift = (tol - SCHUR_EIG_SLACK) * np.broadcast_to(scale, n)[open_nodes]
-            open_nodes = open_nodes[~_pd_after_shift(_take(entries, open_nodes), shift)]
+            part = _take(entries, open_nodes)
+            coupled = _coupled(part)
+            _, _, _, failed = _uncoupled_rule(part, tol)
+            if (failed & ~coupled).any():
+                verdict = False
+                continue
+            if coupled.any():
+                shift = (tol - SCHUR_EIG_SLACK) * np.broadcast_to(scale, n)[open_nodes]
+                open_nodes = open_nodes[~_pd_after_shift(part, shift)]
         if open_nodes.size:
             verdict = bool(_psd_at_nodes(_matrices(_take(entries, open_nodes)), tol)[1].all())
     return verdict

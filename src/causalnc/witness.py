@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .causality import MixedState, PureState, Reason, _decide, _mixed_angle_sup, pure_causal
+from .causality import MixedState, PureState, Reason, _arc, _decide, _mixed_angle_sup, pure_causal
 from .cone import AlgebraElement, _charpoly, _node_scales
 from .fields import BinOp, Call, DomainError, FieldExpr, Neg, Num, Var, jet
 from .minkowski import SpacetimePoint, max_proper_time
@@ -441,21 +441,41 @@ def build_mixed_witness(omega: MixedState, eta: MixedState, dirac: DiracData) ->
     rotation angle that maximises the arccos separation, and reuses the pure
     machinery with component moduli sqrt((1 +/- z)/2) (the matrix and the
     inequality are invariant under that common normalisation) and the
-    epsilon/theta_c choice dictated by the sign of the projected arc.
+    epsilon/theta_c choice dictated by the sign of the projected arc.  On the
+    sphere the arcs at the supremum's rotation are taken at unit radius, so
+    that on its plateau they differ by the angular distance the verdict read.
+
+    Raises ValueError naming near-antipodal states where a projected angle
+    lies at 0 or pi, where the arcs fall short of the worldline's proper
+    time (on the sphere, a rotation off the plateau, within rounding of the
+    antipode), or where lhs < rhs (separation_values) is below float
+    resolution: rhs - lhs shrinks with the projected angles' distance from 0
+    and pi, which near-antipodal states bring close to both.
     """
-    verdict, sup = _decide(omega.point, eta.point, omega.internal, eta.internal, dirac)
+    rho, sigma = omega.internal, eta.internal
+    verdict, sup = _decide(omega.point, eta.point, rho, sigma, dirac)
     _require_speed_bound_refusal(verdict)
     if sup is None:  # decided on the sphere, by the angular distance
-        sup = _mixed_angle_sup(omega.internal, eta.internal)
-    z = 0.5 * (omega.internal.rz + eta.internal.rz)
-    _, theta_star, arc_r, arc_s = sup
-    if min(arc_r, arc_s) <= ANGLE_TOL or max(arc_r, arc_s) >= math.pi - ANGLE_TOL:
-        raise ValueError("projected angles touch the limiting values 0 or pi; no direct witness")
+        _, theta_star, _, _ = _mixed_angle_sup(rho, sigma)
+        # a pure state's relative radius rounds to 1 - 2.2e-16, whose arcs near 0 and pi
+        # stay up to 2e-8 from them; at unit radii they differ by that distance
+        arc_r, arc_s = (float(_arc(1.0, state.parallel_angle + theta_star)) for state in (rho, sigma))
+    else:
+        _, theta_star, arc_r, arc_s = sup
+    z = 0.5 * (rho.rz + sigma.rz)
+    if (
+        min(arc_r, arc_s) <= ANGLE_TOL
+        or max(arc_r, arc_s) >= math.pi - ANGLE_TOL
+        or dirac.gap * max_proper_time(omega.point, eta.point) >= abs(arc_s - arc_r)
+    ):
+        raise ValueError(
+            "projected angles touch or cross the limiting values 0 or pi (near-antipodal states); no direct witness"
+        )
     if arc_s > arc_r:
         epsilon, theta_c = arc_r, theta_star
     else:
         epsilon, theta_c = math.pi - arc_r, theta_star + math.pi
-    return WitnessSpec(
+    spec = WitnessSpec(
         epsilon=epsilon,
         theta_c=wrap_angle(theta_c),
         p=omega.point,
@@ -465,3 +485,10 @@ def build_mixed_witness(omega: MixedState, eta: MixedState, dirac: DiracData) ->
         dirac=dirac,
         delta_theta=abs(arc_s - arc_r),
     )
+    lhs, rhs = separation_values(spec)
+    if not lhs < rhs:
+        raise ValueError(
+            "projected angles too near 0 or pi (near-antipodal states): the separation is below float resolution;"
+            " no direct witness"
+        )
+    return spec

@@ -62,10 +62,10 @@ def _reference_membership(
     """
     entries = [np.broadcast_to(part, region.nt * region.nx) for part in _grid_entries(el, dirac, region)]
     min_eigs, passed = _psd_at_nodes(_matrices(entries), tol)
+    low = region.node(int(np.argmin(min_eigs)))
     if not np.isfinite(min_eigs.min()):
-        node = region.node(int(np.argmin(min_eigs)))
         raise EigenvalueRangeError(
-            f"smallest cone matrix eigenvalue {float(min_eigs.min())} at grid node (t={node.t}, x={node.x})"
+            f"smallest cone matrix eigenvalue {float(min_eigs.min())} at grid node (t={low.t}, x={low.x})"
         )
     n_violations = int((~passed).sum())
     first = None
@@ -76,6 +76,7 @@ def _reference_membership(
         member_on_grid=n_violations == 0,
         first_violation=first,
         min_eigenvalue=float(min_eigs.min()),
+        min_eigenvalue_point=low,
         n_nodes=len(min_eigs),
         n_violations=n_violations,
     )
@@ -237,6 +238,7 @@ def test_membership_report_json():
     assert data["member_on_grid"] is False
     assert data["first_violation"]["point"] == [-1.0, -1.0]
     assert data["first_violation"]["min_eigenvalue"] == pytest.approx(-1.0)
+    assert data["min_eigenvalue_point"] == [-1.0, -1.0]  # every node ties: the first one
 
 
 def test_diagonal_characterisation():
@@ -901,6 +903,76 @@ def test_elements_constant_over_the_grid_count_every_node(monkeypatch, sources, 
     assert certify_grid_psd(el, D_UNIT, BLOCK_GRID) == report.member_on_grid
 
 
+UNCOUPLED_GRID = RegionGrid(-1.0, 1.0, -1.0, 1.0, 9, 9)
+
+
+@st.composite
+def _uncoupled_edges(draw):
+    """(element, tol) with c = 0, a = p*t + q*x^2 and b = r*t + s*x, whose d lies on a decision edge.
+
+    b's entries r -+ s >= 0 set the node scale S = max(1, r + |s|) alone,
+    from 0 through subnormals to near the float maximum, across LAPACK's
+    rescaling thresholds (a norm below about 1e-146 or above 7e145).  p lies
+    a few ulps from -tol*S, where eigvalsh decides, or from
+    -tol*S -+ SCHUR_EIG_SLACK*S, where the rule decides alone; q*x^2 spreads
+    the nodes' d = min(ap, am) over a few ulps of p, and +-0 are drawn.
+    """
+    tol = draw(st.sampled_from((PSD_TOL, 0.0)))
+    r = draw(
+        st.one_of(
+            st.floats(-323.0, 307.5).map(lambda e: 10.0**e),
+            st.sampled_from((0.0, 5e-324, 1e-146, 7e145, float(_FLOAT_MAX) / 2)),
+        )
+    )
+    s = r * draw(st.floats(-1.0, 1.0))
+    scale = max(1.0, r + abs(s))
+    threshold, slack = -tol * scale, cone.SCHUR_EIG_SLACK * scale
+    p = draw(st.sampled_from((threshold, threshold + slack, threshold - slack)))
+    for _ in range(abs(steps := draw(st.integers(-4, 4)))):
+        p = float(np.nextafter(p, math.copysign(math.inf, steps)))
+    if p == 0.0:
+        p = draw(st.sampled_from((0.0, -0.0)))
+    q = draw(st.integers(0, 3)) * abs(float(np.spacing(p)))
+    return AlgebraElement.from_sources(f"{p!r}*t + {q!r}*x^2", f"{r!r}*t + {s!r}*x"), tol
+
+
+@settings(max_examples=200)
+@given(_uncoupled_edges())
+def test_uncoupled_nodes_are_decided_as_eigvalsh_decides_them(case):
+    el, tol = case
+    want = _reference_membership(el, D_UNIT, UNCOUPLED_GRID, tol).to_dict()
+    for block_nodes in (32_768, 64):  # one block, and blocks of 7 rows
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cone, "BLOCK_NODES", block_nodes)
+            assert cone_membership(el, D_UNIT, UNCOUPLED_GRID, tol).to_dict() == want
+            assert certify_grid_psd(el, D_UNIT, UNCOUPLED_GRID, tol) == want["member_on_grid"]
+
+
+@pytest.mark.parametrize(
+    "sources",
+    (
+        ("t", "t - 2*exp(-((t - 0.3)^2 + (x + 0.2)^2)/0.5)"),
+        ("t + 0.99999*tanh(x)", "t"),
+        ("t + 1.00001*tanh(x)", "t"),
+        ("t + 1.000000002*tanh(x)", "t"),
+    ),
+    ids=("bump", "near-member", "near-nonmember", "within-the-slack"),
+)
+def test_uncoupled_elements_need_no_schur_test_and_no_newton(monkeypatch, sources):
+    # the x = 0 column of the near elements has smallest eigenvalue 1 - beta;
+    # at 1 - 1.000000002 it lies within SCHUR_EIG_SLACK*s of -tol*s, so eigvalsh decides it
+    el = AlgebraElement.from_sources(*sources)
+    reference = _reference_membership(el, D_UNIT, WIDE_GRID)
+
+    def refuse(*args):
+        raise AssertionError("an uncoupled node is decided by its diagonal")
+
+    for name in ("_pd_after_shift", "_indefinite_after_shift", "_lambda_min_estimates"):
+        monkeypatch.setattr(cone, name, refuse)
+    assert cone_membership(el, D_UNIT, WIDE_GRID).to_dict() == reference.to_dict()
+    assert certify_grid_psd(el, D_UNIT, WIDE_GRID) == reference.member_on_grid
+
+
 def test_newton_runs_only_where_the_grid_minimum_can_lie(monkeypatch):
     # every node of the lemma grid is coupled, but Gershgorin passes all of them
     # and puts most above the interlacing bound on the grid minimum
@@ -919,7 +991,7 @@ def test_newton_runs_only_where_the_grid_minimum_can_lie(monkeypatch):
     newton_nodes.clear()
     diagonal = AlgebraElement.from_sources("2.1*t + 0.5*tanh(t + x)", "1.9*t + 0.4*tanh(t - x)")
     assert cone_membership(diagonal, D_UNIT, grid).member_on_grid
-    assert newton_nodes and sum(newton_nodes) == 0
+    assert sum(newton_nodes) == 0  # an uncoupled block does not reach the estimates at all
 
 
 def test_criterion_5_stream_certifies_without_lapack(monkeypatch):

@@ -10,11 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalnc import causality, witness
-from causalnc.causality import MixedState, PureState, mixed_required_angle, pure_causal
+from causalnc.causality import BOUND_SLACK, MixedState, PureState, mixed_causal, mixed_required_angle, pure_causal
 from causalnc.cone import PSD_TOL, AlgebraElement, _cone_entries, _matrices, _node_scales
 from causalnc.fields import jet
 from causalnc.minkowski import SpacetimePoint, max_proper_time
-from causalnc.states import DiracData, MixedInternalState, PureInternalState
+from causalnc.states import DiracData, MixedInternalState, PureInternalState, angular_distance
 from causalnc.witness import (
     COEFF_ZERO_TOL,
     MATCH_RTOL,
@@ -591,6 +591,58 @@ def test_mixed_witness_computes_the_supremum_once(monkeypatch, rho, sigma, q):
         monkeypatch.setattr(module, "_mixed_angle_sup", counted)
     build_mixed_witness(MixedState(SpacetimePoint(0, 0), rho), MixedState(q, sigma), D_UNIT)
     assert len(calls) == 1
+
+
+def _near_antipodal_pair(z, theta, eps, sign, available, dirac):
+    """Pure states at latitude z, pi - eps apart along the parallel, as mixed states; q at proper time available."""
+    rho, sigma = (
+        MixedInternalState.from_pure(PureInternalState.from_parallel(z, angle))
+        for angle in (theta, theta + sign * (math.pi - eps))
+    )
+    return MixedState(SpacetimePoint(0.0, 0.0), rho), MixedState(SpacetimePoint(available, 0.0), sigma)
+
+
+def test_mixed_witness_near_the_antipode_is_certified():
+    # both relative radii round to 1 - 2.2e-16, and the supremum at those radii
+    # fell 7.4e-12 short of the angular distance the verdict reads, so the spec
+    # raised "worldline too long: the pair is causally related" for a refused pair
+    for sign in (1.0, -1.0):
+        omega, eta = _near_antipodal_pair(
+            0.8212810587049774, -1.2947930175072513, 1.7487834532865746e-4, sign, 3.1414177752415204, D_UNIT
+        )
+        assert mixed_causal(omega, eta, D_UNIT).reason.value == "SPEED_BOUND"
+        spec = build_mixed_witness(omega, eta, D_UNIT)
+        assert spec.delta_theta == pytest.approx(math.pi - 1.7487834532865746e-4, abs=1e-14)
+        lhs, rhs = separation_values(spec)
+        assert lhs < rhs
+        assert certify_witness_psd(spec, 64).passed
+
+
+@settings(max_examples=150)
+@given(
+    st.floats(-0.9, 0.9),
+    st.floats(-math.pi, math.pi),
+    st.floats(-15.0, -2.0).map(lambda e: 10.0**e),
+    st.sampled_from((1.0, -1.0)),
+    st.floats(-13.0, -8.0).map(lambda e: 10.0**e),
+    st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+)
+def test_mixed_witness_near_the_antipode_certifies_or_names_the_antipode(z, theta, eps, sign, short, gap):
+    # refused sphere pairs within 10^-15..10^-2 of antipodal, their proper time
+    # just short of the band edge (required - BOUND_SLACK/gap)
+    dirac = DiracData(0.0, gap)
+    omega, eta = _near_antipodal_pair(z, theta, eps, sign, 1.0, dirac)
+    angle = angular_distance(omega.internal.parallel_angle, eta.internal.parallel_angle)
+    omega, eta = _near_antipodal_pair(z, theta, eps, sign, (angle - BOUND_SLACK - short) / gap, dirac)
+    assume(not mixed_causal(omega, eta, dirac).related)
+    try:
+        spec = build_mixed_witness(omega, eta, dirac)
+    except ValueError as err:
+        assert "near-antipodal" in str(err)
+        return
+    lhs, rhs = separation_values(spec)
+    assert lhs < rhs
+    assert certify_witness_psd(spec, 32).passed
 
 
 def test_witness_spec_rejects_non_timelike_endpoints():
