@@ -1,8 +1,9 @@
-"""Separating-element certificates for non-causal pure-state pairs.
+"""Separating-element certificates for non-causal pairs of pure or mixed states.
 
 When the closed-form oracle says a same-latitude pair is NOT related because
 the available proper time is short of the required internal angle, an
-explicit causal element separates the two states.  With tau the proper time
+explicit causal element separates the two states.  A pure state is read as
+its Bloch vector, the sphere case of the mixed ones.  With tau the proper time
 of the worldline's rest frame, counted from p, and Theta = g*tau + eps
 (g the Dirac gap) it is
 
@@ -26,8 +27,9 @@ cone-check.  The certificate produced here bundles
   schedule.
 
 The certification reads the cone entries in closed form (_witness_entries),
-not off the element's fields.  Exactly antipodal internal angles (distance
-pi) admit no direct certificate here and are rejected.
+not off the element's fields.  Near-antipodal states, whose schedule
+touches 0 or pi or whose separation is below float resolution, admit no
+direct certificate here and are rejected by name.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ from typing import Optional
 
 import numpy as np
 
-from .causality import MixedState, PureState, Reason, _arc, _decide, _mixed_angle_sup, pure_causal
+from .causality import MixedState, PureState, Reason, _decide
 from .cone import AlgebraElement, _charpoly, _node_scales
 from .fields import BinOp, Call, DomainError, FieldExpr, Neg, Num, Var, jet
 from .minkowski import SpacetimePoint, max_proper_time
-from .states import DiracData, angular_distance, parallel_angle, signed_arc, wrap_angle
+from .states import DiracData, MixedInternalState, angular_distance, signed_arc, wrap_angle
 
 ANGLE_TOL = 1e-12
 #: Relative tolerance for closed-form versus computed values.
@@ -152,49 +154,72 @@ def _scaled(k: float, field: FieldExpr) -> FieldExpr:
     return Neg(product) if k < 0 else product
 
 
-def _require_speed_bound_refusal(verdict) -> None:
-    """Witnesses exist only for pairs the oracle refuses by the speed bound."""
+def build_witness(omega: PureState | MixedState, eta: PureState | MixedState, dirac: DiracData) -> WitnessSpec:
+    """Construct the separating element's schedule for a pair refused by the speed bound.
+
+    Pure and mixed pairs alike are read as Bloch vectors (a pure state
+    through MixedInternalState.from_pure) and decided once, by
+    causality._decide.  On the sphere the schedule is centred on the angular
+    distance delta the verdict read: epsilon = (pi - delta)/2, the furthest
+    from the csc singularities, and theta_c = +-epsilon - t_a, signed like
+    the shorter arc from t_a to t_b.  Inside the ball it spans the projected
+    arccos values at the supremum's rotation theta_star.  The component
+    moduli are sqrt((1 +/- z)/2) at the mean latitude z (the matrix and the
+    inequality are invariant under that common normalisation).
+
+    Raises ValueError for a related pair or a refusal other than the speed
+    bound, and names near-antipodal states where the schedule touches 0 or
+    pi, where it falls short of the worldline's proper time, or where lhs <
+    rhs (separation_values) is below float resolution: rhs - lhs shrinks
+    with the schedule's distance from 0 and pi, which near-antipodal states
+    bring close to both.
+    """
+    rho, sigma = (
+        state.internal if isinstance(state, MixedState) else MixedInternalState.from_pure(state.internal)
+        for state in (omega, eta)
+    )
+    verdict, sup = _decide(omega.point, eta.point, rho, sigma, dirac)
     if verdict.related:
         raise ValueError("the states are causally related; no separating element exists")
     if verdict.reason is not Reason.SPEED_BOUND:
-        raise ValueError(
-            f"witness construction needs a speed-bound refusal, got {verdict.reason.value}"
-        )
-
-
-def build_witness(
-    omega: PureState, eta: PureState, dirac: DiracData, epsilon: Optional[float] = None
-) -> WitnessSpec:
-    """Construct the separating element's schedule for a non-related pair.
-
-    Preconditions: the events are causally ordered, the internal states share
-    a latitude away from the poles, the angular separation lies strictly
-    inside (0, pi), the Dirac gap is positive, and the closed-form oracle
-    says NOT related (speed bound).  The default epsilon centres the schedule
-    inside (0, pi), which maximises the distance from the csc singularities.
-    """
-    verdict = pure_causal(omega, eta, dirac)
-    _require_speed_bound_refusal(verdict)
-    theta_from = parallel_angle(omega.internal)
-    theta_to = parallel_angle(eta.internal)
-    delta = angular_distance(theta_from, theta_to)
-    if delta >= math.pi - ANGLE_TOL:
-        raise ValueError("antipodal angles are refuted by transitivity, not by a direct witness")
-    if delta <= ANGLE_TOL:
-        raise ValueError("coinciding angles cannot be separated")
-    if epsilon is None:
+        raise ValueError(f"witness construction needs a speed-bound refusal, got {verdict.reason.value}")
+    if sup is None:  # decided on the sphere, by the angular distance
+        t_a, t_b = rho.parallel_angle, sigma.parallel_angle
+        delta = angular_distance(t_a, t_b)
         epsilon = 0.5 * (math.pi - delta)
-    direction = 1.0 if signed_arc(theta_from, theta_to) >= 0.0 else -1.0
-    return WitnessSpec(
-        epsilon=float(epsilon),
-        theta_c=wrap_angle(direction * epsilon - theta_from),
+        theta_c = (epsilon if signed_arc(t_a, t_b) >= 0.0 else -epsilon) - t_a
+    else:
+        _, theta_star, arc_r, arc_s = sup
+        delta = abs(arc_s - arc_r)
+        if arc_s > arc_r:
+            epsilon, theta_c = arc_r, theta_star
+        else:
+            epsilon, theta_c = math.pi - arc_r, theta_star + math.pi
+    if not (
+        ANGLE_TOL < epsilon
+        and epsilon + delta < math.pi - ANGLE_TOL
+        and dirac.gap * max_proper_time(omega.point, eta.point) < delta
+    ):
+        raise ValueError("the schedule touches the limiting values 0 or pi (near-antipodal states); no direct witness")
+    z = 0.5 * (rho.rz + sigma.rz)
+    spec = WitnessSpec(
+        epsilon=epsilon,
+        theta_c=wrap_angle(theta_c),
         p=omega.point,
         q=eta.point,
-        abs_phi1=abs(eta.internal.xi1),
-        abs_phi2=abs(eta.internal.xi2),
+        abs_phi1=math.sqrt((1.0 + z) / 2.0),
+        abs_phi2=math.sqrt((1.0 - z) / 2.0),
         dirac=dirac,
         delta_theta=delta,
     )
+    lhs, rhs = separation_values(spec)
+    if not lhs < rhs:
+        raise ValueError("the separation lhs < rhs is below float resolution (near-antipodal states); no direct witness")
+    return spec
+
+
+#: The name build_witness had for mixed pairs; perfbench calls it by this name.
+build_mixed_witness = build_witness
 
 
 def separation_values(spec: WitnessSpec) -> tuple[float, float]:
@@ -406,21 +431,19 @@ class RefutationCertificate:
 
 
 def refute_with_witness(
-    omega: PureState, eta: PureState, dirac: DiracData, n_samples: int = 64
+    omega: PureState | MixedState, eta: PureState | MixedState, dirac: DiracData, n_samples: int = 64
 ) -> RefutationCertificate:
-    """Produce a full separating-element certificate for a non-related pair.
+    """Produce a full separating-element certificate for a non-related pure or mixed pair.
 
-    Bundles the schedule, the strict endpoint inequality (closed form and
-    the element's pairing growth agreeing within MATCH_RTOL) and the PSD
-    certification at n_samples points.  Raises if the pair is related or any
+    Bundles the schedule of build_witness, whose margin rhs - lhs is
+    positive, the element's pairing growth agreeing with the closed-form lhs
+    within MATCH_RTOL, and the PSD certification at n_samples points.
+    Raises ValueError where build_witness does, and AssertionError if a
     certificate component fails.  The certification runs before the element
     is evaluated, so that an overflowing coefficient is reported as such.
     """
     spec = build_witness(omega, eta, dirac)
     lhs, rhs = separation_values(spec)
-    margin = rhs - lhs
-    if not margin > 0.0:
-        raise AssertionError(f"separation margin must be strictly positive, got {margin}")
     psd = certify_witness_psd(spec, n_samples)
     if not psd.passed:
         fail = psd.first_failure
@@ -431,64 +454,4 @@ def refute_with_witness(
     numeric = _pairing_growth(spec)
     if abs(numeric - lhs) > MATCH_RTOL * max(1.0, abs(lhs)):
         raise AssertionError(f"the element's lhs {numeric} disagrees with closed form {lhs}")
-    return RefutationCertificate(spec, lhs, rhs, margin, numeric, psd)
-
-
-def build_mixed_witness(omega: MixedState, eta: MixedState, dirac: DiracData) -> WitnessSpec:
-    """Thin wrapper scheduling a separating element for mixed internal states.
-
-    Projects both Bloch vectors onto their shared parallel, picks the
-    rotation angle that maximises the arccos separation, and reuses the pure
-    machinery with component moduli sqrt((1 +/- z)/2) (the matrix and the
-    inequality are invariant under that common normalisation) and the
-    epsilon/theta_c choice dictated by the sign of the projected arc.  On the
-    sphere the arcs at the supremum's rotation are taken at unit radius, so
-    that on its plateau they differ by the angular distance the verdict read.
-
-    Raises ValueError naming near-antipodal states where a projected angle
-    lies at 0 or pi, where the arcs fall short of the worldline's proper
-    time (on the sphere, a rotation off the plateau, within rounding of the
-    antipode), or where lhs < rhs (separation_values) is below float
-    resolution: rhs - lhs shrinks with the projected angles' distance from 0
-    and pi, which near-antipodal states bring close to both.
-    """
-    rho, sigma = omega.internal, eta.internal
-    verdict, sup = _decide(omega.point, eta.point, rho, sigma, dirac)
-    _require_speed_bound_refusal(verdict)
-    if sup is None:  # decided on the sphere, by the angular distance
-        _, theta_star, _, _ = _mixed_angle_sup(rho, sigma)
-        # a pure state's relative radius rounds to 1 - 2.2e-16, whose arcs near 0 and pi
-        # stay up to 2e-8 from them; at unit radii they differ by that distance
-        arc_r, arc_s = (float(_arc(1.0, state.parallel_angle + theta_star)) for state in (rho, sigma))
-    else:
-        _, theta_star, arc_r, arc_s = sup
-    z = 0.5 * (rho.rz + sigma.rz)
-    if (
-        min(arc_r, arc_s) <= ANGLE_TOL
-        or max(arc_r, arc_s) >= math.pi - ANGLE_TOL
-        or dirac.gap * max_proper_time(omega.point, eta.point) >= abs(arc_s - arc_r)
-    ):
-        raise ValueError(
-            "projected angles touch or cross the limiting values 0 or pi (near-antipodal states); no direct witness"
-        )
-    if arc_s > arc_r:
-        epsilon, theta_c = arc_r, theta_star
-    else:
-        epsilon, theta_c = math.pi - arc_r, theta_star + math.pi
-    spec = WitnessSpec(
-        epsilon=epsilon,
-        theta_c=wrap_angle(theta_c),
-        p=omega.point,
-        q=eta.point,
-        abs_phi1=math.sqrt((1.0 + z) / 2.0),
-        abs_phi2=math.sqrt((1.0 - z) / 2.0),
-        dirac=dirac,
-        delta_theta=abs(arc_s - arc_r),
-    )
-    lhs, rhs = separation_values(spec)
-    if not lhs < rhs:
-        raise ValueError(
-            "projected angles too near 0 or pi (near-antipodal states): the separation is below float resolution;"
-            " no direct witness"
-        )
-    return spec
+    return RefutationCertificate(spec, lhs, rhs, rhs - lhs, numeric, psd)

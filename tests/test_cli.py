@@ -560,6 +560,21 @@ def test_witness_near_antipodal_refusal(capsys, slack):
     assert abs(data["lhs_numeric"] - data["lhs"]) <= MATCH_RTOL * max(1.0, abs(data["lhs"]))
 
 
+def test_witness_names_a_separation_below_float_resolution(capsys):
+    # a refused pair 1e-6 from antipodal with its proper time just short of the band edge:
+    # lhs >= rhs in floats, which was a bare AssertionError traceback and exit 1
+    query = {
+        "p": [0, 0],
+        "q": [3.1415916535877924, 0],
+        "xi": {"bloch": [0.8786361890754104, 0.3714814224790249, 0.30000000000000016]},
+        "phi": {"bloch": [-0.8786365605563938, -0.3714805438426497, 0.30000000000000004]},
+        "dirac": {"d1": 0, "d2": 1},
+    }
+    code, out, err = _run(capsys, "witness", "--input", json.dumps(query))
+    assert code == 2 and out == ""
+    assert "below float resolution (near-antipodal states)" in err
+
+
 @settings(max_examples=30)
 @given(
     st.floats(0.2, math.pi - 0.2),  # angular separation

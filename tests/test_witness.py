@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from causalnc import causality, witness
+from causalnc import causality
 from causalnc.causality import BOUND_SLACK, MixedState, PureState, mixed_causal, mixed_required_angle, pure_causal
 from causalnc.cone import PSD_TOL, AlgebraElement, _cone_entries, _matrices, _node_scales
 from causalnc.fields import jet
@@ -127,7 +127,7 @@ def test_margin_monotone_decreasing_in_length():
     margins = []
     for frac in np.linspace(0.05, 0.95, 19):
         pair = _equator_pair(frac * math.pi / 2, math.pi / 2)
-        spec = build_witness(*pair, D_UNIT, epsilon=eps)
+        spec = dataclasses.replace(build_witness(*pair, D_UNIT), epsilon=eps)
         lhs, rhs = separation_values(spec)
         margins.append(rhs - lhs)
     diffs = np.diff(margins)
@@ -540,6 +540,9 @@ def test_mixed_witness_separates_mixed_pair():
     assert lhs < rhs
     assert certify_witness_psd(spec, 32).passed
     assert _pairing_growth(spec) == pytest.approx(lhs, rel=1e-14)
+    cert = refute_with_witness(omega, eta, D_UNIT)
+    assert cert.spec == spec and cert.psd.passed and cert.margin > 0
+    assert abs(cert.lhs_numeric - cert.lhs) <= MATCH_RTOL * max(1.0, abs(cert.lhs))
 
     # the separating element's endpoint values violate the mixed pairing
     p, q = spec.p, spec.q
@@ -570,7 +573,7 @@ def test_mixed_witness_on_unit_radius_pair():
 @pytest.mark.parametrize(
     "rho, sigma, q",
     [
-        # on the sphere the verdict reads the angular distance, and the witness takes the supremum
+        # on the sphere the verdict and the witness read the angular distance: no supremum
         (
             *(MixedInternalState.from_pure(PureInternalState.from_parallel(0.0, t)) for t in (0.66, 0.66 + 0.929)),
             SpacetimePoint(0.4645, 0.0929),
@@ -587,19 +590,19 @@ def test_mixed_witness_computes_the_supremum_once(monkeypatch, rho, sigma, q):
         calls.append(args)
         return original(*args)
 
-    for module in (causality, witness):
-        monkeypatch.setattr(module, "_mixed_angle_sup", counted)
+    monkeypatch.setattr(causality, "_mixed_angle_sup", counted)
     build_mixed_witness(MixedState(SpacetimePoint(0, 0), rho), MixedState(q, sigma), D_UNIT)
-    assert len(calls) == 1
+    assert len(calls) == (0 if math.isclose(rho.norm, 1.0) else 1)
 
 
 def _near_antipodal_pair(z, theta, eps, sign, available, dirac):
-    """Pure states at latitude z, pi - eps apart along the parallel, as mixed states; q at proper time available."""
-    rho, sigma = (
-        MixedInternalState.from_pure(PureInternalState.from_parallel(z, angle))
-        for angle in (theta, theta + sign * (math.pi - eps))
-    )
-    return MixedState(SpacetimePoint(0.0, 0.0), rho), MixedState(SpacetimePoint(available, 0.0), sigma)
+    """Pure states at latitude z, pi - eps apart along the parallel; q at proper time available."""
+    xi, phi = (PureInternalState.from_parallel(z, angle) for angle in (theta, theta + sign * (math.pi - eps)))
+    return PureState(SpacetimePoint(0.0, 0.0), xi), PureState(SpacetimePoint(available, 0.0), phi)
+
+
+def _as_mixed(pair):
+    return tuple(MixedState(state.point, MixedInternalState.from_pure(state.internal)) for state in pair)
 
 
 def test_mixed_witness_near_the_antipode_is_certified():
@@ -607,8 +610,10 @@ def test_mixed_witness_near_the_antipode_is_certified():
     # fell 7.4e-12 short of the angular distance the verdict reads, so the spec
     # raised "worldline too long: the pair is causally related" for a refused pair
     for sign in (1.0, -1.0):
-        omega, eta = _near_antipodal_pair(
-            0.8212810587049774, -1.2947930175072513, 1.7487834532865746e-4, sign, 3.1414177752415204, D_UNIT
+        omega, eta = _as_mixed(
+            _near_antipodal_pair(
+                0.8212810587049774, -1.2947930175072513, 1.7487834532865746e-4, sign, 3.1414177752415204, D_UNIT
+            )
         )
         assert mixed_causal(omega, eta, D_UNIT).reason.value == "SPEED_BOUND"
         spec = build_mixed_witness(omega, eta, D_UNIT)
@@ -629,20 +634,24 @@ def test_mixed_witness_near_the_antipode_is_certified():
 )
 def test_mixed_witness_near_the_antipode_certifies_or_names_the_antipode(z, theta, eps, sign, short, gap):
     # refused sphere pairs within 10^-15..10^-2 of antipodal, their proper time
-    # just short of the band edge (required - BOUND_SLACK/gap)
+    # just short of the band edge (required - BOUND_SLACK/gap); the pure pair and
+    # its Bloch vectors get the same spec or the same near-antipodal refusal
     dirac = DiracData(0.0, gap)
-    omega, eta = _near_antipodal_pair(z, theta, eps, sign, 1.0, dirac)
+    omega, eta = _as_mixed(_near_antipodal_pair(z, theta, eps, sign, 1.0, dirac))
     angle = angular_distance(omega.internal.parallel_angle, eta.internal.parallel_angle)
-    omega, eta = _near_antipodal_pair(z, theta, eps, sign, (angle - BOUND_SLACK - short) / gap, dirac)
-    assume(not mixed_causal(omega, eta, dirac).related)
-    try:
-        spec = build_mixed_witness(omega, eta, dirac)
-    except ValueError as err:
-        assert "near-antipodal" in str(err)
-        return
-    lhs, rhs = separation_values(spec)
-    assert lhs < rhs
-    assert certify_witness_psd(spec, 32).passed
+    pure = _near_antipodal_pair(z, theta, eps, sign, (angle - BOUND_SLACK - short) / gap, dirac)
+    assume(not pure_causal(*pure, dirac).related)
+    outcomes = []
+    for pair in (pure, _as_mixed(pure)):
+        try:
+            outcomes.append(build_witness(*pair, dirac))
+        except ValueError as err:
+            assert "near-antipodal" in str(err)
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], WitnessSpec):
+        cert = refute_with_witness(*pure, dirac, n_samples=32)
+        assert cert.spec == outcomes[0] and cert.margin > 0 and cert.psd.passed
 
 
 def test_witness_spec_rejects_non_timelike_endpoints():
