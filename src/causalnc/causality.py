@@ -150,22 +150,26 @@ def _mixed_angle_sup(rho: MixedInternalState, sigma: MixedInternalState) -> Sup:
     ta, tb = rho.parallel_angle, sigma.parallel_angle
     wa = ra * math.sqrt((1.0 - rb) * (1.0 + rb))
     wb = rb * math.sqrt((1.0 - ra) * (1.0 + ra))
-    thetas = [-ta, math.pi - ta, -tb, math.pi - tb]
+    roots = [-ta, math.pi - ta, -tb, math.pi - tb]
     for sign in (1.0, -1.0):
         # wa sin(ta + theta) = sign wb sin(tb + theta)
         root = math.atan2(sign * wb * math.sin(tb) - wa * math.sin(ta), wa * math.cos(ta) - sign * wb * math.cos(tb))
-        thetas += [root, root + math.pi]
-    thetas = np.sort(np.mod(thetas, 2.0 * math.pi))
-    mids = 0.5 * (thetas + np.append(thetas[1:], thetas[0] + 2.0 * math.pi))
-    thetas = np.concatenate([thetas, mids])
+        roots += [root, root + math.pi]
+    thetas = np.empty(16)  # the 8 sorted roots and kinks, then the midpoint after each, cyclically
+    kinks, mids = thetas[:8], thetas[8:]
+    kinks[:] = np.mod(roots, 2.0 * math.pi)
+    kinks.sort()
+    mids[:7], mids[7] = kinks[1:], kinks[0] + 2.0 * math.pi
+    mids += kinks
+    mids *= 0.5
 
-    arc_a, arc_b = _arc(ra, ta + thetas), _arc(rb, tb + thetas)
-    values = np.abs(arc_b - arc_a)
+    arcs = _arc(np.array([[ra], [rb]]), np.array([[ta], [tb]]) + thetas)
+    values = np.abs(arcs[1] - arcs[0])
     best = float(values.max())
-    clearance = np.minimum(np.minimum(arc_a, math.pi - arc_a), np.minimum(arc_b, math.pi - arc_b))
+    clearance = np.minimum(arcs, math.pi - arcs).min(axis=0)
     clearance[values < best - PLATEAU_TOL] = -1.0
     k = int(np.argmax(clearance))
-    return best, float(thetas[k]), float(arc_a[k]), float(arc_b[k])
+    return best, float(thetas[k]), float(arcs[0, k]), float(arcs[1, k])
 
 
 def _required_angle(rho: MixedInternalState, sigma: MixedInternalState) -> tuple[float, Optional[Sup]]:

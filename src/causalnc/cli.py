@@ -13,6 +13,7 @@ All verdict objects carry a "schema": "causalnc/1" field.  Angles are
 radians throughout.  Only cone-check and selftest take --tol, the PSD
 tolerance, which must be a finite number.  selftest runs the acceptance
 battery of tests/test_acceptance.py at a reduced scale seeded by --seed.
+witness reads the mixed pair (rho, sigma) of an input without "xi".
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 import tempfile
 from typing import Optional
 
-from .causality import MAX_PATH_SEGMENTS, MixedState, PureState, mixed_causal, plan_causal_path, pure_causal
+from .causality import MAX_PATH_SEGMENTS, MixedState, PureState, _decide, plan_causal_path, pure_causal
 from .cone import PSD_TOL, AlgebraElement, RegionGrid, cone_membership
 from .minkowski import SpacetimePoint
 from .oracle import DEFAULT_REGION
@@ -155,12 +156,19 @@ def _cmd_check_pure(args) -> int:
     return EXIT_OK if verdict.related else EXIT_NEGATIVE
 
 
-def _cmd_check_mixed(args) -> int:
-    data = _load_input(args.input)
+def _mixed_pair(data: dict) -> tuple[MixedState, MixedState]:
     omega = MixedState(_point(data, "p"), _internal(data, "rho", mixed_state_from_dict))
     eta = MixedState(_point(data, "q"), _internal(data, "sigma", mixed_state_from_dict))
-    verdict = mixed_causal(omega, eta, _dirac(data))
-    _write_json({"schema": SCHEMA, **verdict.to_dict()}, args.output)
+    return omega, eta
+
+
+def _cmd_check_mixed(args) -> int:
+    data = _load_input(args.input)
+    omega, eta = _mixed_pair(data)
+    verdict, sup = _decide(omega.point, eta.point, omega.internal, eta.internal, _dirac(data))
+    # the supremum's rotation and the arcs of rho and sigma there; null where none was taken
+    arcs = dict(zip(("theta_star", "arc_rho", "arc_sigma"), sup[1:] if sup else (None, None, None)))
+    _write_json({"schema": SCHEMA, **verdict.to_dict(), **arcs}, args.output)
     return EXIT_OK if verdict.related else EXIT_NEGATIVE
 
 
@@ -197,7 +205,7 @@ def _cmd_cone_check(args) -> int:
 
 def _cmd_witness(args) -> int:
     data = _load_input(args.input)
-    omega, eta = _pure_pair(data)
+    omega, eta = _mixed_pair(data) if "rho" in data and "xi" not in data else _pure_pair(data)
     try:
         certificate = refute_with_witness(omega, eta, _dirac(data))
     except ValueError as err:
@@ -272,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_cone_check)
 
-    p = sub.add_parser("witness", help="refutation certificate for a non-related pure pair")
+    p = sub.add_parser("witness", help="refutation certificate for a non-related pure (xi, phi) or mixed (rho, sigma) pair")
     common(p)
     p.set_defaults(fn=_cmd_witness)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from causalnc.causality import (
     BOUND_SLACK,
     MAX_PATH_SEGMENTS,
+    PLATEAU_TOL,
     CausalVerdict,
     MixedState,
     PureState,
@@ -346,6 +347,53 @@ def test_mixed_angle_sup_special_cases(ra, ta, rb, tb, expected):
     value = _check_sup_against_scan(*_mixed_pair(ra, ta, rb, tb))
     if expected is not None:
         assert value == pytest.approx(expected, abs=1e-14)
+
+
+def _reference_mixed_angle_sup(rho, sigma):
+    """_mixed_angle_sup as it was before it took both arcs in one stacked _arc call.
+
+    Two _arc calls and the candidates joined with np.append and
+    np.concatenate; the stacked version must return the same floats.
+    """
+    z = 0.5 * (rho.rz + sigma.rz)
+    width = math.sqrt(max(1.0 - z * z, 0.0))
+    ra = min(rho.parallel_radius / width, 1.0)
+    rb = min(sigma.parallel_radius / width, 1.0)
+    ta, tb = rho.parallel_angle, sigma.parallel_angle
+    wa = ra * math.sqrt((1.0 - rb) * (1.0 + rb))
+    wb = rb * math.sqrt((1.0 - ra) * (1.0 + ra))
+    thetas = [-ta, math.pi - ta, -tb, math.pi - tb]
+    for sign in (1.0, -1.0):
+        root = math.atan2(sign * wb * math.sin(tb) - wa * math.sin(ta), wa * math.cos(ta) - sign * wb * math.cos(tb))
+        thetas += [root, root + math.pi]
+    thetas = np.sort(np.mod(thetas, 2.0 * math.pi))
+    mids = 0.5 * (thetas + np.append(thetas[1:], thetas[0] + 2.0 * math.pi))
+    thetas = np.concatenate([thetas, mids])
+    arc_a, arc_b = _arc(ra, ta + thetas), _arc(rb, tb + thetas)
+    values = np.abs(arc_b - arc_a)
+    best = float(values.max())
+    clearance = np.minimum(np.minimum(arc_a, math.pi - arc_a), np.minimum(arc_b, math.pi - arc_b))
+    clearance[values < best - PLATEAU_TOL] = -1.0
+    k = int(np.argmax(clearance))
+    return best, float(thetas[k]), float(arc_a[k]), float(arc_b[k])
+
+
+#: angles on the axes, where a radius at z = 0 is read back exactly, and any angle
+AXIS_ANGLES = st.one_of(st.sampled_from((0.0, math.pi / 2, math.pi, -math.pi / 2)), ANGLES)
+
+
+@settings(max_examples=400)
+@given(
+    RADII,
+    AXIS_ANGLES,
+    RADII,
+    st.one_of(st.sampled_from((None, 0.0, math.pi, -math.pi)), ANGLES),  # tb = ta + this, or any angle
+    st.one_of(st.just(0.0), st.floats(-0.9, 0.9)),
+)
+def test_mixed_angle_sup_is_bit_identical_to_the_reference(ra, ta, rb, shift, z):
+    tb = ta if shift is None else math.remainder(ta + shift, 2.0 * math.pi)
+    rho, sigma = _mixed_pair(ra, ta, rb, tb, z)
+    assert _mixed_angle_sup(rho, sigma) == _reference_mixed_angle_sup(rho, sigma)
 
 
 def test_mixed_angle_sup_argmax_is_mid_plateau():

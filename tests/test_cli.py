@@ -17,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalnc import cli, cone
-from causalnc.causality import MAX_PATH_SEGMENTS, CausalVerdict, Reason
+from causalnc.causality import MAX_PATH_SEGMENTS, PLATEAU_TOL, CausalVerdict, MixedState, Reason, _mixed_angle_sup
 from causalnc.cli import main
 from causalnc.cone import AlgebraElement, RegionGrid
 from causalnc.fields import DomainError
-from causalnc.states import DiracData, PureInternalState, angular_distance, parallel_angle
-from causalnc.witness import MATCH_RTOL
+from causalnc.minkowski import SpacetimePoint
+from causalnc.states import DiracData, MixedInternalState, PureInternalState, angular_distance, parallel_angle
+from causalnc.witness import MATCH_RTOL, refute_with_witness
 from test_cone import _reference_membership
 
 PURE_RELATED = {
@@ -150,8 +151,41 @@ CENTRE_TO_RIM = dict(PURE_RELATED, rho={"bloch": [0, 0, 0]}, sigma={"bloch": [1,
 def test_verdicts_add_within_tolerance_and_keep_every_old_key(capsys, command, payload, old, within_tolerance):
     _, out, _ = _run(capsys, command, "--input", json.dumps(payload))
     keys = ("schema", "related", "reason", "bound_required", "bound_available")
-    assert json.loads(out) == {**dict(zip(keys, ("causalnc/1", *old))), "within_tolerance": within_tolerance}
-    assert list(json.loads(out)) == [*keys, "within_tolerance"]
+    added = ("within_tolerance", *SUP_KEYS) if command == "check-mixed" else ("within_tolerance",)
+    data = json.loads(out)
+    assert list(data) == [*keys, *added]
+    assert {key: data[key] for key in (*keys, "within_tolerance")} == {
+        **dict(zip(keys, ("causalnc/1", *old))),
+        "within_tolerance": within_tolerance,
+    }
+
+
+SUP_KEYS = ("theta_star", "arc_rho", "arc_sigma")
+
+
+@pytest.mark.parametrize(
+    "payload, took_sup",
+    [
+        (CENTRE_TO_RIM, True),
+        (dict(CENTRE_TO_RIM, q=[1, 0]), True),
+        (dict(CENTRE_TO_RIM, rho={"bloch": [0.3, -0.2, 0.1]}, sigma={"bloch": [-0.5, 0.4, 0.1]}), True),
+        (dict(SLACK_ONLY, rho=SLACK_ONLY["xi"], sigma=SLACK_ONLY["phi"]), False),  # on the sphere
+        (dict(CENTRE_TO_RIM, q=[0, 1]), False),  # refused before the speed bound
+        (dict(CENTRE_TO_RIM, sigma={"bloch": [0, 0, 0.5]}), False),  # latitudes differ
+    ],
+)
+def test_check_mixed_reports_the_supremum_it_took(capsys, payload, took_sup):
+    _, out, _ = _run(capsys, "check-mixed", "--input", json.dumps(payload))
+    got = {key: json.loads(out)[key] for key in SUP_KEYS}
+    if not took_sup:
+        assert got == dict.fromkeys(SUP_KEYS)
+        return
+    rho, sigma = (MixedInternalState(*map(float, payload[key]["bloch"])) for key in ("rho", "sigma"))
+    value, *arcs = _mixed_angle_sup(rho, sigma)
+    assert list(got.values()) == arcs
+    # theta_star attains the supremum (the bound) up to PLATEAU_TOL
+    assert abs(abs(got["arc_sigma"] - got["arc_rho"]) - value) <= PLATEAU_TOL
+    assert json.loads(out)["bound_required"] == value / payload["dirac"]["d2"]
 
 
 def test_cone_check_member_and_violation(capsys):
@@ -302,6 +336,35 @@ def test_witness_rejects_related_pair(capsys):
     code, _, err = _run(capsys, "witness", "--input", json.dumps(PURE_RELATED))
     assert code == 2
     assert "precondition" in err
+
+
+#: a mixed pair on the parallel z = 0.2 that the speed bound refuses at gap 1 and proper time 1
+MIXED_SHORT = dict(PURE_SHORT, rho={"bloch": [0.5, 0.1, 0.2]}, sigma={"bloch": [-0.3, 0.6, 0.2]})
+
+
+def test_witness_reads_a_mixed_pair(capsys):
+    payload = {key: value for key, value in MIXED_SHORT.items() if key not in ("xi", "phi")}
+    code, out, _ = _run(capsys, "witness", "--input", json.dumps(payload))
+    assert code == 0
+    rho, sigma = (MixedInternalState(*payload[key]["bloch"]) for key in ("rho", "sigma"))
+    p, q = (SpacetimePoint(*map(float, payload[key])) for key in ("p", "q"))
+    certificate = refute_with_witness(MixedState(p, rho), MixedState(q, sigma), DiracData(0.0, 1.0))
+    assert _strict_json(out) == json.loads(json.dumps(certificate.to_dict()))
+    assert _strict_json(out)["psd_passed"] is True
+    related = dict(payload, q=[3, 0])
+    code, _, err = _run(capsys, "witness", "--input", json.dumps(related))
+    assert code == 2 and "causally related" in err
+    code, _, err = _run(capsys, "witness", "--input", json.dumps(dict(payload, sigma=None)))
+    assert code == 2 and 'state "sigma"' in err
+
+
+def test_witness_reads_xi_and_phi_when_given(capsys):
+    # rho and sigma are read only without xi: the pure path is byte-identical to the golden
+    code, out, _ = _run(capsys, "witness", "--input", json.dumps(MIXED_SHORT))
+    assert code == 0
+    data = json.loads(out)
+    data.pop("tau")
+    assert data == GOLDEN_WITNESS
 
 
 def test_plan_path_csv(capsys):

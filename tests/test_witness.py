@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import itertools
 import math
@@ -11,13 +12,16 @@ from hypothesis import strategies as st
 
 from causalnc import causality
 from causalnc.causality import BOUND_SLACK, MixedState, PureState, mixed_causal, mixed_required_angle, pure_causal
-from causalnc.cone import PSD_TOL, AlgebraElement, _cone_entries, _matrices, _node_scales
+from causalnc.cone import PSD_TOL, AlgebraElement, _charpoly, _cone_entries, _matrices, _node_scales
 from causalnc.fields import jet
 from causalnc.minkowski import SpacetimePoint, max_proper_time
 from causalnc.states import DiracData, MixedInternalState, PureInternalState, angular_distance
 from causalnc.witness import (
+    COEFF_POS_TOL,
     COEFF_ZERO_TOL,
     MATCH_RTOL,
+    CoeffSample,
+    PsdCertification,
     WitnessOverflowError,
     WitnessSpec,
     _pairing_growth,
@@ -357,6 +361,110 @@ def test_certify_reports_the_first_failing_sample():
     assert not report.passed
     assert not any(sample.passed for sample in report.samples)
     assert report.first_failure == report.samples[0]
+
+
+def test_first_failure_is_the_earliest_failing_sample():
+    spec = dataclasses.replace(build_witness(*STANDARD, D_UNIT), abs_phi1=0.8, abs_phi2=0.7)
+    failing = certify_witness_psd(spec, 16)
+    rows = certify_witness_psd(build_witness(*STANDARD, D_UNIT), 16).rows.copy()
+    rows[[5, 11]] = failing.rows[[5, 11]]  # only samples 5 and 11 fail
+    report = PsdCertification(False, rows)
+    assert report.first_failure == report.samples[5] == CoeffSample(*failing.rows[5, :-1].tolist(), passed=False)
+    assert PsdCertification(True, rows[:5]).first_failure is None
+
+
+def _reference_entries(spec, l):
+    """_witness_entries as it was before it built the entries as one diagonal and one coupling stack."""
+    theta = spec.schedule(l)
+    v = spec.velocity()
+    lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
+    r21 = np.sqrt(lam2 / lam1)
+    r12 = np.sqrt(lam1 / lam2)
+    k1, k2 = spec.abs_phi1, spec.abs_phi2
+    pm = 1.0 if spec.dirac.d1 >= spec.dirac.d2 else -1.0
+    phase = cmath.exp(1j * spec.theta_c)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    pref = spec.dirac.gap / np.float_power(sin_t, 2)
+    return (
+        pref * r21 * (k2 / k1),
+        pref * r12 * (k2 / k1),
+        pref * r21 * (k1 / k2),
+        pref * r12 * (k1 / k2),
+        pref * r21 * cos_t * phase,
+        pref * r12 * cos_t * phase,
+        -pref * pm * sin_t * phase,
+    )
+
+
+def _reference_certification(spec, n):
+    """(passed, rows) of certify_witness_psd as it was before it wrote its rows into one array.
+
+    Every entry and coefficient one array at a time, and the rows joined by
+    np.stack; the stacked version must return the same floats.
+    """
+    gap = spec.dirac.gap
+    k1, k2 = spec.abs_phi1, spec.abs_phi2
+    frac = np.arange(n) / (n - 1)
+    l = frac * max_proper_time(spec.p, spec.q)
+    power = np.float_power
+    sin2 = power(np.sin(spec.schedule(l)), 2)
+    v = spec.velocity()
+    lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
+    csc2 = 1.0 / sin2
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = _reference_entries(spec, l)
+        scale = _node_scales(entries)
+        p1, c2n, c3n, c4n = _charpoly([part / scale for part in entries])
+        c1_closed = gap * csc2 / (np.sqrt(lam1 * lam2) * k1 * k2)
+        c2_closed = (
+            power(gap, 2)
+            * power(csc2, 2)
+            * (k1**2 * k2**2 * power(lam2 - lam1, 2) * sin2 + lam1 * lam2)
+            / (lam1 * lam2 * k1**2 * k2**2)
+        )
+        c1, c2, c3, c4 = p1 * scale, c2n * scale**2, c3n * scale**3, c4n * scale**4
+    passed = (
+        (p1 >= -COEFF_POS_TOL)
+        & (c2n >= -COEFF_POS_TOL)
+        & (np.abs(c3n) <= COEFF_ZERO_TOL)
+        & (np.abs(c4n) <= COEFF_ZERO_TOL)
+        & (np.abs(c1 - c1_closed) <= MATCH_RTOL * np.maximum(1.0, np.abs(c1_closed)))
+        & (np.abs(c2 - c2_closed) <= MATCH_RTOL * np.maximum(1.0, np.abs(c2_closed)))
+    )
+    rows = np.stack([frac, l, c1, c2, c3, c4, c1_closed, c2_closed, scale, passed], axis=1)
+    return bool(passed.all()), rows
+
+
+@st.composite
+def _fast_specs(draw, gaps):
+    """_specs with worldline speeds up to 0.999, and moduli off the unit sum (failing samples) a fifth of the time."""
+    spec = draw(
+        st.builds(
+            _spec,
+            st.floats(0.11, math.pi - 0.11),
+            st.floats(0.02, 0.98),
+            st.floats(-0.999, 0.999),
+            st.floats(0.05, 0.95),
+            st.floats(-math.pi, math.pi),
+            gaps,
+            st.booleans(),
+        )
+    )
+    if draw(st.integers(0, 4)) == 0:
+        spec = dataclasses.replace(spec, abs_phi1=draw(st.floats(0.1, 1.0)), abs_phi2=draw(st.floats(0.1, 1.0)))
+    return spec
+
+
+@settings(max_examples=300)
+@given(st.one_of(_fast_specs(WIDE_GAPS), _mixed_specs()), st.sampled_from((2, 7, 64)))
+def test_certification_is_bit_identical_to_the_reference(spec, n):
+    report = certify_witness_psd(spec, n)
+    passed, rows = _reference_certification(spec, n)
+    assert report.passed == passed
+    assert report.rows.shape == rows.shape and report.rows.tobytes() == rows.tobytes()
+    assert report.first_failure == next((sample for sample in report.samples if not sample.passed), None)
+    closed = _reference_entries(spec, rows[:, 1])
+    assert all(got.tobytes() == want.tobytes() for got, want in zip(_witness_entries(spec, rows[:, 1]), closed))
 
 
 def test_certify_tiny_phase_keeps_determinant_finite():
