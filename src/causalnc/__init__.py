@@ -60,6 +60,7 @@ from .states import (
     parallel_angle,
 )
 from .witness import (
+    CertificateError,
     WitnessSpec,
     build_mixed_witness,
     build_witness,

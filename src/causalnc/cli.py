@@ -8,6 +8,7 @@ atomically.  Exit codes are a stable contract:
   0  related / member on grid / certificate valid / all checks passed
   1  not related / violation found / checks failed
   2  malformed or unusable input
+  3  internal fault: a built certificate failed its own check
 
 All verdict objects carry a "schema": "causalnc/1" field.  Angles are
 radians throughout.  Only cone-check and selftest take --tol, the PSD
@@ -40,13 +41,14 @@ from .states import (
     parallel_angle,
     pure_state_from_dict,
 )
-from .witness import refute_with_witness
+from .witness import CertificateError, refute_with_witness
 
 SCHEMA = "causalnc/1"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(ValueError):
@@ -307,6 +309,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # validation): all reflect unusable input, not an internal fault
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    except CertificateError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

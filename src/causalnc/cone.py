@@ -63,7 +63,7 @@ node vector.  The fields, the entries and every kernel temporary live for
 one block, small enough to stay in cache.  Only per-node verdicts and the
 entries of the few nodes that may need eigvalsh outlive it, and eigvalsh
 runs on those once, after the walk.  A grid of at most BLOCK_NODES nodes is
-one block.
+one block, and only there do the fields read RegionGrid.memo.
 """
 
 from __future__ import annotations
@@ -186,6 +186,9 @@ class RegionGrid:
     _axes: Optional[tuple[np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _views: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, init=False, repr=False, compare=False)
+    #: fields.jet memo entries at views(), filled by the owner of the subtrees (oracle)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         spans = (self.t_max - self.t_min, self.x_max - self.x_min)
@@ -217,7 +220,13 @@ class RegionGrid:
                 raise self._too_large() from err
             t.flags.writeable = x.flags.writeable = False
             object.__setattr__(self, "_axes", (t, x))
+            object.__setattr__(self, "_views", (t[:, None], x[None, :]))
         return self._axes
+
+    def views(self) -> tuple[np.ndarray, np.ndarray]:
+        """The whole grid's coordinates (t[:, None], x[None, :]), built with the axes: memo's arrays."""
+        self.axes()
+        return self._views
 
     def node(self, flat_index: int) -> SpacetimePoint:
         """The event at a flat node index: the axis coordinates, so the one the grid paths evaluate."""
@@ -247,7 +256,7 @@ class RegionGrid:
         )
 
 
-def _cone_entries(el: AlgebraElement, t, x, delta: float):
+def _cone_entries(el: AlgebraElement, t, x, delta: float, memo=None):
     """The seven distinct entries of the cone matrix at the nodes of the coordinates' broadcast shape.
 
     Returns (ap, am, bp, bm, u, z, w) = (a_t + a_x, a_t - a_x, b_t + b_x,
@@ -259,15 +268,15 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float):
     coordinates stays 0-d: a constant c (c = 0 above all) builds no complex
     array, a diagonal k*t no copies of k, and _take and the kernels
     broadcast them.  When b is the same tree as a (the lemma elements) its
-    jet is a's.
+    jet is a's.  memo is handed to every jet (fields.jet).
     These sums and products of finite partials can overflow: DomainError
     then names the field and carries the index of its first such node.
     """
     shape = np.broadcast(t, x).shape
-    _, adt, adx = jet(el.a, t, x)
-    _, bdt, bdx = (None, adt, adx) if el.b == el.a else jet(el.b, t, x)
-    rv, rdt, rdx = jet(el.c_re, t, x)
-    iv, idt, idx = jet(el.c_im, t, x)
+    _, adt, adx = jet(el.a, t, x, memo)
+    _, bdt, bdx = (None, adt, adx) if el.b == el.a else jet(el.b, t, x, memo)
+    rv, rdt, rdx = jet(el.c_re, t, x, memo)
+    iv, idt, idx = jet(el.c_im, t, x, memo)
     parts = (np.asarray(part, dtype=float) for part in (adt, adx, bdt, bdx, rv, rdt, rdx, iv, idt, idx))
     adt, adx, bdt, bdx, rv, rdt, rdx, iv, idt, idx = parts
     with np.errstate(over="ignore", invalid="ignore"):
@@ -412,10 +421,11 @@ def _grid_entries(el: AlgebraElement, dirac: DiracData, region: RegionGrid, row:
     """Cone matrix entries (see _cone_entries) at the region's nodes from the given row on, row-major in t.
 
     A DomainError raised at a known node is re-raised naming that grid node.
+    The fields read the region's views() and memo; the memo's entries match only from row 0.
     """
-    t, x = region.axes()
+    t, x = region.views()
     try:
-        return _cone_entries(el, t[row:, None], x[None, :], dirac.d1 - dirac.d2)
+        return _cone_entries(el, t[row:] if row else t, x, dirac.d1 - dirac.d2, region.memo or None)
     except DomainError as err:
         if err.index is None:
             raise

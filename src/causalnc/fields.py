@@ -25,6 +25,12 @@ the broadcast shape of the coordinates.  At the root that is one test, of
 the sum of all three parts over all nodes; only if it is not finite does
 the exact per-part check run.
 
+jet takes an optional identity memo, {id(node): memo_entry(node, t, x)}.
+The walk returns an entry's stored (value, (d/dt, d/dx)) for a node only
+when the entry's node is that node object and its t and x are the very
+coordinate arrays given, so a structurally equal tree, a slice or a copy
+misses it.  The walk never writes to the memo, and its arrays are read-only.
+
 There is deliberately no abs(): the cone tests need differentiable fields.
 A modulus can be composed as sqrt(re^2 + im^2) where the argument stays
 positive, at the caller's own risk near zeros.
@@ -392,7 +398,11 @@ def _both(rule, a, b):
     return dt, dt if a[0] is a[1] and b[0] is b[1] else rule(a[1], b[1])
 
 
-def _eval(e: FieldExpr, t, x, shape: tuple):
+def _eval(e: FieldExpr, t, x, shape: tuple, memo=None):
+    if memo is not None:
+        hit = memo.get(id(e))
+        if hit is not None and hit[0] is e and hit[1] is t and hit[2] is x:
+            return hit[3]
     if isinstance(e, Num):
         return np.float64(e.value), (None, None)  # numpy arithmetic overflows to inf, never raises
     if isinstance(e, Var):
@@ -400,11 +410,11 @@ def _eval(e: FieldExpr, t, x, shape: tuple):
             return t, (1.0, None)
         return x, (None, 1.0)
     if isinstance(e, Neg):
-        v, d = _eval(e.arg, t, x, shape)
+        v, d = _eval(e.arg, t, x, shape, memo)
         return -v, _both(_minus, (None, None), d)
     if isinstance(e, BinOp):
-        av, ad = _eval(e.lhs, t, x, shape)
-        bv, bd = _eval(e.rhs, t, x, shape)
+        av, ad = _eval(e.lhs, t, x, shape, memo)
+        bv, bd = _eval(e.rhs, t, x, shape, memo)
         if e.op == "+":
             return av + bv, _both(_plus, ad, bd)
         if e.op == "-":
@@ -420,7 +430,7 @@ def _eval(e: FieldExpr, t, x, shape: tuple):
         d = _zeros_meeting(_both(_minus, ad, bd), inv)
         return v, _both(_times, d, (inv, inv))
     if isinstance(e, Pow):
-        bv, d = _eval(e.base, t, x, shape)
+        bv, d = _eval(e.base, t, x, shape, memo)
         n = e.exponent
         if n == 0:
             return bv * 0.0 + 1.0, (None, None)
@@ -430,7 +440,7 @@ def _eval(e: FieldExpr, t, x, shape: tuple):
         g = float(n) * bv ** float(n - 1)
         return v, _both(_times, _zeros_meeting(d, g), (g, g))
     if isinstance(e, Call):
-        av, d = _eval(e.arg, t, x, shape)
+        av, d = _eval(e.arg, t, x, shape, memo)
         if e.func == "sin":
             v, g = np.sin(av), np.cos(av)
         elif e.func == "cos":
@@ -467,7 +477,23 @@ def _eval(e: FieldExpr, t, x, shape: tuple):
     raise TypeError(f"not a field expression: {e!r}")
 
 
-def jet(e: FieldExpr, t, x):
+def _walk(e: FieldExpr, t, x, memo):
+    """e's (value, (d/dt, d/dx)) at the float coordinates t and x, checked finite as jet says."""
+    shape = np.broadcast(t, x).shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, (dt, dx) = _eval(e, t, x, shape, memo)
+        # an inf or NaN anywhere makes the sum inf or NaN; a sum that only overflows gets the check below
+        total = sum(np.add.reduce(part, None) for part in (v, dt, dx) if part is not None)
+    if not math.isfinite(total):
+        finite = np.isfinite(v)
+        for part in (dt, dx):
+            if part is not None:
+                finite = finite & np.isfinite(part)
+        _check(np.broadcast_to(finite, shape), "non-finite value or partial", e, shape)
+    return v, (dt, dx)
+
+
+def jet(e: FieldExpr, t, x, memo=None):
     """The field's value and its exact first partials, (value, d/dt, d/dx).
 
     t and x are scalars or arrays that broadcast against each other.  Each
@@ -485,19 +511,19 @@ def jet(e: FieldExpr, t, x):
     meets a factor that is not finite, which the full product rule turns
     into NaN: a subtree with a real partial shows that NaN at the same node,
     and one that reads no coordinate gets real zeros (_zeros_meeting), so
-    2.75^700, whose partial overflows, fails at node 0.
+    2.75^700, whose partial overflows, fails at node 0.  memo, if given, is
+    an identity memo of memo_entry entries (see the module docstring).
     """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    shape = np.broadcast(t, x).shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        v, (dt, dx) = _eval(e, t, x, shape)
-        # an inf or NaN anywhere makes the sum inf or NaN; a sum that only overflows gets the check below
-        total = sum(np.add.reduce(part, None) for part in (v, dt, dx) if part is not None)
-    if not math.isfinite(total):
-        finite = np.isfinite(v)
-        for part in (dt, dx):
-            if part is not None:
-                finite = finite & np.isfinite(part)
-        _check(np.broadcast_to(finite, shape), "non-finite value or partial", e, shape)
+    v, (dt, dx) = _walk(e, np.asarray(t, dtype=float), np.asarray(x, dtype=float), memo)
     return v, 0.0 if dt is None else dt, 0.0 if dx is None else dx
+
+
+def memo_entry(e: FieldExpr, t: np.ndarray, x: np.ndarray) -> tuple:
+    """e's walk at the float arrays t and x as a memo entry, checked as jet checks it and made read-only.
+
+    t and x must not change while the entry is kept; RegionGrid.views() are read-only."""
+    v, d = _walk(e, t, x, None)
+    for part in (v, *d):
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    return e, t, x, (v, d)

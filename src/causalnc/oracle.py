@@ -24,7 +24,7 @@ import numpy as np
 
 from .causality import PureState, pure_causal
 from .cone import PSD_TOL, AlgebraElement, RegionGrid, certify_grid_psd
-from .fields import BinOp, Call, FieldExpr, Neg, Num, Pow, Var, jet
+from .fields import BinOp, Call, FieldExpr, Neg, Num, Pow, Var, jet, memo_entry
 from .states import DiracData
 
 PAIR_TOL = 1e-10
@@ -55,7 +55,8 @@ class SamplerConfig:
 # Every drawn number is a positive Python float, so each literal is one Num.
 
 _T, _X = Var("t"), Var("x")
-# The subtrees that no draw shapes are built once and shared by every element.
+# The subtrees that no draw shapes are built once and shared by every element,
+# and their jets on DEFAULT_REGION are evaluated once, into its memo.
 _TANH_SUM, _TANH_DIFF = Call("tanh", BinOp("+", _T, _X)), Call("tanh", BinOp("-", _T, _X))
 _ENVELOPE = Call("exp", Neg(BinOp("+", Pow(_T, 2), Pow(_X, 2))))
 
@@ -110,6 +111,9 @@ def sample_causal_element(cfg: SamplerConfig, k: int, dirac: DiracData) -> Algeb
     """
     rng = np.random.default_rng([cfg.seed, k])
     el = _lemma_bounded(rng, dirac) if k % 2 else _diagonal_causal(rng)
+    if not DEFAULT_REGION.memo:  # the first element fills it with the shared subtrees
+        t, x = DEFAULT_REGION.views()
+        DEFAULT_REGION.memo.update((id(e), memo_entry(e, t, x)) for e in (_TANH_SUM, _TANH_DIFF, _ENVELOPE))
     if not certify_grid_psd(el, dirac, DEFAULT_REGION, cfg.psd_tol):
         family = "LEMMA_B" if k % 2 else "DIAGONAL_CAUSAL"
         raise RuntimeError(f"generated element failed grid certification (family {family})")

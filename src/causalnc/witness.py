@@ -26,7 +26,7 @@ cone-check.  The certificate produced here bundles
   the two leading ones are also matched against their closed forms in the
   schedule.
 
-The certification reads the cone entries in closed form (_witness_entries),
+The certification reads the cone entries in closed form (_entry_stacks),
 not off the element's fields.  Near-antipodal states, whose schedule
 touches 0 or pi or whose separation is below float resolution, admit no
 direct certificate here and are rejected by name.
@@ -57,6 +57,10 @@ COEFF_ZERO_TOL = 1e-9
 
 class WitnessOverflowError(ValueError):
     """A certificate value does not fit in a float: the Dirac gap is too large."""
+
+
+class CertificateError(RuntimeError):
+    """A built certificate fails its own check: an internal fault, not unusable input."""
 
 
 def _require_finite(values, gap: float, what: str) -> None:
@@ -300,23 +304,15 @@ class PsdCertification:
         return CoeffSample(*self.rows[failing[0], :-1].tolist(), passed=False) if failing.size else None
 
 
-def _witness_entries(spec: WitnessSpec, l: np.ndarray):
-    """The element's cone-matrix entries (ap, am, bp, bm, u, z, w) at proper times l.
-
-    Order and signs are those of cone._cone_entries, so cone._matrices
-    assembles the 4x4 matrices.  They are the entries _cone_entries takes
-    from spec.element() at the worldline's events, in closed form in the
-    schedule: with lam1, lam2 = (1 + v)/2, (1 - v)/2, for instance, u =
-    c_t + c_x = g sqrt(lam2/lam1) cos(Theta) csc^2(Theta) e^(i theta_c),
-    mirrored for z = c_t - c_x.  tests/test_witness.py holds the two to
-    each other.
-    """
-    _, diagonal, coupling = _entry_stacks(spec, l)
-    return (*diagonal, *coupling)
-
-
 def _entry_stacks(spec: WitnessSpec, l: np.ndarray):
-    """sin^2(Theta) at proper times l, with _witness_entries' rows as a (4, n) and a (3, n) stack."""
+    """sin^2(Theta) at proper times l, with the element's cone entries there as (4, n) and (3, n) stacks.
+
+    The rows, (ap, am, bp, bm) and (u, z, w), are those _cone_entries takes
+    from spec.element() at the worldline's events, in its order and signs,
+    in closed form in the schedule: with lam1, lam2 = (1 + v)/2, (1 - v)/2,
+    u = c_t + c_x = g sqrt(lam2/lam1) cos(Theta) csc^2(Theta) e^(i theta_c),
+    for instance.  tests/test_witness.py holds the two to each other.
+    """
     theta = spec.schedule(l)
     v = spec.velocity()
     lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
@@ -351,15 +347,12 @@ def certify_witness_psd(spec: WitnessSpec, n: int) -> PsdCertification:
     coefficient does not fit in a float.
 
     The coefficient test is sound only on the rank-two matrices of
-    _witness_entries: at a double zero eigenvalue, |c3|, |c4| <= tol admit
+    _entry_stacks: at a double zero eigenvalue, |c3|, |c4| <= tol admit
     an eigenvalue near -sqrt(tol/c2)*scale on other matrices.  On these,
     tests/test_witness.py::test_passed_samples_are_exactly_psd_after_the_tolerance_shift
     pins it: in exact arithmetic, every passed sample's rounded entries make
-    M + PSD_TOL*scale*I PSD.  The cone's per-node eigvalsh rule is not used
-    because it costs more than twice as much: over the 200 mixed_witness
-    certificates of the benchmark's seed 1 (64 samples, one Xeon core),
-    the element's cone entries took about 175 us and eigvalsh 100 us a
-    certificate, against about 110 us for this whole certification.
+    M + PSD_TOL*scale*I PSD.  The cone's per-node eigvalsh rule, which costs
+    more, is not used.
     """
     if n < 2:
         raise ValueError("need at least two certification samples")
@@ -440,7 +433,7 @@ def refute_with_witness(
     Bundles the schedule of build_witness, whose margin rhs - lhs is
     positive, the element's pairing growth agreeing with the closed-form lhs
     within MATCH_RTOL, and the PSD certification at n_samples points.
-    Raises ValueError where build_witness does, and AssertionError if a
+    Raises ValueError where build_witness does, and CertificateError if a
     certificate component fails.  The certification runs before the element
     is evaluated, so that an overflowing coefficient is reported as such.
     """
@@ -449,11 +442,11 @@ def refute_with_witness(
     psd = certify_witness_psd(spec, n_samples)
     if not psd.passed:
         fail = psd.first_failure
-        raise AssertionError(
+        raise CertificateError(
             f"membership certification failed at s={fail.s}: "
             f"c=({fail.c1}, {fail.c2}, {fail.c3}, {fail.c4})"
         )
     numeric = _pairing_growth(spec)
     if abs(numeric - lhs) > MATCH_RTOL * max(1.0, abs(lhs)):
-        raise AssertionError(f"the element's lhs {numeric} disagrees with closed form {lhs}")
+        raise CertificateError(f"the element's lhs {numeric} disagrees with closed form {lhs}")
     return RefutationCertificate(spec, lhs, rhs, rhs - lhs, numeric, psd)

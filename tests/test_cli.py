@@ -638,6 +638,34 @@ def test_witness_names_a_separation_below_float_resolution(capsys):
     assert "below float resolution (near-antipodal states)" in err
 
 
+def test_witness_certificate_fault_is_an_internal_error(capsys):
+    # a refused pair pi - 1e-9 apart whose worldline is 1e-22 long: the element's pairing
+    # growth misses the closed-form lhs, which was an AssertionError traceback and exit 1
+    z, theta, dtheta = 0.3, 0.1, math.pi - 1e-9
+    r = math.sqrt(1.0 - z * z)
+    query = {
+        "p": [0.0, 0.0],
+        "q": [1e-22, 0.0],
+        "xi": {"bloch": [r * math.cos(theta), r * math.sin(theta), z]},
+        "phi": {"bloch": [r * math.cos(theta + dtheta), r * math.sin(theta + dtheta), z]},
+        "dirac": {"d1": 0, "d2": 1},
+    }
+    code, out, err = _run(capsys, "witness", "--input", json.dumps(query))
+    assert code == cli.EXIT_INTERNAL == 3 and out == ""
+    assert err.startswith("error: the element's lhs") and "Traceback" not in err
+
+
+def test_the_package_raises_no_bare_assertion_error():
+    src = Path(__file__).resolve().parents[1] / "src"
+    raising = [
+        f"{path.relative_to(src)}:{number}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "raise AssertionError" in line
+    ]
+    assert raising == []
+
+
 @settings(max_examples=30)
 @given(
     st.floats(0.2, math.pi - 0.2),  # angular separation

@@ -698,9 +698,9 @@ def _counting_nodes(monkeypatch) -> list:
     sizes = []
     entries = cone._cone_entries
 
-    def sized(el, t, x, delta):
+    def sized(el, t, x, delta, memo=None):
         sizes.append(np.broadcast(t, x).size)
-        return entries(el, t, x, delta)
+        return entries(el, t, x, delta, memo)
 
     monkeypatch.setattr(cone, "_cone_entries", sized)
     return sizes

@@ -14,6 +14,7 @@ from causalnc.fields import (
     Var,
     _check,
     jet,
+    memo_entry,
     parse,
     to_source,
 )
@@ -379,3 +380,31 @@ def test_partials_a_field_cannot_have_are_not_built():
     # and one object for both partials stays one: g*0.74 is formed once, not once per partial
     v, dt, dx = jet(parse("0.74*tanh(t + x) - tanh(t + x)"), t, x)
     assert dt is dx
+
+
+def test_memo_entry_is_the_walk_made_read_only():
+    t, x = np.linspace(-1.0, 1.0, 5)[:, None], np.linspace(-2.0, 2.0, 4)[None, :]
+    node = parse("tanh(t + x)")
+    stored, stored_t, stored_x, (v, (dt, dx)) = memo_entry(node, t, x)
+    assert stored is node and stored_t is t and stored_x is x and dt is dx
+    assert all(got.tobytes() == want.tobytes() for got, want in zip((v, dt, dx), jet(node, t, x)))
+    assert not (v.flags.writeable or dt.flags.writeable)
+    with pytest.raises(ValueError):
+        v[0, 0] = 0.0
+
+
+def test_memo_returns_an_entry_only_for_its_node_on_its_coordinates():
+    t, x = np.linspace(-1.0, 1.0, 5)[:, None], np.linspace(-2.0, 2.0, 4)[None, :]
+    node = parse("tanh(t + x)")
+    # an entry that is not the walk's own result shows where the walk reads it
+    poisoned = (node, t, x, (np.full((5, 4), 7.0), (np.ones((5, 4)), np.zeros((5, 4)))))
+    memo = {id(node): poisoned}
+    v, dt, dx = jet(node, t, x, memo)
+    assert v is poisoned[3][0] and dt is poisoned[3][1][0] and dx is poisoned[3][1][1]
+    assert jet(BinOp("*", Num(2.0), node), t, x, memo)[0].tolist() == [[14.0] * 4] * 5
+    twin = parse("tanh(t + x)")
+    assert twin == node and twin is not node
+    fresh = jet(node, t, x)
+    for misses in (jet(twin, t, x, memo), jet(node, t.copy(), x, memo), jet(node, t[0:], x, memo)):
+        assert all(got.tobytes() == want.tobytes() for got, want in zip(misses, fresh))
+    assert list(memo) == [id(node)] and memo[id(node)] is poisoned  # never written

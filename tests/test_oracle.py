@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from causalnc import cone, oracle
 from causalnc.causality import PureState
-from causalnc.cone import AlgebraElement, RegionGrid, certify_grid_psd, cone_membership
-from causalnc.fields import Neg, Num, Var, parse, to_source
+from causalnc.cone import AlgebraElement, RegionGrid, _cone_entries, _grid_entries, certify_grid_psd, cone_membership
+from causalnc.fields import Neg, Num, Var, memo_entry, parse, to_source
 from causalnc.minkowski import SpacetimePoint
 from causalnc.oracle import (
     DEFAULT_REGION,
@@ -187,3 +188,68 @@ def test_family_cycling():
     # diagonal family has zero off-diagonal, lemma family does not
     assert el0.to_dict()["c"]["re"] == "0.0"
     assert "exp" in el1.to_dict()["c"]["re"]
+
+
+SHARED = (oracle._TANH_SUM, oracle._TANH_DIFF, oracle._ENVELOPE)
+
+
+def _fresh_entries(el, region):
+    """_cone_entries on new views of the region's axes, which no memo entry is keyed to."""
+    t, x = region.axes()
+    return _cone_entries(el, t[:, None], x[None, :], D_UNIT.d1 - D_UNIT.d2)
+
+
+def _same_bytes(got, want) -> bool:
+    pairs = zip(map(np.asarray, got), map(np.asarray, want))
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
+
+
+def test_the_shared_subtree_memo_is_byte_identical_to_a_fresh_walk():
+    cfg = SamplerConfig(seed=50_001, n_elements=400)
+    for k in range(cfg.n_elements):  # both families, in turn
+        el = sample_causal_element(cfg, k, D_UNIT)
+        assert _same_bytes(_grid_entries(el, D_UNIT, DEFAULT_REGION), _fresh_entries(el, DEFAULT_REGION)), k
+    # the memo holds the three subtrees the oracle registered, and nothing else
+    assert sorted(DEFAULT_REGION.memo) == sorted(map(id, SHARED))
+    assert all(DEFAULT_REGION.memo[id(node)][0] is node for node in SHARED)
+
+
+def test_the_memos_arrays_are_read_only():
+    sample_causal_element(SamplerConfig(seed=3, n_elements=1), 0, D_UNIT)
+    parts = [part for *_, (v, d) in DEFAULT_REGION.memo.values() for part in (v, *d)]
+    assert len(parts) == 9 and all(isinstance(part, np.ndarray) and not part.flags.writeable for part in parts)
+    with pytest.raises(ValueError):
+        parts[0][0, 0] = 0.0
+
+
+def _poisoned_region() -> RegionGrid:
+    """A new grid equal to DEFAULT_REGION whose memo holds the shared subtrees with doubled partials."""
+    region = RegionGrid(-3.0, 3.0, -3.0, 3.0, 41, 41)
+    t, x = region.views()
+    for node in SHARED:
+        _, _, _, (v, (dt, dx)) = memo_entry(node, t, x)
+        region.memo[id(node)] = (node, t, x, (v, (2.0 * dt, 2.0 * dx)))
+    return region
+
+
+def test_only_the_oracles_nodes_on_one_block_read_the_memo(monkeypatch):
+    region = _poisoned_region()
+    assert region == DEFAULT_REGION
+    cfg = SamplerConfig(seed=50_001, n_elements=2)
+    for k in range(2):  # one element of each family
+        el = sample_causal_element(cfg, k, D_UNIT)
+        fresh = _fresh_entries(el, region)
+        assert not _same_bytes(_grid_entries(el, D_UNIT, region), fresh)  # the poisoned memo is read
+        # a structurally equal parsed tree misses it
+        twin = AlgebraElement.from_dict(el.to_dict())
+        assert twin == el and twin.a is not el.a
+        assert _same_bytes(_grid_entries(twin, D_UNIT, region), fresh)
+        # and so does every block of a multi-block walk of the same grid
+        with monkeypatch.context() as patch:
+            patch.setattr(cone, "BLOCK_NODES", 8 * region.nx)
+            blocks = list(cone._grid_blocks(el, D_UNIT, region))
+        assert len(blocks) == 6
+        nodes = region.nt * region.nx
+        for i, part in enumerate(fresh):
+            joined = np.concatenate([np.broadcast_to(entries[i], n) for _, n, entries in blocks])
+            assert joined.tobytes() == np.broadcast_to(part, nodes).tobytes()

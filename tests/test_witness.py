@@ -24,8 +24,8 @@ from causalnc.witness import (
     PsdCertification,
     WitnessOverflowError,
     WitnessSpec,
+    _entry_stacks,
     _pairing_growth,
-    _witness_entries,
     build_mixed_witness,
     build_witness,
     certify_witness_psd,
@@ -169,6 +169,12 @@ def test_certify_rest_frame_closed_forms():
         assert abs(sample.c4) <= 1e-9 * sample.scale**4
 
 
+def _entries(spec, l):
+    """The seven cone entries (ap, am, bp, bm, u, z, w) at proper times l, the rows of _entry_stacks."""
+    _, diagonal, coupling = _entry_stacks(spec, l)
+    return (*diagonal, *coupling)
+
+
 def test_certify_matrix_is_psd_by_independent_eigenvalues():
     # dual route: closed-form coefficients against a Hermitian eigensolver
     moving = _equator_pair(1.0, 2.0, x_span=0.5, z=0.35, theta0=-0.8)
@@ -176,7 +182,7 @@ def test_certify_matrix_is_psd_by_independent_eigenvalues():
     report = certify_witness_psd(spec, 16)
     assert report.passed
     for sample in report.samples:
-        m = _matrices(_witness_entries(spec, np.array([sample.l])))[0]
+        m = _matrices(_entries(spec, np.array([sample.l])))[0]
         eig_min = float(np.linalg.eigvalsh(m)[0])
         assert eig_min >= -1e-9 * max(1.0, float(np.abs(m).max()))
 
@@ -191,7 +197,7 @@ def test_matrix_derivative_entries_consistent_with_schedule():
     rate = math.sqrt(1 - v * v)  # dl/dt at unit gdot0
     el = spec.element()
     for l in (0.1, 0.35, 0.6):
-        _, _, _, _, u, z, _ = _witness_entries(spec, np.array([l]))
+        _, _, _, _, u, z, _ = _entries(spec, np.array([l]))
         c_plus, c_minus = u[0], z[0]  # c_t + c_x and c_t - c_x
         claimed = lam1 * c_plus + lam2 * c_minus
         h = 1e-6
@@ -236,7 +242,7 @@ def test_batched_certification_agrees_with_eigenvalues(spec, n):
     report = certify_witness_psd(spec, n)
     assert report.passed and report.first_failure is None
     assert [sample.s for sample in report.samples] == pytest.approx(np.linspace(0.0, 1.0, n), abs=1e-15)
-    mats = _matrices(_witness_entries(spec, np.array([sample.l for sample in report.samples])))
+    mats = _matrices(_entries(spec, np.array([sample.l for sample in report.samples])))
     for sample, m in zip(report.samples, mats):
         eig = np.linalg.eigvalsh(m)
         assert sample.scale == pytest.approx(max(1.0, float(np.abs(m).max())), rel=1e-15)
@@ -312,7 +318,7 @@ def test_passed_samples_are_exactly_psd_after_the_tolerance_shift(spec):
     # sample's rounded entries make M + PSD_TOL * s * I PSD, s the node scale
     report = certify_witness_psd(spec, 8)
     samples = report.samples
-    entries = _witness_entries(spec, np.array([sample.l for sample in samples]))
+    entries = _entries(spec, np.array([sample.l for sample in samples]))
     for i, sample in enumerate(samples):
         if sample.passed:
             node = [part[i] for part in entries]
@@ -347,7 +353,7 @@ def test_witness_entries_are_the_cone_entries_of_the_element(spec):
     el = spec.element()
     assert AlgebraElement.from_dict(el.to_dict()) == el
     l = np.linspace(0.0, max_proper_time(spec.p, spec.q), 16)
-    closed = _witness_entries(spec, l)
+    closed = _entries(spec, l)
     scale = _node_scales(closed)
     from_fields = _cone_entries(el, *_worldline_event(spec, l), spec.dirac.d1 - spec.dirac.d2)
     for got, want in zip(from_fields, closed):
@@ -374,7 +380,7 @@ def test_first_failure_is_the_earliest_failing_sample():
 
 
 def _reference_entries(spec, l):
-    """_witness_entries as it was before it built the entries as one diagonal and one coupling stack."""
+    """The seven entries as they were built before _entry_stacks made one diagonal and one coupling stack."""
     theta = spec.schedule(l)
     v = spec.velocity()
     lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
@@ -464,7 +470,7 @@ def test_certification_is_bit_identical_to_the_reference(spec, n):
     assert report.rows.shape == rows.shape and report.rows.tobytes() == rows.tobytes()
     assert report.first_failure == next((sample for sample in report.samples if not sample.passed), None)
     closed = _reference_entries(spec, rows[:, 1])
-    assert all(got.tobytes() == want.tobytes() for got, want in zip(_witness_entries(spec, rows[:, 1]), closed))
+    assert all(got.tobytes() == want.tobytes() for got, want in zip(_entries(spec, rows[:, 1]), closed))
 
 
 def test_certify_tiny_phase_keeps_determinant_finite():
