@@ -61,6 +61,9 @@ from .states import (
 )
 from .witness import (
     CertificateError,
+    NearAntipodalError,
+    RelatedPairError,
+    UnsupportedRefusalError,
     WitnessSpec,
     build_mixed_witness,
     build_witness,

@@ -15,55 +15,54 @@ that matrix is
 Grid membership is a semi-decision: a violation at a node is exact, while
 membership is certified only up to the sampling resolution.
 
-Both grid paths work on the seven distinct entries of that matrix and use
-its block structure instead of diagonalising every node.  With
-Da = diag(a0+a1, a0-a1), Db = diag(b0+b1, b0-b1) and C the upper right 2x2
-block, M + shift*I is positive definite iff Da + shift > 0 and the 2x2
-Schur complement Db + shift - C* (Da + shift)^-1 C is.  _pd_after_shift
-tests that with a relative band on every rounded quantity, so it can
-answer "positive definite" but never wrongly; _indefinite_after_shift is
-its mirror.  A node neither test decides gets the one per-node eigvalsh
-rule, _psd_at_nodes, so every verdict is the one eigvalsh would give.
+A node's verdict is eigvalsh's (_psd_at_nodes): it passes iff its smallest
+eigenvalue is at least -tol*s, with s = max(1, largest |entry|) the node
+scale.  Both grid kernels work on the seven distinct entries of the matrix
+(_cone_entries) and take every verdict short of eigvalsh from one function,
+_block_verdicts, which applies three rules, each to the nodes the one
+before leaves open:
 
-An uncoupled node (u = z = w = 0) is diagonal, and both grid paths decide
-it by one rule, _uncoupled_rule: its smallest diagonal entry d is its
-eigenvalue, which eigvalsh returns to within a few ulps of the node scale
-s, so d -+ SCHUR_EIG_SLACK*s against -tol*s passes or fails it as eigvalsh
-would, and only a node within that slack of -tol*s goes on to eigvalsh.
-It runs no Schur test and no Newton step.
+- Gershgorin: a node passes when its Gershgorin bound G (_gershgorin_lower)
+  is at least -tol*s and s is finite;
+- uncoupled: at a node with u = z = w = 0 the matrix is diagonal and its
+  smallest diagonal entry d is its eigenvalue; _uncoupled_rule fails it
+  when d + SCHUR_EIG_SLACK*s < -tol*s (its pass side is G's);
+- Schur: with Da = diag(a0+a1, a0-a1), Db = diag(b0+b1, b0-b1) and C the
+  upper right 2x2 block, M + shift*I is positive definite iff Da + shift > 0
+  and the 2x2 Schur complement Db + shift - C* (Da + shift)^-1 C is.
+  _pd_after_shift tests that with a relative band on every rounded
+  quantity, so it can answer "positive definite" but never wrongly, and
+  passes a coupled node at shift (tol - SCHUR_EIG_SLACK)*s;
+  _indefinite_after_shift, its mirror, fails one at (tol + SCHUR_EIG_SLACK)*s.
 
-certify_grid_psd needs only the verdict: the Gershgorin bound clears
-nodes first (at an uncoupled node it is the rule's bound), the rule fails
-an uncoupled node it leaves open, the Schur test clears the coupled rest
-where it can, and eigvalsh runs only on the nodes none of these decides.
-Every screen is one-sided, with SCHUR_EIG_SLACK*s to spare, so the verdict
-is still eigvalsh's.  The two families oracle.py samples are diagonally
-dominant by construction, so the first screen decides every node of theirs.
+Each rule is one-sided with SCHUR_EIG_SLACK*s to spare, far more than
+eigvalsh's rounding, so it passes only nodes eigvalsh passes and fails only
+nodes eigvalsh fails; the nodes no rule decides get eigvalsh.  A block with
+c = 0 is decided by _uncoupled_rule alone, and a block whose every node G
+passes runs no other test.  The two families oracle.py samples are
+diagonally dominant by construction, so G passes every node of theirs.
 
-cone_membership also reports the smallest eigenvalue on the grid and its
-node.  At the coupled nodes closed-form Gershgorin and interlacing bounds
-screen out those that pass and cannot hold the grid minimum; at the rest it
-estimates the smallest eigenvalue by Newton on the closed-form
+certify_grid_psd needs only the verdict.  cone_membership also reports the
+smallest eigenvalue on the grid and its node.  It lowers U, an upper bound
+on the grid minimum, by interlacing bounds (_interlacing_upper) and
+eigvalsh values, and keeps a lower bound L per node: G, or at a coupled
+node whose G is not above U, an estimate by Newton on the closed-form
 characteristic polynomial (_charpoly, which also certifies the separating
-witness of witness.py), certifies a lower bound from each estimate with the
-Schur test, and runs eigvalsh only where the grid minimum can lie, where no
-test decides, and at the first violation.  Every entry constant over a
-block stays 0-d (_cone_entries): c = 0 builds no coupling entries, so a
-block of such an element is decided by the rule alone, and a lemma
-element's constant slope is not copied to every node; a kernel that needs
-per-node arrays widens it to the block's node count.
+witness of witness.py) less BOUND_GAP*s, once _pd_after_shift certifies it.
+eigvalsh runs only on the undecided nodes, the first violation and the
+nodes with L <= U, where the minimum can lie.
 
-Every step up to that choice is per node, so both grid paths walk the grid
-in row-major blocks of about BLOCK_NODES nodes (_grid_blocks): runs of
-whole rows, or slices of one row when a row is longer than BLOCK_NODES.
-The grid is a tensor product, so each block evaluates the fields on a
-column of t and a row of x, and a subtree that reads one coordinate is
-evaluated on that axis only; the entries are then flattened to the block's
-node vector.  The fields, the entries and every kernel temporary live for
-one block, small enough to stay in cache.  Only per-node verdicts and the
-entries of the few nodes that may need eigvalsh outlive it, and eigvalsh
-runs on those once, after the walk.  A grid of at most BLOCK_NODES nodes is
-one block, and only there do the fields read RegionGrid.memo.
+Both grid kernels walk the grid in row-major blocks of about BLOCK_NODES
+nodes (_grid_blocks): runs of whole rows, or slices of one row when a row
+is longer than BLOCK_NODES.  The grid is a tensor product, so each block
+evaluates the fields on a column of t and a row of x, and a subtree that
+reads one coordinate is evaluated on that axis only; the entries are then
+flattened to the block's node vector.  The fields, the entries and every
+kernel temporary live for one block, small enough to stay in cache.  Only
+per-node verdicts and the entries of the few nodes that may need eigvalsh
+outlive it, and eigvalsh runs on those once, after the walk.  A grid of at
+most BLOCK_NODES nodes is one block, and only there do the fields read
+RegionGrid.memo.
 """
 
 from __future__ import annotations
@@ -82,9 +81,8 @@ from .states import DiracData
 PSD_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
 LEMMA_SLACK = 1e-12
-#: Part of the tolerance shift, relative to the node scale, that the Schur
-#: test gives up: a cleared node's smallest eigenvalue lies this far inside
-#: -tol*scale, which is some 10^4 ulps of the scale and far more than the
+#: Margin, relative to the node scale, that every rule short of eigvalsh
+#: keeps from -tol*scale: some 10^4 ulps of the scale, far more than the
 #: rounding of a 4x4 eigvalsh (a few hundred ulps of ||M||_F <= 4*scale).
 SCHUR_EIG_SLACK = 1e-12
 #: Relative band each rounded Schur quantity must clear: S11 and S22 against
@@ -438,16 +436,12 @@ def _grid_entries(el: AlgebraElement, dirac: DiracData, region: RegionGrid, row:
 def _grid_blocks(el: AlgebraElement, dirac: DiracData, region: RegionGrid):
     """Yield (start, n, entries) for the region's row-major blocks of about BLOCK_NODES nodes.
 
-    A block is a run of BLOCK_NODES // nx whole rows, or, when a row is
-    longer than BLOCK_NODES, a slice of BLOCK_NODES nodes of one row; its
-    fields are evaluated on a column of t and a row of x.  entries are
-    _cone_entries at the n nodes start, start + 1, ... of the block; every
-    entry constant over the block is 0-d, so n is its size.  A DomainError
-    in a block is re-raised by _grid_entries on the nodes from that block's
-    first row on.  Every check of the evaluation passed on the nodes before
-    the block, so the first check that fails there, and the first node where
-    it fails, are those of the whole grid: the message does not depend on
-    the blocking.  A grid of one block is that call.
+    entries are _cone_entries at the n nodes start, start + 1, ... of the
+    block, an entry constant over it 0-d.  A DomainError in a block is
+    re-raised by _grid_entries on the nodes from that block's first row on.
+    Every check passed on the nodes before the block, so the first check
+    that fails there, and its first node, are the whole grid's: the message
+    does not depend on the blocking.  A grid of one block is that call.
     """
     t, x = region.axes()
     nx, delta = region.nx, dirac.d1 - dirac.d2
@@ -527,17 +521,12 @@ def _schur_terms_unscaled(entries, shift):
 def _pd_after_shift(entries, shift) -> np.ndarray:
     """Nodes where M + shift*I is certainly positive definite, by the banded Schur test.
 
-    M + shift*I is positive definite iff p, q = Da + shift > 0 and the Schur
-    complement S = Db + shift - C* diag(p, q)^-1 C has S11, S22 and det S
-    positive.  p and q are single rounded sums, so their signs are exact.
-    S11, S22 and det S are not: each must exceed SCHUR_BAND times the sum of
-    the magnitudes it combines (det S against S11*S22 + |S12|^2), so rounding
-    and cancellation can never make a node that is not positive definite
-    look like one.  Non-finite intermediates compare False and never clear.
-
-    Callers give up SCHUR_EIG_SLACK*s of the shift they want: a node cleared
-    at shift = -(bound + SCHUR_EIG_SLACK*s) has an eigvalsh smallest
-    eigenvalue above bound, which eigvalsh's own rounding cannot undo.
+    p, q = Da + shift are single rounded sums, so their signs are exact.
+    S11, S22 and det S of the Schur complement S are not: each must exceed
+    SCHUR_BAND times the sum of the magnitudes it combines (det S against
+    S11*S22 + |S12|^2), so rounding and cancellation can never make a node
+    that is not positive definite look like one.  Non-finite intermediates
+    compare False and never clear.
     """
     p, q, s11, s22, band11, band22, prod, s12sq = _schur_terms(entries, shift)
     return (
@@ -555,9 +544,7 @@ def _indefinite_after_shift(entries, shift) -> np.ndarray:
     The mirror of _pd_after_shift with the same bands: a diagonal entry of
     M + shift*I is negative, or Da + shift > 0 and S11 or S22 lies below
     minus its band, or both clear their bands and det S lies below minus its
-    band.  With shift = (tol + SCHUR_EIG_SLACK)*s such a node's eigvalsh
-    smallest eigenvalue is below -tol*s.  A non-finite shift (the scale s
-    overflowed) refutes nothing.
+    band.  A non-finite shift (the scale s overflowed) refutes nothing.
     """
     ap, am, bp, bm = entries[:4]
     diag_min = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
@@ -605,28 +592,54 @@ def _coupled(entries) -> np.ndarray:
 
 
 def _uncoupled_rule(entries, tol: float):
-    """The decision at uncoupled nodes (u = z = w = 0): (d, bound, passed, failed).
+    """_block_verdicts at uncoupled nodes (u = z = w = 0): (passed, failed, scale, bound).
 
-    There M is diagonal, so its smallest diagonal entry d is its smallest
-    eigenvalue.  eigvalsh returns d to within a few ulps of the node scale
-    s = max(1, largest |diagonal entry|): exactly when the norm lies in
-    LAPACK's unscaled range, and through one multiplication and one division
-    by the same factor outside it (below about 1e-146 or above 7e145), which
-    also flushes entries far below s.  That is some 10^4 times inside
-    SCHUR_EIG_SLACK*s, so a node with bound = d - SCHUR_EIG_SLACK*s >= -tol*s
-    passes eigvalsh's rule, a node with d + SCHUR_EIG_SLACK*s < -tol*s fails
-    it, and bound is a lower bound on its eigvalsh value; only a node within
-    SCHUR_EIG_SLACK*s of -tol*s is left to eigvalsh.  s is
-    max(largest entry, -d, 1), the largest |entry| with one max.  At such a
-    node bound is also the Gershgorin bound (_gershgorin_lower), so the pass
-    side is the screen of certify_grid_psd.  Meaningless at a coupled node.
+    M is diagonal there, so its smallest diagonal entry d is its smallest
+    eigenvalue.  eigvalsh returns d to within a few ulps of s: exactly when
+    the norm lies in LAPACK's unscaled range, and through one multiplication
+    and one division by the same factor outside it (below about 1e-146 or
+    above 7e145).  bound = d - SCHUR_EIG_SLACK*s is the Gershgorin bound, and
+    s = max(largest entry, -d, 1) the largest |entry| with one max.
+    Meaningless at a coupled node.
     """
     ap, am, bp, bm = entries[:4]
     d = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
     scale = np.maximum(np.maximum(np.maximum(ap, am), np.maximum(bp, bm)), np.maximum(-d, 1.0))
     slack, threshold = SCHUR_EIG_SLACK * scale, -tol * scale
     bound = d - slack
-    return d, bound, bound >= threshold, d + slack < threshold
+    return bound >= threshold, d + slack < threshold, scale, bound
+
+
+def _block_verdicts(entries, n: int, tol: float):
+    """The verdict short of eigvalsh at a block's n nodes: (passed, failed, scale, lower).
+
+    The rules of the module docstring, in its order: the Gershgorin bound
+    passes, _uncoupled_rule fails, and at the coupled nodes left the Schur
+    tests pass and fail; no node is both, and the nodes neither are left to
+    eigvalsh.  scale is the node scale s and lower the Gershgorin bound.  A
+    block with c constant 0 is _uncoupled_rule's, and a block whose every
+    node the Gershgorin bound passes returns 0-d True and False at once.
+    """
+    if not any(map(np.ndim, entries[4:])) and not _coupled(entries):
+        return _uncoupled_rule(entries, tol)
+    scale = _node_scales(entries)
+    lower = _gershgorin_lower(entries, scale)
+    # where s overflowed, lower and -tol*s are both -inf: such a node is left open
+    passed = np.isfinite(scale) & (lower >= -tol * scale)
+    if passed.all():
+        return np.True_, np.False_, scale, lower
+    passed = np.array(np.broadcast_to(passed, n))
+    failed = np.zeros(n, dtype=bool)
+    open_nodes = np.flatnonzero(~passed)
+    part = _take(entries, open_nodes)
+    coupled = np.broadcast_to(_coupled(part), open_nodes.shape)
+    failed[open_nodes] = _uncoupled_rule(part, tol)[1] & ~coupled
+    open_nodes = open_nodes[coupled]
+    if open_nodes.size:
+        part, part_scale = _take(entries, open_nodes), np.broadcast_to(scale, n)[open_nodes]
+        passed[open_nodes] = _pd_after_shift(part, (tol - SCHUR_EIG_SLACK) * part_scale)
+        failed[open_nodes] = _indefinite_after_shift(part, (tol + SCHUR_EIG_SLACK) * part_scale)
+    return passed, failed, scale, lower
 
 
 # Closed-form bounds on a node's eigvalsh smallest eigenvalue.  Both move
@@ -642,16 +655,6 @@ def _gershgorin_lower(entries, scale) -> np.ndarray:
     ap, am, bp, bm, u, z, w = entries
     lower = np.minimum(np.minimum(ap, bp) - np.abs(u), np.minimum(am, bm) - np.abs(z)) - np.abs(w)
     return lower - SCHUR_EIG_SLACK * scale
-
-
-def _gershgorin_clears(entries, scale, tol: float) -> np.ndarray:
-    """Nodes certify_grid_psd's screen passes: G >= -tol*s at a finite scale s.
-
-    Where s overflowed (a coupling modulus above the float range), G and
-    -tol*s are both -inf, so G >= -tol*s holds at a node eigvalsh fails;
-    such a node is left open.
-    """
-    return np.isfinite(scale) & (_gershgorin_lower(entries, scale) >= -tol * scale)
 
 
 def _interlacing_upper(entries, scale) -> np.ndarray:
@@ -678,9 +681,8 @@ def _lambda_min_estimates(entries, scale, nodes: np.ndarray) -> tuple[np.ndarray
 
     cone_membership calls it only on blocks with a coupled node, with
     coupled nodes only in nodes.  A node outside the index array nodes gets
-    its smallest diagonal entry: exact at an uncoupled node, the d of
-    _uncoupled_rule, and replaced by the Gershgorin bound at a coupled one.
-    A node in nodes runs Newton on the characteristic polynomial of M/s
+    its smallest diagonal entry: exact at an uncoupled node, an upper bound
+    at a coupled one.  A node in nodes runs Newton on the characteristic polynomial of M/s
     less its mean, with s the node scale, so that no coefficient overflows (e4 grows as the fourth
     power of the entries): from _charpoly, its expansion in mu = lam -
     (ap + am + bp + bm)/(4s), det(M/s - lam) = mu^4 + e2 mu^2 - e3 mu + e4,
@@ -748,27 +750,22 @@ def _psd_at_distinct_nodes(parts, tol: float):
     return min_eigs[index], passed[index]
 
 
-def _block_membership(entries, tol: float, upper: float):
-    """The per-node part of cone_membership on one block: screen, then Newton, then Schur.
+def _block_membership(entries, n: int, tol: float, upper: float):
+    """cone_membership on one block of n nodes: (estimate, bound, passed, failed, upper).
 
-    upper bounds the grid minimum from above (an eigvalsh value or an
-    interlacing bound at an earlier node).  Returns (estimate, bound,
-    passed, failed, upper), with upper lowered by this block's interlacing
-    bounds.  An uncoupled node is decided by _uncoupled_rule: its estimate
-    is its smallest diagonal entry d, exact, and its bound d less
-    SCHUR_EIG_SLACK*s; a block with no coupled node ends there.  A coupled
-    node whose Gershgorin bound G passes it (G >= -tol*s) and lies above
-    upper keeps G as estimate and bound: its eigvalsh value is at least G,
-    so it passes, and upper is at least the grid minimum, so the node cannot
-    hold it.  Only the other coupled nodes run Newton and the Schur
-    certificate of their bound.  The Schur tests then decide the coupled
-    nodes whose bound is below -tol*s; the rest are left to eigvalsh.
+    passed and failed are _block_verdicts', and bound is each node's lower
+    bound L.  upper bounds the grid minimum from above (an eigvalsh value or
+    an interlacing bound at an earlier node) and comes back lowered by this
+    block's interlacing bounds.  A block with no coupled node ends at the
+    verdicts, with L = G as estimate.  Otherwise the coupled nodes whose G
+    is not above upper, the only ones that can hold the grid minimum, run
+    Newton, and L is the estimate less BOUND_GAP*s where _pd_after_shift
+    certifies it with SCHUR_EIG_SLACK*s to spare; elsewhere L is G.
     """
+    passed, failed, scale, lower = _block_verdicts(entries, n, tol)
     coupled = _coupled(entries)  # 0-d where c is constant on the block
     if not coupled.any():
-        return (*_uncoupled_rule(entries, tol), upper)
-    scale = _node_scales(entries)
-    lower = _gershgorin_lower(entries, scale)
+        return lower, lower, passed, failed, upper
     # a node's interlacing bound is at least its Gershgorin bound, so only
     # nodes with lower <= upper can lower upper; the lowest one seeds it.
     # fmin: a NaN bound lowers nothing
@@ -776,28 +773,14 @@ def _block_membership(entries, tol: float, upper: float):
     upper = np.fmin(upper, _interlacing_upper(_take(entries, seed), scale[seed])[0])
     near = np.flatnonzero(lower <= upper)
     upper = np.fmin.reduce(_interlacing_upper(_take(entries, near), scale[near]), initial=upper)
-    skip = (lower >= -tol * scale) & (lower > upper)
-    refine, screened = np.flatnonzero(coupled & ~skip), np.flatnonzero(coupled & skip)
+    refine = np.flatnonzero(coupled & ~(lower > upper))
     estimate, converged = _lambda_min_estimates(entries, scale, refine)
-    bound = estimate - BOUND_GAP * scale
-    bounded = converged
     if refine.size:
-        shift = -bound[refine] - SCHUR_EIG_SLACK * scale[refine]
-        bounded[refine] &= _pd_after_shift(_take(entries, refine), shift)
-    bound[~bounded] = -np.inf
-    if screened.size:
-        estimate[screened] = bound[screened] = lower[screened]
-    passed = bounded & (bound >= -tol * scale)
-    failed = np.zeros_like(passed)
-    open_nodes = np.flatnonzero(coupled & ~passed)
-    if open_nodes.size:
-        part, part_scale = _take(entries, open_nodes), scale[open_nodes]
-        passed[open_nodes] = _pd_after_shift(part, (tol - SCHUR_EIG_SLACK) * part_scale)
-        failed[open_nodes] = _indefinite_after_shift(part, (tol + SCHUR_EIG_SLACK) * part_scale)
-    free = np.flatnonzero(~coupled)
-    if free.size:
-        _, bound[free], passed[free], failed[free] = _uncoupled_rule(_take(entries, free), tol)
-    return estimate, bound, passed, failed, upper
+        s = scale[refine]
+        newton = estimate[refine] - BOUND_GAP * s
+        certified = converged[refine] & _pd_after_shift(_take(entries, refine), -newton - SCHUR_EIG_SLACK * s)
+        lower[refine[certified]] = newton[certified]
+    return estimate, lower, passed, failed, upper
 
 
 def cone_membership(
@@ -808,46 +791,12 @@ def cone_membership(
     The report equals the one eigvalsh on every node's matrix would give:
     each node's verdict is _psd_at_nodes's, min_eigenvalue and the first
     violation's eigenvalue are eigvalsh values, and min_eigenvalue_point is
-    the first node, row-major, where eigvalsh gives min_eigenvalue.  But
-    eigvalsh runs on few nodes.  Working on the seven entries of
-    _cone_entries, one block of _grid_blocks at a time, each stage runs only
-    on the nodes whose verdict or report it can change (the first three
-    steps are _block_membership):
-
-    - screen: an uncoupled node (u = z = w = 0) is diagonal, and
-      _uncoupled_rule decides it: its smallest diagonal entry d is its
-      eigenvalue, so it passes when L = d - SCHUR_EIG_SLACK*s >= -tol*s,
-      fails when d + SCHUR_EIG_SLACK*s < -tol*s, and is undecided between;
-      eigvalsh's rounding on a diagonal matrix, a few ulps of s, is far
-      inside that slack.  A block with no coupled node needs no other step.
-      At the coupled nodes the Gershgorin bound G (_gershgorin_lower) is a
-      lower bound, and the least interlacing bound (_interlacing_upper)
-      lowers U, an upper bound on the grid minimum.  A coupled node with
-      G >= -tol*s and G > U skips the next step with L = G;
-    - Newton: every other coupled node gets an estimate of its smallest
-      eigenvalue from _lambda_min_estimates, and _pd_after_shift must
-      certify the lower bound L = estimate - BOUND_GAP*s; L = -inf where
-      that or Newton fails;
-    - Schur: a coupled node passes when L >= -tol*s or when _pd_after_shift
-      clears it at shift (tol - SCHUR_EIG_SLACK)*s, and fails when
-      _indefinite_after_shift refutes it at (tol + SCHUR_EIG_SLACK)*s; the
-      rest are undecided;
-    - eigvalsh at the block's node with the smallest estimate lowers U
-      further.  The minimum lies among the nodes with L <= U, so the block
-      keeps the entries of those, of its undecided nodes and of the first
-      certain violation of the grid.
-
-    After the walk, eigvalsh runs once on the kept nodes whose L is at most
-    the final U, the undecided ones and the first certain violation; nodes
-    with identical entries are diagonalised once.  Every node whose
-    eigenvalue equals the minimum has L <= U, so it is among them.
-
-    The screen is sound: every L is a rigorous lower bound on its node's
-    eigvalsh value and U a rigorous upper bound on the grid minimum, both
-    with SCHUR_EIG_SLACK*s to spare for rounding.  A skipped node's
-    eigenvalue is at least G >= -tol*s, so it passes, and G is above U,
-    so the node cannot hold the grid minimum, and its L = G keeps it out of
-    the final eigvalsh.
+    the first node, row-major, where eigvalsh gives min_eigenvalue.  Each
+    block gets _block_membership, and eigvalsh at its node of smallest
+    estimate lowers U.  After the walk eigvalsh runs once on the nodes left
+    undecided, the first certain violation and the nodes whose L is at most
+    the final U, among which is every node that attains the minimum; nodes
+    with identical entries are diagonalised once.
 
     Raises DomainError annotated with the offending node when a field, one
     of its partials, or an entry of the matrix cannot be evaluated to a
@@ -868,11 +817,11 @@ def cone_membership(
         # the diagonal entries as views over the block's nodes: each stage keeps per-node arrays
         entries = [*(np.broadcast_to(part, n_block) for part in entries[:4]), *entries[4:]]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            estimate, bound, block_passed, failed, upper = _block_membership(entries, tol, upper)
+            estimate, bound, block_passed, failed, upper = _block_membership(entries, n_block, tol, upper)
         passed[start : start + n_block] = block_passed
         lowest = _take(entries, [np.argmin(estimate)])
         upper = np.minimum(upper, _psd_at_nodes(_matrices(lowest), tol)[0][0])
-        undecided = ~(block_passed | failed)
+        undecided = np.broadcast_to(~(block_passed | failed), n_block)
         need = undecided | ~(bound > upper)
         if first_failed < 0 and failed.any():
             first_failed = start + int(np.argmax(failed))
@@ -910,57 +859,24 @@ def cone_membership(
 def certify_grid_psd(
     el: AlgebraElement, dirac: DiracData, region: RegionGrid, tol: float = PSD_TOL
 ) -> bool:
-    """Fast membership decision over the grid, equal to cone_membership's verdict.
+    """Membership decision over the grid, equal to cone_membership(...).member_on_grid.
 
-    Needs only the verdict, not the smallest eigenvalue, so it runs only the
-    pass side of cone_membership and the fail side of its uncoupled rule,
-    on the entry arrays and in four steps, each on the nodes the one before
-    leaves open:
-
-    - screen: a node passes when its Gershgorin bound G (_gershgorin_lower)
-      is at least -tol*s, the bound and threshold of cone_membership's
-      screen, and s is finite (_gershgorin_clears).  At an uncoupled node G
-      is its smallest diagonal entry, its eigenvalue, less SCHUR_EIG_SLACK*s:
-      the pass side of _uncoupled_rule;
-    - uncoupled rule: an uncoupled node the screen leaves open fails when
-      its eigenvalue plus SCHUR_EIG_SLACK*s is below -tol*s, and then the
-      verdict is False with no Schur test or eigvalsh; the others lie within
-      that slack of -tol*s, where only eigvalsh decides them;
-    - Schur: where some node is coupled, _pd_after_shift clears a node at
-      shift (tol - SCHUR_EIG_SLACK)*s;
-    - eigvalsh: the nodes left are assembled and get the per-node rule
-      _psd_at_nodes, which decides them.
-
-    Every step but the last is one-sided with SCHUR_EIG_SLACK*s to spare,
-    far more than eigvalsh's rounding: G and the Schur test keep below the
-    node's eigvalsh smallest eigenvalue, so they never clear a node
-    eigvalsh would reject, and the rule fails only nodes eigvalsh rejects.
-    So True and False both are eigvalsh's verdict over the grid and match
-    cone_membership(...).member_on_grid (False where cone_membership raises
-    EigenvalueRangeError).  It walks the same blocks as cone_membership, and
-    after a violation it only evaluates the remaining blocks, so it raises
-    the same node-annotated DomainError.
+    Each block's nodes get _block_verdicts, and those it leaves open get
+    eigvalsh (_psd_at_nodes), so the verdict is eigvalsh's at every node:
+    False also where cone_membership raises EigenvalueRangeError.  It walks
+    the same blocks as cone_membership and, after a violation, only
+    evaluates the remaining ones, so it raises the same node-annotated
+    DomainError.
     """
     verdict = True
     for _, n, entries in _grid_blocks(el, dirac, region):
         if not verdict:
             continue
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            scale = _node_scales(entries)
-            clears = _gershgorin_clears(entries, scale, tol)
-            if clears.all():
-                continue
-            # the mask and scales are 0-d where every entry is constant over the block
-            open_nodes = np.flatnonzero(~np.broadcast_to(clears, n))
-            part = _take(entries, open_nodes)
-            coupled = _coupled(part)
-            _, _, _, failed = _uncoupled_rule(part, tol)
-            if (failed & ~coupled).any():
-                verdict = False
-                continue
-            if coupled.any():
-                shift = (tol - SCHUR_EIG_SLACK) * np.broadcast_to(scale, n)[open_nodes]
-                open_nodes = open_nodes[~_pd_after_shift(part, shift)]
-        if open_nodes.size:
+            passed, failed, _, _ = _block_verdicts(entries, n, tol)
+        if failed.any():
+            verdict = False
+        elif not passed.all():
+            open_nodes = np.flatnonzero(~np.broadcast_to(passed, n))
             verdict = bool(_psd_at_nodes(_matrices(_take(entries, open_nodes)), tol)[1].all())
     return verdict

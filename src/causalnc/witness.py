@@ -59,6 +59,18 @@ class WitnessOverflowError(ValueError):
     """A certificate value does not fit in a float: the Dirac gap is too large."""
 
 
+class RelatedPairError(ValueError):
+    """The pair is causally related: no element separates it."""
+
+
+class UnsupportedRefusalError(ValueError):
+    """The pair is refused, but not by the speed bound, the one refusal a witness is built for."""
+
+
+class NearAntipodalError(ValueError):
+    """Near-antipodal states: the schedule touches 0 or pi, or the separation is below float resolution."""
+
+
 class CertificateError(RuntimeError):
     """A built certificate fails its own check: an internal fault, not unusable input."""
 
@@ -171,12 +183,12 @@ def build_witness(omega: PureState | MixedState, eta: PureState | MixedState, di
     moduli are sqrt((1 +/- z)/2) at the mean latitude z (the matrix and the
     inequality are invariant under that common normalisation).
 
-    Raises ValueError for a related pair or a refusal other than the speed
-    bound, and names near-antipodal states where the schedule touches 0 or
-    pi, where it falls short of the worldline's proper time, or where lhs <
-    rhs (separation_values) is below float resolution: rhs - lhs shrinks
-    with the schedule's distance from 0 and pi, which near-antipodal states
-    bring close to both.
+    Raises RelatedPairError for a related pair, UnsupportedRefusalError for
+    a refusal other than the speed bound, and NearAntipodalError where the
+    schedule touches 0 or pi, where it falls short of the worldline's
+    proper time, or where lhs < rhs (separation_values) is below float
+    resolution: rhs - lhs shrinks with the schedule's distance from 0 and
+    pi, which near-antipodal states bring close to both.
     """
     rho, sigma = (
         state.internal if isinstance(state, MixedState) else MixedInternalState.from_pure(state.internal)
@@ -184,9 +196,9 @@ def build_witness(omega: PureState | MixedState, eta: PureState | MixedState, di
     )
     verdict, sup = _decide(omega.point, eta.point, rho, sigma, dirac)
     if verdict.related:
-        raise ValueError("the states are causally related; no separating element exists")
+        raise RelatedPairError("the states are causally related; no separating element exists")
     if verdict.reason is not Reason.SPEED_BOUND:
-        raise ValueError(f"witness construction needs a speed-bound refusal, got {verdict.reason.value}")
+        raise UnsupportedRefusalError(f"witness construction needs a speed-bound refusal, got {verdict.reason.value}")
     if sup is None:  # decided on the sphere, by the angular distance
         t_a, t_b = rho.parallel_angle, sigma.parallel_angle
         delta = angular_distance(t_a, t_b)
@@ -204,7 +216,7 @@ def build_witness(omega: PureState | MixedState, eta: PureState | MixedState, di
         and epsilon + delta < math.pi - ANGLE_TOL
         and dirac.gap * max_proper_time(omega.point, eta.point) < delta
     ):
-        raise ValueError("the schedule touches the limiting values 0 or pi (near-antipodal states); no direct witness")
+        raise NearAntipodalError("the schedule touches the limiting values 0 or pi (near-antipodal states); no direct witness")
     z = 0.5 * (rho.rz + sigma.rz)
     spec = WitnessSpec(
         epsilon=epsilon,
@@ -218,7 +230,7 @@ def build_witness(omega: PureState | MixedState, eta: PureState | MixedState, di
     )
     lhs, rhs = separation_values(spec)
     if not lhs < rhs:
-        raise ValueError("the separation lhs < rhs is below float resolution (near-antipodal states); no direct witness")
+        raise NearAntipodalError("the separation lhs < rhs is below float resolution (near-antipodal states); no direct witness")
     return spec
 
 

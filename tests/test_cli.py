@@ -23,7 +23,13 @@ from causalnc.cone import AlgebraElement, RegionGrid
 from causalnc.fields import DomainError
 from causalnc.minkowski import SpacetimePoint
 from causalnc.states import DiracData, MixedInternalState, PureInternalState, angular_distance, parallel_angle
-from causalnc.witness import MATCH_RTOL, refute_with_witness
+from causalnc.witness import (
+    MATCH_RTOL,
+    NearAntipodalError,
+    RelatedPairError,
+    UnsupportedRefusalError,
+    refute_with_witness,
+)
 from test_cone import _reference_membership
 
 PURE_RELATED = {
@@ -623,19 +629,60 @@ def test_witness_near_antipodal_refusal(capsys, slack):
     assert abs(data["lhs_numeric"] - data["lhs"]) <= MATCH_RTOL * max(1.0, abs(data["lhs"]))
 
 
+#: a refused pair 1e-6 from antipodal whose lhs < rhs is below float resolution
+BELOW_RESOLUTION = {
+    "p": [0, 0],
+    "q": [3.1415916535877924, 0],
+    "xi": {"bloch": [0.8786361890754104, 0.3714814224790249, 0.30000000000000016]},
+    "phi": {"bloch": [-0.8786365605563938, -0.3714805438426497, 0.30000000000000004]},
+    "dirac": {"d1": 0, "d2": 1},
+}
+
+
 def test_witness_names_a_separation_below_float_resolution(capsys):
     # a refused pair 1e-6 from antipodal with its proper time just short of the band edge:
     # lhs >= rhs in floats, which was a bare AssertionError traceback and exit 1
-    query = {
-        "p": [0, 0],
-        "q": [3.1415916535877924, 0],
-        "xi": {"bloch": [0.8786361890754104, 0.3714814224790249, 0.30000000000000016]},
-        "phi": {"bloch": [-0.8786365605563938, -0.3714805438426497, 0.30000000000000004]},
-        "dirac": {"d1": 0, "d2": 1},
-    }
-    code, out, err = _run(capsys, "witness", "--input", json.dumps(query))
+    code, out, err = _run(capsys, "witness", "--input", json.dumps(BELOW_RESOLUTION))
     assert code == 2 and out == ""
     assert "below float resolution (near-antipodal states)" in err
+
+
+@pytest.mark.parametrize(
+    "query, error, message",
+    (
+        (PURE_RELATED, RelatedPairError, "the states are causally related; no separating element exists"),
+        (
+            dict(PURE_SHORT, phi={"bloch": [0, 0.6, 0.8]}),
+            UnsupportedRefusalError,
+            "witness construction needs a speed-bound refusal, got LATITUDE_MISMATCH",
+        ),
+        (
+            dict(PURE_SHORT, phi={"bloch": [-1, 0, 0]}),
+            NearAntipodalError,
+            "the schedule touches the limiting values 0 or pi (near-antipodal states); no direct witness",
+        ),
+        (
+            BELOW_RESOLUTION,
+            NearAntipodalError,
+            "the separation lhs < rhs is below float resolution (near-antipodal states); no direct witness",
+        ),
+    ),
+    ids=("related", "latitude-mismatch", "antipodal", "below-resolution"),
+)
+def test_witness_refusals_are_typed(capsys, monkeypatch, query, error, message):
+    raised = []
+
+    def spy(*args):
+        try:
+            return refute_with_witness(*args)
+        except ValueError as err:
+            raised.append(type(err))
+            raise
+
+    monkeypatch.setattr(cli, "refute_with_witness", spy)
+    code, out, err = _run(capsys, "witness", "--input", json.dumps(query))
+    assert (code, out, err) == (2, "", f"error: witness preconditions not met: {message}\n")
+    assert raised == [error]
 
 
 def test_witness_certificate_fault_is_an_internal_error(capsys):

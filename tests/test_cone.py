@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causalnc import cone
+from causalnc.causality import PureState
 from causalnc.cone import (
     PSD_TOL,
     AlgebraElement,
@@ -15,9 +16,9 @@ from causalnc.cone import (
     MembershipReport,
     RegionGrid,
     UnequalDiagonalError,
+    _block_verdicts,
     _charpoly,
     _cone_entries,
-    _gershgorin_clears,
     _grid_entries,
     _lambda_min_estimates,
     _matrices,
@@ -45,7 +46,8 @@ from causalnc.fields import (
 )
 from causalnc.minkowski import SpacetimePoint
 from causalnc.oracle import SamplerConfig, sample_causal_element
-from causalnc.states import DiracData
+from causalnc.states import DiracData, PureInternalState
+from causalnc.witness import build_witness
 from strategies import FIELD_TREES
 
 D_UNIT = DiracData(0.0, 1.0)
@@ -1012,6 +1014,39 @@ def test_criterion_5_stream_certifies_without_lapack(monkeypatch):
                 assert parse(to_source(tree)) == tree
 
 
+@pytest.mark.parametrize(
+    "dtheta, share, v, z, gap",
+    ((1.0, 0.5, 0.0, 0.0, 1.0), (2.5, 0.9, 0.6, 0.3, 1.5), (0.3, 0.2, -0.8, -0.7, 0.5), (3.0, 0.99, 0.3, 0.9, 4.0)),
+)
+def test_kernels_agree_on_witness_elements(monkeypatch, dtheta, share, v, z, gap):
+    # a witness element's cone matrix has rank 2, so no screen or Schur test
+    # decides its nodes: both kernels leave every one of them to eigvalsh
+    dt = share * dtheta / gap / math.sqrt(1.0 - v * v)
+    p, q = SpacetimePoint(0.2, -0.1), SpacetimePoint(0.2 + dt, -0.1 + v * dt)
+    omega = PureState(p, PureInternalState.from_parallel(z, 0.4))
+    eta = PureState(q, PureInternalState.from_parallel(z, 0.4 + dtheta))
+    spec = build_witness(omega, eta, DiracData(gap, 0.0))
+    # a square around the worldline's midpoint whose nodes all lie inside the strip 0 < Theta < pi
+    theta_mid = 0.5 * share * dtheta + spec.epsilon
+    half = 0.5 * min(theta_mid, math.pi - theta_mid) * math.sqrt(1.0 - v * v) / (gap * (1.0 + abs(v)))
+    tm, xm = 0.5 * (p.t + q.t), 0.5 * (p.x + q.x)
+    grid = RegionGrid(tm - half, tm + half, xm - half, xm + half, 31, 31)
+    el = spec.element()
+    eigvalsh_rows = []
+    psd_at_nodes = cone._psd_at_nodes
+
+    def counting(mats, tol):
+        eigvalsh_rows.append(len(mats))
+        return psd_at_nodes(mats, tol)
+
+    monkeypatch.setattr(cone, "_psd_at_nodes", counting)
+    verdict = certify_grid_psd(el, spec.dirac, grid)
+    assert eigvalsh_rows == [grid.nt * grid.nx]
+    report = cone_membership(el, spec.dirac, grid)
+    assert verdict == report.member_on_grid
+    assert report.to_dict() == _reference_membership(el, spec.dirac, grid).to_dict()
+
+
 def test_region_grid_validation_and_roundtrip():
     with pytest.raises(ValueError):
         RegionGrid(1.0, -1.0, 0.0, 1.0, 5, 5)
@@ -1201,9 +1236,12 @@ def _screen_cases(draw):
 
 @settings(max_examples=100)
 @given(_screen_cases())
-def test_nodes_the_gershgorin_screen_clears_pass_eigvalsh(case):
+def test_block_verdicts_pass_and_fail_only_where_eigvalsh_does(case):
     entries, tol = case
-    with np.errstate(over="ignore", invalid="ignore"):
-        cleared = _gershgorin_clears(entries, _node_scales(entries), tol)
-        passed = _psd_at_nodes(_matrices(entries), tol)[1]
-    assert passed[cleared].all()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        passed, failed, _, _ = _block_verdicts(entries, 3, tol)
+        eig_passed = _psd_at_nodes(_matrices(entries), tol)[1]
+    passed, failed = np.broadcast_to(passed, 3), np.broadcast_to(failed, 3)
+    assert eig_passed[passed].all()
+    assert not eig_passed[failed].any()
+    assert not (passed & failed).any()

@@ -21,7 +21,10 @@ from causalnc.witness import (
     COEFF_ZERO_TOL,
     MATCH_RTOL,
     CoeffSample,
+    NearAntipodalError,
     PsdCertification,
+    RelatedPairError,
+    UnsupportedRefusalError,
     WitnessOverflowError,
     WitnessSpec,
     _entry_stacks,
@@ -93,6 +96,36 @@ def test_build_witness_rejects_non_speed_bound_reasons():
     degenerate = _equator_pair(1.0, math.pi / 2)
     with pytest.raises(ValueError):
         build_witness(*degenerate, DiracData(1.0, 1.0))
+
+
+#: a pure pair 1e-6 from antipodal with its proper time just short of the band edge
+BELOW_RESOLUTION = tuple(
+    PureState(SpacetimePoint(t, 0), PureInternalState.from_bloch(*bloch))
+    for t, bloch in (
+        (0.0, (0.8786361890754104, 0.3714814224790249, 0.30000000000000016)),
+        (3.1415916535877924, (-0.8786365605563938, -0.3714805438426497, 0.30000000000000004)),
+    )
+)
+LATITUDE_MISMATCH = (
+    PureState(SpacetimePoint(0, 0), PureInternalState.from_parallel(0.1, 0.0)),
+    PureState(SpacetimePoint(1, 0), PureInternalState.from_parallel(0.5, 1.0)),
+)
+
+
+@pytest.mark.parametrize(
+    "pair, error, message",
+    (
+        (_equator_pair(2.0, math.pi / 2), RelatedPairError, "the states are causally related; no separating"),
+        (LATITUDE_MISMATCH, UnsupportedRefusalError, "witness construction needs a speed-bound refusal, got "),
+        (_equator_pair(1.0, math.pi), NearAntipodalError, "the schedule touches the limiting values 0 or pi "),
+        (BELOW_RESOLUTION, NearAntipodalError, "the separation lhs < rhs is below float resolution "),
+    ),
+    ids=("related", "latitude-mismatch", "antipodal", "below-resolution"),
+)
+def test_build_witness_refusals_are_typed(pair, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}") as info:
+        build_witness(*pair, D_UNIT)
+    assert type(info.value) is error and isinstance(info.value, ValueError)
 
 
 def test_build_witness_rejects_lightlike_separation():
