@@ -52,6 +52,17 @@ witness of witness.py) less BOUND_GAP*s, once _pd_after_shift certifies it.
 eigvalsh runs only on the undecided nodes, the first violation and the
 nodes with L <= U, where the minimum can lie.
 
+Every value and partial of the four fields, and every entry, must be
+finite.  _cone_entries walks a, b (not again when it is a's tree), c.re and
+c.im and tests one sum over the nodes: of the seven entries, which every
+partial and the values of c reach, and of the values of a and b.  Only
+where it is not finite does the exact check run, in the order of jet on
+each field and then a check of each entry: each field's fields._root_check,
+then each entry's; a DomainError inside a later field's walk first runs the
+root checks of the fields walked before it.  So every DomainError keeps the
+text, field and index of that order, and finite entries whose sum merely
+overflows pass.
+
 Both grid kernels walk the grid in row-major blocks of about BLOCK_NODES
 nodes (_grid_blocks): runs of whole rows, or slices of one row when a row
 is longer than BLOCK_NODES.  The grid is a tensor product, so each block
@@ -73,7 +84,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import DomainError, FieldExpr, ParseError, jet, parse, to_source
+from .fields import DomainError, FieldExpr, ParseError, _eval, _root_check, parse, to_source
 from .minkowski import SpacetimePoint
 from .states import DiracData
 
@@ -266,25 +277,47 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float, memo=None):
     coordinates stays 0-d: a constant c (c = 0 above all) builds no complex
     array, a diagonal k*t no copies of k, and _take and the kernels
     broadcast them.  When b is the same tree as a (the lemma elements) its
-    jet is a's.  memo is handed to every jet (fields.jet).
-    These sums and products of finite partials can overflow: DomainError
-    then names the field and carries the index of its first such node.
+    walk is a's.  memo is handed to every walk (fields.jet).  Every value,
+    partial and entry is checked finite as the module docstring says.
     """
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     shape = np.broadcast(t, x).shape
-    _, adt, adx = jet(el.a, t, x, memo)
-    _, bdt, bdx = (None, adt, adx) if el.b == el.a else jet(el.b, t, x, memo)
-    rv, rdt, rdx = jet(el.c_re, t, x, memo)
-    iv, idt, idx = jet(el.c_im, t, x, memo)
-    parts = (np.asarray(part, dtype=float) for part in (adt, adx, bdt, bdx, rv, rdt, rdx, iv, idt, idx))
+    av = bv = rv = None  # each walk's value once it returns
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            av, (adt, adx) = _eval(el.a, t, x, shape, memo)
+            bv, (bdt, bdx) = (av, (adt, adx)) if el.b == el.a else _eval(el.b, t, x, shape, memo)
+            rv, (rdt, rdx) = _eval(el.c_re, t, x, shape, memo)
+            iv, (idt, idx) = _eval(el.c_im, t, x, shape, memo)
+    except DomainError:
+        # jet would have run the root checks of the fields walked before the failing one
+        if av is not None:
+            _root_check(el.a, av, (adt, adx), shape)
+        if bv is not None:
+            _root_check(el.b, bv, (bdt, bdx), shape)
+        if rv is not None:
+            _root_check(el.c_re, rv, (rdt, rdx), shape)
+        raise
+    parts = (adt, adx, bdt, bdx, rv, rdt, rdx, iv, idt, idx)
+    parts = (np.asarray(0.0 if part is None else part, dtype=float) for part in parts)
     adt, adx, bdt, bdx, rv, rdt, rdx, iv, idt, idx = parts
     with np.errstate(over="ignore", invalid="ignore"):
         c0, c1 = rdt + 1j * idt, rdx + 1j * idx
         ap, am, bp, bm = adt + adx, adt - adx, bdt + bdx, bdt - bdx
         u, z, w = c0 + c1, c0 - c1, delta * (rv + 1j * iv)
-        coupling = u + z + w
-        total = (ap + am) + (bp + bm) + (coupling.real + coupling.imag)
-    # any inf or NaN entry makes the sum inf or NaN; a sum that only overflows gets the check below
-    if not np.isfinite(total).all():
+        # each sum at its own shape, so a value over every node never widens a row of entries
+        coupling = np.add.reduce(u + z + w, None)
+        total = np.add.reduce(ap + am + bp + bm, None) + np.add.reduce(av, None) + np.add.reduce(bv, None)
+        total += coupling.real + coupling.imag
+    # an inf or NaN anywhere makes the sum inf or NaN; a sum that only overflows gets the checks below
+    if not math.isfinite(total):
+        for expr, v, d in (
+            (el.a, av, (adt, adx)),
+            (el.b, bv, (bdt, bdx)),
+            (el.c_re, rv, (rdt, rdx)),
+            (el.c_im, iv, (idt, idx)),
+        ):
+            _root_check(expr, v, d, shape)
         for expr, parts in (
             (el.a, (ap, am)),
             (el.b, (bp, bm)),
@@ -342,8 +375,15 @@ def _psd_at_nodes(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
         return min_eigs, min_eigs >= -tol * scales
 
 
+def _finite_tol(tol: float) -> None:
+    """Refuse a PSD tolerance that is not a finite number with a ValueError naming it."""
+    if not math.isfinite(tol):
+        raise ValueError(f"PSD tolerance must be a finite number, got {tol}")
+
+
 def is_psd(matrix: ConeMatrix | np.ndarray, tol: float = PSD_TOL) -> bool:
     """PSD test with a relative eigenvalue bound: the per-node rule of _psd_at_nodes."""
+    _finite_tol(tol)
     m = matrix.m if isinstance(matrix, ConeMatrix) else np.asarray(matrix, dtype=complex)
     return bool(_psd_at_nodes(m[None], tol)[1][0])
 
@@ -803,7 +843,9 @@ def cone_membership(
     finite number somewhere on the grid, and EigenvalueRangeError naming
     the first node of the grid minimum when that minimum is not finite (an
     eigenvalue below -1.8e308 overflows, although every entry is finite).
+    A tol that is not a finite number is a ValueError.
     """
+    _finite_tol(tol)
     region.axes()  # the axes first: they refuse a grid too large to allocate
     n = region.nt * region.nx
     try:
@@ -866,8 +908,9 @@ def certify_grid_psd(
     False also where cone_membership raises EigenvalueRangeError.  It walks
     the same blocks as cone_membership and, after a violation, only
     evaluates the remaining ones, so it raises the same node-annotated
-    DomainError.
+    DomainError, and the same ValueError for a tol that is not finite.
     """
+    _finite_tol(tol)
     verdict = True
     for _, n, entries in _grid_blocks(el, dirac, region):
         if not verdict:

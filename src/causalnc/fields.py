@@ -23,7 +23,9 @@ A value or partial that is not finite raises DomainError, as does leaving a
 function's real domain; its index is the first failing node, row-major in
 the broadcast shape of the coordinates.  At the root that is one test, of
 the sum of all three parts over all nodes; only if it is not finite does
-the exact per-part check run.
+the exact per-part check (_root_check) run.  cone._cone_entries walks an
+element's four fields without that test and makes one test for all of them
+(see the cone module docstring).
 
 jet takes an optional identity memo, {id(node): memo_entry(node, t, x)}.
 The walk returns an entry's stored (value, (d/dt, d/dx)) for a node only
@@ -477,6 +479,15 @@ def _eval(e: FieldExpr, t, x, shape: tuple, memo=None):
     raise TypeError(f"not a field expression: {e!r}")
 
 
+def _root_check(e: FieldExpr, v, d, shape: tuple) -> None:
+    """The exact root check of e's walk (v, d): DomainError at its first node where a part is not finite."""
+    finite = np.isfinite(v)
+    for part in d:
+        if part is not None:
+            finite = finite & np.isfinite(part)
+    _check(np.broadcast_to(finite, shape), "non-finite value or partial", e, shape)
+
+
 def _walk(e: FieldExpr, t, x, memo):
     """e's (value, (d/dt, d/dx)) at the float coordinates t and x, checked finite as jet says."""
     shape = np.broadcast(t, x).shape
@@ -485,11 +496,7 @@ def _walk(e: FieldExpr, t, x, memo):
         # an inf or NaN anywhere makes the sum inf or NaN; a sum that only overflows gets the check below
         total = sum(np.add.reduce(part, None) for part in (v, dt, dx) if part is not None)
     if not math.isfinite(total):
-        finite = np.isfinite(v)
-        for part in (dt, dx):
-            if part is not None:
-                finite = finite & np.isfinite(part)
-        _check(np.broadcast_to(finite, shape), "non-finite value or partial", e, shape)
+        _root_check(e, v, (dt, dx), shape)
     return v, (dt, dx)
 
 

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .causality import PureState, pure_causal
-from .cone import PSD_TOL, AlgebraElement, RegionGrid, certify_grid_psd
+from .cone import PSD_TOL, AlgebraElement, RegionGrid, _finite_tol, certify_grid_psd
 from .fields import BinOp, Call, FieldExpr, Neg, Num, Pow, Var, jet, memo_entry
 from .states import DiracData
 
@@ -48,6 +48,7 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.n_elements < 1:
             raise ValueError("n_elements must be at least 1")
+        _finite_tol(self.psd_tol)
 
 
 # The families below build their trees directly, in the shape parse() gives

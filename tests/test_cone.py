@@ -48,7 +48,7 @@ from causalnc.minkowski import SpacetimePoint
 from causalnc.oracle import SamplerConfig, sample_causal_element
 from causalnc.states import DiracData, PureInternalState
 from causalnc.witness import build_witness
-from strategies import FIELD_TREES
+from strategies import EXACT_T, EXACT_X, FIELD_TREES, field_trees
 
 D_UNIT = DiracData(0.0, 1.0)
 ORIGIN = SpacetimePoint(0.0, 0.0)
@@ -145,6 +145,12 @@ def test_is_psd_examples():
     assert is_psd(ConeMatrix(np.eye(4, dtype=complex)))
     assert not is_psd(ConeMatrix(np.diag([1.0, -1.0, 1.0, -1.0]).astype(complex)))
     assert is_psd(ConeMatrix(np.zeros((4, 4), dtype=complex)))
+
+
+@pytest.mark.parametrize("tol", (math.nan, math.inf, -math.inf))
+def test_is_psd_refuses_a_tolerance_that_is_not_finite(tol):
+    with pytest.raises(ValueError, match=f"PSD tolerance must be a finite number, got {tol}"):
+        is_psd(ConeMatrix(np.eye(4, dtype=complex)), tol)
 
 
 def _lemma_element(amp=0.1, freq=1.0, gap=1.0, headroom=1.05):
@@ -332,6 +338,15 @@ def test_certify_grid_psd_agrees_with_cone_membership():
         assert certify_grid_psd(el, D_UNIT, SQUARE) == report.member_on_grid
 
 
+@pytest.mark.parametrize("tol", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("decide", (cone_membership, certify_grid_psd))
+def test_grid_kernels_refuse_a_tolerance_that_is_not_finite(decide, tol):
+    # nan once reported all 25 nodes of this causal element as violations, and inf passed every node
+    el, grid = AlgebraElement.from_sources("t", "t"), RegionGrid(-1.0, 1.0, -1.0, 1.0, 5, 5)
+    with pytest.raises(ValueError, match=f"PSD tolerance must be a finite number, got {tol}"):
+        decide(el, D_UNIT, grid, tol=tol)
+
+
 def test_membership_domain_error_names_grid_node():
     small = RegionGrid(-0.5, 0.5, -0.5, 0.5, 5, 5)
     cases = [
@@ -364,12 +379,83 @@ def test_membership_domain_error_names_grid_node():
             small,
             "non-finite cone matrix entry at grid node (t=-0.5, x=0.5) in '9e+307 * t + 4.5e+307 * (x + 0.5)^2'",
         ),
+        # the three paths of the one finiteness test in _cone_entries: a value that is not finite
+        # beside finite partials fails a's root check ...
+        (
+            ("t + 1e308 + 1e308", "t"),
+            D_UNIT,
+            small,
+            "non-finite value or partial at grid node (t=-0.5, x=-0.5) in 't + 1e+308 + 1e+308'",
+        ),
+        # ... a's root check comes before the log error inside b's walk ...
+        (
+            ("t + 0*t^700", "t + log(x - 10)"),
+            D_UNIT,
+            RegionGrid(0.0, 3.0, -1.0, 1.0, 4, 3),
+            "non-finite value or partial at grid node (t=3.0, x=-1.0) in 't + 0.0 * t^700'",
+        ),
+        # ... and finite entries whose sum overflows leave a member: over the 25 nodes, as 1e307*t's,
+        # or at one node, as 9e307*t's, where the exact checks run and pass
+        (("1e307*t", "1e307*t"), D_UNIT, small, None),
+        (("9e307*t", "9e307*t"), D_UNIT, small, None),
     ]
     for sources, dirac, grid, message in cases:
+        el = AlgebraElement.from_sources(*sources)
+        if message is None:
+            assert cone_membership(el, dirac, grid).member_on_grid and certify_grid_psd(el, dirac, grid)
+            continue
         for decide in (cone_membership, certify_grid_psd):
             with pytest.raises(DomainError) as err:
-                decide(AlgebraElement.from_sources(*sources), dirac, grid)
+                decide(el, dirac, grid)
             assert message in str(err.value)
+
+
+def _reference_entries(el: AlgebraElement, t, x, delta: float):
+    """The cone entries as jet on each field and then a check of each entry give them."""
+    shape = np.broadcast(t, x).shape
+    _, adt, adx = jet(el.a, t, x)
+    _, bdt, bdx = (None, adt, adx) if el.b == el.a else jet(el.b, t, x)
+    rv, rdt, rdx = jet(el.c_re, t, x)
+    iv, idt, idx = jet(el.c_im, t, x)
+    parts = (np.asarray(part, dtype=float) for part in (adt, adx, bdt, bdx, rv, rdt, rdx, iv, idt, idx))
+    adt, adx, bdt, bdx, rv, rdt, rdx, iv, idt, idx = parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        c0, c1 = rdt + 1j * idt, rdx + 1j * idx
+        ap, am, bp, bm = adt + adx, adt - adx, bdt + bdx, bdt - bdx
+        u, z, w = c0 + c1, c0 - c1, delta * (rv + 1j * iv)
+    for expr, parts in (
+        (el.a, (ap, am)),
+        (el.b, (bp, bm)),
+        (el.c_re, (u.real, z.real, w.real)),
+        (el.c_im, (u.imag, z.imag, w.imag)),
+    ):
+        finite = np.logical_and.reduce([np.broadcast_to(np.isfinite(part), shape) for part in parts])
+        if not finite.all():
+            raise DomainError("non-finite cone matrix entry", expr, int(np.argmin(finite)))
+    n = math.prod(shape)
+    return tuple(
+        part if part.ndim == 0 else np.broadcast_to(part, shape).reshape(n) for part in (ap, am, bp, bm, u, z, w)
+    )
+
+
+def _entries_or_error(entries, el, t, x, delta):
+    try:
+        return [(part.dtype, part.shape, part.tobytes()) for part in map(np.asarray, entries(el, t, x, delta))]
+    except DomainError as err:
+        return str(err), err.expr, err.index
+
+
+#: the literals 1e308 and 9e307 make sums of finite entries, and the entries themselves, overflow
+_OVERFLOWING_TREES = field_trees((1e308, 9e307))
+
+
+@settings(max_examples=300)
+@given(st.tuples(*[_OVERFLOWING_TREES] * 4), st.booleans(), st.sampled_from((0.0, -1.0, 2.0, 1e300)))
+def test_cone_entries_check_finiteness_as_jet_and_the_entry_check_do(trees, b_is_a, delta):
+    a, b, c_re, c_im = trees
+    el = AlgebraElement(a, a if b_is_a else b, c_re, c_im)
+    got = _entries_or_error(_cone_entries, el, EXACT_T, EXACT_X, delta)
+    assert got == _entries_or_error(_reference_entries, el, EXACT_T, EXACT_X, delta)
 
 
 PROPERTY_GRID = RegionGrid(-3.0, 3.0, -3.0, 3.0, 7, 7)

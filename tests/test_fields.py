@@ -18,7 +18,7 @@ from causalnc.fields import (
     parse,
     to_source,
 )
-from strategies import FIELD_TREES
+from strategies import EXACT_T, EXACT_X, FIELD_TREES
 
 
 def test_parse_example_tree():
@@ -286,11 +286,6 @@ def _reference_jet(e, t, x):
     if not finite.all():
         _check(np.broadcast_to(finite, shape), "non-finite value or partial", e, shape)
     return jet
-
-
-#: a column of t and a row of x; 2.74 and 2.75 lie where t^700 is finite and 700 t^699 is not
-EXACT_T = np.array([-3.0, -1.25, 0.0, 0.5, 2.74, 2.75, 3.0])[:, None]
-EXACT_X = np.array([-2.75, -0.75, 0.0, 1.0, 2.8])[None, :]
 
 
 def _walk(walk, tree, t=EXACT_T, x=EXACT_X):

@@ -46,6 +46,12 @@ def test_config_validation():
         SamplerConfig(seed=1, n_elements=0)
 
 
+@pytest.mark.parametrize("tol", (math.nan, math.inf, -math.inf))
+def test_config_refuses_a_psd_tolerance_that_is_not_finite(tol):
+    with pytest.raises(ValueError, match=f"PSD tolerance must be a finite number, got {tol}"):
+        SamplerConfig(seed=1, n_elements=2, psd_tol=tol)
+
+
 def test_streams_are_bit_identical():
     cfg = SamplerConfig(seed=1234, n_elements=12)
     first = [sample_causal_element(cfg, k, D_UNIT).to_dict() for k in range(12)]
