@@ -250,7 +250,6 @@ def _cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it.
 
-    Building it takes about 0.8 ms, a tenth of a small cone-check, and
     parse_args leaves it unchanged, so every main call reuses the one parser.
     """
     parser = argparse.ArgumentParser(

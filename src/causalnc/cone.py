@@ -22,8 +22,14 @@ scale.  Both grid kernels work on the seven distinct entries of the matrix
 _block_verdicts, which applies three rules, each to the nodes the one
 before leaves open:
 
-- Gershgorin: a node passes when its Gershgorin bound G (_gershgorin_lower)
-  is at least -tol*s and s is finite;
+- Gershgorin: a node passes when its Gershgorin bound G (_gershgorin_bound)
+  less SCHUR_EIG_SLACK*s (_gershgorin_lower) is at least -tol*s and s is
+  finite.  So when tol >= SCHUR_EIG_SLACK, G >= 0 alone passes the node:
+  rounding is monotone, so fl(G - fl(SCHUR_EIG_SLACK*s)) is at least
+  -fl(SCHUR_EIG_SLACK*s) >= -fl(tol*s), and s is finite wherever G is
+  (every entry is finite, and a finite G makes |u|, |z| and |w| finite).
+  certify_grid_psd passes a block whose every node has G >= 0 this way
+  (_gershgorin_certifies), before it computes any s;
 - uncoupled: at a node with u = z = w = 0 the matrix is diagonal and its
   smallest diagonal entry d is its eigenvalue; _uncoupled_rule fails it
   when d + SCHUR_EIG_SLACK*s < -tol*s (its pass side is G's);
@@ -682,19 +688,30 @@ def _block_verdicts(entries, n: int, tol: float):
     return passed, failed, scale, lower
 
 
-# Closed-form bounds on a node's eigvalsh smallest eigenvalue.  Both move
-# SCHUR_EIG_SLACK*s outward, far more than their own rounding and that of
-# eigvalsh (a few hundred ulps of s), so the lower one never exceeds the upper.
+# Closed-form bounds on a node's eigvalsh smallest eigenvalue.
+# _gershgorin_lower and _interlacing_upper move SCHUR_EIG_SLACK*s outward,
+# far more than their own rounding and that of eigvalsh (a few hundred ulps
+# of s), so the lower one never exceeds the upper.
+
+
+def _gershgorin_bound(entries) -> np.ndarray:
+    """Gershgorin: each eigenvalue lies within a row's off-diagonal sum of that row's diagonal entry.
+
+    Rows 0 and 2 carry |u| + |w| off the diagonal, rows 1 and 3 |z| + |w|;
+    this is the smallest of the four row bounds, with no slack.
+    """
+    ap, am, bp, bm, u, z, w = entries
+    return np.minimum(np.minimum(ap, bp) - np.abs(u), np.minimum(am, bm) - np.abs(z)) - np.abs(w)
 
 
 def _gershgorin_lower(entries, scale) -> np.ndarray:
-    """Gershgorin: each eigenvalue lies within a row's off-diagonal sum of that row's diagonal entry.
+    """The Gershgorin bound G less SCHUR_EIG_SLACK*s, with s the node scale."""
+    return _gershgorin_bound(entries) - SCHUR_EIG_SLACK * scale
 
-    Rows 0 and 2 carry |u| + |w| off the diagonal, rows 1 and 3 |z| + |w|.
-    """
-    ap, am, bp, bm, u, z, w = entries
-    lower = np.minimum(np.minimum(ap, bp) - np.abs(u), np.minimum(am, bm) - np.abs(z)) - np.abs(w)
-    return lower - SCHUR_EIG_SLACK * scale
+
+def _gershgorin_certifies(entries, tol: float) -> bool:
+    """Whether tol >= SCHUR_EIG_SLACK and G >= 0 at every node: then the Gershgorin rule passes them all."""
+    return tol >= SCHUR_EIG_SLACK and bool((_gershgorin_bound(entries) >= 0.0).all())
 
 
 def _interlacing_upper(entries, scale) -> np.ndarray:
@@ -744,7 +761,7 @@ def _lambda_min_estimates(entries, scale, nodes: np.ndarray) -> tuple[np.ndarray
     ap, am, bp, bm = ap - center, am - center, bp - center, bm - center
     _, c2, e3, c0 = _charpoly((ap, am, bp, bm, u, z, w))
     c1 = -e3  # det(M/s - lam) = mu^4 + c2 mu^2 + c1 mu + c0
-    mu = _gershgorin_lower((ap, am, bp, bm, u, z, w), 0.0)  # a start needs no slack
+    mu = _gershgorin_bound((ap, am, bp, bm, u, z, w))  # a start needs no slack
     converged[nodes] = False
     for _ in range(NEWTON_MAX_STEPS):
         mu2 = mu * mu
@@ -903,12 +920,11 @@ def certify_grid_psd(
 ) -> bool:
     """Membership decision over the grid, equal to cone_membership(...).member_on_grid.
 
-    Each block's nodes get _block_verdicts, and those it leaves open get
-    eigvalsh (_psd_at_nodes), so the verdict is eigvalsh's at every node:
-    False also where cone_membership raises EigenvalueRangeError.  It walks
-    the same blocks as cone_membership and, after a violation, only
-    evaluates the remaining ones, so it raises the same node-annotated
-    DomainError, and the same ValueError for a tol that is not finite.
+    The verdict is eigvalsh's (_psd_at_nodes) at every node: False also
+    where cone_membership raises EigenvalueRangeError.  It walks the same
+    blocks as cone_membership and, after a violation, only evaluates the
+    remaining ones, so it raises the same node-annotated DomainError, and
+    the same ValueError for a tol that is not finite.
     """
     _finite_tol(tol)
     verdict = True
@@ -916,6 +932,8 @@ def certify_grid_psd(
         if not verdict:
             continue
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if _gershgorin_certifies(entries, tol):
+                continue
             passed, failed, _, _ = _block_verdicts(entries, n, tol)
         if failed.any():
             verdict = False

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ from causalnc.minkowski import SpacetimePoint
 from causalnc.oracle import SamplerConfig, sample_causal_element
 from causalnc.states import DiracData, PureInternalState
 from causalnc.witness import build_witness
-from strategies import EXACT_T, EXACT_X, FIELD_TREES, field_trees
+from strategies import EXACT_T, EXACT_X, FIELD_TREES, _exactly_psd, field_trees
 
 D_UNIT = DiracData(0.0, 1.0)
 ORIGIN = SpacetimePoint(0.0, 0.0)
@@ -333,9 +334,25 @@ def test_certify_grid_psd_agrees_with_cone_membership():
         AlgebraElement.from_sources("tanh(t + x)", "t"),
         AlgebraElement.from_sources("0", "0", "exp(-t^2 - x^2)", "0"),
     ]
-    for el in elements:
-        report = cone_membership(el, D_UNIT, SQUARE)
-        assert certify_grid_psd(el, D_UNIT, SQUARE) == report.member_on_grid
+    # PSD_TOL lets the Gershgorin step fire; below SCHUR_EIG_SLACK it never does
+    for tol in (PSD_TOL, 0.0, cone.SCHUR_EIG_SLACK / 2):
+        for el in elements:
+            report = cone_membership(el, D_UNIT, SQUARE, tol)
+            assert certify_grid_psd(el, D_UNIT, SQUARE, tol) == report.member_on_grid, (el, tol)
+
+
+def test_certify_grid_psd_sends_a_non_member_to_block_verdicts(monkeypatch):
+    # a0 - a1 = -1 at every node, so G < 0 there and the Gershgorin step passes no block
+    calls = []
+    verdicts = cone._block_verdicts
+
+    def counting(entries, n, tol):
+        calls.append(n)
+        return verdicts(entries, n, tol)
+
+    monkeypatch.setattr(cone, "_block_verdicts", counting)
+    assert certify_grid_psd(AlgebraElement.from_sources("x", "x"), D_UNIT, SQUARE) is False
+    assert calls == [SQUARE.nt * SQUARE.nx]
 
 
 @pytest.mark.parametrize("tol", (math.nan, math.inf, -math.inf))
@@ -1092,6 +1109,10 @@ def test_criterion_5_stream_certifies_without_lapack(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(cone, "_pd_after_shift", refuse)
     monkeypatch.setattr(cone, "_psd_at_nodes", refuse)
+    # nor any node scale or _block_verdicts: G >= 0 at every node certifies each block
+    monkeypatch.setattr(cone, "_node_scales", refuse)
+    monkeypatch.setattr(cone, "_uncoupled_rule", refuse)
+    monkeypatch.setattr(cone, "_block_verdicts", refuse)
     cfg = SamplerConfig(seed=50_001, n_elements=50)
     for dirac in (D_UNIT, DiracData(0.0, 2.0)):
         for k in range(cfg.n_elements):
@@ -1331,3 +1352,29 @@ def test_block_verdicts_pass_and_fail_only_where_eigvalsh_does(case):
     assert eig_passed[passed].all()
     assert not eig_passed[failed].any()
     assert not (passed & failed).any()
+
+
+@settings(max_examples=100)
+@given(_screen_cases())
+def test_gershgorin_step_passes_only_blocks_whose_every_node_each_rule_passes(case):
+    # certify_grid_psd passes a block on the sign of G alone; at every node
+    # of such a block _block_verdicts and eigvalsh pass, and the rounded
+    # entries make M + tol*s*I PSD in exact arithmetic.  Tried on the whole
+    # case and on each node alone, at the drawn tol and at the smallest tol
+    # the step accepts, where its rounding argument has nothing to spare
+    entries, drawn_tol = case
+    for tol in (drawn_tol, cone.SCHUR_EIG_SLACK):
+        for nodes in ([0, 1, 2], [0], [1], [2]):
+            block = cone._take(entries, nodes)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                if not cone._gershgorin_certifies(block, tol):
+                    continue
+                passed = _block_verdicts(block, len(nodes), tol)[0]
+                eig_passed = _psd_at_nodes(_matrices(block), tol)[1]
+                scale = np.broadcast_to(_node_scales(block), len(nodes))
+            assert tol != 0.0  # the step never fires at tol = 0
+            assert np.broadcast_to(passed, len(nodes)).all()
+            assert eig_passed.all()
+            for i in range(len(nodes)):
+                node = [part if np.ndim(part) == 0 else part[i] for part in block]
+                assert _exactly_psd(node, Fraction(tol) * Fraction(float(scale[i]))), (node, tol)

@@ -1,6 +1,5 @@
 import cmath
 import dataclasses
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -35,6 +34,7 @@ from causalnc.witness import (
     refute_with_witness,
     separation_values,
 )
+from strategies import _exactly_psd
 
 D_UNIT = DiracData(0.0, 1.0)
 
@@ -285,53 +285,6 @@ def test_batched_certification_agrees_with_eigenvalues(spec, n):
         assert np.abs(got - expected).max() <= COEFF_ZERO_TOL
         if sample.passed:
             assert eig[0] >= -COEFF_ZERO_TOL * sample.scale
-
-
-#: (sign, permutation) pairs of Leibniz's rule for k x k determinants, k = 1..4
-_LEIBNIZ = {
-    k: [
-        ((-1) ** sum(perm[a] > perm[b] for a, b in itertools.combinations(range(k), 2)), perm)
-        for perm in itertools.permutations(range(k))
-    ]
-    for k in range(1, 5)
-}
-
-
-def _exactly_psd(entries, shift: Fraction) -> bool:
-    """Whether the cone matrix of one node's rounded entries, plus shift*I, is PSD in exact arithmetic.
-
-    A Hermitian matrix is PSD iff every elementary symmetric polynomial of
-    its eigenvalues, the sum of its k x k principal minors, is >= 0.  Each
-    minor is expanded by Leibniz's rule over (real, imaginary) pairs.  The
-    real and imaginary parts are Fractions with power-of-two denominators,
-    so all of them are taken to the largest one as integers: that scales
-    the k-th polynomial by a positive factor, and no sign changes.
-    """
-    ap, am, bp, bm, u, z, w = (complex(part) for part in entries)
-    upper = [[ap, 0j, -u, -w], [0j, am, w, -z], [0j, 0j, bp, 0j], [0j, 0j, 0j, bm]]
-    parts = {}
-    for i, j in itertools.combinations_with_replacement(range(4), 2):
-        parts[i, j] = (Fraction(upper[i][j].real) + (shift if i == j else 0), Fraction(upper[i][j].imag))
-    denominator = max(f.denominator for pair in parts.values() for f in pair)
-    m = [[None] * 4 for _ in range(4)]
-    for (i, j), (re, im) in parts.items():
-        re, im = (f.numerator * (denominator // f.denominator) for f in (re, im))
-        m[i][j], m[j][i] = (re, im), (re, -im)
-    for k in range(1, 5):
-        e_re = e_im = 0
-        for rows in itertools.combinations(range(4), k):
-            for sign, perm in _LEIBNIZ[k]:
-                re, im = sign, 0
-                for row, col in zip(rows, perm):
-                    x_re, x_im = m[row][rows[col]]
-                    re, im = re * x_re - im * x_im, re * x_im + im * x_re
-                    if not (re or im):
-                        break
-                e_re, e_im = e_re + re, e_im + im
-        assert e_im == 0  # principal minors of a Hermitian matrix are real
-        if e_re < 0:
-            return False
-    return True
 
 
 def test_exact_psd_decides_the_uncoupled_example():
