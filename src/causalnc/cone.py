@@ -28,11 +28,15 @@ before leaves open:
   rounding is monotone, so fl(G - fl(SCHUR_EIG_SLACK*s)) is at least
   -fl(SCHUR_EIG_SLACK*s) >= -fl(tol*s), and s is finite wherever G is
   (every entry is finite, and a finite G makes |u|, |z| and |w| finite).
-  certify_grid_psd passes a block whose every node has G >= 0 this way
-  (_gershgorin_certifies), before it computes any s;
-- uncoupled: at a node with u = z = w = 0 the matrix is diagonal and its
-  smallest diagonal entry d is its eigenvalue; _uncoupled_rule fails it
-  when d + SCHUR_EIG_SLACK*s < -tol*s (its pass side is G's);
+  Both kernels take that bulk step before any s: certify_grid_psd passes a
+  block whose every node has G >= 0 (_gershgorin_certifies), and
+  _block_verdicts passes the nodes of an uncoupled block that have G >= 0;
+- uncoupled: at a node with u = z = w = 0 the matrix is diagonal, and its
+  smallest diagonal entry d is both its smallest eigenvalue and G.
+  _uncoupled_rule passes it when d - SCHUR_EIG_SLACK*s >= -tol*s and fails
+  it when d + SCHUR_EIG_SLACK*s < -tol*s.  On a block with c = 0 and at a
+  tol of at least SCHUR_EIG_SLACK, the nodes with d >= 0 pass in bulk, as
+  above, and the rule runs only on those with d < 0 (_uncoupled_verdicts);
 - Schur: with Da = diag(a0+a1, a0-a1), Db = diag(b0+b1, b0-b1) and C the
   upper right 2x2 block, M + shift*I is positive definite iff Da + shift > 0
   and the 2x2 Schur complement Db + shift - C* (Da + shift)^-1 C is.
@@ -44,15 +48,20 @@ before leaves open:
 Each rule is one-sided with SCHUR_EIG_SLACK*s to spare, far more than
 eigvalsh's rounding, so it passes only nodes eigvalsh passes and fails only
 nodes eigvalsh fails; the nodes no rule decides get eigvalsh.  A block with
-c = 0 is decided by _uncoupled_rule alone, and a block whose every node G
-passes runs no other test.  The two families oracle.py samples are
-diagonally dominant by construction, so G passes every node of theirs.
+c = 0 is decided by its d alone, and a block whose every node G passes runs
+no other test.  The two families oracle.py samples are diagonally dominant
+by construction, so G passes every node of theirs.
 
 certify_grid_psd needs only the verdict.  cone_membership also reports the
 smallest eigenvalue on the grid and its node.  It lowers U, an upper bound
-on the grid minimum, by interlacing bounds (_interlacing_upper) and
-eigvalsh values, and keeps a lower bound L per node: G, or at a coupled
-node whose G is not above U, an estimate by Newton on the closed-form
+on some node's eigvalsh value and so on the grid minimum, block by block.
+A block with c = 0 lowers it in closed form, to d + SCHUR_EIG_SLACK*s at
+its node of smallest d, as eigvalsh returns d to within a few ulps of s
+there; any other block by interlacing bounds (_interlacing_upper) and the
+eigvalsh value at its node of smallest estimate.  cone_membership keeps a
+lower bound L per node: d - SCHUR_EIG_SLACK*s_max on a block with c = 0,
+with s_max the largest s of the block; elsewhere G, or at a coupled node
+whose G is not above U, an estimate by Newton on the closed-form
 characteristic polynomial (_charpoly, which also certifies the separating
 witness of witness.py) less BOUND_GAP*s, once _pd_after_shift certifies it.
 eigvalsh runs only on the undecided nodes, the first violation and the
@@ -637,23 +646,58 @@ def _coupled(entries) -> np.ndarray:
     return (u != 0.0) | (z != 0.0) | (w != 0.0)
 
 
-def _uncoupled_rule(entries, tol: float):
-    """_block_verdicts at uncoupled nodes (u = z = w = 0): (passed, failed, scale, bound).
+def _diagonal_min(entries):
+    """(d, s) at uncoupled nodes: the smallest diagonal entry and s = max(largest entry, -d, 1).
 
-    M is diagonal there, so its smallest diagonal entry d is its smallest
-    eigenvalue.  eigvalsh returns d to within a few ulps of s: exactly when
-    the norm lies in LAPACK's unscaled range, and through one multiplication
-    and one division by the same factor outside it (below about 1e-146 or
-    above 7e145).  bound = d - SCHUR_EIG_SLACK*s is the Gershgorin bound, and
-    s = max(largest entry, -d, 1) the largest |entry| with one max.
-    Meaningless at a coupled node.
+    M is diagonal there, so d is its smallest eigenvalue and s the largest
+    |entry| with one max.  eigvalsh returns d to within a few ulps of s:
+    exactly when the norm lies in LAPACK's unscaled range, and through one
+    multiplication and one division by the same factor outside it (below
+    about 1e-146 or above 7e145).  Meaningless at a coupled node.
     """
     ap, am, bp, bm = entries[:4]
     d = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
-    scale = np.maximum(np.maximum(np.maximum(ap, am), np.maximum(bp, bm)), np.maximum(-d, 1.0))
+    return d, np.maximum(np.maximum(np.maximum(ap, am), np.maximum(bp, bm)), np.maximum(-d, 1.0))
+
+
+def _uncoupled_rule(entries, tol: float):
+    """_block_verdicts at uncoupled nodes (u = z = w = 0): (passed, failed).
+
+    With (d, s) of _diagonal_min, a node passes when d - SCHUR_EIG_SLACK*s,
+    its Gershgorin bound, is at least -tol*s, and fails when
+    d + SCHUR_EIG_SLACK*s is below it.
+    """
+    d, scale = _diagonal_min(entries)
     slack, threshold = SCHUR_EIG_SLACK * scale, -tol * scale
-    bound = d - slack
-    return bound >= threshold, d + slack < threshold, scale, bound
+    return d - slack >= threshold, d + slack < threshold
+
+
+def _uncoupled_verdicts(entries, n: int, tol: float):
+    """_block_verdicts on a block with c constant 0, as the module docstring's uncoupled rule says.
+
+    At tol >= SCHUR_EIG_SLACK a node with d >= 0 passes in bulk and
+    _uncoupled_rule runs only where d < 0; at a smaller tol it runs on every
+    node.  scale is s_max = max(largest diagonal entry, -min d, 1), at least
+    every node's s, and lower is d - SCHUR_EIG_SLACK*s_max, at most every
+    node's Gershgorin bound.
+    """
+    ap, am, bp, bm = entries[:4]
+    d = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
+    scale = max(*(float(np.max(part)) for part in entries[:4]), -float(np.min(d)), 1.0)
+    lower = d - SCHUR_EIG_SLACK * scale
+    if tol >= SCHUR_EIG_SLACK:
+        negative = d < 0.0
+        if not negative.any():
+            return np.True_, np.False_, scale, lower
+        if not negative.all():  # where every node has d < 0, the rule takes the block as it is
+            open_nodes = np.flatnonzero(negative)
+            rule_passed, rule_failed = _uncoupled_rule(_take(entries, open_nodes), tol)
+            # a node with d < 0 nearly always fails: correct the few the rule decides otherwise
+            passed, failed = ~negative, negative
+            passed[open_nodes[rule_passed]] = True
+            failed[open_nodes[~rule_failed]] = False
+            return passed, failed, scale, lower
+    return *_uncoupled_rule(entries, tol), scale, lower
 
 
 def _block_verdicts(entries, n: int, tol: float):
@@ -663,11 +707,12 @@ def _block_verdicts(entries, n: int, tol: float):
     passes, _uncoupled_rule fails, and at the coupled nodes left the Schur
     tests pass and fail; no node is both, and the nodes neither are left to
     eigvalsh.  scale is the node scale s and lower the Gershgorin bound.  A
-    block with c constant 0 is _uncoupled_rule's, and a block whose every
-    node the Gershgorin bound passes returns 0-d True and False at once.
+    block with c constant 0 is _uncoupled_verdicts', whose scale and lower
+    are one bound for the block, and a block whose every node the
+    Gershgorin bound passes returns 0-d True and False at once.
     """
     if not any(map(np.ndim, entries[4:])) and not _coupled(entries):
-        return _uncoupled_rule(entries, tol)
+        return _uncoupled_verdicts(entries, n, tol)
     scale = _node_scales(entries)
     lower = _gershgorin_lower(entries, scale)
     # where s overflowed, lower and -tol*s are both -inf: such a node is left open
@@ -808,21 +853,29 @@ def _psd_at_distinct_nodes(parts, tol: float):
 
 
 def _block_membership(entries, n: int, tol: float, upper: float):
-    """cone_membership on one block of n nodes: (estimate, bound, passed, failed, upper).
+    """cone_membership on one block of n nodes: (bound, passed, failed, upper).
 
     passed and failed are _block_verdicts', and bound is each node's lower
-    bound L.  upper bounds the grid minimum from above (an eigvalsh value or
-    an interlacing bound at an earlier node) and comes back lowered by this
-    block's interlacing bounds.  A block with no coupled node ends at the
-    verdicts, with L = G as estimate.  Otherwise the coupled nodes whose G
-    is not above upper, the only ones that can hold the grid minimum, run
-    Newton, and L is the estimate less BOUND_GAP*s where _pd_after_shift
-    certifies it with SCHUR_EIG_SLACK*s to spare; elsewhere L is G.
+    bound L.  upper bounds the grid minimum from above (a bound on some
+    earlier node's eigvalsh value) and comes back lowered by this block's.
+    A block with no coupled node ends at the verdicts, with L their lower
+    bound, and lowers upper to d + SCHUR_EIG_SLACK*s at its node of
+    smallest L, where eigvalsh gives d to within a few ulps of s
+    (_diagonal_min).  Otherwise upper is lowered by interlacing bounds, the
+    coupled nodes whose G is not above it, the only ones that can hold the
+    grid minimum, run Newton, and L is the estimate less BOUND_GAP*s where
+    _pd_after_shift certifies it with SCHUR_EIG_SLACK*s to spare (elsewhere
+    G); eigvalsh at the node of smallest estimate lowers upper last.
     """
-    passed, failed, scale, lower = _block_verdicts(entries, n, tol)
     coupled = _coupled(entries)  # 0-d where c is constant on the block
     if not coupled.any():
-        return lower, lower, passed, failed, upper
+        passed, failed, _, lower = _block_verdicts(entries, n, tol)
+        lower = np.broadcast_to(lower, n)  # 0-d where the diagonal is constant on the block
+        d, s = _diagonal_min(_take(entries, [np.argmin(lower)]))
+        return lower, passed, failed, np.minimum(upper, (d + SCHUR_EIG_SLACK * s).min())
+    # the diagonal entries as views over the block's nodes: each stage below keeps per-node arrays
+    entries = [*(np.broadcast_to(part, n) for part in entries[:4]), *entries[4:]]
+    passed, failed, scale, lower = _block_verdicts(entries, n, tol)
     # a node's interlacing bound is at least its Gershgorin bound, so only
     # nodes with lower <= upper can lower upper; the lowest one seeds it.
     # fmin: a NaN bound lowers nothing
@@ -837,7 +890,8 @@ def _block_membership(entries, n: int, tol: float, upper: float):
         newton = estimate[refine] - BOUND_GAP * s
         certified = converged[refine] & _pd_after_shift(_take(entries, refine), -newton - SCHUR_EIG_SLACK * s)
         lower[refine[certified]] = newton[certified]
-    return estimate, lower, passed, failed, upper
+    lowest = _take(entries, [np.argmin(estimate)])
+    return lower, passed, failed, np.minimum(upper, _psd_at_nodes(_matrices(lowest), tol)[0][0])
 
 
 def cone_membership(
@@ -849,11 +903,10 @@ def cone_membership(
     each node's verdict is _psd_at_nodes's, min_eigenvalue and the first
     violation's eigenvalue are eigvalsh values, and min_eigenvalue_point is
     the first node, row-major, where eigvalsh gives min_eigenvalue.  Each
-    block gets _block_membership, and eigvalsh at its node of smallest
-    estimate lowers U.  After the walk eigvalsh runs once on the nodes left
-    undecided, the first certain violation and the nodes whose L is at most
-    the final U, among which is every node that attains the minimum; nodes
-    with identical entries are diagonalised once.
+    block gets _block_membership, which lowers U.  After the walk eigvalsh
+    runs once on the nodes left undecided, the first certain violation and
+    the nodes whose L is at most the final U, among which is every node that
+    attains the minimum; nodes with identical entries are diagonalised once.
 
     Raises DomainError annotated with the offending node when a field, one
     of its partials, or an entry of the matrix cannot be evaluated to a
@@ -873,21 +926,17 @@ def cone_membership(
     first_failed = -1
     kept = []  # per block: (nodes, bounds, undecided flags, entries) of the nodes eigvalsh may need
     for start, n_block, entries in _grid_blocks(el, dirac, region):
-        # the diagonal entries as views over the block's nodes: each stage keeps per-node arrays
-        entries = [*(np.broadcast_to(part, n_block) for part in entries[:4]), *entries[4:]]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            estimate, bound, block_passed, failed, upper = _block_membership(entries, n_block, tol, upper)
+            bound, block_passed, failed, upper = _block_membership(entries, n_block, tol, upper)
         passed[start : start + n_block] = block_passed
-        lowest = _take(entries, [np.argmin(estimate)])
-        upper = np.minimum(upper, _psd_at_nodes(_matrices(lowest), tol)[0][0])
-        undecided = np.broadcast_to(~(block_passed | failed), n_block)
-        need = undecided | ~(bound > upper)
+        undecided = ~(block_passed | failed)  # 0-d where the block is decided in bulk
+        need = ~(bound > upper) | undecided
         if first_failed < 0 and failed.any():
             first_failed = start + int(np.argmax(failed))
             need[first_failed - start] = True
         nodes = np.flatnonzero(need)
         parts = (np.full(nodes.shape, part) if np.ndim(part) == 0 else part for part in _take(entries, nodes))
-        kept.append((start + nodes, bound[nodes], undecided[nodes], *parts))
+        kept.append((start + nodes, bound[nodes], np.broadcast_to(undecided, n_block)[nodes], *parts))
     nodes, bound, undecided, *parts = (np.concatenate(column) for column in zip(*kept))
     need = undecided | ~(bound > upper) | (nodes == first_failed)
     nodes, undecided, parts = nodes[need], undecided[need], _take(parts, need)

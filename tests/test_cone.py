@@ -1021,8 +1021,10 @@ def _uncoupled_edges(draw):
     a few ulps from -tol*S, where eigvalsh decides, or from
     -tol*S -+ SCHUR_EIG_SLACK*S, where the rule decides alone; q*x^2 spreads
     the nodes' d = min(ap, am) over a few ulps of p, and +-0 are drawn.
+    tol is PSD_TOL, SCHUR_EIG_SLACK, where the bulk pass of the nodes with
+    d >= 0 has no margin, or 0.
     """
-    tol = draw(st.sampled_from((PSD_TOL, 0.0)))
+    tol = draw(st.sampled_from((PSD_TOL, cone.SCHUR_EIG_SLACK, 0.0)))
     r = draw(
         st.one_of(
             st.floats(-323.0, 307.5).map(lambda e: 10.0**e),
@@ -1065,17 +1067,40 @@ def test_uncoupled_nodes_are_decided_as_eigvalsh_decides_them(case):
 )
 def test_uncoupled_elements_need_no_schur_test_and_no_newton(monkeypatch, sources):
     # the x = 0 column of the near elements has smallest eigenvalue 1 - beta;
-    # at 1 - 1.000000002 it lies within SCHUR_EIG_SLACK*s of -tol*s, so eigvalsh decides it
+    # at 1 - 1.000000002 it lies within SCHUR_EIG_SLACK*s of -tol*s, so eigvalsh decides it.
+    # Over blocks of 4 rows, the nodes with d >= 0 pass in bulk, _uncoupled_rule
+    # sees only the nodes with d < 0, and eigvalsh runs once, after the walk
     el = AlgebraElement.from_sources(*sources)
-    reference = _reference_membership(el, D_UNIT, WIDE_GRID)
+    reference = _reference_membership(el, D_UNIT, WIDE_GRID, PSD_TOL)
+    ap, am, bp, bm = _grid_entries(el, D_UNIT, WIDE_GRID)[:4]
+    negative = int((np.minimum(np.minimum(ap, am), np.minimum(bp, bm)) < 0.0).sum())
 
     def refuse(*args):
         raise AssertionError("an uncoupled node is decided by its diagonal")
 
     for name in ("_pd_after_shift", "_indefinite_after_shift", "_lambda_min_estimates"):
         monkeypatch.setattr(cone, name, refuse)
-    assert cone_membership(el, D_UNIT, WIDE_GRID).to_dict() == reference.to_dict()
-    assert certify_grid_psd(el, D_UNIT, WIDE_GRID) == reference.member_on_grid
+    ruled, psd_calls = [], []
+    rule, psd_at_nodes = cone._uncoupled_rule, cone._psd_at_nodes
+
+    def ruling(entries, tol):
+        ap, am, bp, bm = entries[:4]
+        ruled.append(np.minimum(np.minimum(ap, am), np.minimum(bp, bm)))
+        return rule(entries, tol)
+
+    def diagonalising(mats, tol):
+        psd_calls.append(len(mats))
+        return psd_at_nodes(mats, tol)
+
+    monkeypatch.setattr(cone, "_uncoupled_rule", ruling)
+    monkeypatch.setattr(cone, "_psd_at_nodes", diagonalising)
+    monkeypatch.setattr(cone, "BLOCK_NODES", 4 * WIDE_GRID.nx)
+    assert cone_membership(el, D_UNIT, WIDE_GRID, PSD_TOL).to_dict() == reference.to_dict()
+    assert len(psd_calls) == 1
+    assert all((d < 0.0).all() for d in ruled)
+    assert sum(d.size for d in ruled) == negative
+    assert ruled or negative == 0  # near-member has no node with d < 0, and no call of the rule
+    assert certify_grid_psd(el, D_UNIT, WIDE_GRID, PSD_TOL) == reference.member_on_grid
 
 
 def test_newton_runs_only_where_the_grid_minimum_can_lie(monkeypatch):
@@ -1286,12 +1311,59 @@ def test_charpoly_gives_the_elementary_symmetric_polynomials_of_the_eigenvalues(
     assert np.abs(got - expected).max() <= 1e-12
 
 
-# --- the Gershgorin screen ----------------------------------------------------
+# --- eigvalsh on an uncoupled node -------------------------------------------
+
+#: the smallest normal float; every positive float below it is subnormal
+_TINY = float(np.finfo(float).tiny)
 
 
 @st.composite
-def _screen_cases(draw):
-    """(entries, tol) for a few nodes, some rows of which sit on the screen's threshold.
+def _diagonals(draw):
+    """One uncoupled node's diagonal (ap, am, bp, bm): each entry signed, and of any magnitude.
+
+    A magnitude is 0, a subnormal, within a factor of 2 of LAPACK's
+    rescaling thresholds (a norm below about 1e-146 or above 7e145 is
+    scaled before eigvalsh and back after it), a power of ten, or up to the
+    float maximum; the sign of 0 is drawn too.
+    """
+    magnitude = st.one_of(
+        st.sampled_from((0.0, 5e-324, _FLOAT_MAX)),
+        st.floats(5e-324, _TINY, exclude_max=True),
+        st.sampled_from((1e-146, 7e145, 1e146)).flatmap(lambda edge: st.floats(edge / 2, edge * 2)),
+        st.floats(-323.0, 308.0).map(lambda e: 10.0**e),
+        st.floats(1e300, _FLOAT_MAX),
+    )
+    signed = st.tuples(magnitude, st.booleans())
+    return [-m if negative else m for m, negative in draw(st.lists(signed, min_size=4, max_size=4))]
+
+
+@settings(max_examples=200)
+@given(_diagonals())
+def test_eigvalsh_gives_an_uncoupled_nodes_d_to_within_the_slack(diagonal):
+    # M is diagonal, so d = min(diagonal) is its exact smallest eigenvalue.
+    # The uncoupled rule's fail side and cone_membership's closed-form U rest
+    # on eigvalsh returning d to within SCHUR_EIG_SLACK*s, in exact arithmetic,
+    # and so do the bounds d -+ SCHUR_EIG_SLACK*s as the kernels round them
+    entries = [np.array([value]) for value in diagonal] + [np.array(0j)] * 3
+    d, s = (float(part[0]) for part in cone._diagonal_min(entries))
+    eig = float(np.linalg.eigvalsh(_matrices(entries))[0, 0])
+    assert d == min(diagonal)
+    assert s == max(1.0, *map(abs, diagonal))
+    assert abs(Fraction(eig) - Fraction(d)) <= Fraction(cone.SCHUR_EIG_SLACK) * Fraction(s)
+    assert d - cone.SCHUR_EIG_SLACK * s <= eig <= d + cone.SCHUR_EIG_SLACK * s
+
+
+# --- the Gershgorin screen ----------------------------------------------------
+
+
+#: the tolerances every _screen_cases property runs at: the default, the
+#: smallest at which the Gershgorin step fires, and one at which it never does
+SCREEN_TOLS = (PSD_TOL, cone.SCHUR_EIG_SLACK, 0.0)
+
+
+@st.composite
+def _screen_cases(draw, tol: float):
+    """Entries of a few nodes, some rows of which sit on the screen's threshold at tol.
 
     Each row's diagonal entry is its off-diagonal sum plus a margin: far
     (of the order of the entries) or near, s*(k*tol + m*SCHUR_EIG_SLACK)
@@ -1300,20 +1372,21 @@ def _screen_cases(draw):
     _cone_entries gives for a constant c.  tight: only u and z, or only w,
     couple and every row has the same near margin, so each 2x2 block has
     equal diagonals, the Gershgorin bound is the smallest eigenvalue less
-    the slack, and the matrix is near rank-deficient.  The magnitude runs
-    from 1 to 1e300, or up to the float maximum, where a coupling modulus
-    can lie beyond the float range and s is inf; the entries stay finite,
-    as _cone_entries gives them.
+    the slack, and the matrix is near rank-deficient.  pass: k = 0 and
+    0 <= m <= 2 on every row, coupled or not, so the Gershgorin bound is at
+    least 0 at every row up to rounding.  The magnitude runs from 1 to
+    1e300, or up to the float maximum, where a coupling modulus can lie
+    beyond the float range and s is inf; the entries stay finite, as
+    _cone_entries gives them.
     """
-    kind = draw(st.sampled_from(("coupled", "uncoupled", "tight")))
-    tol = draw(st.sampled_from((PSD_TOL, 0.0)))
+    kind = draw(st.sampled_from(("coupled", "uncoupled", "tight", "pass")))
     magnitude = draw(st.one_of(st.integers(0, 300).map(lambda e: 10.0**e), st.floats(1e300, _FLOAT_MAX)))
     n = 3
 
     def rows(elements):  # one draw per row of the matrix and node
         return np.array(draw(st.lists(elements, min_size=4 * n, max_size=4 * n))).reshape(4, n)
 
-    if kind == "uncoupled":
+    if kind == "uncoupled" or (kind == "pass" and draw(st.booleans())):
         u = z = w = np.array(0j)
     else:
         u, z, w = (np.array([complex(draw(_UNIT), draw(_UNIT)) for _ in range(n)]) * magnitude for _ in range(3))
@@ -1326,8 +1399,10 @@ def _screen_cases(draw):
     if kind == "tight":
         near[:] = True
     far = rows(st.floats(0.0, 2.0))
-    k = rows(st.sampled_from((-1.0, 0.0)))
-    m = rows(st.floats(-2.0, 2.0))
+    if kind == "pass":
+        k, m = np.zeros((4, n)), rows(st.floats(0.0, 2.0))
+    else:
+        k, m = rows(st.sampled_from((-1.0, 0.0))), rows(st.floats(-2.0, 2.0))
     with np.errstate(over="ignore", invalid="ignore"):  # sums and scales beyond the float range
         off_u, off_z = np.abs(u) + np.abs(w), np.abs(z) + np.abs(w)
         offsums = np.broadcast_to(np.reshape([off_u, off_z, off_u, off_z], (4, -1)), (4, n))
@@ -1338,43 +1413,46 @@ def _screen_cases(draw):
         if kind == "tight":
             margin[:] = margin[0]
         diag = np.clip(diag + np.where(near, margin, 0.0), -_FLOAT_MAX, _FLOAT_MAX)
-    return (*diag, u, z, w), tol
+    return (*diag, u, z, w)
 
 
 @settings(max_examples=100)
-@given(_screen_cases())
-def test_block_verdicts_pass_and_fail_only_where_eigvalsh_does(case):
-    entries, tol = case
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        passed, failed, _, _ = _block_verdicts(entries, 3, tol)
-        eig_passed = _psd_at_nodes(_matrices(entries), tol)[1]
-    passed, failed = np.broadcast_to(passed, 3), np.broadcast_to(failed, 3)
-    assert eig_passed[passed].all()
-    assert not eig_passed[failed].any()
-    assert not (passed & failed).any()
+@given(st.data())
+def test_block_verdicts_pass_and_fail_only_where_eigvalsh_does(data):
+    for tol in SCREEN_TOLS:
+        entries = data.draw(_screen_cases(tol), label=f"entries at tol {tol}")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            passed, failed, _, _ = _block_verdicts(entries, 3, tol)
+            eig_passed = _psd_at_nodes(_matrices(entries), tol)[1]
+        passed, failed = np.broadcast_to(passed, 3), np.broadcast_to(failed, 3)
+        assert eig_passed[passed].all()
+        assert not eig_passed[failed].any()
+        assert not (passed & failed).any()
 
 
 @settings(max_examples=100)
-@given(_screen_cases())
-def test_gershgorin_step_passes_only_blocks_whose_every_node_each_rule_passes(case):
+@given(st.data())
+def test_gershgorin_step_passes_only_blocks_whose_every_node_each_rule_passes(data):
     # certify_grid_psd passes a block on the sign of G alone; at every node
     # of such a block _block_verdicts and eigvalsh pass, and the rounded
     # entries make M + tol*s*I PSD in exact arithmetic.  Tried on the whole
-    # case and on each node alone, at the drawn tol and at the smallest tol
-    # the step accepts, where its rounding argument has nothing to spare
-    entries, drawn_tol = case
-    for tol in (drawn_tol, cone.SCHUR_EIG_SLACK):
-        for nodes in ([0, 1, 2], [0], [1], [2]):
-            block = cone._take(entries, nodes)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                if not cone._gershgorin_certifies(block, tol):
-                    continue
-                passed = _block_verdicts(block, len(nodes), tol)[0]
-                eig_passed = _psd_at_nodes(_matrices(block), tol)[1]
-                scale = np.broadcast_to(_node_scales(block), len(nodes))
-            assert tol != 0.0  # the step never fires at tol = 0
-            assert np.broadcast_to(passed, len(nodes)).all()
-            assert eig_passed.all()
-            for i in range(len(nodes)):
-                node = [part if np.ndim(part) == 0 else part[i] for part in block]
-                assert _exactly_psd(node, Fraction(tol) * Fraction(float(scale[i]))), (node, tol)
+    # case and on each node alone, at the tol the case was drawn for and at
+    # the smallest tol the step accepts, where its rounding argument has
+    # nothing to spare
+    for drawn_tol in SCREEN_TOLS:
+        entries = data.draw(_screen_cases(drawn_tol), label=f"entries at tol {drawn_tol}")
+        for tol in {drawn_tol, cone.SCHUR_EIG_SLACK}:
+            for nodes in ([0, 1, 2], [0], [1], [2]):
+                block = cone._take(entries, nodes)
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    if not cone._gershgorin_certifies(block, tol):
+                        continue
+                    passed = _block_verdicts(block, len(nodes), tol)[0]
+                    eig_passed = _psd_at_nodes(_matrices(block), tol)[1]
+                    scale = np.broadcast_to(_node_scales(block), len(nodes))
+                assert tol != 0.0  # the step never fires at tol = 0
+                assert np.broadcast_to(passed, len(nodes)).all()
+                assert eig_passed.all()
+                for i in range(len(nodes)):
+                    node = [part if np.ndim(part) == 0 else part[i] for part in block]
+                    assert _exactly_psd(node, Fraction(tol) * Fraction(float(scale[i]))), (node, tol)
