@@ -120,14 +120,23 @@ def _arc(radius, angle):
     """arccos(radius cos(angle)) for 0 <= radius <= 1, accurate up to radius = 1.
 
     1 -+ r cos(y) = (1 - r) + 2 r sin^2(y/2) (resp. cos^2(y/2)): the
-    square-root singularity of arccos at +-1 amplifies no rounding.
+    square-root singularity of arccos at +-1 amplifies no rounding.  radius
+    broadcasts to angle's shape.  Both halves are stacked and evaluated
+    with one np.sin, one np.cos and one np.arctan2, squared, scaled, shifted
+    and rooted in place, so a call on any number of arcs, such as the 32 of
+    _mixed_angle_sup, makes a fixed dozen numpy calls.
     """
-    half = 0.5 * np.asarray(angle, dtype=float)
-    below = 1.0 - radius
-    return 2.0 * np.arctan2(
-        np.sqrt(below + 2.0 * radius * np.sin(half) ** 2),
-        np.sqrt(below + 2.0 * radius * np.cos(half) ** 2),
-    )
+    half = np.multiply(angle, 0.5)
+    terms = np.empty((2, *np.shape(half)))  # sin^2(y/2), then cos^2(y/2)
+    np.sin(half, out=terms[0, ...])
+    np.cos(half, out=terms[1, ...])
+    terms *= terms
+    terms *= np.multiply(radius, 2.0)
+    terms += np.subtract(1.0, radius)
+    np.sqrt(terms, out=terms)
+    arcs = np.arctan2(terms[0], terms[1])
+    arcs *= 2.0
+    return arcs
 
 
 def _mixed_angle_sup(rho: MixedInternalState, sigma: MixedInternalState) -> Sup:
@@ -141,7 +150,12 @@ def _mixed_angle_sup(rho: MixedInternalState, sigma: MixedInternalState) -> Sup:
     theta and adds only the harmless candidates atan2(0, 0) = 0 and pi.  On a
     flat maximum (generic for a unit radius) theta_star is the candidate
     within PLATEAU_TOL of the maximum whose projected arccos values lie
-    furthest from 0 and pi, so a witness scheduled on it stays inside them.
+    furthest from 0 and pi, so a witness scheduled on it stays inside them;
+    the first such candidate wins a tie.
+
+    The 16 candidates are Python floats, and so is the argmax search over
+    them; the 32 arcs at them, both states' at every candidate, come from
+    one _arc call on the (2, 16) stack of ta + theta and tb + theta.
     """
     z = 0.5 * (rho.rz + sigma.rz)
     width = math.sqrt(max(1.0 - z * z, 0.0))
@@ -155,21 +169,23 @@ def _mixed_angle_sup(rho: MixedInternalState, sigma: MixedInternalState) -> Sup:
         # wa sin(ta + theta) = sign wb sin(tb + theta)
         root = math.atan2(sign * wb * math.sin(tb) - wa * math.sin(ta), wa * math.cos(ta) - sign * wb * math.cos(tb))
         roots += [root, root + math.pi]
-    thetas = np.empty(16)  # the 8 sorted roots and kinks, then the midpoint after each, cyclically
-    kinks, mids = thetas[:8], thetas[8:]
-    kinks[:] = np.mod(roots, 2.0 * math.pi)
-    kinks.sort()
-    mids[:7], mids[7] = kinks[1:], kinks[0] + 2.0 * math.pi
-    mids += kinks
-    mids *= 0.5
+    turn = 2.0 * math.pi
+    kinks = sorted([root % turn for root in roots])
+    # the 8 sorted roots and kinks, then the midpoint after each, cyclically
+    thetas = kinks + [0.5 * (lo + hi) for lo, hi in zip(kinks, kinks[1:] + [kinks[0] + turn])]
+    arcs_a, arcs_b = _arc(np.array([[ra], [rb]]), np.array([[ta], [tb]]) + thetas).tolist()
 
-    arcs = _arc(np.array([[ra], [rb]]), np.array([[ta], [tb]]) + thetas)
-    values = np.abs(arcs[1] - arcs[0])
-    best = float(values.max())
-    clearance = np.minimum(arcs, math.pi - arcs).min(axis=0)
-    clearance[values < best - PLATEAU_TOL] = -1.0
-    k = int(np.argmax(clearance))
-    return best, float(thetas[k]), float(arcs[0, k]), float(arcs[1, k])
+    values = [abs(arc_b - arc_a) for arc_a, arc_b in zip(arcs_a, arcs_b)]
+    best = max(values)
+    cut = best - PLATEAU_TOL
+    k, clearance = 0, -1.0  # every arc lies in [0, pi], so the best candidate sets k
+    for i, value in enumerate(values):
+        if value >= cut:
+            arc_a, arc_b = arcs_a[i], arcs_b[i]
+            clear = min(arc_a, math.pi - arc_a, arc_b, math.pi - arc_b)
+            if clear > clearance:
+                k, clearance = i, clear
+    return best, thetas[k], arcs_a[k], arcs_b[k]
 
 
 def _required_angle(rho: MixedInternalState, sigma: MixedInternalState) -> tuple[float, Optional[Sup]]:

@@ -127,10 +127,9 @@ BOUND_GAP = 1e-5
 NEWTON_STEP_TOL = 1e-9
 NEWTON_MAX_STEPS = 30
 #: Grid nodes per block of _grid_blocks: a block is BLOCK_NODES // nx whole
-#: rows, or a slice of BLOCK_NODES nodes of one row when nx is larger.  A
-#: block's entries and the kernel temporaries over it take a few MB; of
-#: 4,096 to 65,536 nodes this size ran cone_membership fastest on 101^2 to
-#: 401^2 grids.
+#: rows, or a slice of BLOCK_NODES nodes of one row when nx is larger.  It
+#: bounds the memory of a block's entries and of the kernel temporaries over
+#: it to a few MB, whatever the grid size.
 BLOCK_NODES = 32_768
 #: Odd multiplier of the row hash in _psd_at_distinct_nodes (2^64 / golden ratio).
 _HASH_MULTIPLIER = np.int64(-7046029254386353131)

@@ -42,8 +42,8 @@ from typing import Optional
 import numpy as np
 
 from .causality import MixedState, PureState, Reason, _decide
-from .cone import AlgebraElement, _charpoly, _node_scales
-from .fields import BinOp, Call, DomainError, FieldExpr, Neg, Num, Var, jet
+from .cone import AlgebraElement, _charpoly
+from .fields import BinOp, Call, DomainError, FieldExpr, Neg, Num, Var, jet, memo_entry
 from .minkowski import SpacetimePoint, max_proper_time
 from .states import DiracData, MixedInternalState, angular_distance, signed_arc, wrap_angle
 
@@ -143,20 +143,24 @@ class WitnessSpec:
         WitnessOverflowError, naming the Dirac gap, when gap/sqrt(1 - v^2)
         does not fit in a float.
         """
-        a, b, theta = self._diagonal()
-        csc = Call("csc", theta)
+        a, b, tan = self._diagonal()
+        csc = Call("csc", tan.arg)
         return AlgebraElement(a, b, _scaled(-math.cos(self.theta_c), csc), _scaled(-math.sin(self.theta_c), csc))
 
-    def _diagonal(self) -> tuple[FieldExpr, FieldExpr, FieldExpr]:
-        """The element's a and b, and the Theta they share with c, as element() documents them."""
+    def _diagonal(self) -> tuple[FieldExpr, FieldExpr, Call]:
+        """The element's a and b, as element() documents them, and the one tan(Theta) node both divide by.
+
+        Its argument is the Theta that c shares.
+        """
         gap, v = self.dirac.gap, self.velocity()
         rate = gap / math.sqrt(1.0 - v * v)
         _require_finite(rate, gap, "the schedule's rate")
         # Theta = rate * (t - p.t - v * (x - p.x)) + epsilon
         tau = BinOp("+" if v < 0 else "-", _shifted("t", self.p.t), _scaled(abs(v), _shifted("x", self.p.x)))
         theta = BinOp("+", _scaled(rate, tau), Num(self.epsilon))
-        cot = lambda k: Neg(BinOp("/", Num(k), Call("tan", theta)))  # -k cot(Theta)
-        return cot(self.abs_phi2 / self.abs_phi1), cot(self.abs_phi1 / self.abs_phi2), theta
+        tan = Call("tan", theta)
+        cot = lambda k: Neg(BinOp("/", Num(k), tan))  # -k cot(Theta)
+        return cot(self.abs_phi2 / self.abs_phi1), cot(self.abs_phi1 / self.abs_phi2), tan
 
 
 def _shifted(var: str, at: float) -> FieldExpr:
@@ -259,14 +263,16 @@ def separation_values(spec: WitnessSpec) -> tuple[float, float]:
 def _pairing_growth(spec: WitnessSpec) -> float:
     """The lhs read off the element: |phi1|^2 (a(q) - a(p)) + |phi2|^2 (b(q) - b(p)).
 
-    a and b are evaluated at the endpoints by the DSL; the element's c is
-    not built.  Raises WitnessOverflowError, naming the Dirac gap, when a
-    value or partial there does not fit in a float.
+    a and b are evaluated at the endpoints by the DSL, and Theta once: both
+    walks read their shared tan(Theta) node from one memo entry.  The
+    element's c is not built.  Raises WitnessOverflowError, naming the Dirac
+    gap, when a value or partial there does not fit in a float.
     """
-    a, b, _ = spec._diagonal()
+    a, b, tan = spec._diagonal()
     t, x = np.array([spec.p.t, spec.q.t]), np.array([spec.p.x, spec.q.x])
     try:
-        (a_p, a_q), (b_p, b_q) = (jet(field, t, x)[0] for field in (a, b))
+        memo = {id(tan): memo_entry(tan, t, x)}
+        (a_p, a_q), (b_p, b_q) = (jet(field, t, x, memo)[0] for field in (a, b))
     except DomainError as err:
         raise WitnessOverflowError(
             f"Dirac gap {spec.dirac.gap} is too large: the element does not fit in a float at the endpoints"
@@ -342,6 +348,24 @@ def _entry_stacks(spec: WitnessSpec, l: np.ndarray):
     return sin2, diagonal, coupling
 
 
+def _stack_scales(diagonal: np.ndarray, coupling: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """cone._node_scales of the entry stacks of _entry_stacks, bit for bit, into out.
+
+    s = max(1, largest |entry|) at each node, with one reduction over the
+    (4, n) diagonal stack and one over the (3, n) squared coupling moduli;
+    where a square overflows, the moduli are taken unsquared.
+    """
+    re, im = coupling.real, coupling.imag
+    squares = re * re
+    squares += im * im
+    modulus = np.sqrt(squares.max(axis=0))
+    over = np.isinf(modulus)
+    if over.any():
+        modulus = np.where(over, np.abs(coupling).max(axis=0), modulus)
+    np.maximum(np.abs(diagonal).max(axis=0), modulus, out=out)
+    return np.maximum(out, 1.0, out=out)
+
+
 def certify_witness_psd(spec: WitnessSpec, n: int) -> PsdCertification:
     """Certify the element's membership matrix along the worldline.
 
@@ -352,11 +376,12 @@ def certify_witness_psd(spec: WitnessSpec, n: int) -> PsdCertification:
     identically, so the test is c1, c2 >= 0 and c3, c4 = 0 within
     tolerance.  Tolerances are applied to coefficients of the entries
     scaled by 1/scale, scale = cone._node_scales (max(1, largest absolute
-    entry)), i.e. they grow with the k-th power of the scale for the k-th
-    coefficient.  c1 and c2 must also match their closed forms in the
-    schedule within MATCH_RTOL.  first_failure is the earliest failing
-    sample.  Raises WitnessOverflowError, naming the Dirac gap, when a
-    coefficient does not fit in a float.
+    entry), taken from the entry stacks by _stack_scales), i.e. they grow
+    with the k-th power of the scale for the k-th coefficient.  c1 and c2
+    must also match their closed forms in the schedule within MATCH_RTOL.
+    first_failure is the earliest failing sample.  Raises
+    WitnessOverflowError, naming the Dirac gap, when a coefficient does not
+    fit in a float.
 
     The coefficient test is sound only on the rank-two matrices of
     _entry_stacks: at a double zero eigenvalue, |c3|, |c4| <= tol admit
@@ -380,7 +405,7 @@ def certify_witness_psd(spec: WitnessSpec, n: int) -> PsdCertification:
     with np.errstate(over="ignore", invalid="ignore"):
         sin2, diagonal, coupling = _entry_stacks(spec, l)
         csc2 = 1.0 / sin2
-        scale[:] = _node_scales((*diagonal, *coupling))
+        _stack_scales(diagonal, coupling, out=scale)
         p1, c2n, c3n, c4n = _charpoly((*(diagonal / scale), *(coupling / scale)))
         c1[:], c2[:], c3[:], c4[:] = p1 * scale, c2n * scale**2, c3n * scale**3, c4n * scale**4
         np.divide(gap * csc2, np.sqrt(lam1 * lam2) * k1 * k2, out=c1_closed)

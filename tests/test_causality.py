@@ -421,6 +421,30 @@ def test_arc_is_accurate_up_to_unit_radius():
     assert mixed_required_angle(rho, sigma) == pytest.approx(2.2, abs=1e-14)
 
 
+def _reference_arc(radius, angle):
+    """_arc as it was before it evaluated both halves on one stack in place."""
+    half = 0.5 * np.asarray(angle, dtype=float)
+    below = 1.0 - radius
+    return 2.0 * np.arctan2(
+        np.sqrt(below + 2.0 * radius * np.sin(half) ** 2),
+        np.sqrt(below + 2.0 * radius * np.cos(half) ** 2),
+    )
+
+
+@settings(max_examples=200)
+@given(
+    RADII,
+    RADII,
+    st.lists(st.one_of(st.floats(-10.0, 10.0), st.sampled_from((0.0, -0.0, 5e-324))), min_size=1, max_size=16),
+)
+def test_arc_is_bit_identical_to_the_reference(ra, rb, angles):
+    # the reference of _mixed_angle_sup reads _arc: it must be the formula it was, bit for bit
+    y = np.array(angles)
+    radii, stack = np.array([[ra], [rb]]), np.array([y, y[::-1]])
+    for radius, angle in ((ra, angles[0]), (ra, y), (radii, stack)):
+        assert np.asarray(_arc(radius, angle)).tobytes() == np.asarray(_reference_arc(radius, angle)).tobytes()
+
+
 def test_mixed_causal_branches():
     degenerate = DiracData(1.0, 1.0)
     rho = MixedInternalState(0.3, 0.0, 0.2)

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from causalnc import causality
+from causalnc import causality, fields
 from causalnc.causality import BOUND_SLACK, MixedState, PureState, mixed_causal, mixed_required_angle, pure_causal
 from causalnc.cone import PSD_TOL, AlgebraElement, _charpoly, _cone_entries, _matrices, _node_scales
-from causalnc.fields import jet
+from causalnc.fields import Var, jet
 from causalnc.minkowski import SpacetimePoint, max_proper_time
 from causalnc.states import DiracData, MixedInternalState, PureInternalState, angular_distance
 from causalnc.witness import (
@@ -28,6 +28,7 @@ from causalnc.witness import (
     WitnessSpec,
     _entry_stacks,
     _pairing_growth,
+    _stack_scales,
     build_mixed_witness,
     build_witness,
     certify_witness_psd,
@@ -457,6 +458,142 @@ def test_certification_is_bit_identical_to_the_reference(spec, n):
     assert report.first_failure == next((sample for sample in report.samples if not sample.passed), None)
     closed = _reference_entries(spec, rows[:, 1])
     assert all(got.tobytes() == want.tobytes() for got, want in zip(_entries(spec, rows[:, 1]), closed))
+
+
+def _reference_certify_witness_psd(spec, n):
+    """(passed, rows) of certify_witness_psd as it was before it took the node scales from the entry stacks.
+
+    cone._node_scales on the seven rows of the stacks, one row at a time;
+    the stacked scales must give the same floats.
+    """
+    gap = spec.dirac.gap
+    k1, k2 = spec.abs_phi1, spec.abs_phi2
+    rows = np.empty((10, n))
+    frac, l, c1, c2, c3, c4, c1_closed, c2_closed, scale, passed = rows
+    np.divide(np.arange(n), n - 1, out=frac)
+    np.multiply(frac, max_proper_time(spec.p, spec.q), out=l)
+    power = np.float_power
+    v = spec.velocity()
+    lam1, lam2 = (1.0 + v) / 2.0, (1.0 - v) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sin2, diagonal, coupling = _entry_stacks(spec, l)
+        csc2 = 1.0 / sin2
+        scale[:] = _node_scales((*diagonal, *coupling))
+        p1, c2n, c3n, c4n = _charpoly((*(diagonal / scale), *(coupling / scale)))
+        c1[:], c2[:], c3[:], c4[:] = p1 * scale, c2n * scale**2, c3n * scale**3, c4n * scale**4
+        np.divide(gap * csc2, np.sqrt(lam1 * lam2) * k1 * k2, out=c1_closed)
+        c2_closed[:] = (
+            power(gap, 2)
+            * power(csc2, 2)
+            * (k1**2 * k2**2 * power(lam2 - lam1, 2) * sin2 + lam1 * lam2)
+            / (lam1 * lam2 * k1**2 * k2**2)
+        )
+    if not np.isfinite(rows[2:8]).all():
+        raise WitnessOverflowError(f"Dirac gap {gap} is too large: a witness coefficient does not fit in a float")
+    passed[:] = (
+        (p1 >= -COEFF_POS_TOL)
+        & (c2n >= -COEFF_POS_TOL)
+        & (np.abs(c3n) <= COEFF_ZERO_TOL)
+        & (np.abs(c4n) <= COEFF_ZERO_TOL)
+        & (np.abs(rows[2:4] - rows[6:8]) <= MATCH_RTOL * np.maximum(1.0, np.abs(rows[6:8]))).all(axis=0)
+    )
+    return bool(passed.all()), rows.T
+
+
+#: worldline velocities anywhere in (-0.9, 0.9), or within 1e-12 of +-1
+VELOCITIES = st.one_of(
+    st.floats(-0.9, 0.9),
+    st.builds(lambda sign, d: sign * (1.0 - d), st.sampled_from((1.0, -1.0)), st.floats(2.0**-50, 1e-12)),
+)
+
+
+@st.composite
+def _refused_pair_specs(draw):
+    """build_witness on a speed-bound refusal between same-latitude pure or mixed states, gaps 1e-3 to 1e3."""
+    z = draw(st.floats(-0.8, 0.8))
+    ta, tb = draw(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)))
+    if draw(st.booleans()):
+        kind, xi, phi = PureState, PureInternalState.from_parallel(z, ta), PureInternalState.from_parallel(z, tb)
+        required = angular_distance(ta, tb)
+    else:
+        width = math.sqrt(1.0 - z * z)
+        ra, rb = draw(st.tuples(st.floats(0.2, 1.0), st.floats(0.2, 1.0)))
+        kind = MixedState
+        xi, phi = (
+            MixedInternalState(r * width * math.cos(t), r * width * math.sin(t), z) for r, t in ((ra, ta), (rb, tb))
+        )
+        required = mixed_required_angle(xi, phi)
+    assume(required > 0.05)
+    gap, v = 10.0 ** draw(st.floats(-3.0, 3.0)), draw(VELOCITIES)
+    dt = draw(st.floats(0.02, 0.98)) * required / gap / math.sqrt(1.0 - v * v)
+    dirac = DiracData(gap, 0.0) if draw(st.booleans()) else DiracData(0.0, gap)
+    try:
+        return build_witness(kind(SpacetimePoint(0.0, 0.0), xi), kind(SpacetimePoint(dt, v * dt), phi), dirac)
+    except ValueError:  # a projected angle at 0 or pi, or a pair the rounding relates: no witness
+        assume(False)
+
+
+@settings(max_examples=200)
+@given(_refused_pair_specs(), st.sampled_from((2, 3, 64, 257)))
+def test_certify_witness_psd_rows_are_bit_identical_to_the_reference(spec, n):
+    report = certify_witness_psd(spec, n)
+    passed, rows = _reference_certify_witness_psd(spec, n)
+    assert report.passed == passed
+    assert report.rows.shape == rows.shape and report.rows.tobytes() == rows.tobytes()
+
+
+@settings(max_examples=100)
+@given(
+    _specs(st.one_of(st.floats(70.0, 80.0), st.floats(150.0, 160.0)).map(lambda e: 10.0**e)),
+    st.sampled_from((2, 3, 64, 257)),
+)
+def test_certify_witness_psd_matches_the_reference_at_the_overflow_edge(spec, n):
+    # scale^4 leaves the float range near gaps of 1e77, a squared coupling modulus near 1e154
+    try:
+        report = certify_witness_psd(spec, n)
+    except WitnessOverflowError:
+        with pytest.raises(WitnessOverflowError):
+            _reference_certify_witness_psd(spec, n)
+        return
+    passed, rows = _reference_certify_witness_psd(spec, n)
+    assert report.passed == passed and report.rows.tobytes() == rows.tobytes()
+
+
+#: entry parts from zero through the range where a squared modulus overflows
+ENTRY_PARTS = st.one_of(st.floats(-1e3, 1e3), st.floats(-1.7e308, 1.7e308), st.sampled_from((0.0, -0.0, 1.4e154)))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(ENTRY_PARTS, min_size=10 * n, max_size=10 * n)))
+def test_stack_scales_are_the_node_scales(parts):
+    # witness couplings never exceed the diagonal, so the certification alone cannot tell a coupling term wrong
+    parts = np.array(parts).reshape(10, -1)
+    diagonal, coupling = parts[:4], parts[4:7] + 1j * parts[7:]
+    with np.errstate(over="ignore"):
+        scales = _stack_scales(diagonal, coupling, np.empty(parts.shape[1]))
+        assert scales.tobytes() == _node_scales((*diagonal, *coupling)).tobytes()
+
+
+@settings(max_examples=100)
+@given(_refused_pair_specs())
+def test_pairing_growth_walks_theta_once_and_equals_two_separate_walks(spec):
+    a, b, tan = spec._diagonal()
+    assert a.arg.rhs is tan and b.arg.rhs is tan  # a and b divide by one tan(Theta) node
+    t, x = np.array([spec.p.t, spec.q.t]), np.array([spec.p.x, spec.q.x])
+    (a_p, a_q), (b_p, b_q) = jet(a, t, x)[0], jet(b, t, x)[0]
+    separate = spec.abs_phi1**2 * (a_q - a_p) + spec.abs_phi2**2 * (b_q - b_p)
+    visits = []
+    walk = fields._eval
+
+    def counted(e, *args):
+        visits.append(isinstance(e, Var))
+        return walk(e, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fields, "_eval", counted)
+        growth = _pairing_growth(spec)
+    assert growth.hex() == float(separate).hex()
+    assert sum(visits) == 2  # t and x, read by Theta alone, are walked once
 
 
 def test_certify_tiny_phase_keeps_determinant_finite():
