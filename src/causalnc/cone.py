@@ -23,20 +23,18 @@ _block_verdicts, which applies three rules, each to the nodes the one
 before leaves open:
 
 - Gershgorin: a node passes when its Gershgorin bound G (_gershgorin_bound)
-  less SCHUR_EIG_SLACK*s (_gershgorin_lower) is at least -tol*s and s is
-  finite.  So when tol >= SCHUR_EIG_SLACK, G >= 0 alone passes the node:
-  rounding is monotone, so fl(G - fl(SCHUR_EIG_SLACK*s)) is at least
+  less SCHUR_EIG_SLACK*s is at least -tol*s and s is finite.  So when
+  tol >= SCHUR_EIG_SLACK, G >= 0 alone passes the node: rounding is
+  monotone, so fl(G - fl(SCHUR_EIG_SLACK*s)) is at least
   -fl(SCHUR_EIG_SLACK*s) >= -fl(tol*s), and s is finite wherever G is
   (every entry is finite, and a finite G makes |u|, |z| and |w| finite).
-  Both kernels take that bulk step before any s: certify_grid_psd passes a
-  block whose every node has G >= 0 (_gershgorin_certifies), and
-  _block_verdicts passes the nodes of an uncoupled block that have G >= 0;
+  On every block, coupled or not, _block_verdicts first takes that bulk
+  step, before any s: the nodes with G >= 0 pass, and a block where all
+  do needs no other test;
 - uncoupled: at a node with u = z = w = 0 the matrix is diagonal, and its
   smallest diagonal entry d is both its smallest eigenvalue and G.
-  _uncoupled_rule passes it when d - SCHUR_EIG_SLACK*s >= -tol*s and fails
-  it when d + SCHUR_EIG_SLACK*s < -tol*s.  On a block with c = 0 and at a
-  tol of at least SCHUR_EIG_SLACK, the nodes with d >= 0 pass in bulk, as
-  above, and the rule runs only on those with d < 0 (_uncoupled_verdicts);
+  _uncoupled_rule passes it when d - SCHUR_EIG_SLACK*s >= -tol*s, the
+  Gershgorin rule, and fails it when d + SCHUR_EIG_SLACK*s < -tol*s;
 - Schur: with Da = diag(a0+a1, a0-a1), Db = diag(b0+b1, b0-b1) and C the
   upper right 2x2 block, M + shift*I is positive definite iff Da + shift > 0
   and the 2x2 Schur complement Db + shift - C* (Da + shift)^-1 C is.
@@ -60,12 +58,12 @@ its node of smallest d, as eigvalsh returns d to within a few ulps of s
 there; any other block by interlacing bounds (_interlacing_upper) and the
 eigvalsh value at its node of smallest estimate.  cone_membership keeps a
 lower bound L per node: d - SCHUR_EIG_SLACK*s_max on a block with c = 0,
-with s_max the largest s of the block; elsewhere G, or at a coupled node
-whose G is not above U, an estimate by Newton on the closed-form
-characteristic polynomial (_charpoly, which also certifies the separating
-witness of witness.py) less BOUND_GAP*s, once _pd_after_shift certifies it.
-eigvalsh runs only on the undecided nodes, the first violation and the
-nodes with L <= U, where the minimum can lie.
+with s_max the largest s of the block; elsewhere G - SCHUR_EIG_SLACK*s,
+or at a coupled node whose G is not above U, an estimate by Newton on the
+closed-form characteristic polynomial (_charpoly, which also certifies the
+separating witness of witness.py) less BOUND_GAP*s, once _pd_after_shift
+certifies it.  eigvalsh runs only on the undecided nodes, the first
+violation and the nodes with L <= U, where the minimum can lie.
 
 Every value and partial of the four fields, and every entry, must be
 finite.  _cone_entries walks a, b (not again when it is a's tree), c.re and
@@ -664,78 +662,66 @@ def _uncoupled_rule(entries, tol: float):
 
     With (d, s) of _diagonal_min, a node passes when d - SCHUR_EIG_SLACK*s,
     its Gershgorin bound, is at least -tol*s, and fails when
-    d + SCHUR_EIG_SLACK*s is below it.
+    d + SCHUR_EIG_SLACK*s is below it.  So at tol >= SCHUR_EIG_SLACK it
+    passes every node with d >= 0, as the module docstring's bulk step does.
     """
     d, scale = _diagonal_min(entries)
     slack, threshold = SCHUR_EIG_SLACK * scale, -tol * scale
     return d - slack >= threshold, d + slack < threshold
 
 
-def _uncoupled_verdicts(entries, n: int, tol: float):
-    """_block_verdicts on a block with c constant 0, as the module docstring's uncoupled rule says.
+def _block_verdicts(entries, n: int, tol: float, bound):
+    """The verdict short of eigvalsh at a block's n nodes: (passed, failed).
 
-    At tol >= SCHUR_EIG_SLACK a node with d >= 0 passes in bulk and
-    _uncoupled_rule runs only where d < 0; at a smaller tol it runs on every
-    node.  scale is s_max = max(largest diagonal entry, -min d, 1), at least
-    every node's s, and lower is d - SCHUR_EIG_SLACK*s_max, at most every
-    node's Gershgorin bound.
+    bound is the Gershgorin bound G at each node; on a block with c
+    constant 0 the caller may pass d, which equals G there.  The rules of
+    the module docstring, in its order: at tol >= SCHUR_EIG_SLACK the nodes
+    with G >= 0 pass in bulk, and a block where all do returns 0-d True and
+    False at once.  Of the nodes left open, _uncoupled_rule decides the
+    uncoupled ones; at the coupled ones the Gershgorin rule passes, then the
+    Schur tests pass and fail.  No node is both, and the nodes neither are
+    left to eigvalsh.  A block with c constant 0 where more nodes are open
+    than passed gets the rule on all of them, which is cheaper than
+    indexing the open ones.
     """
-    ap, am, bp, bm = entries[:4]
-    d = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
-    scale = max(*(float(np.max(part)) for part in entries[:4]), -float(np.min(d)), 1.0)
-    lower = d - SCHUR_EIG_SLACK * scale
-    if tol >= SCHUR_EIG_SLACK:
-        negative = d < 0.0
-        if not negative.any():
-            return np.True_, np.False_, scale, lower
-        if not negative.all():  # where every node has d < 0, the rule takes the block as it is
-            open_nodes = np.flatnonzero(negative)
-            rule_passed, rule_failed = _uncoupled_rule(_take(entries, open_nodes), tol)
-            # a node with d < 0 nearly always fails: correct the few the rule decides otherwise
-            passed, failed = ~negative, negative
-            passed[open_nodes[rule_passed]] = True
-            failed[open_nodes[~rule_failed]] = False
-            return passed, failed, scale, lower
-    return *_uncoupled_rule(entries, tol), scale, lower
-
-
-def _block_verdicts(entries, n: int, tol: float):
-    """The verdict short of eigvalsh at a block's n nodes: (passed, failed, scale, lower).
-
-    The rules of the module docstring, in its order: the Gershgorin bound
-    passes, _uncoupled_rule fails, and at the coupled nodes left the Schur
-    tests pass and fail; no node is both, and the nodes neither are left to
-    eigvalsh.  scale is the node scale s and lower the Gershgorin bound.  A
-    block with c constant 0 is _uncoupled_verdicts', whose scale and lower
-    are one bound for the block, and a block whose every node the
-    Gershgorin bound passes returns 0-d True and False at once.
-    """
-    if not any(map(np.ndim, entries[4:])) and not _coupled(entries):
-        return _uncoupled_verdicts(entries, n, tol)
-    scale = _node_scales(entries)
-    lower = _gershgorin_lower(entries, scale)
-    # where s overflowed, lower and -tol*s are both -inf: such a node is left open
-    passed = np.isfinite(scale) & (lower >= -tol * scale)
+    passed = bound >= 0.0 if tol >= SCHUR_EIG_SLACK else np.False_
     if passed.all():
-        return np.True_, np.False_, scale, lower
-    passed = np.array(np.broadcast_to(passed, n))
-    failed = np.zeros(n, dtype=bool)
-    open_nodes = np.flatnonzero(~passed)
+        return np.True_, np.False_
+    if np.ndim(passed) == 0:  # False at every node
+        passed = np.zeros(n, dtype=bool)
+    failed = ~passed  # the open nodes, until a rule passes one or leaves it open
+    open_nodes = np.flatnonzero(failed)
+    uncoupled = not any(map(np.ndim, entries[4:])) and not _coupled(entries)  # c is constant 0
+    if uncoupled and 2 * open_nodes.size > n:
+        return _uncoupled_rule(entries, tol)
     part = _take(entries, open_nodes)
-    coupled = np.broadcast_to(_coupled(part), open_nodes.shape)
-    failed[open_nodes] = _uncoupled_rule(part, tol)[1] & ~coupled
+    rule_passed, rule_failed = _uncoupled_rule(part, tol)
+    if not uncoupled:  # the rule decides only the nodes with u = z = w = 0
+        coupled = np.broadcast_to(_coupled(part), open_nodes.shape)
+        rule_passed, rule_failed = rule_passed & ~coupled, rule_failed & ~coupled
+    # at tol >= SCHUR_EIG_SLACK an open uncoupled node has d < 0 and nearly always fails: correct the rest
+    passed[open_nodes[rule_passed]] = True
+    failed[open_nodes[~rule_failed]] = False
+    if uncoupled:
+        return passed, failed
     open_nodes = open_nodes[coupled]
     if open_nodes.size:
-        part, part_scale = _take(entries, open_nodes), np.broadcast_to(scale, n)[open_nodes]
-        passed[open_nodes] = _pd_after_shift(part, (tol - SCHUR_EIG_SLACK) * part_scale)
-        failed[open_nodes] = _indefinite_after_shift(part, (tol + SCHUR_EIG_SLACK) * part_scale)
-    return passed, failed, scale, lower
+        part = _take(entries, open_nodes)
+        scale = np.broadcast_to(_node_scales(part), open_nodes.shape)
+        lower = np.broadcast_to(bound, n)[open_nodes] - SCHUR_EIG_SLACK * scale
+        # where s overflowed, lower and -tol*s are both -inf: such a node is left open
+        left = ~(np.isfinite(scale) & (lower >= -tol * scale))
+        passed[open_nodes] = ~left
+        open_nodes, part, scale = open_nodes[left], _take(part, left), scale[left]
+        passed[open_nodes] = _pd_after_shift(part, (tol - SCHUR_EIG_SLACK) * scale)
+        failed[open_nodes] = _indefinite_after_shift(part, (tol + SCHUR_EIG_SLACK) * scale)
+    return passed, failed
 
 
 # Closed-form bounds on a node's eigvalsh smallest eigenvalue.
-# _gershgorin_lower and _interlacing_upper move SCHUR_EIG_SLACK*s outward,
-# far more than their own rounding and that of eigvalsh (a few hundred ulps
-# of s), so the lower one never exceeds the upper.
+# The lower bound G - SCHUR_EIG_SLACK*s and _interlacing_upper move
+# SCHUR_EIG_SLACK*s outward, far more than their own rounding and that of
+# eigvalsh (a few hundred ulps of s), so the lower one never exceeds the upper.
 
 
 def _gershgorin_bound(entries) -> np.ndarray:
@@ -746,16 +732,6 @@ def _gershgorin_bound(entries) -> np.ndarray:
     """
     ap, am, bp, bm, u, z, w = entries
     return np.minimum(np.minimum(ap, bp) - np.abs(u), np.minimum(am, bm) - np.abs(z)) - np.abs(w)
-
-
-def _gershgorin_lower(entries, scale) -> np.ndarray:
-    """The Gershgorin bound G less SCHUR_EIG_SLACK*s, with s the node scale."""
-    return _gershgorin_bound(entries) - SCHUR_EIG_SLACK * scale
-
-
-def _gershgorin_certifies(entries, tol: float) -> bool:
-    """Whether tol >= SCHUR_EIG_SLACK and G >= 0 at every node: then the Gershgorin rule passes them all."""
-    return tol >= SCHUR_EIG_SLACK and bool((_gershgorin_bound(entries) >= 0.0).all())
 
 
 def _interlacing_upper(entries, scale) -> np.ndarray:
@@ -857,24 +833,32 @@ def _block_membership(entries, n: int, tol: float, upper: float):
     passed and failed are _block_verdicts', and bound is each node's lower
     bound L.  upper bounds the grid minimum from above (a bound on some
     earlier node's eigvalsh value) and comes back lowered by this block's.
-    A block with no coupled node ends at the verdicts, with L their lower
-    bound, and lowers upper to d + SCHUR_EIG_SLACK*s at its node of
-    smallest L, where eigvalsh gives d to within a few ulps of s
-    (_diagonal_min).  Otherwise upper is lowered by interlacing bounds, the
-    coupled nodes whose G is not above it, the only ones that can hold the
-    grid minimum, run Newton, and L is the estimate less BOUND_GAP*s where
-    _pd_after_shift certifies it with SCHUR_EIG_SLACK*s to spare (elsewhere
-    G); eigvalsh at the node of smallest estimate lowers upper last.
+    A block with no coupled node ends at the verdicts, with
+    L = d - SCHUR_EIG_SLACK*s_max, and lowers upper to d + SCHUR_EIG_SLACK*s
+    at its node of smallest L, where eigvalsh gives d to within a few ulps
+    of s (_diagonal_min).  s_max = max(largest diagonal entry, -min d, 1) is
+    at least every node's s.  Otherwise upper is lowered by interlacing
+    bounds, the coupled nodes whose G is not above it, the only ones that
+    can hold the grid minimum, run Newton, and L is the estimate less
+    BOUND_GAP*s where _pd_after_shift certifies it with SCHUR_EIG_SLACK*s to
+    spare (elsewhere G - SCHUR_EIG_SLACK*s); eigvalsh at the node of
+    smallest estimate lowers upper last.
     """
     coupled = _coupled(entries)  # 0-d where c is constant on the block
     if not coupled.any():
-        passed, failed, _, lower = _block_verdicts(entries, n, tol)
-        lower = np.broadcast_to(lower, n)  # 0-d where the diagonal is constant on the block
+        ap, am, bp, bm = entries[:4]
+        d = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
+        passed, failed = _block_verdicts(entries, n, tol, d)
+        s_max = max(*(float(np.max(part)) for part in entries[:4]), -float(np.min(d)), 1.0)
+        # d is 0-d where the diagonal is constant on the block
+        lower = np.broadcast_to(d - SCHUR_EIG_SLACK * s_max, n)
         d, s = _diagonal_min(_take(entries, [np.argmin(lower)]))
         return lower, passed, failed, np.minimum(upper, (d + SCHUR_EIG_SLACK * s).min())
     # the diagonal entries as views over the block's nodes: each stage below keeps per-node arrays
     entries = [*(np.broadcast_to(part, n) for part in entries[:4]), *entries[4:]]
-    passed, failed, scale, lower = _block_verdicts(entries, n, tol)
+    scale, lower = _node_scales(entries), _gershgorin_bound(entries)
+    passed, failed = _block_verdicts(entries, n, tol, lower)
+    lower -= SCHUR_EIG_SLACK * scale  # from G to L, in place: one array fewer lives through the block
     # a node's interlacing bound is at least its Gershgorin bound, so only
     # nodes with lower <= upper can lower upper; the lowest one seeds it.
     # fmin: a NaN bound lowers nothing
@@ -980,9 +964,9 @@ def certify_grid_psd(
         if not verdict:
             continue
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if _gershgorin_certifies(entries, tol):
-                continue
-            passed, failed, _, _ = _block_verdicts(entries, n, tol)
+            passed, failed = _block_verdicts(entries, n, tol, _gershgorin_bound(entries))
+        if passed is np.True_:  # every node passed; a reduction over a numpy scalar costs microseconds
+            continue
         if failed.any():
             verdict = False
         elif not passed.all():

@@ -441,6 +441,16 @@ def test_cone_check_outputs_equal_the_golden_ones(case, capsys, monkeypatch):
     assert (code, out, err) == (case["exit_code"], case["stdout"], case["stderr"])
 
 
+#: the full-scale selftest JSON of seeds 0, 1 and 2, with its exit code and stderr
+GOLDEN_SELFTESTS = json.loads((Path(__file__).parent / "selftest_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_SELFTESTS, ids=[f"seed{case['seed']}" for case in GOLDEN_SELFTESTS])
+def test_selftest_outputs_equal_the_golden_ones(case, capsys):
+    code, out, err = _run(capsys, "selftest", "--seed", str(case["seed"]))
+    assert (code, out, err) == (case["exit_code"], case["stdout"], case["stderr"])
+
+
 def test_plan_path_unrelated_is_input_error(capsys):
     code, _, err = _run(capsys, "plan-path", "--input", json.dumps(PURE_SHORT))
     assert code == 2

@@ -20,6 +20,7 @@ from causalnc.cone import (
     _block_verdicts,
     _charpoly,
     _cone_entries,
+    _gershgorin_bound,
     _grid_entries,
     _lambda_min_estimates,
     _matrices,
@@ -346,9 +347,9 @@ def test_certify_grid_psd_sends_a_non_member_to_block_verdicts(monkeypatch):
     calls = []
     verdicts = cone._block_verdicts
 
-    def counting(entries, n, tol):
+    def counting(entries, n, tol, bound):
         calls.append(n)
-        return verdicts(entries, n, tol)
+        return verdicts(entries, n, tol, bound)
 
     monkeypatch.setattr(cone, "_block_verdicts", counting)
     assert certify_grid_psd(AlgebraElement.from_sources("x", "x"), D_UNIT, SQUARE) is False
@@ -1134,16 +1135,24 @@ def test_criterion_5_stream_certifies_without_lapack(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
     monkeypatch.setattr(cone, "_pd_after_shift", refuse)
     monkeypatch.setattr(cone, "_psd_at_nodes", refuse)
-    # nor any node scale or _block_verdicts: G >= 0 at every node certifies each block
+    # nor any node scale: G >= 0 at every node passes each block in _block_verdicts' bulk step
     monkeypatch.setattr(cone, "_node_scales", refuse)
     monkeypatch.setattr(cone, "_uncoupled_rule", refuse)
-    monkeypatch.setattr(cone, "_block_verdicts", refuse)
+    verdicts, returned = cone._block_verdicts, []
+
+    def spying(entries, n, tol, bound):
+        returned.append(verdicts(entries, n, tol, bound))
+        return returned[-1]
+
+    monkeypatch.setattr(cone, "_block_verdicts", spying)
     cfg = SamplerConfig(seed=50_001, n_elements=50)
     for dirac in (D_UNIT, DiracData(0.0, 2.0)):
         for k in range(cfg.n_elements):
             el = sample_causal_element(cfg, k, dirac)
             for tree in (el.a, el.b, el.c_re, el.c_im):
                 assert parse(to_source(tree)) == tree
+    assert returned
+    assert all(np.ndim(passed) == np.ndim(failed) == 0 and passed and not failed for passed, failed in returned)
 
 
 @pytest.mark.parametrize(
@@ -1369,17 +1378,19 @@ def _screen_cases(draw, tol: float):
     (of the order of the entries) or near, s*(k*tol + m*SCHUR_EIG_SLACK)
     with k in {-1, 0} and |m| <= 2, so the Gershgorin bound lands within a
     few slacks of -tol*s.  uncoupled: u, z and w are 0-d zeros, as
-    _cone_entries gives for a constant c.  tight: only u and z, or only w,
-    couple and every row has the same near margin, so each 2x2 block has
-    equal diagonals, the Gershgorin bound is the smallest eigenvalue less
-    the slack, and the matrix is near rank-deficient.  pass: k = 0 and
+    _cone_entries gives for a constant c.  mixed: as coupled, but u, z and
+    w are exactly 0 at some nodes and not at others, as a c that vanishes
+    at some nodes gives.  tight: only u and z, or only w, couple and every
+    row has the same near margin, so each 2x2 block has equal diagonals,
+    the Gershgorin bound is the smallest eigenvalue less the slack, and the
+    matrix is near rank-deficient.  pass: k = 0 and
     0 <= m <= 2 on every row, coupled or not, so the Gershgorin bound is at
     least 0 at every row up to rounding.  The magnitude runs from 1 to
     1e300, or up to the float maximum, where a coupling modulus can lie
     beyond the float range and s is inf; the entries stay finite, as
     _cone_entries gives them.
     """
-    kind = draw(st.sampled_from(("coupled", "uncoupled", "tight", "pass")))
+    kind = draw(st.sampled_from(("coupled", "uncoupled", "mixed", "tight", "pass")))
     magnitude = draw(st.one_of(st.integers(0, 300).map(lambda e: 10.0**e), st.floats(1e300, _FLOAT_MAX)))
     n = 3
 
@@ -1395,6 +1406,10 @@ def _screen_cases(draw, tol: float):
                 w = np.zeros(n, dtype=complex)
             else:
                 u = z = np.zeros(n, dtype=complex)
+        if kind == "mixed":
+            others = draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
+            zero = draw(st.permutations([True, False, *others]))  # some nodes uncoupled, not all
+            u, z, w = (np.where(zero, 0j, part) for part in (u, z, w))
     near = rows(st.booleans())
     if kind == "tight":
         near[:] = True
@@ -1422,19 +1437,25 @@ def test_block_verdicts_pass_and_fail_only_where_eigvalsh_does(data):
     for tol in SCREEN_TOLS:
         entries = data.draw(_screen_cases(tol), label=f"entries at tol {tol}")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            passed, failed, _, _ = _block_verdicts(entries, 3, tol)
+            passed, failed = _block_verdicts(entries, 3, tol, _gershgorin_bound(entries))
             eig_passed = _psd_at_nodes(_matrices(entries), tol)[1]
         passed, failed = np.broadcast_to(passed, 3), np.broadcast_to(failed, 3)
         assert eig_passed[passed].all()
         assert not eig_passed[failed].any()
         assert not (passed & failed).any()
+        # _uncoupled_rule leaves an uncoupled node open only within SCHUR_EIG_SLACK*s of -tol*s
+        d, s = cone._diagonal_min(entries)
+        uncoupled = ~np.broadcast_to(cone._coupled(entries), 3)
+        with np.errstate(over="ignore"):  # d + tol*s beyond the float range is clear of it
+            clear = np.abs(d + tol * s) > 1.5 * cone.SCHUR_EIG_SLACK * s
+        assert (passed | failed)[uncoupled & clear].all()
 
 
 @settings(max_examples=100)
 @given(st.data())
 def test_gershgorin_step_passes_only_blocks_whose_every_node_each_rule_passes(data):
-    # certify_grid_psd passes a block on the sign of G alone; at every node
-    # of such a block _block_verdicts and eigvalsh pass, and the rounded
+    # _block_verdicts passes a block in bulk on the sign of G alone, with 0-d
+    # verdicts; at every node of such a block eigvalsh passes, and the rounded
     # entries make M + tol*s*I PSD in exact arithmetic.  Tried on the whole
     # case and on each node alone, at the tol the case was drawn for and at
     # the smallest tol the step accepts, where its rounding argument has
@@ -1445,13 +1466,14 @@ def test_gershgorin_step_passes_only_blocks_whose_every_node_each_rule_passes(da
             for nodes in ([0, 1, 2], [0], [1], [2]):
                 block = cone._take(entries, nodes)
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    if not cone._gershgorin_certifies(block, tol):
+                    passed, failed = _block_verdicts(block, len(nodes), tol, _gershgorin_bound(block))
+                    if np.ndim(passed) != 0:  # not the bulk return
                         continue
-                    passed = _block_verdicts(block, len(nodes), tol)[0]
                     eig_passed = _psd_at_nodes(_matrices(block), tol)[1]
                     scale = np.broadcast_to(_node_scales(block), len(nodes))
                 assert tol != 0.0  # the step never fires at tol = 0
                 assert np.broadcast_to(passed, len(nodes)).all()
+                assert not failed
                 assert eig_passed.all()
                 for i in range(len(nodes)):
                     node = [part if np.ndim(part) == 0 else part[i] for part in block]
