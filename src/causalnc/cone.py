@@ -51,19 +51,20 @@ no other test.  The two families oracle.py samples are diagonally dominant
 by construction, so G passes every node of theirs.
 
 certify_grid_psd needs only the verdict.  cone_membership also reports the
-smallest eigenvalue on the grid and its node.  It lowers U, an upper bound
-on some node's eigvalsh value and so on the grid minimum, block by block.
-A block with c = 0 lowers it in closed form, to d + SCHUR_EIG_SLACK*s at
-its node of smallest d, as eigvalsh returns d to within a few ulps of s
-there; any other block by interlacing bounds (_interlacing_upper) and the
-eigvalsh value at its node of smallest estimate.  cone_membership keeps a
-lower bound L per node: d - SCHUR_EIG_SLACK*s_max on a block with c = 0,
-with s_max the largest s of the block; elsewhere G - SCHUR_EIG_SLACK*s,
-or at a coupled node whose G is not above U, an estimate by Newton on the
-closed-form characteristic polynomial (_charpoly, which also certifies the
-separating witness of witness.py) less BOUND_GAP*s, once _pd_after_shift
-certifies it.  eigvalsh runs only on the undecided nodes, the first
-violation and the nodes with L <= U, where the minimum can lie.
+smallest eigenvalue on the grid and its node.  It keeps U, an upper bound on
+the grid minimum: the least eigvalsh value taken so far, as any node's
+eigvalsh value is at least that minimum, or on a block with c = 0 the closed
+form d + SCHUR_EIG_SLACK*s at its node of smallest d, as eigvalsh returns d
+to within a few ulps of s there.  A coupled block takes eigvalsh at its node
+of smallest L, and again at its node of smallest Newton estimate.
+cone_membership keeps a lower bound L per node: d - SCHUR_EIG_SLACK*s_max on
+a block with c = 0, with s_max the largest s of the block; elsewhere
+G - SCHUR_EIG_SLACK*s, or at a coupled node whose L is not above U, an
+estimate by Newton on the closed-form characteristic polynomial (_charpoly,
+which also certifies the separating witness of witness.py) less BOUND_GAP*s,
+once _pd_after_shift certifies it.  eigvalsh runs only on the undecided
+nodes, the first violation and the nodes with L <= U, where the minimum can
+lie.
 
 Every value and partial of the four fields, and every entry, must be
 finite.  _cone_entries walks a, b (not again when it is a's tree), c.re and
@@ -267,14 +268,12 @@ class RegionGrid:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegionGrid":
-        return cls(
-            float(data["t_min"]),
-            float(data["t_max"]),
-            float(data["x_min"]),
-            float(data["x_max"]),
-            int(data["nt"]),
-            int(data["nx"]),
-        )
+        """The grid of to_dict's keys; nt and nx must be integers, not bools, or a ValueError names the key."""
+        bounds = [float(data[key]) for key in ("t_min", "t_max", "x_min", "x_max")]
+        for key in ("nt", "nx"):
+            if isinstance(data[key], bool) or not isinstance(data[key], int):
+                raise ValueError(f'"{key}" must be an integer, got {data[key]!r}')
+        return cls(*bounds, data["nt"], data["nx"])
 
 
 def _cone_entries(el: AlgebraElement, t, x, delta: float, memo=None):
@@ -718,12 +717,6 @@ def _block_verdicts(entries, n: int, tol: float, bound):
     return passed, failed
 
 
-# Closed-form bounds on a node's eigvalsh smallest eigenvalue.
-# The lower bound G - SCHUR_EIG_SLACK*s and _interlacing_upper move
-# SCHUR_EIG_SLACK*s outward, far more than their own rounding and that of
-# eigvalsh (a few hundred ulps of s), so the lower one never exceeds the upper.
-
-
 def _gershgorin_bound(entries) -> np.ndarray:
     """Gershgorin: each eigenvalue lies within a row's off-diagonal sum of that row's diagonal entry.
 
@@ -734,47 +727,22 @@ def _gershgorin_bound(entries) -> np.ndarray:
     return np.minimum(np.minimum(ap, bp) - np.abs(u), np.minimum(am, bm) - np.abs(z)) - np.abs(w)
 
 
-def _interlacing_upper(entries, scale) -> np.ndarray:
-    """Cauchy interlacing: the smallest eigenvalue is at most that of each principal submatrix.
-
-    Here the 2x2 blocks on rows (0, 2), (1, 3), (0, 3) and (1, 2), each
-    [[x, -v], [-v*, y]] with smallest eigenvalue (x + y)/2 - hypot((x - y)/2, |v|).
-    """
-    ap, am, bp, bm, u, z, w = entries
-    au, az, aw = np.abs(u), np.abs(z), np.abs(w)
-
-    def pair_min(x, y, v):  # on quarters of the entries, so only a value below -1.8e308 overflows
-        return 2.0 * ((0.25 * x + 0.25 * y) - np.hypot(0.25 * x - 0.25 * y, 0.5 * v))
-
-    upper = np.minimum(
-        np.minimum(pair_min(ap, bp, au), pair_min(am, bm, az)),
-        np.minimum(pair_min(ap, bm, aw), pair_min(am, bp, aw)),
-    )
-    return upper + SCHUR_EIG_SLACK * scale
-
-
 def _lambda_min_estimates(entries, scale, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Estimate of each node's smallest eigenvalue, and whether it converged.
+    """Estimates of the smallest eigenvalue at the given nodes, and whether each converged.
 
-    cone_membership calls it only on blocks with a coupled node, with
-    coupled nodes only in nodes.  A node outside the index array nodes gets
-    its smallest diagonal entry: exact at an uncoupled node, an upper bound
-    at a coupled one.  A node in nodes runs Newton on the characteristic polynomial of M/s
-    less its mean, with s the node scale, so that no coefficient overflows (e4 grows as the fourth
-    power of the entries): from _charpoly, its expansion in mu = lam -
-    (ap + am + bp + bm)/(4s), det(M/s - lam) = mu^4 + e2 mu^2 - e3 mu + e4,
-    has no cubic term.  The four roots are real, so Newton started at the
-    Gershgorin lower bound rises to the smallest one without overshooting
-    it (up to rounding); the estimate is s times it.  A node converges
-    once a step is at most NEWTON_STEP_TOL (of M/s); a node that
-    does not within NEWTON_MAX_STEPS (linear convergence at a multiple
-    root), or whose step is not finite, is reported as not converged.
+    Both arrays run over the index array nodes, all of them coupled where
+    cone_membership calls it; scale is the node scale s over the block.  Each node runs
+    Newton on the characteristic polynomial of M/s less its mean, so that no
+    coefficient overflows (e4 grows as the fourth power of the entries): from
+    _charpoly, its expansion in mu = lam - (ap + am + bp + bm)/(4s),
+    det(M/s - lam) = mu^4 + e2 mu^2 - e3 mu + e4, has no cubic term.  The
+    four roots are real, so Newton started at the Gershgorin lower bound
+    rises to the smallest one without overshooting it (up to rounding); the
+    estimate is s times it.  A node converges once a step is at most
+    NEWTON_STEP_TOL (of M/s); a node that does not within NEWTON_MAX_STEPS
+    (linear convergence at a multiple root), or whose step is not finite, is
+    reported as not converged.
     """
-    ap, am, bp, bm = entries[:4]
-    estimate = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
-    converged = np.ones(estimate.shape, dtype=bool)
-    if nodes.size == 0:
-        return estimate, converged
     s = scale[nodes]
     ap, am, bp, bm, u, z, w = (part / s for part in _take(entries, nodes))
     center = 0.25 * (ap + am + bp + bm)
@@ -782,7 +750,8 @@ def _lambda_min_estimates(entries, scale, nodes: np.ndarray) -> tuple[np.ndarray
     _, c2, e3, c0 = _charpoly((ap, am, bp, bm, u, z, w))
     c1 = -e3  # det(M/s - lam) = mu^4 + c2 mu^2 + c1 mu + c0
     mu = _gershgorin_bound((ap, am, bp, bm, u, z, w))  # a start needs no slack
-    converged[nodes] = False
+    estimate, converged = np.empty(nodes.shape), np.zeros(nodes.shape, dtype=bool)
+    running = np.arange(nodes.size)  # positions in nodes of the nodes still stepping
     for _ in range(NEWTON_MAX_STEPS):
         mu2 = mu * mu
         step = (((mu2 + c2) * mu + c1) * mu + c0) / ((4.0 * mu2 + 2.0 * c2) * mu + c1)
@@ -791,13 +760,13 @@ def _lambda_min_estimates(entries, scale, nodes: np.ndarray) -> tuple[np.ndarray
         small = np.abs(step) <= NEWTON_STEP_TOL
         finished = small | ~finite
         if finished.any():
-            estimate[nodes[finished]] = (center[finished] + mu[finished]) * s[finished]
-            converged[nodes[small]] = True
+            estimate[running[finished]] = (center[finished] + mu[finished]) * s[finished]
+            converged[running[small]] = True
             keep = ~finished
-            nodes, mu, center, s, c2, c1, c0 = (v[keep] for v in (nodes, mu, center, s, c2, c1, c0))
-            if nodes.size == 0:
+            running, mu, center, s, c2, c1, c0 = (v[keep] for v in (running, mu, center, s, c2, c1, c0))
+            if running.size == 0:
                 break
-    estimate[nodes] = (center + mu) * s
+    estimate[running] = (center + mu) * s
     return estimate, converged
 
 
@@ -837,12 +806,12 @@ def _block_membership(entries, n: int, tol: float, upper: float):
     L = d - SCHUR_EIG_SLACK*s_max, and lowers upper to d + SCHUR_EIG_SLACK*s
     at its node of smallest L, where eigvalsh gives d to within a few ulps
     of s (_diagonal_min).  s_max = max(largest diagonal entry, -min d, 1) is
-    at least every node's s.  Otherwise upper is lowered by interlacing
-    bounds, the coupled nodes whose G is not above it, the only ones that
-    can hold the grid minimum, run Newton, and L is the estimate less
-    BOUND_GAP*s where _pd_after_shift certifies it with SCHUR_EIG_SLACK*s to
-    spare (elsewhere G - SCHUR_EIG_SLACK*s); eigvalsh at the node of
-    smallest estimate lowers upper last.
+    at least every node's s.  Otherwise L = G - SCHUR_EIG_SLACK*s, and
+    eigvalsh at the node of smallest L lowers upper.  The coupled nodes
+    whose L is not above it, the only coupled ones that can hold the grid
+    minimum, run Newton: L there is the estimate less BOUND_GAP*s where
+    _pd_after_shift certifies it with SCHUR_EIG_SLACK*s to spare, and
+    eigvalsh at the node of smallest estimate lowers upper last.
     """
     coupled = _coupled(entries)  # 0-d where c is constant on the block
     if not coupled.any():
@@ -859,22 +828,18 @@ def _block_membership(entries, n: int, tol: float, upper: float):
     scale, lower = _node_scales(entries), _gershgorin_bound(entries)
     passed, failed = _block_verdicts(entries, n, tol, lower)
     lower -= SCHUR_EIG_SLACK * scale  # from G to L, in place: one array fewer lives through the block
-    # a node's interlacing bound is at least its Gershgorin bound, so only
-    # nodes with lower <= upper can lower upper; the lowest one seeds it.
-    # fmin: a NaN bound lowers nothing
-    seed = [np.argmin(lower)]
-    upper = np.fmin(upper, _interlacing_upper(_take(entries, seed), scale[seed])[0])
-    near = np.flatnonzero(lower <= upper)
-    upper = np.fmin.reduce(_interlacing_upper(_take(entries, near), scale[near]), initial=upper)
+    # any node's eigvalsh value is at least the grid minimum: take it where L is least
+    upper = np.minimum(upper, _psd_at_nodes(_matrices(_take(entries, [np.argmin(lower)])), tol)[0][0])
     refine = np.flatnonzero(coupled & ~(lower > upper))
-    estimate, converged = _lambda_min_estimates(entries, scale, refine)
     if refine.size:
         s = scale[refine]
-        newton = estimate[refine] - BOUND_GAP * s
-        certified = converged[refine] & _pd_after_shift(_take(entries, refine), -newton - SCHUR_EIG_SLACK * s)
+        estimate, converged = _lambda_min_estimates(entries, scale, refine)
+        newton = estimate - BOUND_GAP * s
+        certified = converged & _pd_after_shift(_take(entries, refine), -newton - SCHUR_EIG_SLACK * s)
         lower[refine[certified]] = newton[certified]
-    lowest = _take(entries, [np.argmin(estimate)])
-    return lower, passed, failed, np.minimum(upper, _psd_at_nodes(_matrices(lowest), tol)[0][0])
+        lowest = _take(entries, [refine[np.argmin(estimate)]])
+        upper = np.minimum(upper, _psd_at_nodes(_matrices(lowest), tol)[0][0])
+    return lower, passed, failed, upper
 
 
 def cone_membership(
@@ -905,7 +870,7 @@ def cone_membership(
         passed = np.empty(n, dtype=bool)
     except (MemoryError, ValueError) as err:
         raise region._too_large() from err
-    upper = np.inf  # an eigvalsh or interlacing bound at some node, so the grid minimum is at most this
+    upper = np.inf  # U: an eigvalsh value, or d's closed form, at some node, so at least the grid minimum
     first_failed = -1
     kept = []  # per block: (nodes, bounds, undecided flags, entries) of the nodes eigvalsh may need
     for start, n_block, entries in _grid_blocks(el, dirac, region):

@@ -313,6 +313,17 @@ def test_cone_check_grid_from_input(capsys):
     assert json.loads(out)["n_nodes"] == 25
 
 
+@pytest.mark.parametrize("key", ("nt", "nx"))
+@pytest.mark.parametrize("count", (5.9, True, "41", 41.0), ids=("fraction", "bool", "string", "float"))
+def test_cone_check_grid_node_count_must_be_a_json_integer(capsys, key, count):
+    # int() truncated 5.9 to a 5-node axis and read true as 1, and the run exited 0
+    grid = {"t_min": -1, "t_max": 1, "x_min": -1, "x_max": 1, "nt": 5, "nx": 5, key: count}
+    payload = {"element": {"a": "t", "b": "t"}, "dirac": {"d1": 0, "d2": 1}, "grid": grid}
+    code, out, err = _run(capsys, "cone-check", "--input", json.dumps(payload))
+    assert (code, out) == (2, "")
+    assert err == f'error: bad "grid" entry: "{key}" must be an integer, got {count!r}\n'
+
+
 def test_cone_check_default_grid(capsys):
     payload = json.dumps({"element": {"a": "t", "b": "t + 2*tanh(x)"}, "dirac": {"d1": 0, "d2": 1}})
     code, out, err = _run(capsys, "cone-check", "--input", payload)

@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_exits_cleanly(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # the suite's own warning policy (-W error::RuntimeWarning) holds in the demos too
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error::RuntimeWarning")
     done = subprocess.run(
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=60
     )
