@@ -45,7 +45,6 @@ from .states import (
 LATITUDE_TOL = 1e-12
 #: Slack, in radians of internal angle, on the proper-time-versus-angle comparison.
 BOUND_SLACK = 1e-12
-STATE_EQ_TOL = 1e-12
 
 #: Candidates of the mixed-state supremum this close to the maximum count as attaining it.
 PLATEAU_TOL = 1e-12
@@ -216,7 +215,7 @@ def mixed_required_angle(rho: MixedInternalState, sigma: MixedInternalState) -> 
         raise ValueError(f"latitudes differ: {rho.rz} vs {sigma.rz}")
     z = 0.5 * (rho.rz + sigma.rz)
     if abs(z) >= 1.0 - POLE_TOL:
-        if bloch_equal(rho, sigma, STATE_EQ_TOL):
+        if bloch_equal(rho, sigma):
             return 0.0
         raise ValueError("the required angle is undefined at the poles")
     return _required_angle(rho, sigma)[0]
@@ -239,7 +238,7 @@ def _decide(
         return CausalVerdict(False, Reason.SPACETIME_ORDER), None
     available = max_proper_time(p, q)
     if dirac.degenerate:
-        if bloch_equal(rho, sigma, STATE_EQ_TOL):
+        if bloch_equal(rho, sigma):
             return CausalVerdict(True, Reason.OK, 0.0, available), None
         return CausalVerdict(False, Reason.DEGENERATE_INTERNAL_CHANGE), None
     if abs(rho.rz - sigma.rz) > LATITUDE_TOL:

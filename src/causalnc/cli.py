@@ -10,11 +10,12 @@ atomically.  Exit codes are a stable contract:
   2  malformed or unusable input
   3  internal fault: a built certificate failed its own check
 
-All verdict objects carry a "schema": "causalnc/1" field.  Angles are
-radians throughout.  Only cone-check and selftest take --tol, the PSD
-tolerance, which must be a finite number.  selftest runs the acceptance
-battery of tests/test_acceptance.py at a reduced scale seeded by --seed.
-witness reads the mixed pair (rho, sigma) of an input without "xi".
+Every JSON output starts with a "schema" field holding SCHEMA, causalnc/1,
+which only this module writes.  Angles are radians throughout.  Only
+cone-check takes --tol, the PSD tolerance, which must be a finite number.
+selftest runs the acceptance battery of tests/test_acceptance.py at a
+reduced scale seeded by --seed, with PSD tests at cone.PSD_TOL.  witness
+reads the mixed pair (rho, sigma) of an input without "xi".
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ def _cmd_witness(args) -> int:
         certificate = refute_with_witness(omega, eta, _dirac(data))
     except ValueError as err:
         raise InputError(f"witness preconditions not met: {err}") from err
-    _write_json(certificate.to_dict(), args.output)
+    _write_json({"schema": SCHEMA, **certificate.to_dict()}, args.output)
     return EXIT_OK
 
 
@@ -241,8 +242,8 @@ def _cmd_plan_path(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    summary = run_selftest(seed=args.seed, quick=args.quick, tol=args.tol)
-    _write_json(summary, args.output)
+    summary = run_selftest(seed=args.seed, quick=args.quick)
+    _write_json({"schema": SCHEMA, **summary}, args.output)
     return EXIT_OK if summary["passed"] else EXIT_NEGATIVE
 
 
@@ -291,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance battery at reduced scale")
     common(p, needs_input=False)
-    p.add_argument("--tol", type=_finite_float, default=PSD_TOL, help=f"PSD tolerance (default {PSD_TOL})")
     p.add_argument("--seed", type=int, default=0, help="seed of the reduced-scale sampling")
     p.add_argument("--quick", action="store_true", help="fast subset of the checks")
     p.set_defaults(fn=_cmd_selftest)

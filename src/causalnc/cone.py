@@ -54,11 +54,11 @@ certify_grid_psd needs only the verdict.  cone_membership also reports the
 smallest eigenvalue on the grid and its node.  It keeps U, an upper bound on
 the grid minimum: the least eigvalsh value taken so far, as any node's
 eigvalsh value is at least that minimum, or on a block with c = 0 the closed
-form d + SCHUR_EIG_SLACK*s at its node of smallest d, as eigvalsh returns d
-to within a few ulps of s there.  A coupled block takes eigvalsh at its node
-of smallest L, and again at its node of smallest Newton estimate.
-cone_membership keeps a lower bound L per node: d - SCHUR_EIG_SLACK*s_max on
-a block with c = 0, with s_max the largest s of the block; elsewhere
+form min d + SCHUR_EIG_SLACK*s_max, with s_max the largest s of the block,
+as eigvalsh returns d to within a few ulps of s there.  A coupled block
+takes eigvalsh at its node of smallest L, and again at its node of smallest
+Newton estimate.  cone_membership keeps a lower bound L per node:
+d - SCHUR_EIG_SLACK*s_max on a block with c = 0; elsewhere
 G - SCHUR_EIG_SLACK*s, or at a coupled node whose L is not above U, an
 estimate by Newton on the closed-form characteristic polynomial (_charpoly,
 which also certifies the separating witness of witness.py) less BOUND_GAP*s,
@@ -191,9 +191,6 @@ class ConeMatrix:
             raise ValueError("matrix is not Hermitian")
         object.__setattr__(self, "m", m)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.m)[0])
-
 
 @dataclass(frozen=True)
 class RegionGrid:
@@ -256,19 +253,9 @@ class RegionGrid:
         row, col = divmod(flat_index, self.nx)
         return SpacetimePoint(float(t[row]), float(x[col]))
 
-    def to_dict(self) -> dict:
-        return {
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "nt": self.nt,
-            "nx": self.nx,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "RegionGrid":
-        """The grid of to_dict's keys; nt and nx must be integers, not bools, or a ValueError names the key."""
+        """The grid of keys t_min, t_max, x_min, x_max, nt and nx; a ValueError names an nt or nx not an int."""
         bounds = [float(data[key]) for key in ("t_min", "t_max", "x_min", "x_max")]
         for key in ("nt", "nx"):
             if isinstance(data[key], bool) or not isinstance(data[key], int):
@@ -803,26 +790,27 @@ def _block_membership(entries, n: int, tol: float, upper: float):
     bound L.  upper bounds the grid minimum from above (a bound on some
     earlier node's eigvalsh value) and comes back lowered by this block's.
     A block with no coupled node ends at the verdicts, with
-    L = d - SCHUR_EIG_SLACK*s_max, and lowers upper to d + SCHUR_EIG_SLACK*s
-    at its node of smallest L, where eigvalsh gives d to within a few ulps
-    of s (_diagonal_min).  s_max = max(largest diagonal entry, -min d, 1) is
-    at least every node's s.  Otherwise L = G - SCHUR_EIG_SLACK*s, and
-    eigvalsh at the node of smallest L lowers upper.  The coupled nodes
-    whose L is not above it, the only coupled ones that can hold the grid
-    minimum, run Newton: L there is the estimate less BOUND_GAP*s where
-    _pd_after_shift certifies it with SCHUR_EIG_SLACK*s to spare, and
-    eigvalsh at the node of smallest estimate lowers upper last.
+    L = d - SCHUR_EIG_SLACK*s_max, and lowers upper to
+    min d + SCHUR_EIG_SLACK*s_max: eigvalsh gives d to within a few ulps of
+    s at each node (_diagonal_min), and s_max = max(largest diagonal entry,
+    -min d, 1) is at least every node's s.  Otherwise
+    L = G - SCHUR_EIG_SLACK*s, and eigvalsh at the node of smallest L
+    lowers upper.  The coupled nodes whose L is not above it, the only
+    coupled ones that can hold the grid minimum, run Newton: L there is the
+    estimate less BOUND_GAP*s where _pd_after_shift certifies it with
+    SCHUR_EIG_SLACK*s to spare, and eigvalsh at the node of smallest
+    estimate lowers upper last.
     """
     coupled = _coupled(entries)  # 0-d where c is constant on the block
     if not coupled.any():
         ap, am, bp, bm = entries[:4]
         d = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
         passed, failed = _block_verdicts(entries, n, tol, d)
-        s_max = max(*(float(np.max(part)) for part in entries[:4]), -float(np.min(d)), 1.0)
+        d_min = float(np.min(d))
+        s_max = max(*(float(np.max(part)) for part in entries[:4]), -d_min, 1.0)
         # d is 0-d where the diagonal is constant on the block
         lower = np.broadcast_to(d - SCHUR_EIG_SLACK * s_max, n)
-        d, s = _diagonal_min(_take(entries, [np.argmin(lower)]))
-        return lower, passed, failed, np.minimum(upper, (d + SCHUR_EIG_SLACK * s).min())
+        return lower, passed, failed, np.minimum(upper, d_min + SCHUR_EIG_SLACK * s_max)
     # the diagonal entries as views over the block's nodes: each stage below keeps per-node arrays
     entries = [*(np.broadcast_to(part, n) for part in entries[:4]), *entries[4:]]
     scale, lower = _node_scales(entries), _gershgorin_bound(entries)

@@ -34,8 +34,8 @@ class SpacetimePoint:
         if not (math.isfinite(self.t) and math.isfinite(self.x)):
             raise ValueError(f"event coordinates must be finite, got ({self.t}, {self.x})")
 
-    def almost_equal(self, other: "SpacetimePoint", tol: float = COORD_TOL) -> bool:
-        return abs(self.t - other.t) <= tol and abs(self.x - other.x) <= tol
+    def almost_equal(self, other: "SpacetimePoint") -> bool:
+        return abs(self.t - other.t) <= COORD_TOL and abs(self.x - other.x) <= COORD_TOL
 
 
 def causally_precedes(p: SpacetimePoint, q: SpacetimePoint) -> bool:

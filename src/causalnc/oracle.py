@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .causality import PureState, pure_causal
-from .cone import PSD_TOL, AlgebraElement, RegionGrid, _finite_tol, certify_grid_psd
+from .cone import AlgebraElement, RegionGrid, certify_grid_psd
 from .fields import BinOp, Call, FieldExpr, Neg, Num, Pow, Var, jet, memo_entry
 from .states import DiracData
 
@@ -43,12 +43,10 @@ class SamplerConfig:
 
     seed: int
     n_elements: int
-    psd_tol: float = PSD_TOL
 
     def __post_init__(self) -> None:
         if self.n_elements < 1:
             raise ValueError("n_elements must be at least 1")
-        _finite_tol(self.psd_tol)
 
 
 # The families below build their trees directly, in the shape parse() gives
@@ -104,7 +102,7 @@ def _lemma_bounded(rng: np.random.Generator, dirac: DiracData) -> AlgebraElement
 
 
 def sample_causal_element(cfg: SamplerConfig, k: int, dirac: DiracData) -> AlgebraElement:
-    """Deterministic k-th causal element of the stream; certified on DEFAULT_REGION.
+    """Deterministic k-th causal element of the stream; certified on DEFAULT_REGION at PSD_TOL.
 
     The families alternate, DIAGONAL_CAUSAL at even k and LEMMA_B at odd k.
     Raises RuntimeError if grid certification fails (which would be a
@@ -115,7 +113,7 @@ def sample_causal_element(cfg: SamplerConfig, k: int, dirac: DiracData) -> Algeb
     if not DEFAULT_REGION.memo:  # the first element fills it with the shared subtrees
         t, x = DEFAULT_REGION.views()
         DEFAULT_REGION.memo.update((id(e), memo_entry(e, t, x)) for e in (_TANH_SUM, _TANH_DIFF, _ENVELOPE))
-    if not certify_grid_psd(el, dirac, DEFAULT_REGION, cfg.psd_tol):
+    if not certify_grid_psd(el, dirac, DEFAULT_REGION):
         family = "LEMMA_B" if k % 2 else "DIAGONAL_CAUSAL"
         raise RuntimeError(f"generated element failed grid certification (family {family})")
     return el
@@ -139,14 +137,6 @@ class PairCheck:
     n_violations: int
     worst_margin: Optional[float]  # max over elements of omega(a) - eta(a)
 
-    def to_dict(self) -> dict:
-        return {
-            "related": self.related,
-            "status": self.status.value,
-            "n_violations": self.n_violations,
-            "worst_margin": self.worst_margin,
-        }
-
 
 @dataclass(frozen=True)
 class CrossValidationReport:
@@ -155,16 +145,6 @@ class CrossValidationReport:
     sound: bool  # no related pair was ever violated
     n_refuted: int
     n_inconclusive: int
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "causalnc/1",
-            "n_elements": self.n_elements,
-            "sound": self.sound,
-            "n_refuted": self.n_refuted,
-            "n_inconclusive": self.n_inconclusive,
-            "pairs": [p.to_dict() for p in self.pairs],
-        }
 
 
 def cross_validate_pure(

@@ -33,7 +33,7 @@ from .causality import (
     plan_causal_path,
     pure_causal,
 )
-from .cone import PSD_TOL, ConeMatrix, cone_matrix_at, conformal_rescale_matrix, is_psd
+from .cone import ConeMatrix, cone_matrix_at, conformal_rescale_matrix, is_psd
 from .fields import BinOp, Call, Num, Pow, Var, jet, parse, to_source
 from .minkowski import SpacetimePoint
 from .oracle import SamplerConfig, cross_validate_pure, sample_elements
@@ -71,10 +71,10 @@ def _random_same_latitude_pair(rng, gap, related, z_range=0.8, dtheta_range=(0.2
     )
 
 
-def _sampler_config(rng, sampler_seed: Optional[int], n_elements: int, tol: float) -> SamplerConfig:
+def _sampler_config(rng, sampler_seed: Optional[int], n_elements: int) -> SamplerConfig:
     """Sampling plan; a scale without a fixed sampler seed draws one from rng."""
     seed = int(rng.integers(1 << 30)) if sampler_seed is None else sampler_seed
-    return SamplerConfig(seed=seed, n_elements=n_elements, psd_tol=tol)
+    return SamplerConfig(seed=seed, n_elements=n_elements)
 
 
 def _parallel_distance(a: PureInternalState, b: PureInternalState) -> float:
@@ -143,10 +143,10 @@ def _random_smooth_expression(rng):
 
 
 # --- the checks ----------------------------------------------------------------
-# Each takes (rng, tol, **sizes) and returns (passed, detail).
+# Each takes (rng, **sizes) and returns (passed, detail).
 
 
-def _pure_oracle_grid(rng, tol, gaps, n) -> tuple[bool, str]:
+def _pure_oracle_grid(_rng, gaps, n) -> tuple[bool, str]:
     t_values = np.linspace(0.0, 3.0, n)
     dx_fractions = np.linspace(-1.0, 1.0, n)
     dthetas = np.linspace(0.0, math.pi, n)
@@ -171,7 +171,7 @@ def _pure_oracle_grid(rng, tol, gaps, n) -> tuple[bool, str]:
     return mismatches == 0, f"{checked} cases, {mismatches} mismatches"
 
 
-def _necessary_conditions(rng, tol, n) -> tuple[bool, str]:
+def _necessary_conditions(rng, n) -> tuple[bool, str]:
     dirac = DiracData(0.2, 1.4)
     bad_latitude = 0
     for _ in range(n):
@@ -221,7 +221,7 @@ def _necessary_conditions(rng, tol, n) -> tuple[bool, str]:
     return ok, f"failures: latitude {bad_latitude}, degenerate {bad_degenerate}, order {bad_order}"
 
 
-def _null_lockout(rng, tol, n) -> tuple[bool, str]:
+def _null_lockout(rng, n) -> tuple[bool, str]:
     bad = 0
     for _ in range(n):
         r = rng.uniform(0.2, 4.0)
@@ -237,7 +237,7 @@ def _null_lockout(rng, tol, n) -> tuple[bool, str]:
     return bad == 0, f"{bad} bad"
 
 
-def _witness_refutation(rng, tol, n) -> tuple[bool, str]:
+def _witness_refutation(rng, n) -> tuple[bool, str]:
     gaps = (0.5, 1.0, 2.0)
     failures = []
     for i in range(n):
@@ -258,7 +258,7 @@ def _witness_refutation(rng, tol, n) -> tuple[bool, str]:
     return not failures, f"failing indices {failures[:5]}" if failures else "all margins strict"
 
 
-def _oracle_never_separate(rng, tol, n_pairs, n_elements, sampler_seed=None) -> tuple[bool, str]:
+def _oracle_never_separate(rng, n_pairs, n_elements, sampler_seed=None) -> tuple[bool, str]:
     pairs = []
     while len(pairs) < n_pairs:
         pair = _random_same_latitude_pair(rng, D_UNIT.gap, related=True)
@@ -267,13 +267,13 @@ def _oracle_never_separate(rng, tol, n_pairs, n_elements, sampler_seed=None) -> 
         )
         if inside and pure_causal(*pair, D_UNIT).related:
             pairs.append(pair)
-    cfg = _sampler_config(rng, sampler_seed, n_elements, tol)
+    cfg = _sampler_config(rng, sampler_seed, n_elements)
     report = cross_validate_pure(pairs, D_UNIT, sample_elements(cfg, D_UNIT))
     worst = max(c.worst_margin for c in report.pairs)
     return report.sound, f"worst margin {worst:.3e} (tolerance 1e-10)"
 
 
-def _order_axioms(rng, tol, n) -> tuple[bool, str]:
+def _order_axioms(rng, n) -> tuple[bool, str]:
     reflexivity_bad = 0
     antisymmetry_bad = 0
     antisymmetry_cases = 0
@@ -322,7 +322,7 @@ def _order_axioms(rng, tol, n) -> tuple[bool, str]:
     )
 
 
-def _mixed_pure_consistency(rng, tol, n) -> tuple[bool, str]:
+def _mixed_pure_consistency(rng, n) -> tuple[bool, str]:
     verdict_mismatch = 0
     angle_mismatch = 0
     for i in range(n):
@@ -339,7 +339,7 @@ def _mixed_pure_consistency(rng, tol, n) -> tuple[bool, str]:
     return ok, f"verdict mismatches {verdict_mismatch}, angle mismatches {angle_mismatch}"
 
 
-def _unitary_equivariance(rng, tol, n) -> tuple[bool, str]:
+def _unitary_equivariance(rng, n) -> tuple[bool, str]:
     """n unitaries against n pairs, every third pair latitude-mismatched."""
     dirac = DiracData(-0.3, 0.9)
     unitaries = [InternalUnitary.haar_random(rng) for _ in range(n)]
@@ -364,10 +364,10 @@ def _unitary_equivariance(rng, tol, n) -> tuple[bool, str]:
     return bad == 0, f"{bad} flips"
 
 
-def _conformal_invariance(rng, tol, n_elements, n_matrices, sampler_seed=None) -> tuple[bool, str]:
+def _conformal_invariance(rng, n_elements, n_matrices, sampler_seed=None) -> tuple[bool, str]:
     """Ten cone matrices per sampled element, topped up with random Hermitian ones."""
     matrices = []
-    cfg = _sampler_config(rng, sampler_seed, n_elements, tol)
+    cfg = _sampler_config(rng, sampler_seed, n_elements)
     for el in sample_elements(cfg, D_UNIT):
         for _ in range(10):
             p = SpacetimePoint(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
@@ -381,13 +381,13 @@ def _conformal_invariance(rng, tol, n_elements, n_matrices, sampler_seed=None) -
         matrices.append(ConeMatrix(h))
     flips = 0
     for m in matrices:
-        base = is_psd(m, tol)
+        base = is_psd(m)
         for omega in (1e-3, 0.5, 1.0, 2.0, 1e3):
-            flips += is_psd(conformal_rescale_matrix(m, omega), tol) != base
+            flips += is_psd(conformal_rescale_matrix(m, omega)) != base
     return flips == 0, f"{flips} flips"
 
 
-def _dsl_derivatives(rng, tol, n_expressions, n_points) -> tuple[bool, str]:
+def _dsl_derivatives(rng, n_expressions, n_points) -> tuple[bool, str]:
     h = 1e-5
     bad = 0
     total = 0
@@ -406,7 +406,7 @@ def _dsl_derivatives(rng, tol, n_expressions, n_points) -> tuple[bool, str]:
     return bad == 0, f"{bad}/{total} mismatches"
 
 
-def _path_planner_prefix(rng, tol, n) -> tuple[bool, str]:
+def _path_planner_prefix(rng, n) -> tuple[bool, str]:
     infeasible = 0
     for _ in range(n):
         pair = _random_same_latitude_pair(rng, D_UNIT.gap, related=True)
@@ -454,24 +454,21 @@ BATTERY = (
 )
 
 
-def run_check(name: str, full: bool = True, seed: int = 0, tol: float = PSD_TOL) -> dict:
+def run_check(name: str, full: bool = True, seed: int = 0) -> dict:
     """One check at full scale, or reduced under seed, as {"name", "passed", "detail"}."""
     index, check = next((i, c) for i, c in enumerate(BATTERY) if c.name == name)
     rng = np.random.default_rng(check.full_seed if full else [seed, index])
     try:
-        passed, detail = check.fn(rng, tol, **(check.full if full else check.reduced))
+        passed, detail = check.fn(rng, **(check.full if full else check.reduced))
     except Exception as err:  # a crashed check is a failed check
         passed, detail = False, f"{type(err).__name__}: {err}"
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def run_selftest(seed: int = 0, quick: bool = False, tol: float = PSD_TOL) -> dict:
+def run_selftest(seed: int = 0, quick: bool = False) -> dict:
     """Run the battery at reduced scale; returns a JSON-ready summary with one entry per check."""
-    results = [
-        run_check(c.name, full=False, seed=seed, tol=tol) for c in BATTERY if c.quick or not quick
-    ]
+    results = [run_check(c.name, full=False, seed=seed) for c in BATTERY if c.quick or not quick]
     return {
-        "schema": "causalnc/1",
         "seed": seed,
         "quick": quick,
         "passed": all(r["passed"] for r in results),

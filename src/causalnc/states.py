@@ -21,6 +21,8 @@ POLE_TOL = 1e-12
 #: Gap below which the finite Dirac data counts as degenerate.
 DEGENERATE_TOL = 1e-15
 UNITARY_TOL = 1e-12
+#: Largest difference per Bloch coordinate between two equal internal states.
+STATE_EQ_TOL = 1e-12
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -49,9 +51,6 @@ class DiracData:
     @property
     def degenerate(self) -> bool:
         return self.gap <= DEGENERATE_TOL
-
-    def to_dict(self) -> dict:
-        return {"d1": self.d1, "d2": self.d2}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DiracData":
@@ -141,9 +140,6 @@ class PureInternalState:
     def vector(self) -> np.ndarray:
         return np.array([self.xi1, self.xi2], dtype=complex)
 
-    def to_dict(self) -> dict:
-        return {"xi": [[self.xi1.real, self.xi1.imag], [self.xi2.real, self.xi2.imag]]}
-
 
 def parallel_angle(state: PureInternalState) -> float:
     """Angle of the state along its parallel, in (-pi, pi].
@@ -217,11 +213,9 @@ class MixedInternalState:
         """atan2(ry, rx); zero by convention when the projection vanishes."""
         return math.atan2(self.ry, self.rx)
 
-    def to_dict(self) -> dict:
-        return {"bloch": [self.rx, self.ry, self.rz]}
 
-
-def bloch_equal(a: MixedInternalState, b: MixedInternalState, tol: float = 1e-12) -> bool:
+def bloch_equal(a: MixedInternalState, b: MixedInternalState) -> bool:
+    tol = STATE_EQ_TOL
     return abs(a.rx - b.rx) <= tol and abs(a.ry - b.ry) <= tol and abs(a.rz - b.rz) <= tol
 
 

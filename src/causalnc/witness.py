@@ -448,7 +448,6 @@ class RefutationCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "causalnc/1",
             "epsilon": self.spec.epsilon,
             "theta_c": self.spec.theta_c,
             "lhs": self.lhs,

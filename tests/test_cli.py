@@ -366,7 +366,7 @@ def test_witness_reads_a_mixed_pair(capsys):
     rho, sigma = (MixedInternalState(*payload[key]["bloch"]) for key in ("rho", "sigma"))
     p, q = (SpacetimePoint(*map(float, payload[key])) for key in ("p", "q"))
     certificate = refute_with_witness(MixedState(p, rho), MixedState(q, sigma), DiracData(0.0, 1.0))
-    assert _strict_json(out) == json.loads(json.dumps(certificate.to_dict()))
+    assert _strict_json(out) == json.loads(json.dumps({"schema": "causalnc/1", **certificate.to_dict()}))
     assert _strict_json(out)["psd_passed"] is True
     related = dict(payload, q=[3, 0])
     code, _, err = _run(capsys, "witness", "--input", json.dumps(related))
@@ -479,28 +479,30 @@ def test_selftest_quick(capsys):
     assert all(set(c) == {"name", "passed", "detail"} for c in data["checks"])
 
 
-def test_selftest_negative_tol_fails_the_oracle_check(capsys):
-    code, out, _ = _run(capsys, "selftest", "--quick", "--tol", "-1")
-    assert code == 1
-    data = json.loads(out)
-    failed = [c["name"] for c in data["checks"] if not c["passed"]]
-    assert "oracle_never_separate" in failed
-
-
 @pytest.mark.parametrize("command", ("cone-check", "selftest"))
 @pytest.mark.parametrize("tol", ("nan", "inf", "-inf", "banana"))
 def test_tol_must_be_a_finite_number(capsys, command, tol):
-    # --tol nan once reported every node of a = b = t as a violation, --tol inf passed everything
+    # --tol nan once reported every node of a = b = t as a violation, --tol inf passed everything;
+    # selftest takes no --tol at all and checks at PSD_TOL
     payload = json.dumps({"element": {"a": "t", "b": "t"}, "dirac": {"d1": 0, "d2": 1}})
     with pytest.raises(SystemExit) as exit_info:
         main([command, f"--tol={tol}", "--input", payload])
     assert exit_info.value.code == 2
-    assert f"argument --tol: must be a finite number, got '{tol}'" in capsys.readouterr().err
+    refusal = {
+        "cone-check": f"argument --tol: must be a finite number, got '{tol}'",
+        "selftest": f"unrecognized arguments: --tol={tol}",
+    }
+    assert refusal[command] in capsys.readouterr().err
 
 
 def test_flags_exist_only_where_they_are_read(capsys):
-    # --tol is read by cone-check and selftest only, --seed by selftest only
-    for argv in (["check-pure", "--tol", "1e-9"], ["check-pure", "--seed", "5"], ["cone-check", "--seed", "5"]):
+    # --tol is read by cone-check only, --seed by selftest only
+    for argv in (
+        ["check-pure", "--tol", "1e-9"],
+        ["selftest", "--tol", "1e-9"],
+        ["check-pure", "--seed", "5"],
+        ["cone-check", "--seed", "5"],
+    ):
         with pytest.raises(SystemExit) as exit_info:
             main([*argv, "--input", json.dumps(PURE_RELATED)])
         assert exit_info.value.code == 2
@@ -723,6 +725,23 @@ def test_witness_certificate_fault_is_an_internal_error(capsys):
     assert err.startswith("error: the element's lhs") and "Traceback" not in err
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a mixed state just inside the sphere gets the sphere's bound")
+def test_witness_refuses_a_related_pair_just_inside_the_sphere(capsys):
+    # |r|^2 is within NORM_TOL of 1, so the angular distance pi - 1e-3 is taken as the
+    # required angle; the supremum at this radius, 3.140592652589705, is below the proper
+    # time 3.140592653089249, so the pair is related, yet witness certifies a margin of 5e-10
+    radius, dtheta = 1.0 - 2.5e-13, math.pi - 1e-3
+    query = {
+        "p": [0.0, 0.0],
+        "q": [3.140592653089249, 0.0],
+        "rho": {"bloch": [radius, 0.0, 0.0]},
+        "sigma": {"bloch": [radius * math.cos(dtheta), radius * math.sin(dtheta), 0.0]},
+        "dirac": {"d1": 0, "d2": 1},
+    }
+    code, _, _ = _run(capsys, "witness", "--input", json.dumps(query))
+    assert code in (1, 2)
+
+
 def test_the_package_raises_no_bare_assertion_error():
     src = Path(__file__).resolve().parents[1] / "src"
     raising = [
@@ -851,16 +870,20 @@ def test_cli_verdicts_agree_on_edge_inputs(p, offset, gap, d1_above, xi, phi, at
     assert ("causally related" in results["witness"][2]) == related
 
 
-@pytest.mark.parametrize("tol, seed", (("0", "1"), ("5e-324", "2"), ("1e308", "3")))
-def test_selftest_on_edge_tolerances_exits_cleanly_and_writes_strict_json(tol, seed):
+@pytest.mark.parametrize("tol", ("0", "5e-324", "1e308"))
+def test_cone_check_on_edge_tolerances_exits_cleanly_and_writes_strict_json(tol):
     # --tol 1e308 overflowed -tol*scale in the per-node PSD rule: a RuntimeWarning,
-    # and with warnings as errors a failed oracle check
+    # and with warnings as errors a failed run; the coupled element below fails G
+    # and reaches the uncoupled rule, the Schur tests and eigvalsh
+    element = {"a": "4*t", "b": "4*t", "c": {"re": "3*x", "im": "0"}}
+    payload = json.dumps({"element": element, "dirac": {"d1": 0, "d2": 1}})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = _cli(["selftest", "--quick", f"--tol={tol}", "--seed", seed])
-    assert code in (0, 1, 2) and "Traceback" not in err
-    summary = _strict_json(out)
-    assert code == 0 and all(check["passed"] for check in summary["checks"]), summary
+        code, out, err = _cli(["cone-check", f"--tol={tol}", "--grid=-1,1,-1,1,9,9", "--input", payload])
+    assert err == ""
+    report = _strict_json(out)
+    assert code == (0 if report["member_on_grid"] else 1)
+    assert report["member_on_grid"] == (tol == "1e308")
 
 
 # --- cone-check on edge inputs -----------------------------------------------------

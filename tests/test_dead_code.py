@@ -1,11 +1,13 @@
-"""No dead module-level code: every function, class and constant of src/causalnc/ is named elsewhere in src/.
+"""No dead code: every module-level name of src/causalnc/ is named elsewhere in src/, every parameter in its body.
 
 A name counts as used where src/ reads it (a name, an attribute or an
 imported name) outside the definition that binds it, so a function that
 only calls itself, or a constant that only its own assignment mentions, is
 dead.  The package's exports in __init__.py count as uses.  Two names are
 read only from outside src/: the console script cli.entrypoint, which
-pyproject.toml names, and __version__.
+pyproject.toml names, and __version__.  A parameter counts as read where
+its function's or lambda's body loads it, nested definitions included; a
+parameter whose name starts with "_" is unused on purpose.
 """
 
 import ast
@@ -52,3 +54,28 @@ def test_every_module_level_name_in_src_is_used_elsewhere_in_src():
     ]
     assert len(trees) > 5 and sum(1 for tree in trees.values() for _ in _definitions(tree)) > 100
     assert dead == []
+
+
+def _parameters(node) -> list[str]:
+    arguments = node.args
+    names = [a.arg for a in (*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs)]
+    return names + [a.arg for a in (arguments.vararg, arguments.kwarg) if a is not None]
+
+
+def test_every_parameter_in_src_is_read_in_its_body():
+    unread = []
+    checked = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = node.body if isinstance(node, ast.Lambda) else ast.Module(node.body, [])
+            loaded = {
+                sub.id for sub in ast.walk(body) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            for name in _parameters(node):
+                checked += 1
+                if name not in loaded and not name.startswith("_"):
+                    unread.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}:{node.lineno}({name})")
+    assert checked > 300
+    assert unread == []

@@ -672,7 +672,7 @@ def test_refute_with_witness_standard_example():
     assert len(cert.psd.samples) == 64
     assert cert.lhs_numeric == pytest.approx(cert.lhs, rel=1e-8)
     data = cert.to_dict()
-    assert data["schema"] == "causalnc/1"
+    assert "schema" not in data  # the CLI adds it
     assert data["margin"] == pytest.approx(cert.rhs - cert.lhs)
     assert len(data["psd_samples"]) == 64
     assert set(data["psd_samples"][0]) == {"s", "c1", "c2", "c3", "c4"}
