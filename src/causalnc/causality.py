@@ -32,7 +32,6 @@ import numpy as np
 
 from .minkowski import SpacetimePoint, causally_precedes, lerp, max_proper_time
 from .states import (
-    NORM_TOL,
     POLE_TOL,
     DiracData,
     MixedInternalState,
@@ -46,6 +45,8 @@ LATITUDE_TOL = 1e-12
 #: Slack, in radians of internal angle, on the proper-time-versus-angle comparison.
 BOUND_SLACK = 1e-12
 
+#: Largest 1 - |r|^2 of a Bloch vector on the sphere; MixedInternalState.from_pure's stay within 8 ulps.
+SPHERE_BAND = 64 * 2.0**-52
 #: Candidates of the mixed-state supremum this close to the maximum count as attaining it.
 PLATEAU_TOL = 1e-12
 #: _mixed_angle_sup's result: the supremum, an argmax and the projected arccos values there.
@@ -190,11 +191,11 @@ def _mixed_angle_sup(rho: MixedInternalState, sigma: MixedInternalState) -> Sup:
 def _required_angle(rho: MixedInternalState, sigma: MixedInternalState) -> tuple[float, Optional[Sup]]:
     """The angle a same-latitude pair off the poles demands, and the Sup it took.
 
-    On the unit sphere (|r|^2 >= 1 - NORM_TOL for both) it is the paper's
+    On the unit sphere (|r|^2 >= 1 - SPHERE_BAND for both) it is the paper's
     closed form, the angular distance of the parallel angles, and takes no
     Sup (None); inside the ball it is the supremum.
     """
-    if min(rho.norm, sigma.norm) ** 2 >= 1.0 - NORM_TOL:
+    if min(rho.norm, sigma.norm) ** 2 >= 1.0 - SPHERE_BAND:
         return angular_distance(rho.parallel_angle, sigma.parallel_angle), None
     sup = _mixed_angle_sup(rho, sigma)
     return sup[0], sup

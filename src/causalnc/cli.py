@@ -72,7 +72,7 @@ def _load_input(raw: Optional[str]) -> dict:
             raise InputError(f"cannot read input file: {err}") from err
     try:
         data = json.loads(text)
-    except ValueError as err:  # JSONDecodeError, or an integer literal beyond int's digit limit
+    except (ValueError, RecursionError) as err:  # also an integer beyond int's digit limit, or deep nesting
         raise InputError(f"malformed JSON: {err}") from err
     if not isinstance(data, dict):
         raise InputError("input JSON must be an object")

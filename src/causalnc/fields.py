@@ -5,7 +5,11 @@ operators + - * / ^ (the exponent must be an integer literal), unary minus,
 and the functions sin, cos, tan, exp, log, sqrt, tanh, atan and csc.
 Precedence is ^ > unary minus > * / > + -, with the usual left associativity
 for + - * / and right associativity for ^ (chained literal exponents are
-folded; an exponent beyond the largest float is a ParseError).
+folded; an exponent beyond the largest float is a ParseError).  A digit is
+a Unicode decimal digit (Nd), as float() and the regex digit class read it;
+a literal is digits with an optional fraction and exponent, and a name starts
+with a letter or _.  Nesting (parentheses, unary minus, calls, ^ chains) and
+the tree's height may not pass MAX_DEPTH levels: _eval, to_source and == recurse.
 
 jet, the one evaluator, propagates forward-mode dual numbers with a
 two-component derivative part, so the value and both first partials d/dt
@@ -41,6 +45,7 @@ positive, at the caller's own risk near zeros.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Union
@@ -89,6 +94,7 @@ FieldExpr = Union[Num, Var, Neg, BinOp, Pow, Call]
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "atan", "csc")
 VARIABLES = ("t", "x")
 _EXPONENT_TOO_LARGE = "exponent too large for a float power"
+MAX_DEPTH = 50
 
 
 class ParseError(ValueError):
@@ -117,6 +123,8 @@ class DomainError(ValueError):
 # --- tokenizer ---------------------------------------------------------------
 
 _OPS = set("+-*/^()")
+#: A number or a name, tried where a letter, "_", "." or a decimal digit starts one.
+_LEXEME = re.compile(r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[^\W\d]\w*)")
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
@@ -127,38 +135,15 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
         ch = src[i]
         if ch.isspace():
             i += 1
-            continue
-        if ch in _OPS:
+        elif ch in _OPS:
             tokens.append(("op", ch, i))
             i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == ".":
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            tokens.append(("num", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("ident", src[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        else:
+            match = _LEXEME.match(src, i) if ch.isalpha() or ch.isdecimal() or ch in "_." else None
+            if match is None:
+                raise ParseError(f"unexpected character {ch!r}", i)
+            tokens.append((match.lastgroup, match.group(), i))
+            i = match.end()
     tokens.append(("end", "", n))
     return tokens
 
@@ -166,11 +151,19 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 # --- parser ------------------------------------------------------------------
 
 
+def _bounded(depth: int, off: int) -> int:
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", off)
+    return depth
+
+
 class _Parser:
+    """Recursive descent; each rule but exponent returns its tree and the tree's height."""
+
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -180,62 +173,57 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, ops: str) -> tuple[str, int] | None:
+        """The next token's text and offset, consumed, if it is one of the operators ops."""
+        kind, text, off = self.tokens[self.pos]
+        if kind == "op" and text in ops:
+            self.pos += 1
+            return text, off
+        return None
+
     def expect_op(self, op: str) -> None:
-        kind, text, off = self.peek()
-        if kind != "op" or text != op:
+        if not self.accept(op):
+            _, text, off = self.peek()
             raise ParseError(f"unexpected token {text or 'end of input'!r}", off, (repr(op),))
-        self.advance()
+
+    def nested(self, off: int, rule):
+        self.nesting = _bounded(self.nesting + 1, off)
+        result = rule()
+        self.nesting -= 1
+        return result
 
     def parse(self) -> FieldExpr:
-        expr = self.expr()
+        node, _ = self.expr()
         kind, text, off = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {text!r}", off, ("operator", "end of input"))
-        return expr
+        return node
 
-    def expr(self) -> FieldExpr:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
+    def expr(self) -> tuple[FieldExpr, int]:
+        return self.chain("+-", lambda: self.chain("*/", self.unary))
 
-    def term(self) -> FieldExpr:
-        node = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.unary())
-            else:
-                return node
+    def chain(self, ops: str, operand) -> tuple[FieldExpr, int]:
+        """operand (op operand)* for op in ops, folded to the left."""
+        node, height = operand()
+        while tok := self.accept(ops):
+            rhs, rhs_height = operand()
+            node, height = BinOp(tok[0], node, rhs), _bounded(max(height, rhs_height) + 1, tok[1])
+        return node, height
 
-    def unary(self) -> FieldExpr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> FieldExpr:
-        base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return Pow(base, self.exponent())
-        return base
+    def unary(self) -> tuple[FieldExpr, int]:
+        """A negated unary, or an atom with an optional ^ exponent."""
+        if tok := self.accept("-"):
+            arg, height = self.nested(tok[1], self.unary)
+            return Neg(arg), _bounded(height + 1, tok[1])
+        base, height = self.atom()
+        if tok := self.accept("^"):
+            return Pow(base, self.nested(tok[1], self.exponent)), _bounded(height + 1, tok[1])
+        return base, height
 
     def exponent(self) -> int:
         """An optionally negated integer literal; chains fold right-associatively."""
-        sign = 1
+        sign = -1 if self.accept("-") else 1
         kind, text, off = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            sign = -1
-            kind, text, off = self.peek()
         if kind != "num" or any(c in text for c in ".eE"):
             raise ParseError(
                 f"exponent must be an integer literal, got {text or 'end of input'!r}",
@@ -246,12 +234,10 @@ class _Parser:
         if float(text) > sys.float_info.max:  # before int(), which refuses very long digit strings
             raise ParseError(_EXPONENT_TOO_LARGE, off, ("integer",))
         value = sign * int(text)
-        kind, text, chain_off = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            nested = self.exponent()
+        if tok := self.accept("^"):
+            nested = self.nested(tok[1], self.exponent)
             if nested < 0:
-                raise ParseError("chained exponent must stay integral", chain_off, ("integer",))
+                raise ParseError("chained exponent must stay integral", tok[1], ("integer",))
             # bound the fold by its logarithm before Python builds the integer
             if abs(value) > 1 and nested * math.log2(abs(value)) > sys.float_info.max_exp:
                 raise ParseError(_EXPONENT_TOO_LARGE, off, ("integer",))
@@ -260,24 +246,22 @@ class _Parser:
                 raise ParseError(_EXPONENT_TOO_LARGE, off, ("integer",))
         return value
 
-    def atom(self) -> FieldExpr:
+    def atom(self) -> tuple[FieldExpr, int]:
         kind, text, off = self.advance()
         if kind == "num":
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "ident":
-            nkind, ntext, _ = self.peek()
-            if nkind == "op" and ntext == "(":
+            if self.accept("("):
                 if text not in FUNCTIONS:
                     raise ParseError(f"unknown function {text!r}", off, FUNCTIONS)
-                self.advance()
-                arg = self.expr()
+                arg, height = self.nested(off, self.expr)
                 self.expect_op(")")
-                return Call(text, arg)
+                return Call(text, arg), _bounded(height + 1, off)
             if text not in VARIABLES:
                 raise ParseError(f"unknown identifier {text!r}", off, VARIABLES + FUNCTIONS)
-            return Var(text)
+            return Var(text), 1
         if kind == "op" and text == "(":
-            node = self.expr()
+            node = self.nested(off, self.expr)
             self.expect_op(")")
             return node
         raise ParseError(

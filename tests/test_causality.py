@@ -11,6 +11,7 @@ from causalnc.causality import (
     BOUND_SLACK,
     MAX_PATH_SEGMENTS,
     PLATEAU_TOL,
+    SPHERE_BAND,
     CausalVerdict,
     MixedState,
     PureState,
@@ -535,6 +536,7 @@ def test_from_pure_skips_only_a_check_that_cannot_fail(xi, phi, dt, dx, gap):
         checked = MixedInternalState(*state.bloch())
         fast = MixedInternalState.from_pure(state)
         assert (fast.rx, fast.ry, fast.rz) == (checked.rx, checked.ry, checked.rz)
+        assert 1.0 - fast.norm**2 <= SPHERE_BAND  # decided on the sphere
     dirac = DiracData(0.0, gap)
     p, q = SpacetimePoint(0.0, 0.0), SpacetimePoint(dt, dx)
     checked = _decide(p, q, MixedInternalState(*xi.bloch()), MixedInternalState(*phi.bloch()), dirac)[0]

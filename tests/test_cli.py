@@ -104,6 +104,15 @@ def test_an_integer_beyond_the_digit_limit_is_malformed_json(capsys):
     assert err.startswith("error: malformed JSON")
 
 
+def test_json_nested_beyond_the_recursion_limit_is_malformed(tmp_path, capsys):
+    # json.loads raised RecursionError: a traceback and exit 1
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 10**5 + "]" * 10**5)
+    code, out, err = _run(capsys, "check-pure", "--input", str(src))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed JSON: maximum recursion depth exceeded") and err.count("\n") == 1
+
+
 def test_missing_input_flag(capsys):
     code, _, err = _run(capsys, "check-pure")
     assert code == 2
@@ -240,6 +249,19 @@ def test_cone_check_parse_error_is_input_error(capsys):
     payload = {"element": {"a": "t +", "b": "t"}, "dirac": {"d1": 0, "d2": 1}}
     code, _, err = _run(capsys, "cone-check", "--input", json.dumps(payload))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "source, offset",
+    [("-" * 1200 + "t", 50), ("(" * 1200 + "t" + ")" * 1200, 50), ("t" + "+t" * 5000, 99)],
+    ids=("minus", "parentheses", "sum"),
+)
+def test_cone_check_deep_nesting_is_input_error(capsys, source, offset):
+    # the first two overflowed the parser's recursion, the third _eval's: a traceback and exit 1
+    payload = {"element": {"a": source, "b": "t"}, "dirac": {"d1": 0, "d2": 1}}
+    code, out, err = _run(capsys, "cone-check", "--input", json.dumps(payload))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad element: a: expression nested deeper than 50 levels at offset {offset}\n"
 
 
 def test_cone_check_huge_exponent_is_input_error(capsys):
@@ -725,11 +747,10 @@ def test_witness_certificate_fault_is_an_internal_error(capsys):
     assert err.startswith("error: the element's lhs") and "Traceback" not in err
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a mixed state just inside the sphere gets the sphere's bound")
 def test_witness_refuses_a_related_pair_just_inside_the_sphere(capsys):
-    # |r|^2 is within NORM_TOL of 1, so the angular distance pi - 1e-3 is taken as the
-    # required angle; the supremum at this radius, 3.140592652589705, is below the proper
-    # time 3.140592653089249, so the pair is related, yet witness certifies a margin of 5e-10
+    # |r|^2 is 5e-13 below 1, outside SPHERE_BAND, so the supremum at this radius,
+    # 3.140592652589705, is the required angle, not the angular distance pi - 1e-3: it is
+    # below the proper time 3.140592653089249, so the pair is related and witness refuses
     radius, dtheta = 1.0 - 2.5e-13, math.pi - 1e-3
     query = {
         "p": [0.0, 0.0],
@@ -738,8 +759,9 @@ def test_witness_refuses_a_related_pair_just_inside_the_sphere(capsys):
         "sigma": {"bloch": [radius * math.cos(dtheta), radius * math.sin(dtheta), 0.0]},
         "dirac": {"d1": 0, "d2": 1},
     }
-    code, _, _ = _run(capsys, "witness", "--input", json.dumps(query))
-    assert code in (1, 2)
+    code, out, err = _run(capsys, "witness", "--input", json.dumps(query))
+    assert (code, out) == (2, "")
+    assert err == "error: witness preconditions not met: the states are causally related; no separating element exists\n"
 
 
 def test_the_package_raises_no_bare_assertion_error():

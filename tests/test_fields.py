@@ -1,10 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalnc.fields import (
+    MAX_DEPTH,
     BinOp,
     DomainError,
     Neg,
@@ -51,6 +54,69 @@ def test_malformed_input_offset():
         parse("t + (x")
     with pytest.raises(ParseError):
         parse("")
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("t $ x", "unexpected character '$' at offset 2"),
+        # '²' is a digit to str.isdigit but not to float()
+        ("t + 2²", "unexpected character '²' at offset 5"),
+        ("t x", "unexpected token 'x' at offset 2 (expected one of: operator, end of input)"),
+        ("sin(t))", "unexpected token ')' at offset 6 (expected one of: operator, end of input)"),
+        ("t^2^-1", "chained exponent must stay integral at offset 3 (expected one of: integer)"),
+    ],
+)
+def test_refusals_name_their_cause_and_offset(src, message):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == message
+
+
+@settings(max_examples=500)
+@given(st.text())
+def test_parse_returns_a_tree_or_raises_parse_error(src):
+    try:
+        parse(src)
+    except ParseError:
+        pass
+
+
+@pytest.mark.parametrize(
+    "src, offset",
+    [
+        ("-" * 1200 + "t", MAX_DEPTH),
+        ("(" * 1200 + "t" + ")" * 1200, MAX_DEPTH),
+        ("sin(" * 1200 + "t" + ")" * 1200, 4 * MAX_DEPTH),
+        ("t" + "^1" * 1200, 2 * MAX_DEPTH + 1),
+        ("t" + "+t" * 5000, 2 * MAX_DEPTH - 1),
+        ("-" * MAX_DEPTH + "t", 0),  # nesting at the bound, tree one level taller
+    ],
+    ids=("minus", "parentheses", "calls", "exponents", "sum", "tree"),
+)
+def test_nesting_or_tree_height_beyond_max_depth_is_refused(src, offset):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == f"expression nested deeper than {MAX_DEPTH} levels at offset {offset}"
+
+
+def test_the_deepest_trees_parse_print_evaluate_and_compare_within_half_the_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sources = (
+        "(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH,
+        "-" * (MAX_DEPTH - 1) + "t",
+        "t" + "+t" * (MAX_DEPTH - 1),
+        "t" + "-(t" * (MAX_DEPTH - 1) + ")" * (MAX_DEPTH - 1),
+        "sin(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1),
+    )
+    sys.setrecursionlimit(limit // 2)
+    try:
+        for src in sources:
+            tree = parse(src)
+            assert parse(to_source(tree)) == tree
+            assert np.isfinite(jet(tree, 0.5, 0.25)).all()
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_unknown_identifier():
