@@ -45,10 +45,11 @@ before leaves open:
 
 Each rule is one-sided with SCHUR_EIG_SLACK*s to spare, far more than
 eigvalsh's rounding, so it passes only nodes eigvalsh passes and fails only
-nodes eigvalsh fails; the nodes no rule decides get eigvalsh.  A block with
-c = 0 is decided by its d alone, and a block whose every node G passes runs
-no other test.  The two families oracle.py samples are diagonally dominant
-by construction, so G passes every node of theirs.
+nodes eigvalsh fails; both kernels send the nodes no rule decides to
+_psd_at_distinct_nodes, their one eigvalsh path.  A block with c = 0 is
+decided by its d alone, and a block whose every node G passes runs no
+other test.  The two families oracle.py samples are diagonally dominant by
+construction, so G passes every node of theirs.
 
 certify_grid_psd needs only the verdict.  cone_membership also reports the
 smallest eigenvalue on the grid and its node.  It keeps U, an upper bound on
@@ -760,14 +761,17 @@ def _lambda_min_estimates(entries, scale, nodes: np.ndarray) -> tuple[np.ndarray
 def _psd_at_distinct_nodes(parts, tol: float):
     """_psd_at_nodes on the given nodes' entries; nodes with identical entries are diagonalised once.
 
-    The nodes are grouped by a hash of the bits of their entries, and each
-    node is compared bit for bit with its group's first node, whose
-    eigenvalue it then shares.  A node that differs from that one (two
-    distinct rows with one hash) is diagonalised on its own.
+    The one eigvalsh path of both grid kernels.  A 0-d part (as _take
+    leaves it) is the same at every node and stays out of the hash; where
+    every part is, the nodes are one row.  The nodes are grouped by a hash
+    of the bits of their entries, and each node is compared bit for bit
+    with its group's first node, whose eigenvalue it then shares.  A node
+    that differs from that one (two distinct rows with one hash) is
+    diagonalised on its own.
     """
-    n = len(parts[0])
-    # the bits of each entry; a complex entry gives two columns
-    columns = [column for part in parts for column in part.view(np.int64).reshape(n, -1).T]
+    n = np.broadcast(*parts).size
+    # the bits of each entry that varies; a complex entry gives two columns
+    columns = [column for part in parts if np.ndim(part) for column in part.view(np.int64).reshape(n, -1).T]
     key = np.zeros(n, dtype=np.int64)
     for column in columns:
         key = key * _HASH_MULTIPLIER + column  # wraps modulo 2^64
@@ -842,7 +846,7 @@ def cone_membership(
     block gets _block_membership, which lowers U.  After the walk eigvalsh
     runs once on the nodes left undecided, the first certain violation and
     the nodes whose L is at most the final U, among which is every node that
-    attains the minimum; nodes with identical entries are diagonalised once.
+    attains the minimum.
 
     Raises DomainError annotated with the offending node when a field, one
     of its partials, or an entry of the matrix cannot be evaluated to a
@@ -909,7 +913,8 @@ def certify_grid_psd(
     where cone_membership raises EigenvalueRangeError.  It walks the same
     blocks as cone_membership and, after a violation, only evaluates the
     remaining ones, so it raises the same node-annotated DomainError, and
-    the same ValueError for a tol that is not finite.
+    the same ValueError for a tol that is not finite.  The nodes left open
+    go to _psd_at_distinct_nodes, as cone_membership's do.
     """
     _finite_tol(tol)
     verdict = True
@@ -924,5 +929,5 @@ def certify_grid_psd(
             verdict = False
         elif not passed.all():
             open_nodes = np.flatnonzero(~np.broadcast_to(passed, n))
-            verdict = bool(_psd_at_nodes(_matrices(_take(entries, open_nodes)), tol)[1].all())
+            verdict = bool(_psd_at_distinct_nodes(_take(entries, open_nodes), tol)[1].all())
     return verdict

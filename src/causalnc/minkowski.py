@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 #: Absolute tolerance for event equality.
 COORD_TOL = 1e-12
-#: Smallest normal float: below it dt*dt has lost precision to underflow.
+#: Smallest normal float: below it (dt - dx)(dt + dx) has lost precision to underflow.
 _SQUARE_MIN = sys.float_info.min
 
 
@@ -48,9 +48,11 @@ def max_proper_time(p: SpacetimePoint, q: SpacetimePoint) -> float:
     """Supremum of the proper time over causal curves from p to q.
 
     In flat 2D Minkowski space the straight timelike segment maximises proper
-    time (reverse triangle inequality), so this is sqrt(dt^2 - dx^2).  Where
-    dt^2 overflows or underflows it is formed as sqrt(dt - dx) * sqrt(dt + dx)
-    instead, on halved coordinates where dt + |dx| could overflow.
+    time (reverse triangle inequality), so this is sqrt(dt^2 - dx^2), formed
+    as sqrt((dt - dx)(dt + dx)): dt - dx is exact near the light cone
+    (Sterbenz), where dt^2 - dx^2 cancels.  Where that product overflows or
+    underflows it is sqrt(dt - dx) * sqrt(dt + dx) instead, on halved
+    coordinates where dt + |dx| overflows.
     Raises EventSeparationError when dt or dx is beyond the largest float,
     and ValueError when q is not in the causal future of p.
     """
@@ -62,10 +64,10 @@ def max_proper_time(p: SpacetimePoint, q: SpacetimePoint) -> float:
         )
     if not causally_precedes(p, q):
         raise ValueError(f"events are not causally ordered: ({p.t},{p.x}) -> ({q.t},{q.x})")
-    square = dt * dt
-    if _SQUARE_MIN <= square < math.inf:
-        return math.sqrt(max(square - dx * dx, 0.0))
-    if square < math.inf:
+    product = (dt - dx) * (dt + dx)
+    if _SQUARE_MIN <= product < math.inf:
+        return math.sqrt(product)
+    if dt + abs(dx) < math.inf:
         return math.sqrt(dt - dx) * math.sqrt(dt + dx)
     return 2.0 * math.sqrt(0.5 * dt - 0.5 * dx) * math.sqrt(0.5 * dt + 0.5 * dx)
 

@@ -1,6 +1,7 @@
 """Hypothesis strategies and exact references shared by the test modules."""
 
 import itertools
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,20 @@ def field_trees(literals=()):
 
 
 FIELD_TREES = field_trees()
+
+
+def exact_proper_time(p, q) -> Decimal:
+    """sqrt((q.t - p.t)^2 - (q.x - p.x)^2) in decimal at 60 digits, on the coordinates as exact binary values.
+
+    The separation and the difference of its squares are exact Fractions;
+    only the quotient and the square root round, each to 60 digits.
+    """
+    dt, dx = Fraction(q.t) - Fraction(p.t), Fraction(q.x) - Fraction(p.x)
+    square = dt * dt - dx * dx
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(square.numerator) / Decimal(square.denominator)).sqrt()
+
 
 #: a column of t and a row of x; 2.74 and 2.75 lie where t^700 is finite and 700 t^699 is not
 EXACT_T = np.array([-3.0, -1.25, 0.0, 0.5, 2.74, 2.75, 3.0])[:, None]

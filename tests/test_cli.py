@@ -30,6 +30,7 @@ from causalnc.witness import (
     UnsupportedRefusalError,
     refute_with_witness,
 )
+from strategies import exact_proper_time
 from test_cone import _reference_membership
 
 PURE_RELATED = {
@@ -580,6 +581,32 @@ def test_check_pure_refuses_a_separation_beyond_the_float_range(capsys):
     code, out, err = _run(capsys, "check-pure", "--input", json.dumps(payload))
     assert code == 2 and out == ""
     assert "event separation (inf, 0.0) is not finite" in err
+
+
+#: a near-lightlike pair whose angle is 1.0e-11 more than the gap-1 budget of its exact proper time, 8.0149e-08
+NEAR_LIGHTLIKE_DTHETA = 8.015893295174455e-08
+NEAR_LIGHTLIKE = dict(
+    PURE_RELATED,
+    q=[1.112709808129998, 1.112709808129995],
+    phi={"bloch": [math.cos(NEAR_LIGHTLIKE_DTHETA), math.sin(NEAR_LIGHTLIKE_DTHETA), 0]},
+)
+
+
+def test_check_pure_reads_a_near_lightlike_proper_time_to_its_own_precision(capsys):
+    # sqrt(dt^2 - dx^2) read 8.0245e-08 and related the pair, exit 0
+    code, out, _ = _run(capsys, "check-pure", "--input", json.dumps(NEAR_LIGHTLIKE))
+    data = _strict_json(out)
+    assert code == 1 and data["related"] is False and data["reason"] == "SPEED_BOUND"
+    exact = exact_proper_time(SpacetimePoint(0.0, 0.0), SpacetimePoint(*NEAR_LIGHTLIKE["q"]))
+    assert abs(data["bound_available"] - float(exact)) <= 2 * math.ulp(float(exact))
+
+
+def test_witness_certifies_the_near_lightlike_pair(capsys):
+    # was refused as related, exit 2, although a separating element exists
+    code, out, err = _run(capsys, "witness", "--input", json.dumps(NEAR_LIGHTLIKE))
+    data = _strict_json(out)
+    assert code == 0 and err == ""
+    assert data["psd_passed"] is True and data["margin"] > 0.0
 
 
 def test_cone_check_refuses_an_overflowing_dirac_gap(capsys):

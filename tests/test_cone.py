@@ -681,6 +681,27 @@ def test_cone_kernels_decide_huge_entries_without_eigvalsh(magnitude, monkeypatc
     assert rows == []
 
 
+SCHUR_GRID = RegionGrid(-3.0, 3.0, -3.0, 3.0, 201, 201)
+
+
+@pytest.mark.parametrize(
+    "sources, violations",
+    ((("t", "t", "0.8*t", "0.8*x"), 40_401), (("3*t", "3*t", "cos(t)*x", "sin(x)*t"), 27_448)),
+    ids=("linear", "wave"),
+)
+def test_coupled_non_members_are_decided_by_the_schur_tail(sources, violations, monkeypatch):
+    # no benchmark operation reaches the Schur tests of _block_verdicts; on these
+    # coupled non-members they decide every node, so eigvalsh sees only a few rows
+    el = AlgebraElement.from_sources(*sources)
+    reference = _reference_membership(el, D_UNIT, SCHUR_GRID).to_dict()
+    assert reference["n_violations"] == violations
+    rows = _count_eigvalsh_rows(monkeypatch)
+    assert certify_grid_psd(el, D_UNIT, SCHUR_GRID) is False
+    assert rows == []
+    assert cone_membership(el, D_UNIT, SCHUR_GRID).to_dict() == reference
+    assert sum(rows) <= 10  # 8 and 9: each block's seed and Newton nodes, then the kept nodes' distinct rows
+
+
 def test_node_scales_take_the_coupling_modulus_unsquared_only_where_the_square_overflows():
     real, cplx = np.zeros(2), np.zeros(2, dtype=complex)
     u = np.array([3e154 + 4e154j, 3.0 + 4.0j])
@@ -700,6 +721,15 @@ def test_rows_that_share_a_hash_are_diagonalised_apart(monkeypatch):
     rows = _count_eigvalsh_rows(monkeypatch)
     assert cone_membership(el, D_UNIT, WIDE_GRID).to_dict() == reference
     assert sum(rows) > 100  # one column deduplicated, the other node by node
+    # certify_grid_psd takes the same path: on a witness element every node is open
+    el, dirac, grid = _witness_case(1.0, 0.5, 0.0, 0.0, 1.0)
+    assert certify_grid_psd(el, dirac, grid) == _reference_membership(el, dirac, grid).member_on_grid
+    # every entry 0-d: no bit column to hash, and the open nodes are one row
+    el, grid = AlgebraElement.from_sources("t", "t", "1"), RegionGrid(-1.0, 1.0, -1.0, 1.0, 5, 5)
+    reference = _reference_membership(el, D_UNIT, grid, 0.0)
+    rows.clear()
+    assert certify_grid_psd(el, D_UNIT, grid, 0.0) == reference.member_on_grid
+    assert rows == [1]
 
 
 def test_smallest_eigenvalue_beyond_the_float_range_names_its_node():
@@ -1155,24 +1185,35 @@ def test_criterion_5_stream_certifies_without_lapack(monkeypatch):
     assert all(np.ndim(passed) == np.ndim(failed) == 0 and passed and not failed for passed, failed in returned)
 
 
+def _witness_case(dtheta, share, v, z, gap):
+    """A witness element, its Dirac data and a 31^2 square around its worldline's midpoint inside its strip."""
+    dt = share * dtheta / gap / math.sqrt(1.0 - v * v)
+    p, q = SpacetimePoint(0.2, -0.1), SpacetimePoint(0.2 + dt, -0.1 + v * dt)
+    omega = PureState(p, PureInternalState.from_parallel(z, 0.4))
+    eta = PureState(q, PureInternalState.from_parallel(z, 0.4 + dtheta))
+    spec = build_witness(omega, eta, DiracData(gap, 0.0))
+    # every node of the square lies inside the strip 0 < Theta < pi
+    theta_mid = 0.5 * share * dtheta + spec.epsilon
+    half = 0.5 * min(theta_mid, math.pi - theta_mid) * math.sqrt(1.0 - v * v) / (gap * (1.0 + abs(v)))
+    tm, xm = 0.5 * (p.t + q.t), 0.5 * (p.x + q.x)
+    return spec.element(), spec.dirac, RegionGrid(tm - half, tm + half, xm - half, xm + half, 31, 31)
+
+
+def _distinct_rows(entries, n: int) -> int:
+    """How many of the n nodes' rows of entries differ bit for bit: the rows eigvalsh needs at most."""
+    bits = [np.ascontiguousarray(np.broadcast_to(part, n)).view(np.int64).reshape(n, -1) for part in entries]
+    return len(np.unique(np.hstack(bits), axis=0))
+
+
 @pytest.mark.parametrize(
     "dtheta, share, v, z, gap",
     ((1.0, 0.5, 0.0, 0.0, 1.0), (2.5, 0.9, 0.6, 0.3, 1.5), (0.3, 0.2, -0.8, -0.7, 0.5), (3.0, 0.99, 0.3, 0.9, 4.0)),
 )
 def test_kernels_agree_on_witness_elements(monkeypatch, dtheta, share, v, z, gap):
     # a witness element's cone matrix has rank 2, so no screen or Schur test
-    # decides its nodes: both kernels leave every one of them to eigvalsh
-    dt = share * dtheta / gap / math.sqrt(1.0 - v * v)
-    p, q = SpacetimePoint(0.2, -0.1), SpacetimePoint(0.2 + dt, -0.1 + v * dt)
-    omega = PureState(p, PureInternalState.from_parallel(z, 0.4))
-    eta = PureState(q, PureInternalState.from_parallel(z, 0.4 + dtheta))
-    spec = build_witness(omega, eta, DiracData(gap, 0.0))
-    # a square around the worldline's midpoint whose nodes all lie inside the strip 0 < Theta < pi
-    theta_mid = 0.5 * share * dtheta + spec.epsilon
-    half = 0.5 * min(theta_mid, math.pi - theta_mid) * math.sqrt(1.0 - v * v) / (gap * (1.0 + abs(v)))
-    tm, xm = 0.5 * (p.t + q.t), 0.5 * (p.x + q.x)
-    grid = RegionGrid(tm - half, tm + half, xm - half, xm + half, 31, 31)
-    el = spec.element()
+    # decides its nodes: both kernels leave every one of them to eigvalsh,
+    # which sees each distinct row of entries once
+    el, dirac, grid = _witness_case(dtheta, share, v, z, gap)
     eigvalsh_rows = []
     psd_at_nodes = cone._psd_at_nodes
 
@@ -1181,11 +1222,11 @@ def test_kernels_agree_on_witness_elements(monkeypatch, dtheta, share, v, z, gap
         return psd_at_nodes(mats, tol)
 
     monkeypatch.setattr(cone, "_psd_at_nodes", counting)
-    verdict = certify_grid_psd(el, spec.dirac, grid)
-    assert eigvalsh_rows == [grid.nt * grid.nx]
-    report = cone_membership(el, spec.dirac, grid)
+    verdict = certify_grid_psd(el, dirac, grid)
+    assert eigvalsh_rows == [_distinct_rows(_grid_entries(el, dirac, grid), grid.nt * grid.nx)]
+    report = cone_membership(el, dirac, grid)
     assert verdict == report.member_on_grid
-    assert report.to_dict() == _reference_membership(el, spec.dirac, grid).to_dict()
+    assert report.to_dict() == _reference_membership(el, dirac, grid).to_dict()
 
 
 def test_region_grid_validation_and_roundtrip():
