@@ -57,13 +57,14 @@ the grid minimum: the least eigvalsh value taken so far, as any node's
 eigvalsh value is at least that minimum, or on a block with c = 0 the closed
 form min d + SCHUR_EIG_SLACK*s_max, with s_max the largest s of the block,
 as eigvalsh returns d to within a few ulps of s there.  A coupled block
-takes eigvalsh at its node of smallest L, and again at its node of smallest
-Newton estimate.  cone_membership keeps a lower bound L per node:
-d - SCHUR_EIG_SLACK*s_max on a block with c = 0; elsewhere
-G - SCHUR_EIG_SLACK*s, or at a coupled node whose L is not above U, an
-estimate by Newton on the closed-form characteristic polynomial (_charpoly,
-which also certifies the separating witness of witness.py) less BOUND_GAP*s,
-once _pd_after_shift certifies it.  eigvalsh runs only on the undecided
+takes eigvalsh at its node of smallest L, before and after it tightens L.
+cone_membership keeps a lower bound L per node: d - SCHUR_EIG_SLACK*s_max
+on a block with c = 0; elsewhere G - SCHUR_EIG_SLACK*s, and at a coupled
+node whose L is not above U the larger of that and
+lambda_min(M0) - SCHUR_EIG_SLACK*s, with M0 = [[alpha I, C], [C*, beta I]],
+alpha = min(ap, am) and beta = min(bp, bm): M - M0 is a non-negative
+diagonal, so lambda_min(M) >= lambda_min(M0), which is in closed form
+(exact where a and b do not read x).  eigvalsh runs only on the undecided
 nodes, the first violation and the nodes with L <= U, where the minimum can
 lie.
 
@@ -117,15 +118,6 @@ SCHUR_EIG_SLACK = 1e-12
 #: sum, so by at most 8u/band of their own size, and det S by about 22u/band
 #: of its sum, some 10^-9: far inside the band.
 SCHUR_BAND = 1e-6
-#: Gap, relative to the node scale, between a node's estimate of its smallest
-#: eigenvalue and the lower bound cone_membership certifies there.  Wide enough
-#: for the banded Schur test to clear M - bound*I, narrow enough that only
-#: the nodes near the grid minimum keep a bound below it.
-BOUND_GAP = 1e-5
-#: Newton on the characteristic polynomial stops once a step is at most this
-#: fraction of the node scale (far below BOUND_GAP), or after NEWTON_MAX_STEPS.
-NEWTON_STEP_TOL = 1e-9
-NEWTON_MAX_STEPS = 30
 #: Grid nodes per block of _grid_blocks: a block is BLOCK_NODES // nx whole
 #: rows, or a slice of BLOCK_NODES nodes of one row when nx is larger.  It
 #: bounds the memory of a block's entries and of the kernel temporaries over
@@ -715,49 +707,6 @@ def _gershgorin_bound(entries) -> np.ndarray:
     return np.minimum(np.minimum(ap, bp) - np.abs(u), np.minimum(am, bm) - np.abs(z)) - np.abs(w)
 
 
-def _lambda_min_estimates(entries, scale, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates of the smallest eigenvalue at the given nodes, and whether each converged.
-
-    Both arrays run over the index array nodes, all of them coupled where
-    cone_membership calls it; scale is the node scale s over the block.  Each node runs
-    Newton on the characteristic polynomial of M/s less its mean, so that no
-    coefficient overflows (e4 grows as the fourth power of the entries): from
-    _charpoly, its expansion in mu = lam - (ap + am + bp + bm)/(4s),
-    det(M/s - lam) = mu^4 + e2 mu^2 - e3 mu + e4, has no cubic term.  The
-    four roots are real, so Newton started at the Gershgorin lower bound
-    rises to the smallest one without overshooting it (up to rounding); the
-    estimate is s times it.  A node converges once a step is at most
-    NEWTON_STEP_TOL (of M/s); a node that does not within NEWTON_MAX_STEPS
-    (linear convergence at a multiple root), or whose step is not finite, is
-    reported as not converged.
-    """
-    s = scale[nodes]
-    ap, am, bp, bm, u, z, w = (part / s for part in _take(entries, nodes))
-    center = 0.25 * (ap + am + bp + bm)
-    ap, am, bp, bm = ap - center, am - center, bp - center, bm - center
-    _, c2, e3, c0 = _charpoly((ap, am, bp, bm, u, z, w))
-    c1 = -e3  # det(M/s - lam) = mu^4 + c2 mu^2 + c1 mu + c0
-    mu = _gershgorin_bound((ap, am, bp, bm, u, z, w))  # a start needs no slack
-    estimate, converged = np.empty(nodes.shape), np.zeros(nodes.shape, dtype=bool)
-    running = np.arange(nodes.size)  # positions in nodes of the nodes still stepping
-    for _ in range(NEWTON_MAX_STEPS):
-        mu2 = mu * mu
-        step = (((mu2 + c2) * mu + c1) * mu + c0) / ((4.0 * mu2 + 2.0 * c2) * mu + c1)
-        finite = np.isfinite(step)
-        mu = np.where(finite, mu - step, mu)
-        small = np.abs(step) <= NEWTON_STEP_TOL
-        finished = small | ~finite
-        if finished.any():
-            estimate[running[finished]] = (center[finished] + mu[finished]) * s[finished]
-            converged[running[small]] = True
-            keep = ~finished
-            running, mu, center, s, c2, c1, c0 = (v[keep] for v in (running, mu, center, s, c2, c1, c0))
-            if running.size == 0:
-                break
-    estimate[running] = (center + mu) * s
-    return estimate, converged
-
-
 def _psd_at_distinct_nodes(parts, tol: float):
     """_psd_at_nodes on the given nodes' entries; nodes with identical entries are diagonalised once.
 
@@ -800,10 +749,14 @@ def _block_membership(entries, n: int, tol: float, upper: float):
     -min d, 1) is at least every node's s.  Otherwise
     L = G - SCHUR_EIG_SLACK*s, and eigvalsh at the node of smallest L
     lowers upper.  The coupled nodes whose L is not above it, the only
-    coupled ones that can hold the grid minimum, run Newton: L there is the
-    estimate less BOUND_GAP*s where _pd_after_shift certifies it with
-    SCHUR_EIG_SLACK*s to spare, and eigvalsh at the node of smallest
-    estimate lowers upper last.
+    coupled ones that can hold the grid minimum, raise L to
+    lambda_min(M0) - SCHUR_EIG_SLACK*s where that is larger, with M0 of the
+    module docstring: M - M0 = diag(ap - alpha, am - alpha, bp - beta,
+    bm - beta) is PSD, so lambda_min(M) >= lambda_min(M0) =
+    (alpha + beta)/2 - sqrt(((alpha - beta)/2)^2 + sigma^2), with sigma^2
+    the largest eigenvalue of C*C.  It is taken on the entries over s and
+    then times s, a few dozen ulps of s off.  eigvalsh at the refined node
+    of smallest L lowers upper last.
     """
     coupled = _coupled(entries)  # 0-d where c is constant on the block
     if not coupled.any():
@@ -825,11 +778,14 @@ def _block_membership(entries, n: int, tol: float, upper: float):
     refine = np.flatnonzero(coupled & ~(lower > upper))
     if refine.size:
         s = scale[refine]
-        estimate, converged = _lambda_min_estimates(entries, scale, refine)
-        newton = estimate - BOUND_GAP * s
-        certified = converged & _pd_after_shift(_take(entries, refine), -newton - SCHUR_EIG_SLACK * s)
-        lower[refine[certified]] = newton[certified]
-        lowest = _take(entries, [refine[np.argmin(estimate)]])
+        ap, am, bp, bm, u, z, w = (part / s for part in _take(entries, refine))
+        alpha, beta = np.minimum(ap, am), np.minimum(bp, bm)
+        uu, zz = _abs2(u), _abs2(z)
+        sigma2 = 0.5 * (uu + zz) + _abs2(w) + np.hypot(0.5 * (uu - zz), np.abs(np.conj(u) * w - np.conj(w) * z))
+        half = 0.5 * (alpha - beta)
+        closed = (0.5 * (alpha + beta) - np.sqrt(half * half + sigma2)) * s
+        bound = lower[refine] = np.fmax(lower[refine], closed - SCHUR_EIG_SLACK * s)
+        lowest = _take(entries, [refine[np.argmin(bound)]])
         upper = np.minimum(upper, _psd_at_nodes(_matrices(lowest), tol)[0][0])
     return lower, passed, failed, upper
 

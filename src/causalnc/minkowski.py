@@ -25,7 +25,7 @@ class EventSeparationError(ValueError):
 
 @dataclass(frozen=True)
 class SpacetimePoint:
-    """An event (t, x); both coordinates must be finite."""
+    """An event (t, x); both coordinates must be finite, and are stored as Python floats."""
 
     t: float
     x: float
@@ -33,6 +33,8 @@ class SpacetimePoint:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t) and math.isfinite(self.x)):
             raise ValueError(f"event coordinates must be finite, got ({self.t}, {self.x})")
+        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "x", float(self.x))
 
     def almost_equal(self, other: "SpacetimePoint") -> bool:
         return abs(self.t - other.t) <= COORD_TOL and abs(self.x - other.x) <= COORD_TOL
@@ -51,8 +53,9 @@ def max_proper_time(p: SpacetimePoint, q: SpacetimePoint) -> float:
     time (reverse triangle inequality), so this is sqrt(dt^2 - dx^2), formed
     as sqrt((dt - dx)(dt + dx)): dt - dx is exact near the light cone
     (Sterbenz), where dt^2 - dx^2 cancels.  Where that product overflows or
-    underflows it is sqrt(dt - dx) * sqrt(dt + dx) instead, on halved
-    coordinates where dt + |dx| overflows.
+    underflows, dt and dx are first scaled by 2^-k, with 2^k the binade of
+    dt, and the root by 2^k: the same form as in range, as these scalings
+    are exact except where dx is too small next to dt to matter.
     Raises EventSeparationError when dt or dx is beyond the largest float,
     and ValueError when q is not in the causal future of p.
     """
@@ -67,9 +70,9 @@ def max_proper_time(p: SpacetimePoint, q: SpacetimePoint) -> float:
     product = (dt - dx) * (dt + dx)
     if _SQUARE_MIN <= product < math.inf:
         return math.sqrt(product)
-    if dt + abs(dx) < math.inf:
-        return math.sqrt(dt - dx) * math.sqrt(dt + dx)
-    return 2.0 * math.sqrt(0.5 * dt - 0.5 * dx) * math.sqrt(0.5 * dt + 0.5 * dx)
+    k = math.frexp(dt)[1]
+    dt, dx = math.ldexp(dt, -k), math.ldexp(dx, -k)
+    return math.ldexp(math.sqrt((dt - dx) * (dt + dx)), k)
 
 
 def lerp(p: SpacetimePoint, q: SpacetimePoint, s: float) -> SpacetimePoint:

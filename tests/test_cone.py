@@ -22,7 +22,6 @@ from causalnc.cone import (
     _cone_entries,
     _gershgorin_bound,
     _grid_entries,
-    _lambda_min_estimates,
     _matrices,
     _node_scales,
     _psd_at_nodes,
@@ -636,14 +635,26 @@ def test_cone_membership_equals_reference_on_paths_the_strategies_miss(sources, 
 
 def test_cone_membership_where_newton_stalls_at_a_double_root():
     # the two 2x2 blocks [[ap, -w], [-w*, bm]] and [[am, w], [w*, bp]] share
-    # their eigenvalues, so the smallest is double at every node; Newton
-    # converges only linearly there and stalls at the rounding floor
+    # their eigenvalues, so the smallest is double at every node, where an
+    # iterative root finder converges only linearly; a and b do not read x,
+    # so the closed-form bound of _block_membership is exact there
     el = AlgebraElement.from_sources("2*t + 0.1*t^2", "t", "0.5")
-    entries = _grid_entries(el, D_UNIT, WIDE_GRID)
-    all_nodes = np.arange(WIDE_GRID.nt * WIDE_GRID.nx)
-    with np.errstate(all="ignore"):
-        converged = _lambda_min_estimates(entries, _node_scales(entries), all_nodes)[1]
-    assert not converged.all()
+    reference = _reference_membership(el, D_UNIT, WIDE_GRID).to_dict()
+    assert cone_membership(el, D_UNIT, WIDE_GRID).to_dict() == reference
+
+
+@pytest.mark.parametrize(
+    "sources",
+    (
+        ("2*t + 0.3*sin(x)", "2.2*t + 0.2*cos(x)", "0.3*exp(-(t^2 + x^2))*cos(t)", "0.3*exp(-(t^2 + x^2))*sin(x)"),
+        ("t + 0.99*tanh(x)", "t", "0.2*cos(t)", "0.2*sin(x)"),  # fails around x = 0
+    ),
+    ids=("member", "non-member"),
+)
+def test_cone_membership_equals_reference_where_the_diagonal_reads_x(sources):
+    # where a or b reads x, ap != am or bp != bm and the closed-form bound on
+    # the smallest eigenvalue is below it, so more nodes reach eigvalsh
+    el = AlgebraElement.from_sources(*sources)
     reference = _reference_membership(el, D_UNIT, WIDE_GRID).to_dict()
     assert cone_membership(el, D_UNIT, WIDE_GRID).to_dict() == reference
 
@@ -675,7 +686,7 @@ def test_cone_kernels_decide_huge_entries_without_eigvalsh(magnitude, monkeypatc
     reference = _reference_membership(el, D_UNIT, WIDE_GRID).to_dict()
     rows = _count_eigvalsh_rows(monkeypatch)
     assert cone_membership(el, D_UNIT, WIDE_GRID).to_dict() == reference
-    assert sum(rows) <= 3  # the block's seed node, its Newton node and the final distinct row
+    assert sum(rows) <= 3  # the block's two nodes of smallest L and the final distinct row
     rows.clear()
     assert certify_grid_psd(el, D_UNIT, WIDE_GRID) is True
     assert rows == []
@@ -699,7 +710,7 @@ def test_coupled_non_members_are_decided_by_the_schur_tail(sources, violations, 
     assert certify_grid_psd(el, D_UNIT, SCHUR_GRID) is False
     assert rows == []
     assert cone_membership(el, D_UNIT, SCHUR_GRID).to_dict() == reference
-    assert sum(rows) <= 10  # 8 and 9: each block's seed and Newton nodes, then the kept nodes' distinct rows
+    assert sum(rows) <= 10  # 8 and 9: each block's two nodes of smallest L, then the kept nodes' distinct rows
 
 
 def test_node_scales_take_the_coupling_modulus_unsquared_only_where_the_square_overflows():
@@ -1109,7 +1120,7 @@ def test_uncoupled_elements_need_no_schur_test_and_no_newton(monkeypatch, source
     def refuse(*args):
         raise AssertionError("an uncoupled node is decided by its diagonal")
 
-    for name in ("_pd_after_shift", "_indefinite_after_shift", "_lambda_min_estimates"):
+    for name in ("_pd_after_shift", "_indefinite_after_shift"):
         monkeypatch.setattr(cone, name, refuse)
     ruled, psd_calls = [], []
     rule, psd_at_nodes = cone._uncoupled_rule, cone._psd_at_nodes
@@ -1134,25 +1145,26 @@ def test_uncoupled_elements_need_no_schur_test_and_no_newton(monkeypatch, source
     assert certify_grid_psd(el, D_UNIT, WIDE_GRID, PSD_TOL) == reference.member_on_grid
 
 
-def test_newton_runs_only_where_the_grid_minimum_can_lie(monkeypatch):
-    # every node of the lemma grid is coupled, but Gershgorin passes all of them
-    # and puts most above the eigvalsh value at each block's node of smallest L
-    newton_nodes = []
-    estimates = cone._lambda_min_estimates
-
-    def counting(entries, scale, nodes):
-        newton_nodes.append(len(nodes))
-        return estimates(entries, scale, nodes)
-
-    monkeypatch.setattr(cone, "_lambda_min_estimates", counting)
+def test_cone_membership_diagonalises_few_rows_per_coupled_block(monkeypatch):
+    # every node of the lemma grid is coupled, but Gershgorin passes all of
+    # them and puts most above the eigvalsh value at each block's node of
+    # smallest L; a and b do not read x, so the closed-form bound on the rest
+    # is exact.  Each coupled block takes at most two one-row eigvalsh calls
+    # (its nodes of smallest L before and after the bound), then one call
+    # takes the distinct kept rows.  Both elements are members on the grid
     grid = RegionGrid(-3.0, 3.0, -3.0, 3.0, 401, 401)
-    report = cone_membership(_lemma_element(), D_UNIT, grid)
-    assert report.member_on_grid
-    assert 0 < sum(newton_nodes) < 0.06 * report.n_nodes
-    newton_nodes.clear()
+    blocks = -(-grid.nt // (cone.BLOCK_NODES // grid.nx))
+    double_root = AlgebraElement.from_sources("2*t + 0.1*t^2", "t", "0.5")
+    rows = _count_eigvalsh_rows(monkeypatch)
+    for el, most in ((_lemma_element(), 9), (double_root, 11)):
+        rows.clear()
+        assert cone_membership(el, D_UNIT, grid).member_on_grid
+        assert rows[:-1] == [1] * (len(rows) - 1) and len(rows) - 1 <= 2 * blocks
+        assert sum(rows) <= most
     diagonal = AlgebraElement.from_sources("2.1*t + 0.5*tanh(t + x)", "1.9*t + 0.4*tanh(t - x)")
+    rows.clear()
     assert cone_membership(diagonal, D_UNIT, grid).member_on_grid
-    assert sum(newton_nodes) == 0  # an uncoupled block does not reach the estimates at all
+    assert len(rows) == 1  # an uncoupled block bounds the minimum in closed form, with no eigvalsh
 
 
 def test_criterion_5_stream_certifies_without_lapack(monkeypatch):
@@ -1524,8 +1536,8 @@ def test_each_lower_bound_on_a_coupled_block_is_exact():
     # cone_membership keeps a node out of the final eigvalsh only when its L
     # lies above an eigvalsh value, so L must bound the node's smallest
     # eigenvalue in exact arithmetic: G - SCHUR_EIG_SLACK*s everywhere, and at
-    # a coupled node the Newton estimate less BOUND_GAP*s where the Schur test
-    # certifies it.  At least one drawn node must take the certified Newton bound
+    # a coupled node the closed-form lambda_min(M0) - SCHUR_EIG_SLACK*s where
+    # that is larger.  At least one drawn node must take the closed-form bound
     certified = []
 
     @settings(max_examples=100)
