@@ -55,23 +55,28 @@ certify_grid_psd needs only the verdict.  cone_membership also reports the
 smallest eigenvalue on the grid and its node.  It keeps U, an upper bound on
 the grid minimum: the least eigvalsh value taken so far, as any node's
 eigvalsh value is at least that minimum, or on a block with c = 0 the closed
-form min d + SCHUR_EIG_SLACK*s_max, with s_max the largest s of the block,
-as eigvalsh returns d to within a few ulps of s there.  A coupled block
-takes eigvalsh at its node of smallest L, before and after it tightens L.
-cone_membership keeps a lower bound L per node: d - SCHUR_EIG_SLACK*s_max
-on a block with c = 0; elsewhere G - SCHUR_EIG_SLACK*s, and at a coupled
-node whose L is not above U the larger of that and
-lambda_min(M0) - SCHUR_EIG_SLACK*s, with M0 = [[alpha I, C], [C*, beta I]],
-alpha = min(ap, am) and beta = min(bp, bm): M - M0 is a non-negative
-diagonal, so lambda_min(M) >= lambda_min(M0), which is in closed form
-(exact where a and b do not read x).  eigvalsh runs only on the undecided
-nodes, the first violation and the nodes with L <= U, where the minimum can
-lie.
+form min d + SCHUR_EIG_SLACK*s_max (s_max below), as eigvalsh returns d to
+within a few ulps of s there.  It keeps a lower bound L per node, by one
+formula on every block: L = G - SCHUR_EIG_SLACK*s_max, with G = d where
+c = 0 and s_max = max(1, max(D, 0) + max(-min G, 0)) one scale for the
+block, D its largest diagonal entry.  G is at most every diagonal entry,
+and |u|, |z| and |w| are at most D - G, so s_max bounds every node's s
+(_block_scale) from two reductions, with no per-node scale; where an entry
+is so large that s_max overflows, L is -inf and every node of the block
+goes to eigvalsh.  A coupled block takes eigvalsh at its node of smallest L, before
+and after it raises L at the nodes whose L is not above U to
+lambda_min(M0) - SCHUR_EIG_SLACK*s where that is larger, with
+M0 = [[alpha I, C], [C*, beta I]], alpha = min(ap, am) and
+beta = min(bp, bm): M - M0 is a non-negative diagonal, so
+lambda_min(M) >= lambda_min(M0), which is in closed form (exact where a and
+b do not read x).  eigvalsh runs only on the undecided nodes, the first
+violation and the nodes with L <= U, where the minimum can lie.
 
 Every value and partial of the four fields, and every entry, must be
 finite.  _cone_entries walks a, b (not again when it is a's tree), c.re and
-c.im and tests one sum over the nodes: of the seven entries, which every
-partial and the values of c reach, and of the values of a and b.  Only
+c.im, writes each part of u, z and w straight into its complex entry, and
+tests one sum of per-entry sums over the nodes: of the seven entries, which
+every partial and the values of c reach, and of the values of a and b.  Only
 where it is not finite does the exact check run, in the order of jet on
 each field and then a check of each entry: each field's fields._root_check,
 then each entry's; a DomainError inside a later field's walk first runs the
@@ -265,11 +270,14 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float, memo=None):
     and a row of x), and the partials are summed at the shapes of the
     coordinates they read.  Each entry is then flattened, row-major, to a
     vector over the nodes, except that an entry constant over the
-    coordinates stays 0-d: a constant c (c = 0 above all) builds no complex
-    array, a diagonal k*t no copies of k, and _take and the kernels
-    broadcast them.  When b is the same tree as a (the lemma elements) its
-    walk is a's.  memo is handed to every walk (fields.jet).  Every value,
-    partial and entry is checked finite as the module docstring says.
+    coordinates stays 0-d: a constant c (c = 0 above all) builds no per-node
+    complex array, a diagonal k*t no copies of k, and _take and the kernels
+    broadcast them.  Each real and imaginary part of u, z and w is one real
+    sum, difference or product, written straight into the complex entry, so
+    a zero part has the sign that operation gives it.  When b is the same
+    tree as a (the lemma elements) its walk is a's.  memo is handed to every
+    walk (fields.jet).  Every value, partial and entry is checked finite as
+    the module docstring says: by one sum of per-entry np.add.reduce sums.
     """
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     shape = np.broadcast(t, x).shape
@@ -292,14 +300,20 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float, memo=None):
     parts = (adt, adx, bdt, bdx, rv, rdt, rdx, iv, idt, idx)
     parts = (np.asarray(0.0 if part is None else part, dtype=float) for part in parts)
     adt, adx, bdt, bdx, rv, rdt, rdx, iv, idt, idx = parts
+    u = np.empty(np.broadcast(rdt, rdx, idt, idx).shape, dtype=complex)
+    z = np.empty(u.shape, dtype=complex)
+    w = np.empty(np.broadcast(rv, iv).shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        c0, c1 = rdt + 1j * idt, rdx + 1j * idx
         ap, am, bp, bm = adt + adx, adt - adx, bdt + bdx, bdt - bdx
-        u, z, w = c0 + c1, c0 - c1, delta * (rv + 1j * iv)
+        np.add(rdt, rdx, out=u.real)
+        np.add(idt, idx, out=u.imag)
+        np.subtract(rdt, rdx, out=z.real)
+        np.subtract(idt, idx, out=z.imag)
+        np.multiply(delta, rv, out=w.real)
+        np.multiply(delta, iv, out=w.imag)
         # each sum at its own shape, so a value over every node never widens a row of entries
-        coupling = np.add.reduce(u + z + w, None)
-        total = np.add.reduce(ap + am + bp + bm, None) + np.add.reduce(av, None) + np.add.reduce(bv, None)
-        total += coupling.real + coupling.imag
+        total = sum(np.add.reduce(part, None) for part in (ap, am, bp, bm, av, bv, u, z, w))
+        total = total.real + total.imag
     # an inf or NaN anywhere makes the sum inf or NaN; a sum that only overflows gets the checks below
     if not math.isfinite(total):
         for expr, v, d in (
@@ -655,17 +669,19 @@ def _block_verdicts(entries, n: int, tol: float, bound):
     bound is the Gershgorin bound G at each node; on a block with c
     constant 0 the caller may pass d, which equals G there.  The rules of
     the module docstring, in its order: at tol >= SCHUR_EIG_SLACK the nodes
-    with G >= 0 pass in bulk, and a block where all do returns 0-d True and
-    False at once.  Of the nodes left open, _uncoupled_rule decides the
+    with G >= 0 pass in bulk, and a block where all do, by one min
+    reduction that a NaN fails, returns 0-d True and False at once.  Of the
+    nodes left open, _uncoupled_rule decides the
     uncoupled ones; at the coupled ones the Gershgorin rule passes, then the
     Schur tests pass and fail.  No node is both, and the nodes neither are
     left to eigvalsh.  A block with c constant 0 where more nodes are open
     than passed gets the rule on all of them, which is cheaper than
     indexing the open ones.
     """
-    passed = bound >= 0.0 if tol >= SCHUR_EIG_SLACK else np.False_
-    if passed.all():
+    bulk = tol >= SCHUR_EIG_SLACK
+    if bulk and np.minimum.reduce(bound, None) >= 0.0:  # a NaN minimum fails the test
         return np.True_, np.False_
+    passed = bound >= 0.0 if bulk else np.False_
     if np.ndim(passed) == 0:  # False at every node
         passed = np.zeros(n, dtype=bool)
     failed = ~passed  # the open nodes, until a rule passes one or leaves it open
@@ -736,49 +752,64 @@ def _psd_at_distinct_nodes(parts, tol: float):
     return min_eigs[index], passed[index]
 
 
+def _block_scale(entries, bound_min: float) -> float:
+    """s_max = max(1, max(D, 0) + max(-min G, 0)) for a block, D its largest diagonal entry.
+
+    It is at least every node's s: G is at most each diagonal entry, and
+    |u|, |z| and |w| are at most D - G, by Gershgorin's row sums.  The
+    rounding of G, of the moduli in it and of the sum can leave s_max short
+    of s by a few unit roundoffs of s (fewer than 16), far inside
+    SCHUR_EIG_SLACK.
+    """
+    diagonal_max = max(float(np.maximum.reduce(part, None)) for part in entries[:4])
+    return max(1.0, max(diagonal_max, 0.0) + max(-bound_min, 0.0))
+
+
 def _block_membership(entries, n: int, tol: float, upper: float):
     """cone_membership on one block of n nodes: (bound, passed, failed, upper).
 
     passed and failed are _block_verdicts', and bound is each node's lower
     bound L.  upper bounds the grid minimum from above (a bound on some
     earlier node's eigvalsh value) and comes back lowered by this block's.
-    A block with no coupled node ends at the verdicts, with
-    L = d - SCHUR_EIG_SLACK*s_max, and lowers upper to
-    min d + SCHUR_EIG_SLACK*s_max: eigvalsh gives d to within a few ulps of
-    s at each node (_diagonal_min), and s_max = max(largest diagonal entry,
-    -min d, 1) is at least every node's s.  Otherwise
-    L = G - SCHUR_EIG_SLACK*s, and eigvalsh at the node of smallest L
-    lowers upper.  The coupled nodes whose L is not above it, the only
-    coupled ones that can hold the grid minimum, raise L to
+    L = G - SCHUR_EIG_SLACK*s_max, with G the Gershgorin bound (d where c
+    is constant 0) and s_max the block-wide bound on every node's s of
+    _block_scale, so no node's own s is taken.  Where an entry is so large
+    that s_max overflows, L is -inf and every node of the block goes to
+    eigvalsh.  A block with c constant 0 ends at the verdicts
+    and lowers upper to min d + SCHUR_EIG_SLACK*s_max, as eigvalsh gives d
+    to within a few ulps of s at each node (_diagonal_min).  Elsewhere
+    eigvalsh at the node of smallest L lowers upper.  The nodes whose L is
+    not above it, the only ones that can hold the grid minimum, raise L to
     lambda_min(M0) - SCHUR_EIG_SLACK*s where that is larger, with M0 of the
     module docstring: M - M0 = diag(ap - alpha, am - alpha, bp - beta,
     bm - beta) is PSD, so lambda_min(M) >= lambda_min(M0) =
     (alpha + beta)/2 - sqrt(((alpha - beta)/2)^2 + sigma^2), with sigma^2
-    the largest eigenvalue of C*C.  It is taken on the entries over s and
-    then times s, a few dozen ulps of s off.  eigvalsh at the refined node
-    of smallest L lowers upper last.
+    the largest eigenvalue of C*C.  It is taken on the entries over their
+    node's s and then times s, a few dozen ulps of s off.  eigvalsh at the
+    refined node of smallest L lowers upper last.
     """
-    coupled = _coupled(entries)  # 0-d where c is constant on the block
-    if not coupled.any():
+    uncoupled = not any(map(np.ndim, entries[4:])) and not _coupled(entries)  # c is constant 0
+    if uncoupled:
         ap, am, bp, bm = entries[:4]
-        d = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
-        passed, failed = _block_verdicts(entries, n, tol, d)
-        d_min = float(np.min(d))
-        s_max = max(*(float(np.max(part)) for part in entries[:4]), -d_min, 1.0)
-        # d is 0-d where the diagonal is constant on the block
-        lower = np.broadcast_to(d - SCHUR_EIG_SLACK * s_max, n)
-        return lower, passed, failed, np.minimum(upper, d_min + SCHUR_EIG_SLACK * s_max)
-    # the diagonal entries as views over the block's nodes: each stage below keeps per-node arrays
-    entries = [*(np.broadcast_to(part, n) for part in entries[:4]), *entries[4:]]
-    scale, lower = _node_scales(entries), _gershgorin_bound(entries)
-    passed, failed = _block_verdicts(entries, n, tol, lower)
-    lower -= SCHUR_EIG_SLACK * scale  # from G to L, in place: one array fewer lives through the block
+        bound = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
+    else:
+        bound = _gershgorin_bound(entries)
+    passed, failed = _block_verdicts(entries, n, tol, bound)
+    bound_min = float(np.minimum.reduce(bound, None))
+    slack = SCHUR_EIG_SLACK * _block_scale(entries, bound_min)
+    # from G to L, in place where G is per node: one array fewer lives through the block
+    lower = np.subtract(bound, slack, out=bound if np.ndim(bound) else None)
+    if uncoupled:
+        return np.broadcast_to(lower, n), passed, failed, np.minimum(upper, bound_min + slack)
+    if np.ndim(lower) == 0:  # every entry is constant over the block
+        lower = np.full(n, lower)
     # any node's eigvalsh value is at least the grid minimum: take it where L is least
     upper = np.minimum(upper, _psd_at_nodes(_matrices(_take(entries, [np.argmin(lower)])), tol)[0][0])
-    refine = np.flatnonzero(coupled & ~(lower > upper))
+    refine = np.flatnonzero(~(lower > upper))
     if refine.size:
-        s = scale[refine]
-        ap, am, bp, bm, u, z, w = (part / s for part in _take(entries, refine))
+        part = _take(entries, refine)
+        s = _node_scales(part)
+        ap, am, bp, bm, u, z, w = (entry / s for entry in part)
         alpha, beta = np.minimum(ap, am), np.minimum(bp, bm)
         uu, zz = _abs2(u), _abs2(z)
         sigma2 = 0.5 * (uu + zz) + _abs2(w) + np.hypot(0.5 * (uu - zz), np.abs(np.conj(u) * w - np.conj(w) * z))
@@ -825,14 +856,20 @@ def cone_membership(
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             bound, block_passed, failed, upper = _block_membership(entries, n_block, tol, upper)
         passed[start : start + n_block] = block_passed
-        undecided = ~(block_passed | failed)  # 0-d where the block is decided in bulk
-        need = ~(bound > upper) | undecided
-        if first_failed < 0 and failed.any():
-            first_failed = start + int(np.argmax(failed))
-            need[first_failed - start] = True
-        nodes = np.flatnonzero(need)
+        need = ~(bound > upper)
+        if block_passed is np.True_:  # passed in bulk: no numpy-scalar work, which costs microseconds a call
+            nodes = np.flatnonzero(need)
+            undecided = np.zeros(nodes.size, dtype=bool)
+        else:
+            undecided = np.broadcast_to(~(block_passed | failed), n_block)
+            need |= undecided
+            if first_failed < 0 and failed.any():
+                first_failed = start + int(np.argmax(failed))
+                need[first_failed - start] = True
+            nodes = np.flatnonzero(need)
+            undecided = undecided[nodes]
         parts = (np.full(nodes.shape, part) if np.ndim(part) == 0 else part for part in _take(entries, nodes))
-        kept.append((start + nodes, bound[nodes], np.broadcast_to(undecided, n_block)[nodes], *parts))
+        kept.append((start + nodes, bound[nodes], undecided, *parts))
     nodes, bound, undecided, *parts = (np.concatenate(column) for column in zip(*kept))
     need = undecided | ~(bound > upper) | (nodes == first_failed)
     nodes, undecided, parts = nodes[need], undecided[need], _take(parts, need)

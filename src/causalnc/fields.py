@@ -27,9 +27,11 @@ A value or partial that is not finite raises DomainError, as does leaving a
 function's real domain; its index is the first failing node, row-major in
 the broadcast shape of the coordinates.  At the root that is one test, of
 the sum of all three parts over all nodes; only if it is not finite does
-the exact per-part check (_root_check) run.  cone._cone_entries walks an
-element's four fields without that test and makes one test for all of them
-(see the cone module docstring).
+the exact per-part check (_root_check) run.  A function call's value is
+tested the same way inside the walk: one sum over its nodes, and the exact
+node-by-node test only where that sum is not finite.  cone._cone_entries
+walks an element's four fields without the root test and makes one test for
+all of them (see the cone module docstring).
 
 jet takes an optional identity memo, {id(node): memo_entry(node, t, x)}.
 The walk returns an entry's stored (value, (d/dt, d/dx)) for a node only
@@ -457,7 +459,8 @@ def _eval(e: FieldExpr, t, x, shape: tuple, memo=None):
             g = -v * v * np.cos(av)
         else:  # unreachable for parsed trees
             raise DomainError(f"unknown function {e.func!r}", e)
-        if not np.isfinite(v).all():
+        # an inf or NaN anywhere makes the sum inf or NaN; a sum that only overflows gets the exact test
+        if not math.isfinite(np.add.reduce(v, None)) and not np.isfinite(v).all():
             _check(np.isfinite(v), "non-finite value", e, shape)
         return v, _both(_times, _zeros_meeting(d, g), (g, g))
     raise TypeError(f"not a field expression: {e!r}")

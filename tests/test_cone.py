@@ -427,8 +427,17 @@ def test_membership_domain_error_names_grid_node():
             assert message in str(err.value)
 
 
+def _complex(re, im) -> np.ndarray:
+    """The complex array of the given real and imaginary parts, their bits (signed zeros too) kept."""
+    re, im = np.broadcast_arrays(re, im)
+    return np.stack((re, im), axis=-1).view(complex)[..., 0]
+
+
 def _reference_entries(el: AlgebraElement, t, x, delta: float):
-    """The cone entries as jet on each field and then a check of each entry give them."""
+    """The cone entries as jet on each field and then a check of each entry give them.
+
+    Each part of u, z and w is one real sum, difference or product of partials or values.
+    """
     shape = np.broadcast(t, x).shape
     _, adt, adx = jet(el.a, t, x)
     _, bdt, bdx = (None, adt, adx) if el.b == el.a else jet(el.b, t, x)
@@ -437,9 +446,9 @@ def _reference_entries(el: AlgebraElement, t, x, delta: float):
     parts = (np.asarray(part, dtype=float) for part in (adt, adx, bdt, bdx, rv, rdt, rdx, iv, idt, idx))
     adt, adx, bdt, bdx, rv, rdt, rdx, iv, idt, idx = parts
     with np.errstate(over="ignore", invalid="ignore"):
-        c0, c1 = rdt + 1j * idt, rdx + 1j * idx
         ap, am, bp, bm = adt + adx, adt - adx, bdt + bdx, bdt - bdx
-        u, z, w = c0 + c1, c0 - c1, delta * (rv + 1j * iv)
+        u, z = _complex(rdt + rdx, idt + idx), _complex(rdt - rdx, idt - idx)
+        w = _complex(delta * rv, delta * iv)
     for expr, parts in (
         (el.a, (ap, am)),
         (el.b, (bp, bm)),
@@ -1167,6 +1176,26 @@ def test_cone_membership_diagonalises_few_rows_per_coupled_block(monkeypatch):
     assert len(rows) == 1  # an uncoupled block bounds the minimum in closed form, with no eigvalsh
 
 
+def test_cone_membership_takes_node_scales_only_on_part_of_a_block(monkeypatch):
+    # one block-wide s_max bounds every node's s in L, so on the lemma grid,
+    # where every node is coupled, node scales and coupling masks are taken
+    # only on the nodes that can hold the grid minimum or that the bulk
+    # Gershgorin step leaves open, never on a whole block
+    grid = RegionGrid(-3.0, 3.0, -3.0, 3.0, 401, 401)
+    rows = cone.BLOCK_NODES // grid.nx
+    smallest_block = (grid.nt % rows or rows) * grid.nx
+    sizes = []
+    for name in ("_node_scales", "_coupled"):
+
+        def spying(entries, original=getattr(cone, name)):
+            sizes.append(max(np.size(part) for part in entries))
+            return original(entries)
+
+        monkeypatch.setattr(cone, name, spying)
+    assert cone_membership(_lemma_element(), D_UNIT, grid).member_on_grid
+    assert sizes and max(sizes) < smallest_block
+
+
 def test_criterion_5_stream_certifies_without_lapack(monkeypatch):
     # both sampled families are diagonally dominant by construction, so
     # certify_grid_psd needs neither the Schur test nor eigvalsh on them
@@ -1532,31 +1561,61 @@ def test_gershgorin_step_passes_only_blocks_whose_every_node_each_rule_passes(da
                     assert _exactly_psd(node, Fraction(tol) * Fraction(float(scale[i]))), (node, tol)
 
 
-def test_each_lower_bound_on_a_coupled_block_is_exact():
+def test_block_scale_bounds_every_nodes_exact_scale():
+    # L = G - SCHUR_EIG_SLACK*s_max stands for G - SCHUR_EIG_SLACK*s at every
+    # node of the block, so s_max must be at least each node's exact scale
+    # max(1, |entry|), on coupled and uncoupled blocks alike.  G, the moduli in
+    # it and the sum in s_max are rounded, which can leave s_max a few unit
+    # roundoffs u = 2^-53 below a scale it bounds in exact arithmetic (up to
+    # 1.5u over 12,000 drawn nodes), so each scale is held against s_max*(1 + 16u)
+    seen = set()
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def check(data):
+        tol = data.draw(st.sampled_from(SCREEN_TOLS), label="tol")
+        entries = data.draw(_screen_cases(tol), label="entries")
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_max = cone._block_scale(entries, float(np.min(_gershgorin_bound(entries))))
+        seen.add(bool(np.any(cone._coupled(entries))))
+        if s_max == math.inf:
+            return
+        top = (Fraction(s_max) * (1 + Fraction(16, 2**53))) ** 2
+        for i in range(3):
+            node = [complex(part if np.ndim(part) == 0 else part[i]) for part in entries]
+            squares = [Fraction(v.real) ** 2 + Fraction(v.imag) ** 2 for v in node]
+            assert max(1, *squares) <= top, (node, s_max)
+
+    check()
+    assert seen == {False, True}
+
+
+def test_each_lower_bound_on_a_block_is_exact():
     # cone_membership keeps a node out of the final eigvalsh only when its L
     # lies above an eigvalsh value, so L must bound the node's smallest
-    # eigenvalue in exact arithmetic: G - SCHUR_EIG_SLACK*s everywhere, and at
-    # a coupled node the closed-form lambda_min(M0) - SCHUR_EIG_SLACK*s where
-    # that is larger.  At least one drawn node must take the closed-form bound
-    certified = []
+    # eigenvalue in exact arithmetic: G - SCHUR_EIG_SLACK*s_max on every
+    # block, coupled or not, and at a node of a coupled block the closed-form
+    # lambda_min(M0) - SCHUR_EIG_SLACK*s where that is larger.  Uncoupled
+    # blocks must be drawn, and at least one node must take the closed-form bound
+    certified, uncoupled = [], []
 
     @settings(max_examples=100)
     @given(st.data())
     def check(data):
         tol = data.draw(st.sampled_from(SCREEN_TOLS), label="tol")
         entries = data.draw(_screen_cases(tol), label="entries")
-        if not cone._coupled(entries).any():
-            return
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             lower = cone._block_membership(entries, 3, tol, np.inf)[0]
-            gershgorin = _gershgorin_bound(entries) - cone.SCHUR_EIG_SLACK * _node_scales(entries)
+            bound = _gershgorin_bound(entries)
+            gershgorin = bound - cone.SCHUR_EIG_SLACK * cone._block_scale(entries, float(np.min(bound)))
         for i in np.flatnonzero(np.isfinite(lower)):
             node = [part if np.ndim(part) == 0 else part[i] for part in entries]
             assert _exactly_psd(node, -Fraction(float(lower[i]))), (node, lower[i])
         certified.extend(np.flatnonzero(np.isfinite(lower) & (lower != gershgorin)))
+        uncoupled.append(not any(map(np.ndim, entries[4:])) and not cone._coupled(entries))
 
     check()
-    assert certified
+    assert certified and any(uncoupled)
 
 
 # --- the uncoupled rule and the Schur tests, against exact arithmetic ----------
