@@ -18,9 +18,10 @@ membership is certified only up to the sampling resolution.
 A node's verdict is eigvalsh's (_psd_at_nodes): it passes iff its smallest
 eigenvalue is at least -tol*s, with s = max(1, largest |entry|) the node
 scale.  Both grid kernels work on the seven distinct entries of the matrix
-(_cone_entries) and take every verdict short of eigvalsh from one function,
-_block_verdicts, which applies three rules, each to the nodes the one
-before leaves open:
+(_cone_entries; where c = 0 cone_membership needs only the diagonal, see
+below) and take every verdict short of eigvalsh from the rules of one
+function, _block_verdicts, each applied to the nodes the one before leaves
+open:
 
 - Gershgorin: a node passes when its Gershgorin bound G (_gershgorin_bound)
   less SCHUR_EIG_SLACK*s is at least -tol*s and s is finite.  So when
@@ -46,27 +47,38 @@ before leaves open:
 Each rule is one-sided with SCHUR_EIG_SLACK*s to spare, far more than
 eigvalsh's rounding, so it passes only nodes eigvalsh passes and fails only
 nodes eigvalsh fails; both kernels send the nodes no rule decides to
-_psd_at_distinct_nodes, their one eigvalsh path.  A block with c = 0 is
-decided by its d alone, and a block whose every node G passes runs no
-other test.  The two families oracle.py samples are diagonally dominant by
-construction, so G passes every node of theirs.
+_psd_at_distinct_nodes, their one eigvalsh path.  On a block where c is
+constant 0, G is d at every node, so the bulk step and _uncoupled_rule
+leave open only the nodes within SCHUR_EIG_SLACK*s of -tol*s, and a block
+whose every node G passes runs no other test.  The two families oracle.py
+samples are diagonally dominant by construction, so G passes every node of
+theirs.
 
 certify_grid_psd needs only the verdict.  cone_membership also reports the
-smallest eigenvalue on the grid and its node.  It keeps U, an upper bound on
-the grid minimum: the least eigvalsh value taken so far, as any node's
-eigvalsh value is at least that minimum, or on a block with c = 0 the closed
-form min d + SCHUR_EIG_SLACK*s_max (s_max below), as eigvalsh returns d to
-within a few ulps of s there.  It keeps a lower bound L per node, by one
-formula on every block: L = G - SCHUR_EIG_SLACK*s_max, with G = d where
-c = 0 and s_max = max(1, max(D, 0) + max(-min G, 0)) one scale for the
-block, D its largest diagonal entry.  G is at most every diagonal entry,
-and |u|, |z| and |w| are at most D - G, so s_max bounds every node's s
-(_block_scale) from two reductions, with no per-node scale; where an entry
-is so large that s_max overflows, L is -inf and every node of the block
-goes to eigvalsh.  A coupled block takes eigvalsh at its node of smallest L, before
-and after it raises L at the nodes whose L is not above U to
-lambda_min(M0) - SCHUR_EIG_SLACK*s where that is larger, with
-M0 = [[alpha I, C], [C*, beta I]], alpha = min(ap, am) and
+smallest eigenvalue on the grid and its node.  Where c.re and c.im are both
+the literal 0, every node's matrix is diagonal and its smallest eigenvalue
+is d = min(a_t - |a_x|, b_t - |b_x|).  cone_membership then walks the
+blocks taking only the jets of a and b (_diagonal_jets), and d at their
+own broadcast shape, with no entry array: the rules above give the
+verdicts, and min_eigenvalue, its node and the first violation's
+eigenvalue are read from d (_diagonal_membership).  eigvalsh returns a
+diagonal's entries exactly when it does not rescale the matrix, so this
+holds when every |entry| is at most EXACT_DIAGONAL_MAX and every d read is
+at least EXACT_DIAGONAL_MIN in magnitude; otherwise the general path
+below reports the grid.
+
+On the general path cone_membership keeps U, an upper bound on the grid
+minimum: the least eigvalsh value taken so far, as any node's eigvalsh
+value is at least that minimum.  It keeps a lower bound L per node,
+L = G - SCHUR_EIG_SLACK*s_max, with s_max = max(1, max(D, 0) +
+max(-min G, 0)) one scale for the block, D its largest diagonal entry.  G
+is at most every diagonal entry, and |u|, |z| and |w| are at most D - G,
+so s_max bounds every node's s (_block_scale) from two reductions, with no
+per-node scale; where an entry is so large that s_max overflows, L is -inf
+and every node of the block goes to eigvalsh.  Each block takes eigvalsh at
+its node of smallest L, before and after it raises L at the nodes whose L
+is not above U to lambda_min(M0) - SCHUR_EIG_SLACK*s where that is larger,
+with M0 = [[alpha I, C], [C*, beta I]], alpha = min(ap, am) and
 beta = min(bp, bm): M - M0 is a non-negative diagonal, so
 lambda_min(M) >= lambda_min(M0), which is in closed form (exact where a and
 b do not read x).  eigvalsh runs only on the undecided nodes, the first
@@ -92,9 +104,10 @@ reads one coordinate is evaluated on that axis only; the entries are then
 flattened to the block's node vector.  The fields, the entries and every
 kernel temporary live for one block, small enough to stay in cache.  Only
 per-node verdicts and the entries of the few nodes that may need eigvalsh
-outlive it, and eigvalsh runs on those once, after the walk.  A grid of at
-most BLOCK_NODES nodes is one block, and only there do the fields read
-RegionGrid.memo.
+outlive it, and eigvalsh runs on those once, after the walk.  The walk
+where c = 0 is the same, with _diagonal_jets in place of _cone_entries.  A
+grid of at most BLOCK_NODES nodes is one block, and only there do the
+fields read RegionGrid.memo.
 """
 
 from __future__ import annotations
@@ -105,7 +118,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import DomainError, FieldExpr, ParseError, _eval, _root_check, parse, to_source
+from .fields import DomainError, FieldExpr, Num, ParseError, _eval, _root_check, parse, to_source
 from .minkowski import SpacetimePoint
 from .states import DiracData
 
@@ -128,6 +141,14 @@ SCHUR_BAND = 1e-6
 #: bounds the memory of a block's entries and of the kernel temporaries over
 #: it to a few MB, whatever the grid size.
 BLOCK_NODES = 32_768
+#: eigvalsh (LAPACK zheevd) rescales a matrix whose largest |entry| lies
+#: below about 1.0e-146 or above about 1.0e146 before it diagonalises it;
+#: between, it returns a diagonal matrix's entries exactly.  cone_membership
+#: reads an eigenvalue from a diagonal only where every |entry| on the grid is
+#: at most EXACT_DIAGONAL_MAX and the value read is at least EXACT_DIAGONAL_MIN
+#: in magnitude, a factor of 10 inside each end.
+EXACT_DIAGONAL_MIN = 2e-145
+EXACT_DIAGONAL_MAX = 1e145
 #: Odd multiplier of the row hash in _psd_at_distinct_nodes (2^64 / golden ratio).
 _HASH_MULTIPLIER = np.int64(-7046029254386353131)
 
@@ -339,6 +360,49 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float, memo=None):
     )
 
 
+def _diagonal_jets(el: AlgebraElement, t, x, delta: float, memo=None):
+    """What cone_membership reads of an element with c = 0 at the nodes of the coordinates' broadcast shape.
+
+    Returns (shape, jets, d, d_min, top).  jets = (a_t, a_x, b_t, b_x), each
+    at the shape of the coordinates it reads (0-d where it reads neither).
+    d = min(a_t - |a_x|, b_t - |b_x|) at the jets' broadcast shape, so a d
+    that reads one coordinate stays a row or a column; it is min(ap, am,
+    bp, bm) of _cone_entries up to the sign of a zero, as ap and am are
+    a_t -+ |a_x| in some order.  d_min is its minimum, and top =
+    max(max a_t + max |a_x|, max b_t + max |b_x|, -d_min) is at least every
+    |entry|.  The walks are _cone_entries' (b's is a's when b is a's tree),
+    with its root checks when a walk fails.  Every entry is finite iff d_min
+    and top are, so where they or the sum of the values of a and b are not,
+    _cone_entries on the same nodes raises its DomainError, or returns where
+    finite parts merely overflowed that sum.
+    """
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    shape = np.broadcast(t, x).shape
+    av = None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            av, (adt, adx) = _eval(el.a, t, x, shape, memo)
+            bv, (bdt, bdx) = (av, (adt, adx)) if el.b == el.a else _eval(el.b, t, x, shape, memo)
+    except DomainError:
+        if av is not None:
+            _root_check(el.a, av, (adt, adx), shape)
+        raise
+    jets = tuple(np.float64(0.0) if part is None else part for part in (adt, adx, bdt, bdx))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, top = None, -math.inf
+        for dt, dx in (jets[:2],) if bv is av else (jets[:2], jets[2:]):
+            magnitude = np.abs(dx)
+            side = dt - magnitude
+            d = side if d is None else np.minimum(d, side)
+            top = np.maximum(top, np.maximum.reduce(dt, None) + np.maximum.reduce(magnitude, None))
+        d_min = float(np.minimum.reduce(d, None))
+        top = float(np.maximum(top, -d_min))
+        values = np.add.reduce(av, None) + (0.0 if bv is av else np.add.reduce(bv, None))
+    if not (math.isfinite(d_min) and math.isfinite(top) and math.isfinite(values)):
+        _cone_entries(el, t, x, delta, memo)
+    return shape, jets, d, d_min, top
+
+
 def _matrices(entries) -> np.ndarray:
     """Stack of 4x4 cone matrices from the entries of _cone_entries; Hermitian by construction.
 
@@ -460,15 +524,16 @@ class MembershipReport:
         }
 
 
-def _grid_entries(el: AlgebraElement, dirac: DiracData, region: RegionGrid, row: int = 0):
+def _grid_entries(el: AlgebraElement, dirac: DiracData, region: RegionGrid, row: int = 0, evaluate=None):
     """Cone matrix entries (see _cone_entries) at the region's nodes from the given row on, row-major in t.
 
     A DomainError raised at a known node is re-raised naming that grid node.
     The fields read the region's views() and memo; the memo's entries match only from row 0.
+    evaluate, if given, takes the place of _cone_entries and must raise as it does.
     """
     t, x = region.views()
     try:
-        return _cone_entries(el, t[row:] if row else t, x, dirac.d1 - dirac.d2, region.memo or None)
+        return (evaluate or _cone_entries)(el, t[row:] if row else t, x, dirac.d1 - dirac.d2, region.memo or None)
     except DomainError as err:
         if err.index is None:
             raise
@@ -478,29 +543,31 @@ def _grid_entries(el: AlgebraElement, dirac: DiracData, region: RegionGrid, row:
         ) from err
 
 
-def _grid_blocks(el: AlgebraElement, dirac: DiracData, region: RegionGrid):
+def _grid_blocks(el: AlgebraElement, dirac: DiracData, region: RegionGrid, evaluate=None):
     """Yield (start, n, entries) for the region's row-major blocks of about BLOCK_NODES nodes.
 
     entries are _cone_entries at the n nodes start, start + 1, ... of the
-    block, an entry constant over it 0-d.  A DomainError in a block is
-    re-raised by _grid_entries on the nodes from that block's first row on.
-    Every check passed on the nodes before the block, so the first check
-    that fails there, and its first node, are the whole grid's: the message
-    does not depend on the blocking.  A grid of one block is that call.
+    block, an entry constant over it 0-d, or evaluate's result where it is
+    given (it takes _cone_entries' arguments and raises as it does).  A
+    DomainError in a block is re-raised by _grid_entries on the nodes from
+    that block's first row on.  Every check passed on the nodes before the
+    block, so the first check that fails there, and its first node, are the
+    whole grid's: the message does not depend on the blocking.  A grid of
+    one block is that call.
     """
     t, x = region.axes()
     nx, delta = region.nx, dirac.d1 - dirac.d2
     if region.nt * nx <= BLOCK_NODES:
-        yield 0, region.nt * nx, _grid_entries(el, dirac, region)
+        yield 0, region.nt * nx, _grid_entries(el, dirac, region, 0, evaluate)
         return
     rows, width = max(1, BLOCK_NODES // nx), min(nx, BLOCK_NODES)
     for row in range(0, region.nt, rows):
         for col in range(0, nx, width):
             t_block, x_block = t[row : row + rows, None], x[None, col : col + width]
             try:
-                entries = _cone_entries(el, t_block, x_block, delta)
+                entries = (evaluate or _cone_entries)(el, t_block, x_block, delta)
             except DomainError:
-                _grid_entries(el, dirac, region, row)
+                _grid_entries(el, dirac, region, row, evaluate)
                 raise
             yield row * nx + col, t_block.size * x_block.size, entries
 
@@ -641,9 +708,10 @@ def _diagonal_min(entries):
 
     M is diagonal there, so d is its smallest eigenvalue and s the largest
     |entry| with one max.  eigvalsh returns d to within a few ulps of s:
-    exactly when the norm lies in LAPACK's unscaled range, and through one
-    multiplication and one division by the same factor outside it (below
-    about 1e-146 or above 7e145).  Meaningless at a coupled node.
+    bit for bit when the largest |entry| lies in LAPACK's unscaled range,
+    which [EXACT_DIAGONAL_MIN, EXACT_DIAGONAL_MAX] lies inside, and through
+    one multiplication and one division by the same factor outside it.
+    Meaningless at a coupled node.
     """
     ap, am, bp, bm = entries[:4]
     d = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
@@ -663,12 +731,12 @@ def _uncoupled_rule(entries, tol: float):
     return d - slack >= threshold, d + slack < threshold
 
 
-def _block_verdicts(entries, n: int, tol: float, bound):
+def _block_verdicts(entries, n: int, tol: float, bound, bound_min=None):
     """The verdict short of eigvalsh at a block's n nodes: (passed, failed).
 
-    bound is the Gershgorin bound G at each node; on a block with c
-    constant 0 the caller may pass d, which equals G there.  The rules of
-    the module docstring, in its order: at tol >= SCHUR_EIG_SLACK the nodes
+    bound is the Gershgorin bound G at each node, and bound_min, where the
+    caller has taken it, G's minimum over the block.  The rules of the
+    module docstring, in its order: at tol >= SCHUR_EIG_SLACK the nodes
     with G >= 0 pass in bulk, and a block where all do, by one min
     reduction that a NaN fails, returns 0-d True and False at once.  Of the
     nodes left open, _uncoupled_rule decides the
@@ -679,7 +747,7 @@ def _block_verdicts(entries, n: int, tol: float, bound):
     indexing the open ones.
     """
     bulk = tol >= SCHUR_EIG_SLACK
-    if bulk and np.minimum.reduce(bound, None) >= 0.0:  # a NaN minimum fails the test
+    if bulk and (np.minimum.reduce(bound, None) if bound_min is None else bound_min) >= 0.0:  # NaN fails
         return np.True_, np.False_
     passed = bound >= 0.0 if bulk else np.False_
     if np.ndim(passed) == 0:  # False at every node
@@ -766,20 +834,18 @@ def _block_scale(entries, bound_min: float) -> float:
 
 
 def _block_membership(entries, n: int, tol: float, upper: float):
-    """cone_membership on one block of n nodes: (bound, passed, failed, upper).
+    """cone_membership's general path on one block of n nodes: (bound, passed, failed, upper).
 
     passed and failed are _block_verdicts', and bound is each node's lower
     bound L.  upper bounds the grid minimum from above (a bound on some
     earlier node's eigvalsh value) and comes back lowered by this block's.
-    L = G - SCHUR_EIG_SLACK*s_max, with G the Gershgorin bound (d where c
-    is constant 0) and s_max the block-wide bound on every node's s of
-    _block_scale, so no node's own s is taken.  Where an entry is so large
-    that s_max overflows, L is -inf and every node of the block goes to
-    eigvalsh.  A block with c constant 0 ends at the verdicts
-    and lowers upper to min d + SCHUR_EIG_SLACK*s_max, as eigvalsh gives d
-    to within a few ulps of s at each node (_diagonal_min).  Elsewhere
-    eigvalsh at the node of smallest L lowers upper.  The nodes whose L is
-    not above it, the only ones that can hold the grid minimum, raise L to
+    L = G - SCHUR_EIG_SLACK*s_max, with G the Gershgorin bound, whose
+    minimum over the block the bulk step and s_max share, and s_max the
+    block-wide bound on every node's s of _block_scale, so no node's own s
+    is taken.  Where an entry is so large that s_max overflows, L is -inf
+    and every node of the block goes to eigvalsh.  eigvalsh at the node of
+    smallest L lowers upper.  The nodes whose L is not above it, the only
+    ones that can hold the grid minimum, raise L to
     lambda_min(M0) - SCHUR_EIG_SLACK*s where that is larger, with M0 of the
     module docstring: M - M0 = diag(ap - alpha, am - alpha, bp - beta,
     bm - beta) is PSD, so lambda_min(M) >= lambda_min(M0) =
@@ -788,19 +854,12 @@ def _block_membership(entries, n: int, tol: float, upper: float):
     node's s and then times s, a few dozen ulps of s off.  eigvalsh at the
     refined node of smallest L lowers upper last.
     """
-    uncoupled = not any(map(np.ndim, entries[4:])) and not _coupled(entries)  # c is constant 0
-    if uncoupled:
-        ap, am, bp, bm = entries[:4]
-        bound = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
-    else:
-        bound = _gershgorin_bound(entries)
-    passed, failed = _block_verdicts(entries, n, tol, bound)
+    bound = _gershgorin_bound(entries)
     bound_min = float(np.minimum.reduce(bound, None))
+    passed, failed = _block_verdicts(entries, n, tol, bound, bound_min)
     slack = SCHUR_EIG_SLACK * _block_scale(entries, bound_min)
     # from G to L, in place where G is per node: one array fewer lives through the block
     lower = np.subtract(bound, slack, out=bound if np.ndim(bound) else None)
-    if uncoupled:
-        return np.broadcast_to(lower, n), passed, failed, np.minimum(upper, bound_min + slack)
     if np.ndim(lower) == 0:  # every entry is constant over the block
         lower = np.full(n, lower)
     # any node's eigvalsh value is at least the grid minimum: take it where L is least
@@ -821,6 +880,101 @@ def _block_membership(entries, n: int, tol: float, upper: float):
     return lower, passed, failed, upper
 
 
+def _at(part, nodes, width: int):
+    """A block part, at a shape that broadcasts to the block's rows of the given width, at the block's flat nodes.
+
+    A 0-d part is the same at every node and stays as it is."""
+    if np.ndim(part) == 0:
+        return part
+    rows, cols = part.shape
+    flat = part.reshape(-1)
+    if rows > 1:
+        return flat[nodes if cols > 1 else nodes // width]
+    return flat[nodes % width if cols > 1 else 0]
+
+
+def _diagonal_membership(
+    el: AlgebraElement, dirac: DiracData, region: RegionGrid, tol: float
+) -> Optional[MembershipReport]:
+    """cone_membership of an element with c = 0 from d alone; None where an eigenvalue it reads may be inexact.
+
+    Every node's matrix is diagonal, so its smallest eigenvalue is d =
+    min(a_t - |a_x|, b_t - |b_x|).  The walk is _grid_blocks' with
+    _diagonal_jets for _cone_entries, so it evaluates each block, and raises
+    and re-walks at a DomainError, as the general path does, but builds no
+    entry array and keeps no node for a bound.  The verdicts are
+    _block_verdicts': at tol >= SCHUR_EIG_SLACK the nodes with d >= 0 pass
+    in bulk, _uncoupled_rule takes the others' four diagonal entries, and
+    the nodes it leaves open go to _psd_at_distinct_nodes after the walk.
+    min_eigenvalue is the grid's least d, at the first node that holds it,
+    and the first violation's eigenvalue is its d, or eigvalsh's value where
+    eigvalsh decided the node.  Those d are eigvalsh's values, bit for bit,
+    when every |entry| on the grid is at most EXACT_DIAGONAL_MAX and each d
+    read is at least EXACT_DIAGONAL_MIN in magnitude: their matrices then
+    lie in LAPACK's unscaled range, and no node's eigvalsh value can tie
+    with or undercut the least d.  It returns None as soon as a block shows
+    that one of these fails; the general path then walks the grid again
+    and raises any DomainError the rest of this walk would have raised.
+    """
+    bulk = tol >= SCHUR_EIG_SLACK
+    low, low_node = math.inf, 0  # the least d so far and its first node
+    n_failed, first_failed, failed_d = 0, -1, 0.0
+    kept = []  # per block: (nodes, ap, am, bp, bm) of the nodes _uncoupled_rule leaves open
+    for start, n_block, (shape, jets, d, d_min, top) in _grid_blocks(el, dirac, region, _diagonal_jets):
+        if top > EXACT_DIAGONAL_MAX:
+            return None
+        if d_min < low:
+            # d one row high holds every row's values, one column wide every column's: the first least
+            # entry of its own shape is at the block's first node where d is least
+            row, col = np.unravel_index(np.argmin(d), d.shape) if np.ndim(d) else (0, 0)
+            low, low_node = d_min, start + int(row) * shape[1] + int(col)
+        if bulk and d_min >= 0.0:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = np.flatnonzero(np.broadcast_to(d < 0.0, shape)) if bulk else None
+            if nodes is None or 2 * nodes.size > n_block:  # as _block_verdicts: the rule on every node
+                nodes, at = np.arange(n_block), shape
+            else:
+                jets, at = [_at(part, nodes, shape[1]) for part in jets], nodes.shape
+            adt, adx, bdt, bdx = jets
+            diagonal = [
+                np.broadcast_to(part, at).reshape(nodes.shape) for part in (adt + adx, adt - adx, bdt + bdx, bdt - bdx)
+            ]
+            passed, failed = (np.broadcast_to(verdict, nodes.shape) for verdict in _uncoupled_rule(diagonal, tol))
+        if failed.any():
+            if first_failed < 0:
+                k = int(np.argmax(failed))
+                first_failed, failed_d = start + int(nodes[k]), float(min(part[k] for part in diagonal))
+                if abs(failed_d) < EXACT_DIAGONAL_MIN:
+                    return None
+            n_failed += int(np.count_nonzero(failed))
+        left = ~(passed | failed)
+        if left.any():
+            kept.append((start + nodes[left], *(part[left] for part in diagonal)))
+    if abs(low) < EXACT_DIAGONAL_MIN:
+        return None
+    first, value, n_violations = first_failed, failed_d, n_failed
+    if kept:
+        nodes, *diagonal = (np.concatenate(column) for column in zip(*kept))
+        delta = dirac.d1 - dirac.d2
+        # u, z and w as _cone_entries builds them from c = 0
+        coupling = (np.array(0j), np.array(0j), np.array(complex(delta * el.c_re.value, delta * el.c_im.value)))
+        min_eigs, node_passed = _psd_at_distinct_nodes((*diagonal, *coupling), tol)
+        if not node_passed.all():
+            n_violations += int(np.count_nonzero(~node_passed))
+            k = int(np.argmin(node_passed))
+            if first < 0 or nodes[k] < first:
+                first, value = int(nodes[k]), float(min_eigs[k])
+    return MembershipReport(
+        member_on_grid=n_violations == 0,
+        first_violation=None if first < 0 else GridViolation(region.node(first), value),
+        min_eigenvalue=low,
+        min_eigenvalue_point=region.node(low_node),
+        n_nodes=region.nt * region.nx,
+        n_violations=n_violations,
+    )
+
+
 def cone_membership(
     el: AlgebraElement, dirac: DiracData, region: RegionGrid, tol: float = PSD_TOL
 ) -> MembershipReport:
@@ -829,11 +983,14 @@ def cone_membership(
     The report equals the one eigvalsh on every node's matrix would give:
     each node's verdict is _psd_at_nodes's, min_eigenvalue and the first
     violation's eigenvalue are eigvalsh values, and min_eigenvalue_point is
-    the first node, row-major, where eigvalsh gives min_eigenvalue.  Each
-    block gets _block_membership, which lowers U.  After the walk eigvalsh
-    runs once on the nodes left undecided, the first certain violation and
-    the nodes whose L is at most the final U, among which is every node that
-    attains the minimum.
+    the first node, row-major, where eigvalsh gives min_eigenvalue.  Where
+    c.re and c.im are the literal 0, _diagonal_membership reads the report
+    from d, if every value it reads lies in the range where eigvalsh returns
+    d exactly.  Otherwise, on the general path, each block gets
+    _block_membership, which lowers U.  After the walk eigvalsh runs once on
+    the nodes left undecided, the first certain violation and the nodes
+    whose L is at most the final U, among which is every node that attains
+    the minimum.
 
     Raises DomainError annotated with the offending node when a field, one
     of its partials, or an entry of the matrix cannot be evaluated to a
@@ -845,11 +1002,15 @@ def cone_membership(
     _finite_tol(tol)
     region.axes()  # the axes first: they refuse a grid too large to allocate
     n = region.nt * region.nx
-    try:
+    try:  # the general path's node flags, taken first on either path: they refuse a grid too large to walk
         passed = np.empty(n, dtype=bool)
     except (MemoryError, ValueError) as err:
         raise region._too_large() from err
-    upper = np.inf  # U: an eigvalsh value, or d's closed form, at some node, so at least the grid minimum
+    if all(isinstance(part, Num) and part.value == 0.0 for part in (el.c_re, el.c_im)):
+        report = _diagonal_membership(el, dirac, region, tol)
+        if report is not None:
+            return report
+    upper = np.inf  # U: an eigvalsh value at some node, so at least the grid minimum
     first_failed = -1
     kept = []  # per block: (nodes, bounds, undecided flags, entries) of the nodes eigvalsh may need
     for start, n_block, entries in _grid_blocks(el, dirac, region):

@@ -460,7 +460,11 @@ def test_plan_path_n_above_the_segment_bound_is_refused_before_sampling(capsys, 
 #: cone-check runs on 41^2..81^2 grids, one per benchmark kind, with the
 #: stdout, stderr and exit code of the flat-mesh evaluation they replaced;
 #: each stdout's "min_eigenvalue_point" was recorded later, from the row-block
-#: kernel as it stood before L took one block-wide scale
+#: kernel as it stood before L took one block-wide scale.  Two more, a member
+#: whose smallest entry is flat up to rounding and a non-member whose entries
+#: reach 1e150, were recorded from the kernel as it stood before reports of
+#: elements with c = 0 were read from d: the first is read from d, the second
+#: beyond the range where that is exact
 GOLDEN_CONE_CHECKS = json.loads((Path(__file__).parent / "cone_check_golden.json").read_text())
 
 

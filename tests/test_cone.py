@@ -734,9 +734,10 @@ def test_node_scales_take_the_coupling_modulus_unsquared_only_where_the_square_o
 def test_rows_that_share_a_hash_are_diagonalised_apart(monkeypatch):
     # a zero multiplier leaves only the last bit column (Im w = 0 here) in the
     # hash, so all 202 candidate nodes of the x = -3 and x = 3 columns share
-    # one key although those two columns hold different entries
+    # one key although those two columns hold different entries.  c.re is 0
+    # but not the literal 0, so cone_membership keeps those nodes on its general path
     monkeypatch.setattr(cone, "_HASH_MULTIPLIER", np.int64(0))
-    el = AlgebraElement.from_sources("t + 0.5*x^2", "t + 0.5*x^2")
+    el = AlgebraElement.from_sources("t + 0.5*x^2", "t + 0.5*x^2", "0*t")
     reference = _reference_membership(el, D_UNIT, WIDE_GRID).to_dict()
     rows = _count_eigvalsh_rows(monkeypatch)
     assert cone_membership(el, D_UNIT, WIDE_GRID).to_dict() == reference
@@ -850,15 +851,15 @@ def test_grid_blocks_walk_the_grid_once_in_row_major_order(monkeypatch):
 
 
 def _counting_nodes(monkeypatch) -> list:
-    """Record the number of nodes each _cone_entries call evaluates."""
+    """Record the number of nodes each block evaluation (_cone_entries, or _diagonal_jets where c = 0) walks."""
     sizes = []
-    entries = cone._cone_entries
+    for name in ("_cone_entries", "_diagonal_jets"):
 
-    def sized(el, t, x, delta, memo=None):
-        sizes.append(np.broadcast(t, x).size)
-        return entries(el, t, x, delta, memo)
+        def sized(el, t, x, delta, memo=None, evaluate=getattr(cone, name)):
+            sizes.append(np.broadcast(t, x).size)
+            return evaluate(el, t, x, delta, memo)
 
-    monkeypatch.setattr(cone, "_cone_entries", sized)
+        monkeypatch.setattr(cone, name, sized)
     return sizes
 
 
@@ -1107,20 +1108,21 @@ def test_uncoupled_nodes_are_decided_as_eigvalsh_decides_them(case):
 
 
 @pytest.mark.parametrize(
-    "sources",
+    "sources, diagonalised",
     (
-        ("t", "t - 2*exp(-((t - 0.3)^2 + (x + 0.2)^2)/0.5)"),
-        ("t + 0.99999*tanh(x)", "t"),
-        ("t + 1.00001*tanh(x)", "t"),
-        ("t + 1.000000002*tanh(x)", "t"),
+        (("t", "t - 2*exp(-((t - 0.3)^2 + (x + 0.2)^2)/0.5)"), 0),
+        (("t + 0.99999*tanh(x)", "t"), 0),
+        (("t + 1.00001*tanh(x)", "t"), 0),
+        (("t + 1.000000002*tanh(x)", "t"), 1),
     ),
     ids=("bump", "near-member", "near-nonmember", "within-the-slack"),
 )
-def test_uncoupled_elements_need_no_schur_test_and_no_newton(monkeypatch, sources):
+def test_uncoupled_elements_need_no_schur_test_and_no_newton(monkeypatch, sources, diagonalised):
     # the x = 0 column of the near elements has smallest eigenvalue 1 - beta;
     # at 1 - 1.000000002 it lies within SCHUR_EIG_SLACK*s of -tol*s, so eigvalsh decides it.
     # Over blocks of 4 rows, the nodes with d >= 0 pass in bulk, _uncoupled_rule
-    # sees only the nodes with d < 0, and eigvalsh runs once, after the walk
+    # sees only the nodes with d < 0, and eigvalsh runs once, after the walk,
+    # only where the rule leaves a node open: the report reads every other value from d
     el = AlgebraElement.from_sources(*sources)
     reference = _reference_membership(el, D_UNIT, WIDE_GRID, PSD_TOL)
     ap, am, bp, bm = _grid_entries(el, D_UNIT, WIDE_GRID)[:4]
@@ -1147,7 +1149,7 @@ def test_uncoupled_elements_need_no_schur_test_and_no_newton(monkeypatch, source
     monkeypatch.setattr(cone, "_psd_at_nodes", diagonalising)
     monkeypatch.setattr(cone, "BLOCK_NODES", 4 * WIDE_GRID.nx)
     assert cone_membership(el, D_UNIT, WIDE_GRID, PSD_TOL).to_dict() == reference.to_dict()
-    assert len(psd_calls) == 1
+    assert len(psd_calls) == diagonalised
     assert all((d < 0.0).all() for d in ruled)
     assert sum(d.size for d in ruled) == negative
     assert ruled or negative == 0  # near-member has no node with d < 0, and no call of the rule
@@ -1173,7 +1175,72 @@ def test_cone_membership_diagonalises_few_rows_per_coupled_block(monkeypatch):
     diagonal = AlgebraElement.from_sources("2.1*t + 0.5*tanh(t + x)", "1.9*t + 0.4*tanh(t - x)")
     rows.clear()
     assert cone_membership(diagonal, D_UNIT, grid).member_on_grid
-    assert len(rows) == 1  # an uncoupled block bounds the minimum in closed form, with no eigvalsh
+    assert rows == []  # with c = 0 the report reads every eigenvalue from d
+
+
+def test_a_flat_minimum_reaches_no_eigvalsh(monkeypatch):
+    # b_t + b_x is 1.9 in exact arithmetic at every node, so the smallest
+    # entry is flat up to rounding over much of the grid; bounding the
+    # minimum sent every such node to eigvalsh (13,668 distinct rows on this
+    # grid), and reading it from d sends none
+    el = AlgebraElement.from_sources("2.1*t + 0.5*tanh(t + x)", "1.9*t + 0.4*tanh(t - x)")
+    grid = RegionGrid(-3.0, 3.0, -3.0, 3.0, 201, 201)
+    reference = _reference_membership(el, D_UNIT, grid).to_dict()
+    rows = _count_eigvalsh_rows(monkeypatch)
+    assert cone_membership(el, D_UNIT, grid).to_dict() == reference
+    assert rows == []
+
+
+#: a diagonal whose eigvalsh value LAPACK rescales, and so returns an ulp off its least entry a_t + a_x
+_TINY_INEXACT = ("3.6233319495135165e-150*t - 7.735967064961286e-150*x", "5.6535141258033774e-148*t")
+_BUMP = ("t", "t - 2*exp(-((t - 0.3)^2 + (x + 0.2)^2)/0.5)")
+
+
+@pytest.mark.parametrize(
+    "sources, grid, tol, general",
+    (
+        (("1e-150*t", "1e-150*t"), SQUARE, PSD_TOL, True),  # |min d| below EXACT_DIAGONAL_MIN
+        (_TINY_INEXACT, SQUARE, PSD_TOL, True),
+        (("1e150*t", "1e150*t - 2e150*exp(-((t - 0.3)^2 + (x + 0.2)^2)/0.5)"), SQUARE, PSD_TOL, True),
+        (("1e300*t", "1e300*t"), SQUARE, PSD_TOL, True),  # entries above EXACT_DIAGONAL_MAX
+        (("t + x", "t"), SQUARE, PSD_TOL, True),  # a zero minimum
+        (("t + x", "t"), SQUARE, 0.0, True),
+        (("t + x", "t"), SQUARE, -0.5, True),
+        (("0*x - 0*t", "t"), SQUARE, PSD_TOL, True),  # d = -0.0, where eigvalsh gives 0.0
+        # at a negative tol the rule fails the first node, at x = 1, whose
+        # entries are _TINY_INEXACT's, while min d = -2 lies at x = 2
+        (tuple(f"{f} + (x - 1)^2" for f in _TINY_INEXACT), RegionGrid(-1.0, 1.0, 1.0, 2.0, 21, 21), -0.5, True),
+        # at tol 0 the rule leaves the first violation's tiny d open, and eigvalsh's value is reported
+        (("1e-150*(x^2 - t) - t^4",) * 2, RegionGrid(0.0, 1.0, -1.0, 1.0, 21, 21), 0.0, False),
+        (_BUMP, SQUARE, 0.0, False),
+        (_BUMP, SQUARE, -0.5, False),
+    ),
+    ids=(
+        "tiny", "tiny-inexact", "huge-nonmember", "huge", "zero-minimum", "zero-minimum-tol-0",
+        "zero-minimum-negative-tol", "negative-zero-minimum", "tiny-first-violation", "tiny-open-violation",
+        "bump-tol-0", "bump-negative-tol",
+    ),
+)
+def test_uncoupled_reports_leave_d_only_outside_its_exact_range(monkeypatch, sources, grid, tol, general):
+    # the report reads eigenvalues from d only where eigvalsh returns d bit
+    # for bit; elsewhere the general path reports the grid, and the report is
+    # eigvalsh's either way, at one block and at blocks of 3 rows.  Reports
+    # are compared by repr, which tells -0.0 from 0.0
+    el = AlgebraElement.from_sources(*sources)
+    reference = repr(_reference_membership(el, D_UNIT, grid, tol).to_dict())
+    diagonal, declined = cone._diagonal_membership, []
+
+    def reading(*args):
+        report = diagonal(*args)
+        declined.append(report is None)
+        return report
+
+    monkeypatch.setattr(cone, "_diagonal_membership", reading)
+    for block_nodes in (32_768, 3 * grid.nx):
+        monkeypatch.setattr(cone, "BLOCK_NODES", block_nodes)
+        declined.clear()
+        assert repr(cone_membership(el, D_UNIT, grid, tol).to_dict()) == reference
+        assert declined == [general]
 
 
 def test_cone_membership_takes_node_scales_only_on_part_of_a_block(monkeypatch):
@@ -1431,9 +1498,9 @@ def _diagonals(draw):
 @given(_diagonals())
 def test_eigvalsh_gives_an_uncoupled_nodes_d_to_within_the_slack(diagonal):
     # M is diagonal, so d = min(diagonal) is its exact smallest eigenvalue.
-    # The uncoupled rule's fail side and cone_membership's closed-form U rest
-    # on eigvalsh returning d to within SCHUR_EIG_SLACK*s, in exact arithmetic,
-    # and so do the bounds d -+ SCHUR_EIG_SLACK*s as the kernels round them
+    # The uncoupled rule's fail side rests on eigvalsh returning d to within
+    # SCHUR_EIG_SLACK*s, in exact arithmetic, and so do the bounds
+    # d -+ SCHUR_EIG_SLACK*s as the kernels round them
     entries = [np.array([value]) for value in diagonal] + [np.array(0j)] * 3
     d, s = (float(part[0]) for part in cone._diagonal_min(entries))
     eig = float(np.linalg.eigvalsh(_matrices(entries))[0, 0])
@@ -1441,6 +1508,36 @@ def test_eigvalsh_gives_an_uncoupled_nodes_d_to_within_the_slack(diagonal):
     assert s == max(1.0, *map(abs, diagonal))
     assert abs(Fraction(eig) - Fraction(d)) <= Fraction(cone.SCHUR_EIG_SLACK) * Fraction(s)
     assert d - cone.SCHUR_EIG_SLACK * s <= eig <= d + cone.SCHUR_EIG_SLACK * s
+
+
+#: a magnitude log-uniform over the range cone_membership reads an uncoupled node's d in
+_EXACT_MAGNITUDES = st.floats(math.log10(cone.EXACT_DIAGONAL_MIN), math.log10(cone.EXACT_DIAGONAL_MAX)).map(
+    lambda e: min(max(10.0**e, cone.EXACT_DIAGONAL_MIN), cone.EXACT_DIAGONAL_MAX)
+)
+
+
+@st.composite
+def _exact_range_diagonals(draw):
+    """An uncoupled node's diagonal: each entry 0 or of a magnitude in _EXACT_MAGNITUDES, of either sign, some tied."""
+    signed = st.tuples(st.one_of(st.just(0.0), _EXACT_MAGNITUDES), st.booleans())
+    diagonal = [-m if negative else m for m, negative in draw(st.lists(signed, min_size=4, max_size=4))]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=2)):
+        diagonal[i] = diagonal[j]
+    return diagonal
+
+
+@settings(max_examples=500)
+@given(_exact_range_diagonals())
+def test_eigvalsh_returns_an_uncoupled_nodes_d_bit_for_bit_inside_the_exact_range(diagonal):
+    # cone_membership reports the least d of an element with c = 0 as its
+    # eigvalsh value when every |entry| is at most EXACT_DIAGONAL_MAX and
+    # |d| is at least EXACT_DIAGONAL_MIN: LAPACK does not rescale such a
+    # matrix, and returns a diagonal's entries exactly
+    d = min(diagonal)
+    entries = [np.array([value]) for value in diagonal] + [np.array(0j)] * 3
+    eig = _psd_at_nodes(_matrices(entries), PSD_TOL)[0][0]
+    if d != 0.0:
+        assert eig.tobytes() == np.float64(d).tobytes(), (diagonal, eig)
 
 
 # --- the Gershgorin screen ----------------------------------------------------
