@@ -17,11 +17,12 @@ membership is certified only up to the sampling resolution.
 
 A node's verdict is eigvalsh's (_psd_at_nodes): it passes iff its smallest
 eigenvalue is at least -tol*s, with s = max(1, largest |entry|) the node
-scale.  Both grid kernels work on the seven distinct entries of the matrix
-(_cone_entries; where c = 0 cone_membership needs only the diagonal, see
-below) and take every verdict short of eigvalsh from the rules of one
-function, _block_verdicts, each applied to the nodes the one before leaves
-open:
+scale.  Where c.re and c.im are both the literal 0, every node's matrix is
+diagonal, and both grid kernels first try the diagonal walk
+(_diagonal_membership, below).  Otherwise, and where that walk declines,
+they work on the seven distinct entries of the matrix (_cone_entries) and
+take every verdict short of eigvalsh from the rules of one function,
+_block_verdicts, each applied to the nodes the one before leaves open:
 
 - Gershgorin: a node passes when its Gershgorin bound G (_gershgorin_bound)
   less SCHUR_EIG_SLACK*s is at least -tol*s and s is finite.  So when
@@ -29,43 +30,40 @@ open:
   monotone, so fl(G - fl(SCHUR_EIG_SLACK*s)) is at least
   -fl(SCHUR_EIG_SLACK*s) >= -fl(tol*s), and s is finite wherever G is
   (every entry is finite, and a finite G makes |u|, |z| and |w| finite).
-  On every block, coupled or not, _block_verdicts first takes that bulk
-  step, before any s: the nodes with G >= 0 pass, and a block where all
-  do needs no other test;
-- uncoupled: at a node with u = z = w = 0 the matrix is diagonal, and its
-  smallest diagonal entry d is both its smallest eigenvalue and G.
-  _uncoupled_rule passes it when d - SCHUR_EIG_SLACK*s >= -tol*s, the
-  Gershgorin rule, and fails it when d + SCHUR_EIG_SLACK*s < -tol*s;
+  On every block _block_verdicts first takes that bulk step, before any s:
+  the nodes with G >= 0 pass, and a block where all do needs no other test;
 - Schur: with Da = diag(a0+a1, a0-a1), Db = diag(b0+b1, b0-b1) and C the
   upper right 2x2 block, M + shift*I is positive definite iff Da + shift > 0
   and the 2x2 Schur complement Db + shift - C* (Da + shift)^-1 C is.
   _pd_after_shift tests that with a relative band on every rounded
   quantity, so it can answer "positive definite" but never wrongly, and
-  passes a coupled node at shift (tol - SCHUR_EIG_SLACK)*s;
+  passes a node at shift (tol - SCHUR_EIG_SLACK)*s;
   _indefinite_after_shift, its mirror, fails one at (tol + SCHUR_EIG_SLACK)*s.
 
 Each rule is one-sided with SCHUR_EIG_SLACK*s to spare, far more than
 eigvalsh's rounding, so it passes only nodes eigvalsh passes and fails only
 nodes eigvalsh fails; both kernels send the nodes no rule decides to
-_psd_at_distinct_nodes, their one eigvalsh path.  On a block where c is
-constant 0, G is d at every node, so the bulk step and _uncoupled_rule
-leave open only the nodes within SCHUR_EIG_SLACK*s of -tol*s, and a block
-whose every node G passes runs no other test.  The two families oracle.py
-samples are diagonally dominant by construction, so G passes every node of
-theirs.
+_psd_at_distinct_nodes, their one eigvalsh path.  At a node with
+u = z = w = 0 the matrix is diagonal and G is its smallest entry d, its
+smallest eigenvalue: the Gershgorin rule passes it when
+d - SCHUR_EIG_SLACK*s >= -tol*s, and _indefinite_after_shift fails it when
+d + (tol + SCHUR_EIG_SLACK)*s < 0, so only nodes within about
+SCHUR_EIG_SLACK*s of -tol*s reach eigvalsh.  The two families oracle.py
+samples are diagonally dominant by construction, so G passes every node
+of theirs.
 
-certify_grid_psd needs only the verdict.  cone_membership also reports the
-smallest eigenvalue on the grid and its node.  Where c.re and c.im are both
-the literal 0, every node's matrix is diagonal and its smallest eigenvalue
-is d = min(a_t - |a_x|, b_t - |b_x|).  cone_membership then walks the
-blocks taking only the jets of a and b (_diagonal_jets), and d at their
-own broadcast shape, with no entry array: the rules above give the
-verdicts, and min_eigenvalue, its node and the first violation's
-eigenvalue are read from d (_diagonal_membership).  eigvalsh returns a
-diagonal's entries exactly when it does not rescale the matrix, so this
-holds when every |entry| is at most EXACT_DIAGONAL_MAX and every d read is
-at least EXACT_DIAGONAL_MIN in magnitude; otherwise the general path
-below reports the grid.
+The diagonal walk takes only the jets of a and b per block
+(_diagonal_jets) and d = min(a_t - |a_x|, b_t - |b_x|) at their own
+broadcast shape, with no entry array.  At tol >= SCHUR_EIG_SLACK the nodes
+with d >= 0 pass in bulk; _uncoupled_rule passes the others where
+d - SCHUR_EIG_SLACK*s >= -tol*s, the Gershgorin rule, and fails them where
+d + SCHUR_EIG_SLACK*s < -tol*s.  certify_grid_psd returns its verdict, and
+cone_membership its report: min_eigenvalue, its node and the first
+violation's eigenvalue are read from d.  eigvalsh returns a diagonal's
+entries exactly when it does not rescale the matrix, so the walk is taken
+when every |entry| is at most EXACT_DIAGONAL_MAX and every d read is at
+least EXACT_DIAGONAL_MIN in magnitude; otherwise the general path decides
+the grid.
 
 On the general path cone_membership keeps U, an upper bound on the grid
 minimum: the least eigvalsh value taken so far, as any node's eigvalsh
@@ -89,11 +87,13 @@ finite.  _cone_entries walks a, b (not again when it is a's tree), c.re and
 c.im, writes each part of u, z and w straight into its complex entry, and
 tests one sum of per-entry sums over the nodes: of the seven entries, which
 every partial and the values of c reach, and of the values of a and b.  Only
-where it is not finite does the exact check run, in the order of jet on
-each field and then a check of each entry: each field's fields._root_check,
-then each entry's; a DomainError inside a later field's walk first runs the
-root checks of the fields walked before it.  So every DomainError keeps the
-text, field and index of that order, and finite entries whose sum merely
+where it is not finite does the exact check run (_exact_checks), in the
+order of jet on each field and then a check of each entry: each field's
+fields._root_check, then each entry's; a DomainError inside a later field's
+walk first runs the root checks of the fields walked before it.
+_diagonal_jets runs the same checks on the walks of a and b and their four
+entries; c's pass by construction.  So every DomainError keeps the text,
+field and index of that order, and finite entries whose sum merely
 overflows pass.
 
 Both grid kernels walk the grid in row-major blocks of about BLOCK_NODES
@@ -104,8 +104,8 @@ reads one coordinate is evaluated on that axis only; the entries are then
 flattened to the block's node vector.  The fields, the entries and every
 kernel temporary live for one block, small enough to stay in cache.  Only
 per-node verdicts and the entries of the few nodes that may need eigvalsh
-outlive it, and eigvalsh runs on those once, after the walk.  The walk
-where c = 0 is the same, with _diagonal_jets in place of _cone_entries.  A
+outlive it, and eigvalsh runs on those once, after the walk.  The diagonal
+walk is the same, with _diagonal_jets in place of _cone_entries.  A
 grid of at most BLOCK_NODES nodes is one block, and only there do the
 fields read RegionGrid.memo.
 """
@@ -282,6 +282,22 @@ class RegionGrid:
         return cls(*bounds, data["nt"], data["nx"])
 
 
+def _exact_checks(shape: tuple, walks, groups) -> None:
+    """The exact finiteness checks of the cone entries, in their one order: DomainError at the first that fails.
+
+    walks are (field, value, partials) of each field's walk, each checked
+    by fields._root_check in turn; groups are (field, entries) of the
+    entries each field reaches, then each checked finite at every node of
+    shape, the error naming the group's field and first failing node.
+    """
+    for expr, v, d in walks:
+        _root_check(expr, v, d, shape)
+    for expr, parts in groups:
+        finite = np.logical_and.reduce([np.broadcast_to(np.isfinite(part), shape) for part in parts])
+        if not finite.all():
+            raise DomainError("non-finite cone matrix entry", expr, int(np.argmin(finite)))
+
+
 def _cone_entries(el: AlgebraElement, t, x, delta: float, memo=None):
     """The seven distinct entries of the cone matrix at the nodes of the coordinates' broadcast shape.
 
@@ -337,22 +353,9 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float, memo=None):
         total = total.real + total.imag
     # an inf or NaN anywhere makes the sum inf or NaN; a sum that only overflows gets the checks below
     if not math.isfinite(total):
-        for expr, v, d in (
-            (el.a, av, (adt, adx)),
-            (el.b, bv, (bdt, bdx)),
-            (el.c_re, rv, (rdt, rdx)),
-            (el.c_im, iv, (idt, idx)),
-        ):
-            _root_check(expr, v, d, shape)
-        for expr, parts in (
-            (el.a, (ap, am)),
-            (el.b, (bp, bm)),
-            (el.c_re, (u.real, z.real, w.real)),
-            (el.c_im, (u.imag, z.imag, w.imag)),
-        ):
-            finite = np.logical_and.reduce([np.broadcast_to(np.isfinite(part), shape) for part in parts])
-            if not finite.all():
-                raise DomainError("non-finite cone matrix entry", expr, int(np.argmin(finite)))
+        walks = ((el.a, av, (adt, adx)), (el.b, bv, (bdt, bdx)), (el.c_re, rv, (rdt, rdx)), (el.c_im, iv, (idt, idx)))
+        groups = ((el.c_re, (u.real, z.real, w.real)), (el.c_im, (u.imag, z.imag, w.imag)))
+        _exact_checks(shape, walks, ((el.a, (ap, am)), (el.b, (bp, bm)), *groups))
     n = math.prod(shape)
     return tuple(
         part if part.ndim == 0 else (part if part.shape == shape else np.broadcast_to(part, shape)).reshape(n)
@@ -360,8 +363,8 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float, memo=None):
     )
 
 
-def _diagonal_jets(el: AlgebraElement, t, x, delta: float, memo=None):
-    """What cone_membership reads of an element with c = 0 at the nodes of the coordinates' broadcast shape.
+def _diagonal_jets(el: AlgebraElement, t, x, _delta: float, memo=None):
+    """What the diagonal walk reads of an element with c = 0 at the nodes of the coordinates' broadcast shape.
 
     Returns (shape, jets, d, d_min, top).  jets = (a_t, a_x, b_t, b_x), each
     at the shape of the coordinates it reads (0-d where it reads neither).
@@ -372,8 +375,9 @@ def _diagonal_jets(el: AlgebraElement, t, x, delta: float, memo=None):
     max(max a_t + max |a_x|, max b_t + max |b_x|, -d_min) is at least every
     |entry|.  The walks are _cone_entries' (b's is a's when b is a's tree),
     with its root checks when a walk fails.  Every entry is finite iff d_min
-    and top are, so where they or the sum of the values of a and b are not,
-    _cone_entries on the same nodes raises its DomainError, or returns where
+    and top are, so only where they or the sum of the values of a and b are
+    not do the walks and the entries of a and b get _cone_entries' exact
+    checks (_exact_checks), which raise its DomainError, or pass where
     finite parts merely overflowed that sum.
     """
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
@@ -398,8 +402,10 @@ def _diagonal_jets(el: AlgebraElement, t, x, delta: float, memo=None):
         d_min = float(np.minimum.reduce(d, None))
         top = float(np.maximum(top, -d_min))
         values = np.add.reduce(av, None) + (0.0 if bv is av else np.add.reduce(bv, None))
-    if not (math.isfinite(d_min) and math.isfinite(top) and math.isfinite(values)):
-        _cone_entries(el, t, x, delta, memo)
+        if not (math.isfinite(d_min) and math.isfinite(top) and math.isfinite(values)):
+            a_t, a_x, b_t, b_x = jets
+            entries = ((el.a, (a_t + a_x, a_t - a_x)), (el.b, (b_t + b_x, b_t - b_x)))
+            _exact_checks(shape, ((el.a, av, (adt, adx)), (el.b, bv, (bdt, bdx))), entries)
     return shape, jets, d, d_min, top
 
 
@@ -697,21 +703,14 @@ def _charpoly(entries):
     return e1, e2, e3, e4
 
 
-def _coupled(entries) -> np.ndarray:
-    """Nodes where C is not 0 (some of u, z, w is not 0); 0-d where c is constant over the block."""
-    u, z, w = entries[4:]
-    return (u != 0.0) | (z != 0.0) | (w != 0.0)
-
-
 def _diagonal_min(entries):
-    """(d, s) at uncoupled nodes: the smallest diagonal entry and s = max(largest entry, -d, 1).
+    """(d, s) at nodes of the diagonal walk: the smallest diagonal entry and s = max(largest entry, -d, 1).
 
     M is diagonal there, so d is its smallest eigenvalue and s the largest
     |entry| with one max.  eigvalsh returns d to within a few ulps of s:
     bit for bit when the largest |entry| lies in LAPACK's unscaled range,
     which [EXACT_DIAGONAL_MIN, EXACT_DIAGONAL_MAX] lies inside, and through
     one multiplication and one division by the same factor outside it.
-    Meaningless at a coupled node.
     """
     ap, am, bp, bm = entries[:4]
     d = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
@@ -719,12 +718,12 @@ def _diagonal_min(entries):
 
 
 def _uncoupled_rule(entries, tol: float):
-    """_block_verdicts at uncoupled nodes (u = z = w = 0): (passed, failed).
+    """The diagonal walk's verdict short of eigvalsh at nodes of the four diagonal entries: (passed, failed).
 
     With (d, s) of _diagonal_min, a node passes when d - SCHUR_EIG_SLACK*s,
     its Gershgorin bound, is at least -tol*s, and fails when
     d + SCHUR_EIG_SLACK*s is below it.  So at tol >= SCHUR_EIG_SLACK it
-    passes every node with d >= 0, as the module docstring's bulk step does.
+    passes every node with d >= 0, as the bulk step does.
     """
     d, scale = _diagonal_min(entries)
     slack, threshold = SCHUR_EIG_SLACK * scale, -tol * scale
@@ -738,13 +737,10 @@ def _block_verdicts(entries, n: int, tol: float, bound, bound_min=None):
     caller has taken it, G's minimum over the block.  The rules of the
     module docstring, in its order: at tol >= SCHUR_EIG_SLACK the nodes
     with G >= 0 pass in bulk, and a block where all do, by one min
-    reduction that a NaN fails, returns 0-d True and False at once.  Of the
-    nodes left open, _uncoupled_rule decides the
-    uncoupled ones; at the coupled ones the Gershgorin rule passes, then the
-    Schur tests pass and fail.  No node is both, and the nodes neither are
-    left to eigvalsh.  A block with c constant 0 where more nodes are open
-    than passed gets the rule on all of them, which is cheaper than
-    indexing the open ones.
+    reduction that a NaN fails, returns 0-d True and False at once.  At the
+    nodes left open the Gershgorin rule passes, then the Schur tests pass
+    and fail; a node with u = z = w = 0 gets the same rules.  No node is
+    both, and the nodes neither are left to eigvalsh.
     """
     bulk = tol >= SCHUR_EIG_SLACK
     if bulk and (np.minimum.reduce(bound, None) if bound_min is None else bound_min) >= 0.0:  # NaN fails
@@ -752,32 +748,17 @@ def _block_verdicts(entries, n: int, tol: float, bound, bound_min=None):
     passed = bound >= 0.0 if bulk else np.False_
     if np.ndim(passed) == 0:  # False at every node
         passed = np.zeros(n, dtype=bool)
-    failed = ~passed  # the open nodes, until a rule passes one or leaves it open
-    open_nodes = np.flatnonzero(failed)
-    uncoupled = not any(map(np.ndim, entries[4:])) and not _coupled(entries)  # c is constant 0
-    if uncoupled and 2 * open_nodes.size > n:
-        return _uncoupled_rule(entries, tol)
+    failed = np.zeros(n, dtype=bool)
+    open_nodes = np.flatnonzero(~passed)  # never empty: a block whose every node passed returned above
     part = _take(entries, open_nodes)
-    rule_passed, rule_failed = _uncoupled_rule(part, tol)
-    if not uncoupled:  # the rule decides only the nodes with u = z = w = 0
-        coupled = np.broadcast_to(_coupled(part), open_nodes.shape)
-        rule_passed, rule_failed = rule_passed & ~coupled, rule_failed & ~coupled
-    # at tol >= SCHUR_EIG_SLACK an open uncoupled node has d < 0 and nearly always fails: correct the rest
-    passed[open_nodes[rule_passed]] = True
-    failed[open_nodes[~rule_failed]] = False
-    if uncoupled:
-        return passed, failed
-    open_nodes = open_nodes[coupled]
-    if open_nodes.size:
-        part = _take(entries, open_nodes)
-        scale = np.broadcast_to(_node_scales(part), open_nodes.shape)
-        lower = np.broadcast_to(bound, n)[open_nodes] - SCHUR_EIG_SLACK * scale
-        # where s overflowed, lower and -tol*s are both -inf: such a node is left open
-        left = ~(np.isfinite(scale) & (lower >= -tol * scale))
-        passed[open_nodes] = ~left
-        open_nodes, part, scale = open_nodes[left], _take(part, left), scale[left]
-        passed[open_nodes] = _pd_after_shift(part, (tol - SCHUR_EIG_SLACK) * scale)
-        failed[open_nodes] = _indefinite_after_shift(part, (tol + SCHUR_EIG_SLACK) * scale)
+    scale = np.broadcast_to(_node_scales(part), open_nodes.shape)
+    lower = np.broadcast_to(bound, n)[open_nodes] - SCHUR_EIG_SLACK * scale
+    # where s overflowed, lower and -tol*s are both -inf: such a node is left open
+    left = ~(np.isfinite(scale) & (lower >= -tol * scale))
+    passed[open_nodes] = ~left
+    open_nodes, part, scale = open_nodes[left], _take(part, left), scale[left]
+    passed[open_nodes] = _pd_after_shift(part, (tol - SCHUR_EIG_SLACK) * scale)
+    failed[open_nodes] = _indefinite_after_shift(part, (tol + SCHUR_EIG_SLACK) * scale)
     return passed, failed
 
 
@@ -896,16 +877,17 @@ def _at(part, nodes, width: int):
 def _diagonal_membership(
     el: AlgebraElement, dirac: DiracData, region: RegionGrid, tol: float
 ) -> Optional[MembershipReport]:
-    """cone_membership of an element with c = 0 from d alone; None where an eigenvalue it reads may be inexact.
+    """cone_membership from d alone, where c.re and c.im are the literal 0: the diagonal walk.
 
-    Every node's matrix is diagonal, so its smallest eigenvalue is d =
-    min(a_t - |a_x|, b_t - |b_x|).  The walk is _grid_blocks' with
+    None for any other element, and where an eigenvalue it reads may be
+    inexact.  Every node's matrix is diagonal, so its smallest eigenvalue is
+    d = min(a_t - |a_x|, b_t - |b_x|).  The walk is _grid_blocks' with
     _diagonal_jets for _cone_entries, so it evaluates each block, and raises
     and re-walks at a DomainError, as the general path does, but builds no
-    entry array and keeps no node for a bound.  The verdicts are
-    _block_verdicts': at tol >= SCHUR_EIG_SLACK the nodes with d >= 0 pass
-    in bulk, _uncoupled_rule takes the others' four diagonal entries, and
-    the nodes it leaves open go to _psd_at_distinct_nodes after the walk.
+    entry array and keeps no node for a bound.  The verdicts are those of
+    the module docstring: at tol >= SCHUR_EIG_SLACK the nodes with d >= 0
+    pass in bulk, _uncoupled_rule takes the others' four diagonal entries,
+    and the nodes it leaves open go to _psd_at_distinct_nodes after the walk.
     min_eigenvalue is the grid's least d, at the first node that holds it,
     and the first violation's eigenvalue is its d, or eigvalsh's value where
     eigvalsh decided the node.  Those d are eigvalsh's values, bit for bit,
@@ -916,6 +898,8 @@ def _diagonal_membership(
     that one of these fails; the general path then walks the grid again
     and raises any DomainError the rest of this walk would have raised.
     """
+    if not all(isinstance(part, Num) and part.value == 0.0 for part in (el.c_re, el.c_im)):
+        return None
     bulk = tol >= SCHUR_EIG_SLACK
     low, low_node = math.inf, 0  # the least d so far and its first node
     n_failed, first_failed, failed_d = 0, -1, 0.0
@@ -932,7 +916,7 @@ def _diagonal_membership(
             continue
         with np.errstate(over="ignore", invalid="ignore"):
             nodes = np.flatnonzero(np.broadcast_to(d < 0.0, shape)) if bulk else None
-            if nodes is None or 2 * nodes.size > n_block:  # as _block_verdicts: the rule on every node
+            if nodes is None or 2 * nodes.size > n_block:  # the rule on every node: cheaper than gathering
                 nodes, at = np.arange(n_block), shape
             else:
                 jets, at = [_at(part, nodes, shape[1]) for part in jets], nodes.shape
@@ -1006,10 +990,9 @@ def cone_membership(
         passed = np.empty(n, dtype=bool)
     except (MemoryError, ValueError) as err:
         raise region._too_large() from err
-    if all(isinstance(part, Num) and part.value == 0.0 for part in (el.c_re, el.c_im)):
-        report = _diagonal_membership(el, dirac, region, tol)
-        if report is not None:
-            return report
+    report = _diagonal_membership(el, dirac, region, tol)
+    if report is not None:
+        return report
     upper = np.inf  # U: an eigvalsh value at some node, so at least the grid minimum
     first_failed = -1
     kept = []  # per block: (nodes, bounds, undecided flags, entries) of the nodes eigvalsh may need
@@ -1064,13 +1047,19 @@ def certify_grid_psd(
     """Membership decision over the grid, equal to cone_membership(...).member_on_grid.
 
     The verdict is eigvalsh's (_psd_at_nodes) at every node: False also
-    where cone_membership raises EigenvalueRangeError.  It walks the same
-    blocks as cone_membership and, after a violation, only evaluates the
-    remaining ones, so it raises the same node-annotated DomainError, and
-    the same ValueError for a tol that is not finite.  The nodes left open
-    go to _psd_at_distinct_nodes, as cone_membership's do.
+    where cone_membership raises EigenvalueRangeError.  Where c.re and c.im
+    are the literal 0 it is the diagonal walk's (_diagonal_membership), as
+    cone_membership's report is.  Otherwise, and where that walk declines,
+    it walks the same blocks as cone_membership's general path, through
+    _block_verdicts, and after a violation only evaluates the remaining
+    ones, so it raises the same node-annotated DomainError, and the same
+    ValueError for a tol that is not finite.  The nodes left open go to
+    _psd_at_distinct_nodes, as cone_membership's do.
     """
     _finite_tol(tol)
+    report = _diagonal_membership(el, dirac, region, tol)
+    if report is not None:
+        return report.member_on_grid
     verdict = True
     for _, n, entries in _grid_blocks(el, dirac, region):
         if not verdict:

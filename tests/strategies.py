@@ -7,7 +7,19 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
+from causalnc.cone import (
+    PSD_TOL,
+    AlgebraElement,
+    EigenvalueRangeError,
+    GridViolation,
+    MembershipReport,
+    RegionGrid,
+    _grid_entries,
+    _matrices,
+    _psd_at_nodes,
+)
 from causalnc.fields import FUNCTIONS, BinOp, Call, Neg, Num, Pow, Var
+from causalnc.states import DiracData
 
 
 def field_trees(literals=()):
@@ -95,3 +107,32 @@ def _exactly_psd(entries, shift: Fraction) -> bool:
         if e_re < 0:
             return False
     return True
+
+
+def _reference_membership(
+    el: AlgebraElement, dirac: DiracData, region: RegionGrid, tol: float = PSD_TOL
+) -> MembershipReport:
+    """cone_membership by eigvalsh on every node's matrix: the report the structured kernel must equal.
+
+    A 0-d entry, constant over the grid, is widened to every node, so each node gets its own matrix.
+    """
+    entries = [np.broadcast_to(part, region.nt * region.nx) for part in _grid_entries(el, dirac, region)]
+    min_eigs, passed = _psd_at_nodes(_matrices(entries), tol)
+    low = region.node(int(np.argmin(min_eigs)))
+    if not np.isfinite(min_eigs.min()):
+        raise EigenvalueRangeError(
+            f"smallest cone matrix eigenvalue {float(min_eigs.min())} at grid node (t={low.t}, x={low.x})"
+        )
+    n_violations = int((~passed).sum())
+    first = None
+    if n_violations:
+        idx = int(np.argmin(passed))
+        first = GridViolation(region.node(idx), float(min_eigs[idx]))
+    return MembershipReport(
+        member_on_grid=n_violations == 0,
+        first_violation=first,
+        min_eigenvalue=float(min_eigs.min()),
+        min_eigenvalue_point=low,
+        n_nodes=len(min_eigs),
+        n_violations=n_violations,
+    )

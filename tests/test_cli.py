@@ -30,8 +30,7 @@ from causalnc.witness import (
     UnsupportedRefusalError,
     refute_with_witness,
 )
-from strategies import exact_proper_time
-from test_cone import _reference_membership
+from strategies import _reference_membership, exact_proper_time
 
 PURE_RELATED = {
     "p": [0, 0],
@@ -464,7 +463,9 @@ def test_plan_path_n_above_the_segment_bound_is_refused_before_sampling(capsys, 
 #: whose smallest entry is flat up to rounding and a non-member whose entries
 #: reach 1e150, were recorded from the kernel as it stood before reports of
 #: elements with c = 0 were read from d: the first is read from d, the second
-#: beyond the range where that is exact
+#: beyond the range where that is exact.  The last, a non-member whose c.re is
+#: 0*t, a zero that is not the literal 0, was recorded from the kernel as it
+#: stood before the general path lost its own rule for nodes with u = z = w = 0
 GOLDEN_CONE_CHECKS = json.loads((Path(__file__).parent / "cone_check_golden.json").read_text())
 
 

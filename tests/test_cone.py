@@ -13,8 +13,6 @@ from causalnc.cone import (
     AlgebraElement,
     ConeMatrix,
     EigenvalueRangeError,
-    GridViolation,
-    MembershipReport,
     RegionGrid,
     UnequalDiagonalError,
     _block_verdicts,
@@ -49,40 +47,11 @@ from causalnc.minkowski import SpacetimePoint
 from causalnc.oracle import SamplerConfig, sample_causal_element
 from causalnc.states import DiracData, PureInternalState
 from causalnc.witness import build_witness
-from strategies import EXACT_T, EXACT_X, FIELD_TREES, _exactly_psd, field_trees
+from strategies import EXACT_T, EXACT_X, FIELD_TREES, _exactly_psd, _reference_membership, field_trees
 
 D_UNIT = DiracData(0.0, 1.0)
 ORIGIN = SpacetimePoint(0.0, 0.0)
 SQUARE = RegionGrid(-1.0, 1.0, -1.0, 1.0, 21, 21)
-
-
-def _reference_membership(
-    el: AlgebraElement, dirac: DiracData, region: RegionGrid, tol: float = PSD_TOL
-) -> MembershipReport:
-    """cone_membership by eigvalsh on every node's matrix: the report the structured kernel must equal.
-
-    A 0-d entry, constant over the grid, is widened to every node, so each node gets its own matrix.
-    """
-    entries = [np.broadcast_to(part, region.nt * region.nx) for part in _grid_entries(el, dirac, region)]
-    min_eigs, passed = _psd_at_nodes(_matrices(entries), tol)
-    low = region.node(int(np.argmin(min_eigs)))
-    if not np.isfinite(min_eigs.min()):
-        raise EigenvalueRangeError(
-            f"smallest cone matrix eigenvalue {float(min_eigs.min())} at grid node (t={low.t}, x={low.x})"
-        )
-    n_violations = int((~passed).sum())
-    first = None
-    if n_violations:
-        idx = int(np.argmin(passed))
-        first = GridViolation(region.node(idx), float(min_eigs[idx]))
-    return MembershipReport(
-        member_on_grid=n_violations == 0,
-        first_violation=first,
-        min_eigenvalue=float(min_eigs.min()),
-        min_eigenvalue_point=low,
-        n_nodes=len(min_eigs),
-        n_violations=n_violations,
-    )
 
 
 def test_cone_matrix_diag_t_is_identity():
@@ -342,17 +311,32 @@ def test_certify_grid_psd_agrees_with_cone_membership():
 
 
 def test_certify_grid_psd_sends_a_non_member_to_block_verdicts(monkeypatch):
-    # a0 - a1 = -1 at every node, so G < 0 there and the Gershgorin step passes no block
-    calls = []
-    verdicts = cone._block_verdicts
+    # (x, x) has c = 0 and a0 - a1 = -1 at every node: the diagonal walk
+    # decides it, and no block reaches _block_verdicts.  a = b = t with
+    # c = 0.8*t + i*0.8*x has |u| > a0 + a1 at every node, so G < 0 there
+    # and the Gershgorin step passes no block: the first block reaches
+    # _block_verdicts, and after its violation the rest are only evaluated
+    calls, reports = [], []
+    verdicts, diagonal = cone._block_verdicts, cone._diagonal_membership
 
     def counting(entries, n, tol, bound):
         calls.append(n)
         return verdicts(entries, n, tol, bound)
 
+    def reporting(*args):
+        reports.append(diagonal(*args))
+        return reports[-1]
+
     monkeypatch.setattr(cone, "_block_verdicts", counting)
+    monkeypatch.setattr(cone, "_diagonal_membership", reporting)
     assert certify_grid_psd(AlgebraElement.from_sources("x", "x"), D_UNIT, SQUARE) is False
-    assert calls == [SQUARE.nt * SQUARE.nx]
+    assert calls == [] and [report.member_on_grid for report in reports] == [False]
+    coupled = AlgebraElement.from_sources("t", "t", "0.8*t", "0.8*x")
+    for block_nodes, blocks in ((32_768, [SQUARE.nt * SQUARE.nx]), (7 * SQUARE.nx, [7 * SQUARE.nx])):
+        monkeypatch.setattr(cone, "BLOCK_NODES", block_nodes)
+        calls.clear(), reports.clear()
+        assert certify_grid_psd(coupled, D_UNIT, SQUARE) is False
+        assert calls == blocks and reports == [None]
 
 
 @pytest.mark.parametrize("tol", (math.nan, math.inf, -math.inf))
@@ -769,14 +753,14 @@ def test_smallest_eigenvalue_beyond_the_float_range_names_its_node():
 # --- blocks of grid nodes ---------------------------------------------------------
 
 
-def _decisions(el, dirac, region, block_nodes):
+def _decisions(el, dirac, region, block_nodes, tol=PSD_TOL):
     """[cone_membership report, certify_grid_psd verdict] at one block size; an error as its text."""
     outcome = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cone, "BLOCK_NODES", block_nodes)
         for decide in (
-            lambda: cone_membership(el, dirac, region).to_dict(),
-            lambda: certify_grid_psd(el, dirac, region),
+            lambda: cone_membership(el, dirac, region, tol).to_dict(),
+            lambda: certify_grid_psd(el, dirac, region, tol),
         ):
             try:
                 outcome.append(decide())
@@ -785,9 +769,9 @@ def _decisions(el, dirac, region, block_nodes):
     return outcome
 
 
-def _reference_decisions(el, dirac, region):
+def _reference_decisions(el, dirac, region, tol=PSD_TOL):
     try:
-        report = _reference_membership(el, dirac, region)
+        report = _reference_membership(el, dirac, region, tol)
     except DomainError as err:
         return [f"DomainError: {err}"] * 2
     except EigenvalueRangeError as err:
@@ -881,6 +865,27 @@ def test_a_later_block_error_is_re_raised_from_that_block_on(monkeypatch):
         # rows 0 and 1 in slices of 7 and 6 nodes, row 2's first slice, then
         # one evaluation of the nodes from row 2 on
         assert sizes == [7, 6] * 2 + [7] + [169 - 2 * 13]
+
+
+def test_a_failing_block_of_the_diagonal_walk_is_walked_once(monkeypatch):
+    # 0*t^700 is NaN where t^700 overflows, from t = 3 (row 6) on; with c the
+    # literal 0 both kernels take the diagonal walk, whose blocks are 2 rows of
+    # 5 nodes.  The failing block's walk is checked as _cone_entries checks
+    # its own, with no second walk, and the nodes from its first row on are
+    # then walked once more to name the grid's node
+    el = AlgebraElement.from_sources("t + 0*t^700", "t")
+    grid = RegionGrid(0.0, 4.0, -1.0, 1.0, 9, 5)
+    with pytest.raises(DomainError) as whole:
+        _grid_entries(el, D_UNIT, grid)
+    assert str(whole.value).startswith("non-finite value or partial at grid node (t=3.0, x=-1.0)")
+    sizes = _counting_nodes(monkeypatch)
+    monkeypatch.setattr(cone, "BLOCK_NODES", 10)
+    for decide in (cone_membership, certify_grid_psd):
+        sizes.clear()
+        with pytest.raises(DomainError) as err:
+            decide(el, D_UNIT, grid)
+        assert str(err.value) == str(whole.value)
+        assert sizes == [10] * 4 + [3 * 5]
 
 
 def test_an_error_mid_row_in_a_later_slice_names_the_whole_grids_node(monkeypatch):
@@ -1107,6 +1112,31 @@ def test_uncoupled_nodes_are_decided_as_eigvalsh_decides_them(case):
             assert certify_grid_psd(el, D_UNIT, UNCOUPLED_GRID, tol) == want["member_on_grid"]
 
 
+#: c of an uncoupled element: the literal 0, which takes the diagonal walk, and zeros that are
+#: not the literal 0, which keep the general path
+_ZERO_COUPLINGS = (("0", "0"), ("0*t", "0"), ("x - x", "0"), ("0", "0*t"))
+
+
+@settings(max_examples=100)
+@given(
+    st.tuples(FIELD_TREES, FIELD_TREES),
+    st.sampled_from((0.0, 4.0, 64.0)),
+    st.sampled_from((1.0, 1e150, 1e-150)),
+    st.sampled_from(_ZERO_COUPLINGS),
+    st.sampled_from((PSD_TOL, 0.0, cone.SCHUR_EIG_SLACK / 2, -0.5)),
+)
+def test_both_kernels_decide_uncoupled_elements_as_eigvalsh_does(trees, slope, factor, coupling, tol):
+    # a diagonal scaled by 1e150 or 1e-150 lies outside the range where the
+    # diagonal walk reads eigenvalues from d, so both kernels fall back to the
+    # general path, where every node is uncoupled.  certify_grid_psd equals
+    # cone_membership's verdict, and both eigvalsh's, at small blocks and at one
+    scaled = (BinOp("*", Num(factor), BinOp("+", BinOp("*", Num(slope), Var("t")), tree)) for tree in trees)
+    el = AlgebraElement(*scaled, *map(parse, coupling))
+    want = _reference_decisions(el, D_UNIT, PROPERTY_GRID, tol)
+    for block_nodes in (7, 32_768):
+        assert _decisions(el, D_UNIT, PROPERTY_GRID, block_nodes, tol) == want, f"{block_nodes} nodes a block"
+
+
 @pytest.mark.parametrize(
     "sources, diagonalised",
     (
@@ -1245,20 +1275,20 @@ def test_uncoupled_reports_leave_d_only_outside_its_exact_range(monkeypatch, sou
 
 def test_cone_membership_takes_node_scales_only_on_part_of_a_block(monkeypatch):
     # one block-wide s_max bounds every node's s in L, so on the lemma grid,
-    # where every node is coupled, node scales and coupling masks are taken
-    # only on the nodes that can hold the grid minimum or that the bulk
-    # Gershgorin step leaves open, never on a whole block
+    # where every node is coupled, node scales are taken only on the nodes
+    # that can hold the grid minimum or that the bulk Gershgorin step leaves
+    # open, never on a whole block
     grid = RegionGrid(-3.0, 3.0, -3.0, 3.0, 401, 401)
     rows = cone.BLOCK_NODES // grid.nx
     smallest_block = (grid.nt % rows or rows) * grid.nx
     sizes = []
-    for name in ("_node_scales", "_coupled"):
+    node_scales = cone._node_scales
 
-        def spying(entries, original=getattr(cone, name)):
-            sizes.append(max(np.size(part) for part in entries))
-            return original(entries)
+    def spying(entries):
+        sizes.append(max(np.size(part) for part in entries))
+        return node_scales(entries)
 
-        monkeypatch.setattr(cone, name, spying)
+    monkeypatch.setattr(cone, "_node_scales", spying)
     assert cone_membership(_lemma_element(), D_UNIT, grid).member_on_grid
     assert sizes and max(sizes) < smallest_block
 
@@ -1548,6 +1578,12 @@ def test_eigvalsh_returns_an_uncoupled_nodes_d_bit_for_bit_inside_the_exact_rang
 SCREEN_TOLS = (PSD_TOL, cone.SCHUR_EIG_SLACK, 0.0)
 
 
+def _coupled(entries) -> np.ndarray:
+    """Nodes where C is not 0 (some of u, z, w is not 0); 0-d where c is constant over the entries."""
+    u, z, w = entries[4:]
+    return (u != 0.0) | (z != 0.0) | (w != 0.0)
+
+
 @st.composite
 def _screen_cases(draw, tol: float):
     """Entries of a few nodes, some rows of which sit on the screen's threshold at tol.
@@ -1621,9 +1657,9 @@ def test_block_verdicts_pass_and_fail_only_where_eigvalsh_does(data):
         assert eig_passed[passed].all()
         assert not eig_passed[failed].any()
         assert not (passed & failed).any()
-        # _uncoupled_rule leaves an uncoupled node open only within SCHUR_EIG_SLACK*s of -tol*s
+        # the rules leave an uncoupled node open only within about SCHUR_EIG_SLACK*s of -tol*s
         d, s = cone._diagonal_min(entries)
-        uncoupled = ~np.broadcast_to(cone._coupled(entries), 3)
+        uncoupled = ~np.broadcast_to(_coupled(entries), 3)
         with np.errstate(over="ignore"):  # d + tol*s beyond the float range is clear of it
             clear = np.abs(d + tol * s) > 1.5 * cone.SCHUR_EIG_SLACK * s
         assert (passed | failed)[uncoupled & clear].all()
@@ -1674,7 +1710,7 @@ def test_block_scale_bounds_every_nodes_exact_scale():
         entries = data.draw(_screen_cases(tol), label="entries")
         with np.errstate(over="ignore", invalid="ignore"):
             s_max = cone._block_scale(entries, float(np.min(_gershgorin_bound(entries))))
-        seen.add(bool(np.any(cone._coupled(entries))))
+        seen.add(bool(np.any(_coupled(entries))))
         if s_max == math.inf:
             return
         top = (Fraction(s_max) * (1 + Fraction(16, 2**53))) ** 2
@@ -1709,7 +1745,7 @@ def test_each_lower_bound_on_a_block_is_exact():
             node = [part if np.ndim(part) == 0 else part[i] for part in entries]
             assert _exactly_psd(node, -Fraction(float(lower[i]))), (node, lower[i])
         certified.extend(np.flatnonzero(np.isfinite(lower) & (lower != gershgorin)))
-        uncoupled.append(not any(map(np.ndim, entries[4:])) and not cone._coupled(entries))
+        uncoupled.append(not any(map(np.ndim, entries[4:])) and not _coupled(entries))
 
     check()
     assert certified and any(uncoupled)
