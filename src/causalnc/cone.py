@@ -44,26 +44,29 @@ Each rule is one-sided with SCHUR_EIG_SLACK*s to spare, far more than
 eigvalsh's rounding, so it passes only nodes eigvalsh passes and fails only
 nodes eigvalsh fails; both kernels send the nodes no rule decides to
 _psd_at_distinct_nodes, their one eigvalsh path.  At a node with
-u = z = w = 0 the matrix is diagonal and G is its smallest entry d, its
-smallest eigenvalue: the Gershgorin rule passes it when
-d - SCHUR_EIG_SLACK*s >= -tol*s, and _indefinite_after_shift fails it when
-d + (tol + SCHUR_EIG_SLACK)*s < 0, so only nodes within about
-SCHUR_EIG_SLACK*s of -tol*s reach eigvalsh.  The two families oracle.py
-samples are diagonally dominant by construction, so G passes every node
-of theirs.
+u = z = w = 0 the matrix is diagonal and G is its smallest entry d: these
+rules then pass and fail it as the diagonal rule below does.  The two
+families oracle.py samples are diagonally dominant by construction, so G
+passes every node of theirs.
 
 The diagonal walk takes only the jets of a and b per block
-(_diagonal_jets) and d = min(a_t - |a_x|, b_t - |b_x|) at their own
-broadcast shape, with no entry array.  At tol >= SCHUR_EIG_SLACK the nodes
-with d >= 0 pass in bulk; _uncoupled_rule passes the others where
-d - SCHUR_EIG_SLACK*s >= -tol*s, the Gershgorin rule, and fails them where
-d + SCHUR_EIG_SLACK*s < -tol*s.  certify_grid_psd returns its verdict, and
-cone_membership its report: min_eigenvalue, its node and the first
-violation's eigenvalue are read from d.  eigvalsh returns a diagonal's
-entries exactly when it does not rescale the matrix, so the walk is taken
-when every |entry| is at most EXACT_DIAGONAL_MAX and every d read is at
-least EXACT_DIAGONAL_MIN in magnitude; otherwise the general path decides
-the grid.
+(_diagonal_jets), with no entry array.  At their own broadcast shape (a
+row, a column or a scalar where the jets read one coordinate or none) it
+forms the smallest and the largest diagonal entry, d = min(a_t - |a_x|,
+b_t - |b_x|) and top = max(a_t + |a_x|, b_t + |b_x|).  The matrix is
+diagonal, so d is the node's smallest eigenvalue, which eigvalsh returns to
+within a few ulps of s = max(top, -d, 1).  The diagonal rule
+(_diagonal_rule) passes a node where d - SCHUR_EIG_SLACK*s >= -tol*s and
+fails it where d + SCHUR_EIG_SLACK*s < -tol*s.  At tol >= SCHUR_EIG_SLACK
+it passes every node with d >= 0, so a block whose least d is not negative
+passes in bulk, before any top.  Only the nodes the rule leaves open, within
+about SCHUR_EIG_SLACK*s of -tol*s, are gathered, for eigvalsh after the walk.
+certify_grid_psd returns the walk's verdict, and cone_membership its report:
+min_eigenvalue, its node and the first violation's eigenvalue are read from
+d.  eigvalsh returns a diagonal's entries exactly when it does not rescale
+the matrix, so the walk is taken when every |entry| is at most
+EXACT_DIAGONAL_MAX and every d read is at least EXACT_DIAGONAL_MIN in
+magnitude; otherwise the general path decides the grid.
 
 On the general path cone_membership keeps U, an upper bound on the grid
 minimum: the least eigvalsh value taken so far, as any node's eigvalsh
@@ -366,19 +369,18 @@ def _cone_entries(el: AlgebraElement, t, x, delta: float, memo=None):
 def _diagonal_jets(el: AlgebraElement, t, x, _delta: float, memo=None):
     """What the diagonal walk reads of an element with c = 0 at the nodes of the coordinates' broadcast shape.
 
-    Returns (shape, jets, d, d_min, top).  jets = (a_t, a_x, b_t, b_x), each
-    at the shape of the coordinates it reads (0-d where it reads neither).
-    d = min(a_t - |a_x|, b_t - |b_x|) at the jets' broadcast shape, so a d
-    that reads one coordinate stays a row or a column; it is min(ap, am,
-    bp, bm) of _cone_entries up to the sign of a zero, as ap and am are
-    a_t -+ |a_x| in some order.  d_min is its minimum, and top =
-    max(max a_t + max |a_x|, max b_t + max |b_x|, -d_min) is at least every
-    |entry|.  The walks are _cone_entries' (b's is a's when b is a's tree),
-    with its root checks when a walk fails.  Every entry is finite iff d_min
-    and top are, so only where they or the sum of the values of a and b are
-    not do the walks and the entries of a and b get _cone_entries' exact
-    checks (_exact_checks), which raise its DomainError, or pass where
-    finite parts merely overflowed that sum.
+    Returns (shape, jets, d, d_min, entry_max).  jets = (a_t, a_x, b_t,
+    b_x), each at the shape of the coordinates it reads (0-d where it reads
+    neither).  d, the module docstring's, is at the jets' broadcast shape;
+    it is min(ap, am, bp, bm) of _cone_entries up to the sign of a zero, as
+    ap and am are a_t -+ |a_x| in some order.  d_min is its minimum, and
+    entry_max = max(max a_t + max |a_x|, max b_t + max |b_x|, -d_min) is at
+    least every |entry|.  The walks are _cone_entries' (b's is a's when b is
+    a's tree), with its root checks when a walk fails.  Every entry is
+    finite iff d_min and entry_max are, so only where they or the sum of the
+    values of a and b are not do the walks and the entries of a and b get
+    _cone_entries' exact checks (_exact_checks), which raise its
+    DomainError, or pass where finite parts merely overflowed that sum.
     """
     t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
     shape = np.broadcast(t, x).shape
@@ -393,20 +395,20 @@ def _diagonal_jets(el: AlgebraElement, t, x, _delta: float, memo=None):
         raise
     jets = tuple(np.float64(0.0) if part is None else part for part in (adt, adx, bdt, bdx))
     with np.errstate(over="ignore", invalid="ignore"):
-        d, top = None, -math.inf
+        d, entry_max = None, -math.inf
         for dt, dx in (jets[:2],) if bv is av else (jets[:2], jets[2:]):
             magnitude = np.abs(dx)
             side = dt - magnitude
             d = side if d is None else np.minimum(d, side)
-            top = np.maximum(top, np.maximum.reduce(dt, None) + np.maximum.reduce(magnitude, None))
+            entry_max = np.maximum(entry_max, np.maximum.reduce(dt, None) + np.maximum.reduce(magnitude, None))
         d_min = float(np.minimum.reduce(d, None))
-        top = float(np.maximum(top, -d_min))
+        entry_max = float(np.maximum(entry_max, -d_min))
         values = np.add.reduce(av, None) + (0.0 if bv is av else np.add.reduce(bv, None))
-        if not (math.isfinite(d_min) and math.isfinite(top) and math.isfinite(values)):
+        if not (math.isfinite(d_min) and math.isfinite(entry_max) and math.isfinite(values)):
             a_t, a_x, b_t, b_x = jets
             entries = ((el.a, (a_t + a_x, a_t - a_x)), (el.b, (b_t + b_x, b_t - b_x)))
             _exact_checks(shape, ((el.a, av, (adt, adx)), (el.b, bv, (bdt, bdx))), entries)
-    return shape, jets, d, d_min, top
+    return shape, jets, d, d_min, entry_max
 
 
 def _matrices(entries) -> np.ndarray:
@@ -703,31 +705,20 @@ def _charpoly(entries):
     return e1, e2, e3, e4
 
 
-def _diagonal_min(entries):
-    """(d, s) at nodes of the diagonal walk: the smallest diagonal entry and s = max(largest entry, -d, 1).
+def _diagonal_rule(d, top, tol: float):
+    """The module docstring's diagonal rule: (passed, failed) at the broadcast shape of d and top.
 
-    M is diagonal there, so d is its smallest eigenvalue and s the largest
-    |entry| with one max.  eigvalsh returns d to within a few ulps of s:
-    bit for bit when the largest |entry| lies in LAPACK's unscaled range,
-    which [EXACT_DIAGONAL_MIN, EXACT_DIAGONAL_MAX] lies inside, and through
-    one multiplication and one division by the same factor outside it.
+    Its temporaries are written in place, three arrays of that shape at most.
     """
-    ap, am, bp, bm = entries[:4]
-    d = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
-    return d, np.maximum(np.maximum(np.maximum(ap, am), np.maximum(bp, bm)), np.maximum(-d, 1.0))
-
-
-def _uncoupled_rule(entries, tol: float):
-    """The diagonal walk's verdict short of eigvalsh at nodes of the four diagonal entries: (passed, failed).
-
-    With (d, s) of _diagonal_min, a node passes when d - SCHUR_EIG_SLACK*s,
-    its Gershgorin bound, is at least -tol*s, and fails when
-    d + SCHUR_EIG_SLACK*s is below it.  So at tol >= SCHUR_EIG_SLACK it
-    passes every node with d >= 0, as the bulk step does.
-    """
-    d, scale = _diagonal_min(entries)
-    slack, threshold = SCHUR_EIG_SLACK * scale, -tol * scale
-    return d - slack >= threshold, d + slack < threshold
+    shape = np.broadcast(d, top).shape
+    scale, slack = np.negative(d, out=np.empty(shape)), np.empty(shape)
+    np.maximum(scale, top, out=scale)
+    np.maximum(scale, 1.0, out=scale)
+    np.multiply(SCHUR_EIG_SLACK, scale, out=slack)
+    threshold = np.multiply(-tol, scale, out=scale)
+    failed = np.add(d, slack) < threshold
+    passed = np.subtract(d, slack, out=slack) >= threshold
+    return passed, failed
 
 
 def _block_verdicts(entries, n: int, tol: float, bound, bound_min=None):
@@ -861,36 +852,21 @@ def _block_membership(entries, n: int, tol: float, upper: float):
     return lower, passed, failed, upper
 
 
-def _at(part, nodes, width: int):
-    """A block part, at a shape that broadcasts to the block's rows of the given width, at the block's flat nodes.
-
-    A 0-d part is the same at every node and stays as it is."""
-    if np.ndim(part) == 0:
-        return part
-    rows, cols = part.shape
-    flat = part.reshape(-1)
-    if rows > 1:
-        return flat[nodes if cols > 1 else nodes // width]
-    return flat[nodes % width if cols > 1 else 0]
-
-
 def _diagonal_membership(
     el: AlgebraElement, dirac: DiracData, region: RegionGrid, tol: float
 ) -> Optional[MembershipReport]:
     """cone_membership from d alone, where c.re and c.im are the literal 0: the diagonal walk.
 
     None for any other element, and where an eigenvalue it reads may be
-    inexact.  Every node's matrix is diagonal, so its smallest eigenvalue is
-    d = min(a_t - |a_x|, b_t - |b_x|).  The walk is _grid_blocks' with
-    _diagonal_jets for _cone_entries, so it evaluates each block, and raises
-    and re-walks at a DomainError, as the general path does, but builds no
-    entry array and keeps no node for a bound.  The verdicts are those of
-    the module docstring: at tol >= SCHUR_EIG_SLACK the nodes with d >= 0
-    pass in bulk, _uncoupled_rule takes the others' four diagonal entries,
-    and the nodes it leaves open go to _psd_at_distinct_nodes after the walk.
-    min_eigenvalue is the grid's least d, at the first node that holds it,
-    and the first violation's eigenvalue is its d, or eigvalsh's value where
-    eigvalsh decided the node.  Those d are eigvalsh's values, bit for bit,
+    inexact.  The walk is _grid_blocks' with _diagonal_jets for
+    _cone_entries, so it evaluates each block, and raises and re-walks at a
+    DomainError, as the general path does.  A block that does not pass in
+    bulk gets the module docstring's diagonal rule at d's own shape; only the
+    nodes it leaves open are gathered, with their four diagonal entries, for
+    _psd_at_distinct_nodes after the walk.  min_eigenvalue is the grid's
+    least d, at the first node that holds it, and the first violation's
+    eigenvalue is its d, or eigvalsh's value where eigvalsh decided the
+    node.  Those d are eigvalsh's values, bit for bit,
     when every |entry| on the grid is at most EXACT_DIAGONAL_MAX and each d
     read is at least EXACT_DIAGONAL_MIN in magnitude: their matrices then
     lie in LAPACK's unscaled range, and no node's eigvalsh value can tie
@@ -903,9 +879,9 @@ def _diagonal_membership(
     bulk = tol >= SCHUR_EIG_SLACK
     low, low_node = math.inf, 0  # the least d so far and its first node
     n_failed, first_failed, failed_d = 0, -1, 0.0
-    kept = []  # per block: (nodes, ap, am, bp, bm) of the nodes _uncoupled_rule leaves open
-    for start, n_block, (shape, jets, d, d_min, top) in _grid_blocks(el, dirac, region, _diagonal_jets):
-        if top > EXACT_DIAGONAL_MAX:
+    kept = []  # per block: (nodes, ap, am, bp, bm) of the nodes the rule leaves open
+    for start, n_block, (shape, jets, d, d_min, entry_max) in _grid_blocks(el, dirac, region, _diagonal_jets):
+        if entry_max > EXACT_DIAGONAL_MAX:
             return None
         if d_min < low:
             # d one row high holds every row's values, one column wide every column's: the first least
@@ -915,26 +891,22 @@ def _diagonal_membership(
         if bulk and d_min >= 0.0:
             continue
         with np.errstate(over="ignore", invalid="ignore"):
-            nodes = np.flatnonzero(np.broadcast_to(d < 0.0, shape)) if bulk else None
-            if nodes is None or 2 * nodes.size > n_block:  # the rule on every node: cheaper than gathering
-                nodes, at = np.arange(n_block), shape
-            else:
-                jets, at = [_at(part, nodes, shape[1]) for part in jets], nodes.shape
-            adt, adx, bdt, bdx = jets
-            diagonal = [
-                np.broadcast_to(part, at).reshape(nodes.shape) for part in (adt + adx, adt - adx, bdt + bdx, bdt - bdx)
-            ]
-            passed, failed = (np.broadcast_to(verdict, nodes.shape) for verdict in _uncoupled_rule(diagonal, tol))
+            # top is named only in the rule, so it dies with the call
+            passed, failed = _diagonal_rule(d, np.maximum(jets[0] + np.abs(jets[1]), jets[2] + np.abs(jets[3])), tol)
+        left = ~(passed | failed)
         if failed.any():
             if first_failed < 0:
-                k = int(np.argmax(failed))
-                first_failed, failed_d = start + int(nodes[k]), float(min(part[k] for part in diagonal))
+                k = int(np.argmax(np.broadcast_to(failed, shape)))
+                first_failed, failed_d = start + k, float(np.broadcast_to(d, shape).flat[k])
                 if abs(failed_d) < EXACT_DIAGONAL_MIN:
                     return None
-            n_failed += int(np.count_nonzero(failed))
-        left = ~(passed | failed)
+            # each flag of failed's own shape stands for n_block / failed.size nodes of the block
+            n_failed += int(np.count_nonzero(failed)) * (n_block // failed.size)
         if left.any():
-            kept.append((start + nodes[left], *(part[left] for part in diagonal)))
+            nodes = np.flatnonzero(np.broadcast_to(left, shape))
+            at = np.unravel_index(nodes, shape)
+            adt, adx, bdt, bdx = (np.broadcast_to(part, shape)[at] for part in jets)
+            kept.append((start + nodes, adt + adx, adt - adx, bdt + bdx, bdt - bdx))
     if abs(low) < EXACT_DIAGONAL_MIN:
         return None
     first, value, n_violations = first_failed, failed_d, n_failed

@@ -463,9 +463,12 @@ def test_plan_path_n_above_the_segment_bound_is_refused_before_sampling(capsys, 
 #: whose smallest entry is flat up to rounding and a non-member whose entries
 #: reach 1e150, were recorded from the kernel as it stood before reports of
 #: elements with c = 0 were read from d: the first is read from d, the second
-#: beyond the range where that is exact.  The last, a non-member whose c.re is
-#: 0*t, a zero that is not the literal 0, was recorded from the kernel as it
-#: stood before the general path lost its own rule for nodes with u = z = w = 0
+#: beyond the range where that is exact.  A non-member whose c.re is 0*t, a
+#: zero that is not the literal 0, was recorded from the kernel as it stood
+#: before the general path lost its own rule for nodes with u = z = w = 0.  The
+#: last, (x, x), fails at every node with partials constant over the grid; it
+#: was recorded from the kernel as it stood before the diagonal rule ran at the
+#: shape of d
 GOLDEN_CONE_CHECKS = json.loads((Path(__file__).parent / "cone_check_golden.json").read_text())
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1150,9 +1151,11 @@ def test_both_kernels_decide_uncoupled_elements_as_eigvalsh_does(trees, slope, f
 def test_uncoupled_elements_need_no_schur_test_and_no_newton(monkeypatch, sources, diagonalised):
     # the x = 0 column of the near elements has smallest eigenvalue 1 - beta;
     # at 1 - 1.000000002 it lies within SCHUR_EIG_SLACK*s of -tol*s, so eigvalsh decides it.
-    # Over blocks of 4 rows, the nodes with d >= 0 pass in bulk, _uncoupled_rule
-    # sees only the nodes with d < 0, and eigvalsh runs once, after the walk,
-    # only where the rule leaves a node open: the report reads every other value from d
+    # Over blocks of 4 rows, a block whose least d is not negative passes in
+    # bulk, and the diagonal rule runs once on each other block, on the d that
+    # _diagonal_jets gave it (a row for the near elements), never widened to
+    # the block.  eigvalsh runs once, after the walk, only where the rule leaves
+    # a node open: the report reads every other value from d
     el = AlgebraElement.from_sources(*sources)
     reference = _reference_membership(el, D_UNIT, WIDE_GRID, PSD_TOL)
     ap, am, bp, bm = _grid_entries(el, D_UNIT, WIDE_GRID)[:4]
@@ -1163,25 +1166,32 @@ def test_uncoupled_elements_need_no_schur_test_and_no_newton(monkeypatch, source
 
     for name in ("_pd_after_shift", "_indefinite_after_shift"):
         monkeypatch.setattr(cone, name, refuse)
-    ruled, psd_calls = [], []
-    rule, psd_at_nodes = cone._uncoupled_rule, cone._psd_at_nodes
+    walked, ruled, psd_calls = [], [], []
+    jets, rule, psd_at_nodes = cone._diagonal_jets, cone._diagonal_rule, cone._psd_at_nodes
 
-    def ruling(entries, tol):
-        ap, am, bp, bm = entries[:4]
-        ruled.append(np.minimum(np.minimum(ap, am), np.minimum(bp, bm)))
-        return rule(entries, tol)
+    def walking(*args):
+        walked.append(jets(*args))
+        return walked[-1]
+
+    def ruling(d, top, tol):
+        ruled.append((d, np.broadcast(d, top).shape))
+        return rule(d, top, tol)
 
     def diagonalising(mats, tol):
         psd_calls.append(len(mats))
         return psd_at_nodes(mats, tol)
 
-    monkeypatch.setattr(cone, "_uncoupled_rule", ruling)
+    monkeypatch.setattr(cone, "_diagonal_jets", walking)
+    monkeypatch.setattr(cone, "_diagonal_rule", ruling)
     monkeypatch.setattr(cone, "_psd_at_nodes", diagonalising)
     monkeypatch.setattr(cone, "BLOCK_NODES", 4 * WIDE_GRID.nx)
     assert cone_membership(el, D_UNIT, WIDE_GRID, PSD_TOL).to_dict() == reference.to_dict()
     assert len(psd_calls) == diagonalised
-    assert all((d < 0.0).all() for d in ruled)
-    assert sum(d.size for d in ruled) == negative
+    # shape, jets, d, d_min of each block the rule saw: exactly the blocks with a negative least d
+    blocks = [block[:4] for block in walked if block[3] < 0.0]
+    assert [id(d) for d, _ in ruled] == [id(d) for _, _, d, _ in blocks]
+    assert all(shape == np.shape(d) for d, shape in ruled)
+    assert sum(np.count_nonzero(np.broadcast_to(d < 0.0, shape)) for shape, _, d, _ in blocks) == negative
     assert ruled or negative == 0  # near-member has no node with d < 0, and no call of the rule
     assert certify_grid_psd(el, D_UNIT, WIDE_GRID, PSD_TOL) == reference.member_on_grid
 
@@ -1219,6 +1229,28 @@ def test_a_flat_minimum_reaches_no_eigvalsh(monkeypatch):
     rows = _count_eigvalsh_rows(monkeypatch)
     assert cone_membership(el, D_UNIT, grid).to_dict() == reference
     assert rows == []
+
+
+def test_constant_jets_are_ruled_at_their_own_shape_in_little_memory():
+    # (x, x) fails at every node, and d = -1 is a scalar on every block.  The
+    # diagonal rule decides each block at that shape, so neither kernel copies
+    # d or the diagonal entries out to the nodes: on a 401^2 grid each traced
+    # peak stays below 512 KB, where such copies peak at 1.7 MB and more
+    el = AlgebraElement.from_sources("x", "x")
+    small = RegionGrid(-3.0, 3.0, -3.0, 3.0, 21, 21)
+    reference = _reference_membership(el, D_UNIT, small)
+    assert cone_membership(el, D_UNIT, small).to_dict() == reference.to_dict()
+    assert certify_grid_psd(el, D_UNIT, small) is reference.member_on_grid is False
+    for kernel in (certify_grid_psd, cone_membership):
+        grid = RegionGrid(-3.0, 3.0, -3.0, 3.0, 401, 401)
+        grid.axes()
+        tracemalloc.start()
+        try:
+            kernel(el, D_UNIT, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, (kernel.__name__, peak)
 
 
 #: a diagonal whose eigvalsh value LAPACK rescales, and so returns an ulp off its least entry a_t + a_x
@@ -1305,7 +1337,7 @@ def test_criterion_5_stream_certifies_without_lapack(monkeypatch):
     monkeypatch.setattr(cone, "_psd_at_nodes", refuse)
     # nor any node scale: G >= 0 at every node passes each block in _block_verdicts' bulk step
     monkeypatch.setattr(cone, "_node_scales", refuse)
-    monkeypatch.setattr(cone, "_uncoupled_rule", refuse)
+    monkeypatch.setattr(cone, "_diagonal_rule", refuse)
     verdicts, returned = cone._block_verdicts, []
 
     def spying(entries, n, tol, bound):
@@ -1528,16 +1560,22 @@ def _diagonals(draw):
 @given(_diagonals())
 def test_eigvalsh_gives_an_uncoupled_nodes_d_to_within_the_slack(diagonal):
     # M is diagonal, so d = min(diagonal) is its exact smallest eigenvalue.
-    # The uncoupled rule's fail side rests on eigvalsh returning d to within
+    # The diagonal rule's fail side rests on eigvalsh returning d to within
     # SCHUR_EIG_SLACK*s, in exact arithmetic, and so do the bounds
-    # d -+ SCHUR_EIG_SLACK*s as the kernels round them
+    # d -+ SCHUR_EIG_SLACK*s as the kernels round them.  So the rule, at
+    # s = max(top, -d, 1), passes and fails only where eigvalsh does
     entries = [np.array([value]) for value in diagonal] + [np.array(0j)] * 3
-    d, s = (float(part[0]) for part in cone._diagonal_min(entries))
+    d, top = float(min(diagonal)), float(max(diagonal))
+    s = max(top, -d, 1.0)
     eig = float(np.linalg.eigvalsh(_matrices(entries))[0, 0])
-    assert d == min(diagonal)
     assert s == max(1.0, *map(abs, diagonal))
     assert abs(Fraction(eig) - Fraction(d)) <= Fraction(cone.SCHUR_EIG_SLACK) * Fraction(s)
     assert d - cone.SCHUR_EIG_SLACK * s <= eig <= d + cone.SCHUR_EIG_SLACK * s
+    for tol in SCREEN_TOLS:
+        with np.errstate(over="ignore"):  # d - slack beyond the float range
+            passed, failed = cone._diagonal_rule(np.float64(d), np.float64(top), tol)
+        eig_passed = bool(_psd_at_nodes(_matrices(entries), tol)[1][0])
+        assert not (passed and not eig_passed) and not (failed and eig_passed), (diagonal, tol)
 
 
 #: a magnitude log-uniform over the range cone_membership reads an uncoupled node's d in
@@ -1657,12 +1695,19 @@ def test_block_verdicts_pass_and_fail_only_where_eigvalsh_does(data):
         assert eig_passed[passed].all()
         assert not eig_passed[failed].any()
         assert not (passed & failed).any()
-        # the rules leave an uncoupled node open only within about SCHUR_EIG_SLACK*s of -tol*s
-        d, s = cone._diagonal_min(entries)
+        # the rules leave an uncoupled node open only within about SCHUR_EIG_SLACK*s of -tol*s,
+        # and there the diagonal rule, on its smallest and largest entry, decides as eigvalsh does
+        ap, am, bp, bm = entries[:4]
+        d, top = np.minimum(np.minimum(ap, am), np.minimum(bp, bm)), np.maximum(np.maximum(ap, am), np.maximum(bp, bm))
+        s = np.maximum(np.maximum(top, -d), 1.0)
         uncoupled = ~np.broadcast_to(_coupled(entries), 3)
         with np.errstate(over="ignore"):  # d + tol*s beyond the float range is clear of it
             clear = np.abs(d + tol * s) > 1.5 * cone.SCHUR_EIG_SLACK * s
+            rule_passed, rule_failed = cone._diagonal_rule(d, top, tol)
         assert (passed | failed)[uncoupled & clear].all()
+        assert (rule_passed | rule_failed)[clear].all()
+        assert eig_passed[uncoupled & rule_passed].all()
+        assert not eig_passed[uncoupled & rule_failed].any()
 
 
 @settings(max_examples=100)
@@ -1751,16 +1796,17 @@ def test_each_lower_bound_on_a_block_is_exact():
     assert certified and any(uncoupled)
 
 
-# --- the uncoupled rule and the Schur tests, against exact arithmetic ----------
+# --- the diagonal rule and the Schur tests, against exact arithmetic -----------
 
 
 @settings(max_examples=100)
 @given(_diagonals(), st.data())
-def test_uncoupled_rule_passes_and_fails_only_where_exact_d_does(diagonal, data):
+def test_diagonal_rule_passes_and_fails_only_where_exact_d_does(diagonal, data):
     # d is an uncoupled node's exact smallest eigenvalue and s its exact scale:
     # a pass needs d >= -(tol + SCHUR_EIG_SLACK)*s, a fail d < -tol*s.  Each drawn
     # diagonal is tried as it is and with its smallest entry moved to within a few
-    # slacks of -tol*s, where only the slack separates the two sides
+    # slacks of -tol*s, where only the slack separates the two sides.  The rule
+    # runs at the broadcast shape of d and top: here a scalar d and a row of one
     s = max(1.0, *map(abs, diagonal))
     slack = Fraction(cone.SCHUR_EIG_SLACK)
     for tol in SCREEN_TOLS:
@@ -1768,9 +1814,10 @@ def test_uncoupled_rule_passes_and_fails_only_where_exact_d_does(diagonal, data)
         m = data.draw(st.floats(-2.0, 2.0), label=f"slacks past -tol*s at tol {tol}")
         near[int(np.argmin(diagonal))] = -s * (tol + m * cone.SCHUR_EIG_SLACK)
         for case in (diagonal, near):
-            entries = [np.array([value]) for value in case] + [np.array(0j)] * 3
             with np.errstate(over="ignore"):  # d - slack beyond the float range
-                passed, failed = (bool(verdict[0]) for verdict in cone._uncoupled_rule(entries, tol))
+                verdicts = cone._diagonal_rule(np.float64(min(case)), np.array([max(case)]), tol)
+            assert all(np.shape(verdict) == (1,) for verdict in verdicts)
+            passed, failed = (bool(verdict[0]) for verdict in verdicts)
             d, scale = Fraction(min(case)), Fraction(max(1.0, *map(abs, case)))
             assert not passed or d >= -(Fraction(tol) + slack) * scale, (case, tol)
             assert not failed or d < -Fraction(tol) * scale, (case, tol)

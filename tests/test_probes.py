@@ -6,10 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from causalnc.causality import BOUND_SLACK, PureState, pure_causal
+from causalnc import causality
+from causalnc.causality import BOUND_SLACK, SPHERE_BAND, MixedState, PureState, mixed_causal, pure_causal
 from causalnc.cone import AlgebraElement, RegionGrid, cone_membership
 from causalnc.minkowski import SpacetimePoint
-from causalnc.states import DiracData, PureInternalState
+from causalnc.states import DiracData, MixedInternalState, PureInternalState, angular_distance
+from causalnc.witness import CertificateError, refute_with_witness
 from strategies import _reference_membership, exact_proper_time
 
 #: How far past the exact proper time the required angle is set, on either side: ten times BOUND_SLACK.
@@ -83,3 +85,52 @@ def test_flat_minimum_probe_beyond_the_exact_range():
     # as a lower count
     counts = _flat_minimum_probe(101)
     assert counts["disagree"] == 0 and counts["eigvalsh_rows"] == 3559
+
+
+#: Smallest 1 - |r|^2 of the near-sphere probe, just above SPHERE_BAND (1.42e-14).
+NEAR_SPHERE = 2e-14
+
+
+def _near_sphere_probe(seed: int, n: int) -> Counter:
+    """Counts over n seeded same-latitude mixed pairs just inside the sphere.
+
+    Each state has 1 - |r|^2 log-uniform from NEAR_SPHERE to 1e-9, and the
+    pair lies pi - 10^U(-4, 0.46) apart along the parallel.  Every other
+    worldline ends between the supremum and the angular distance, where the
+    sphere's rule and the supremum disagree; the rest end within 10% of the
+    supremum.  "disagree" counts verdicts that differ from _mixed_angle_sup
+    by more than BOUND_SLACK; each refused pair counts as "certified" or
+    under the name of the error refute_with_witness raised.
+    """
+    rng = np.random.default_rng(seed)
+    dirac = DiracData(0.0, 1.0)
+    counts = Counter()
+    for k in range(n):
+        z, t_a = rng.uniform(-0.9, 0.9), rng.uniform(-math.pi, math.pi)
+        states = []
+        for theta in (t_a, t_a + rng.choice((1.0, -1.0)) * (math.pi - 10.0 ** rng.uniform(-4.0, 0.46))):
+            deficit = 10.0 ** rng.uniform(math.log10(NEAR_SPHERE), -9.0)
+            r = math.sqrt(1.0 - deficit - z * z)
+            states.append(MixedInternalState(r * math.cos(theta), r * math.sin(theta), z))
+        sup = causality._mixed_angle_sup(*states)[0]
+        far = angular_distance(states[0].parallel_angle, states[1].parallel_angle)
+        tau = sup + rng.random() * (far - sup) if k % 2 else sup * rng.uniform(0.9, 1.1)
+        omega, eta = MixedState(SpacetimePoint(0.0, 0.0), states[0]), MixedState(SpacetimePoint(tau, 0.0), states[1])
+        verdict = mixed_causal(omega, eta, dirac)
+        available = verdict.bound_available
+        counts["disagree"] += abs(available - sup) > BOUND_SLACK and verdict.related != (available > sup)
+        if not verdict.related:
+            try:
+                refute_with_witness(omega, eta, dirac, n_samples=16)
+                counts["certified"] += 1
+            except (ValueError, CertificateError) as err:
+                counts[type(err).__name__] += 1
+    return counts
+
+
+def test_near_sphere_probe_agrees_with_the_supremum_and_refuses_by_name():
+    # a sphere band as wide as NORM_TOL (1e-12) gives 11 disagreements here, each a false certificate
+    assert SPHERE_BAND < NEAR_SPHERE
+    counts = _near_sphere_probe(seed=2, n=200)
+    assert counts["disagree"] == 0 and counts["certified"] > 50
+    assert "CertificateError" not in counts and "ValueError" not in counts  # every refusal is named
