@@ -24,30 +24,34 @@ they work on the seven distinct entries of the matrix (_cone_entries) and
 take every verdict short of eigvalsh from the rules of one function,
 _block_verdicts, each applied to the nodes the one before leaves open:
 
-- Gershgorin: a node passes when its Gershgorin bound G (_gershgorin_bound)
-  less SCHUR_EIG_SLACK*s is at least -tol*s and s is finite.  So when
-  tol >= SCHUR_EIG_SLACK, G >= 0 alone passes the node: rounding is
-  monotone, so fl(G - fl(SCHUR_EIG_SLACK*s)) is at least
-  -fl(SCHUR_EIG_SLACK*s) >= -fl(tol*s), and s is finite wherever G is
-  (every entry is finite, and a finite G makes |u|, |z| and |w| finite).
-  On every block _block_verdicts first takes that bulk step, before any s:
-  the nodes with G >= 0 pass, and a block where all do needs no other test;
-- Schur: with Da = diag(a0+a1, a0-a1), Db = diag(b0+b1, b0-b1) and C the
-  upper right 2x2 block, M + shift*I is positive definite iff Da + shift > 0
-  and the 2x2 Schur complement Db + shift - C* (Da + shift)^-1 C is.
-  _pd_after_shift tests that with a relative band on every rounded
-  quantity, so it can answer "positive definite" but never wrongly, and
-  passes a node at shift (tol - SCHUR_EIG_SLACK)*s;
-  _indefinite_after_shift, its mirror, fails one at (tol + SCHUR_EIG_SLACK)*s.
+- Gershgorin: on every block _block_verdicts first takes a bulk step,
+  before any s: when tol >= EIG_SLACK the nodes whose Gershgorin bound G
+  (_gershgorin_bound) is at least 0 pass, and a block where all do needs
+  no other test.  Rounding is monotone, so fl(G - fl(EIG_SLACK*s)) is at
+  least -fl(EIG_SLACK*s) >= -fl(tol*s) there, and s is finite wherever G
+  is (every entry is finite, and a finite G makes |u|, |z| and |w| finite);
+- the interval: with C the upper right 2x2 block, alpha = min(ap, am) and
+  beta = min(bp, bm), M0 = [[alpha I, C], [C*, beta I]] has the smallest
+  eigenvalue (_m0_min_eigenvalue)
 
-Each rule is one-sided with SCHUR_EIG_SLACK*s to spare, far more than
+      lambda_min(M0) = (alpha + beta)/2 - sqrt(((alpha - beta)/2)^2 + sigma^2),
+
+  sigma^2 the largest eigenvalue of C*C.  M - M0 is a non-negative
+  diagonal whose largest entry is g = max(|ap - am|, |bp - bm|), so by
+  Weyl lambda_min(M) lies between lambda_min(M0) and lambda_min(M0) + g,
+  and it is at most the smallest diagonal entry d.  A node with a finite s
+  passes where the larger of G and lambda_min(M0), less EIG_SLACK*s, is at
+  least -tol*s, and fails where min(lambda_min(M0) + g, d) + EIG_SLACK*s
+  is below it.  The interval is a point where a and b do not read x
+  (g = 0), and at a node with u = z = w = 0 both its ends are d.
+
+Each rule is one-sided with EIG_SLACK*s to spare, far more than
 eigvalsh's rounding, so it passes only nodes eigvalsh passes and fails only
 nodes eigvalsh fails; both kernels send the nodes no rule decides to
 _psd_at_distinct_nodes, their one eigvalsh path.  At a node with
-u = z = w = 0 the matrix is diagonal and G is its smallest entry d: these
-rules then pass and fail it as the diagonal rule below does.  The two
-families oracle.py samples are diagonally dominant by construction, so G
-passes every node of theirs.
+u = z = w = 0 the matrix is diagonal, so these rules pass and fail it as
+the diagonal rule below does.  The two families oracle.py samples are
+diagonally dominant by construction, so G passes every node of theirs.
 
 The diagonal walk takes only the jets of a and b per block
 (_diagonal_jets), with no entry array.  At their own broadcast shape (a
@@ -56,11 +60,11 @@ forms the smallest and the largest diagonal entry, d = min(a_t - |a_x|,
 b_t - |b_x|) and top = max(a_t + |a_x|, b_t + |b_x|).  The matrix is
 diagonal, so d is the node's smallest eigenvalue, which eigvalsh returns to
 within a few ulps of s = max(top, -d, 1).  The diagonal rule
-(_diagonal_rule) passes a node where d - SCHUR_EIG_SLACK*s >= -tol*s and
-fails it where d + SCHUR_EIG_SLACK*s < -tol*s.  At tol >= SCHUR_EIG_SLACK
+(_diagonal_rule) passes a node where d - EIG_SLACK*s >= -tol*s and
+fails it where d + EIG_SLACK*s < -tol*s.  At tol >= EIG_SLACK
 it passes every node with d >= 0, so a block whose least d is not negative
 passes in bulk, before any top.  Only the nodes the rule leaves open, within
-about SCHUR_EIG_SLACK*s of -tol*s, are gathered, for eigvalsh after the walk.
+about EIG_SLACK*s of -tol*s, are gathered, for eigvalsh after the walk.
 certify_grid_psd returns the walk's verdict, and cone_membership its report:
 min_eigenvalue, its node and the first violation's eigenvalue are read from
 d.  eigvalsh returns a diagonal's entries exactly when it does not rescale
@@ -71,19 +75,16 @@ magnitude; otherwise the general path decides the grid.
 On the general path cone_membership keeps U, an upper bound on the grid
 minimum: the least eigvalsh value taken so far, as any node's eigvalsh
 value is at least that minimum.  It keeps a lower bound L per node,
-L = G - SCHUR_EIG_SLACK*s_max, with s_max = max(1, max(D, 0) +
+L = G - EIG_SLACK*s_max, with s_max = max(1, max(D, 0) +
 max(-min G, 0)) one scale for the block, D its largest diagonal entry.  G
 is at most every diagonal entry, and |u|, |z| and |w| are at most D - G,
 so s_max bounds every node's s (_block_scale) from two reductions, with no
 per-node scale; where an entry is so large that s_max overflows, L is -inf
 and every node of the block goes to eigvalsh.  Each block takes eigvalsh at
 its node of smallest L, before and after it raises L at the nodes whose L
-is not above U to lambda_min(M0) - SCHUR_EIG_SLACK*s where that is larger,
-with M0 = [[alpha I, C], [C*, beta I]], alpha = min(ap, am) and
-beta = min(bp, bm): M - M0 is a non-negative diagonal, so
-lambda_min(M) >= lambda_min(M0), which is in closed form (exact where a and
-b do not read x).  eigvalsh runs only on the undecided nodes, the first
-violation and the nodes with L <= U, where the minimum can lie.
+is not above U to lambda_min(M0) - EIG_SLACK*s where that is larger.
+eigvalsh runs only on the undecided nodes, the first violation and the
+nodes with L <= U, where the minimum can lie.
 
 Every value and partial of the four fields, and every entry, must be
 finite.  _cone_entries walks a, b (not again when it is a's tree), c.re and
@@ -132,13 +133,7 @@ LEMMA_SLACK = 1e-12
 #: Margin, relative to the node scale, that every rule short of eigvalsh
 #: keeps from -tol*scale: some 10^4 ulps of the scale, far more than the
 #: rounding of a 4x4 eigvalsh (a few hundred ulps of ||M||_F <= 4*scale).
-SCHUR_EIG_SLACK = 1e-12
-#: Relative band each rounded Schur quantity must clear: S11 and S22 against
-#: the sum of the magnitudes they combine, det S against S11*S22 + |S12|^2.
-#: Rounding moves S11 and S22 by about 8 unit roundoffs (u = 2^-53) of that
-#: sum, so by at most 8u/band of their own size, and det S by about 22u/band
-#: of its sum, some 10^-9: far inside the band.
-SCHUR_BAND = 1e-6
+EIG_SLACK = 1e-12
 #: Grid nodes per block of _grid_blocks: a block is BLOCK_NODES // nx whole
 #: rows, or a slice of BLOCK_NODES nodes of one row when nx is larger.  It
 #: bounds the memory of a block's entries and of the kernel temporaries over
@@ -590,7 +585,7 @@ def _take(entries, nodes):
 
 
 def _node_scales(entries) -> np.ndarray:
-    """s = max(1, largest |entry|) at each node: the unit of every relative shift and band."""
+    """s = max(1, largest |entry|) at each node: the unit of every relative threshold and slack."""
     ap, am, bp, bm, u, z, w = entries
     scale = np.maximum(np.maximum(np.abs(ap), np.abs(am)), np.maximum(np.abs(bp), np.abs(bm)))
     coupling = np.sqrt(np.maximum(np.maximum(_abs2(u), _abs2(z)), _abs2(w)))
@@ -598,90 +593,6 @@ def _node_scales(entries) -> np.ndarray:
     if over.any():
         coupling = np.where(over, np.maximum(np.maximum(np.abs(u), np.abs(z)), np.abs(w)), coupling)
     return np.maximum(scale, np.maximum(coupling, 1.0))
-
-
-def _schur_terms(entries, shift):
-    """Schur complement S of M + shift*I on its Da block, with the band each term must clear.
-
-    Returns (p, q, s11, s22, band11, band22, prod, s12sq): p, q = Da + shift,
-    the diagonal of S with its bands, prod = S11*S22 and s12sq = |S12|^2.
-    Where the terms the tests add up are not finite (products of two
-    entries beyond about 1e154 overflow), the node's terms come from its
-    entries and shift times 2^-k, with 2^k at its largest magnitude.  That
-    scaling is exact, and each test on the terms has the same sign after it.
-    """
-    terms = _schur_terms_unscaled(entries, shift)
-    _, _, _, _, band11, band22, prod, s12sq = terms
-    finite = np.isfinite(band11 + band22 + prod + s12sq)
-    if not finite.all():
-        redo = np.flatnonzero(~finite)
-        part, part_shift = _take(entries, redo), shift[redo]
-        factor = np.ldexp(1.0, -np.frexp(np.maximum(_node_scales(part), np.abs(part_shift)))[1])
-        rescaled = _schur_terms_unscaled([v * factor for v in part], part_shift * factor)
-        for term, fixed in zip(terms, rescaled):
-            term[redo] = fixed
-    return terms
-
-
-def _schur_terms_unscaled(entries, shift):
-    ap, am, bp, bm, u, z, w = entries  # C = [[-u, -w], [w, -z]], as _matrices builds it
-    uu, zz, ww = _abs2(u), _abs2(z), _abs2(w)
-    p, q = ap + shift, am + shift
-    g1, g2 = uu / p, ww / q  # diagonal of C* diag(p, q)^-1 C
-    h1, h2 = ww / p, zz / q
-    s11 = bp + shift - g1 - g2
-    s22 = bm + shift - h1 - h2
-    s12sq = _abs2(np.conj(u) * w / p - np.conj(w) * z / q)
-    shift_mag = np.abs(shift)
-    band11 = SCHUR_BAND * (np.abs(bp) + shift_mag + g1 + g2)
-    band22 = SCHUR_BAND * (np.abs(bm) + shift_mag + h1 + h2)
-    return p, q, s11, s22, band11, band22, s11 * s22, s12sq
-
-
-def _pd_after_shift(entries, shift) -> np.ndarray:
-    """Nodes where M + shift*I is certainly positive definite, by the banded Schur test.
-
-    p, q = Da + shift are single rounded sums, so their signs are exact.
-    S11, S22 and det S of the Schur complement S are not: each must exceed
-    SCHUR_BAND times the sum of the magnitudes it combines (det S against
-    S11*S22 + |S12|^2), so rounding and cancellation can never make a node
-    that is not positive definite look like one.  Non-finite intermediates
-    compare False and never clear.
-    """
-    p, q, s11, s22, band11, band22, prod, s12sq = _schur_terms(entries, shift)
-    return (
-        (p > 0.0)
-        & (q > 0.0)
-        & (s11 > band11)
-        & (s22 > band22)
-        & (prod - s12sq > SCHUR_BAND * (prod + s12sq))
-    )
-
-
-def _indefinite_after_shift(entries, shift) -> np.ndarray:
-    """Nodes where M + shift*I is certainly not positive semi-definite.
-
-    The mirror of _pd_after_shift with the same bands: a diagonal entry of
-    M + shift*I is negative, or Da + shift > 0 and S11 or S22 lies below
-    minus its band, or both clear their bands and det S lies below minus its
-    band.  A non-finite shift (the scale s overflowed) refutes nothing.
-    """
-    ap, am, bp, bm = entries[:4]
-    diag_min = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
-    p, q, s11, s22, band11, band22, prod, s12sq = _schur_terms(entries, shift)
-    s_clear = (s11 > band11) & (s22 > band22)
-    return np.isfinite(shift) & (
-        (diag_min + shift < 0.0)
-        | (
-            (p > 0.0)
-            & (q > 0.0)
-            & (
-                (s11 < -band11)
-                | (s22 < -band22)
-                | (s_clear & (prod - s12sq < -SCHUR_BAND * (prod + s12sq)))
-            )
-        )
-    )
 
 
 def _charpoly(entries):
@@ -714,11 +625,25 @@ def _diagonal_rule(d, top, tol: float):
     scale, slack = np.negative(d, out=np.empty(shape)), np.empty(shape)
     np.maximum(scale, top, out=scale)
     np.maximum(scale, 1.0, out=scale)
-    np.multiply(SCHUR_EIG_SLACK, scale, out=slack)
+    np.multiply(EIG_SLACK, scale, out=slack)
     threshold = np.multiply(-tol, scale, out=scale)
     failed = np.add(d, slack) < threshold
     passed = np.subtract(d, slack, out=slack) >= threshold
     return passed, failed
+
+
+def _m0_min_eigenvalue(entries, s):
+    """lambda_min(M0) of the module docstring at each node, taken on the entries over s and then times s.
+
+    s is each node's scale (_node_scales), so no square overflows, and the
+    value is a few dozen ulps of s off the exact one.
+    """
+    ap, am, bp, bm, u, z, w = (entry / s for entry in entries)
+    alpha, beta = np.minimum(ap, am), np.minimum(bp, bm)
+    uu, zz = _abs2(u), _abs2(z)
+    sigma2 = 0.5 * (uu + zz) + _abs2(w) + np.hypot(0.5 * (uu - zz), np.abs(np.conj(u) * w - np.conj(w) * z))
+    half = 0.5 * (alpha - beta)
+    return (0.5 * (alpha + beta) - np.sqrt(half * half + sigma2)) * s
 
 
 def _block_verdicts(entries, n: int, tol: float, bound, bound_min=None):
@@ -726,14 +651,14 @@ def _block_verdicts(entries, n: int, tol: float, bound, bound_min=None):
 
     bound is the Gershgorin bound G at each node, and bound_min, where the
     caller has taken it, G's minimum over the block.  The rules of the
-    module docstring, in its order: at tol >= SCHUR_EIG_SLACK the nodes
-    with G >= 0 pass in bulk, and a block where all do, by one min
-    reduction that a NaN fails, returns 0-d True and False at once.  At the
-    nodes left open the Gershgorin rule passes, then the Schur tests pass
-    and fail; a node with u = z = w = 0 gets the same rules.  No node is
-    both, and the nodes neither are left to eigvalsh.
+    module docstring, in its order: at tol >= EIG_SLACK the nodes with
+    G >= 0 pass in bulk, and a block where all do, by one min reduction
+    that a NaN fails, returns 0-d True and False at once.  The nodes left
+    open get the interval rule, with the larger of G and lambda_min(M0) for
+    its lower end.  No node is both, and the nodes neither are left to
+    eigvalsh.
     """
-    bulk = tol >= SCHUR_EIG_SLACK
+    bulk = tol >= EIG_SLACK
     if bulk and (np.minimum.reduce(bound, None) if bound_min is None else bound_min) >= 0.0:  # NaN fails
         return np.True_, np.False_
     passed = bound >= 0.0 if bulk else np.False_
@@ -742,14 +667,17 @@ def _block_verdicts(entries, n: int, tol: float, bound, bound_min=None):
     failed = np.zeros(n, dtype=bool)
     open_nodes = np.flatnonzero(~passed)  # never empty: a block whose every node passed returned above
     part = _take(entries, open_nodes)
+    ap, am, bp, bm = part[:4]
     scale = np.broadcast_to(_node_scales(part), open_nodes.shape)
-    lower = np.broadcast_to(bound, n)[open_nodes] - SCHUR_EIG_SLACK * scale
-    # where s overflowed, lower and -tol*s are both -inf: such a node is left open
-    left = ~(np.isfinite(scale) & (lower >= -tol * scale))
-    passed[open_nodes] = ~left
-    open_nodes, part, scale = open_nodes[left], _take(part, left), scale[left]
-    passed[open_nodes] = _pd_after_shift(part, (tol - SCHUR_EIG_SLACK) * scale)
-    failed[open_nodes] = _indefinite_after_shift(part, (tol + SCHUR_EIG_SLACK) * scale)
+    low = _m0_min_eigenvalue(part, scale)
+    lower = np.fmax(np.broadcast_to(bound, n)[open_nodes], low)
+    diagonal_min = np.minimum(np.minimum(ap, am), np.minimum(bp, bm))
+    upper = np.minimum(low + np.maximum(np.abs(ap - am), np.abs(bp - bm)), diagonal_min)
+    slack, threshold = EIG_SLACK * scale, -tol * scale
+    # where s overflowed, neither rule is sound: such a node is left open
+    finite = np.isfinite(scale)
+    passed[open_nodes] = finite & (lower - slack >= threshold)
+    failed[open_nodes] = finite & (upper + slack < threshold)
     return passed, failed
 
 
@@ -799,7 +727,7 @@ def _block_scale(entries, bound_min: float) -> float:
     |u|, |z| and |w| are at most D - G, by Gershgorin's row sums.  The
     rounding of G, of the moduli in it and of the sum can leave s_max short
     of s by a few unit roundoffs of s (fewer than 16), far inside
-    SCHUR_EIG_SLACK.
+    EIG_SLACK.
     """
     diagonal_max = max(float(np.maximum.reduce(part, None)) for part in entries[:4])
     return max(1.0, max(diagonal_max, 0.0) + max(-bound_min, 0.0))
@@ -811,25 +739,21 @@ def _block_membership(entries, n: int, tol: float, upper: float):
     passed and failed are _block_verdicts', and bound is each node's lower
     bound L.  upper bounds the grid minimum from above (a bound on some
     earlier node's eigvalsh value) and comes back lowered by this block's.
-    L = G - SCHUR_EIG_SLACK*s_max, with G the Gershgorin bound, whose
+    L = G - EIG_SLACK*s_max, with G the Gershgorin bound, whose
     minimum over the block the bulk step and s_max share, and s_max the
     block-wide bound on every node's s of _block_scale, so no node's own s
     is taken.  Where an entry is so large that s_max overflows, L is -inf
     and every node of the block goes to eigvalsh.  eigvalsh at the node of
     smallest L lowers upper.  The nodes whose L is not above it, the only
     ones that can hold the grid minimum, raise L to
-    lambda_min(M0) - SCHUR_EIG_SLACK*s where that is larger, with M0 of the
-    module docstring: M - M0 = diag(ap - alpha, am - alpha, bp - beta,
-    bm - beta) is PSD, so lambda_min(M) >= lambda_min(M0) =
-    (alpha + beta)/2 - sqrt(((alpha - beta)/2)^2 + sigma^2), with sigma^2
-    the largest eigenvalue of C*C.  It is taken on the entries over their
-    node's s and then times s, a few dozen ulps of s off.  eigvalsh at the
-    refined node of smallest L lowers upper last.
+    lambda_min(M0) - EIG_SLACK*s (_m0_min_eigenvalue) where that is
+    larger: the interval's lower end of the module docstring.  eigvalsh at
+    the refined node of smallest L lowers upper last.
     """
     bound = _gershgorin_bound(entries)
     bound_min = float(np.minimum.reduce(bound, None))
     passed, failed = _block_verdicts(entries, n, tol, bound, bound_min)
-    slack = SCHUR_EIG_SLACK * _block_scale(entries, bound_min)
+    slack = EIG_SLACK * _block_scale(entries, bound_min)
     # from G to L, in place where G is per node: one array fewer lives through the block
     lower = np.subtract(bound, slack, out=bound if np.ndim(bound) else None)
     if np.ndim(lower) == 0:  # every entry is constant over the block
@@ -840,13 +764,7 @@ def _block_membership(entries, n: int, tol: float, upper: float):
     if refine.size:
         part = _take(entries, refine)
         s = _node_scales(part)
-        ap, am, bp, bm, u, z, w = (entry / s for entry in part)
-        alpha, beta = np.minimum(ap, am), np.minimum(bp, bm)
-        uu, zz = _abs2(u), _abs2(z)
-        sigma2 = 0.5 * (uu + zz) + _abs2(w) + np.hypot(0.5 * (uu - zz), np.abs(np.conj(u) * w - np.conj(w) * z))
-        half = 0.5 * (alpha - beta)
-        closed = (0.5 * (alpha + beta) - np.sqrt(half * half + sigma2)) * s
-        bound = lower[refine] = np.fmax(lower[refine], closed - SCHUR_EIG_SLACK * s)
+        bound = lower[refine] = np.fmax(lower[refine], _m0_min_eigenvalue(part, s) - EIG_SLACK * s)
         lowest = _take(entries, [refine[np.argmin(bound)]])
         upper = np.minimum(upper, _psd_at_nodes(_matrices(lowest), tol)[0][0])
     return lower, passed, failed, upper
@@ -876,7 +794,7 @@ def _diagonal_membership(
     """
     if not all(isinstance(part, Num) and part.value == 0.0 for part in (el.c_re, el.c_im)):
         return None
-    bulk = tol >= SCHUR_EIG_SLACK
+    bulk = tol >= EIG_SLACK
     low, low_node = math.inf, 0  # the least d so far and its first node
     n_failed, first_failed, failed_d = 0, -1, 0.0
     kept = []  # per block: (nodes, ap, am, bp, bm) of the nodes the rule leaves open

@@ -465,10 +465,14 @@ def test_plan_path_n_above_the_segment_bound_is_refused_before_sampling(capsys, 
 #: elements with c = 0 were read from d: the first is read from d, the second
 #: beyond the range where that is exact.  A non-member whose c.re is 0*t, a
 #: zero that is not the literal 0, was recorded from the kernel as it stood
-#: before the general path lost its own rule for nodes with u = z = w = 0.  The
-#: last, (x, x), fails at every node with partials constant over the grid; it
-#: was recorded from the kernel as it stood before the diagonal rule ran at the
-#: shape of d
+#: before the general path lost its own rule for nodes with u = z = w = 0.
+#: (x, x) fails at every node with partials constant over the grid; it was
+#: recorded from the kernel as it stood before the diagonal rule ran at the
+#: shape of d.  The last two are coupled non-members whose blocks reach
+#: _block_verdicts' tail, a = b = 3*t with c = cos(t)*x + i*sin(x)*t, and
+#: a = t + 0.3*sin(x), b = t + 0.2*cos(x) with c = 0.9*t + i*0.9*x; they were
+#: recorded from the kernel as it stood before that tail took the interval on
+#: lambda_min
 GOLDEN_CONE_CHECKS = json.loads((Path(__file__).parent / "cone_check_golden.json").read_text())
 
 
@@ -929,7 +933,7 @@ def test_cli_verdicts_agree_on_edge_inputs(p, offset, gap, d1_above, xi, phi, at
 def test_cone_check_on_edge_tolerances_exits_cleanly_and_writes_strict_json(tol):
     # --tol 1e308 overflowed -tol*scale in the per-node PSD rule: a RuntimeWarning,
     # and with warnings as errors a failed run; the coupled element below fails G
-    # and reaches the uncoupled rule, the Schur tests and eigvalsh
+    # and reaches the interval rule and eigvalsh
     element = {"a": "4*t", "b": "4*t", "c": {"re": "3*x", "im": "0"}}
     payload = json.dumps({"element": element, "dirac": {"d1": 0, "d2": 1}})
     with warnings.catch_warnings():

@@ -304,8 +304,8 @@ def test_certify_grid_psd_agrees_with_cone_membership():
         AlgebraElement.from_sources("tanh(t + x)", "t"),
         AlgebraElement.from_sources("0", "0", "exp(-t^2 - x^2)", "0"),
     ]
-    # PSD_TOL lets the Gershgorin step fire; below SCHUR_EIG_SLACK it never does
-    for tol in (PSD_TOL, 0.0, cone.SCHUR_EIG_SLACK / 2):
+    # PSD_TOL lets the Gershgorin step fire; below EIG_SLACK it never does
+    for tol in (PSD_TOL, 0.0, cone.EIG_SLACK / 2):
         for el in elements:
             report = cone_membership(el, D_UNIT, SQUARE, tol)
             assert certify_grid_psd(el, D_UNIT, SQUARE, tol) == report.member_on_grid, (el, tol)
@@ -673,9 +673,9 @@ def _wave_element(k: float) -> AlgebraElement:
 @pytest.mark.parametrize("magnitude", (1.0, 1e100, 1e155, 1e300, 5e307))
 def test_cone_kernels_decide_huge_entries_without_eigvalsh(magnitude, monkeypatch):
     # Newton on unscaled coefficients overflowed above about 1e77 (every node
-    # went to eigvalsh), and the squares in the node scale and in the Schur
-    # test above about 1.34e154; at 5e307 the sum by which _cone_entries
-    # checks the entries for inf and NaN overflows, although every entry is finite
+    # went to eigvalsh), and the squares in the node scale above about
+    # 1.34e154; at 5e307 the sum by which _cone_entries checks the entries
+    # for inf and NaN overflows, although every entry is finite
     el = _wave_element(magnitude)
     reference = _reference_membership(el, D_UNIT, WIDE_GRID).to_dict()
     rows = _count_eigvalsh_rows(monkeypatch)
@@ -686,25 +686,34 @@ def test_cone_kernels_decide_huge_entries_without_eigvalsh(magnitude, monkeypatc
     assert rows == []
 
 
-SCHUR_GRID = RegionGrid(-3.0, 3.0, -3.0, 3.0, 201, 201)
+COUPLED_GRID = RegionGrid(-3.0, 3.0, -3.0, 3.0, 201, 201)
 
 
 @pytest.mark.parametrize(
-    "sources, violations",
-    ((("t", "t", "0.8*t", "0.8*x"), 40_401), (("3*t", "3*t", "cos(t)*x", "sin(x)*t"), 27_448)),
-    ids=("linear", "wave"),
+    "sources, violations, most_rows",
+    (
+        (("t", "t", "0.8*t", "0.8*x"), 40_401, 10),
+        (("3*t", "3*t", "cos(t)*x", "sin(x)*t"), 27_448, 10),
+        (("t + 0.3*sin(x)", "t + 0.2*cos(x)", "0.9*t", "0.9*x"), 40_401, 600),
+    ),
+    ids=("linear", "wave", "xdiag"),
 )
-def test_coupled_non_members_are_decided_by_the_schur_tail(sources, violations, monkeypatch):
-    # no benchmark operation reaches the Schur tests of _block_verdicts; on these
-    # coupled non-members they decide every node, so eigvalsh sees only a few rows
+def test_coupled_non_members_are_decided_by_the_schur_tail(sources, violations, most_rows, monkeypatch):
+    # no benchmark operation reaches the interval rule of _block_verdicts.  On
+    # these coupled non-members it fails a node of every block, so
+    # certify_grid_psd needs no eigvalsh.  Where a and b do not read x the
+    # interval is a point and decides every node, so cone_membership's
+    # eigvalsh sees only each block's two nodes of smallest L and the kept
+    # nodes' distinct rows (8 and 9); xdiag's a and b read x, and the nodes
+    # the interval leaves open go to eigvalsh too
     el = AlgebraElement.from_sources(*sources)
-    reference = _reference_membership(el, D_UNIT, SCHUR_GRID).to_dict()
+    reference = _reference_membership(el, D_UNIT, COUPLED_GRID).to_dict()
     assert reference["n_violations"] == violations
     rows = _count_eigvalsh_rows(monkeypatch)
-    assert certify_grid_psd(el, D_UNIT, SCHUR_GRID) is False
+    assert certify_grid_psd(el, D_UNIT, COUPLED_GRID) is False
     assert rows == []
-    assert cone_membership(el, D_UNIT, SCHUR_GRID).to_dict() == reference
-    assert sum(rows) <= 10  # 8 and 9: each block's two nodes of smallest L, then the kept nodes' distinct rows
+    assert cone_membership(el, D_UNIT, COUPLED_GRID).to_dict() == reference
+    assert sum(rows) <= most_rows
 
 
 def test_node_scales_take_the_coupling_modulus_unsquared_only_where_the_square_overflows():
@@ -1047,7 +1056,7 @@ def test_constant_coupling_stays_0d(el, ndims):
 CONSTANT_ELEMENTS = (
     ("t", "t"),
     ("2*t", "t", "0.3", "-0.2"),
-    ("2*t", "t", "1.2"),  # Gershgorin does not clear it, the Schur test does
+    ("2*t", "t", "1.2"),  # Gershgorin does not clear it, the interval rule does
     ("2*t", "t", "1.4142135623730951"),  # |w|^2 = 2 up to an ulp: only eigvalsh decides
     ("t", "t", "1.5"),  # a violation at every node
 )
@@ -1077,12 +1086,12 @@ def _uncoupled_edges(draw):
     from 0 through subnormals to near the float maximum, across LAPACK's
     rescaling thresholds (a norm below about 1e-146 or above 7e145).  p lies
     a few ulps from -tol*S, where eigvalsh decides, or from
-    -tol*S -+ SCHUR_EIG_SLACK*S, where the rule decides alone; q*x^2 spreads
+    -tol*S -+ EIG_SLACK*S, where the rule decides alone; q*x^2 spreads
     the nodes' d = min(ap, am) over a few ulps of p, and +-0 are drawn.
-    tol is PSD_TOL, SCHUR_EIG_SLACK, where the bulk pass of the nodes with
+    tol is PSD_TOL, EIG_SLACK, where the bulk pass of the nodes with
     d >= 0 has no margin, or 0.
     """
-    tol = draw(st.sampled_from((PSD_TOL, cone.SCHUR_EIG_SLACK, 0.0)))
+    tol = draw(st.sampled_from((PSD_TOL, cone.EIG_SLACK, 0.0)))
     r = draw(
         st.one_of(
             st.floats(-323.0, 307.5).map(lambda e: 10.0**e),
@@ -1091,7 +1100,7 @@ def _uncoupled_edges(draw):
     )
     s = r * draw(st.floats(-1.0, 1.0))
     scale = max(1.0, r + abs(s))
-    threshold, slack = -tol * scale, cone.SCHUR_EIG_SLACK * scale
+    threshold, slack = -tol * scale, cone.EIG_SLACK * scale
     p = draw(st.sampled_from((threshold, threshold + slack, threshold - slack)))
     for _ in range(abs(steps := draw(st.integers(-4, 4)))):
         p = float(np.nextafter(p, math.copysign(math.inf, steps)))
@@ -1124,7 +1133,7 @@ _ZERO_COUPLINGS = (("0", "0"), ("0*t", "0"), ("x - x", "0"), ("0", "0*t"))
     st.sampled_from((0.0, 4.0, 64.0)),
     st.sampled_from((1.0, 1e150, 1e-150)),
     st.sampled_from(_ZERO_COUPLINGS),
-    st.sampled_from((PSD_TOL, 0.0, cone.SCHUR_EIG_SLACK / 2, -0.5)),
+    st.sampled_from((PSD_TOL, 0.0, cone.EIG_SLACK / 2, -0.5)),
 )
 def test_both_kernels_decide_uncoupled_elements_as_eigvalsh_does(trees, slope, factor, coupling, tol):
     # a diagonal scaled by 1e150 or 1e-150 lies outside the range where the
@@ -1150,7 +1159,8 @@ def test_both_kernels_decide_uncoupled_elements_as_eigvalsh_does(trees, slope, f
 )
 def test_uncoupled_elements_need_no_schur_test_and_no_newton(monkeypatch, sources, diagonalised):
     # the x = 0 column of the near elements has smallest eigenvalue 1 - beta;
-    # at 1 - 1.000000002 it lies within SCHUR_EIG_SLACK*s of -tol*s, so eigvalsh decides it.
+    # at 1 - 1.000000002 it lies within EIG_SLACK*s of -tol*s, so eigvalsh decides it.
+    # No node reaches the general path's rules or lambda_min(M0).
     # Over blocks of 4 rows, a block whose least d is not negative passes in
     # bulk, and the diagonal rule runs once on each other block, on the d that
     # _diagonal_jets gave it (a row for the near elements), never widened to
@@ -1164,7 +1174,7 @@ def test_uncoupled_elements_need_no_schur_test_and_no_newton(monkeypatch, source
     def refuse(*args):
         raise AssertionError("an uncoupled node is decided by its diagonal")
 
-    for name in ("_pd_after_shift", "_indefinite_after_shift"):
+    for name in ("_block_verdicts", "_m0_min_eigenvalue"):
         monkeypatch.setattr(cone, name, refuse)
     walked, ruled, psd_calls = [], [], []
     jets, rule, psd_at_nodes = cone._diagonal_jets, cone._diagonal_rule, cone._psd_at_nodes
@@ -1327,13 +1337,13 @@ def test_cone_membership_takes_node_scales_only_on_part_of_a_block(monkeypatch):
 
 def test_criterion_5_stream_certifies_without_lapack(monkeypatch):
     # both sampled families are diagonally dominant by construction, so
-    # certify_grid_psd needs neither the Schur test nor eigvalsh on them
+    # certify_grid_psd needs neither the interval rule nor eigvalsh on them
     def refuse(*args, **kwargs):
         raise AssertionError("the Gershgorin screen should clear every node of these elements")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    monkeypatch.setattr(cone, "_pd_after_shift", refuse)
+    monkeypatch.setattr(cone, "_m0_min_eigenvalue", refuse)
     monkeypatch.setattr(cone, "_psd_at_nodes", refuse)
     # nor any node scale: G >= 0 at every node passes each block in _block_verdicts' bulk step
     monkeypatch.setattr(cone, "_node_scales", refuse)
@@ -1380,9 +1390,11 @@ def _distinct_rows(entries, n: int) -> int:
     ((1.0, 0.5, 0.0, 0.0, 1.0), (2.5, 0.9, 0.6, 0.3, 1.5), (0.3, 0.2, -0.8, -0.7, 0.5), (3.0, 0.99, 0.3, 0.9, 4.0)),
 )
 def test_kernels_agree_on_witness_elements(monkeypatch, dtheta, share, v, z, gap):
-    # a witness element's cone matrix has rank 2, so no screen or Schur test
-    # decides its nodes: both kernels leave every one of them to eigvalsh,
-    # which sees each distinct row of entries once
+    # a witness element's cone matrix has rank 2, so the Gershgorin screen
+    # decides none of its nodes.  At v = 0 a and b do not read x, so the
+    # interval on lambda_min is the point lambda_min(M0) and decides every
+    # node; otherwise it decides none, and certify_grid_psd leaves every
+    # node to eigvalsh, which sees each distinct row of entries once
     el, dirac, grid = _witness_case(dtheta, share, v, z, gap)
     eigvalsh_rows = []
     psd_at_nodes = cone._psd_at_nodes
@@ -1393,7 +1405,8 @@ def test_kernels_agree_on_witness_elements(monkeypatch, dtheta, share, v, z, gap
 
     monkeypatch.setattr(cone, "_psd_at_nodes", counting)
     verdict = certify_grid_psd(el, dirac, grid)
-    assert eigvalsh_rows == [_distinct_rows(_grid_entries(el, dirac, grid), grid.nt * grid.nx)]
+    rows = _distinct_rows(_grid_entries(el, dirac, grid), grid.nt * grid.nx)
+    assert eigvalsh_rows == ([] if v == 0.0 else [rows])
     report = cone_membership(el, dirac, grid)
     assert verdict == report.member_on_grid
     assert report.to_dict() == _reference_membership(el, dirac, grid).to_dict()
@@ -1561,16 +1574,16 @@ def _diagonals(draw):
 def test_eigvalsh_gives_an_uncoupled_nodes_d_to_within_the_slack(diagonal):
     # M is diagonal, so d = min(diagonal) is its exact smallest eigenvalue.
     # The diagonal rule's fail side rests on eigvalsh returning d to within
-    # SCHUR_EIG_SLACK*s, in exact arithmetic, and so do the bounds
-    # d -+ SCHUR_EIG_SLACK*s as the kernels round them.  So the rule, at
+    # EIG_SLACK*s, in exact arithmetic, and so do the bounds
+    # d -+ EIG_SLACK*s as the kernels round them.  So the rule, at
     # s = max(top, -d, 1), passes and fails only where eigvalsh does
     entries = [np.array([value]) for value in diagonal] + [np.array(0j)] * 3
     d, top = float(min(diagonal)), float(max(diagonal))
     s = max(top, -d, 1.0)
     eig = float(np.linalg.eigvalsh(_matrices(entries))[0, 0])
     assert s == max(1.0, *map(abs, diagonal))
-    assert abs(Fraction(eig) - Fraction(d)) <= Fraction(cone.SCHUR_EIG_SLACK) * Fraction(s)
-    assert d - cone.SCHUR_EIG_SLACK * s <= eig <= d + cone.SCHUR_EIG_SLACK * s
+    assert abs(Fraction(eig) - Fraction(d)) <= Fraction(cone.EIG_SLACK) * Fraction(s)
+    assert d - cone.EIG_SLACK * s <= eig <= d + cone.EIG_SLACK * s
     for tol in SCREEN_TOLS:
         with np.errstate(over="ignore"):  # d - slack beyond the float range
             passed, failed = cone._diagonal_rule(np.float64(d), np.float64(top), tol)
@@ -1613,7 +1626,7 @@ def test_eigvalsh_returns_an_uncoupled_nodes_d_bit_for_bit_inside_the_exact_rang
 
 #: the tolerances every _screen_cases property runs at: the default, the
 #: smallest at which the Gershgorin step fires, and one at which it never does
-SCREEN_TOLS = (PSD_TOL, cone.SCHUR_EIG_SLACK, 0.0)
+SCREEN_TOLS = (PSD_TOL, cone.EIG_SLACK, 0.0)
 
 
 def _coupled(entries) -> np.ndarray:
@@ -1627,7 +1640,7 @@ def _screen_cases(draw, tol: float):
     """Entries of a few nodes, some rows of which sit on the screen's threshold at tol.
 
     Each row's diagonal entry is its off-diagonal sum plus a margin: far
-    (of the order of the entries) or near, s*(k*tol + m*SCHUR_EIG_SLACK)
+    (of the order of the entries) or near, s*(k*tol + m*EIG_SLACK)
     with k in {-1, 0} and |m| <= 2, so the Gershgorin bound lands within a
     few slacks of -tol*s.  uncoupled: u, z and w are 0-d zeros, as
     _cone_entries gives for a constant c.  mixed: as coupled, but u, z and
@@ -1675,7 +1688,7 @@ def _screen_cases(draw, tol: float):
         offsums = np.broadcast_to(np.reshape([off_u, off_z, off_u, off_z], (4, -1)), (4, n))
         diag = np.clip(offsums + np.where(near, 0.0, far * magnitude), -_FLOAT_MAX, _FLOAT_MAX)
         scale = _node_scales((*diag, u, z, w))
-        margin = scale * (k * tol + m * cone.SCHUR_EIG_SLACK)
+        margin = scale * (k * tol + m * cone.EIG_SLACK)
         margin[~np.isfinite(margin)] = 0.0  # where s is inf
         if kind == "tight":
             margin[:] = margin[0]
@@ -1695,14 +1708,14 @@ def test_block_verdicts_pass_and_fail_only_where_eigvalsh_does(data):
         assert eig_passed[passed].all()
         assert not eig_passed[failed].any()
         assert not (passed & failed).any()
-        # the rules leave an uncoupled node open only within about SCHUR_EIG_SLACK*s of -tol*s,
+        # the rules leave an uncoupled node open only within about EIG_SLACK*s of -tol*s,
         # and there the diagonal rule, on its smallest and largest entry, decides as eigvalsh does
         ap, am, bp, bm = entries[:4]
         d, top = np.minimum(np.minimum(ap, am), np.minimum(bp, bm)), np.maximum(np.maximum(ap, am), np.maximum(bp, bm))
         s = np.maximum(np.maximum(top, -d), 1.0)
         uncoupled = ~np.broadcast_to(_coupled(entries), 3)
         with np.errstate(over="ignore"):  # d + tol*s beyond the float range is clear of it
-            clear = np.abs(d + tol * s) > 1.5 * cone.SCHUR_EIG_SLACK * s
+            clear = np.abs(d + tol * s) > 1.5 * cone.EIG_SLACK * s
             rule_passed, rule_failed = cone._diagonal_rule(d, top, tol)
         assert (passed | failed)[uncoupled & clear].all()
         assert (rule_passed | rule_failed)[clear].all()
@@ -1721,7 +1734,7 @@ def test_gershgorin_step_passes_only_blocks_whose_every_node_each_rule_passes(da
     # nothing to spare
     for drawn_tol in SCREEN_TOLS:
         entries = data.draw(_screen_cases(drawn_tol), label=f"entries at tol {drawn_tol}")
-        for tol in {drawn_tol, cone.SCHUR_EIG_SLACK}:
+        for tol in {drawn_tol, cone.EIG_SLACK}:
             for nodes in ([0, 1, 2], [0], [1], [2]):
                 block = cone._take(entries, nodes)
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -1740,7 +1753,7 @@ def test_gershgorin_step_passes_only_blocks_whose_every_node_each_rule_passes(da
 
 
 def test_block_scale_bounds_every_nodes_exact_scale():
-    # L = G - SCHUR_EIG_SLACK*s_max stands for G - SCHUR_EIG_SLACK*s at every
+    # L = G - EIG_SLACK*s_max stands for G - EIG_SLACK*s at every
     # node of the block, so s_max must be at least each node's exact scale
     # max(1, |entry|), on coupled and uncoupled blocks alike.  G, the moduli in
     # it and the sum in s_max are rounded, which can leave s_max a few unit
@@ -1771,9 +1784,9 @@ def test_block_scale_bounds_every_nodes_exact_scale():
 def test_each_lower_bound_on_a_block_is_exact():
     # cone_membership keeps a node out of the final eigvalsh only when its L
     # lies above an eigvalsh value, so L must bound the node's smallest
-    # eigenvalue in exact arithmetic: G - SCHUR_EIG_SLACK*s_max on every
+    # eigenvalue in exact arithmetic: G - EIG_SLACK*s_max on every
     # block, coupled or not, and at a node of a coupled block the closed-form
-    # lambda_min(M0) - SCHUR_EIG_SLACK*s where that is larger.  Uncoupled
+    # lambda_min(M0) - EIG_SLACK*s where that is larger.  Uncoupled
     # blocks must be drawn, and at least one node must take the closed-form bound
     certified, uncoupled = [], []
 
@@ -1785,7 +1798,7 @@ def test_each_lower_bound_on_a_block_is_exact():
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             lower = cone._block_membership(entries, 3, tol, np.inf)[0]
             bound = _gershgorin_bound(entries)
-            gershgorin = bound - cone.SCHUR_EIG_SLACK * cone._block_scale(entries, float(np.min(bound)))
+            gershgorin = bound - cone.EIG_SLACK * cone._block_scale(entries, float(np.min(bound)))
         for i in np.flatnonzero(np.isfinite(lower)):
             node = [part if np.ndim(part) == 0 else part[i] for part in entries]
             assert _exactly_psd(node, -Fraction(float(lower[i]))), (node, lower[i])
@@ -1796,23 +1809,23 @@ def test_each_lower_bound_on_a_block_is_exact():
     assert certified and any(uncoupled)
 
 
-# --- the diagonal rule and the Schur tests, against exact arithmetic -----------
+# --- the diagonal rule and the interval rule, against exact arithmetic --------
 
 
 @settings(max_examples=100)
 @given(_diagonals(), st.data())
 def test_diagonal_rule_passes_and_fails_only_where_exact_d_does(diagonal, data):
     # d is an uncoupled node's exact smallest eigenvalue and s its exact scale:
-    # a pass needs d >= -(tol + SCHUR_EIG_SLACK)*s, a fail d < -tol*s.  Each drawn
+    # a pass needs d >= -(tol + EIG_SLACK)*s, a fail d < -tol*s.  Each drawn
     # diagonal is tried as it is and with its smallest entry moved to within a few
     # slacks of -tol*s, where only the slack separates the two sides.  The rule
     # runs at the broadcast shape of d and top: here a scalar d and a row of one
     s = max(1.0, *map(abs, diagonal))
-    slack = Fraction(cone.SCHUR_EIG_SLACK)
+    slack = Fraction(cone.EIG_SLACK)
     for tol in SCREEN_TOLS:
         near = list(diagonal)
         m = data.draw(st.floats(-2.0, 2.0), label=f"slacks past -tol*s at tol {tol}")
-        near[int(np.argmin(diagonal))] = -s * (tol + m * cone.SCHUR_EIG_SLACK)
+        near[int(np.argmin(diagonal))] = -s * (tol + m * cone.EIG_SLACK)
         for case in (diagonal, near):
             with np.errstate(over="ignore"):  # d - slack beyond the float range
                 verdicts = cone._diagonal_rule(np.float64(min(case)), np.array([max(case)]), tol)
@@ -1823,30 +1836,41 @@ def test_diagonal_rule_passes_and_fails_only_where_exact_d_does(diagonal, data):
             assert not failed or d < -Fraction(tol) * scale, (case, tol)
 
 
+def _on_the_threshold(entries, tol: float):
+    """One node's entries with am = ap and bm = bp, its diagonal shifted to put lambda_min on -tol*s.
+
+    a and b then do not read x, so the interval of _block_verdicts is a
+    point, and both its ends lie within rounding of the threshold.  The
+    shift moves s, so it is taken twice.
+    """
+    ap, _, bp, _, u, z, w = entries
+    node = [ap, ap, bp, bp, u, z, w]
+    for _ in range(2):
+        low = np.linalg.eigvalsh(_matrices(node))[0, 0] + tol * _node_scales(node)[0]
+        node[:4] = [part - low for part in node[:4]]
+    return node
+
+
 @settings(max_examples=40)
 @given(st.data())
-def test_schur_tests_certify_only_what_exact_arithmetic_does(data):
-    # at the shifts (tol -+ SCHUR_EIG_SLACK)*s where _block_verdicts runs them, a
-    # true _pd_after_shift means M + shift*I is PSD in exact arithmetic on the
-    # rounded entries, and a true _indefinite_after_shift that it is not.  A shift
-    # that is not finite (s beyond the float range) certifies nothing.  Each tol
-    # runs a _screen_cases block and one _entry_tuples node: a rank-deficient one
-    # is singular to rounding at the shift 0 of tol = SCHUR_EIG_SLACK
-    for tol in SCREEN_TOLS:
-        for entries in (
-            data.draw(_screen_cases(tol), label=f"entries at tol {tol}"),
-            data.draw(_entry_tuples(), label=f"one node at tol {tol}"),
-        ):
+def test_block_verdicts_certify_only_what_exact_arithmetic_does(data):
+    # a node _block_verdicts passes makes M + tol*s*I PSD in exact arithmetic
+    # on the rounded entries, at the node scale s of _node_scales, and a node
+    # it fails makes it not PSD.  Each tol runs a _screen_cases block, one
+    # _entry_tuples node and that node moved onto the threshold; the tols
+    # are SCREEN_TOLS, one far below 0 and one far above EIG_SLACK
+    for tol in (*SCREEN_TOLS, -0.5, 1e-3):
+        drawn = data.draw(_entry_tuples(), label=f"one node at tol {tol}")
+        with np.errstate(over="ignore"):
+            on_threshold = _on_the_threshold(drawn, tol)
+        for entries in (data.draw(_screen_cases(tol), label=f"entries at tol {tol}"), drawn, on_threshold):
             n = max(np.size(part) for part in entries)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                passed, failed = _block_verdicts(entries, n, tol, _gershgorin_bound(entries))
                 scale = np.broadcast_to(_node_scales(entries), n)
-                for shift in ((tol - cone.SCHUR_EIG_SLACK) * scale, (tol + cone.SCHUR_EIG_SLACK) * scale):
-                    pd, indefinite = (
-                        np.broadcast_to(test(entries, shift), n)
-                        for test in (cone._pd_after_shift, cone._indefinite_after_shift)
-                    )
-                    assert not (pd | indefinite)[~np.isfinite(shift)].any()
-                    for i in np.flatnonzero(pd | indefinite):
-                        node = [part if np.ndim(part) == 0 else part[i] for part in entries]
-                        exact = _exactly_psd(node, Fraction(float(shift[i])))
-                        assert exact == bool(pd[i]), (node, shift[i])
+            passed, failed = np.broadcast_to(passed, n), np.broadcast_to(failed, n)
+            assert not (passed & failed).any()
+            for i in np.flatnonzero(passed | failed):
+                node = [part if np.ndim(part) == 0 else part[i] for part in entries]
+                exact = _exactly_psd(node, Fraction(tol) * Fraction(float(scale[i])))
+                assert exact == bool(passed[i]), (node, tol)
